@@ -48,9 +48,8 @@ counted, cnt = with_gradient_counter(prob)
 sp_base = ScheduleParams(alpha0=0.2, beta0=1e-4, rho0=10.0, sigma0=0.01,
                          p=0.01, q=0.01, s=0.16)
 u0 = np.concatenate((y0, z0))
-base = run_double_loop_baseline(
-    counted, sp_base, x0, outer_iter=10**6, inner_tol=1e-5, u0=u0,
-    target=lambda k, x, sd: cnt.count >= budget, stop_at_target=True)
+base = run_double_loop_baseline(counted, sp_base, x0, outer_iter=None,
+                                inner_tol=1e-5, u0=u0, grad_budget=budget)
 b_loss = hyper_rep_test_loss(data, base.x, base.saddle.y_star)
 print("double loop: %6d evals  test loss %.4f  (%d outer steps, "
       "%d inner iterations)" % (cnt.count, b_loss, base.outer_iterations,

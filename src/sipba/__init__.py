@@ -56,7 +56,6 @@ from .solver import (
     with_gradient_counter,
 )
 from .diagnostics import (
-    DiagnosticsRecord,
     MeritCoefficients,
     SandwichReport,
     lipschitz_phi_bound,

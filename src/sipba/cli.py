@@ -18,7 +18,7 @@ CSV files are UTF-8 with LF line endings and 17-significant-digit floats, so
 reruns with the same config and seed reproduce every numerical column
 bit-for-bit (wall-time columns excepted). The environment variable SIPBA_SEED
 overrides the configured seed base. Exit codes: 0 success, 1 config error,
-2 numerical failure, 3 acceptance violation.
+2 nothing completed (numerical failure), 3 acceptance violation.
 """
 
 import argparse
@@ -26,8 +26,8 @@ import csv
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from functools import partial
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from .benchmarks import (
     save_hyper_rep,
     synthetic_problem,
 )
-from .diagnostics import MeritCoefficients, relative_error
+from .diagnostics import MeritCoefficients, relative_error, sandwich_check
 from .errors import DivergenceError, SaddleConvergenceError
-from .problem import _sample_interior, check_gradients
+from .problem import _central_diff, _sample_interior, check_gradients
 from .saddle import eval_phi, grad_phi, solve_saddle
 from .smoothing import PenaltyReg, direction_x, eval_psi
 from .solver import (
@@ -50,6 +50,7 @@ from .solver import (
     initial_state,
     params_at,
     run,
+    run_double_loop_baseline,
     with_gradient_counter,
 )
 
@@ -171,17 +172,20 @@ def build_schedule(cfg, overrides=None):
 class ProblemBundle:
     """Problem plus the bookkeeping the harness needs around it."""
 
-    def __init__(self, kind, problem, sample_init, optimum=None,
-                 closed_form=None, data=None, metric_name="upper_objective",
-                 metric=None):
-        self.kind = kind
+    def __init__(self, problem, sample_init, optimum=None, closed_form=None,
+                 metric_name="upper_objective", metric=None):
         self.problem = problem
         self.sample_init = sample_init
         self.optimum = optimum          # (x_star, y_star) or None
         self.closed_form = closed_form  # object with closed_form_phi/y_star
-        self.data = data                # HyperRepData or None
         self.metric_name = metric_name
         self.metric = metric            # callable(x, y) -> float
+
+    def eps_rel(self, x, y, x0, y0):
+        """Relative error of (x, y) to the known optimum; None without one."""
+        if self.optimum is None:
+            return None
+        return relative_error(x, y, *self.optimum, x0, y0)
 
 
 def build_problem(cfg, out_dir=None):
@@ -191,7 +195,7 @@ def build_problem(cfg, out_dir=None):
         n = _get(pd, "n", "int")
         sbench = synthetic_problem(n)
         return ProblemBundle(
-            kind, sbench.problem, sbench.sample_init,
+            sbench.problem, sbench.sample_init,
             optimum=(sbench.x_star, sbench.y_star), closed_form=sbench,
             metric_name="eps_rel",
         )
@@ -203,7 +207,7 @@ def build_problem(cfg, out_dir=None):
             y0 = rng.uniform(-3.0, 3.0, 1)
             return x0, y0, y0.copy()
 
-        return ProblemBundle(kind, prob, sample,
+        return ProblemBundle(prob, sample,
                              metric=lambda x, y: prob.F(x, y))
     if kind == "hyper_rep":
         data = generate_hyper_rep(
@@ -222,7 +226,7 @@ def build_problem(cfg, out_dir=None):
             save_hyper_rep(data, path)
         prob = hyper_rep_problem(data)
         return ProblemBundle(
-            kind, prob, lambda rng: hyper_rep_init(data, rng), data=data,
+            prob, lambda rng: hyper_rep_init(data, rng),
             metric_name="test_loss",
             metric=lambda x, y: hyper_rep_test_loss(data, x, y),
         )
@@ -261,7 +265,7 @@ def resolve_seeds(cfg):
 
 def _initial_point(bundle, cfg, seed):
     rc = _get(cfg, "run", "dict", default={})
-    init = rc.get("init")
+    init = _get(rc, "init", "dict", default=None)
     if init is not None:
         x0 = np.asarray(_get(init, "x0", "list"), dtype=float)
         y0 = np.asarray(_get(init, "y0", "list"), dtype=float)
@@ -270,6 +274,18 @@ def _initial_point(bundle, cfg, seed):
         return x0, y0, z0
     rng = np.random.Generator(np.random.Philox(seed))
     return bundle.sample_init(rng)
+
+
+def _check_init(cfg, out_dir):
+    """Check an explicit run.init against the problem, once, before fan-out."""
+    if _get(cfg, "run", "dict", default={}).get("init") is None:
+        return
+    prob = build_problem(cfg, out_dir).problem
+    dims = (prob.n_x, prob.n_y, prob.n_y)
+    for key, v, n in zip(("x0", "y0", "z0"), _initial_point(None, cfg, None), dims):
+        if v.shape != (n,):
+            raise ConfigError("run.init.%s must have %d entries, got shape %s"
+                              % (key, n, v.shape), key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +337,8 @@ def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
 
     target = None
     if target_eps is not None:
-        xs, ys = bundle.optimum
-
         def target(st):
-            return relative_error(st.x, st.y, xs, ys, x_init, y_init) < target_eps
+            return bundle.eps_rel(st.x, st.y, x_init, y_init) < target_eps
 
     mc = MeritCoefficients.from_schedule(sp)
     rows = []
@@ -342,10 +356,7 @@ def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
         sr = float(np.linalg.norm(st.x - moved)) / pars.alpha
         phi_min[0] = min(phi_min[0], phi_k)
         merit = mc.value(done, phi_k - (phi_min[0] - 1.0), te)
-        eps = None
-        if bundle.optimum is not None:
-            xs_, ys_ = bundle.optimum
-            eps = relative_error(st.x, st.y, xs_, ys_, x_init, y_init)
+        eps = bundle.eps_rel(st.x, st.y, x_init, y_init)
         rows.append((seed, done, elapsed, phi_k, eps, te, sr, merit))
 
     out = {"run_id": seed, "ok": True, "error": "", "iterations": 0,
@@ -359,10 +370,8 @@ def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
         out["target_iteration"] = res.target_iteration
         out["target_seconds"] = res.target_seconds
         out["step_seconds"] = res.step_seconds
-        if bundle.optimum is not None:
-            xs, ys = bundle.optimum
-            out["final_eps_rel"] = relative_error(
-                res.state.x, res.state.y, xs, ys, x_init, y_init)
+        out["final_eps_rel"] = bundle.eps_rel(res.state.x, res.state.y,
+                                              x_init, y_init)
     except (DivergenceError, SaddleConvergenceError) as e:
         out["ok"] = False
         out["error"] = str(e)
@@ -374,15 +383,25 @@ def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
 
 
 def _fan_out(tasks, jobs):
-    """Run (inline_callable, key, submit_args) tasks, inline or in workers."""
+    """Run {key: picklable callable} tasks, inline or in worker processes."""
     if jobs <= 1 or len(tasks) <= 1:
-        return {key: fn() for fn, key, _ in tasks}
+        return {key: fn() for key, fn in tasks.items()}
     results = {}
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        futs = {ex.submit(*submit): key for _, key, submit in tasks}
+        futs = {ex.submit(fn): key for key, fn in tasks.items()}
         for f in as_completed(futs):
             results[futs[f]] = f.result()
     return results
+
+
+def _tally(runs):
+    """(completed runs, runs that hit the target, their seconds, final eps_rel)."""
+    completed = [r for r in runs if r["ok"]]
+    valid = [r for r in completed if r["target_iteration"] is not None]
+    times = [r["target_seconds"] for r in valid]
+    finals = [r["final_eps_rel"] for r in completed
+              if r["final_eps_rel"] is not None]
+    return completed, valid, times, finals
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +412,9 @@ def cmd_run(cfg, jobs, out_dir):
     seeds = resolve_seeds(cfg)
     rc = _get(cfg, "run", "dict", default={})
     target_eps = _get(rc, "target_eps_rel", "num", default=None)
-    tasks = [(lambda s=s: _run_single(cfg, s, out_dir), s,
-              (_run_single, cfg, s, out_dir)) for s in seeds]
-    results = _fan_out(tasks, jobs)
+    _check_init(cfg, out_dir)
+    results = _fan_out({s: partial(_run_single, cfg, s, out_dir)
+                        for s in seeds}, jobs)
     ordered = [results[s] for s in seeds]
 
     for r in ordered:
@@ -411,11 +430,7 @@ def cmd_run(cfg, jobs, out_dir):
         else:
             print("run %d: FAILED (%s)" % (r["run_id"], r["error"]))
 
-    completed = [r for r in ordered if r["ok"]]
-    finals = [r["final_eps_rel"] for r in completed
-              if r["final_eps_rel"] is not None]
-    valid = [r for r in completed if r["target_iteration"] is not None]
-    times = [r["target_seconds"] for r in valid]
+    completed, valid, times, finals = _tally(ordered)
     summary = [(
         len(ordered), len(completed),
         len(valid) if target_eps is not None else None,
@@ -449,30 +464,21 @@ def cmd_ablate(cfg, jobs, out_dir):
     seeds = resolve_seeds(cfg)
     for ov in grid:
         build_schedule(cfg, ov)  # fail fast on bad overrides
+    _check_init(cfg, out_dir)
 
-    tasks = []
-    for i, ov in enumerate(grid):
-        for s in seeds:
-            tasks.append((
-                lambda ov=ov, s=s: _run_single(
-                    cfg, s, out_dir, overrides=ov, max_iter=max_iter,
-                    stop_at_target=True, write_rows=False),
-                (i, s),
-                (_run_single, cfg, s, out_dir, ov, max_iter, True, False),
-            ))
-    results = _fan_out(tasks, jobs)
+    results = _fan_out({
+        (i, s): partial(_run_single, cfg, s, out_dir, overrides=ov,
+                        max_iter=max_iter, stop_at_target=True,
+                        write_rows=False)
+        for i, ov in enumerate(grid) for s in seeds}, jobs)
 
     table = []
     any_completed = False
     for i, ov in enumerate(grid):
         sp = build_schedule(cfg, ov)
         runs = [results[(i, s)] for s in seeds]
-        completed = [r for r in runs if r["ok"]]
+        completed, valid, times, finals = _tally(runs)
         any_completed = any_completed or bool(completed)
-        valid = [r for r in completed if r["target_iteration"] is not None]
-        times = [r["target_seconds"] for r in valid]
-        finals = [r["final_eps_rel"] for r in completed
-                  if r["final_eps_rel"] is not None]
         table.append((
             i, sp.alpha0, sp.beta0, sp.rho0, sp.sigma0, sp.p, sp.q, sp.s,
             len(runs), len(valid),
@@ -513,13 +519,9 @@ def cmd_gradcheck(cfg, jobs, out_dir):
         for _ in range(n_points):
             x = _sample_interior(prob.set_X, rng)
             g = grad_phi(prob, pr, x, tol=oracle_tol)
-            fd = np.empty(prob.n_x)
-            for i in range(prob.n_x):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += fd_step
-                xm[i] -= fd_step
-                fd[i] = (eval_phi(prob, pr, xp, tol=oracle_tol)
-                         - eval_phi(prob, pr, xm, tol=oracle_tol)) / (2 * fd_step)
+            phi = partial(eval_phi, prob, pr, tol=oracle_tol)
+            fd = np.array([_central_diff(phi, x, i, fd_step)
+                           for i in range(prob.n_x)])
             err = float(np.linalg.norm(g - fd)
                         / max(float(np.linalg.norm(fd)), 1e-12))
             worst_phi = max(worst_phi, err)
@@ -544,43 +546,19 @@ def cmd_gradcheck(cfg, jobs, out_dir):
     return 0
 
 
-def _baseline_under_budget(prob, cnt, sp, x0, u0, budget, inner_tol,
+def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
                            max_outer=None, callback=None):
     """Double-loop baseline driven to a gradient-evaluation budget.
 
-    prob must be the counted problem copy tied to cnt. Each inner solve's
-    iteration allowance is capped by the remaining budget (one fixed-point
-    iteration costs three gradient evaluations), so the total spend can
-    exceed the budget only by one step-size estimation plus one outer
-    direction, never by an unbounded inner solve. Inner solves cut short by
-    the cap count as failures and the loop continues from their last iterate,
-    mirroring the uncapped reference runner.
+    Returns (x, last saddle, outer iterations, inner failures, seconds).
+    prob should come from with_gradient_counter so its counter is reused.
     """
-    x = prob.set_X.project(np.atleast_1d(np.asarray(x0, dtype=float)))
-    u = u0
-    k = 0
-    failures = 0
-    elapsed = 0.0
-    last = None
-    while cnt.count < budget and (max_outer is None or k < max_outer):
-        k += 1
-        pars = params_at(sp, k)
-        pr = PenaltyReg(pars.rho, pars.sigma)
-        room = max(1, (budget - cnt.count) // 3)
-        t0 = time.perf_counter()
-        try:
-            sd = solve_saddle(prob, pr, x, tol=inner_tol, max_iter=room, u0=u)
-        except SaddleConvergenceError as e:
-            sd = e.saddle
-            failures += 1
-        g = direction_x(prob, pr, x, sd.y_star, sd.z_star)
-        x = prob.set_X.project(x - pars.alpha * g)
-        elapsed += time.perf_counter() - t0
-        u = sd.u
-        last = sd
-        if callback is not None:
-            callback(k, x, sd, elapsed)
-    return x, last, k, failures, elapsed
+    res = run_double_loop_baseline(
+        prob, sp, x0, max_outer, inner_tol=inner_tol,
+        inner_max_iter=budget,  # only the remaining budget caps a solve
+        u0=u0, callback=callback, grad_budget=budget)
+    return (res.x, res.saddle, res.outer_iterations, res.inner_failures,
+            res.step_seconds)
 
 
 def _compare_single(cfg, seed, out_dir):
@@ -598,13 +576,6 @@ def _compare_single(cfg, seed, out_dir):
     sp_base = build_schedule(cfg, cc.get("baseline_schedule") or {})
 
     x0, y0, z0 = _initial_point(bundle, cfg, seed)
-
-    def metric_fn(prob_, x, y, x_init, y_init):
-        if bundle.optimum is not None:
-            xs, ys = bundle.optimum
-            return relative_error(x, y, xs, ys, x_init, y_init)
-        return bundle.metric(x, y)
-
     rows = []
     out = {"run_id": seed, "ok": True, "error": "", "csv": None,
            "sipba_final": None, "baseline_final": None,
@@ -616,16 +587,18 @@ def _compare_single(cfg, seed, out_dir):
     init = initial_state(prob_s, x0, y0, z0)
     x_init, y_init = init.x.copy(), init.y.copy()
 
+    def metric_fn(x, y):
+        eps = bundle.eps_rel(x, y, x_init, y_init)
+        return bundle.metric(x, y) if eps is None else eps
+
     def cb(st, elapsed):
-        m = metric_fn(prob_s, st.x, st.y, x_init, y_init)
         rows.append(("sipba", seed, st.k - 1, cnt_s.count, elapsed,
-                     bundle.metric_name, m))
+                     bundle.metric_name, metric_fn(st.x, st.y)))
 
     try:
         res = run(prob_s, sp, init, budget // 6, callback=cb,
                   callback_stride=stride)
-        out["sipba_final"] = metric_fn(prob_s, res.state.x, res.state.y,
-                                       x_init, y_init)
+        out["sipba_final"] = metric_fn(res.state.x, res.state.y)
         out["sipba_evals"] = cnt_s.count
     except (DivergenceError, SaddleConvergenceError) as e:
         out["ok"] = False
@@ -634,21 +607,18 @@ def _compare_single(cfg, seed, out_dir):
     # double-loop arm
     if out["ok"] and (max_outer is None or max_outer > 0):
         prob_b, cnt_b = with_gradient_counter(bundle.problem)
-        u0 = np.concatenate((prob_b.set_Y.project(y0),
-                             prob_b.set_Y.project(z0)))
+        u0 = np.concatenate((init.y, init.z))
 
-        def bl_cb(k, x, sd, elapsed):
-            m = metric_fn(prob_b, x, sd.y_star, x_init, y_init)
+        def bl_cb(k, x, sd, inner_total, elapsed):
             rows.append(("baseline", seed, k, cnt_b.count, elapsed,
-                         bundle.metric_name, m))
+                         bundle.metric_name, metric_fn(x, sd.y_star)))
 
         try:
-            bx, bsd, bk, _, _ = _baseline_under_budget(
-                prob_b, cnt_b, sp_base, x0, u0, budget, inner_tol,
+            bx, bsd, _, _, _ = _baseline_under_budget(
+                prob_b, sp_base, x0, u0, budget, inner_tol,
                 max_outer=max_outer, callback=bl_cb)
             if bsd is not None:
-                out["baseline_final"] = metric_fn(prob_b, bx, bsd.y_star,
-                                                  x_init, y_init)
+                out["baseline_final"] = metric_fn(bx, bsd.y_star)
             out["baseline_evals"] = cnt_b.count
         except DivergenceError as e:
             out["ok"] = False
@@ -662,9 +632,9 @@ def _compare_single(cfg, seed, out_dir):
 
 def cmd_compare(cfg, jobs, out_dir):
     seeds = resolve_seeds(cfg)
-    tasks = [(lambda s=s: _compare_single(cfg, s, out_dir), s,
-              (_compare_single, cfg, s, out_dir)) for s in seeds]
-    results = _fan_out(tasks, jobs)
+    _check_init(cfg, out_dir)
+    results = _fan_out({s: partial(_compare_single, cfg, s, out_dir)
+                        for s in seeds}, jobs)
     ordered = [results[s] for s in seeds]
     for r in ordered:
         if r["ok"]:
@@ -680,8 +650,6 @@ def cmd_compare(cfg, jobs, out_dir):
 
 
 def cmd_asymptotics(cfg, jobs, out_dir):
-    from .diagnostics import sandwich_check
-
     bundle = build_problem(cfg, out_dir)
     if bundle.closed_form is None:
         raise ConfigError(

@@ -8,7 +8,7 @@ two-sided sandwich between the smoothed and the exact value function.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -98,19 +98,6 @@ def lipschitz_phi_bound(lip_F, lip_f, rho, mu, sigma):
     sig_bar = min(sigma, mu)
     c = lip_F + 2.0 * rho * lip_f
     return c * (c + sig_bar) / sig_bar
-
-
-@dataclass
-class DiagnosticsRecord:
-    """One instrumented snapshot of a run at iteration k."""
-
-    k: int
-    phi_k: float
-    eps_rel: Optional[float]
-    tracking_err: float
-    stat_residual: float
-    merit: float
-    elapsed_s: float
 
 
 @dataclass

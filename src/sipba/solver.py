@@ -212,7 +212,8 @@ class BaselineResult:
 
 def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
                              inner_max_iter=10**6, inner_beta=None, u0=None,
-                             target=None, stop_at_target=False, callback=None):
+                             target=None, stop_at_target=False, callback=None,
+                             grad_budget=None):
     """Reference double-loop method: solve the saddle, then step x.
 
     Each outer iteration k solves the saddle at (rho_k, sigma_k) to
@@ -221,7 +222,35 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
     failures are recorded and the outer loop continues with the last
     saddle iterate. Returns cumulative inner-iteration counts so gradient
     budgets can be compared against the single-loop method.
+
+    outer_iter : int or None
+        Number of outer iterations; None means no cap (grad_budget then
+        ends the run).
+    target : callable(k, x, saddle) -> bool, optional
+        Checked after every outer step, after the callback; the first hit
+        records (iteration, stepping seconds) and stops the run only if
+        stop_at_target is set.
+    callback : callable(k, x, saddle, inner_total, elapsed_seconds), optional
+        Invoked after every outer step.
+    grad_budget : int, optional
+        Budget of partial-gradient evaluations made by this call, counted
+        by the counter of a problem from with_gradient_counter (the problem
+        is wrapped once if it has none). No outer step starts once the
+        budget is spent, and each inner solve may run at most
+        (remaining budget) // 3 iterations (at least 1, at most
+        inner_max_iter), one fixed-point iteration costing three
+        evaluations. So the spend exceeds the budget by at most one
+        step-size estimate, one outer direction and the one-iteration
+        floor, never by an unbounded inner solve. A solve cut short by the
+        cap counts as an inner failure.
     """
+    if outer_iter is None and grad_budget is None:
+        raise ContractViolation("need outer_iter or grad_budget to end the run")
+    if grad_budget is not None:
+        cnt = getattr(problem.grad_F_x, "counter", None)
+        if cnt is None:
+            problem, cnt = with_gradient_counter(problem)
+        spend_end = cnt.count + grad_budget
     x = problem.set_X.project(np.atleast_1d(np.asarray(x0, dtype=float)))
     u = u0
     sp_last = None
@@ -230,13 +259,21 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
     elapsed = 0.0
     out = BaselineResult(x=x, saddle=None, outer_iterations=0,
                          inner_iterations=0, inner_failures=0, step_seconds=0.0)
-    for k in range(1, outer_iter + 1):
+    k = 0
+    while outer_iter is None or k < outer_iter:
+        max_iter = inner_max_iter
+        if grad_budget is not None:
+            if cnt.count >= spend_end:
+                out.stop_reason = "grad_budget"
+                break
+            max_iter = min(max_iter, max(1, (spend_end - cnt.count) // 3))
+        k += 1
         pars = params_at(sp, k)
         pr = PenaltyReg(pars.rho, pars.sigma)
         t0 = time.perf_counter()
         try:
             sd = solve_saddle(problem, pr, x, tol=inner_tol,
-                              max_iter=inner_max_iter, u0=u, beta=inner_beta)
+                              max_iter=max_iter, u0=u, beta=inner_beta)
         except SaddleConvergenceError as err:
             sd = err.saddle
             failures += 1
@@ -246,16 +283,15 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
         elapsed += time.perf_counter() - t0
         u = sd.u
         sp_last = sd
+        out.outer_iterations = k
+        if callback is not None:
+            callback(k, x, sd, inner_total, elapsed)
         if target is not None and out.target_iteration is None and target(k, x, sd):
             out.target_iteration = k
             out.target_seconds = elapsed
             if stop_at_target:
                 out.stop_reason = "target"
-                out.outer_iterations = k
                 break
-        if callback is not None:
-            callback(k, x, sd, inner_total, elapsed)
-        out.outer_iterations = k
     out.x = x
     out.saddle = sp_last
     out.inner_iterations = inner_total
@@ -275,11 +311,16 @@ class GradEvalCounter:
             self.count += 1
             return fn(x, y)
 
+        wrapped.counter = self
         return wrapped
 
 
 def with_gradient_counter(problem):
-    """Return (problem copy whose gradient calls are counted, the counter)."""
+    """Return (problem copy whose gradient calls are counted, the counter).
+
+    Each wrapper carries the counter as ``.counter``, so code handed the
+    copy counts with it instead of wrapping again.
+    """
     c = GradEvalCounter()
     counted = replace(
         problem,
@@ -289,3 +330,4 @@ def with_gradient_counter(problem):
         grad_f_y=c._wrap(problem.grad_f_y),
     )
     return counted, c
+

@@ -32,14 +32,14 @@ from sipba import (
     quadratic_testbed,
     relative_error,
     run,
+    run_double_loop_baseline,
     sandwich_check,
     sipba_step,
     solve_saddle,
     synthetic_problem,
-    with_gradient_counter,
 )
 from sipba.benchmarks import analytic_saddle
-from sipba.cli import _baseline_under_budget, main as cli_main
+from sipba.cli import main as cli_main
 from sipba.problem import _sample_interior
 from sipba.smoothing import direction_x
 
@@ -284,13 +284,11 @@ def _hyper_rep_pair(n_feat, noise_a):
     res = run(prob, sp, initial_state(prob, x0, y0, z0), max_iter=HR_STEPS)
     s_loss = hyper_rep_test_loss(data, res.state.x, res.state.y)
 
-    budget = 6 * HR_STEPS
-    prob_b, cnt = with_gradient_counter(prob)
     sp_base = ScheduleParams(**{**HR_SP, "alpha0": 0.2})
     u0 = np.concatenate((y0, z0))
-    bx, bsd, _, _, _ = _baseline_under_budget(
-        prob_b, cnt, sp_base, x0, u0, budget, inner_tol=1e-5)
-    b_loss = hyper_rep_test_loss(data, bx, bsd.y_star)
+    base = run_double_loop_baseline(prob, sp_base, x0, None, inner_tol=1e-5,
+                                    u0=u0, grad_budget=6 * HR_STEPS)
+    b_loss = hyper_rep_test_loss(data, base.x, base.saddle.y_star)
     return init_loss, s_loss, b_loss
 
 

@@ -186,6 +186,31 @@ def test_config_error_reporting(tmp_path, capsys):
     assert "nosuch" in err and ":3:" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_init_length_error_exits_cleanly(tmp_path, jobs):
+    cfg = synthetic_cfg()
+    cfg["run"]["init"] = {"x0": [2.0, 2.0, 2.0], "y0": [1.0, 1.0]}
+    cfgp = write_cfg(tmp_path, cfg)
+    line = next(i for i, text in enumerate(open(cfgp), 1) if '"x0"' in text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sipba.cli", "run", "--config", cfgp,
+         "--jobs", jobs, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("%s:%d: " % (cfgp, line)), proc.stderr
+    assert "x0" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_init_length_checked_for_every_block(tmp_path, capsys):
+    cfg = synthetic_cfg()
+    cfg["run"]["init"] = {"x0": [2.0, 2.0], "y0": [1.0, 1.0], "z0": [1.0]}
+    cfgp = write_cfg(tmp_path, cfg)
+    for cmd in ("run", "compare"):
+        assert cli.main([cmd, "--config", cfgp,
+                         "--out", str(tmp_path / "o")]) == 1
+        assert "run.init.z0" in capsys.readouterr().err
+
+
 def test_argparse_exit_codes(capsys):
     assert cli.main([]) == 1
     assert cli.main(["--help"]) == 0

@@ -232,3 +232,69 @@ def test_baseline_callback_and_target():
     )
     assert res.outer_iterations == 2
     assert res.stop_reason == "target"
+
+
+def test_baseline_callback_runs_on_target_stop():
+    ks = []
+    res = run_double_loop_baseline(
+        quad, SP_UNIT, [1.0], 10, inner_tol=1e-8,
+        target=lambda k, x, sd: k >= 2, stop_at_target=True,
+        callback=lambda k, x, sd, inner_total, elapsed: ks.append(k))
+    assert ks == [1, 2]
+    assert res.target_iteration == 2
+
+
+def test_baseline_needs_an_end():
+    with pytest.raises(ContractViolation):
+        run_double_loop_baseline(quad, SP_UNIT, [1.0], None)
+
+
+def test_baseline_budget_overshoot_is_bounded():
+    # past the budget by at most one step-size estimate (31 operator
+    # evaluations, 93 gradient calls), one outer direction (3) and the
+    # one-iteration floor of the inner cap (2)
+    worst = 0
+    for budget in list(range(1, 400, 7)) + [1000, 2000]:
+        counted, cnt = with_gradient_counter(quad)
+        res = run_double_loop_baseline(counted, SP_UNIT, [1.0], None,
+                                       inner_tol=1e-8, grad_budget=budget)
+        assert budget <= cnt.count <= budget + 98
+        assert res.stop_reason == "grad_budget"
+        worst = max(worst, cnt.count - budget)
+    assert worst > 90  # the bound is nearly reached
+
+
+def test_baseline_budget_without_binding_cap_matches_outer_iter():
+    budgeted = run_double_loop_baseline(quad, SP_UNIT, [1.0], None,
+                                        inner_tol=1e-8, grad_budget=500)
+    assert budgeted.inner_failures == 0  # the cap never cut a solve
+    fixed = run_double_loop_baseline(quad, SP_UNIT, [1.0],
+                                     budgeted.outer_iterations, inner_tol=1e-8)
+    np.testing.assert_array_equal(budgeted.x, fixed.x)
+    np.testing.assert_array_equal(budgeted.saddle.u, fixed.saddle.u)
+    assert budgeted.inner_iterations == fixed.inner_iterations
+
+
+def test_baseline_capped_final_solve_is_a_failure():
+    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], None,
+                                   inner_tol=1e-8, grad_budget=1000)
+    assert res.inner_failures == 1
+    assert not res.saddle.converged
+
+
+def test_baseline_counts_with_the_counter_it_is_given(monkeypatch):
+    from sipba import solver
+
+    wraps = []
+
+    def spy(problem):
+        wraps.append(problem)
+        return with_gradient_counter(problem)
+
+    monkeypatch.setattr(solver, "with_gradient_counter", spy)
+    counted, cnt = with_gradient_counter(quad)
+    run_double_loop_baseline(counted, SP_UNIT, [1.0], None, grad_budget=300)
+    assert wraps == []
+    assert 300 <= cnt.count <= 300 + 98
+    run_double_loop_baseline(quad, SP_UNIT, [1.0], None, grad_budget=300)
+    assert len(wraps) == 1 and wraps[0] is quad
