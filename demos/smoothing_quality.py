@@ -9,13 +9,7 @@ onto the worst-case follower response (y*(x), y*(x)) in the same limit.
 
 import numpy as np
 
-from sipba import (
-    PenaltyReg,
-    closed_form_y_star,
-    sandwich_check,
-    solve_saddle,
-    synthetic_problem,
-)
+from sipba import sandwich_check, synthetic_problem
 
 N = 4
 
@@ -37,10 +31,6 @@ for r in rep.records:
 
 # saddle collapse along the diagonal
 print()
-ys = closed_form_y_star(N, x)
-target = np.concatenate((ys, ys))
 print("distance of the oracle saddle to (y*(x), y*(x)):")
-for rho, sigma in zip(rhos, sigmas):
-    sd = solve_saddle(sb.problem, PenaltyReg(rho, sigma), x, tol=1e-9)
-    print("  rho %8.0e  sigma %8.0e   dev %.3e"
-          % (rho, sigma, np.linalg.norm(sd.u - target)))
+for r in rep.diagonal:
+    print("  rho %8.0e  sigma %8.0e   dev %.3e" % (r.rho, r.sigma, r.saddle_dev))

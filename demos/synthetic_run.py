@@ -10,14 +10,12 @@ mildly decaying leader step (s = 0.1).
 import numpy as np
 
 from sipba import (
-    PenaltyReg,
     ScheduleParams,
     initial_state,
-    params_at,
     relative_error,
     run,
+    snapshot,
     synthetic_problem,
-    tracking_error,
 )
 
 N = 100
@@ -41,9 +39,7 @@ def main():
     def progress(state, elapsed):
         eps = relative_error(state.x, state.y, sb.x_star, sb.y_star,
                              x_init, y_init)
-        pars = params_at(sp, state.k - 1)
-        te = tracking_error(sb.problem, PenaltyReg(pars.rho, pars.sigma),
-                            state.x, state.y, state.z, oracle_tol=1e-8)
+        te = snapshot(sb.problem, sp, state, oracle_tol=1e-8).tracking_err
         print("%8d  %12.4e  %12.4e" % (state.k - 1, eps, te))
 
     res = run(sb.problem, sp, init, max_iter=MAX_ITER,

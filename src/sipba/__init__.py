@@ -6,7 +6,8 @@ Library layout:
 * smoothing: the regularized objective psi, its direction operations
 * saddle: oracle for the smoothed value phi_{rho,sigma} and its gradient
 * solver: the single-loop method plus the double-loop reference
-* diagnostics: tracking/stationarity/merit/sandwich instrumentation
+* diagnostics: oracle snapshot, relative error, merit and sandwich
+  instrumentation
 * benchmarks: quadratic testbed, closed-form synthetic family,
   hyper-representation
 * cli: the `sipba` command-line benchmark harness
@@ -56,14 +57,13 @@ from .solver import (
     with_gradient_counter,
 )
 from .diagnostics import (
-    MeritCoefficients,
     SandwichReport,
+    Snapshot,
     lipschitz_phi_bound,
     merit_value,
     relative_error,
     sandwich_check,
-    stationarity_residual,
-    tracking_error,
+    snapshot,
 )
 from .benchmarks import (
     HyperRepData,

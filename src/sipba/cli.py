@@ -40,15 +40,14 @@ from .benchmarks import (
     save_hyper_rep,
     synthetic_problem,
 )
-from .diagnostics import MeritCoefficients, relative_error, sandwich_check
+from .diagnostics import merit_value, relative_error, sandwich_check, snapshot
 from .errors import DivergenceError, SaddleConvergenceError
-from .problem import _central_diff, _sample_interior, check_gradients
-from .saddle import eval_phi, grad_phi, solve_saddle
-from .smoothing import PenaltyReg, direction_x, eval_psi
+from .problem import _fd_error, _sample_interior, check_gradients
+from .saddle import eval_phi, grad_phi
+from .smoothing import PenaltyReg
 from .solver import (
     ScheduleParams,
     initial_state,
-    params_at,
     run,
     run_double_loop_baseline,
     with_gradient_counter,
@@ -139,32 +138,18 @@ def build_schedule(cfg, overrides=None):
         if k not in SCHEDULE_FIELDS:
             raise ConfigError("unknown schedule key '%s'" % k, key=k)
         _get(sd, k, "num")
-    extra = {}
-    if "t_exp" in sd:
-        extra["t_exp"] = float(sd["t_exp"])
-    if "rho_cap" in sd:
-        extra["rho_cap"] = float(sd["rho_cap"])
+    if guideline:
+        if "s" in sd:
+            raise ConfigError("'s' cannot be set with guideline, which forces "
+                              "s = 8(p+q)", key="s")
+        required, make = ("alpha0", "beta0", "sigma0"), ScheduleParams.guideline
+    else:
+        required = ("alpha0", "beta0", "rho0", "sigma0", "p", "q", "s")
+        make = ScheduleParams
+    for k in required:
+        _get(sd, k, "num")
     try:
-        if guideline:
-            return ScheduleParams.guideline(
-                alpha0=float(_get(sd, "alpha0", "num")),
-                beta0=float(_get(sd, "beta0", "num")),
-                sigma0=float(_get(sd, "sigma0", "num")),
-                p=float(sd.get("p", 0.01)),
-                q=float(sd.get("q", 0.01)),
-                rho0=float(sd.get("rho0", 10.0)),
-                **extra,
-            )
-        return ScheduleParams(
-            alpha0=float(_get(sd, "alpha0", "num")),
-            beta0=float(_get(sd, "beta0", "num")),
-            rho0=float(_get(sd, "rho0", "num")),
-            sigma0=float(_get(sd, "sigma0", "num")),
-            p=float(_get(sd, "p", "num")),
-            q=float(_get(sd, "q", "num")),
-            s=float(_get(sd, "s", "num")),
-            **extra,
-        )
+        return make(**{k: float(v) for k, v in sd.items()})
     except ValueError as e:
         raise ConfigError("invalid schedule: %s" % e, key="schedule")
 
@@ -340,24 +325,18 @@ def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
         def target(st):
             return bundle.eps_rel(st.x, st.y, x_init, y_init) < target_eps
 
-    mc = MeritCoefficients.from_schedule(sp)
     rows = []
     phi_min = [np.inf]
 
     def cb(st, elapsed):
         done = st.k - 1
-        pars = params_at(sp, done)
-        pr = PenaltyReg(pars.rho, pars.sigma)
-        sd = solve_saddle(prob, pr, st.x, tol=oracle_tol)
-        phi_k = eval_psi(prob, pr, st.x, sd.y_star, sd.z_star)
-        te = float(np.linalg.norm(np.concatenate((st.y, st.z)) - sd.u))
-        g = direction_x(prob, pr, st.x, sd.y_star, sd.z_star)
-        moved = prob.set_X.project(st.x - pars.alpha * g)
-        sr = float(np.linalg.norm(st.x - moved)) / pars.alpha
-        phi_min[0] = min(phi_min[0], phi_k)
-        merit = mc.value(done, phi_k - (phi_min[0] - 1.0), te)
+        sn = snapshot(prob, sp, st, oracle_tol)
+        phi_min[0] = min(phi_min[0], sn.phi)
+        merit = merit_value(done, sp.s, sp.t_exp, sn.phi - (phi_min[0] - 1.0),
+                            sn.tracking_err)
         eps = bundle.eps_rel(st.x, st.y, x_init, y_init)
-        rows.append((seed, done, elapsed, phi_k, eps, te, sr, merit))
+        rows.append((seed, done, elapsed, sn.phi, eps, sn.tracking_err,
+                     sn.stat_residual, merit))
 
     out = {"run_id": seed, "ok": True, "error": "", "iterations": 0,
            "final_eps_rel": None, "target_iteration": None,
@@ -520,11 +499,7 @@ def cmd_gradcheck(cfg, jobs, out_dir):
             x = _sample_interior(prob.set_X, rng)
             g = grad_phi(prob, pr, x, tol=oracle_tol)
             phi = partial(eval_phi, prob, pr, tol=oracle_tol)
-            fd = np.array([_central_diff(phi, x, i, fd_step)
-                           for i in range(prob.n_x)])
-            err = float(np.linalg.norm(g - fd)
-                        / max(float(np.linalg.norm(fd)), 1e-12))
-            worst_phi = max(worst_phi, err)
+            worst_phi = max(worst_phi, _fd_error(phi, g, x, fd_step))
     except SaddleConvergenceError as e:
         print("gradcheck: oracle failure: %s" % e, file=sys.stderr)
         return 2
@@ -684,17 +659,10 @@ def cmd_asymptotics(cfg, jobs, out_dir):
         rep = sandwich_check(cf, x, rho_list, sigma_list,
                              oracle_tol=oracle_tol, slack=slack,
                              diag_slack=diag_slack)
-        ys = np.atleast_1d(cf.closed_form_y_star(x))
-        limit_ref = np.concatenate((ys, ys))
-        saddle_rows = []
-        for rho, sig in zip(rho_list, sigma_list):
-            sd = solve_saddle(bundle.problem, PenaltyReg(rho, sig), x,
-                              tol=oracle_tol)
-            dev = float(np.linalg.norm(sd.u - limit_ref))
-            saddle_rows.append((rho, sig, dev))
     except SaddleConvergenceError as e:
         print("asymptotics: oracle failure: %s" % e, file=sys.stderr)
         return 2
+    saddle_rows = [(r.rho, r.sigma, r.saddle_dev) for r in rep.diagonal]
 
     print(rep)
     for rho, sig, dev in saddle_rows:

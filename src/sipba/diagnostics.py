@@ -1,10 +1,11 @@
 """Convergence diagnostics measured against the saddle oracle.
 
-These quantities instrument a run without influencing it: distance of the
-inner pair to the exact saddle (tracking error), the projected-gradient
-stationarity residual of the smoothed value function, a relative error to a
-known optimum, a merit value combining value gap and tracking error, and the
-two-sided sandwich between the smoothed and the exact value function.
+These quantities instrument a run without influencing it: a snapshot of an
+iterate against one oracle solve (smoothed value, distance of the inner pair
+to the exact saddle, and the projected-gradient stationarity residual of the
+smoothed value function), a relative error to a known optimum, a merit value
+combining value gap and tracking error, and the two-sided sandwich between
+the smoothed and the exact value function.
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,9 @@ from typing import List
 import numpy as np
 
 from .errors import ContractViolation
-from .saddle import eval_phi, grad_phi, solve_saddle
-from .smoothing import PenaltyReg
+from .saddle import solve_saddle
+from .smoothing import PenaltyReg, direction_x, eval_psi
+from .solver import params_at
 
 
 def relative_error(x, y, x_star, y_star, x0, y0):
@@ -35,22 +37,32 @@ def relative_error(x, y, x_star, y_star, x0, y0):
     return num / den
 
 
-def tracking_error(problem, pr, x, y, z, oracle_tol=1e-8, **oracle_kw):
-    """Distance ||(y, z) - (y*, z*)|| to the oracle saddle at (x, rho, sigma)."""
-    sd = solve_saddle(problem, pr, x, tol=oracle_tol, **oracle_kw)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return float(np.linalg.norm(np.concatenate((y, z)) - sd.u))
+@dataclass(frozen=True)
+class Snapshot:
+    """An iterate measured against the oracle saddle at its (rho, sigma)."""
+
+    phi: float            # smoothed value phi_{rho,sigma}(x)
+    tracking_err: float   # ||(y, z) - (y*, z*)||
+    stat_residual: float  # ||x - Proj_X(x - alpha*grad phi_{rho,sigma}(x))|| / alpha
 
 
-def stationarity_residual(problem, pr, x, alpha, oracle_tol=1e-8, **oracle_kw):
-    """||x - Proj_X(x - alpha*grad phi_{rho,sigma}(x))|| / alpha."""
-    if not (alpha > 0 and np.isfinite(alpha)):
-        raise ContractViolation("alpha must be positive and finite")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = grad_phi(problem, pr, x, tol=oracle_tol, **oracle_kw)
-    moved = problem.set_X.project(x - alpha * g)
-    return float(np.linalg.norm(x - moved)) / alpha
+def snapshot(problem, sp, state, oracle_tol=1e-8):
+    """Snapshot of state from one oracle solve.
+
+    (alpha, rho, sigma) are those of the step that produced state, i.e.
+    params_at(sp, state.k - 1); a state with no completed step (k = 1) is
+    rejected. The oracle starts from its default start.
+    """
+    pars = params_at(sp, state.k - 1)
+    pr = PenaltyReg(pars.rho, pars.sigma)
+    x = state.x
+    sd = solve_saddle(problem, pr, x, tol=oracle_tol)
+    phi = eval_psi(problem, pr, x, sd.y_star, sd.z_star)
+    te = float(np.linalg.norm(np.concatenate((state.y, state.z)) - sd.u))
+    g = direction_x(problem, pr, x, sd.y_star, sd.z_star)
+    moved = problem.set_X.project(x - pars.alpha * g)
+    sr = float(np.linalg.norm(x - moved)) / pars.alpha
+    return Snapshot(phi=phi, tracking_err=te, stat_residual=sr)
 
 
 def merit_value(k, s, t, phi_gap, tracking_err):
@@ -63,27 +75,6 @@ def merit_value(k, s, t, phi_gap, tracking_err):
         raise ContractViolation("k must be an integer >= 1")
     k = float(k)
     return k ** (-s) * phi_gap + k ** (-t) * tracking_err**2
-
-
-@dataclass(frozen=True)
-class MeritCoefficients:
-    """Exponent pair (s, t) of the merit weights a_k = k^-s, b_k = k^-t."""
-
-    s: float
-    t: float
-
-    @classmethod
-    def from_schedule(cls, sp):
-        return cls(s=sp.s, t=sp.t_exp)
-
-    def a(self, k):
-        return float(k) ** (-self.s)
-
-    def b(self, k):
-        return float(k) ** (-self.t)
-
-    def value(self, k, phi_gap, tracking_err):
-        return merit_value(k, self.s, self.t, phi_gap, tracking_err)
 
 
 def lipschitz_phi_bound(lip_F, lip_f, rho, mu, sigma):
@@ -108,6 +99,7 @@ class SandwichRecord:
     phi_exact: float
     gap: float
     lower_slack: float  # phi_smoothed - (phi_exact - sigma/2 ||y*||^2); >= 0 when the bound holds
+    saddle_dev: float   # ||u* - (y*(x), y*(x))||, distance of the oracle saddle to its limit
 
 
 @dataclass
@@ -115,8 +107,12 @@ class SandwichReport:
     records: List[SandwichRecord]
     lower_bounds_ok: bool
     max_lower_violation: float
-    diagonal_gaps: List[float]
+    diagonal: List[SandwichRecord]  # the cells (rho_list[i], sigma_list[i])
     diagonal_monotone: bool
+
+    @property
+    def diagonal_gaps(self):
+        return [abs(r.gap) for r in self.diagonal]
 
     def __str__(self):
         lines = ["%8s %10s %14s %14s %12s" % ("rho", "sigma", "phi_smoothed",
@@ -141,7 +137,9 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
     is checked (slack defaults to max(1e-8, 10*oracle_tol)); along the
     diagonal (rho_list[i], sigma_list[i]) the absolute gap must be
     nonincreasing within diag_slack. The asymptotic upper bound
-    phi_{rho,sigma} <= phi + eps is what the shrinking gaps witness.
+    phi_{rho,sigma} <= phi + eps is what the shrinking gaps witness. Each
+    record also carries the distance of its oracle saddle to the limit
+    (y*(x), y*(x)).
     """
     if slack is None:
         slack = max(1e-8, 10.0 * oracle_tol)
@@ -150,26 +148,26 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
     phi_exact = float(problem_cf.closed_form_phi(x))
     ystar = np.atleast_1d(problem_cf.closed_form_y_star(x))
     ynorm2 = float(np.dot(ystar, ystar))
+    limit = np.concatenate((ystar, ystar))
 
-    values = {}
     records = []
     worst = 0.0
     for rho in rho_list:
         for sig in sigma_list:
             pr = PenaltyReg(rho, sig)
-            val = eval_phi(prob, pr, x, tol=oracle_tol, **oracle_kw)
+            sd = solve_saddle(prob, pr, x, tol=oracle_tol, **oracle_kw)
+            val = eval_psi(prob, pr, x, sd.y_star, sd.z_star)
             lower_slack = val - (phi_exact - 0.5 * sig * ynorm2)
             records.append(SandwichRecord(
                 rho=rho, sigma=sig, phi_smoothed=val, phi_exact=phi_exact,
                 gap=val - phi_exact, lower_slack=lower_slack,
+                saddle_dev=float(np.linalg.norm(sd.u - limit)),
             ))
-            values[(rho, sig)] = val
             worst = min(worst, lower_slack)
 
-    diag_gaps = []
     n_diag = min(len(rho_list), len(sigma_list))
-    for i in range(n_diag):
-        diag_gaps.append(abs(values[(rho_list[i], sigma_list[i])] - phi_exact))
+    diagonal = [records[i * len(sigma_list) + i] for i in range(n_diag)]
+    diag_gaps = [abs(r.gap) for r in diagonal]
     monotone = all(
         diag_gaps[i + 1] <= diag_gaps[i] + diag_slack
         for i in range(len(diag_gaps) - 1)
@@ -178,6 +176,6 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
         records=records,
         lower_bounds_ok=(worst >= -slack),
         max_lower_violation=max(0.0, -worst),
-        diagonal_gaps=diag_gaps,
+        diagonal=diagonal,
         diagonal_monotone=monotone,
     )

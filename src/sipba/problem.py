@@ -205,6 +205,13 @@ def _central_diff(fun, v, i, h):
     return (fun(vp) - fun(vm)) / (2.0 * h)
 
 
+def _fd_error(fun, g, at, h):
+    """||g - g_fd|| / max(||g_fd||, 1e-12) for central differences g_fd of fun."""
+    g = np.asarray(g, dtype=float)
+    fd = np.array([_central_diff(fun, at, i, h) for i in range(at.size)])
+    return float(np.linalg.norm(g - fd) / max(float(np.linalg.norm(fd)), 1e-12))
+
+
 @dataclass
 class GradientCheckReport:
     """Worst relative finite-difference error per supplied gradient."""
@@ -247,9 +254,5 @@ def check_gradients(problem, n_points=20, fd_step=1e-6, rng=None):
             ("grad_f_y", problem.grad_f_y(x, y), lambda v: problem.f(x, v), y),
         ]
         for key, g, fun, at in pairs:
-            g = np.asarray(g, dtype=float)
-            fd = np.array([_central_diff(fun, at, i, fd_step) for i in range(at.size)])
-            err = np.linalg.norm(g - fd) / max(float(np.linalg.norm(fd)), 1e-12)
-            if err > worst[key]:
-                worst[key] = float(err)
+            worst[key] = max(worst[key], _fd_error(fun, g, at, fd_step))
     return GradientCheckReport(errors=worst, n_points=n_points, fd_step=fd_step)

@@ -120,7 +120,8 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     Raises
     ------
     SaddleConvergenceError
-        If max_iter is exhausted; carries the last residual and iterate.
+        If max_iter is exhausted or the step stalls through 60 halvings;
+        carries the last residual and iterate.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (problem.n_x,):
@@ -175,7 +176,12 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
             if since_best >= 200:
                 halvings += 1
                 if halvings > 60:
-                    break
+                    raise SaddleConvergenceError(
+                        "saddle oracle stalled after %d iterations (60 step "
+                        "halvings) with residual %.3e (tol %.3e)" % (it, res, tol),
+                        residual=res,
+                        saddle=_pack(u, res, it, beta, False, n_y),
+                    )
                 beta *= 0.5
                 best, since_best = np.inf, 0
     raise SaddleConvergenceError(

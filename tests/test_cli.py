@@ -248,6 +248,28 @@ def test_ablate_rejects_unknown_override(tmp_path):
     assert cli.main(["ablate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_guideline_rejects_explicit_s(tmp_path, capsys):
+    # the guideline forces s = 8(p+q); a configured s is an error, not
+    # silently replaced
+    guide = {"guideline": True, "alpha0": 0.1, "beta0": 0.001, "sigma0": 0.01}
+    sp = cli.build_schedule({"schedule": guide})
+    assert (sp.p, sp.q, sp.rho0, sp.s) == (0.01, 0.01, 10.0, 8.0 * 0.02)
+    with pytest.raises(cli.ConfigError):
+        cli.build_schedule({"schedule": dict(guide, s=0.4)})
+    for schedule, grid in ((dict(guide, s=0.4), [{}]),
+                           (guide, [{}, {"s": 0.3}])):
+        cfg = synthetic_cfg(schedule=schedule)
+        cfg["ablate"] = {"grid": grid, "max_iter": 10}
+        cfgp = write_cfg(tmp_path, cfg)
+        line = next(i for i, text in enumerate(open(cfgp), 1) if '"s"' in text)
+        for cmd in ("run", "ablate") if len(grid) == 1 else ("ablate",):
+            assert cli.main([cmd, "--config", cfgp,
+                             "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("%s:%d: " % (cfgp, line)), err
+            assert "guideline" in err
+
+
 def test_gradcheck_passes_and_reports(tmp_path, capsys):
     cfg = synthetic_cfg()
     cfg["gradcheck"] = {"n_points": 5, "threshold": 1e-4, "rho": 10.0,

@@ -7,6 +7,7 @@ from sipba.errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
+from sipba import saddle
 from sipba.saddle import (
     default_start,
     estimate_T_lipschitz,
@@ -129,6 +130,22 @@ def test_solve_saddle_max_iter_exhaustion():
     assert err.saddle.iterations == 3
     assert not err.saddle.converged
     assert np.isfinite(err.residual)
+
+
+def test_solve_saddle_stall_reports_real_iteration_count(monkeypatch):
+    # a sign operator never settles: the iterate flips around 0 and the
+    # residual stays sqrt(2), so the stall safeguard halves beta until it
+    # gives up, long before max_iter
+    monkeypatch.setattr(saddle, "operator_T",
+                        lambda problem, pr, x, u: np.copysign(1.0, u))
+    with pytest.raises(SaddleConvergenceError, match="stalled") as ei:
+        solve_saddle(quad, PenaltyReg(1.0, 1.0), [0.0], beta=0.5)
+    err = ei.value
+    # 60 halvings after 200 stalled iterations each, then the 61st window
+    assert 61 * 200 <= err.saddle.iterations < 62 * 200
+    assert "%d iterations" % err.saddle.iterations in str(err)
+    assert not err.saddle.converged
+    assert err.residual == pytest.approx(np.sqrt(2.0))
 
 
 def test_solve_saddle_argument_validation():
