@@ -138,8 +138,10 @@ def synthetic_problem(n):
         dy = y - e
         return float(np.dot(dx, dx) / n - np.dot(dy, dy))
 
+    # ||x|| as math.sqrt(x.dot(x)): what np.linalg.norm computes for a 1-D
+    # float vector, without its argument handling
     def f(x, y):
-        r = float(np.dot(e, y)) - float(np.linalg.norm(x))
+        r = float(np.dot(e, y)) - math.sqrt(x.dot(x))
         return r * r
 
     def grad_F_x(x, y):
@@ -149,12 +151,12 @@ def synthetic_problem(n):
         return -2.0 * (y - e)
 
     def grad_f_x(x, y):
-        nx = float(np.linalg.norm(x))
+        nx = math.sqrt(x.dot(x))
         r = float(np.dot(e, y)) - nx
         return (-2.0 * r / nx) * x
 
     def grad_f_y(x, y):
-        r = float(np.dot(e, y)) - float(np.linalg.norm(x))
+        r = float(np.dot(e, y)) - math.sqrt(x.dot(x))
         return (2.0 * r) * e
 
     lip_f = 60.0 * n + 202.0 + 2.0 * rootn

@@ -41,7 +41,11 @@ from .benchmarks import (
     synthetic_problem,
 )
 from .diagnostics import merit_value, relative_error, sandwich_check, snapshot
-from .errors import DivergenceError, SaddleConvergenceError
+from .errors import (
+    DivergenceError,
+    ParameterOverflowError,
+    SaddleConvergenceError,
+)
 from .problem import _fd_error, _sample_interior, check_gradients
 from .saddle import eval_phi, grad_phi
 from .smoothing import PenaltyReg
@@ -79,13 +83,20 @@ class ConfigError(Exception):
 
 
 def _line_of(raw, key):
-    # best-effort line lookup for semantic errors: first occurrence of the key
-    if raw and key:
-        needle = '"%s"' % key
-        for i, line in enumerate(raw.splitlines(), 1):
-            if needle in line:
-                return i
-    return 1
+    # best-effort line lookup for semantic errors: the first occurrence of
+    # the key; for a dotted key "a.b", the first "b" from the first "a" on
+    if not (raw and key):
+        return 1
+    lines = raw.splitlines()
+    found, start = 1, 0
+    for part in key.split("."):
+        needle = '"%s"' % part
+        hit = next((i for i in range(start, len(lines)) if needle in lines[i]),
+                   None)
+        if hit is None:
+            break
+        found, start = hit + 1, hit
+    return found
 
 
 def load_config(path):
@@ -119,6 +130,15 @@ def _get(d, key, kind, default=_MISSING):
     }[kind]
     if not ok(v):
         raise ConfigError("key '%s' must be a %s" % (key, kind), key=key)
+    return v
+
+
+def _get_count(d, section, key, low, default=_MISSING):
+    """Integer d[key] that must be >= low; errors name section.key."""
+    v = _get(d, key, "int", default)
+    if v is not None and v < low:
+        name = "%s.%s" % (section, key)
+        raise ConfigError("%s must be >= %d, got %d" % (name, low, v), key=name)
     return v
 
 
@@ -306,8 +326,8 @@ def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
     prob = bundle.problem
     rc = _get(cfg, "run", "dict", default={})
     if max_iter is None:
-        max_iter = _get(rc, "max_iter", "int")
-    stride = _get(rc, "stride", "int", default=100)
+        max_iter = _get_count(rc, "run", "max_iter", 0)
+    stride = _get_count(rc, "run", "stride", 1, default=100)
     oracle_tol = float(_get(rc, "oracle_tol", "num", default=1e-8))
     target_eps = _get(rc, "target_eps_rel", "num", default=None)
     if stop_at_target is None:
@@ -351,7 +371,8 @@ def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
         out["step_seconds"] = res.step_seconds
         out["final_eps_rel"] = bundle.eps_rel(res.state.x, res.state.y,
                                               x_init, y_init)
-    except (DivergenceError, SaddleConvergenceError) as e:
+    except (DivergenceError, ParameterOverflowError,
+            SaddleConvergenceError) as e:
         out["ok"] = False
         out["error"] = str(e)
     if write_rows:
@@ -439,7 +460,7 @@ def cmd_ablate(cfg, jobs, out_dir):
     if not grid or not all(isinstance(g, dict) for g in grid):
         raise ConfigError("'grid' must be a nonempty list of override objects",
                           key="grid")
-    max_iter = _get(ab, "max_iter", "int", default=None)
+    max_iter = _get_count(ab, "ablate", "max_iter", 0, default=None)
     seeds = resolve_seeds(cfg)
     for ov in grid:
         build_schedule(cfg, ov)  # fail fast on bad overrides
@@ -540,11 +561,12 @@ def _compare_single(cfg, seed, out_dir):
     bundle = build_problem(cfg, out_dir)
     cc = _get(cfg, "compare", "dict", default={})
     rc = _get(cfg, "run", "dict", default={})
-    stride = _get(rc, "stride", "int", default=100)
-    budget = _get(cc, "budget", "int", default=None)
+    stride = _get_count(rc, "run", "stride", 1, default=100)
+    # one single-loop step costs 6 gradient evaluations
+    budget = _get_count(cc, "compare", "budget", 6, default=None)
     if budget is None:
         # only needed as the budget default; an explicit budget stands alone
-        budget = 6 * _get(rc, "max_iter", "int")
+        budget = 6 * _get_count(rc, "run", "max_iter", 0)
     inner_tol = float(_get(cc, "inner_tol", "num", default=1e-5))
     max_outer = _get(cc, "baseline_max_outer", "int", default=None)
     sp = build_schedule(cfg)
@@ -575,7 +597,8 @@ def _compare_single(cfg, seed, out_dir):
                   callback_stride=stride)
         out["sipba_final"] = metric_fn(res.state.x, res.state.y)
         out["sipba_evals"] = cnt_s.count
-    except (DivergenceError, SaddleConvergenceError) as e:
+    except (DivergenceError, ParameterOverflowError,
+            SaddleConvergenceError) as e:
         out["ok"] = False
         out["error"] = "sipba: %s" % e
 
@@ -595,7 +618,7 @@ def _compare_single(cfg, seed, out_dir):
             if bsd is not None:
                 out["baseline_final"] = metric_fn(bx, bsd.y_star)
             out["baseline_evals"] = cnt_b.count
-        except DivergenceError as e:
+        except (DivergenceError, ParameterOverflowError) as e:
             out["ok"] = False
             out["error"] = "baseline: %s" % e
 

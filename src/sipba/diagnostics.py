@@ -19,22 +19,26 @@ from .smoothing import PenaltyReg, direction_x, eval_psi
 from .solver import params_at
 
 
+def _vec(v):
+    # np.atleast_1d returns a 1-D ndarray itself; skip the call for those
+    return v if isinstance(v, np.ndarray) and v.ndim == 1 else np.atleast_1d(v)
+
+
 def relative_error(x, y, x_star, y_star, x0, y0):
     """(||x-x*||^2 + ||y-y*||^2) / (||x0-x*||^2 + ||y0-y*||^2).
 
     Translation-invariant. Raises if the initialization coincides with the
     optimum (zero denominator).
     """
-    x, y = np.atleast_1d(x), np.atleast_1d(y)
-    x0, y0 = np.atleast_1d(x0), np.atleast_1d(y0)
-    xs, ys = np.atleast_1d(x_star), np.atleast_1d(y_star)
-    den = float(np.dot(x0 - xs, x0 - xs) + np.dot(y0 - ys, y0 - ys))
+    xs, ys = _vec(x_star), _vec(y_star)
+    dx, dy = _vec(x0) - xs, _vec(y0) - ys
+    den = float(dx.dot(dx) + dy.dot(dy))
     if den == 0.0:
         raise ContractViolation(
             "relative error undefined: initialization equals the optimum"
         )
-    num = float(np.dot(x - xs, x - xs) + np.dot(y - ys, y - ys))
-    return num / den
+    dx, dy = _vec(x) - xs, _vec(y) - ys
+    return float(dx.dot(dx) + dy.dot(dy)) / den
 
 
 @dataclass(frozen=True)

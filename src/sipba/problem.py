@@ -19,8 +19,17 @@ import numpy as np
 
 from .errors import ContractViolation
 
+_F64 = np.dtype(np.float64)
+
+
+def _is_vector(v, dim):
+    """O(1) test: v is already a float64 ndarray of shape (dim,)."""
+    return type(v) is np.ndarray and v.dtype == _F64 and v.shape == (dim,)
+
 
 def _as_vector(v, dim, name):
+    if _is_vector(v, dim):
+        return v  # what np.asarray would return: the same object
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -86,7 +95,8 @@ class Box(ProjectableSet):
 
     def project(self, v):
         v = _as_vector(v, self.dim, "v")
-        return np.clip(v, self.lower, self.upper)
+        # np.clip's arithmetic without its Python-level wrapper
+        return np.minimum(np.maximum(v, self.lower), self.upper)
 
     def __repr__(self):
         return "Box(dim=%d)" % self.dim

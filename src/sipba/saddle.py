@@ -120,8 +120,10 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     Raises
     ------
     SaddleConvergenceError
-        If max_iter is exhausted or the step stalls through 60 halvings;
-        carries the last residual and iterate.
+        If max_iter is exhausted, the step stalls through 60 halvings, or
+        a halved step underflows (u - beta*T rounds back to u where the
+        initial step still moves it); carries the last residual and
+        iterate.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (problem.n_x,):
@@ -138,6 +140,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     if not (beta > 0 and np.isfinite(beta)):
         raise ParameterOverflowError("oracle step size underflowed: beta=%r" % beta)
 
+    beta0 = beta
     set_Y = problem.set_Y
     n_y = problem.n_y
 
@@ -150,7 +153,8 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     res = np.inf
     for it in range(1, max_iter + 1):
         t = operator_T(problem, pr, x, u)
-        u_next = proj_pair(u - beta * t)
+        w = u - beta * t
+        u_next = proj_pair(w)
         res = float(np.linalg.norm(u - u_next)) / beta
         if not np.isfinite(res):
             # the step overshot badly; back off and retry from the same point
@@ -165,6 +169,18 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
             best, since_best = np.inf, 0
             continue
         if res <= tol:
+            if (res == 0.0 and beta < beta0 and np.array_equal(w, u)
+                    and not np.array_equal(u - beta0 * t, u)):
+                # the halved step rounds back to u where the initial step
+                # still moves it: halving, not convergence, stopped u
+                t_norm = float(np.linalg.norm(t))
+                raise SaddleConvergenceError(
+                    "saddle oracle step underflow after %d iterations: "
+                    "beta=%.3e (%d halvings) no longer moves u while "
+                    "||T||=%.3e (tol %.3e)" % (it, beta, halvings, t_norm, tol),
+                    residual=t_norm,
+                    saddle=_pack(u, t_norm, it, beta, False, n_y),
+                )
             return _pack(u_next, res, it, beta, True, n_y)
         u = u_next
         # stall safeguard: no residual improvement over a long window means

@@ -21,11 +21,13 @@ direction_x evaluated at the exact saddle (y*, z*) is the gradient of
 phi_{rho,sigma} at x.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
+from .problem import _is_vector
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,9 @@ class PenaltyReg:
     sigma: float
 
     def __post_init__(self):
-        if not (self.rho > 0 and np.isfinite(self.rho)):
+        if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ContractViolation("rho must be positive and finite")
-        if not (self.sigma > 0 and np.isfinite(self.sigma)):
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ContractViolation("sigma must be positive and finite")
 
 
@@ -101,9 +103,13 @@ def operator_T(problem, pr, x, u):
     at most max(lip_F + rho*lip_f + sigma, rho*lip_f + 2*sigma).
     Its unique zero (with projections, its fixed point) is the saddle of psi.
     """
-    y, z = split_u(problem, u)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_xy(problem, x, y, z)
+    n_y = problem.n_y
+    if _is_vector(u, 2 * n_y) and _is_vector(x, problem.n_x):
+        y, z = u[:n_y], u[n_y:]  # the views split_u would return
+    else:
+        y, z = split_u(problem, u)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        _check_xy(problem, x, y, z)
     return np.concatenate(
         (-direction_y(problem, pr, x, y, z), direction_z(problem, pr, x, y, z))
     )

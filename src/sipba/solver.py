@@ -19,6 +19,7 @@ follow the decreasing-step regime 0 < s < 1/2, 0 < p, q < 1, s >= 8(p+q);
 parameter choices outside the regime are allowed and only warned about.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -26,7 +27,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractViolation, DivergenceError, SaddleConvergenceError
+from .errors import (
+    ContractViolation,
+    DivergenceError,
+    ParameterOverflowError,
+    SaddleConvergenceError,
+)
 from .smoothing import PenaltyReg, direction_x, direction_y, direction_z
 from .saddle import solve_saddle
 
@@ -121,10 +127,48 @@ def initial_state(problem, x0, y0, z0=None):
     return IterateState(k=1, x=x, y=y, z=z)
 
 
+def _penalty_at(sp, k):
+    """(params_at(sp, k), its PenaltyReg).
+
+    A schedule that left the float range (sigma_k rounded to 0) raises
+    ParameterOverflowError naming k, rho_k and sigma_k.
+    """
+    pars = params_at(sp, k)
+    try:
+        return pars, PenaltyReg(pars.rho, pars.sigma)
+    except ContractViolation:
+        raise ParameterOverflowError(
+            "schedule left the float range at k=%d: rho_k=%r, sigma_k=%r"
+            % (k, pars.rho, pars.sigma)
+        ) from None
+
+
+def _finite(v):
+    """Exact np.isfinite(v).all(), via one reduction in the common case.
+
+    A finite sum means every entry is finite; a sum of finite entries can
+    still overflow, so only then is the entrywise test run.
+    """
+    return math.isfinite(np.add.reduce(v)) or np.isfinite(v).all()
+
+
 def sipba_step(problem, sp, state):
-    """One single-loop iteration; returns the state at counter k+1."""
-    pars = params_at(sp, state.k)
-    pr = PenaltyReg(pars.rho, pars.sigma)
+    """One single-loop iteration; returns the state at counter k+1.
+
+    The state is validated where it is built (initial_state, and the config
+    loader before it). The step keeps O(1) checks only: each projection
+    takes a float64 vector of the right shape as is and converts or rejects
+    anything else, PenaltyReg tests that rho_k and sigma_k are positive and
+    finite, and each new block gets a finiteness test.
+
+    Raises
+    ------
+    ParameterOverflowError
+        If the schedule left the float range (sigma_k rounded to 0).
+    DivergenceError
+        If an iterate became non-finite; carries the last good state.
+    """
+    pars, pr = _penalty_at(sp, state.k)
     x, y, z = state.x, state.y, state.z
     dy = direction_y(problem, pr, x, y, z)
     dz = direction_z(problem, pr, x, y, z)
@@ -132,7 +176,7 @@ def sipba_step(problem, sp, state):
     z1 = problem.set_Y.project(z - pars.beta * dz)
     dx = direction_x(problem, pr, x, y1, z1)
     x1 = problem.set_X.project(x - pars.alpha * dx)
-    if not (np.isfinite(x1).all() and np.isfinite(y1).all() and np.isfinite(z1).all()):
+    if not (_finite(x1) and _finite(y1) and _finite(z1)):
         raise DivergenceError(
             "non-finite iterate at k=%d" % state.k, state=state
         )
@@ -163,9 +207,17 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
 
     Timing counts the stepping work only, so diagnostics (oracle calls in
     callbacks, target checks) do not pollute time-to-target measurements.
+
+    Validation happens before the loop: init comes from initial_state
+    (which converts and projects the starting blocks), and max_iter and
+    callback_stride are checked here. Inside the loop each step keeps only
+    its O(1) shape, positivity and finiteness checks (see sipba_step) and
+    raises ParameterOverflowError or DivergenceError out of this call.
     """
     if max_iter < 0:
         raise ContractViolation("max_iter must be >= 0")
+    if callback_stride < 1:
+        raise ContractViolation("callback_stride must be >= 1")
     state = init
     elapsed = 0.0
     result = RunResult(state=state, iterations=0, stop_reason="max_iter",
@@ -221,7 +273,8 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
     x <- Proj_X(x - alpha_k * direction_x(x, y*, z*)). Inner convergence
     failures are recorded and the outer loop continues with the last
     saddle iterate. Returns cumulative inner-iteration counts so gradient
-    budgets can be compared against the single-loop method.
+    budgets can be compared against the single-loop method. A schedule that
+    left the float range raises ParameterOverflowError, as in sipba_step.
 
     outer_iter : int or None
         Number of outer iterations; None means no cap (grad_budget then
@@ -268,8 +321,7 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
                 break
             max_iter = min(max_iter, max(1, (spend_end - cnt.count) // 3))
         k += 1
-        pars = params_at(sp, k)
-        pr = PenaltyReg(pars.rho, pars.sigma)
+        pars, pr = _penalty_at(sp, k)
         t0 = time.perf_counter()
         try:
             sd = solve_saddle(problem, pr, x, tol=inner_tol,

@@ -356,3 +356,56 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "run_5.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cmd, case, value", [
+    ("run", "run.stride", 0), ("run", "run.max_iter", -1),
+    ("ablate", "ablate.max_iter", -1), ("compare", "compare.budget", 5)])
+def test_out_of_range_counts_exit_cleanly(tmp_path, cmd, case, value, jobs):
+    cfg = synthetic_cfg(ablate={"grid": [{}]})
+    section, key = case.split(".")
+    cfg.setdefault(section, {})[key] = value
+    cfgp = write_cfg(tmp_path, cfg)
+    # the key's line inside its section (run.max_iter comes before ablate's)
+    lines = open(cfgp).read().splitlines()
+    start = next(i for i, text in enumerate(lines) if '"%s"' % section in text)
+    line = 1 + next(i for i in range(start, len(lines))
+                    if '"%s"' % key in lines[i])
+    proc = subprocess.run(
+        [sys.executable, "-m", "sipba.cli", cmd, "--config", cfgp,
+         "--jobs", jobs, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("%s:%d: %s must be >= " % (cfgp, line, case)), \
+        proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_schedule_underflow_fails_the_run(tmp_path, capsys):
+    # sigma_k = 0.01 * k^-400 rounds to 0 at k=7
+    cfg = synthetic_cfg()
+    cfg["schedule"]["q"] = 400.0
+    cfg["run"]["max_iter"] = 20
+    cfgp = write_cfg(tmp_path, cfg)
+    for cmd in ("run", "compare"):
+        with pytest.warns(UserWarning, match="regime"):
+            code = cli.main([cmd, "--config", cfgp,
+                             "--out", str(tmp_path / cmd)])
+        assert code == 2
+        out = capsys.readouterr().out.splitlines()
+        for seed, text in zip((5, 6), out):
+            assert text.startswith("run %d: FAILED (" % seed), text
+            assert "k=7" in text and "sigma_k=0.0" in text
+    # the double-loop arm of compare fails the same way
+    cfg["schedule"]["q"] = 0.001
+    cfg["compare"] = {"budget": 3000, "inner_tol": 0.1,
+                      "baseline_schedule": {"q": 400.0}}
+    cfgp = write_cfg(tmp_path, cfg)
+    with pytest.warns(UserWarning, match="regime"):
+        code = cli.main(["compare", "--config", cfgp,
+                         "--out", str(tmp_path / "baseline")])
+    assert code == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("run 5: FAILED (baseline: schedule left"), out
+    assert "k=7" in out[0]

@@ -148,6 +148,27 @@ def test_solve_saddle_stall_reports_real_iteration_count(monkeypatch):
     assert err.residual == pytest.approx(np.sqrt(2.0))
 
 
+def test_solve_saddle_step_underflow_is_not_convergence(monkeypatch):
+    # a non-monotone linear operator: the iterate spirals outward, the stall
+    # safeguard halves beta until u - beta*T rounds back to u, and the zero
+    # residual of that frozen step must not read as convergence
+    A = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+    monkeypatch.setattr(saddle, "operator_T", lambda problem, pr, x, u: A @ u)
+    with pytest.raises(SaddleConvergenceError, match="step underflow") as ei:
+        solve_saddle(quad, PenaltyReg(1.0, 1.0), [0.0], tol=1e-10,
+                     u0=[1.0, 1.0], beta=0.5)
+    err = ei.value
+    sd = err.saddle
+    assert not sd.converged
+    assert "after %d iterations" % sd.iterations in str(err)
+    assert sd.iterations == 10654
+    assert sd.beta < 1e-16
+    u = sd.u
+    assert np.array_equal(u - sd.beta * (A @ u), u)
+    assert err.residual == pytest.approx(np.linalg.norm(A @ u))
+    assert err.residual > 1e20
+
+
 def test_solve_saddle_argument_validation():
     pr = PenaltyReg(1.0, 1.0)
     with pytest.raises(ParameterOverflowError):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from sipba.benchmarks import quadratic_testbed, synthetic_problem
-from sipba.errors import ContractViolation, DivergenceError
+from sipba.errors import (
+    ContractViolation,
+    DivergenceError,
+    ParameterOverflowError,
+)
+from sipba.smoothing import PenaltyReg
 from sipba.solver import (
     ScheduleParams,
     initial_state,
@@ -140,6 +145,14 @@ def test_run_zero_and_negative_max_iter():
         run(quad, SP_UNIT, st, max_iter=-1)
 
 
+def test_run_rejects_callback_stride_below_one():
+    st = initial_state(quad, [1.0], [0.0])
+    for stride in (0, -3):
+        with pytest.raises(ContractViolation, match="callback_stride"):
+            run(quad, SP_UNIT, st, max_iter=5, callback=lambda s, t: None,
+                callback_stride=stride)
+
+
 def test_run_callback_stride_and_final_emission():
     st = initial_state(quad, [1.0], [0.0])
     seen = []
@@ -183,6 +196,27 @@ def test_divergence_raises():
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as ei:
         run(quad, sp, st, max_iter=50)
     assert ei.value.state.k >= 1
+
+
+def test_schedule_underflow_is_a_parameter_overflow():
+    # sigma_k = 0.01 * k^-400 rounds to 0 at k=7: the step's positivity
+    # check reports the schedule, not a PenaltyReg contract violation
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q=400 is outside the regime
+        sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
+                            p=0.001, q=400.0, s=0.1)
+    assert params_at(sp, 6).sigma > 0.0 and params_at(sp, 7).sigma == 0.0
+    st = initial_state(quad, [1.0], [0.0])
+    with pytest.raises(ParameterOverflowError) as ei:
+        run(quad, sp, st, max_iter=50)
+    msg = str(ei.value)
+    pars = params_at(sp, 7)
+    assert "k=7" in msg
+    assert "rho_k=%r" % pars.rho in msg and "sigma_k=0.0" in msg
+    with pytest.raises(ContractViolation):
+        PenaltyReg(pars.rho, pars.sigma)
+    with pytest.raises(ParameterOverflowError, match="k=7"):
+        run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-1)
 
 
 def test_baseline_single_step_example():
