@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .problem import BilevelProblem, Box, FullSpace
+from .problem import BilevelProblem, Box, FullSpace, _as_vector
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def analytic_saddle(x, rho, sigma):
 
 def closed_form_y_star(n, x):
     """Pessimistic lower-level response y*(x) of the synthetic family."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _as_vector(x, n, "x")
     e = np.ones(n)
     nx = float(np.linalg.norm(x))
     if nx > math.sqrt(n) / 2.0:
@@ -86,7 +86,7 @@ def closed_form_y_star(n, x):
 
 def closed_form_phi(n, x):
     """Exact pessimistic value phi(x) = (1/n)||x-e||^2 - ||y*(x)-e||^2."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _as_vector(x, n, "x")
     e = np.ones(n)
     ys = closed_form_y_star(n, x)
     return float(np.dot(x - e, x - e) / n - np.dot(ys - e, ys - e))

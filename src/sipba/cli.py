@@ -17,16 +17,19 @@ All commands share one JSON configuration document; each reads the common
 CSV files are UTF-8 with LF line endings and 17-significant-digit floats, so
 reruns with the same config and seed reproduce every numerical column
 bit-for-bit (wall-time columns excepted). The environment variable SIPBA_SEED
-overrides the configured seed base. Exit codes: 0 success, 1 config error,
-2 nothing completed (numerical failure), 3 acceptance violation.
+overrides the configured seed base. Each command reads and checks its config
+once, before any run starts (also under --jobs): a bad value is reported as
+``cfg:line: message`` with exit code 1. Exit codes: 0 success, 1 config
+error, 2 nothing completed (numerical failure), 3 acceptance violation.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -114,21 +117,23 @@ def load_config(path):
     return cfg, raw
 
 
+_KINDS = {"num": (int, float), "int": int, "str": str, "bool": bool,
+          "list": list, "dict": dict}
+
+
+def _is(v, kind):
+    # a JSON true/false is a Python int, but only a "bool" in a config
+    return isinstance(v, _KINDS[kind]) and (kind == "bool"
+                                            or not isinstance(v, bool))
+
+
 def _get(d, key, kind, default=_MISSING):
     if key not in d:
         if default is _MISSING:
             raise ConfigError("missing required key '%s'" % key, key=key)
         return default
     v = d[key]
-    ok = {
-        "num": lambda u: isinstance(u, (int, float)) and not isinstance(u, bool),
-        "int": lambda u: isinstance(u, int) and not isinstance(u, bool),
-        "str": lambda u: isinstance(u, str),
-        "bool": lambda u: isinstance(u, bool),
-        "list": lambda u: isinstance(u, list),
-        "dict": lambda u: isinstance(u, dict),
-    }[kind]
-    if not ok(v):
+    if not _is(v, kind):
         raise ConfigError("key '%s' must be a %s" % (key, kind), key=key)
     return v
 
@@ -140,6 +145,19 @@ def _get_count(d, section, key, low, default=_MISSING):
         name = "%s.%s" % (section, key)
         raise ConfigError("%s must be >= %d, got %d" % (name, low, v), key=name)
     return v
+
+
+def _get_positive(d, section, key, default):
+    """Positive finite float d[key], or a nonempty list of them when the
+    default is a list; errors name section.key."""
+    v = _get(d, key, "list" if isinstance(default, list) else "num", default)
+    vals = v if isinstance(v, list) else [v]
+    if not (vals and all(_is(u, "num") and 0 < u < math.inf for u in vals)):
+        name = "%s.%s" % (section, key)
+        raise ConfigError("%s must be %s, got %r" % (
+            name, "a nonempty list of positive finite numbers" if vals is v
+            else "positive and finite", v), key=name)
+    return [float(u) for u in v] if vals is v else float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +215,7 @@ def build_problem(cfg, out_dir=None):
     pd = _get(cfg, "problem", "dict")
     kind = _get(pd, "kind", "str")
     if kind == "synthetic":
-        n = _get(pd, "n", "int")
+        n = _get_count(pd, "problem", "n", 2)
         sbench = synthetic_problem(n)
         return ProblemBundle(
             sbench.problem, sbench.sample_init,
@@ -216,11 +234,11 @@ def build_problem(cfg, out_dir=None):
                              metric=lambda x, y: prob.F(x, y))
     if kind == "hyper_rep":
         data = generate_hyper_rep(
-            n_feat=_get(pd, "n_feat", "int"),
-            p_dim=_get(pd, "p_dim", "int"),
-            m1=_get(pd, "m1", "int"),
-            m2=_get(pd, "m2", "int"),
-            m_test=_get(pd, "m_test", "int"),
+            n_feat=_get_count(pd, "problem", "n_feat", 1),
+            p_dim=_get_count(pd, "problem", "p_dim", 1),
+            m1=_get_count(pd, "problem", "m1", 1),
+            m2=_get_count(pd, "problem", "m2", 1),
+            m_test=_get_count(pd, "problem", "m_test", 1),
             noise_a=float(_get(pd, "noise_a", "num")),
             seed=_get(pd, "data_seed", "int"),
         )
@@ -242,8 +260,7 @@ def resolve_seeds(cfg):
     rc = _get(cfg, "run", "dict", default={})
     spec = rc.get("seeds", {"base": 0, "count": 1})
     if isinstance(spec, list):
-        if not spec or not all(isinstance(s, int) and not isinstance(s, bool)
-                               for s in spec):
+        if not spec or not all(_is(s, "int") for s in spec):
             raise ConfigError("'seeds' list must be nonempty integers", key="seeds")
         seeds = [int(s) for s in spec]
     elif isinstance(spec, dict):
@@ -268,29 +285,44 @@ def resolve_seeds(cfg):
     return seeds
 
 
-def _initial_point(bundle, cfg, seed):
+def _problem_and_init(cfg, out_dir):
+    """(problem bundle, checked explicit run.init (x0, y0, z0) or None)."""
+    bundle = build_problem(cfg, out_dir)
     rc = _get(cfg, "run", "dict", default={})
     init = _get(rc, "init", "dict", default=None)
-    if init is not None:
-        x0 = np.asarray(_get(init, "x0", "list"), dtype=float)
-        y0 = np.asarray(_get(init, "y0", "list"), dtype=float)
-        z0 = init.get("z0")
-        z0 = y0.copy() if z0 is None else np.asarray(z0, dtype=float)
-        return x0, y0, z0
-    rng = np.random.Generator(np.random.Philox(seed))
-    return bundle.sample_init(rng)
-
-
-def _check_init(cfg, out_dir):
-    """Check an explicit run.init against the problem, once, before fan-out."""
-    if _get(cfg, "run", "dict", default={}).get("init") is None:
-        return
-    prob = build_problem(cfg, out_dir).problem
-    dims = (prob.n_x, prob.n_y, prob.n_y)
-    for key, v, n in zip(("x0", "y0", "z0"), _initial_point(None, cfg, None), dims):
+    if init is None:
+        return bundle, None
+    x0 = np.asarray(_get(init, "x0", "list"), dtype=float)
+    y0 = np.asarray(_get(init, "y0", "list"), dtype=float)
+    z0 = init.get("z0")
+    z0 = y0.copy() if z0 is None else np.asarray(z0, dtype=float)
+    prob = bundle.problem
+    for key, v, n in zip(("x0", "y0", "z0"), (x0, y0, z0),
+                         (prob.n_x, prob.n_y, prob.n_y)):
         if v.shape != (n,):
             raise ConfigError("run.init.%s must have %d entries, got shape %s"
                               % (key, n, v.shape), key=key)
+    return bundle, (x0, y0, z0)
+
+
+def _run_settings(cfg, out_dir, max_iter=None, stop_at_target=None):
+    """Checked problem, run.init and run block, as _run_single keywords
+    (the parent's problem is not kept: each task builds its own)."""
+    bundle, start = _problem_and_init(cfg, out_dir)
+    rc = _get(cfg, "run", "dict", default={})
+    if max_iter is None:
+        max_iter = _get_count(rc, "run", "max_iter", 0)
+    stride = _get_count(rc, "run", "stride", 1, default=100)
+    oracle_tol = float(_get(rc, "oracle_tol", "num", default=1e-8))
+    target_eps = _get(rc, "target_eps_rel", "num", default=None)
+    if stop_at_target is None:
+        stop_at_target = _get(rc, "stop_at_target", "bool", default=False)
+    if target_eps is not None and bundle.optimum is None:
+        raise ConfigError("target_eps_rel needs a problem with a known optimum",
+                          key="target_eps_rel")
+    return dict(start=start, max_iter=max_iter, stride=stride,
+                oracle_tol=oracle_tol, target_eps=target_eps,
+                stop_at_target=stop_at_target)
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +348,16 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# single run (worker-safe: rebuilds everything from the config dict)
+# tasks, worker-safe: each gets values the parent checked before fan-out and
+# rebuilds only the problem, whose closures do not pickle
 
 
-def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
-                stop_at_target=None, write_rows=True):
+def _run_single(cfg, out_dir, sp, seed, start, max_iter, stride, oracle_tol,
+                target_eps, stop_at_target, write_rows=True):
     bundle = build_problem(cfg, out_dir)
-    sp = build_schedule(cfg, overrides)
     prob = bundle.problem
-    rc = _get(cfg, "run", "dict", default={})
-    if max_iter is None:
-        max_iter = _get_count(rc, "run", "max_iter", 0)
-    stride = _get_count(rc, "run", "stride", 1, default=100)
-    oracle_tol = float(_get(rc, "oracle_tol", "num", default=1e-8))
-    target_eps = _get(rc, "target_eps_rel", "num", default=None)
-    if stop_at_target is None:
-        stop_at_target = _get(rc, "stop_at_target", "bool", default=False)
-    if target_eps is not None and bundle.optimum is None:
-        raise ConfigError("target_eps_rel needs a problem with a known optimum",
-                          key="target_eps_rel")
-
-    x0, y0, z0 = _initial_point(bundle, cfg, seed)
-    init = initial_state(prob, x0, y0, z0)
+    init = initial_state(prob, *(start or bundle.sample_init(
+        np.random.Generator(np.random.Philox(seed)))))
     x_init, y_init = init.x.copy(), init.y.copy()
 
     target = None
@@ -358,40 +378,32 @@ def _run_single(cfg, seed, out_dir, overrides=None, max_iter=None,
         rows.append((seed, done, elapsed, sn.phi, eps, sn.tracking_err,
                      sn.stat_residual, merit))
 
-    out = {"run_id": seed, "ok": True, "error": "", "iterations": 0,
-           "final_eps_rel": None, "target_iteration": None,
-           "target_seconds": None, "step_seconds": 0.0, "csv": None}
     try:
         res = run(prob, sp, init, max_iter, target=target,
                   stop_at_target=stop_at_target,
                   callback=cb if write_rows else None, callback_stride=stride)
-        out["iterations"] = res.iterations
-        out["target_iteration"] = res.target_iteration
-        out["target_seconds"] = res.target_seconds
-        out["step_seconds"] = res.step_seconds
-        out["final_eps_rel"] = bundle.eps_rel(res.state.x, res.state.y,
-                                              x_init, y_init)
     except (DivergenceError, ParameterOverflowError,
             SaddleConvergenceError) as e:
-        out["ok"] = False
-        out["error"] = str(e)
+        out = {"ok": False, "error": str(e)}
+    else:
+        out = {"ok": True, "iterations": res.iterations,
+               "target_iteration": res.target_iteration,
+               "target_seconds": res.target_seconds,
+               "final_eps_rel": bundle.eps_rel(res.state.x, res.state.y,
+                                               x_init, y_init)}
     if write_rows:
-        path = os.path.join(out_dir, "run_%d.csv" % seed)
-        _write_csv(path, RUN_COLUMNS, rows)
-        out["csv"] = path
+        _write_csv(os.path.join(out_dir, "run_%d.csv" % seed), RUN_COLUMNS,
+                   rows)
     return out
 
 
 def _fan_out(tasks, jobs):
-    """Run {key: picklable callable} tasks, inline or in worker processes."""
+    """Results of picklable callables, in order, run inline or in workers."""
     if jobs <= 1 or len(tasks) <= 1:
-        return {key: fn() for key, fn in tasks.items()}
-    results = {}
+        return [fn() for fn in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        futs = {ex.submit(fn): key for key, fn in tasks.items()}
-        for f in as_completed(futs):
-            results[futs[f]] = f.result()
-    return results
+        futs = [ex.submit(fn) for fn in tasks]
+        return [f.result() for f in futs]
 
 
 def _tally(runs):
@@ -410,14 +422,13 @@ def _tally(runs):
 
 def cmd_run(cfg, jobs, out_dir):
     seeds = resolve_seeds(cfg)
-    rc = _get(cfg, "run", "dict", default={})
-    target_eps = _get(rc, "target_eps_rel", "num", default=None)
-    _check_init(cfg, out_dir)
-    results = _fan_out({s: partial(_run_single, cfg, s, out_dir)
-                        for s in seeds}, jobs)
-    ordered = [results[s] for s in seeds]
+    kw = _run_settings(cfg, out_dir)
+    sp = build_schedule(cfg)
+    target_eps = kw["target_eps"]
+    ordered = _fan_out([partial(_run_single, cfg, out_dir, sp, s, **kw)
+                        for s in seeds], jobs)
 
-    for r in ordered:
+    for s, r in zip(seeds, ordered):
         if r["ok"]:
             hit = ("target at k=%d (%.3f s)" % (r["target_iteration"],
                                                 r["target_seconds"])
@@ -426,20 +437,16 @@ def cmd_run(cfg, jobs, out_dir):
             eps_txt = ("final eps_rel %.3e" % r["final_eps_rel"]
                        if r["final_eps_rel"] is not None else "")
             print("run %d: %d iterations  %s  %s"
-                  % (r["run_id"], r["iterations"], eps_txt, hit))
+                  % (s, r["iterations"], eps_txt, hit))
         else:
-            print("run %d: FAILED (%s)" % (r["run_id"], r["error"]))
+            print("run %d: FAILED (%s)" % (s, r["error"]))
 
     completed, valid, times, finals = _tally(ordered)
-    summary = [(
-        len(ordered), len(completed),
-        len(valid) if target_eps is not None else None,
-        target_eps,
-        min(finals) if finals else None,
-        max(finals) if finals else None,
-        float(np.mean(times)) if times else None,
-    )]
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, summary)
+    summary = (len(ordered), len(completed),
+               len(valid) if target_eps is not None else None, target_eps,
+               min(finals, default=None), max(finals, default=None),
+               float(np.mean(times)) if times else None)
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, [summary])
     if finals:
         print("summary: %d/%d completed, final eps_rel in [%.3e, %.3e]"
               % (len(completed), len(ordered), min(finals), max(finals)))
@@ -462,23 +469,17 @@ def cmd_ablate(cfg, jobs, out_dir):
                           key="grid")
     max_iter = _get_count(ab, "ablate", "max_iter", 0, default=None)
     seeds = resolve_seeds(cfg)
-    for ov in grid:
-        build_schedule(cfg, ov)  # fail fast on bad overrides
-    _check_init(cfg, out_dir)
+    schedules = [build_schedule(cfg, ov) for ov in grid]
+    kw = _run_settings(cfg, out_dir, max_iter, stop_at_target=True)
 
-    results = _fan_out({
-        (i, s): partial(_run_single, cfg, s, out_dir, overrides=ov,
-                        max_iter=max_iter, stop_at_target=True,
-                        write_rows=False)
-        for i, ov in enumerate(grid) for s in seeds}, jobs)
+    results = _fan_out([
+        partial(_run_single, cfg, out_dir, sp, s, write_rows=False, **kw)
+        for sp in schedules for s in seeds], jobs)
 
     table = []
-    any_completed = False
-    for i, ov in enumerate(grid):
-        sp = build_schedule(cfg, ov)
-        runs = [results[(i, s)] for s in seeds]
+    for i, sp in enumerate(schedules):
+        runs = results[i * len(seeds):(i + 1) * len(seeds)]
         completed, valid, times, finals = _tally(runs)
-        any_completed = any_completed or bool(completed)
         table.append((
             i, sp.alpha0, sp.beta0, sp.rho0, sp.sigma0, sp.p, sp.q, sp.s,
             len(runs), len(valid),
@@ -494,19 +495,18 @@ def cmd_ablate(cfg, jobs, out_dir):
                  % (float(np.mean(times)), float(np.std(times)))
                  if times else ""))
     _write_csv(os.path.join(out_dir, "ablation.csv"), ABLATE_COLUMNS, table)
-    return 0 if any_completed else 2
+    return 0 if any(r["ok"] for r in results) else 2
 
 
 def cmd_gradcheck(cfg, jobs, out_dir):
     gc = _get(cfg, "gradcheck", "dict", default={})
     threshold = float(_get(gc, "threshold", "num", default=1e-4))
-    n_points = _get(gc, "n_points", "int", default=20)
-    fd_step = float(_get(gc, "fd_step", "num", default=1e-5))
+    n_points = _get_count(gc, "gradcheck", "n_points", 1, default=20)
+    fd_step = _get_positive(gc, "gradcheck", "fd_step", 1e-5)
     oracle_tol = float(_get(gc, "oracle_tol", "num", default=1e-10))
-    rho = float(_get(gc, "rho", "num", default=10.0))
-    sigma = float(_get(gc, "sigma", "num", default=0.1))
-    bundle = build_problem(cfg, out_dir)
-    prob = bundle.problem
+    rho = _get_positive(gc, "gradcheck", "rho", 10.0)
+    sigma = _get_positive(gc, "gradcheck", "sigma", 0.1)
+    prob = build_problem(cfg, out_dir).problem
 
     report = check_gradients(prob, n_points=n_points, fd_step=fd_step,
                              rng=np.random.default_rng(0))
@@ -527,13 +527,11 @@ def cmd_gradcheck(cfg, jobs, out_dir):
     print("grad_phi   max rel err %.3e  (rho=%g, sigma=%g)"
           % (worst_phi, rho, sigma))
 
-    rows = [(name, err, threshold, err <= threshold)
-            for name, err in sorted(report.errors.items())]
-    rows.append(("grad_phi", worst_phi, threshold, worst_phi <= threshold))
+    errs = sorted(report.errors.items()) + [("grad_phi", worst_phi)]
     _write_csv(os.path.join(out_dir, "gradcheck.csv"),
                ["gradient", "max_rel_err", "threshold", "passed"],
-               [(n, e, t, str(p)) for n, e, t, p in rows])
-    failed = [n for n, e, t, p in rows if not p]
+               [(n, e, threshold, str(e <= threshold)) for n, e in errs])
+    failed = [n for n, e in errs if not e <= threshold]
     if failed:
         print("gradcheck FAILED above threshold %g: %s"
               % (threshold, ", ".join(failed)), file=sys.stderr)
@@ -557,27 +555,13 @@ def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
             res.step_seconds)
 
 
-def _compare_single(cfg, seed, out_dir):
+def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
+                    inner_tol, max_outer):
     bundle = build_problem(cfg, out_dir)
-    cc = _get(cfg, "compare", "dict", default={})
-    rc = _get(cfg, "run", "dict", default={})
-    stride = _get_count(rc, "run", "stride", 1, default=100)
-    # one single-loop step costs 6 gradient evaluations
-    budget = _get_count(cc, "compare", "budget", 6, default=None)
-    if budget is None:
-        # only needed as the budget default; an explicit budget stands alone
-        budget = 6 * _get_count(rc, "run", "max_iter", 0)
-    inner_tol = float(_get(cc, "inner_tol", "num", default=1e-5))
-    max_outer = _get(cc, "baseline_max_outer", "int", default=None)
-    sp = build_schedule(cfg)
-    sp_base = build_schedule(cfg, cc.get("baseline_schedule") or {})
-
-    x0, y0, z0 = _initial_point(bundle, cfg, seed)
+    x0, y0, z0 = start or bundle.sample_init(
+        np.random.Generator(np.random.Philox(seed)))
     rows = []
-    out = {"run_id": seed, "ok": True, "error": "", "csv": None,
-           "sipba_final": None, "baseline_final": None,
-           "sipba_evals": 0, "baseline_evals": 0,
-           "metric_name": bundle.metric_name}
+    out = {"ok": True, "baseline_final": None, "metric_name": bundle.metric_name}
 
     # single-loop arm
     prob_s, cnt_s = with_gradient_counter(bundle.problem)
@@ -595,12 +579,11 @@ def _compare_single(cfg, seed, out_dir):
     try:
         res = run(prob_s, sp, init, budget // 6, callback=cb,
                   callback_stride=stride)
-        out["sipba_final"] = metric_fn(res.state.x, res.state.y)
-        out["sipba_evals"] = cnt_s.count
+        out.update(sipba_final=metric_fn(res.state.x, res.state.y),
+                   sipba_evals=cnt_s.count)
     except (DivergenceError, ParameterOverflowError,
             SaddleConvergenceError) as e:
-        out["ok"] = False
-        out["error"] = "sipba: %s" % e
+        out.update(ok=False, error="sipba: %s" % e)
 
     # double-loop arm
     if out["ok"] and (max_outer is None or max_outer > 0):
@@ -619,31 +602,41 @@ def _compare_single(cfg, seed, out_dir):
                 out["baseline_final"] = metric_fn(bx, bsd.y_star)
             out["baseline_evals"] = cnt_b.count
         except (DivergenceError, ParameterOverflowError) as e:
-            out["ok"] = False
-            out["error"] = "baseline: %s" % e
+            out.update(ok=False, error="baseline: %s" % e)
 
-    path = os.path.join(out_dir, "compare_%d.csv" % seed)
-    _write_csv(path, COMPARE_COLUMNS, rows)
-    out["csv"] = path
+    _write_csv(os.path.join(out_dir, "compare_%d.csv" % seed),
+               COMPARE_COLUMNS, rows)
     return out
 
 
 def cmd_compare(cfg, jobs, out_dir):
     seeds = resolve_seeds(cfg)
-    _check_init(cfg, out_dir)
-    results = _fan_out({s: partial(_compare_single, cfg, s, out_dir)
-                        for s in seeds}, jobs)
-    ordered = [results[s] for s in seeds]
-    for r in ordered:
+    start = _problem_and_init(cfg, out_dir)[1]  # tasks build their own problem
+    cc = _get(cfg, "compare", "dict", default={})
+    rc = _get(cfg, "run", "dict", default={})
+    stride = _get_count(rc, "run", "stride", 1, default=100)
+    # one single-loop step costs 6 gradient evaluations
+    budget = _get_count(cc, "compare", "budget", 6, default=None)
+    if budget is None:
+        # only needed as the budget default; an explicit budget stands alone
+        budget = 6 * _get_count(rc, "run", "max_iter", 0)
+    inner_tol = float(_get(cc, "inner_tol", "num", default=1e-5))
+    max_outer = _get(cc, "baseline_max_outer", "int", default=None)
+    sp = build_schedule(cfg)
+    sp_base = build_schedule(cfg, cc.get("baseline_schedule") or {})
+    ordered = _fan_out([partial(_compare_single, cfg, out_dir, start, sp, s,
+                                sp_base, stride, budget, inner_tol, max_outer)
+                        for s in seeds], jobs)
+    for s, r in zip(seeds, ordered):
         if r["ok"]:
             base_txt = ("%.6e (%d evals)" % (r["baseline_final"],
                                              r["baseline_evals"])
                         if r["baseline_final"] is not None else "skipped")
             print("run %d: %s  sipba %.6e (%d evals)  baseline %s"
-                  % (r["run_id"], r["metric_name"], r["sipba_final"],
+                  % (s, r["metric_name"], r["sipba_final"],
                      r["sipba_evals"], base_txt))
         else:
-            print("run %d: FAILED (%s)" % (r["run_id"], r["error"]))
+            print("run %d: FAILED (%s)" % (s, r["error"]))
     return 0 if any(r["ok"] for r in ordered) else 2
 
 
@@ -653,11 +646,10 @@ def cmd_asymptotics(cfg, jobs, out_dir):
         raise ConfigError(
             "asymptotics needs the closed-form synthetic problem", key="kind")
     ac = _get(cfg, "asymptotics", "dict", default={})
-    rho_list = [float(v) for v in
-                _get(ac, "rho_list", "list", default=[1e1, 1e2, 1e3, 1e4])]
-    sigma_list = [float(v) for v in
-                  _get(ac, "sigma_list", "list",
-                       default=[1e-1, 1e-2, 1e-3, 1e-4])]
+    rho_list = _get_positive(ac, "asymptotics", "rho_list",
+                             [1e1, 1e2, 1e3, 1e4])
+    sigma_list = _get_positive(ac, "asymptotics", "sigma_list",
+                               [1e-1, 1e-2, 1e-3, 1e-4])
     oracle_tol = float(_get(ac, "oracle_tol", "num", default=1e-8))
     saddle_tol = float(_get(ac, "saddle_tol", "num", default=1e-3))
     diag_slack = float(_get(ac, "diag_slack", "num", default=1e-8))
@@ -699,13 +691,13 @@ def cmd_asymptotics(cfg, jobs, out_dir):
     _write_csv(os.path.join(out_dir, "saddle_limits.csv"),
                ["rho", "sigma", "saddle_dev"], saddle_rows)
 
-    final_dev = saddle_rows[-1][2] if saddle_rows else None
     bad = []
     if not rep.lower_bounds_ok:
         bad.append("lower bound violated by %.3e" % rep.max_lower_violation)
     if not rep.diagonal_monotone:
         bad.append("diagonal gaps not monotone")
-    if final_dev is not None and final_dev > saddle_tol:
+    final_dev = saddle_rows[-1][2]  # the lists are nonempty
+    if final_dev > saddle_tol:
         bad.append("saddle deviation %.3e > %g" % (final_dev, saddle_tol))
     if bad:
         print("asymptotics FAILED: %s" % "; ".join(bad), file=sys.stderr)

@@ -14,6 +14,7 @@ from typing import List
 import numpy as np
 
 from .errors import ContractViolation
+from .problem import _as_vector
 from .saddle import solve_saddle
 from .smoothing import PenaltyReg, direction_x, eval_psi
 from .solver import params_at
@@ -147,8 +148,8 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
     """
     if slack is None:
         slack = max(1e-8, 10.0 * oracle_tol)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     prob = problem_cf.problem
+    x = _as_vector(x, prob.n_x, "x")
     phi_exact = float(problem_cf.closed_form_phi(x))
     ystar = np.atleast_1d(problem_cf.closed_form_y_star(x))
     ynorm2 = float(np.dot(ystar, ystar))

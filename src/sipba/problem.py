@@ -22,14 +22,14 @@ from .errors import ContractViolation
 _F64 = np.dtype(np.float64)
 
 
-def _is_vector(v, dim):
-    """O(1) test: v is already a float64 ndarray of shape (dim,)."""
-    return type(v) is np.ndarray and v.dtype == _F64 and v.shape == (dim,)
-
-
 def _as_vector(v, dim, name):
-    if _is_vector(v, dim):
-        return v  # what np.asarray would return: the same object
+    """v as a float64 vector of shape (dim,): the package's one vector check.
+
+    O(1) for such an ndarray (returned as is); a scalar becomes a vector of
+    length one; anything else raises ContractViolation naming the argument.
+    """
+    if type(v) is np.ndarray and v.dtype == _F64 and v.shape == (dim,):
+        return v
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -78,7 +78,7 @@ class Box(ProjectableSet):
     ----------
     lower, upper : array_like
         Per-coordinate bounds, broadcastable to a common shape. Must satisfy
-        lower <= upper everywhere.
+        lower <= upper everywhere (so no bound is NaN).
     """
 
     def __init__(self, lower, upper):
@@ -87,8 +87,8 @@ class Box(ProjectableSet):
         lo, hi = np.broadcast_arrays(lo, hi)
         if lo.ndim != 1:
             raise ContractViolation("box bounds must be one-dimensional")
-        if np.any(lo > hi):
-            raise ContractViolation("box has lower > upper in some coordinate")
+        if not np.all(lo <= hi):  # also rejects NaN bounds
+            raise ContractViolation("box needs lower <= upper and no NaN bound")
         self.lower = lo.copy()
         self.upper = hi.copy()
         self.dim = lo.shape[0]

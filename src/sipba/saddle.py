@@ -33,6 +33,7 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
+from .problem import _as_vector
 from .smoothing import direction_x, eval_psi, operator_T
 
 _POWER_SEED = 0x51B8A
@@ -125,15 +126,11 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         initial step still moves it); carries the last residual and
         iterate.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (problem.n_x,):
-        raise ContractViolation("x has wrong shape")
+    x = _as_vector(x, problem.n_x, "x")
     if u0 is None:
         u = default_start(problem)
     else:
-        u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-        if u.shape != (2 * problem.n_y,):
-            raise ContractViolation("u0 must stack (y, z)")
+        u = _as_vector(u0, 2 * problem.n_y, "u0").copy()
     if beta is None:
         beta = 1.0 / (2.0 * estimate_T_lipschitz(problem, pr, x, u))
     beta = float(beta)
@@ -222,7 +219,6 @@ def _pack(u, res, it, beta, ok, n_y):
 def eval_phi(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     """Smoothed value phi_{rho,sigma}(x) = psi(x, y*, z*) at the oracle saddle."""
     sp = solve_saddle(problem, pr, x, tol=tol, max_iter=max_iter, u0=u0, beta=beta)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     return eval_psi(problem, pr, x, sp.y_star, sp.z_star)
 
 
@@ -232,6 +228,6 @@ def grad_phi(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     Valid because the saddle is unique, so the value function inherits the
     partial x-gradient of psi at (y*, z*).
     """
+    x = _as_vector(x, problem.n_x, "x")
     sp = solve_saddle(problem, pr, x, tol=tol, max_iter=max_iter, u0=u0, beta=beta)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     return direction_x(problem, pr, x, sp.y_star, sp.z_star)

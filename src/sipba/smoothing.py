@@ -19,6 +19,10 @@ share one implementation:
 
 direction_x evaluated at the exact saddle (y*, z*) is the gradient of
 phi_{rho,sigma} at x.
+
+eval_psi and operator_T check their vectors with the package's one vector
+checker, problem._as_vector; the direction operations check nothing, as
+their callers pass vectors checked where they entered.
 """
 
 import math
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .problem import _is_vector
+from .problem import _as_vector
 
 
 @dataclass(frozen=True)
@@ -44,21 +48,11 @@ class PenaltyReg:
             raise ContractViolation("sigma must be positive and finite")
 
 
-def _check_xy(problem, x, y, z=None):
-    if np.shape(x) != (problem.n_x,):
-        raise ContractViolation("x has wrong shape")
-    if np.shape(y) != (problem.n_y,):
-        raise ContractViolation("y has wrong shape")
-    if z is not None and np.shape(z) != (problem.n_y,):
-        raise ContractViolation("z has wrong shape")
-
-
 def eval_psi(problem, pr, x, y, z):
     """Value of the regularized objective psi at (x, y, z)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_xy(problem, x, y, z)
+    x = _as_vector(x, problem.n_x, "x")
+    y = _as_vector(y, problem.n_y, "y")
+    z = _as_vector(z, problem.n_y, "z")
     val = (
         problem.F(x, y)
         - pr.rho * (problem.f(x, y) - problem.f(x, z))
@@ -86,15 +80,6 @@ def direction_x(problem, pr, x, y_next, z_next):
     )
 
 
-def split_u(problem, u):
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (2 * problem.n_y,):
-        raise ContractViolation(
-            "u must stack (y, z) into shape (%d,)" % (2 * problem.n_y)
-        )
-    return u[: problem.n_y], u[problem.n_y :]
-
-
 def operator_T(problem, pr, x, u):
     """Saddle operator T(x, u) = (-grad_y psi, grad_z psi) on stacked u=(y,z).
 
@@ -104,12 +89,9 @@ def operator_T(problem, pr, x, u):
     Its unique zero (with projections, its fixed point) is the saddle of psi.
     """
     n_y = problem.n_y
-    if _is_vector(u, 2 * n_y) and _is_vector(x, problem.n_x):
-        y, z = u[:n_y], u[n_y:]  # the views split_u would return
-    else:
-        y, z = split_u(problem, u)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        _check_xy(problem, x, y, z)
+    u = _as_vector(u, 2 * n_y, "u")
+    x = _as_vector(x, problem.n_x, "x")
+    y, z = u[:n_y], u[n_y:]
     return np.concatenate(
         (-direction_y(problem, pr, x, y, z), direction_z(problem, pr, x, y, z))
     )

@@ -119,11 +119,9 @@ class IterateState:
 
 def initial_state(problem, x0, y0, z0=None):
     """Build a feasible starting state (projecting once). z defaults to y."""
-    x = problem.set_X.project(np.atleast_1d(np.asarray(x0, dtype=float)))
-    y = problem.set_Y.project(np.atleast_1d(np.asarray(y0, dtype=float)))
-    z = y.copy() if z0 is None else problem.set_Y.project(
-        np.atleast_1d(np.asarray(z0, dtype=float))
-    )
+    x = problem.set_X.project(x0)
+    y = problem.set_Y.project(y0)
+    z = y.copy() if z0 is None else problem.set_Y.project(z0)
     return IterateState(k=1, x=x, y=y, z=z)
 
 
@@ -304,7 +302,7 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
         if cnt is None:
             problem, cnt = with_gradient_counter(problem)
         spend_end = cnt.count + grad_budget
-    x = problem.set_X.project(np.atleast_1d(np.asarray(x0, dtype=float)))
+    x = problem.set_X.project(x0)
     u = u0
     sp_last = None
     inner_total = 0

@@ -16,6 +16,16 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def key_line(cfgp, dotted):
+    """Line of "section.key": the key's first line from its section on."""
+    lines = open(cfgp).read().splitlines()
+    found = 0
+    for part in dotted.split("."):
+        found = next(i for i in range(found, len(lines))
+                     if '"%s"' % part in lines[i])
+    return found + 1
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -361,17 +371,14 @@ def test_console_script_entry_point(tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("cmd, case, value", [
     ("run", "run.stride", 0), ("run", "run.max_iter", -1),
-    ("ablate", "ablate.max_iter", -1), ("compare", "compare.budget", 5)])
+    ("ablate", "ablate.max_iter", -1), ("compare", "compare.budget", 5),
+    ("run", "problem.n", 1)])
 def test_out_of_range_counts_exit_cleanly(tmp_path, cmd, case, value, jobs):
     cfg = synthetic_cfg(ablate={"grid": [{}]})
     section, key = case.split(".")
     cfg.setdefault(section, {})[key] = value
     cfgp = write_cfg(tmp_path, cfg)
-    # the key's line inside its section (run.max_iter comes before ablate's)
-    lines = open(cfgp).read().splitlines()
-    start = next(i for i, text in enumerate(lines) if '"%s"' % section in text)
-    line = 1 + next(i for i in range(start, len(lines))
-                    if '"%s"' % key in lines[i])
+    line = key_line(cfgp, case)
     proc = subprocess.run(
         [sys.executable, "-m", "sipba.cli", cmd, "--config", cfgp,
          "--jobs", jobs, "--out", str(tmp_path / "out")],
@@ -409,3 +416,70 @@ def test_schedule_underflow_fails_the_run(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("run 5: FAILED (baseline: schedule left"), out
     assert "k=7" in out[0]
+
+
+@pytest.mark.parametrize("cmd, case, value", [
+    ("asymptotics", "asymptotics.sigma_list", [0.0]),
+    ("asymptotics", "asymptotics.rho_list", ["a"]),
+    ("asymptotics", "asymptotics.rho_list", [10.0, -1.0]),
+    ("asymptotics", "asymptotics.rho_list", []),
+    ("asymptotics", "asymptotics.sigma_list", []),
+    ("gradcheck", "gradcheck.sigma", -1),
+    ("gradcheck", "gradcheck.rho", 0),
+    ("gradcheck", "gradcheck.fd_step", 0),
+    ("gradcheck", "gradcheck.n_points", 0)])
+def test_asymptotics_and_gradcheck_values_checked_at_the_boundary(
+        tmp_path, cmd, case, value):
+    # each of these used to crash in the library, divide by zero, or pass
+    # without checking anything
+    cfg = synthetic_cfg(asymptotics={"rho_list": [10.0], "sigma_list": [0.1]},
+                        gradcheck={"n_points": 2})
+    section, key = case.split(".")
+    cfg[section][key] = value
+    cfgp = write_cfg(tmp_path, cfg)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sipba.cli", cmd, "--config", cfgp,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("%s:%d: %s must be "
+                                  % (cfgp, key_line(cfgp, case), case)), \
+        proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # rejected before any report is printed
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise RuntimeError("a worker pool was started")
+
+
+@pytest.mark.parametrize("cmd, patch, key, message", [
+    ("run", {"run": {"stride": 0}}, "run.stride",
+     "run.stride must be >= 1, got 0"),
+    ("run", {"run": {"init": {"x0": [1.0], "y0": [1.0, 1.0]}}}, "x0",
+     "run.init.x0 must have 2 entries, got shape (1,)"),
+    ("run", {"problem": {"kind": "quadratic"}}, "target_eps_rel",
+     "target_eps_rel needs a problem with a known optimum"),
+    ("compare", {"compare": {"budget": 5}}, "compare.budget",
+     "compare.budget must be >= 6, got 5"),
+    ("ablate", {"ablate": {"grid": [{}, {"gamma": 1.0}]}}, "grid",
+     "unknown schedule override 'gamma'"),
+], ids=["stride", "init", "target", "budget", "override"])
+def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
+                                           cmd, patch, key, message):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    cfg = synthetic_cfg(ablate={"grid": [{}], "max_iter": 10})
+    # the patch is live: a good config at --jobs 2 does start a pool
+    with pytest.raises(RuntimeError, match="worker pool"):
+        cli.main([cmd, "--config", write_cfg(tmp_path, cfg, "good.json"),
+                  "--jobs", "2", "--out", str(tmp_path / "good")])
+    capsys.readouterr()
+    for section, values in patch.items():
+        cfg.setdefault(section, {}).update(values)
+    cfgp = write_cfg(tmp_path, cfg)
+    assert cli.main([cmd, "--config", cfgp, "--jobs", "2",
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == "%s:%d: %s\n" % (cfgp, key_line(cfgp, key), message)
+    assert out == ""

@@ -67,6 +67,17 @@ def test_set_validation():
         FullSpace(3).project([1.0, 2.0])  # wrong shape
 
 
+def test_box_rejects_nan_bounds_and_keeps_infinite_faces():
+    for lo, hi in (([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0, np.nan], 1.0),
+                   (np.nan, np.nan)):
+        with pytest.raises(ContractViolation, match="NaN"):
+            Box(lo, hi)
+    # infinite faces stay valid, also a zero-width face at -inf or +inf
+    box = Box([-np.inf, -np.inf, np.inf, 0.0], [np.inf, -np.inf, np.inf, np.inf])
+    np.testing.assert_array_equal(box.project([0.5, 0.5, 0.5, -1.0]),
+                                  [0.5, -np.inf, np.inf, 0.0])
+
+
 def test_box_broadcasts_scalar_bounds():
     box = Box(0.0, [1.0, 2.0, 3.0])
     assert box.dim == 3

@@ -173,10 +173,20 @@ def test_solve_saddle_argument_validation():
     pr = PenaltyReg(1.0, 1.0)
     with pytest.raises(ParameterOverflowError):
         solve_saddle(quad, pr, [1.0], beta=0.0)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=r"^x must have shape \(1,\)"):
         solve_saddle(quad, pr, [1.0, 2.0])
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=r"^u0 must have shape \(2,\)"):
         solve_saddle(quad, pr, [1.0], u0=[1.0, 2.0, 3.0])
+    # the u0 stack is (y, z): a y block alone, or a 0-d start, is too short
+    for u0 in ([1.0], 1.0):
+        with pytest.raises(ContractViolation, match=r"^u0 must have shape \(2,\)"):
+            solve_saddle(quad, pr, [1.0], u0=u0)
+    pair = synthetic_problem(2).problem
+    with pytest.raises(ContractViolation, match=r"^x must have shape \(2,\)"):
+        solve_saddle(pair, pr, 1.0)
+    # a 0-d x is a vector of length one
+    a = solve_saddle(quad, pr, 1.0, tol=1e-10)
+    assert np.array_equal(a.u, solve_saddle(quad, pr, [1.0], tol=1e-10).u)
 
 
 def test_solver_deterministic():

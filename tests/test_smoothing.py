@@ -10,7 +10,6 @@ from sipba.smoothing import (
     direction_z,
     eval_psi,
     operator_T,
-    split_u,
 )
 
 quad = quadratic_testbed()
@@ -53,19 +52,21 @@ def test_operator_stacks_negated_ascent_and_descent():
         np.testing.assert_array_equal(t[4:], direction_z(prob, pr, x, y, z))
 
 
-def test_split_u_shapes():
-    y, z = split_u(quad, [1.0, 2.0])
-    assert y == pytest.approx(1.0) and z == pytest.approx(2.0)
-    with pytest.raises(ContractViolation):
-        split_u(quad, [1.0, 2.0, 3.0])
-
-
 def test_eval_psi_shape_errors():
     pr = PenaltyReg(1.0, 1.0)
-    with pytest.raises(ContractViolation):
-        eval_psi(quad, pr, [1.0, 2.0], [0.0], [0.0])
-    with pytest.raises(ContractViolation):
-        eval_psi(quad, pr, [1.0], [0.0, 0.0], [0.0])
+    # a 0-d input is a vector of length one
+    assert eval_psi(quad, pr, 1.0, 2.0, 0.0) == eval_psi(quad, pr, [1.0], [2.0], [0.0])
+    pair = synthetic_problem(2).problem
+    v = [1.0, 1.0]
+    for args, name in (((quad, pr, [1.0, 2.0], [0.0], [0.0]), "x"),
+                       ((quad, pr, [1.0], [0.0, 0.0], [0.0]), "y"),
+                       ((quad, pr, [1.0], [0.0], [0.0, 0.0]), "z"),
+                       ((pair, pr, 1.0, v, v), "x"),
+                       ((pair, pr, v, v, np.float64(0.0)), "z")):
+        n = args[0].n_x if name == "x" else args[0].n_y
+        with pytest.raises(ContractViolation, match=r"^%s must have shape \(%d,\)"
+                           % (name, n)):
+            eval_psi(*args)
 
 
 def _feasible(prob, rng):
