@@ -26,7 +26,6 @@ from .problem import (
     FullSpace,
     ProjectableSet,
     check_gradients,
-    project,
 )
 from .smoothing import (
     PenaltyReg,
@@ -75,9 +74,7 @@ from .benchmarks import (
     hyper_rep_init,
     hyper_rep_problem,
     hyper_rep_test_loss,
-    load_hyper_rep,
     quadratic_testbed,
-    save_hyper_rep,
     synthetic_problem,
 )
 

@@ -235,28 +235,6 @@ def generate_hyper_rep(n_feat, p_dim, m1, m2, m_test, noise_a, seed):
     )
 
 
-def save_hyper_rep(data, path):
-    np.savez(
-        path,
-        H_real=data.H_real, w_real=data.w_real,
-        X_val=data.X_val, y_val=data.y_val,
-        X_train=data.X_train, y_train=data.y_train,
-        X_test=data.X_test, y_test=data.y_test,
-        noise_a=np.array(data.noise_a), seed=np.array(data.seed),
-    )
-
-
-def load_hyper_rep(path):
-    with np.load(path) as d:
-        return HyperRepData(
-            H_real=d["H_real"], w_real=d["w_real"],
-            X_val=d["X_val"], y_val=d["y_val"],
-            X_train=d["X_train"], y_train=d["y_train"],
-            X_test=d["X_test"], y_test=d["y_test"],
-            noise_a=float(d["noise_a"]), seed=int(d["seed"]),
-        )
-
-
 def hyper_rep_problem(data):
     """Bilevel instance: x is the flattened map H, y the regression head w.
 

@@ -1,6 +1,7 @@
 """Command-line benchmark harness.
 
-    sipba run|ablate|gradcheck|compare|asymptotics --config cfg.json [--jobs N] [--out DIR]
+    sipba run|ablate|compare --config cfg.json [--jobs N] [--out DIR]
+    sipba gradcheck|asymptotics --config cfg.json [--out DIR]
 
 All commands share one JSON configuration document; each reads the common
 ``problem``/``schedule``/``run`` blocks plus its own section:
@@ -17,16 +18,18 @@ All commands share one JSON configuration document; each reads the common
 CSV files are UTF-8 with LF line endings and 17-significant-digit floats, so
 reruns with the same config and seed reproduce every numerical column
 bit-for-bit (wall-time columns excepted). The environment variable SIPBA_SEED
-overrides the configured seed base. Each command reads and checks its config
-once, before any run starts (also under --jobs): a bad value is reported as
-``cfg:line: message`` with exit code 1. Exit codes: 0 success, 1 config
-error, 2 nothing completed (numerical failure), 3 acceptance violation.
+overrides the configured seed base. Each command reads its config once,
+before any run starts (also under --jobs), and every value through one
+getter, _get(d, "section.key", kind, default, low), which checks the kind,
+finiteness and range; a bad value is reported as ``cfg:line: section.key
+must be ..., got ...`` with exit code 1, the line found inside the key's
+section. Exit codes: 0 success, 1 config or usage error, 2 nothing completed
+(numerical failure), 3 acceptance violation.
 """
 
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +43,6 @@ from .benchmarks import (
     hyper_rep_problem,
     hyper_rep_test_loss,
     quadratic_testbed,
-    save_hyper_rep,
     synthetic_problem,
 )
 from .diagnostics import merit_value, relative_error, sandwich_check, snapshot
@@ -117,47 +119,72 @@ def load_config(path):
     return cfg, raw
 
 
-_KINDS = {"num": (int, float), "int": int, "str": str, "bool": bool,
-          "list": list, "dict": dict}
+def _is_num(v):
+    # a JSON true/false is a Python int but no number here; the bound rejects
+    # NaN, +-Infinity and integers too large for a float
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
-def _is(v, kind):
-    # a JSON true/false is a Python int, but only a "bool" in a config
-    return isinstance(v, _KINDS[kind]) and (kind == "bool"
-                                            or not isinstance(v, bool))
+_KINDS = {  # kind: (test, one value, a list of them)
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+            "an integer", "integers"),
+    "num": (_is_num, "a finite number", "finite numbers"),
+    "pos": (lambda v: _is_num(v) and v > 0, "a positive finite number",
+            "positive finite numbers"),
+    "str": (lambda v: isinstance(v, str), "a string", "strings"),
+    "bool": (lambda v: isinstance(v, bool), "true or false", "booleans"),
+    "dict": (lambda v: isinstance(v, dict), "an object", "objects"),
+}
 
 
-def _get(d, key, kind, default=_MISSING):
-    if key not in d:
+def _fits(v, kind):
+    if kind.endswith("[]"):
+        test = _KINDS[kind[:-2]][0]
+        return isinstance(v, list) and v != [] and all(map(test, v))
+    return _KINDS[kind][0](v)
+
+
+def _what(kind):
+    if kind.endswith("[]"):
+        return "a nonempty list of " + _KINDS[kind[:-2]][2]
+    return _KINDS[kind][1]
+
+
+def _get(d, key, kind, default=_MISSING, low=None):
+    """The config value d[k] for the dotted key "section.k", checked.
+
+    kind is one of _KINDS, "T[]" for a nonempty list of T, or alternatives
+    joined by "|"; low is an inclusive lower bound for a number. An absent
+    key or a JSON null gives the default. Numbers come back as floats.
+    Every error names the dotted key, so its line is found in its section.
+    """
+    v = d.get(key.rpartition(".")[2])
+    if v is None:
         if default is _MISSING:
             raise ConfigError("missing required key '%s'" % key, key=key)
         return default
-    v = d[key]
-    if not _is(v, kind):
-        raise ConfigError("key '%s' must be a %s" % (key, kind), key=key)
+    kinds = kind.split("|")
+    kind = next((k for k in kinds if _fits(v, k)), None)
+    if kind is None:
+        raise ConfigError("%s must be %s, got %r"
+                          % (key, " or ".join(map(_what, kinds)), v), key=key)
+    if low is not None and v < low:
+        raise ConfigError("%s must be >= %g, got %r" % (key, low, v), key=key)
+    if kind in ("num", "pos"):
+        return float(v)
+    if kind in ("num[]", "pos[]"):
+        return [float(u) for u in v]
     return v
 
 
-def _get_count(d, section, key, low, default=_MISSING):
-    """Integer d[key] that must be >= low; errors name section.key."""
-    v = _get(d, key, "int", default)
-    if v is not None and v < low:
-        name = "%s.%s" % (section, key)
-        raise ConfigError("%s must be >= %d, got %d" % (name, low, v), key=name)
+def _vector(d, key, n, default=_MISSING):
+    """A list of n finite numbers (floats) from the config."""
+    v = _get(d, key, "num[]", default)
+    if len(v) != n:
+        raise ConfigError("%s must have %d entries, got shape (%d,)"
+                          % (key, n, len(v)), key=key)
     return v
-
-
-def _get_positive(d, section, key, default):
-    """Positive finite float d[key], or a nonempty list of them when the
-    default is a list; errors name section.key."""
-    v = _get(d, key, "list" if isinstance(default, list) else "num", default)
-    vals = v if isinstance(v, list) else [v]
-    if not (vals and all(_is(u, "num") and 0 < u < math.inf for u in vals)):
-        name = "%s.%s" % (section, key)
-        raise ConfigError("%s must be %s, got %r" % (
-            name, "a nonempty list of positive finite numbers" if vals is v
-            else "positive and finite", v), key=name)
-    return [float(u) for u in v] if vals is v else float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -165,29 +192,39 @@ def _get_positive(d, section, key, default):
 
 
 def build_schedule(cfg, overrides=None):
-    sd = dict(_get(cfg, "schedule", "dict", default={}))
-    if overrides:
-        for k in overrides:
-            if k not in SCHEDULE_FIELDS:
-                raise ConfigError("unknown schedule override '%s'" % k, key="grid")
-        sd.update(overrides)
-    guideline = bool(sd.pop("guideline", False))
-    for k in sd:
-        if k not in SCHEDULE_FIELDS:
-            raise ConfigError("unknown schedule key '%s'" % k, key=k)
-        _get(sd, k, "num")
+    """ScheduleParams from the schedule block, updated by overrides."""
+    return _schedule(cfg, overrides or {}, "overrides")
+
+
+def _schedule(cfg, overrides, where):
+    """build_schedule; errors in the override object name `where`, the
+    dotted key it came from (an ablate.grid row, compare.baseline_schedule)."""
+    sd = _get(cfg, "schedule", "dict", {})
+    guideline = _get(sd, "schedule.guideline", "bool", False)
+    vals = {}
+    for block, d in (("schedule", sd), (where, overrides)):
+        for k in d:
+            if k in SCHEDULE_FIELDS:
+                vals[k] = _get(d, "%s.%s" % (block, k), "num")
+            elif block != "schedule":
+                raise ConfigError("unknown schedule override %r" % k,
+                                  key=where)
+            elif k != "guideline":
+                raise ConfigError("unknown schedule key %r" % k,
+                                  key="schedule." + k)
     if guideline:
-        if "s" in sd:
+        if "s" in vals:
+            block = where if "s" in overrides else "schedule"
             raise ConfigError("'s' cannot be set with guideline, which forces "
-                              "s = 8(p+q)", key="s")
+                              "s = 8(p+q)", key=block + ".s")
         required, make = ("alpha0", "beta0", "sigma0"), ScheduleParams.guideline
     else:
         required = ("alpha0", "beta0", "rho0", "sigma0", "p", "q", "s")
         make = ScheduleParams
     for k in required:
-        _get(sd, k, "num")
+        _get(vals, "schedule." + k, "num")
     try:
-        return make(**{k: float(v) for k, v in sd.items()})
+        return make(**vals)
     except ValueError as e:
         raise ConfigError("invalid schedule: %s" % e, key="schedule")
 
@@ -211,12 +248,11 @@ class ProblemBundle:
         return relative_error(x, y, *self.optimum, x0, y0)
 
 
-def build_problem(cfg, out_dir=None):
+def build_problem(cfg):
     pd = _get(cfg, "problem", "dict")
-    kind = _get(pd, "kind", "str")
+    kind = _get(pd, "problem.kind", "str")
     if kind == "synthetic":
-        n = _get_count(pd, "problem", "n", 2)
-        sbench = synthetic_problem(n)
+        sbench = synthetic_problem(_get(pd, "problem.n", "int", low=2))
         return ProblemBundle(
             sbench.problem, sbench.sample_init,
             optimum=(sbench.x_star, sbench.y_star), closed_form=sbench,
@@ -234,92 +270,67 @@ def build_problem(cfg, out_dir=None):
                              metric=lambda x, y: prob.F(x, y))
     if kind == "hyper_rep":
         data = generate_hyper_rep(
-            n_feat=_get_count(pd, "problem", "n_feat", 1),
-            p_dim=_get_count(pd, "problem", "p_dim", 1),
-            m1=_get_count(pd, "problem", "m1", 1),
-            m2=_get_count(pd, "problem", "m2", 1),
-            m_test=_get_count(pd, "problem", "m_test", 1),
-            noise_a=float(_get(pd, "noise_a", "num")),
-            seed=_get(pd, "data_seed", "int"),
+            *(_get(pd, "problem." + k, "int", low=1)
+              for k in ("n_feat", "p_dim", "m1", "m2", "m_test")),
+            noise_a=_get(pd, "problem.noise_a", "num", low=0),
+            seed=_get(pd, "problem.data_seed", "int", low=0),
         )
-        save_as = _get(pd, "save_data", "str", default=None)
-        if save_as:
-            path = save_as if os.path.isabs(save_as) or out_dir is None \
-                else os.path.join(out_dir, save_as)
-            save_hyper_rep(data, path)
         prob = hyper_rep_problem(data)
         return ProblemBundle(
             prob, lambda rng: hyper_rep_init(data, rng),
             metric_name="test_loss",
             metric=lambda x, y: hyper_rep_test_loss(data, x, y),
         )
-    raise ConfigError("unknown problem kind '%s'" % kind, key="kind")
+    raise ConfigError("unknown problem kind %r" % kind, key="problem.kind")
 
 
 def resolve_seeds(cfg):
-    rc = _get(cfg, "run", "dict", default={})
-    spec = rc.get("seeds", {"base": 0, "count": 1})
-    if isinstance(spec, list):
-        if not spec or not all(_is(s, "int") for s in spec):
-            raise ConfigError("'seeds' list must be nonempty integers", key="seeds")
-        seeds = [int(s) for s in spec]
-    elif isinstance(spec, dict):
-        base = _get(spec, "base", "int")
-        count = _get(spec, "count", "int")
-        if count < 1:
-            raise ConfigError("seed count must be >= 1", key="count")
-        seeds = [base + i for i in range(count)]
-    else:
-        raise ConfigError("'seeds' must be a list or {base, count}", key="seeds")
+    rc = _get(cfg, "run", "dict", {})
+    seeds = _get(rc, "run.seeds", "int[]|dict", {"base": 0, "count": 1})
+    if isinstance(seeds, dict):
+        base = _get(seeds, "run.seeds.base", "int")
+        seeds = [base + i for i in
+                 range(_get(seeds, "run.seeds.count", "int", low=1))]
     env = os.environ.get("SIPBA_SEED")
     if env is not None:
         try:
             base = int(env)
         except ValueError:
             raise ConfigError("SIPBA_SEED must be an integer, got %r" % env,
-                              key="seeds")
+                              key="run.seeds")
         seeds = [base + i for i in range(len(seeds))]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be unique (one output file per run)",
-                          key="seeds")
+                          key="run.seeds")
     return seeds
 
 
-def _problem_and_init(cfg, out_dir):
-    """(problem bundle, checked explicit run.init (x0, y0, z0) or None)."""
-    bundle = build_problem(cfg, out_dir)
-    rc = _get(cfg, "run", "dict", default={})
-    init = _get(rc, "init", "dict", default=None)
+def _init(cfg, prob):
+    """The checked explicit start run.init (x0, y0, z0) for prob, or None."""
+    init = _get(_get(cfg, "run", "dict", {}), "run.init", "dict", None)
     if init is None:
-        return bundle, None
-    x0 = np.asarray(_get(init, "x0", "list"), dtype=float)
-    y0 = np.asarray(_get(init, "y0", "list"), dtype=float)
-    z0 = init.get("z0")
-    z0 = y0.copy() if z0 is None else np.asarray(z0, dtype=float)
-    prob = bundle.problem
-    for key, v, n in zip(("x0", "y0", "z0"), (x0, y0, z0),
-                         (prob.n_x, prob.n_y, prob.n_y)):
-        if v.shape != (n,):
-            raise ConfigError("run.init.%s must have %d entries, got shape %s"
-                              % (key, n, v.shape), key=key)
-    return bundle, (x0, y0, z0)
+        return None
+    x0 = _vector(init, "run.init.x0", prob.n_x)
+    y0 = _vector(init, "run.init.y0", prob.n_y)
+    return x0, y0, _vector(init, "run.init.z0", prob.n_y, y0)
 
 
-def _run_settings(cfg, out_dir, max_iter=None, stop_at_target=None):
+def _run_settings(cfg, max_iter=None, stop_at_target=None):
     """Checked problem, run.init and run block, as _run_single keywords
     (the parent's problem is not kept: each task builds its own)."""
-    bundle, start = _problem_and_init(cfg, out_dir)
-    rc = _get(cfg, "run", "dict", default={})
+    bundle = build_problem(cfg)
+    start = _init(cfg, bundle.problem)
+    rc = _get(cfg, "run", "dict", {})
     if max_iter is None:
-        max_iter = _get_count(rc, "run", "max_iter", 0)
-    stride = _get_count(rc, "run", "stride", 1, default=100)
-    oracle_tol = float(_get(rc, "oracle_tol", "num", default=1e-8))
-    target_eps = _get(rc, "target_eps_rel", "num", default=None)
+        max_iter = _get(rc, "run.max_iter", "int", low=0)
+    stride = _get(rc, "run.stride", "int", 100, low=1)
+    oracle_tol = _get(rc, "run.oracle_tol", "pos", 1e-8)
+    target_eps = _get(rc, "run.target_eps_rel", "pos", None)
     if stop_at_target is None:
-        stop_at_target = _get(rc, "stop_at_target", "bool", default=False)
+        stop_at_target = _get(rc, "run.stop_at_target", "bool", False)
     if target_eps is not None and bundle.optimum is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
-                          key="target_eps_rel")
+                          key="run.target_eps_rel")
     return dict(start=start, max_iter=max_iter, stride=stride,
                 oracle_tol=oracle_tol, target_eps=target_eps,
                 stop_at_target=stop_at_target)
@@ -354,7 +365,7 @@ def _write_csv(path, header, rows):
 
 def _run_single(cfg, out_dir, sp, seed, start, max_iter, stride, oracle_tol,
                 target_eps, stop_at_target, write_rows=True):
-    bundle = build_problem(cfg, out_dir)
+    bundle = build_problem(cfg)
     prob = bundle.problem
     init = initial_state(prob, *(start or bundle.sample_init(
         np.random.Generator(np.random.Philox(seed)))))
@@ -420,9 +431,9 @@ def _tally(runs):
 # commands
 
 
-def cmd_run(cfg, jobs, out_dir):
+def cmd_run(cfg, out_dir, jobs):
     seeds = resolve_seeds(cfg)
-    kw = _run_settings(cfg, out_dir)
+    kw = _run_settings(cfg)
     sp = build_schedule(cfg)
     target_eps = kw["target_eps"]
     ordered = _fan_out([partial(_run_single, cfg, out_dir, sp, s, **kw)
@@ -458,19 +469,13 @@ def cmd_run(cfg, jobs, out_dir):
     return 0 if completed else 2
 
 
-def cmd_ablate(cfg, jobs, out_dir):
-    ab = _get(cfg, "ablate", "dict", default=None)
-    if not ab:
-        raise ConfigError("ablate needs an 'ablate' section with a grid",
-                          key="ablate")
-    grid = _get(ab, "grid", "list")
-    if not grid or not all(isinstance(g, dict) for g in grid):
-        raise ConfigError("'grid' must be a nonempty list of override objects",
-                          key="grid")
-    max_iter = _get_count(ab, "ablate", "max_iter", 0, default=None)
+def cmd_ablate(cfg, out_dir, jobs):
+    ab = _get(cfg, "ablate", "dict")
+    grid = _get(ab, "ablate.grid", "dict[]")
+    max_iter = _get(ab, "ablate.max_iter", "int", None, low=0)
     seeds = resolve_seeds(cfg)
-    schedules = [build_schedule(cfg, ov) for ov in grid]
-    kw = _run_settings(cfg, out_dir, max_iter, stop_at_target=True)
+    schedules = [_schedule(cfg, ov, "ablate.grid") for ov in grid]
+    kw = _run_settings(cfg, max_iter, stop_at_target=True)
 
     results = _fan_out([
         partial(_run_single, cfg, out_dir, sp, s, write_rows=False, **kw)
@@ -498,15 +503,15 @@ def cmd_ablate(cfg, jobs, out_dir):
     return 0 if any(r["ok"] for r in results) else 2
 
 
-def cmd_gradcheck(cfg, jobs, out_dir):
-    gc = _get(cfg, "gradcheck", "dict", default={})
-    threshold = float(_get(gc, "threshold", "num", default=1e-4))
-    n_points = _get_count(gc, "gradcheck", "n_points", 1, default=20)
-    fd_step = _get_positive(gc, "gradcheck", "fd_step", 1e-5)
-    oracle_tol = float(_get(gc, "oracle_tol", "num", default=1e-10))
-    rho = _get_positive(gc, "gradcheck", "rho", 10.0)
-    sigma = _get_positive(gc, "gradcheck", "sigma", 0.1)
-    prob = build_problem(cfg, out_dir).problem
+def cmd_gradcheck(cfg, out_dir):
+    gc = _get(cfg, "gradcheck", "dict", {})
+    threshold = _get(gc, "gradcheck.threshold", "pos", 1e-4)
+    n_points = _get(gc, "gradcheck.n_points", "int", 20, low=1)
+    fd_step = _get(gc, "gradcheck.fd_step", "pos", 1e-5)
+    oracle_tol = _get(gc, "gradcheck.oracle_tol", "pos", 1e-10)
+    rho = _get(gc, "gradcheck.rho", "pos", 10.0)
+    sigma = _get(gc, "gradcheck.sigma", "pos", 0.1)
+    prob = build_problem(cfg).problem
 
     report = check_gradients(prob, n_points=n_points, fd_step=fd_step,
                              rng=np.random.default_rng(0))
@@ -541,14 +546,14 @@ def cmd_gradcheck(cfg, jobs, out_dir):
 
 
 def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
-                           max_outer=None, callback=None):
+                           callback=None):
     """Double-loop baseline driven to a gradient-evaluation budget.
 
     Returns (x, last saddle, outer iterations, inner failures, seconds).
     prob should come from with_gradient_counter so its counter is reused.
     """
     res = run_double_loop_baseline(
-        prob, sp, x0, max_outer, inner_tol=inner_tol,
+        prob, sp, x0, None, inner_tol=inner_tol,
         inner_max_iter=budget,  # only the remaining budget caps a solve
         u0=u0, callback=callback, grad_budget=budget)
     return (res.x, res.saddle, res.outer_iterations, res.inner_failures,
@@ -556,12 +561,12 @@ def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
 
 
 def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
-                    inner_tol, max_outer):
-    bundle = build_problem(cfg, out_dir)
+                    inner_tol):
+    bundle = build_problem(cfg)
     x0, y0, z0 = start or bundle.sample_init(
         np.random.Generator(np.random.Philox(seed)))
     rows = []
-    out = {"ok": True, "baseline_final": None, "metric_name": bundle.metric_name}
+    out = {"ok": True, "metric_name": bundle.metric_name}
 
     # single-loop arm
     prob_s, cnt_s = with_gradient_counter(bundle.problem)
@@ -586,7 +591,7 @@ def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
         out.update(ok=False, error="sipba: %s" % e)
 
     # double-loop arm
-    if out["ok"] and (max_outer is None or max_outer > 0):
+    if out["ok"]:
         prob_b, cnt_b = with_gradient_counter(bundle.problem)
         u0 = np.concatenate((init.y, init.z))
 
@@ -596,11 +601,9 @@ def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
 
         try:
             bx, bsd, _, _, _ = _baseline_under_budget(
-                prob_b, sp_base, x0, u0, budget, inner_tol,
-                max_outer=max_outer, callback=bl_cb)
-            if bsd is not None:
-                out["baseline_final"] = metric_fn(bx, bsd.y_star)
-            out["baseline_evals"] = cnt_b.count
+                prob_b, sp_base, x0, u0, budget, inner_tol, callback=bl_cb)
+            out.update(baseline_final=metric_fn(bx, bsd.y_star),
+                       baseline_evals=cnt_b.count)
         except (DivergenceError, ParameterOverflowError) as e:
             out.update(ok=False, error="baseline: %s" % e)
 
@@ -609,66 +612,59 @@ def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
     return out
 
 
-def cmd_compare(cfg, jobs, out_dir):
+def cmd_compare(cfg, out_dir, jobs):
     seeds = resolve_seeds(cfg)
-    start = _problem_and_init(cfg, out_dir)[1]  # tasks build their own problem
-    cc = _get(cfg, "compare", "dict", default={})
-    rc = _get(cfg, "run", "dict", default={})
-    stride = _get_count(rc, "run", "stride", 1, default=100)
+    start = _init(cfg, build_problem(cfg).problem)  # tasks build their own
+    cc = _get(cfg, "compare", "dict", {})
+    rc = _get(cfg, "run", "dict", {})
+    stride = _get(rc, "run.stride", "int", 100, low=1)
     # one single-loop step costs 6 gradient evaluations
-    budget = _get_count(cc, "compare", "budget", 6, default=None)
+    budget = _get(cc, "compare.budget", "int", None, low=6)
     if budget is None:
         # only needed as the budget default; an explicit budget stands alone
-        budget = 6 * _get_count(rc, "run", "max_iter", 0)
-    inner_tol = float(_get(cc, "inner_tol", "num", default=1e-5))
-    max_outer = _get(cc, "baseline_max_outer", "int", default=None)
+        budget = 6 * _get(rc, "run.max_iter", "int", low=0)
+    inner_tol = _get(cc, "compare.inner_tol", "pos", 1e-5)
     sp = build_schedule(cfg)
-    sp_base = build_schedule(cfg, cc.get("baseline_schedule") or {})
+    sp_base = _schedule(
+        cfg, _get(cc, "compare.baseline_schedule", "dict", {}),
+        "compare.baseline_schedule")
     ordered = _fan_out([partial(_compare_single, cfg, out_dir, start, sp, s,
-                                sp_base, stride, budget, inner_tol, max_outer)
+                                sp_base, stride, budget, inner_tol)
                         for s in seeds], jobs)
     for s, r in zip(seeds, ordered):
         if r["ok"]:
-            base_txt = ("%.6e (%d evals)" % (r["baseline_final"],
-                                             r["baseline_evals"])
-                        if r["baseline_final"] is not None else "skipped")
-            print("run %d: %s  sipba %.6e (%d evals)  baseline %s"
-                  % (s, r["metric_name"], r["sipba_final"],
-                     r["sipba_evals"], base_txt))
+            print("run %d: %s  sipba %.6e (%d evals)  baseline %.6e (%d evals)"
+                  % (s, r["metric_name"], r["sipba_final"], r["sipba_evals"],
+                     r["baseline_final"], r["baseline_evals"]))
         else:
             print("run %d: FAILED (%s)" % (s, r["error"]))
     return 0 if any(r["ok"] for r in ordered) else 2
 
 
-def cmd_asymptotics(cfg, jobs, out_dir):
-    bundle = build_problem(cfg, out_dir)
+def cmd_asymptotics(cfg, out_dir):
+    bundle = build_problem(cfg)
     if bundle.closed_form is None:
-        raise ConfigError(
-            "asymptotics needs the closed-form synthetic problem", key="kind")
-    ac = _get(cfg, "asymptotics", "dict", default={})
-    rho_list = _get_positive(ac, "asymptotics", "rho_list",
-                             [1e1, 1e2, 1e3, 1e4])
-    sigma_list = _get_positive(ac, "asymptotics", "sigma_list",
-                               [1e-1, 1e-2, 1e-3, 1e-4])
-    oracle_tol = float(_get(ac, "oracle_tol", "num", default=1e-8))
-    saddle_tol = float(_get(ac, "saddle_tol", "num", default=1e-3))
-    diag_slack = float(_get(ac, "diag_slack", "num", default=1e-8))
-    slack = _get(ac, "slack", "num", default=None)
+        raise ConfigError("asymptotics needs the closed-form synthetic "
+                          "problem", key="problem.kind")
+    ac = _get(cfg, "asymptotics", "dict", {})
+    rho_list = _get(ac, "asymptotics.rho_list", "pos[]", [1e1, 1e2, 1e3, 1e4])
+    sigma_list = _get(ac, "asymptotics.sigma_list", "pos[]",
+                      [1e-1, 1e-2, 1e-3, 1e-4])
+    oracle_tol = _get(ac, "asymptotics.oracle_tol", "pos", 1e-8)
+    saddle_tol = _get(ac, "asymptotics.saddle_tol", "pos", 1e-3)
+    diag_slack = _get(ac, "asymptotics.diag_slack", "num", 1e-8, low=0)
+    slack = _get(ac, "asymptotics.slack", "num", None, low=0)
 
     cf = bundle.closed_form
-    xsel = ac.get("x", "ones")
     n = bundle.problem.n_x
+    xsel = _get(ac, "asymptotics.x", "num[]|str", "ones")
     if isinstance(xsel, list):
-        x = np.asarray(xsel, dtype=float)
-        if x.shape != (n,):
-            raise ConfigError("asymptotics x must have length %d" % n, key="x")
-    elif xsel == "ones":
-        x = np.ones(n)
-    elif xsel == "optimum":
-        x = cf.x_star.copy()
+        x = _vector(ac, "asymptotics.x", n)
+    elif xsel in ("ones", "optimum"):
+        x = np.ones(n) if xsel == "ones" else cf.x_star.copy()
     else:
-        raise ConfigError("asymptotics x must be a list, 'ones' or 'optimum'",
-                          key="x")
+        raise ConfigError("asymptotics.x must be a list, 'ones' or 'optimum',"
+                          " got %r" % xsel, key="asymptotics.x")
 
     try:
         rep = sandwich_check(cf, x, rho_list, sigma_list,
@@ -716,17 +712,21 @@ def main(argv=None):
         description="Benchmark harness for the smoothed pessimistic bilevel "
                     "solver.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, hlp in (
-        ("run", "multi-seed runs with diagnostics CSVs and a summary"),
-        ("ablate", "schedule-override grid, time-to-target table"),
-        ("gradcheck", "finite-difference gradient validation"),
-        ("compare", "single-loop vs double-loop at equal gradient budget"),
-        ("asymptotics", "value sandwich and saddle-limit tables"),
+    for name, handler, hlp in (
+        ("run", cmd_run, "multi-seed runs with diagnostics CSVs and a summary"),
+        ("ablate", cmd_ablate, "schedule-override grid, time-to-target table"),
+        ("gradcheck", cmd_gradcheck, "finite-difference gradient validation"),
+        ("compare", cmd_compare,
+         "single-loop vs double-loop at equal gradient budget"),
+        ("asymptotics", cmd_asymptotics,
+         "value sandwich and saddle-limit tables"),
     ):
         p = sub.add_parser(name, help=hlp)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel runs (default 1)")
+        if name in ("run", "ablate", "compare"):  # the commands that fan out
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel runs (default 1)")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config out_dir)")
     try:
@@ -737,12 +737,10 @@ def main(argv=None):
     raw = ""
     try:
         cfg, raw = load_config(args.config)
-        out_dir = args.out or _get(cfg, "out_dir", "str", default=".")
+        out_dir = args.out or _get(cfg, "out_dir", "str", ".")
         os.makedirs(out_dir, exist_ok=True)
-        handler = {"run": cmd_run, "ablate": cmd_ablate,
-                   "gradcheck": cmd_gradcheck, "compare": cmd_compare,
-                   "asymptotics": cmd_asymptotics}[args.command]
-        return handler(cfg, args.jobs, out_dir)
+        jobs = {"jobs": args.jobs} if "jobs" in args else {}
+        return args.handler(cfg, out_dir, **jobs)
     except ConfigError as e:
         line = e.line if e.line is not None else _line_of(raw, e.key)
         print("%s:%d: %s" % (args.config, line, e), file=sys.stderr)

@@ -128,11 +128,6 @@ class Ball(ProjectableSet):
         return "Ball(dim=%d, radius=%g)" % (self.dim, self.radius)
 
 
-def project(set_, v):
-    """Euclidean projection of v onto set_ (idempotent, nonexpansive)."""
-    return set_.project(v)
-
-
 @dataclass(frozen=True)
 class BilevelProblem:
     """Immutable description of one pessimistic bilevel instance.

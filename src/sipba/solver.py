@@ -128,10 +128,15 @@ def initial_state(problem, x0, y0, z0=None):
 def _penalty_at(sp, k):
     """(params_at(sp, k), its PenaltyReg).
 
-    A schedule that left the float range (sigma_k rounded to 0) raises
-    ParameterOverflowError naming k, rho_k and sigma_k.
+    A schedule that left the float range (k^p overflowed, or sigma_k
+    rounded to 0) raises ParameterOverflowError naming k.
     """
-    pars = params_at(sp, k)
+    try:
+        pars = params_at(sp, k)
+    except OverflowError:
+        raise ParameterOverflowError(
+            "schedule left the float range at k=%d: k^p overflows for p=%r"
+            % (k, sp.p)) from None
     try:
         return pars, PenaltyReg(pars.rho, pars.sigma)
     except ContractViolation:
@@ -256,14 +261,11 @@ class BaselineResult:
     inner_failures: int
     step_seconds: float
     stop_reason: str = "max_iter"
-    target_iteration: Optional[int] = None
-    target_seconds: Optional[float] = None
 
 
 def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
                              inner_max_iter=10**6, inner_beta=None, u0=None,
-                             target=None, stop_at_target=False, callback=None,
-                             grad_budget=None):
+                             callback=None, grad_budget=None):
     """Reference double-loop method: solve the saddle, then step x.
 
     Each outer iteration k solves the saddle at (rho_k, sigma_k) to
@@ -277,10 +279,6 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
     outer_iter : int or None
         Number of outer iterations; None means no cap (grad_budget then
         ends the run).
-    target : callable(k, x, saddle) -> bool, optional
-        Checked after every outer step, after the callback; the first hit
-        records (iteration, stepping seconds) and stops the run only if
-        stop_at_target is set.
     callback : callable(k, x, saddle, inner_total, elapsed_seconds), optional
         Invoked after every outer step.
     grad_budget : int, optional
@@ -336,12 +334,6 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
         out.outer_iterations = k
         if callback is not None:
             callback(k, x, sd, inner_total, elapsed)
-        if target is not None and out.target_iteration is None and target(k, x, sd):
-            out.target_iteration = k
-            out.target_seconds = elapsed
-            if stop_at_target:
-                out.stop_reason = "target"
-                break
     out.x = x
     out.saddle = sp_last
     out.inner_iterations = inner_total

@@ -9,9 +9,7 @@ from sipba.benchmarks import (
     hyper_rep_init,
     hyper_rep_problem,
     hyper_rep_test_loss,
-    load_hyper_rep,
     quadratic_testbed,
-    save_hyper_rep,
     synthetic_problem,
 )
 from sipba.errors import ContractViolation
@@ -121,17 +119,6 @@ def test_hyper_rep_noise_only_touches_train_val():
     np.testing.assert_array_equal(clean.X_test, noisy.X_test)
     np.testing.assert_array_equal(clean.y_test, noisy.y_test)
     assert not np.array_equal(clean.y_val, noisy.y_val)
-
-
-def test_hyper_rep_roundtrip(tmp_path):
-    d = generate_hyper_rep(12, 3, 10, 10, 20, 1.0, seed=31)
-    path = tmp_path / "hr.npz"
-    save_hyper_rep(d, path)
-    back = load_hyper_rep(path)
-    for name in ("H_real", "w_real", "X_val", "y_val", "X_train", "y_train",
-                 "X_test", "y_test"):
-        np.testing.assert_array_equal(getattr(d, name), getattr(back, name))
-    assert back.noise_a == 1.0 and back.seed == 31
 
 
 def test_hyper_rep_problem_contract():

@@ -465,7 +465,9 @@ class _NoPool:
      "compare.budget must be >= 6, got 5"),
     ("ablate", {"ablate": {"grid": [{}, {"gamma": 1.0}]}}, "grid",
      "unknown schedule override 'gamma'"),
-], ids=["stride", "init", "target", "budget", "override"])
+    ("compare", {"compare": {"baseline_schedule": {"gamma": 1.0}}},
+     "compare.baseline_schedule", "unknown schedule override 'gamma'"),
+], ids=["stride", "init", "target", "budget", "override", "baseline"])
 def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
                                            cmd, patch, key, message):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
@@ -483,3 +485,75 @@ def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
     out, err = capsys.readouterr()
     assert err == "%s:%d: %s\n" % (cfgp, key_line(cfgp, key), message)
     assert out == ""
+
+
+HYPER_REP = {"kind": "hyper_rep", "n_feat": 3, "p_dim": 2, "m1": 5, "m2": 5,
+             "m_test": 5, "noise_a": 0.1, "data_seed": 1}
+NAN, INF = float("nan"), float("inf")
+FAN_OUT = ("run", "ablate", "compare")
+
+
+def bad_cfg(key, value):
+    """A small valid config for every command, with one dotted key set."""
+    cfg = synthetic_cfg(ablate={"grid": [{}], "max_iter": 10},
+                        compare={"budget": 60}, gradcheck={"n_points": 2},
+                        asymptotics={"rho_list": [10.0], "sigma_list": [0.1]})
+    if key.startswith("problem."):
+        cfg["problem"] = dict(HYPER_REP)
+        del cfg["run"]["target_eps_rel"]
+    if key.startswith("run.init."):
+        cfg["run"]["init"] = {"x0": [1.0, 1.0], "y0": [1.0, 1.0]}
+    *path, last = key.split(".")
+    d = cfg
+    for part in path:
+        d = d.setdefault(part, {})
+    d[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("cmd, key, value, jobs", [
+    (cmd, key, value, jobs)
+    for cmds, key, value in [
+        (FAN_OUT, "run.init.x0", ["a", 1]),
+        (FAN_OUT, "run.init.y0", [1.0, NAN]),
+        (FAN_OUT, "run.init.z0", "ab"),
+        (FAN_OUT, "problem.noise_a", -0.1),
+        (FAN_OUT, "problem.data_seed", -1),
+        (("run", "ablate"), "run.oracle_tol", -1),
+        (("run", "ablate"), "run.target_eps_rel", INF),
+        (("compare",), "compare.baseline_schedule", 5),
+        (("compare",), "compare.baseline_schedule", ["alpha0"]),
+        (("compare",), "compare.baseline_schedule.alpha0", "x"),
+        (("compare",), "compare.inner_tol", 0),
+        (("gradcheck",), "gradcheck.threshold", NAN),
+        (("gradcheck",), "gradcheck.oracle_tol", -1e-8),
+        (("asymptotics",), "asymptotics.x", ["a", 1]),
+        (("asymptotics",), "asymptotics.oracle_tol", INF),
+        (("asymptotics",), "asymptotics.saddle_tol", 0),
+        (("asymptotics",), "asymptotics.slack", -1),
+        (("asymptotics",), "asymptotics.diag_slack", -1e-9),
+    ] for cmd in cmds
+    for jobs in (("1", "2") if cmd in FAN_OUT else (None,))])
+def test_bad_values_are_config_errors_on_their_line(tmp_path, cmd, key,
+                                                    value, jobs):
+    # each of these was a traceback or a failed run with exit 2 or 3
+    cfgp = write_cfg(tmp_path, bad_cfg(key, value))
+    argv = [sys.executable, "-m", "sipba.cli", cmd, "--config", cfgp,
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv + (["--jobs", jobs] if jobs else []),
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("%s:%d: %s must be "
+                                  % (cfgp, key_line(cfgp, key), key)), \
+        proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cmd", ["gradcheck", "asymptotics"])
+def test_jobs_is_a_usage_error_where_nothing_fans_out(tmp_path, capsys, cmd):
+    cfgp = write_cfg(tmp_path, bad_cfg("gradcheck.n_points", 2))
+    assert cli.main([cmd, "--config", cfgp, "--jobs", "2",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "--jobs" in capsys.readouterr().err

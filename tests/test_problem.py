@@ -5,7 +5,7 @@ import pytest
 
 from sipba.benchmarks import quadratic_testbed, synthetic_problem
 from sipba.errors import ContractViolation
-from sipba.problem import Ball, BilevelProblem, Box, FullSpace, check_gradients, project
+from sipba.problem import Ball, BilevelProblem, Box, FullSpace, check_gradients
 
 
 def sample_sets():
@@ -51,7 +51,7 @@ def test_contains_boundary_and_outside():
 
 def test_project_helper_dispatches():
     s = Box([0.0], [1.0])
-    assert project(s, [4.0]) == pytest.approx(1.0)
+    assert s.project([4.0]) == pytest.approx(1.0)
 
 
 def test_set_validation():

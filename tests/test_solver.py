@@ -219,6 +219,20 @@ def test_schedule_underflow_is_a_parameter_overflow():
         run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-1)
 
 
+def test_penalty_growth_overflow_is_a_parameter_overflow():
+    # rho_k = 10 * k^1000 overflows a float at k=3; it fails the run the
+    # same way instead of escaping as Python's OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p=1000 is outside the regime
+        sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
+                            p=1000.0, q=0.001, s=0.1)
+    st = initial_state(quad, [1.0], [0.0])
+    with pytest.raises(ParameterOverflowError, match="k=3"):
+        run(quad, sp, st, max_iter=50)
+    with pytest.raises(ParameterOverflowError, match="k=3"):
+        run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-1)
+
+
 def test_baseline_single_step_example():
     # one outer step from x=1 with alpha_1=0.1 moves to 1 + 1/13
     res = run_double_loop_baseline(quad, SP_UNIT, [1.0], 1, inner_tol=1e-12)
@@ -257,25 +271,9 @@ def test_baseline_callback_and_target():
         ks.append(k)
         totals.append(inner_total)
 
-    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], 4, inner_tol=1e-8, callback=cb)
+    run_double_loop_baseline(quad, SP_UNIT, [1.0], 4, inner_tol=1e-8, callback=cb)
     assert ks == [1, 2, 3, 4]
     assert totals == sorted(totals)
-    res = run_double_loop_baseline(
-        quad, SP_UNIT, [1.0], 10, inner_tol=1e-8,
-        target=lambda k, x, sd: k >= 2, stop_at_target=True,
-    )
-    assert res.outer_iterations == 2
-    assert res.stop_reason == "target"
-
-
-def test_baseline_callback_runs_on_target_stop():
-    ks = []
-    res = run_double_loop_baseline(
-        quad, SP_UNIT, [1.0], 10, inner_tol=1e-8,
-        target=lambda k, x, sd: k >= 2, stop_at_target=True,
-        callback=lambda k, x, sd, inner_total, elapsed: ks.append(k))
-    assert ks == [1, 2]
-    assert res.target_iteration == 2
 
 
 def test_baseline_needs_an_end():
