@@ -126,56 +126,44 @@ def _is_num(v):
             and abs(v) <= sys.float_info.max)
 
 
-_KINDS = {  # kind: (test, one value, a list of them)
+_KINDS = {  # kind: (test, what a value must be)
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "an integer", "integers"),
-    "num": (_is_num, "a finite number", "finite numbers"),
-    "pos": (lambda v: _is_num(v) and v > 0, "a positive finite number",
-            "positive finite numbers"),
-    "str": (lambda v: isinstance(v, str), "a string", "strings"),
-    "bool": (lambda v: isinstance(v, bool), "true or false", "booleans"),
-    "dict": (lambda v: isinstance(v, dict), "an object", "objects"),
+            "an integer"),
+    "num": (_is_num, "a finite number"),
+    "pos": (lambda v: _is_num(v) and v > 0, "a positive finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
 }
-
-
-def _fits(v, kind):
-    if kind.endswith("[]"):
-        test = _KINDS[kind[:-2]][0]
-        return isinstance(v, list) and v != [] and all(map(test, v))
-    return _KINDS[kind][0](v)
-
-
-def _what(kind):
-    if kind.endswith("[]"):
-        return "a nonempty list of " + _KINDS[kind[:-2]][2]
-    return _KINDS[kind][1]
 
 
 def _get(d, key, kind, default=_MISSING, low=None):
     """The config value d[k] for the dotted key "section.k", checked.
 
-    kind is one of _KINDS, "T[]" for a nonempty list of T, or alternatives
-    joined by "|"; low is an inclusive lower bound for a number. An absent
-    key or a JSON null gives the default. Numbers come back as floats.
-    Every error names the dotted key, so its line is found in its section.
+    kind is one of _KINDS, or "T[]" for a nonempty list of T; low is an
+    inclusive lower bound for a number. An absent key or a JSON null gives
+    the default. Numbers come back as floats. Every error names the dotted
+    key, so its line is found in its section.
     """
     v = d.get(key.rpartition(".")[2])
     if v is None:
         if default is _MISSING:
             raise ConfigError("missing required key '%s'" % key, key=key)
         return default
-    kinds = kind.split("|")
-    kind = next((k for k in kinds if _fits(v, k)), None)
-    if kind is None:
-        raise ConfigError("%s must be %s, got %r"
-                          % (key, " or ".join(map(_what, kinds)), v), key=key)
+    item = kind[:-2] if kind.endswith("[]") else None
+    test, what = _KINDS[item or kind]
+    if item:  # "an integer" -> "a nonempty list of integers"
+        what = "a nonempty list of %ss" % what.split(" ", 1)[1]
+        ok = isinstance(v, list) and v != [] and all(map(test, v))
+    else:
+        ok = test(v)
+    if not ok:
+        raise ConfigError("%s must be %s, got %r" % (key, what, v), key=key)
     if low is not None and v < low:
         raise ConfigError("%s must be >= %g, got %r" % (key, low, v), key=key)
-    if kind in ("num", "pos"):
-        return float(v)
-    if kind in ("num[]", "pos[]"):
+    if item in ("num", "pos"):
         return [float(u) for u in v]
-    return v
+    return float(v) if kind in ("num", "pos") else v
 
 
 def _vector(d, key, n, default=_MISSING):
@@ -191,21 +179,24 @@ def _vector(d, key, n, default=_MISSING):
 # config -> objects
 
 
-def build_schedule(cfg, overrides=None):
-    """ScheduleParams from the schedule block, updated by overrides."""
-    return _schedule(cfg, overrides or {}, "overrides")
+def build_schedule(cfg):
+    """ScheduleParams from the schedule block."""
+    return _schedule(cfg, {}, None)
 
 
 def _schedule(cfg, overrides, where):
-    """build_schedule; errors in the override object name `where`, the
-    dotted key it came from (an ablate.grid row, compare.baseline_schedule)."""
+    """ScheduleParams from the schedule block updated by overrides, the
+    object at the dotted key `where` (an ablate.grid row or
+    compare.baseline_schedule), which its errors name."""
     sd = _get(cfg, "schedule", "dict", {})
     guideline = _get(sd, "schedule.guideline", "bool", False)
     vals = {}
     for block, d in (("schedule", sd), (where, overrides)):
         for k in d:
             if k in SCHEDULE_FIELDS:
-                vals[k] = _get(d, "%s.%s" % (block, k), "num")
+                v = _get(d, "%s.%s" % (block, k), "num", None)
+                if v is not None:  # a null field keeps its default
+                    vals[k] = v
             elif block != "schedule":
                 raise ConfigError("unknown schedule override %r" % k,
                                   key=where)
@@ -214,7 +205,7 @@ def _schedule(cfg, overrides, where):
                                   key="schedule." + k)
     if guideline:
         if "s" in vals:
-            block = where if "s" in overrides else "schedule"
+            block = where if overrides.get("s") is not None else "schedule"
             raise ConfigError("'s' cannot be set with guideline, which forces "
                               "s = 8(p+q)", key=block + ".s")
         required, make = ("alpha0", "beta0", "sigma0"), ScheduleParams.guideline
@@ -286,11 +277,13 @@ def build_problem(cfg):
 
 def resolve_seeds(cfg):
     rc = _get(cfg, "run", "dict", {})
-    seeds = _get(rc, "run.seeds", "int[]|dict", {"base": 0, "count": 1})
-    if isinstance(seeds, dict):
-        base = _get(seeds, "run.seeds.base", "int")
+    if isinstance(rc.get("seeds"), list):
+        seeds = _get(rc, "run.seeds", "int[]")
+    else:
+        sd = _get(rc, "run.seeds", "dict", {"base": 0, "count": 1})
+        base = _get(sd, "run.seeds.base", "int")
         seeds = [base + i for i in
-                 range(_get(seeds, "run.seeds.count", "int", low=1))]
+                 range(_get(sd, "run.seeds.count", "int", low=1))]
     env = os.environ.get("SIPBA_SEED")
     if env is not None:
         try:
@@ -621,8 +614,8 @@ def cmd_compare(cfg, out_dir, jobs):
     # one single-loop step costs 6 gradient evaluations
     budget = _get(cc, "compare.budget", "int", None, low=6)
     if budget is None:
-        # only needed as the budget default; an explicit budget stands alone
-        budget = 6 * _get(rc, "run.max_iter", "int", low=0)
+        # only needed as the budget default, one step at least for each arm
+        budget = 6 * _get(rc, "run.max_iter", "int", low=1)
     inner_tol = _get(cc, "compare.inner_tol", "pos", 1e-5)
     sp = build_schedule(cfg)
     sp_base = _schedule(
@@ -657,14 +650,14 @@ def cmd_asymptotics(cfg, out_dir):
 
     cf = bundle.closed_form
     n = bundle.problem.n_x
-    xsel = _get(ac, "asymptotics.x", "num[]|str", "ones")
-    if isinstance(xsel, list):
+    if isinstance(ac.get("x"), list):
         x = _vector(ac, "asymptotics.x", n)
-    elif xsel in ("ones", "optimum"):
-        x = np.ones(n) if xsel == "ones" else cf.x_star.copy()
     else:
-        raise ConfigError("asymptotics.x must be a list, 'ones' or 'optimum',"
-                          " got %r" % xsel, key="asymptotics.x")
+        xsel = _get(ac, "asymptotics.x", "str", "ones")
+        if xsel not in ("ones", "optimum"):
+            raise ConfigError("asymptotics.x must be a list, 'ones' or "
+                              "'optimum', got %r" % xsel, key="asymptotics.x")
+        x = np.ones(n) if xsel == "ones" else cf.x_star.copy()
 
     try:
         rep = sandwich_check(cf, x, rho_list, sigma_list,

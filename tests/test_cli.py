@@ -280,6 +280,27 @@ def test_guideline_rejects_explicit_s(tmp_path, capsys):
             assert "guideline" in err
 
 
+def test_null_schedule_fields_take_their_defaults(tmp_path):
+    # optional fields and override fields given as null behave as absent
+    base = synthetic_cfg()["schedule"]
+    want = cli.build_schedule({"schedule": base})
+    nulls = dict(base, t_exp=None, rho_cap=None)
+    assert cli.build_schedule({"schedule": nulls}) == want
+    cfg = {"schedule": nulls}
+    assert cli._schedule(cfg, {"alpha0": None, "t_exp": None},
+                         "ablate.grid") == want
+    cfg = synthetic_cfg(schedule=nulls,
+                        compare={"budget": 60,
+                                 "baseline_schedule": {"rho_cap": None}})
+    cfg["ablate"] = {"grid": [{"s": None}], "max_iter": 10}
+    cfgp = write_cfg(tmp_path, cfg)
+    for cmd in ("run", "ablate", "compare"):
+        assert cli.main([cmd, "--config", cfgp,
+                         "--out", str(tmp_path / cmd)]) == 0
+    with pytest.raises(cli.ConfigError, match="'schedule.alpha0'"):
+        cli.build_schedule({"schedule": dict(base, alpha0=None)})
+
+
 def test_gradcheck_passes_and_reports(tmp_path, capsys):
     cfg = synthetic_cfg()
     cfg["gradcheck"] = {"n_points": 5, "threshold": 1e-4, "rho": 10.0,
@@ -503,6 +524,8 @@ def bad_cfg(key, value):
         del cfg["run"]["target_eps_rel"]
     if key.startswith("run.init."):
         cfg["run"]["init"] = {"x0": [1.0, 1.0], "y0": [1.0, 1.0]}
+    if key == "run.max_iter":  # compare's budget defaults to 6 * max_iter
+        del cfg["compare"]["budget"]
     *path, last = key.split(".")
     d = cfg
     for part in path:
@@ -525,6 +548,7 @@ def bad_cfg(key, value):
         (("compare",), "compare.baseline_schedule", ["alpha0"]),
         (("compare",), "compare.baseline_schedule.alpha0", "x"),
         (("compare",), "compare.inner_tol", 0),
+        (("compare",), "run.max_iter", 0),  # a zero default budget
         (("gradcheck",), "gradcheck.threshold", NAN),
         (("gradcheck",), "gradcheck.oracle_tol", -1e-8),
         (("asymptotics",), "asymptotics.x", ["a", 1]),

@@ -28,7 +28,7 @@ FIXED = settings(derandomize=True, database=None, deadline=None,
 SYNTHETIC = {
     "problem": {"kind": "synthetic", "n": 2},
     "schedule": {"alpha0": 0.1, "beta0": 0.001, "rho0": 10.0, "sigma0": 0.01,
-                 "p": 0.001, "q": 0.001, "s": 0.1},
+                 "p": 0.001, "q": 0.001, "s": 0.1, "rho_cap": 1e12},
     "run": {"max_iter": 3, "seeds": {"base": 0, "count": 1}, "stride": 1,
             "oracle_tol": 1e-6, "target_eps_rel": 0.5,
             "stop_at_target": False,
@@ -47,9 +47,11 @@ HYPER_REP = dict(
     problem={"kind": "hyper_rep", "n_feat": 2, "p_dim": 1, "m1": 3, "m2": 3,
              "m_test": 3, "noise_a": 0.1, "data_seed": 0},
     run={"max_iter": 3, "seeds": [0], "stride": 1})
+# compare without a budget reads run.max_iter for its default
+DEFAULT_BUDGET = dict(SYNTHETIC, compare={"inner_tol": 1e-4})
 CASES = [("run", SYNTHETIC), ("run", HYPER_REP), ("ablate", SYNTHETIC),
-         ("compare", SYNTHETIC), ("gradcheck", SYNTHETIC),
-         ("asymptotics", SYNTHETIC)]
+         ("compare", SYNTHETIC), ("compare", DEFAULT_BUDGET),
+         ("gradcheck", SYNTHETIC), ("asymptotics", SYNTHETIC)]
 
 # every JSON value: NaN, +-Infinity, extreme and ordinary numbers, strings,
 # nested lists and objects, null; integers stay small so runs stay short
@@ -101,7 +103,8 @@ def set_key(cfg, key, value):
 
 @pytest.mark.parametrize("cmd, base", CASES,
                          ids=["run", "run-hyper-rep", "ablate", "compare",
-                              "gradcheck", "asymptotics"])
+                              "compare-default-budget", "gradcheck",
+                              "asymptotics"])
 def test_config_fuzz_exits_cleanly(tmp_path, cmd, base):
     keys = keys_read(cmd, base, tmp_path)
     assert "problem.kind" in keys
