@@ -48,7 +48,6 @@ def quadratic_testbed():
         grad_f_y=lambda x, y: 2.0 * (y - x),
         set_X=FullSpace(1), set_Y=FullSpace(1),
         mu=2.0, lip_F=2.0, lip_f=2.0,
-        name="quadratic-testbed",
     )
 
 
@@ -167,7 +166,6 @@ def synthetic_problem(n):
         set_X=Box(np.full(n, 0.1), np.full(n, 10.0)),
         set_Y=Box(np.full(n, 1.0 / (2.0 * rootn)), np.full(n, np.inf)),
         mu=2.0, lip_F=2.0, lip_f=lip_f,
-        name="synthetic-n%d" % n,
     )
     return SyntheticProblem(
         n=n, problem=prob, x_star=e / 2.0, y_star=e / (2.0 * rootn)
@@ -183,8 +181,8 @@ class HyperRepData:
     """Synthetic regression splits for pessimistic representation learning.
 
     Targets are generated noise-free as y = X^T H_real w_real; Gaussian
-    noise of scale noise_a is then added to the validation/training inputs
-    and targets. The test split stays clean.
+    noise (scale noise_a of generate_hyper_rep) is then added to the
+    validation/training inputs and targets. The test split stays clean.
     """
 
     H_real: np.ndarray   # (n_feat, p_dim)
@@ -195,8 +193,6 @@ class HyperRepData:
     y_train: np.ndarray  # (m2,)
     X_test: np.ndarray   # (n_feat, m_test)
     y_test: np.ndarray   # (m_test,)
-    noise_a: float
-    seed: int
 
     @property
     def n_feat(self):
@@ -231,7 +227,6 @@ def generate_hyper_rep(n_feat, p_dim, m1, m2, m_test, noise_a, seed):
     return HyperRepData(
         H_real=H_real, w_real=w_real, X_val=X_val, y_val=y_val,
         X_train=X_train, y_train=y_train, X_test=X_test, y_test=y_test,
-        noise_a=float(noise_a), seed=int(seed),
     )
 
 
@@ -243,7 +238,9 @@ def hyper_rep_problem(data):
     so the strong-concavity assumption fails; mu is recorded as 0 with an
     assumption note and certified step bounds refuse the instance. The
     penalty term restores concavity in practice once rho exceeds the
-    validation/training curvature ratio.
+    validation/training curvature ratio. F and f are quartic in (H, w)
+    jointly, so no global gradient Lipschitz bound exists: lip_F and lip_f
+    are recorded as inf.
 
     Gradients (r = X^T H w - y): grad_w = (2/m) H^T X r,
     grad_H = (2/m) X r w^T.
@@ -282,22 +279,13 @@ def hyper_rep_problem(data):
         r = Xt.T @ H @ w - yt
         return (2.0 / m2) * (H.T @ (Xt @ r))
 
-    # local smoothness estimates over ||H|| and ||w|| up to 3x the data scale;
-    # recorded for completeness, certified bounds never run here (mu = 0)
-    radius = 3.0 * max(np.linalg.norm(data.H_real), np.linalg.norm(data.w_real), 1.0)
-    s_val = float(np.linalg.norm(Xv, 2)) ** 2
-    s_trn = float(np.linalg.norm(Xt, 2)) ** 2
-    lip_F = (2.0 / m1) * s_val * (1.0 + 2.0 * radius**2)
-    lip_f = (2.0 / m2) * s_trn * (1.0 + 2.0 * radius**2)
-
     return BilevelProblem(
         n_x=n * p, n_y=p, F=F, f=f,
         grad_F_x=grad_F_x, grad_F_y=grad_F_y,
         grad_f_x=grad_f_x, grad_f_y=grad_f_y,
         set_X=FullSpace(n * p), set_Y=FullSpace(p),
-        mu=0.0, lip_F=lip_F, lip_f=lip_f,
+        mu=0.0, lip_F=math.inf, lip_f=math.inf,
         assumption_note="upper objective is convex (not strongly concave) in w",
-        name="hyper-rep-n%d-p%d-a%g" % (n, p, data.noise_a),
     )
 
 

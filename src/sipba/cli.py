@@ -141,9 +141,10 @@ def _get(d, key, kind, default=_MISSING, low=None):
     """The config value d[k] for the dotted key "section.k", checked.
 
     kind is one of _KINDS, or "T[]" for a nonempty list of T; low is an
-    inclusive lower bound for a number. An absent key or a JSON null gives
-    the default. Numbers come back as floats. Every error names the dotted
-    key, so its line is found in its section.
+    inclusive lower bound for a number, or for each item of a list. An
+    absent key or a JSON null gives the default. Numbers come back as
+    floats. Every error names the dotted key, so its line is found in its
+    section.
     """
     v = d.get(key.rpartition(".")[2])
     if v is None:
@@ -159,7 +160,7 @@ def _get(d, key, kind, default=_MISSING, low=None):
         ok = test(v)
     if not ok:
         raise ConfigError("%s must be %s, got %r" % (key, what, v), key=key)
-    if low is not None and v < low:
+    if low is not None and (min(v) if item else v) < low:
         raise ConfigError("%s must be >= %g, got %r" % (key, low, v), key=key)
     if item in ("num", "pos"):
         return [float(u) for u in v]
@@ -223,20 +224,21 @@ def _schedule(cfg, overrides, where):
 class ProblemBundle:
     """Problem plus the bookkeeping the harness needs around it."""
 
-    def __init__(self, problem, sample_init, optimum=None, closed_form=None,
+    def __init__(self, problem, sample_init, closed_form=None,
                  metric_name="upper_objective", metric=None):
         self.problem = problem
         self.sample_init = sample_init
-        self.optimum = optimum          # (x_star, y_star) or None
-        self.closed_form = closed_form  # object with closed_form_phi/y_star
+        # object with x_star, y_star and closed_form_phi/y_star, or None
+        self.closed_form = closed_form
         self.metric_name = metric_name
         self.metric = metric            # callable(x, y) -> float
 
     def eps_rel(self, x, y, x0, y0):
         """Relative error of (x, y) to the known optimum; None without one."""
-        if self.optimum is None:
+        cf = self.closed_form
+        if cf is None:
             return None
-        return relative_error(x, y, *self.optimum, x0, y0)
+        return relative_error(x, y, cf.x_star, cf.y_star, x0, y0)
 
 
 def build_problem(cfg):
@@ -244,11 +246,8 @@ def build_problem(cfg):
     kind = _get(pd, "problem.kind", "str")
     if kind == "synthetic":
         sbench = synthetic_problem(_get(pd, "problem.n", "int", low=2))
-        return ProblemBundle(
-            sbench.problem, sbench.sample_init,
-            optimum=(sbench.x_star, sbench.y_star), closed_form=sbench,
-            metric_name="eps_rel",
-        )
+        return ProblemBundle(sbench.problem, sbench.sample_init,
+                             closed_form=sbench, metric_name="eps_rel")
     if kind == "quadratic":
         prob = quadratic_testbed()
 
@@ -278,10 +277,10 @@ def build_problem(cfg):
 def resolve_seeds(cfg):
     rc = _get(cfg, "run", "dict", {})
     if isinstance(rc.get("seeds"), list):
-        seeds = _get(rc, "run.seeds", "int[]")
+        seeds = _get(rc, "run.seeds", "int[]", low=0)
     else:
         sd = _get(rc, "run.seeds", "dict", {"base": 0, "count": 1})
-        base = _get(sd, "run.seeds.base", "int")
+        base = _get(sd, "run.seeds.base", "int", low=0)
         seeds = [base + i for i in
                  range(_get(sd, "run.seeds.count", "int", low=1))]
     env = os.environ.get("SIPBA_SEED")
@@ -289,8 +288,10 @@ def resolve_seeds(cfg):
         try:
             base = int(env)
         except ValueError:
-            raise ConfigError("SIPBA_SEED must be an integer, got %r" % env,
-                              key="run.seeds")
+            base = None
+        if base is None or base < 0:
+            raise ConfigError("SIPBA_SEED must be an integer >= 0, got %r"
+                              % env, key="run.seeds")
         seeds = [base + i for i in range(len(seeds))]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be unique (one output file per run)",
@@ -321,7 +322,7 @@ def _run_settings(cfg, max_iter=None, stop_at_target=None):
     target_eps = _get(rc, "run.target_eps_rel", "pos", None)
     if stop_at_target is None:
         stop_at_target = _get(rc, "run.stop_at_target", "bool", False)
-    if target_eps is not None and bundle.optimum is None:
+    if target_eps is not None and bundle.closed_form is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
                           key="run.target_eps_rel")
     return dict(start=start, max_iter=max_iter, stride=stride,
@@ -506,8 +507,7 @@ def cmd_gradcheck(cfg, out_dir):
     sigma = _get(gc, "gradcheck.sigma", "pos", 0.1)
     prob = build_problem(cfg).problem
 
-    report = check_gradients(prob, n_points=n_points, fd_step=fd_step,
-                             rng=np.random.default_rng(0))
+    report = check_gradients(prob, n_points=n_points, fd_step=fd_step)
     print(report)
 
     pr = PenaltyReg(rho, sigma)
@@ -699,6 +699,16 @@ def cmd_asymptotics(cfg, out_dir):
 # entry point
 
 
+def _jobs(text):
+    """The --jobs value: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sipba",
@@ -718,7 +728,7 @@ def main(argv=None):
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON config path")
         if name in ("run", "ablate", "compare"):  # the commands that fan out
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_jobs, default=1,
                            help="parallel runs (default 1)")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config out_dir)")

@@ -17,7 +17,7 @@ from .errors import ContractViolation
 from .problem import _as_vector
 from .saddle import solve_saddle
 from .smoothing import PenaltyReg, direction_x, eval_psi
-from .solver import params_at
+from .solver import _penalty_at
 
 
 def _vec(v):
@@ -58,8 +58,7 @@ def snapshot(problem, sp, state, oracle_tol=1e-8):
     params_at(sp, state.k - 1); a state with no completed step (k = 1) is
     rejected. The oracle starts from its default start.
     """
-    pars = params_at(sp, state.k - 1)
-    pr = PenaltyReg(pars.rho, pars.sigma)
+    pars, pr = _penalty_at(sp, state.k - 1)
     x = state.x
     sd = solve_saddle(problem, pr, x, tol=oracle_tol)
     phi = eval_psi(problem, pr, x, sd.y_star, sd.z_star)
@@ -131,7 +130,7 @@ class SandwichReport:
 
 
 def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
-                   slack=None, diag_slack=1e-8, **oracle_kw):
+                   slack=None, diag_slack=1e-8):
     """Evaluate the smoothed-vs-exact value sandwich on a (rho, sigma) grid.
 
     problem_cf must expose .problem plus closed_form_phi(x) and
@@ -160,7 +159,7 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
     for rho in rho_list:
         for sig in sigma_list:
             pr = PenaltyReg(rho, sig)
-            sd = solve_saddle(prob, pr, x, tol=oracle_tol, **oracle_kw)
+            sd = solve_saddle(prob, pr, x, tol=oracle_tol)
             val = eval_psi(prob, pr, x, sd.y_star, sd.z_star)
             lower_slack = val - (phi_exact - 0.5 * sig * ynorm2)
             records.append(SandwichRecord(

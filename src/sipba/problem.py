@@ -12,7 +12,7 @@ callers supply analytic gradients and can validate them with
 :func:`check_gradients`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -158,7 +158,6 @@ class BilevelProblem:
     lip_F: float
     lip_f: float
     assumption_note: Optional[str] = None
-    name: str = field(default="problem")
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
@@ -177,9 +176,10 @@ class BilevelProblem:
             raise ContractViolation("Lipschitz constants must be positive")
 
 
-def _sample_interior(s, rng, window=3.0):
-    # Draw a point well inside s. Infinite box faces fall back to a finite
-    # window next to the finite face (or around 0 if both faces are infinite).
+def _sample_interior(s, rng):
+    # Draw a point well inside s. Infinite box faces fall back to a window of
+    # width 3 next to the finite face (or [-3, 3] if both faces are infinite).
+    window = 3.0
     if isinstance(s, Box):
         lo, hi = s.lower, s.upper
         out = np.empty(s.dim)
@@ -229,9 +229,6 @@ class GradientCheckReport:
     def max_error(self):
         return max(self.errors.values())
 
-    def passed(self, threshold):
-        return self.max_error <= threshold
-
     def __str__(self):
         lines = ["gradient check over %d points (h=%g):" % (self.n_points, self.fd_step)]
         for k in sorted(self.errors):
@@ -239,15 +236,15 @@ class GradientCheckReport:
         return "\n".join(lines)
 
 
-def check_gradients(problem, n_points=20, fd_step=1e-6, rng=None):
+def check_gradients(problem, n_points=20, fd_step=1e-6):
     """Compare the four supplied gradients against central differences.
 
-    Points are sampled inside X and Y. Returns a
+    Points are sampled inside X and Y from a fixed-seed generator, so
+    repeated calls agree. Returns a
     :class:`GradientCheckReport`; the relative error for gradient g at a
     point is ||g - g_fd|| / max(||g_fd||, 1e-12).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     worst = {"grad_F_x": 0.0, "grad_F_y": 0.0, "grad_f_x": 0.0, "grad_f_y": 0.0}
     for _ in range(n_points):
         x = _sample_interior(problem.set_X, rng)

@@ -236,10 +236,7 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
             result.target_seconds = elapsed
             if stop_at_target:
                 result.stop_reason = "target"
-                if callback is not None:
-                    callback(state, elapsed)
-                    last_emitted = done
-                break
+                break  # the final emission below reports this state
         if callback is not None and done % callback_stride == 0:
             callback(state, elapsed)
             last_emitted = done
@@ -273,8 +270,9 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
     x <- Proj_X(x - alpha_k * direction_x(x, y*, z*)). Inner convergence
     failures are recorded and the outer loop continues with the last
     saddle iterate. Returns cumulative inner-iteration counts so gradient
-    budgets can be compared against the single-loop method. A schedule that
-    left the float range raises ParameterOverflowError, as in sipba_step.
+    budgets can be compared against the single-loop method. As in
+    sipba_step, a schedule that left the float range raises
+    ParameterOverflowError and a non-finite x raises DivergenceError.
 
     outer_iter : int or None
         Number of outer iterations; None means no cap (grad_budget then
@@ -328,6 +326,9 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
         inner_total += sd.iterations
         g = direction_x(problem, pr, x, sd.y_star, sd.z_star)
         x = problem.set_X.project(x - pars.alpha * g)
+        if not _finite(x):
+            raise DivergenceError(
+                "non-finite baseline iterate at outer iteration k=%d" % k)
         elapsed += time.perf_counter() - t0
         u = sd.u
         sp_last = sd

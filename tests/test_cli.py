@@ -154,10 +154,15 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert not (out / "run_5.csv").exists()
 
 
-def test_seed_env_must_be_integer(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIPBA_SEED", "pi")
+def test_seed_env_must_be_integer(tmp_path, monkeypatch, capsys):
     cfgp = write_cfg(tmp_path, synthetic_cfg())
-    assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    for env in ("pi", "-5"):
+        monkeypatch.setenv("SIPBA_SEED", env)
+        assert cli.main(["run", "--config", cfgp,
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "%s:%d: SIPBA_SEED must be an integer >= 0, got %r\n"
+            % (cfgp, key_line(cfgp, "run.seeds"), env))
 
 
 def test_resolve_seeds_variants(monkeypatch):
@@ -226,6 +231,9 @@ def test_argparse_exit_codes(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["frobnicate", "--config", "x"]) == 1
     capsys.readouterr()
+    for jobs in ("0", "-3"):  # --jobs counts worker processes
+        assert cli.main(["run", "--config", "x", "--jobs", jobs]) == 1
+        assert "--jobs: must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_fmt_round_trips_doubles():
@@ -345,6 +353,29 @@ def test_compare_respects_gradient_budget(tmp_path, capsys):
         evals = int(r[3])
         assert evals <= 3000 + 200, "budget overshoot: %d" % evals
     assert "run 5:" in capsys.readouterr().out
+
+
+def test_compare_diverged_baseline_is_a_failed_run(tmp_path, capsys):
+    # alpha0 = 1e150 sends the baseline's x out of the float range within
+    # a few outer steps; the run must fail by name, not report NaN
+    cfg = {
+        "problem": {"kind": "hyper_rep", "n_feat": 10, "p_dim": 2, "m1": 20,
+                    "m2": 20, "m_test": 50, "noise_a": 0.1, "data_seed": 3},
+        "schedule": {"alpha0": 0.01, "beta0": 1e-4, "rho0": 10.0,
+                     "sigma0": 0.01, "p": 0.01, "q": 0.01, "s": 0.16},
+        "run": {"max_iter": 500, "seeds": [42], "stride": 50},
+        "compare": {"budget": 3000, "baseline_schedule": {"alpha0": 1e150}},
+    }
+    cfgp = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = cli.main(["compare", "--config", cfgp, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out.startswith(
+        "run 42: FAILED (baseline: non-finite baseline iterate at outer "
+        "iteration k=")
+    _, rows = read_csv(out / "compare_42.csv")
+    assert all(r[6] != "nan" for r in rows)
 
 
 def test_asymptotics_tables_and_monotone_gaps(tmp_path, capsys):
@@ -542,6 +573,8 @@ def bad_cfg(key, value):
         (FAN_OUT, "run.init.z0", "ab"),
         (FAN_OUT, "problem.noise_a", -0.1),
         (FAN_OUT, "problem.data_seed", -1),
+        (FAN_OUT, "run.seeds", [3, -1]),
+        (FAN_OUT, "run.seeds.base", -2),
         (("run", "ablate"), "run.oracle_tol", -1),
         (("run", "ablate"), "run.target_eps_rel", INF),
         (("compare",), "compare.baseline_schedule", 5),

@@ -103,7 +103,7 @@ def test_check_gradients_accepts_correct_gradients():
     for prob in (quadratic_testbed(), synthetic_problem(5).problem):
         rep = check_gradients(prob, n_points=10)
         assert rep.max_error < 1e-6, str(rep)
-        assert rep.passed(1e-6)
+        assert rep.max_error <= 1e-6
     assert set(rep.errors) == {"grad_F_x", "grad_F_y", "grad_f_x", "grad_f_y"}
 
 
@@ -114,7 +114,7 @@ def test_check_gradients_flags_sign_error():
     rep = check_gradients(bad, n_points=10)
     assert 1.9 < rep.errors["grad_F_y"] < 2.1
     assert rep.errors["grad_F_x"] < 1e-6
-    assert not rep.passed(1e-4)
+    assert not rep.max_error <= 1e-4
     assert "grad_F_y" in str(rep)
 
 

@@ -1,7 +1,8 @@
 """Property tests (Hypothesis): random config values never crash the CLI,
-projections are idempotent and nonexpansive, and the schedules move the
-way the method needs. Examples are derandomized, so every run draws the
-same ones."""
+projections are idempotent and nonexpansive, the schedules move the way
+the method needs, every iterate is feasible, and the saddle operator is
+strongly monotone with its zero at the analytic saddle. Examples are
+derandomized, so every run draws the same ones."""
 
 import contextlib
 import copy
@@ -19,8 +20,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from sipba import cli
+from sipba.benchmarks import analytic_saddle, quadratic_testbed, synthetic_problem
 from sipba.problem import Ball, Box
-from sipba.solver import ScheduleParams, params_at
+from sipba.smoothing import PenaltyReg, operator_T
+from sipba.solver import ScheduleParams, initial_state, params_at, run
 
 FIXED = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -169,3 +172,51 @@ def test_params_at_monotone_in_k(alpha0, beta0, rho0, sigma0, p, q, s,
     assert nxt.beta <= now.beta
     assert nxt.sigma <= now.sigma
     assert now.rho <= nxt.rho <= rho_cap
+
+
+@FIXED
+@given(data=st.data(), n=st.integers(2, 6),
+       alpha0=st.floats(1e-3, 10.0), beta0=st.floats(1e-5, 1e-3))
+def test_every_emitted_iterate_is_feasible(data, n, alpha0, beta0):
+    # starts inside or outside X = [0.1, 10]^n and Y = [1/(2 sqrt n), inf)^n
+    sb = synthetic_problem(n)
+    prob = sb.problem
+    start = st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)
+    init = initial_state(prob, data.draw(start), data.draw(start),
+                         data.draw(start))
+    sp = ScheduleParams(alpha0=alpha0, beta0=beta0, rho0=10.0, sigma0=0.01,
+                        p=0.001, q=0.001, s=0.1)
+    states = []
+    run(prob, sp, init, 30, callback=lambda s, _: states.append(s),
+        callback_stride=1)
+    assert len(states) == 30
+    for s in states:
+        assert prob.set_X.contains(s.x)
+        assert prob.set_Y.contains(s.y)
+        assert prob.set_Y.contains(s.z)
+
+
+QUAD = quadratic_testbed()
+COORD = st.floats(-1e3, 1e3)
+PAIR = st.tuples(COORD, COORD).map(np.array)
+
+
+@FIXED
+@given(x=COORD, rho=st.floats(1e-3, 1e4), sigma=st.floats(1e-4, 1e2),
+       u=PAIR, v=PAIR)
+def test_quadratic_operator_strongly_monotone_with_analytic_zero(
+        x, rho, sigma, u, v):
+    pr = PenaltyReg(rho, sigma)
+    xv = np.array([x])
+    tu, tv = operator_T(QUAD, pr, xv, u), operator_T(QUAD, pr, xv, v)
+    d = u - v
+    # rounding allowance: 1e-12 of the magnitude of the terms of T
+    lip = 2.0 + 2.0 * rho + 2.0 * sigma
+    terms = lip * (abs(x) + np.abs(u).max() + np.abs(v).max())
+    assert (np.dot(tu - tv, d)
+            >= min(QUAD.mu, sigma) * np.dot(d, d)
+            - 1e-12 * terms * np.linalg.norm(d))
+    ys, zs = analytic_saddle(x, rho, sigma)
+    saddle = np.concatenate((ys, zs))
+    scale = lip * (abs(x) + np.abs(saddle).max())
+    assert np.linalg.norm(operator_T(QUAD, pr, xv, saddle)) <= 1e-12 * scale

@@ -198,6 +198,17 @@ def test_divergence_raises():
     assert ei.value.state.k >= 1
 
 
+def test_baseline_divergence_raises():
+    # the step's finiteness test, applied to the baseline's x: a diverged
+    # baseline fails by name instead of returning NaN
+    sp = ScheduleParams(alpha0=1e160, beta0=0.1, rho0=1.0, sigma0=1.0,
+                        p=0.01, q=0.01, s=0.16)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError,
+                                                  match="outer iteration k=2"):
+        run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-8,
+                                 inner_max_iter=100)
+
+
 def test_schedule_underflow_is_a_parameter_overflow():
     # sigma_k = 0.01 * k^-400 rounds to 0 at k=7: the step's positivity
     # check reports the schedule, not a PenaltyReg contract violation
