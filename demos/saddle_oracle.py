@@ -35,7 +35,16 @@ print("oracle saddle    y = %.12f  z = %.12f  (%d iterations, residual %.1e)"
 bound = lemma_step_bound(quad, pr)
 est = estimate_T_lipschitz(quad, pr, x, default_start(quad))
 print("certified contraction step  %.6f" % bound)
-print("default oracle step 1/(2L)  %.6f  (L estimate %.4f)" % (0.5 / est, est))
+print("default oracle step 1/(2L)  %.6f  (L estimate %.4f, %d operator calls)"
+      % (0.5 / est.value, est.value, est.calls))
+
+# a nearby solve warm-started from the last one: it starts at that saddle,
+# and its step-size estimate runs 3 power iterations instead of 30
+near = solve_saddle(quad, pr, x + 0.01, tol=1e-12, warm=sd)
+print("cold solve: %d iterations, estimate %d calls; warm solve at x+0.01: "
+      "%d iterations, estimate %d calls"
+      % (sd.iterations, sd.estimate_calls, near.iterations,
+         near.estimate_calls))
 
 # smoothed value and its gradient; phi is -5/13 at x = 1 for rho = sigma = 1
 print("phi(1.0)      = %.12f" % eval_phi(quad, pr, x, tol=1e-12))

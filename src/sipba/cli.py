@@ -354,9 +354,14 @@ def _write_csv(path, header, rows):
 
 # ---------------------------------------------------------------------------
 # tasks, worker-safe: each gets values the parent checked before fan-out and
-# rebuilds only the problem, whose closures do not pickle
+# rebuilds only the problem, whose closures do not pickle. Each runs with
+# numpy's floating-point warnings off: a run that leaves the float range is
+# caught by the finiteness checks and reported as its one FAILED line.
+
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+@_quiet
 def _run_single(cfg, out_dir, sp, seed, start, max_iter, stride, oracle_tol,
                 target_eps, stop_at_target, write_rows=True):
     bundle = build_problem(cfg)
@@ -371,13 +376,16 @@ def _run_single(cfg, out_dir, sp, seed, start, max_iter, stride, oracle_tol,
             return bundle.eps_rel(st.x, st.y, x_init, y_init) < target_eps
 
     rows = []
-    phi_min = [np.inf]
+    phi_min = np.inf
+    saddle = None  # the previous stride's, warm start of the next snapshot
 
     def cb(st, elapsed):
+        nonlocal phi_min, saddle
         done = st.k - 1
-        sn = snapshot(prob, sp, st, oracle_tol)
-        phi_min[0] = min(phi_min[0], sn.phi)
-        merit = merit_value(done, sp.s, sp.t_exp, sn.phi - (phi_min[0] - 1.0),
+        sn = snapshot(prob, sp, st, oracle_tol, warm=saddle)
+        saddle = sn.saddle
+        phi_min = min(phi_min, sn.phi)
+        merit = merit_value(done, sp.s, sp.t_exp, sn.phi - (phi_min - 1.0),
                             sn.tracking_err)
         eps = bundle.eps_rel(st.x, st.y, x_init, y_init)
         rows.append((seed, done, elapsed, sn.phi, eps, sn.tracking_err,
@@ -553,6 +561,7 @@ def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
             res.step_seconds)
 
 
+@_quiet
 def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
                     inner_tol):
     bundle = build_problem(cfg)

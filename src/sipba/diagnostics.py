@@ -3,9 +3,10 @@
 These quantities instrument a run without influencing it: a snapshot of an
 iterate against one oracle solve (smoothed value, distance of the inner pair
 to the exact saddle, and the projected-gradient stationarity residual of the
-smoothed value function), a relative error to a known optimum, a merit value
-combining value gap and tracking error, and the two-sided sandwich between
-the smoothed and the exact value function.
+smoothed value function; the solve is warm-started from the previous
+snapshot's saddle when the caller passes it), a relative error to a known
+optimum, a merit value combining value gap and tracking error, and the
+two-sided sandwich between the smoothed and the exact value function.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .problem import _as_vector
-from .saddle import solve_saddle
+from .saddle import SaddlePoint, solve_saddle
 from .smoothing import PenaltyReg, direction_x, eval_psi
 from .solver import _penalty_at
 
@@ -49,24 +50,28 @@ class Snapshot:
     phi: float            # smoothed value phi_{rho,sigma}(x)
     tracking_err: float   # ||(y, z) - (y*, z*)||
     stat_residual: float  # ||x - Proj_X(x - alpha*grad phi_{rho,sigma}(x))|| / alpha
+    saddle: SaddlePoint   # the oracle solve; warm start of the next snapshot
 
 
-def snapshot(problem, sp, state, oracle_tol=1e-8):
+def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
     """Snapshot of state from one oracle solve.
 
     (alpha, rho, sigma) are those of the step that produced state, i.e.
     params_at(sp, state.k - 1); a state with no completed step (k = 1) is
-    rejected. The oracle starts from its default start.
+    rejected. Without warm the oracle starts cold, from its default start;
+    with warm, the saddle of the previous snapshot of the same run, it
+    starts from that saddle and its step-size direction (see solve_saddle),
+    which agrees with the cold solve to within oracle_tol.
     """
     pars, pr = _penalty_at(sp, state.k - 1)
     x = state.x
-    sd = solve_saddle(problem, pr, x, tol=oracle_tol)
+    sd = solve_saddle(problem, pr, x, tol=oracle_tol, warm=warm)
     phi = eval_psi(problem, pr, x, sd.y_star, sd.z_star)
     te = float(np.linalg.norm(np.concatenate((state.y, state.z)) - sd.u))
     g = direction_x(problem, pr, x, sd.y_star, sd.z_star)
     moved = problem.set_X.project(x - pars.alpha * g)
     sr = float(np.linalg.norm(x - moved)) / pars.alpha
-    return Snapshot(phi=phi, tracking_err=te, stat_residual=sr)
+    return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd)
 
 
 def merit_value(k, s, t, phi_gap, tracking_err):

@@ -18,13 +18,22 @@ sigma/(rho*lip_f)^2, which underflows any usable range once rho is large;
 worst-case Lipschitz constants over the whole domain are far larger than the
 curvature the iteration actually sees. The default here instead estimates
 the local Lipschitz constant of T(x, .) by power iteration on finite
-differences (first-order access only, deterministic start) and takes
-beta = 1/(2*L_est), with a stall safeguard that halves beta if the residual
-stops improving. Callers can pass an explicit beta to pin the behavior,
-e.g. a lemma_step_bound value when exercising the certified contraction.
+differences (first-order access only) and takes beta = 1/(2*L_est), with a
+stall safeguard that halves beta if the residual stops improving. Callers
+can pass an explicit beta to pin the behavior, e.g. a lemma_step_bound value
+when exercising the certified contraction.
+
+Warm start. A solve with no previous saddle is cold: u starts at the
+projected zero vector and the power iteration runs 30 steps from a
+fixed-seed vector, so it is deterministic. A sequence of nearby solves (the
+diagnostics along a run, the inner solves of the double-loop baseline)
+passes each SaddlePoint to the next as warm: u starts at its saddle and the
+power iteration runs 3 steps from the dominant direction it carries. Warm
+solves are deterministic too, given the same previous saddle.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,11 +46,19 @@ from .problem import _as_vector
 from .smoothing import direction_x, eval_psi, operator_T
 
 _POWER_SEED = 0x51B8A
+_COLD_ITERS = 30  # power iterations from the fixed-seed vector
+_WARM_ITERS = 3   # power iterations from a previous dominant direction
 
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """Oracle output: the saddle estimate and how it was reached."""
+    """Oracle output: the saddle estimate and how it was reached.
+
+    lip_vector is the dominant direction of the step-size estimate (None if
+    no estimate was made), which seeds the next warm solve; estimate_calls
+    counts the operator_T calls that estimate spent: 31 cold, 4 warm, 0
+    with an explicit beta.
+    """
 
     y_star: np.ndarray
     z_star: np.ndarray
@@ -49,6 +66,8 @@ class SaddlePoint:
     iterations: int
     beta: float
     converged: bool
+    lip_vector: Optional[np.ndarray] = None
+    estimate_calls: int = 0
 
     @property
     def u(self):
@@ -82,32 +101,58 @@ def default_start(problem):
     return np.concatenate((y0, y0))
 
 
-def estimate_T_lipschitz(problem, pr, x, u0):
+class LipschitzEstimate(NamedTuple):
+    """A step-size estimate: the value, its dominant direction and cost."""
+
+    value: float
+    vector: np.ndarray
+    calls: int  # operator_T calls spent
+
+
+def estimate_T_lipschitz(problem, pr, x, u0, v0=None):
     """Power-iteration estimate of the local Lipschitz constant of T(x, .).
 
-    30 iterations on forward differences of step 1e-6 * (1 + ||u0||). The
-    differences are exact for operators affine in u (every benchmark
-    here), so the estimate lands between the extreme singular values of the
-    Jacobian; solve_saddle's stall safeguard covers any underestimate.
-    Fixed-seed start vector, so repeated calls are bit-identical.
+    Power iteration on forward differences of step 1e-6 * (1 + ||u0||):
+    30 iterations from a fixed-seed vector (cold), or 3 from v0, the
+    dominant direction of an earlier estimate (warm). A v0 of zero or
+    non-finite norm, or a warm run that yields no estimate, falls back to
+    the cold start. The differences are exact for operators affine in u
+    (every benchmark here), so the estimate lands between the extreme
+    singular values of the Jacobian; solve_saddle's stall safeguard covers
+    any underestimate. Both starts are deterministic, so repeated calls are
+    bit-identical.
+
+    Returns a LipschitzEstimate: max(estimate, sigma, 1e-12), the last unit
+    direction, and the operator_T calls spent (31 cold, 4 warm).
     """
-    rng = np.random.Generator(np.random.Philox(_POWER_SEED))
-    v = rng.standard_normal(u0.size)
-    v /= max(float(np.linalg.norm(v)), 1e-300)
     eps = 1e-6 * (1.0 + float(np.linalg.norm(u0)))
     t0 = operator_T(problem, pr, x, u0)
-    est = 0.0
-    for _ in range(30):
-        w = (operator_T(problem, pr, x, u0 + eps * v) - t0) / eps
-        nw = float(np.linalg.norm(w))
-        if not np.isfinite(nw) or nw == 0.0:
+    calls = 1
+    n0 = 0.0 if v0 is None else float(np.linalg.norm(v0))
+    starts = [(_COLD_ITERS, None)]
+    if 0.0 < n0 < np.inf:
+        starts.insert(0, (_WARM_ITERS, v0 / n0))
+    for iters, v in starts:
+        if v is None:
+            rng = np.random.Generator(np.random.Philox(_POWER_SEED))
+            v = rng.standard_normal(u0.size)
+            v /= max(float(np.linalg.norm(v)), 1e-300)
+        est = 0.0
+        for _ in range(iters):
+            w = (operator_T(problem, pr, x, u0 + eps * v) - t0) / eps
+            calls += 1
+            nw = float(np.linalg.norm(w))
+            if not np.isfinite(nw) or nw == 0.0:
+                break
+            est = nw
+            v = w / nw
+        if est > 0.0:
             break
-        est = nw
-        v = w / nw
-    return max(est, pr.sigma, 1e-12)
+    return LipschitzEstimate(max(est, pr.sigma, 1e-12), v, calls)
 
 
-def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
+def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
+                 warm=None):
     """Find the saddle of psi(x, ., .) over Y x Y by projected fixed-point steps.
 
     Parameters
@@ -115,9 +160,14 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     tol : float
         Stop once the step-scaled fixed-point residual is <= tol.
     u0 : array, optional
-        Warm start, stacked (y, z). Defaults to the projected zero vector.
+        Start, stacked (y, z). Defaults to warm's saddle, else to the
+        projected zero vector.
     beta : float, optional
         Explicit step size. Default: 1/(2 * estimated local Lipschitz of T).
+    warm : SaddlePoint, optional
+        The previous solve of a sequence of nearby ones. Its saddle is the
+        default start and its lip_vector seeds the step-size estimate (3
+        power iterations instead of 30). The safeguards are the same.
 
     Raises
     ------
@@ -128,12 +178,17 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         iterate.
     """
     x = _as_vector(x, problem.n_x, "x")
+    lip_vector = None if warm is None else warm.lip_vector
+    if u0 is None and warm is not None:
+        u0 = warm.u
     if u0 is None:
         u = default_start(problem)
     else:
         u = _as_vector(u0, 2 * problem.n_y, "u0").copy()
+    calls = 0
     if beta is None:
-        beta = 1.0 / (2.0 * estimate_T_lipschitz(problem, pr, x, u))
+        est = estimate_T_lipschitz(problem, pr, x, u, lip_vector)
+        beta, lip_vector, calls = 1.0 / (2.0 * est.value), est.vector, est.calls
     beta = float(beta)
     if not (beta > 0 and np.isfinite(beta)):
         raise ParameterOverflowError("oracle step size underflowed: beta=%r" % beta)
@@ -141,6 +196,12 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     beta0 = beta
     set_Y = problem.set_Y
     n_y = problem.n_y
+
+    def pack(u, res, it, ok):
+        return SaddlePoint(y_star=u[:n_y].copy(), z_star=u[n_y:].copy(),
+                           residual=res, iterations=it, beta=beta,
+                           converged=ok, lip_vector=lip_vector,
+                           estimate_calls=calls)
 
     def proj_pair(w):
         return np.concatenate((set_Y.project(w[:n_y]), set_Y.project(w[n_y:])))
@@ -161,7 +222,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
                 raise SaddleConvergenceError(
                     "oracle diverged even after step backoff",
                     residual=res,
-                    saddle=_pack(u, res, it, beta, False, n_y),
+                    saddle=pack(u, res, it, False),
                 )
             beta *= 0.5
             best, since_best = np.inf, 0
@@ -177,9 +238,9 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
                     "beta=%.3e (%d halvings) no longer moves u while "
                     "||T||=%.3e (tol %.3e)" % (it, beta, halvings, t_norm, tol),
                     residual=t_norm,
-                    saddle=_pack(u, t_norm, it, beta, False, n_y),
+                    saddle=pack(u, t_norm, it, False),
                 )
-            return _pack(u_next, res, it, beta, True, n_y)
+            return pack(u_next, res, it, True)
         u = u_next
         # stall safeguard: no residual improvement over a long window means
         # the fixed step is too aggressive for this instance
@@ -194,7 +255,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
                         "saddle oracle stalled after %d iterations (60 step "
                         "halvings) with residual %.3e (tol %.3e)" % (it, res, tol),
                         residual=res,
-                        saddle=_pack(u, res, it, beta, False, n_y),
+                        saddle=pack(u, res, it, False),
                     )
                 beta *= 0.5
                 best, since_best = np.inf, 0
@@ -202,18 +263,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"
         % (max_iter, res, tol),
         residual=res,
-        saddle=_pack(u, res, max_iter, beta, False, n_y),
-    )
-
-
-def _pack(u, res, it, beta, ok, n_y):
-    return SaddlePoint(
-        y_star=u[:n_y].copy(),
-        z_star=u[n_y:].copy(),
-        residual=res,
-        iterations=it,
-        beta=beta,
-        converged=ok,
+        saddle=pack(u, res, max_iter, False),
     )
 
 

@@ -355,18 +355,21 @@ def test_compare_respects_gradient_budget(tmp_path, capsys):
     assert "run 5:" in capsys.readouterr().out
 
 
+# alpha0 = 1e150 sends the baseline's x out of the float range within a few
+# outer steps
+DIVERGING_BASELINE = {
+    "problem": {"kind": "hyper_rep", "n_feat": 10, "p_dim": 2, "m1": 20,
+                "m2": 20, "m_test": 50, "noise_a": 0.1, "data_seed": 3},
+    "schedule": {"alpha0": 0.01, "beta0": 1e-4, "rho0": 10.0,
+                 "sigma0": 0.01, "p": 0.01, "q": 0.01, "s": 0.16},
+    "run": {"max_iter": 500, "seeds": [42], "stride": 50},
+    "compare": {"budget": 3000, "baseline_schedule": {"alpha0": 1e150}},
+}
+
+
 def test_compare_diverged_baseline_is_a_failed_run(tmp_path, capsys):
-    # alpha0 = 1e150 sends the baseline's x out of the float range within
-    # a few outer steps; the run must fail by name, not report NaN
-    cfg = {
-        "problem": {"kind": "hyper_rep", "n_feat": 10, "p_dim": 2, "m1": 20,
-                    "m2": 20, "m_test": 50, "noise_a": 0.1, "data_seed": 3},
-        "schedule": {"alpha0": 0.01, "beta0": 1e-4, "rho0": 10.0,
-                     "sigma0": 0.01, "p": 0.01, "q": 0.01, "s": 0.16},
-        "run": {"max_iter": 500, "seeds": [42], "stride": 50},
-        "compare": {"budget": 3000, "baseline_schedule": {"alpha0": 1e150}},
-    }
-    cfgp = write_cfg(tmp_path, cfg)
+    # the run must fail by name, not report NaN
+    cfgp = write_cfg(tmp_path, DIVERGING_BASELINE)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         code = cli.main(["compare", "--config", cfgp, "--out", str(out)])
@@ -376,6 +379,20 @@ def test_compare_diverged_baseline_is_a_failed_run(tmp_path, capsys):
         "iteration k=")
     _, rows = read_csv(out / "compare_42.csv")
     assert all(r[6] != "nan" for r in rows)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_run_stderr_has_no_numpy_warnings(tmp_path, jobs):
+    # in a fresh interpreter with numpy's default error handling, the
+    # FAILED line is the whole report
+    proc = subprocess.run(
+        [sys.executable, "-m", "sipba.cli", "compare", "--config",
+         write_cfg(tmp_path, DIVERGING_BASELINE), "--jobs", jobs, "--out",
+         str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("run 42: FAILED (baseline: ")
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_asymptotics_tables_and_monotone_gaps(tmp_path, capsys):

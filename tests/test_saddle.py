@@ -53,15 +53,125 @@ def test_lipschitz_estimate_brackets_jacobian():
         rho, sigma = rng.uniform(0.3, 4.0), rng.uniform(0.1, 1.5)
         A = np.array([[2 * (1 + rho), sigma], [-sigma, 2 * rho + sigma]])
         smin, smax = np.linalg.svd(A, compute_uv=False)[[1, 0]]
-        est = estimate_T_lipschitz(quad, PenaltyReg(rho, sigma), np.array([1.0]), np.zeros(2))
-        assert smin * (1 - 1e-8) <= est <= smax * (1 + 1e-8)
+        pr = PenaltyReg(rho, sigma)
+        cold = estimate_T_lipschitz(quad, pr, np.array([1.0]), np.zeros(2))
+        # any unit direction does, so a warm one from another point too
+        warm = estimate_T_lipschitz(quad, pr, np.array([-0.4]),
+                                    np.array([2.0, 1.0]), cold.vector)
+        for est in (cold.value, warm.value):
+            assert smin * (1 - 1e-8) <= est <= smax * (1 + 1e-8)
 
 
 def test_lipschitz_estimate_deterministic():
     pr = PenaltyReg(2.0, 0.5)
     a = estimate_T_lipschitz(quad, pr, np.array([0.7]), np.zeros(2))
     b = estimate_T_lipschitz(quad, pr, np.array([0.7]), np.zeros(2))
-    assert a == b
+    assert a.value == b.value and a.calls == b.calls == 31
+    np.testing.assert_array_equal(a.vector, b.vector)
+
+
+def test_warm_lipschitz_estimate_matches_cold_on_affine_T():
+    # T is linear at x=0, u=0, so the differences are exact to rounding.
+    # Where the Jacobian's eigenvalues are real and well apart, 30 cold
+    # power iterations converge, and 3 warm ones from a converged direction
+    # (carried from another point: the Jacobian is constant) agree
+    rng = np.random.default_rng(5)
+    x, u = np.zeros(1), np.zeros(2)
+    for _ in range(10):
+        pr = PenaltyReg(rng.uniform(0.05, 0.3), rng.uniform(0.01, 0.2))
+        cold = estimate_T_lipschitz(quad, pr, x, u)
+        elsewhere = estimate_T_lipschitz(quad, pr, np.array([1.3]),
+                                         np.array([0.4, -2.0]))
+        for v0 in (cold.vector, elsewhere.vector):
+            warm = estimate_T_lipschitz(quad, pr, x, u, v0)
+            assert warm.calls == 4
+            assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("v0", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0],
+                                [1e308, 1e308]])
+def test_warm_vector_without_a_finite_norm_falls_back_to_cold(v0):
+    pr = PenaltyReg(2.0, 0.5)
+    x, u = np.array([0.7]), np.array([0.1, -0.3])
+    cold = estimate_T_lipschitz(quad, pr, x, u)
+    with np.errstate(over="ignore"):  # the norm of the last v0 overflows
+        got = estimate_T_lipschitz(quad, pr, x, u, np.array(v0))
+    assert got.value == cold.value and got.calls == 31
+    np.testing.assert_array_equal(got.vector, cold.vector)
+    assert got.value > pr.sigma
+
+
+def test_warm_estimate_that_finds_nothing_falls_back_to_cold(monkeypatch):
+    # an operator flat along the warm direction gives a zero difference:
+    # the estimate restarts cold instead of returning sigma
+    A = np.array([[3.0, 0.0], [0.0, 0.0]])
+    monkeypatch.setattr(saddle, "operator_T", lambda problem, pr, x, u: A @ u)
+    pr = PenaltyReg(1.0, 0.5)
+    got = estimate_T_lipschitz(quad, pr, np.zeros(1), np.zeros(2),
+                               np.array([0.0, 1.0]))
+    assert got.calls == 1 + 1 + 30
+    assert got.value == pytest.approx(3.0, rel=1e-12)
+
+
+def test_estimate_cost_is_recorded_on_the_saddle():
+    pr = PenaltyReg(3.0, 0.5)
+    cold = solve_saddle(quad, pr, [2.0], tol=1e-11)
+    assert cold.estimate_calls == 31 and cold.lip_vector.shape == (2,)
+    warm = solve_saddle(quad, PenaltyReg(3.1, 0.49), [2.1], tol=1e-11,
+                        warm=cold)
+    assert warm.estimate_calls == 4 and warm.converged
+    ys, zs = analytic_saddle(2.1, 3.1, 0.49)
+    np.testing.assert_allclose(warm.u, np.concatenate((ys, zs)), atol=1e-9)
+    pinned = solve_saddle(quad, pr, [2.0], tol=1e-11, beta=0.05, warm=warm)
+    assert pinned.estimate_calls == 0
+    # the direction passes through a solve that made no estimate
+    np.testing.assert_array_equal(pinned.lip_vector, warm.lip_vector)
+    assert solve_saddle(quad, pr, [2.0], tol=1e-11, beta=0.05).lip_vector is None
+
+
+def test_warm_solve_with_too_small_estimate_converges_through_backoff():
+    # J = [[2.2, 0.05], [-0.05, 0.25]] has real eigenvalues 2.198 and 0.252.
+    # Seeded with the small one's eigenvector, 3 power iterations stay on
+    # it, so beta = 1/(2*0.252) is about four times too large for the
+    # dominant mode; the stall safeguard halves it until the solve converges
+    rho, sigma = 0.1, 0.05
+    pr = PenaltyReg(rho, sigma)
+    J = np.array([[2 * (1 + rho), sigma], [-sigma, 2 * rho + sigma]])
+    lam, vecs = np.linalg.eig(J)
+    small = vecs[:, np.argmin(lam)].real
+    est = estimate_T_lipschitz(quad, pr, np.ones(1), np.zeros(2), small)
+    assert est.value == pytest.approx(lam.min(), rel=1e-6)
+    prev = saddle.SaddlePoint(y_star=np.zeros(1), z_star=np.zeros(1),
+                              residual=0.0, iterations=1, beta=1.0,
+                              converged=True, lip_vector=small)
+    sd = solve_saddle(quad, pr, [1.0], tol=1e-10, warm=prev)
+    assert sd.converged and sd.estimate_calls == 4
+    # halved from 1/(2*est) to below 2/lambda_max, where it contracts
+    assert sd.beta <= 0.25 / est.value and sd.beta < 2.0 / lam.max()
+    ys, zs = analytic_saddle(1.0, rho, sigma)
+    np.testing.assert_allclose(sd.u, np.concatenate((ys, zs)), atol=1e-8)
+
+
+def test_warm_baseline_on_hyper_rep_has_no_oracle_failures():
+    # 200 outer steps of criterion 07's baseline schedule on a small
+    # instance: every solve after the first is warm, none fails, x stays
+    # finite
+    from sipba.benchmarks import (generate_hyper_rep, hyper_rep_init,
+                                  hyper_rep_problem)
+    from sipba.solver import ScheduleParams, run_double_loop_baseline
+
+    data = generate_hyper_rep(10, 2, 20, 20, 50, 0.1, seed=7)
+    prob = hyper_rep_problem(data)
+    x0, y0, z0 = hyper_rep_init(data, np.random.Generator(np.random.Philox(42)))
+    sp = ScheduleParams(alpha0=0.2, beta0=1e-4, rho0=10.0, sigma0=0.01,
+                        p=0.01, q=0.01, s=0.16)
+    calls = []
+    res = run_double_loop_baseline(
+        prob, sp, x0, 200, inner_tol=1e-5, u0=np.concatenate((y0, z0)),
+        callback=lambda k, x, sd, total, t: calls.append(sd.estimate_calls))
+    assert res.inner_failures == 0
+    assert np.isfinite(res.x).all()
+    assert calls == [31] + [4] * 199
 
 
 def test_solve_saddle_example():

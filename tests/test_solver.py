@@ -307,21 +307,36 @@ def test_baseline_budget_overshoot_is_bounded():
     assert worst > 90  # the bound is nearly reached
 
 
+def _spend_after_each_outer(n):
+    """An unbudgeted n-step baseline and its evaluations after each step."""
+    counted, cnt = with_gradient_counter(quad)
+    spent = []
+    res = run_double_loop_baseline(counted, SP_UNIT, [1.0], n, inner_tol=1e-8,
+                                   callback=lambda *a: spent.append(cnt.count))
+    return res, spent
+
+
 def test_baseline_budget_without_binding_cap_matches_outer_iter():
+    # a budget of exactly what 5 outer steps spend: no solve is cut short,
+    # and the run stops after the fifth
+    fixed, spent = _spend_after_each_outer(5)
     budgeted = run_double_loop_baseline(quad, SP_UNIT, [1.0], None,
-                                        inner_tol=1e-8, grad_budget=500)
+                                        inner_tol=1e-8, grad_budget=spent[-1])
     assert budgeted.inner_failures == 0  # the cap never cut a solve
-    fixed = run_double_loop_baseline(quad, SP_UNIT, [1.0],
-                                     budgeted.outer_iterations, inner_tol=1e-8)
+    assert budgeted.outer_iterations == 5
     np.testing.assert_array_equal(budgeted.x, fixed.x)
     np.testing.assert_array_equal(budgeted.saddle.u, fixed.saddle.u)
     assert budgeted.inner_iterations == fixed.inner_iterations
 
 
 def test_baseline_capped_final_solve_is_a_failure():
+    # the budget leaves the fifth solve one fixed-point iteration
+    _, spent = _spend_after_each_outer(5)
     res = run_double_loop_baseline(quad, SP_UNIT, [1.0], None,
-                                   inner_tol=1e-8, grad_budget=1000)
+                                   inner_tol=1e-8, grad_budget=spent[3] + 3)
+    assert res.outer_iterations == 5
     assert res.inner_failures == 1
+    assert res.saddle.iterations == 1
     assert not res.saddle.converged
 
 
