@@ -74,6 +74,7 @@ from .benchmarks import (
     hyper_rep_init,
     hyper_rep_problem,
     hyper_rep_test_loss,
+    quadratic_init,
     quadratic_testbed,
     synthetic_problem,
 )

@@ -1,6 +1,7 @@
 """Benchmark problem families with known structure.
 
-Three families:
+Three families, whose callables are module-level functions bound to their data
+with functools.partial, so a built problem pickles as it is:
 
 * quadratic_testbed: scalar F = -(y-x)^2, f = (y-x)^2, everything
   unconstrained. The saddle of the regularized objective solves a 2x2
@@ -14,6 +15,7 @@ Three families:
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +27,15 @@ from .problem import BilevelProblem, Box, FullSpace, _as_vector
 # quadratic testbed
 
 
+def _testbed_value(c, x, y):  # c (y - x)^2: F at c = -1, f at c = 1
+    d = y[0] - x[0]
+    return c * d * d
+
+
+def _testbed_grad(c, x, y):  # c (y - x): the gradients at c = +-2
+    return c * (y - x)
+
+
 def quadratic_testbed():
     """Scalar unconstrained instance used as ground truth in tests.
 
@@ -32,23 +43,21 @@ def quadratic_testbed():
     every x, mu = 2, and both Lipschitz constants (as consumed by the
     operator bounds) equal 2.
     """
-    def F(x, y):
-        d = y[0] - x[0]
-        return -d * d
-
-    def f(x, y):
-        d = y[0] - x[0]
-        return d * d
-
+    up, down = partial(_testbed_grad, 2.0), partial(_testbed_grad, -2.0)
     return BilevelProblem(
-        n_x=1, n_y=1, F=F, f=f,
-        grad_F_x=lambda x, y: 2.0 * (y - x),
-        grad_F_y=lambda x, y: -2.0 * (y - x),
-        grad_f_x=lambda x, y: -2.0 * (y - x),
-        grad_f_y=lambda x, y: 2.0 * (y - x),
+        n_x=1, n_y=1,
+        F=partial(_testbed_value, -1.0), f=partial(_testbed_value, 1.0),
+        grad_F_x=up, grad_F_y=down, grad_f_x=down, grad_f_y=up,
         set_X=FullSpace(1), set_Y=FullSpace(1),
         mu=2.0, lip_F=2.0, lip_f=2.0,
     )
+
+
+def quadratic_init(rng):
+    """Random start on the testbed: x, y ~ U[-3, 3], z = y."""
+    x0 = rng.uniform(-3.0, 3.0, 1)
+    y0 = rng.uniform(-3.0, 3.0, 1)
+    return x0, y0, y0.copy()
 
 
 def analytic_saddle(x, rho, sigma):
@@ -113,6 +122,38 @@ class SyntheticProblem:
         return x0, y0, y0.copy()
 
 
+def _synthetic_F(n, e, x, y):
+    dx = x - e
+    dy = y - e
+    return float(np.dot(dx, dx) / n - np.dot(dy, dy))
+
+
+# ||x|| as math.sqrt(x.dot(x)): what np.linalg.norm computes for a 1-D
+# float vector, without its argument handling
+def _synthetic_f(e, x, y):
+    r = float(np.dot(e, y)) - math.sqrt(x.dot(x))
+    return r * r
+
+
+def _synthetic_grad_F_x(n, e, x, y):
+    return (2.0 / n) * (x - e)
+
+
+def _synthetic_grad_F_y(e, x, y):
+    return -2.0 * (y - e)
+
+
+def _synthetic_grad_f_x(e, x, y):
+    nx = math.sqrt(x.dot(x))
+    r = float(np.dot(e, y)) - nx
+    return (-2.0 * r / nx) * x
+
+
+def _synthetic_grad_f_y(e, x, y):
+    r = float(np.dot(e, y)) - math.sqrt(x.dot(x))
+    return (2.0 * r) * e
+
+
 def synthetic_problem(n):
     """The n-dimensional closed-form family; needs n >= 2.
 
@@ -131,38 +172,14 @@ def synthetic_problem(n):
         raise ContractViolation("synthetic family needs n >= 2")
     e = np.ones(n)
     rootn = math.sqrt(n)
-
-    def F(x, y):
-        dx = x - e
-        dy = y - e
-        return float(np.dot(dx, dx) / n - np.dot(dy, dy))
-
-    # ||x|| as math.sqrt(x.dot(x)): what np.linalg.norm computes for a 1-D
-    # float vector, without its argument handling
-    def f(x, y):
-        r = float(np.dot(e, y)) - math.sqrt(x.dot(x))
-        return r * r
-
-    def grad_F_x(x, y):
-        return (2.0 / n) * (x - e)
-
-    def grad_F_y(x, y):
-        return -2.0 * (y - e)
-
-    def grad_f_x(x, y):
-        nx = math.sqrt(x.dot(x))
-        r = float(np.dot(e, y)) - nx
-        return (-2.0 * r / nx) * x
-
-    def grad_f_y(x, y):
-        r = float(np.dot(e, y)) - math.sqrt(x.dot(x))
-        return (2.0 * r) * e
-
     lip_f = 60.0 * n + 202.0 + 2.0 * rootn
     prob = BilevelProblem(
-        n_x=n, n_y=n, F=F, f=f,
-        grad_F_x=grad_F_x, grad_F_y=grad_F_y,
-        grad_f_x=grad_f_x, grad_f_y=grad_f_y,
+        n_x=n, n_y=n,
+        F=partial(_synthetic_F, n, e), f=partial(_synthetic_f, e),
+        grad_F_x=partial(_synthetic_grad_F_x, n, e),
+        grad_F_y=partial(_synthetic_grad_F_y, e),
+        grad_f_x=partial(_synthetic_grad_f_x, e),
+        grad_f_y=partial(_synthetic_grad_f_y, e),
         set_X=Box(np.full(n, 0.1), np.full(n, 10.0)),
         set_Y=Box(np.full(n, 1.0 / (2.0 * rootn)), np.full(n, np.inf)),
         mu=2.0, lip_F=2.0, lip_f=lip_f,
@@ -230,6 +247,23 @@ def generate_hyper_rep(n_feat, p_dim, m1, m2, m_test, noise_a, seed):
     )
 
 
+def _split_loss(X, y, x, w):  # on one split (X, y); x is H flattened
+    r = X.T @ x.reshape(X.shape[0], -1) @ w - y
+    return float(np.dot(r, r) / y.shape[0])
+
+
+def _split_grad_x(X, y, x, w):
+    H = x.reshape(X.shape[0], -1)
+    r = X.T @ H @ w - y
+    return ((2.0 / y.shape[0]) * np.outer(X @ r, w)).ravel()
+
+
+def _split_grad_w(X, y, x, w):
+    H = x.reshape(X.shape[0], -1)
+    r = X.T @ H @ w - y
+    return (2.0 / y.shape[0]) * (H.T @ (X @ r))
+
+
 def hyper_rep_problem(data):
     """Bilevel instance: x is the flattened map H, y the regression head w.
 
@@ -246,43 +280,14 @@ def hyper_rep_problem(data):
     grad_H = (2/m) X r w^T.
     """
     n, p = data.n_feat, data.p_dim
-    m1 = data.y_val.shape[0]
-    m2 = data.y_train.shape[0]
-    Xv, yv = data.X_val, data.y_val
-    Xt, yt = data.X_train, data.y_train
-
-    def F(x, w):
-        r = Xv.T @ x.reshape(n, p) @ w - yv
-        return float(np.dot(r, r) / m1)
-
-    def f(x, w):
-        r = Xt.T @ x.reshape(n, p) @ w - yt
-        return float(np.dot(r, r) / m2)
-
-    def grad_F_x(x, w):
-        H = x.reshape(n, p)
-        r = Xv.T @ H @ w - yv
-        return ((2.0 / m1) * np.outer(Xv @ r, w)).ravel()
-
-    def grad_F_y(x, w):
-        H = x.reshape(n, p)
-        r = Xv.T @ H @ w - yv
-        return (2.0 / m1) * (H.T @ (Xv @ r))
-
-    def grad_f_x(x, w):
-        H = x.reshape(n, p)
-        r = Xt.T @ H @ w - yt
-        return ((2.0 / m2) * np.outer(Xt @ r, w)).ravel()
-
-    def grad_f_y(x, w):
-        H = x.reshape(n, p)
-        r = Xt.T @ H @ w - yt
-        return (2.0 / m2) * (H.T @ (Xt @ r))
-
+    val, train = (data.X_val, data.y_val), (data.X_train, data.y_train)
     return BilevelProblem(
-        n_x=n * p, n_y=p, F=F, f=f,
-        grad_F_x=grad_F_x, grad_F_y=grad_F_y,
-        grad_f_x=grad_f_x, grad_f_y=grad_f_y,
+        n_x=n * p, n_y=p,
+        F=partial(_split_loss, *val), f=partial(_split_loss, *train),
+        grad_F_x=partial(_split_grad_x, *val),
+        grad_F_y=partial(_split_grad_w, *val),
+        grad_f_x=partial(_split_grad_x, *train),
+        grad_f_y=partial(_split_grad_w, *train),
         set_X=FullSpace(n * p), set_Y=FullSpace(p),
         mu=0.0, lip_F=math.inf, lip_f=math.inf,
         assumption_note="upper objective is convex (not strongly concave) in w",
@@ -291,9 +296,8 @@ def hyper_rep_problem(data):
 
 def hyper_rep_test_loss(data, x, w):
     """Mean squared error of the learned (H, w) on the clean test split."""
-    H = np.asarray(x, dtype=float).reshape(data.n_feat, data.p_dim)
-    r = data.X_test.T @ H @ np.asarray(w, dtype=float) - data.y_test
-    return float(np.dot(r, r) / data.y_test.shape[0])
+    return _split_loss(data.X_test, data.y_test,
+                       np.asarray(x, dtype=float), np.asarray(w, dtype=float))
 
 
 def hyper_rep_init(data, rng):

@@ -4,27 +4,18 @@
     sipba gradcheck|asymptotics --config cfg.json [--out DIR]
 
 All commands share one JSON configuration document; each reads the common
-``problem``/``schedule``/``run`` blocks plus its own section:
-
-    run          one SiPBA run per seed; per-run diagnostics CSV + summary CSV
-    ablate       grid of schedule overrides; time-to-target table
-    gradcheck    finite-difference validation of the problem gradients and of
-                 the smoothed-value gradient; nonzero exit above threshold
-    compare      SiPBA vs the double-loop baseline at an equal budget of
-                 gradient evaluations; aligned convergence-curve CSVs
-    asymptotics  smoothed-vs-exact value sandwich and saddle-limit tables on
-                 the closed-form synthetic family
+``problem``/``schedule``/``run`` blocks plus its own section. Command X is
+the function cmd_X below, whose docstring is its line in ``sipba --help``.
 
 CSV files are UTF-8 with LF line endings and 17-significant-digit floats, so
 reruns with the same config and seed reproduce every numerical column
 bit-for-bit (wall-time columns excepted). The environment variable SIPBA_SEED
 overrides the configured seed base. Each command reads its config once,
-before any run starts (also under --jobs), and every value through one
-getter, _get(d, "section.key", kind, default, low), which checks the kind,
-finiteness and range; a bad value is reported as ``cfg:line: section.key
-must be ..., got ...`` with exit code 1, the line found inside the key's
-section. Exit codes: 0 success, 1 config or usage error, 2 nothing completed
-(numerical failure), 3 acceptance violation.
+before any run starts, and every value through one checking getter, _get; a
+bad value is reported as ``cfg:line: section.key must be ..., got ...`` with
+exit code 1. The problem is built once too: every run task, inline or in a
+--jobs worker, gets the built object. Exit codes: 0 success, 1 config or
+usage error, 2 nothing completed (numerical failure), 3 acceptance violation.
 """
 
 import argparse
@@ -42,11 +33,13 @@ from .benchmarks import (
     hyper_rep_init,
     hyper_rep_problem,
     hyper_rep_test_loss,
+    quadratic_init,
     quadratic_testbed,
     synthetic_problem,
 )
 from .diagnostics import merit_value, relative_error, sandwich_check, snapshot
 from .errors import (
+    ContractViolation,
     DivergenceError,
     ParameterOverflowError,
     SaddleConvergenceError,
@@ -222,12 +215,12 @@ def _schedule(cfg, overrides, where):
 
 
 class ProblemBundle:
-    """Problem plus the bookkeeping the harness needs around it."""
+    """Problem plus the bookkeeping the harness needs around it (picklable)."""
 
     def __init__(self, problem, sample_init, closed_form=None,
                  metric_name="upper_objective", metric=None):
         self.problem = problem
-        self.sample_init = sample_init
+        self.sample_init = sample_init  # rng -> (x0, y0, z0)
         # object with x_star, y_star and closed_form_phi/y_star, or None
         self.closed_form = closed_form
         self.metric_name = metric_name
@@ -250,27 +243,16 @@ def build_problem(cfg):
                              closed_form=sbench, metric_name="eps_rel")
     if kind == "quadratic":
         prob = quadratic_testbed()
-
-        def sample(rng):
-            x0 = rng.uniform(-3.0, 3.0, 1)
-            y0 = rng.uniform(-3.0, 3.0, 1)
-            return x0, y0, y0.copy()
-
-        return ProblemBundle(prob, sample,
-                             metric=lambda x, y: prob.F(x, y))
+        return ProblemBundle(prob, quadratic_init, metric=prob.F)
     if kind == "hyper_rep":
         data = generate_hyper_rep(
             *(_get(pd, "problem." + k, "int", low=1)
               for k in ("n_feat", "p_dim", "m1", "m2", "m_test")),
             noise_a=_get(pd, "problem.noise_a", "num", low=0),
-            seed=_get(pd, "problem.data_seed", "int", low=0),
-        )
-        prob = hyper_rep_problem(data)
+            seed=_get(pd, "problem.data_seed", "int", low=0))
         return ProblemBundle(
-            prob, lambda rng: hyper_rep_init(data, rng),
-            metric_name="test_loss",
-            metric=lambda x, y: hyper_rep_test_loss(data, x, y),
-        )
+            hyper_rep_problem(data), partial(hyper_rep_init, data),
+            metric_name="test_loss", metric=partial(hyper_rep_test_loss, data))
     raise ConfigError("unknown problem kind %r" % kind, key="problem.kind")
 
 
@@ -299,21 +281,34 @@ def resolve_seeds(cfg):
     return seeds
 
 
-def _init(cfg, prob):
-    """The checked explicit start run.init (x0, y0, z0) for prob, or None."""
+def _init(cfg, bundle):
+    """The checked explicit start run.init (x0, y0, z0), or None."""
     init = _get(_get(cfg, "run", "dict", {}), "run.init", "dict", None)
     if init is None:
         return None
+    prob = bundle.problem
     x0 = _vector(init, "run.init.x0", prob.n_x)
     y0 = _vector(init, "run.init.y0", prob.n_y)
-    return x0, y0, _vector(init, "run.init.z0", prob.n_y, y0)
+    start = x0, y0, _vector(init, "run.init.z0", prob.n_y, y0)
+    st = _start(bundle, start, None)
+    try:
+        bundle.eps_rel(st.x, st.y, st.x, st.y)
+    except ContractViolation:  # eps_rel divides by the start's distance to it
+        raise ConfigError("run.init projects onto the known optimum (x*, y*)",
+                          key="run.init") from None
+    return start
+
+
+def _start(bundle, start, seed):
+    """A run's projected first state: run.init, or else seed's random draw."""
+    return initial_state(bundle.problem, *(start or bundle.sample_init(
+        np.random.Generator(np.random.Philox(seed)))))
 
 
 def _run_settings(cfg, max_iter=None, stop_at_target=None):
-    """Checked problem, run.init and run block, as _run_single keywords
-    (the parent's problem is not kept: each task builds its own)."""
+    """The built problem, run.init and run block, as _run_single keywords."""
     bundle = build_problem(cfg)
-    start = _init(cfg, bundle.problem)
+    start = _init(cfg, bundle)
     rc = _get(cfg, "run", "dict", {})
     if max_iter is None:
         max_iter = _get(rc, "run.max_iter", "int", low=0)
@@ -325,7 +320,7 @@ def _run_settings(cfg, max_iter=None, stop_at_target=None):
     if target_eps is not None and bundle.closed_form is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
                           key="run.target_eps_rel")
-    return dict(start=start, max_iter=max_iter, stride=stride,
+    return dict(bundle=bundle, start=start, max_iter=max_iter, stride=stride,
                 oracle_tol=oracle_tol, target_eps=target_eps,
                 stop_at_target=stop_at_target)
 
@@ -353,21 +348,19 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# tasks, worker-safe: each gets values the parent checked before fan-out and
-# rebuilds only the problem, whose closures do not pickle. Each runs with
-# numpy's floating-point warnings off: a run that leaves the float range is
-# caught by the finiteness checks and reported as its one FAILED line.
+# tasks, worker-safe: each gets the problem the parent built and values it
+# checked before fan-out. Each runs with numpy's floating-point warnings off:
+# a run that leaves the float range is caught by the finiteness checks and
+# reported as its one FAILED line.
 
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_quiet
-def _run_single(cfg, out_dir, sp, seed, start, max_iter, stride, oracle_tol,
-                target_eps, stop_at_target, write_rows=True):
-    bundle = build_problem(cfg)
+def _run_single(sp, seed, bundle, out_dir, start, max_iter, stride,
+                oracle_tol, target_eps, stop_at_target, write_rows=True):
     prob = bundle.problem
-    init = initial_state(prob, *(start or bundle.sample_init(
-        np.random.Generator(np.random.Philox(seed)))))
+    init = _start(bundle, start, seed)
     x_init, y_init = init.x.copy(), init.y.copy()
 
     target = None
@@ -434,11 +427,12 @@ def _tally(runs):
 
 
 def cmd_run(cfg, out_dir, jobs):
+    """One SiPBA run per seed: a diagnostics CSV per run and a summary CSV."""
     seeds = resolve_seeds(cfg)
     kw = _run_settings(cfg)
     sp = build_schedule(cfg)
     target_eps = kw["target_eps"]
-    ordered = _fan_out([partial(_run_single, cfg, out_dir, sp, s, **kw)
+    ordered = _fan_out([partial(_run_single, sp, s, out_dir=out_dir, **kw)
                         for s in seeds], jobs)
 
     for s, r in zip(seeds, ordered):
@@ -472,6 +466,7 @@ def cmd_run(cfg, out_dir, jobs):
 
 
 def cmd_ablate(cfg, out_dir, jobs):
+    """Grid of schedule overrides: a time-to-target table."""
     ab = _get(cfg, "ablate", "dict")
     grid = _get(ab, "ablate.grid", "dict[]")
     max_iter = _get(ab, "ablate.max_iter", "int", None, low=0)
@@ -480,7 +475,7 @@ def cmd_ablate(cfg, out_dir, jobs):
     kw = _run_settings(cfg, max_iter, stop_at_target=True)
 
     results = _fan_out([
-        partial(_run_single, cfg, out_dir, sp, s, write_rows=False, **kw)
+        partial(_run_single, sp, s, out_dir=out_dir, write_rows=False, **kw)
         for sp in schedules for s in seeds], jobs)
 
     table = []
@@ -506,6 +501,7 @@ def cmd_ablate(cfg, out_dir, jobs):
 
 
 def cmd_gradcheck(cfg, out_dir):
+    """Finite-difference check of the problem gradients and of grad phi."""
     gc = _get(cfg, "gradcheck", "dict", {})
     threshold = _get(gc, "gradcheck.threshold", "pos", 1e-4)
     n_points = _get(gc, "gradcheck.n_points", "int", 20, low=1)
@@ -548,11 +544,9 @@ def cmd_gradcheck(cfg, out_dir):
 
 def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
                            callback=None):
-    """Double-loop baseline driven to a gradient-evaluation budget.
-
-    Returns (x, last saddle, outer iterations, inner failures, seconds).
-    prob should come from with_gradient_counter so its counter is reused.
-    """
+    """Double-loop baseline driven to a gradient-evaluation budget: (x, last
+    saddle, outer iterations, inner failures, seconds). prob should come from
+    with_gradient_counter so its counter is reused."""
     res = run_double_loop_baseline(
         prob, sp, x0, None, inner_tol=inner_tol,
         inner_max_iter=budget,  # only the remaining budget caps a solve
@@ -562,18 +556,15 @@ def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
 
 
 @_quiet
-def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
+def _compare_single(sp, seed, bundle, out_dir, start, sp_base, stride, budget,
                     inner_tol):
-    bundle = build_problem(cfg)
-    x0, y0, z0 = start or bundle.sample_init(
-        np.random.Generator(np.random.Philox(seed)))
+    init = _start(bundle, start, seed)
+    x_init, y_init = init.x.copy(), init.y.copy()
     rows = []
-    out = {"ok": True, "metric_name": bundle.metric_name}
+    out = {"ok": True}
 
     # single-loop arm
     prob_s, cnt_s = with_gradient_counter(bundle.problem)
-    init = initial_state(prob_s, x0, y0, z0)
-    x_init, y_init = init.x.copy(), init.y.copy()
 
     def metric_fn(x, y):
         eps = bundle.eps_rel(x, y, x_init, y_init)
@@ -603,7 +594,7 @@ def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
 
         try:
             bx, bsd, _, _, _ = _baseline_under_budget(
-                prob_b, sp_base, x0, u0, budget, inner_tol, callback=bl_cb)
+                prob_b, sp_base, init.x, u0, budget, inner_tol, callback=bl_cb)
             out.update(baseline_final=metric_fn(bx, bsd.y_star),
                        baseline_evals=cnt_b.count)
         except (DivergenceError, ParameterOverflowError) as e:
@@ -615,28 +606,29 @@ def _compare_single(cfg, out_dir, start, sp, seed, sp_base, stride, budget,
 
 
 def cmd_compare(cfg, out_dir, jobs):
+    """SiPBA vs the double-loop baseline at an equal gradient budget."""
     seeds = resolve_seeds(cfg)
-    start = _init(cfg, build_problem(cfg).problem)  # tasks build their own
+    bundle = build_problem(cfg)
+    start = _init(cfg, bundle)
     cc = _get(cfg, "compare", "dict", {})
     rc = _get(cfg, "run", "dict", {})
     stride = _get(rc, "run.stride", "int", 100, low=1)
-    # one single-loop step costs 6 gradient evaluations
-    budget = _get(cc, "compare.budget", "int", None, low=6)
-    if budget is None:
-        # only needed as the budget default, one step at least for each arm
-        budget = 6 * _get(rc, "run.max_iter", "int", low=1)
+    # one single-loop step costs 6 gradient evaluations; the default budget
+    # (run.max_iter is read only for it) buys one step at least for each arm
+    budget = (_get(cc, "compare.budget", "int", None, low=6)
+              or 6 * _get(rc, "run.max_iter", "int", low=1))
     inner_tol = _get(cc, "compare.inner_tol", "pos", 1e-5)
     sp = build_schedule(cfg)
     sp_base = _schedule(
         cfg, _get(cc, "compare.baseline_schedule", "dict", {}),
         "compare.baseline_schedule")
-    ordered = _fan_out([partial(_compare_single, cfg, out_dir, start, sp, s,
+    ordered = _fan_out([partial(_compare_single, sp, s, bundle, out_dir, start,
                                 sp_base, stride, budget, inner_tol)
                         for s in seeds], jobs)
     for s, r in zip(seeds, ordered):
         if r["ok"]:
             print("run %d: %s  sipba %.6e (%d evals)  baseline %.6e (%d evals)"
-                  % (s, r["metric_name"], r["sipba_final"], r["sipba_evals"],
+                  % (s, bundle.metric_name, r["sipba_final"], r["sipba_evals"],
                      r["baseline_final"], r["baseline_evals"]))
         else:
             print("run %d: FAILED (%s)" % (s, r["error"]))
@@ -644,6 +636,7 @@ def cmd_compare(cfg, out_dir, jobs):
 
 
 def cmd_asymptotics(cfg, out_dir):
+    """Smoothed-vs-exact value sandwich and saddle-limit tables (synthetic)."""
     bundle = build_problem(cfg)
     if bundle.closed_form is None:
         raise ConfigError("asymptotics needs the closed-form synthetic "
@@ -724,16 +717,10 @@ def main(argv=None):
         description="Benchmark harness for the smoothed pessimistic bilevel "
                     "solver.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, hlp in (
-        ("run", cmd_run, "multi-seed runs with diagnostics CSVs and a summary"),
-        ("ablate", cmd_ablate, "schedule-override grid, time-to-target table"),
-        ("gradcheck", cmd_gradcheck, "finite-difference gradient validation"),
-        ("compare", cmd_compare,
-         "single-loop vs double-loop at equal gradient budget"),
-        ("asymptotics", cmd_asymptotics,
-         "value sandwich and saddle-limit tables"),
-    ):
-        p = sub.add_parser(name, help=hlp)
+    for handler in (cmd_run, cmd_ablate, cmd_gradcheck, cmd_compare,
+                    cmd_asymptotics):
+        name = handler.__name__[len("cmd_"):]
+        p = sub.add_parser(name, help=handler.__doc__)
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON config path")
         if name in ("run", "ablate", "compare"):  # the commands that fan out
@@ -750,7 +737,15 @@ def main(argv=None):
     try:
         cfg, raw = load_config(args.config)
         out_dir = args.out or _get(cfg, "out_dir", "str", ".")
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as e:
+            what = "must name a directory, got %r (%s)" % (out_dir, e.strerror)
+            if not args.out:
+                raise ConfigError("out_dir " + what, key="out_dir") from None
+            print("sipba %s: error: --out %s" % (args.command, what),
+                  file=sys.stderr)
+            return 1
         jobs = {"jobs": args.jobs} if "jobs" in args else {}
         return args.handler(cfg, out_dir, **jobs)
     except ConfigError as e:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sipba.benchmarks import (
     hyper_rep_init,
     hyper_rep_problem,
     hyper_rep_test_loss,
+    quadratic_init,
     quadratic_testbed,
     synthetic_problem,
 )
@@ -153,3 +156,21 @@ def test_generate_hyper_rep_validation():
         generate_hyper_rep(0, 2, 5, 5, 5, 0.1, seed=1)
     with pytest.raises(ContractViolation):
         generate_hyper_rep(5, 2, 5, 5, 5, -0.1, seed=1)
+
+
+def test_hyper_rep_test_loss_is_the_split_loss_on_the_test_split():
+    data = generate_hyper_rep(4, 2, 6, 7, 9, 0.1, seed=5)
+    on_test = hyper_rep_problem(replace(data, X_val=data.X_test,
+                                        y_val=data.y_test))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        x, w = rng.standard_normal(8), rng.standard_normal(2)
+        assert hyper_rep_test_loss(data, x, w) == on_test.F(x, w)
+        assert hyper_rep_test_loss(data, list(x), list(w)) == on_test.F(x, w)
+
+
+def test_quadratic_init_draws_inside_the_window():
+    x0, y0, z0 = quadratic_init(np.random.default_rng(1))
+    assert x0.shape == y0.shape == (1,)
+    assert abs(x0[0]) <= 3.0 and abs(y0[0]) <= 3.0
+    assert np.array_equal(z0, y0) and z0 is not y0

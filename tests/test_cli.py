@@ -1,6 +1,9 @@
 import csv
 import json
+import multiprocessing
 import os
+import pickle
+import re
 import subprocess
 import sys
 
@@ -129,19 +132,6 @@ def test_run_determinism_across_invocations(tmp_path):
         ti = header.index("time_s")
         outs.append([tuple(v for i, v in enumerate(r) if i != ti) for r in rows])
     assert outs[0] == outs[1]
-
-
-def test_jobs_flag_matches_serial_output(tmp_path):
-    cfgp = write_cfg(tmp_path, synthetic_cfg())
-    serial, par = tmp_path / "s", tmp_path / "p"
-    assert cli.main(["run", "--config", cfgp, "--out", str(serial)]) == 0
-    assert cli.main(["run", "--config", cfgp, "--jobs", "2", "--out", str(par)]) == 0
-    for seed in (5, 6):
-        h, a = read_csv(serial / ("run_%d.csv" % seed))
-        _, b = read_csv(par / ("run_%d.csv" % seed))
-        ti = h.index("time_s")
-        strip = lambda rows: [tuple(v for i, v in enumerate(r) if i != ti) for r in rows]
-        assert strip(a) == strip(b)
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
@@ -631,3 +621,137 @@ def test_jobs_is_a_usage_error_where_nothing_fans_out(tmp_path, capsys, cmd):
     assert cli.main([cmd, "--config", cfgp, "--jobs", "2",
                      "--out", str(tmp_path / "o")]) == 1
     assert "--jobs" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the problem is built once per command and handed to every run task
+
+TIME_COLUMNS = {"time_s", "mean_time_to_target_s", "std_time_to_target_s"}
+PROBLEMS = {"synthetic": {"kind": "synthetic", "n": 3},
+            "quadratic": {"kind": "quadratic"}, "hyper_rep": HYPER_REP}
+
+
+def small_cfg(kind):
+    """A small valid run/ablate/compare config for one problem kind."""
+    cfg = synthetic_cfg(ablate={"grid": [{}, {"alpha0": 0.05}], "max_iter": 200},
+                        compare={"budget": 600})
+    cfg["problem"] = dict(PROBLEMS[kind])
+    cfg["run"]["max_iter"] = 200
+    if kind != "synthetic":  # a target needs a known optimum
+        del cfg["run"]["target_eps_rel"]
+    return cfg
+
+
+def outputs(out_dir):
+    """Every CSV in out_dir, wall-time columns dropped."""
+    got = {}
+    for name in sorted(os.listdir(out_dir)):
+        header, rows = read_csv(out_dir / name)
+        keep = [i for i, h in enumerate(header) if h not in TIME_COLUMNS]
+        got[name] = [[r[i] for i in keep] for r in [header] + rows]
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+@pytest.mark.parametrize("cmd", FAN_OUT)
+def test_jobs_flag_matches_serial_output(tmp_path, capsys, cmd, kind):
+    cfgp = write_cfg(tmp_path, small_cfg(kind))
+    printed = []
+    for jobs in ("1", "2"):
+        assert cli.main([cmd, "--config", cfgp, "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        # the printed seconds are wall-clock readings too
+        printed.append(re.sub(r"\d+\.\d+(?= s\b| \+-)", "T",
+                              capsys.readouterr().out))
+    assert outputs(tmp_path / "1") == outputs(tmp_path / "2")
+    assert printed[0] == printed[1]
+    assert len(outputs(tmp_path / "1")) == {"run": 3, "ablate": 1,
+                                            "compare": 2}[cmd]
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_built_problem_pickles(kind):
+    bundle = cli.build_problem({"problem": PROBLEMS[kind]})
+    copy = pickle.loads(pickle.dumps(bundle))
+    prob, prob2 = bundle.problem, copy.problem
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = rng.uniform(0.2, 3.0, prob.n_x)
+        y = rng.uniform(0.2, 3.0, prob.n_y)
+        for name in ("F", "f", "grad_F_x", "grad_F_y", "grad_f_x", "grad_f_y"):
+            a, b = getattr(prob, name)(x, y), getattr(prob2, name)(x, y)
+            assert np.array_equal(a, b) and type(a) is type(b), name
+        if bundle.metric is not None:
+            assert bundle.metric(x, y) == copy.metric(x, y)
+        assert bundle.eps_rel(x, y, 2 * x, 2 * y) == copy.eps_rel(x, y, 2 * x,
+                                                                  2 * y)
+    draws = [b.sample_init(np.random.Generator(np.random.Philox(11)))
+             for b in (bundle, copy)]
+    assert all(np.array_equal(a, b) for a, b in zip(*draws))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cmd", FAN_OUT)
+def test_problem_is_built_once_per_command(tmp_path, monkeypatch, cmd, jobs):
+    # the counter lives in shared memory, so builds in workers count too
+    count = multiprocessing.Value("i", 0)
+    build = cli.build_problem
+
+    def counting_build(cfg):
+        with count.get_lock():
+            count.value += 1
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "build_problem", counting_build)
+    cfgp = write_cfg(tmp_path, small_cfg("synthetic"))
+    assert cli.main([cmd, "--config", cfgp, "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert count.value == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cmd", FAN_OUT)
+def test_init_projected_onto_the_optimum_is_a_config_error(
+        tmp_path, monkeypatch, capsys, cmd, jobs):
+    # y0 = 0 projects onto y* = e / (2 sqrt 2), and x0 is x*: eps_rel would
+    # divide by zero in every run
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    cfg = small_cfg("synthetic")
+    cfg["problem"]["n"] = 2
+    cfg["run"]["init"] = {"x0": [0.5, 0.5], "y0": [0.0, 0.0]}
+    cfgp = write_cfg(tmp_path, cfg)
+    assert cli.main([cmd, "--config", cfgp, "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("%s:%d: run.init projects onto the known optimum (x*, y*)\n"
+                   % (cfgp, key_line(cfgp, "run.init")))
+    assert out == ""
+
+
+def test_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    cfg = synthetic_cfg(out_dir=str(tmp_path / "afile" / "sub"))
+    cfgp = write_cfg(tmp_path, cfg)
+    assert cli.main(["run", "--config", cfgp]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("%s:%d: out_dir must name a directory, got "
+                          % (cfgp, key_line(cfgp, "out_dir")))
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["run", "gradcheck"])
+def test_out_flag_naming_a_file_is_a_usage_error(tmp_path, capsys, cmd):
+    cfgp = write_cfg(tmp_path, bad_cfg("gradcheck.n_points", 2))
+    for out in (cfgp, os.path.join(cfgp, "sub")):  # a file, a path below it
+        assert cli.main([cmd, "--config", cfgp, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sipba %s: error: --out must name a directory, "
+                              "got %r (" % (cmd, out))
+        assert err.count("\n") == 1
+
+
+def test_help_lists_each_command_with_its_docstring(capsys):
+    assert cli.main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for cmd in ("run", "ablate", "gradcheck", "compare", "asymptotics"):
+        assert " ".join(getattr(cli, "cmd_" + cmd).__doc__.split()) in text
