@@ -13,9 +13,10 @@ bit-for-bit (wall-time columns excepted). The environment variable SIPBA_SEED
 overrides the configured seed base. Each command reads its config once,
 before any run starts, and every value through one checking getter, _get; a
 bad value is reported as ``cfg:line: section.key must be ..., got ...`` with
-exit code 1. The problem is built once too: every run task, inline or in a
---jobs worker, gets the built object. Exit codes: 0 success, 1 config or
-usage error, 2 nothing completed (numerical failure), 3 acceptance violation.
+exit code 1. The problem and each run's start are built once too: every run
+task, inline or in a --jobs worker, gets the built problem and its projected
+first state. Exit codes: 0 success, 1 config or usage error, 2 nothing
+completed (numerical failure), 3 acceptance violation.
 """
 
 import argparse
@@ -69,6 +70,8 @@ COMPARE_COLUMNS = ["method", "run_id", "step", "grad_evals", "time_s",
                    "metric_name", "metric"]
 SCHEDULE_FIELDS = ("alpha0", "beta0", "rho0", "sigma0", "p", "q", "s",
                    "t_exp", "rho_cap")
+RUN_KEYS = ("seeds", "init", "max_iter", "stride", "oracle_tol",
+            "target_eps_rel", "stop_at_target")
 
 
 class ConfigError(Exception):
@@ -169,6 +172,14 @@ def _vector(d, key, n, default=_MISSING):
     return v
 
 
+def _known(d, section, keys):
+    """Rejects the first key of the config object `section` not in keys."""
+    for k in d:
+        if k not in keys:
+            raise ConfigError("unknown %s key %r" % (section, k),
+                              key="%s.%s" % (section, k))
+
+
 # ---------------------------------------------------------------------------
 # config -> objects
 
@@ -184,6 +195,7 @@ def _schedule(cfg, overrides, where):
     compare.baseline_schedule), which its errors name."""
     sd = _get(cfg, "schedule", "dict", {})
     guideline = _get(sd, "schedule.guideline", "bool", False)
+    _known(sd, "schedule", SCHEDULE_FIELDS + ("guideline",))
     vals = {}
     for block, d in (("schedule", sd), (where, overrides)):
         for k in d:
@@ -191,12 +203,9 @@ def _schedule(cfg, overrides, where):
                 v = _get(d, "%s.%s" % (block, k), "num", None)
                 if v is not None:  # a null field keeps its default
                     vals[k] = v
-            elif block != "schedule":
+            elif block != "schedule":  # else it is guideline
                 raise ConfigError("unknown schedule override %r" % k,
                                   key=where)
-            elif k != "guideline":
-                raise ConfigError("unknown schedule key %r" % k,
-                                  key="schedule." + k)
     if guideline:
         if "s" in vals:
             block = where if overrides.get("s") is not None else "schedule"
@@ -281,38 +290,45 @@ def resolve_seeds(cfg):
     return seeds
 
 
-def _init(cfg, bundle):
-    """The checked explicit start run.init (x0, y0, z0), or None."""
-    init = _get(_get(cfg, "run", "dict", {}), "run.init", "dict", None)
-    if init is None:
-        return None
+def _runs(cfg):
+    """The prologue of run, ablate and compare: (seeds, each seed's projected
+    first state, the run block, the built problem, run.stride). A start is
+    run.init, which then may name one run only, or else the seed's Philox
+    draw; the tasks take these states as is."""
+    rc = _get(cfg, "run", "dict", {})
+    _known(rc, "run", RUN_KEYS)
+    seeds = resolve_seeds(cfg)
+    bundle = build_problem(cfg)
     prob = bundle.problem
-    x0 = _vector(init, "run.init.x0", prob.n_x)
-    y0 = _vector(init, "run.init.y0", prob.n_y)
-    start = x0, y0, _vector(init, "run.init.z0", prob.n_y, y0)
-    st = _start(bundle, start, None)
-    try:
-        bundle.eps_rel(st.x, st.y, st.x, st.y)
-    except ContractViolation:  # eps_rel divides by the start's distance to it
-        raise ConfigError("run.init projects onto the known optimum (x*, y*)",
-                          key="run.init") from None
-    return start
-
-
-def _start(bundle, start, seed):
-    """A run's projected first state: run.init, or else seed's random draw."""
-    return initial_state(bundle.problem, *(start or bundle.sample_init(
-        np.random.Generator(np.random.Philox(seed)))))
+    init = _get(rc, "run.init", "dict", None)
+    if init is None:
+        starts = [initial_state(prob, *bundle.sample_init(
+            np.random.Generator(np.random.Philox(s)))) for s in seeds]
+    else:
+        _known(init, "run.init", ("x0", "y0", "z0"))
+        x0 = _vector(init, "run.init.x0", prob.n_x)
+        y0 = _vector(init, "run.init.y0", prob.n_y)
+        st = initial_state(prob, x0, y0,
+                           _vector(init, "run.init.z0", prob.n_y, y0))
+        try:
+            bundle.eps_rel(st.x, st.y, st.x, st.y)
+        except ContractViolation:  # eps_rel divides by the start's distance
+            raise ConfigError("run.init projects onto the known optimum "
+                              "(x*, y*)", key="run.init") from None
+        if len(seeds) > 1:
+            raise ConfigError("run.init fixes the start, so run.seeds must "
+                              "name one run, got %d" % len(seeds),
+                              key="run.init")
+        starts = [st]
+    return seeds, starts, rc, bundle, _get(rc, "run.stride", "int", 100, low=1)
 
 
 def _run_settings(cfg, max_iter=None, stop_at_target=None):
-    """The built problem, run.init and run block, as _run_single keywords."""
-    bundle = build_problem(cfg)
-    start = _init(cfg, bundle)
-    rc = _get(cfg, "run", "dict", {})
+    """_runs(cfg) for run and ablate: the seeds, their starts and the
+    _run_single keywords, the rest of the run block among them."""
+    seeds, starts, rc, bundle, stride = _runs(cfg)
     if max_iter is None:
         max_iter = _get(rc, "run.max_iter", "int", low=0)
-    stride = _get(rc, "run.stride", "int", 100, low=1)
     oracle_tol = _get(rc, "run.oracle_tol", "pos", 1e-8)
     target_eps = _get(rc, "run.target_eps_rel", "pos", None)
     if stop_at_target is None:
@@ -320,9 +336,9 @@ def _run_settings(cfg, max_iter=None, stop_at_target=None):
     if target_eps is not None and bundle.closed_form is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
                           key="run.target_eps_rel")
-    return dict(bundle=bundle, start=start, max_iter=max_iter, stride=stride,
-                oracle_tol=oracle_tol, target_eps=target_eps,
-                stop_at_target=stop_at_target)
+    return seeds, starts, dict(
+        bundle=bundle, max_iter=max_iter, stride=stride, oracle_tol=oracle_tol,
+        target_eps=target_eps, stop_at_target=stop_at_target)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +373,14 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_quiet
-def _run_single(sp, seed, bundle, out_dir, start, max_iter, stride,
+def _run_single(sp, seed, init, bundle, out_dir, max_iter, stride,
                 oracle_tol, target_eps, stop_at_target, write_rows=True):
     prob = bundle.problem
-    init = _start(bundle, start, seed)
-    x_init, y_init = init.x.copy(), init.y.copy()
 
     target = None
     if target_eps is not None:
         def target(st):
-            return bundle.eps_rel(st.x, st.y, x_init, y_init) < target_eps
+            return bundle.eps_rel(st.x, st.y, init.x, init.y) < target_eps
 
     rows = []
     phi_min = np.inf
@@ -380,7 +394,7 @@ def _run_single(sp, seed, bundle, out_dir, start, max_iter, stride,
         phi_min = min(phi_min, sn.phi)
         merit = merit_value(done, sp.s, sp.t_exp, sn.phi - (phi_min - 1.0),
                             sn.tracking_err)
-        eps = bundle.eps_rel(st.x, st.y, x_init, y_init)
+        eps = bundle.eps_rel(st.x, st.y, init.x, init.y)
         rows.append((seed, done, elapsed, sn.phi, eps, sn.tracking_err,
                      sn.stat_residual, merit))
 
@@ -396,7 +410,7 @@ def _run_single(sp, seed, bundle, out_dir, start, max_iter, stride,
                "target_iteration": res.target_iteration,
                "target_seconds": res.target_seconds,
                "final_eps_rel": bundle.eps_rel(res.state.x, res.state.y,
-                                               x_init, y_init)}
+                                               init.x, init.y)}
     if write_rows:
         _write_csv(os.path.join(out_dir, "run_%d.csv" % seed), RUN_COLUMNS,
                    rows)
@@ -428,12 +442,11 @@ def _tally(runs):
 
 def cmd_run(cfg, out_dir, jobs):
     """One SiPBA run per seed: a diagnostics CSV per run and a summary CSV."""
-    seeds = resolve_seeds(cfg)
-    kw = _run_settings(cfg)
+    seeds, starts, kw = _run_settings(cfg)
     sp = build_schedule(cfg)
     target_eps = kw["target_eps"]
-    ordered = _fan_out([partial(_run_single, sp, s, out_dir=out_dir, **kw)
-                        for s in seeds], jobs)
+    ordered = _fan_out([partial(_run_single, sp, s, st, out_dir=out_dir, **kw)
+                        for s, st in zip(seeds, starts)], jobs)
 
     for s, r in zip(seeds, ordered):
         if r["ok"]:
@@ -443,8 +456,8 @@ def cmd_run(cfg, out_dir, jobs):
                    if target_eps is not None else "")
             eps_txt = ("final eps_rel %.3e" % r["final_eps_rel"]
                        if r["final_eps_rel"] is not None else "")
-            print("run %d: %d iterations  %s  %s"
-                  % (s, r["iterations"], eps_txt, hit))
+            print("  ".join(filter(None, ("run %d: %d iterations" % (
+                s, r["iterations"]), eps_txt, hit))))
         else:
             print("run %d: FAILED (%s)" % (s, r["error"]))
 
@@ -470,13 +483,15 @@ def cmd_ablate(cfg, out_dir, jobs):
     ab = _get(cfg, "ablate", "dict")
     grid = _get(ab, "ablate.grid", "dict[]")
     max_iter = _get(ab, "ablate.max_iter", "int", None, low=0)
-    seeds = resolve_seeds(cfg)
     schedules = [_schedule(cfg, ov, "ablate.grid") for ov in grid]
-    kw = _run_settings(cfg, max_iter, stop_at_target=True)
+    seeds, starts, kw = _run_settings(cfg, max_iter, stop_at_target=True)
+    if kw["target_eps"] is None:
+        raise ConfigError("ablate needs run.target_eps_rel, the eps_rel its "
+                          "runs are timed to", key="run.target_eps_rel")
 
     results = _fan_out([
-        partial(_run_single, sp, s, out_dir=out_dir, write_rows=False, **kw)
-        for sp in schedules for s in seeds], jobs)
+        partial(_run_single, sp, s, st, out_dir=out_dir, write_rows=False, **kw)
+        for sp in schedules for s, st in zip(seeds, starts)], jobs)
 
     table = []
     for i, sp in enumerate(schedules):
@@ -556,10 +571,8 @@ def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
 
 
 @_quiet
-def _compare_single(sp, seed, bundle, out_dir, start, sp_base, stride, budget,
+def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
                     inner_tol):
-    init = _start(bundle, start, seed)
-    x_init, y_init = init.x.copy(), init.y.copy()
     rows = []
     out = {"ok": True}
 
@@ -567,7 +580,7 @@ def _compare_single(sp, seed, bundle, out_dir, start, sp_base, stride, budget,
     prob_s, cnt_s = with_gradient_counter(bundle.problem)
 
     def metric_fn(x, y):
-        eps = bundle.eps_rel(x, y, x_init, y_init)
+        eps = bundle.eps_rel(x, y, init.x, init.y)
         return bundle.metric(x, y) if eps is None else eps
 
     def cb(st, elapsed):
@@ -607,12 +620,8 @@ def _compare_single(sp, seed, bundle, out_dir, start, sp_base, stride, budget,
 
 def cmd_compare(cfg, out_dir, jobs):
     """SiPBA vs the double-loop baseline at an equal gradient budget."""
-    seeds = resolve_seeds(cfg)
-    bundle = build_problem(cfg)
-    start = _init(cfg, bundle)
+    seeds, starts, rc, bundle, stride = _runs(cfg)
     cc = _get(cfg, "compare", "dict", {})
-    rc = _get(cfg, "run", "dict", {})
-    stride = _get(rc, "run.stride", "int", 100, low=1)
     # one single-loop step costs 6 gradient evaluations; the default budget
     # (run.max_iter is read only for it) buys one step at least for each arm
     budget = (_get(cc, "compare.budget", "int", None, low=6)
@@ -622,9 +631,9 @@ def cmd_compare(cfg, out_dir, jobs):
     sp_base = _schedule(
         cfg, _get(cc, "compare.baseline_schedule", "dict", {}),
         "compare.baseline_schedule")
-    ordered = _fan_out([partial(_compare_single, sp, s, bundle, out_dir, start,
+    ordered = _fan_out([partial(_compare_single, sp, s, st, bundle, out_dir,
                                 sp_base, stride, budget, inner_tol)
-                        for s in seeds], jobs)
+                        for s, st in zip(seeds, starts)], jobs)
     for s, r in zip(seeds, ordered):
         if r["ok"]:
             print("run %d: %s  sipba %.6e (%d evals)  baseline %.6e (%d evals)"

@@ -526,7 +526,13 @@ class _NoPool:
      "unknown schedule override 'gamma'"),
     ("compare", {"compare": {"baseline_schedule": {"gamma": 1.0}}},
      "compare.baseline_schedule", "unknown schedule override 'gamma'"),
-], ids=["stride", "init", "target", "budget", "override", "baseline"])
+    ("run", {"run": {"target_eps": 0.5}}, "run.target_eps",
+     "unknown run key 'target_eps'"),
+    ("compare", {"run": {"init": {"x0": [1.0, 1.0], "y0": [1.0, 1.0],
+                                  "z_0": [1.0, 1.0]}}},
+     "run.init.z_0", "unknown run.init key 'z_0'"),
+], ids=["stride", "init", "target", "budget", "override", "baseline",
+        "run-key", "init-key"])
 def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
                                            cmd, patch, key, message):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
@@ -652,8 +658,9 @@ def outputs(out_dir):
     return got
 
 
-@pytest.mark.parametrize("kind", sorted(PROBLEMS))
-@pytest.mark.parametrize("cmd", FAN_OUT)
+@pytest.mark.parametrize("cmd, kind", [
+    (cmd, kind) for cmd in FAN_OUT for kind in sorted(PROBLEMS)
+    if cmd != "ablate" or kind == "synthetic"])  # ablate needs a target
 def test_jobs_flag_matches_serial_output(tmp_path, capsys, cmd, kind):
     cfgp = write_cfg(tmp_path, small_cfg(kind))
     printed = []
@@ -726,6 +733,78 @@ def test_init_projected_onto_the_optimum_is_a_config_error(
     assert err == ("%s:%d: run.init projects onto the known optimum (x*, y*)\n"
                    % (cfgp, key_line(cfgp, "run.init")))
     assert out == ""
+
+
+class CountingDraw:
+    """A sample_init that logs each call to a file, in any process."""
+
+    def __init__(self, draw, log):
+        self.draw, self.log = draw, log
+
+    def __call__(self, rng):
+        with open(self.log, "a", encoding="utf-8") as fh:
+            fh.write("draw\n")
+        return self.draw(rng)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_each_start_is_drawn_once_per_seed(tmp_path, monkeypatch, jobs):
+    # 2 grid rows x 2 seeds run 4 tasks from 2 starts
+    log = tmp_path / "draws.log"
+    build = cli.build_problem
+
+    def counting_build(cfg):
+        bundle = build(cfg)
+        bundle.sample_init = CountingDraw(bundle.sample_init, str(log))
+        return bundle
+
+    monkeypatch.setattr(cli, "build_problem", counting_build)
+    cfgp = write_cfg(tmp_path, small_cfg("synthetic"))
+    assert cli.main(["ablate", "--config", cfgp, "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert log.read_text(encoding="utf-8").count("draw") == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cmd", FAN_OUT)
+def test_init_with_several_seeds_is_a_config_error(tmp_path, monkeypatch,
+                                                   capsys, cmd, jobs):
+    # a fixed start makes every seed the same run
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    cfg = small_cfg("synthetic")
+    cfg["run"]["init"] = {"x0": [1.0, 1.0, 1.0], "y0": [1.0, 1.0, 1.0]}
+    cfgp = write_cfg(tmp_path, cfg)
+    assert cli.main([cmd, "--config", cfgp, "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("%s:%d: run.init fixes the start, so run.seeds must name "
+                   "one run, got 2\n" % (cfgp, key_line(cfgp, "run.init")))
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_ablate_without_a_target_is_a_config_error(tmp_path, monkeypatch,
+                                                   capsys, kind):
+    # its table would time every run to a target it has not got
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    cfg = small_cfg(kind)
+    cfg["run"].pop("target_eps_rel", None)
+    cfgp = write_cfg(tmp_path, cfg)
+    assert cli.main(["ablate", "--config", cfgp, "--jobs", "2",
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("%s:%d: ablate needs run.target_eps_rel, the eps_rel its "
+                   "runs are timed to\n" % (cfgp, key_line(cfgp, "run")))
+    assert out == ""
+
+
+def test_run_line_has_no_empty_parts(tmp_path, capsys):
+    # without a known optimum a run has neither eps_rel nor a target
+    cfgp = write_cfg(tmp_path, small_cfg("quadratic"))
+    assert cli.main(["run", "--config", cfgp,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == ("run 5: 200 iterations\n"
+                                       "run 6: 200 iterations\n")
 
 
 def test_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
