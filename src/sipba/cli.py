@@ -3,20 +3,21 @@
     sipba run|ablate|compare --config cfg.json [--jobs N] [--out DIR]
     sipba gradcheck|asymptotics --config cfg.json [--out DIR]
 
-All commands share one JSON configuration document; each reads the common
+All commands share one JSON configuration document. The table CONFIG_KEYS
+defines its keys (kind, default, lower bound); each command reads the common
 ``problem``/``schedule``/``run`` blocks plus its own section. Command X is
 the function cmd_X below, whose docstring is its line in ``sipba --help``.
 
 CSV files are UTF-8 with LF line endings and 17-significant-digit floats, so
 reruns with the same config and seed reproduce every numerical column
 bit-for-bit (wall-time columns excepted). The environment variable SIPBA_SEED
-overrides the configured seed base. Each command reads its config once,
-before any run starts, and every value through one checking getter, _get; a
-bad value is reported as ``cfg:line: section.key must be ..., got ...`` with
-exit code 1. The problem and each run's start are built once too: every run
-task, inline or in a --jobs worker, gets the built problem and its projected
-first state. Exit codes: 0 success, 1 config or usage error, 2 nothing
-completed (numerical failure), 3 acceptance violation.
+overrides the configured seed base. Each command checks its config once,
+before any run starts: a key the table lacks, in any block, is reported as
+``cfg:line: unknown <block> key 'k'``, a bad value (read by the one getter,
+_get) as ``cfg:line: section.key must be ..., got ...``. The problem and
+each run's start are built once too, and every run task gets them. Exit
+codes: 0 success, 1 config or usage error, 2 nothing completed (numerical
+failure), 3 acceptance violation.
 """
 
 import argparse
@@ -70,8 +71,58 @@ COMPARE_COLUMNS = ["method", "run_id", "step", "grad_evals", "time_s",
                    "metric_name", "metric"]
 SCHEDULE_FIELDS = ("alpha0", "beta0", "rho0", "sigma0", "p", "q", "s",
                    "t_exp", "rho_cap")
-RUN_KEYS = ("seeds", "init", "max_iter", "stride", "oracle_tol",
-            "target_eps_rel", "stop_at_target")
+
+# Every config key, as _get reads it: dotted key -> (kind, default, inclusive
+# lower bound); _MISSING makes a key required. The README lists the same keys.
+CONFIG_KEYS = {
+    "out_dir": ("str", ".", None),
+    "problem": ("dict", _MISSING, None),
+    "problem.kind": ("str", _MISSING, None),
+    "problem.n": ("int", _MISSING, 2),
+    **{"problem." + k: ("int", _MISSING, 1)
+       for k in ("n_feat", "p_dim", "m1", "m2", "m_test")},
+    "problem.noise_a": ("num", _MISSING, 0),
+    "problem.data_seed": ("int", _MISSING, 0),
+    "schedule": ("dict", {}, None),
+    "schedule.guideline": ("bool", False, None),
+    **{"schedule." + k: ("num", None, None) for k in SCHEDULE_FIELDS},
+    "schedule.rho_cap": ("num", 1e12, None),
+    "run": ("dict", {}, None),
+    "run.seeds": ("dict", {"base": 0, "count": 1}, None),
+    "run.seeds.base": ("int", _MISSING, 0),
+    "run.seeds.count": ("int", _MISSING, 1),
+    "run.max_iter": ("int", _MISSING, 0),
+    "run.stride": ("int", 100, 1),
+    "run.oracle_tol": ("pos", 1e-8, None),
+    "run.target_eps_rel": ("pos", None, None),
+    "run.stop_at_target": ("bool", False, None),
+    "run.init": ("dict", None, None),
+    **{"run.init." + k: ("num[]", _MISSING, None) for k in ("x0", "y0")},
+    "run.init.z0": ("num[]", None, None),
+    "ablate": ("dict", _MISSING, None),
+    "ablate.grid": ("dict[]", _MISSING, None),
+    "ablate.max_iter": ("int", None, 0),
+    "compare": ("dict", {}, None),
+    "compare.budget": ("int", None, 6),
+    "compare.inner_tol": ("pos", 1e-5, None),
+    "compare.baseline_schedule": ("dict", {}, None),
+    "gradcheck": ("dict", {}, None),
+    "gradcheck.threshold": ("pos", 1e-4, None),
+    "gradcheck.n_points": ("int", 20, 1),
+    "gradcheck.fd_step": ("pos", 1e-5, None),
+    "gradcheck.oracle_tol": ("pos", 1e-10, None),
+    "gradcheck.rho": ("pos", 10.0, None),
+    "gradcheck.sigma": ("pos", 0.1, None),
+    "asymptotics": ("dict", {}, None),
+    "asymptotics.rho_list": ("pos[]", [1e1, 1e2, 1e3, 1e4], None),
+    "asymptotics.sigma_list": ("pos[]", [1e-1, 1e-2, 1e-3, 1e-4], None),
+    "asymptotics.x": ("str", "ones", None),
+    "asymptotics.oracle_tol": ("pos", 1e-8, None),
+    "asymptotics.saddle_tol": ("pos", 1e-3, None),
+    "asymptotics.slack": ("num", None, 0),
+    "asymptotics.diag_slack": ("num", 1e-8, 0),
+}
+_SECTIONS = {k.rpartition(".")[0] for k in CONFIG_KEYS}  # the nested blocks
 
 
 class ConfigError(Exception):
@@ -133,15 +184,16 @@ _KINDS = {  # kind: (test, what a value must be)
 }
 
 
-def _get(d, key, kind, default=_MISSING, low=None):
+def _get(d, key, *spec):
     """The config value d[k] for the dotted key "section.k", checked.
 
-    kind is one of _KINDS, or "T[]" for a nonempty list of T; low is an
-    inclusive lower bound for a number, or for each item of a list. An
-    absent key or a JSON null gives the default. Numbers come back as
-    floats. Every error names the dotted key, so its line is found in its
-    section.
+    spec is (kind, default, low), CONFIG_KEYS[key] unless given. kind is
+    one of _KINDS, or "T[]" for a nonempty list of T; low is an inclusive
+    lower bound for a number, or for each item of a list. An absent key or
+    a JSON null gives the default. Numbers come back as floats. Every error
+    names the dotted key, so its line is found in its section.
     """
+    kind, default, low = spec or CONFIG_KEYS[key]
     v = d.get(key.rpartition(".")[2])
     if v is None:
         if default is _MISSING:
@@ -163,21 +215,25 @@ def _get(d, key, kind, default=_MISSING, low=None):
     return float(v) if kind in ("num", "pos") else v
 
 
-def _vector(d, key, n, default=_MISSING):
+def _vector(d, key, n, *spec):
     """A list of n finite numbers (floats) from the config."""
-    v = _get(d, key, "num[]", default)
+    v = _get(d, key, *spec)
     if len(v) != n:
         raise ConfigError("%s must have %d entries, got shape (%d,)"
                           % (key, n, len(v)), key=key)
     return v
 
 
-def _known(d, section, keys):
-    """Rejects the first key of the config object `section` not in keys."""
-    for k in d:
-        if k not in keys:
-            raise ConfigError("unknown %s key %r" % (section, k),
-                              key="%s.%s" % (section, k))
+def _check_keys(d, section=""):
+    """Rejects the first key CONFIG_KEYS lacks, at the top level or in a block
+    it lists keys of (_schedule checks ablate.grid and baseline_schedule)."""
+    for k, v in d.items():
+        key = section + "." + k if section else k
+        if "." in k or key not in CONFIG_KEYS:
+            raise ConfigError("unknown %s key %r" % (section or "top-level", k),
+                              key=key)
+        if isinstance(v, dict) and key in _SECTIONS:
+            _check_keys(v, key)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +249,15 @@ def _schedule(cfg, overrides, where):
     """ScheduleParams from the schedule block updated by overrides, the
     object at the dotted key `where` (an ablate.grid row or
     compare.baseline_schedule), which its errors name."""
-    sd = _get(cfg, "schedule", "dict", {})
-    guideline = _get(sd, "schedule.guideline", "bool", False)
-    _known(sd, "schedule", SCHEDULE_FIELDS + ("guideline",))
-    vals = {}
-    for block, d in (("schedule", sd), (where, overrides)):
-        for k in d:
-            if k in SCHEDULE_FIELDS:
-                v = _get(d, "%s.%s" % (block, k), "num", None)
-                if v is not None:  # a null field keeps its default
-                    vals[k] = v
-            elif block != "schedule":  # else it is guideline
-                raise ConfigError("unknown schedule override %r" % k,
-                                  key=where)
+    sd = _get(cfg, "schedule")
+    guideline = _get(sd, "schedule.guideline")
+    vals = {k: _get(sd, "schedule." + k) for k in SCHEDULE_FIELDS}
+    for k in overrides:
+        if k not in SCHEDULE_FIELDS:
+            raise ConfigError("unknown schedule override %r" % k, key=where)
+        # a null field keeps the schedule value
+        vals[k] = _get(overrides, "%s.%s" % (where, k), "num", vals[k], None)
+    vals = {k: v for k, v in vals.items() if v is not None}
     if guideline:
         if "s" in vals:
             block = where if overrides.get("s") is not None else "schedule"
@@ -215,8 +267,8 @@ def _schedule(cfg, overrides, where):
     else:
         required = ("alpha0", "beta0", "rho0", "sigma0", "p", "q", "s")
         make = ScheduleParams
-    for k in required:
-        _get(vals, "schedule." + k, "num")
+    for k in required:  # which fields are required depends on guideline
+        _get(vals, "schedule." + k, "num", _MISSING, None)
     try:
         return make(**vals)
     except ValueError as e:
@@ -244,10 +296,10 @@ class ProblemBundle:
 
 
 def build_problem(cfg):
-    pd = _get(cfg, "problem", "dict")
-    kind = _get(pd, "problem.kind", "str")
+    pd = _get(cfg, "problem")
+    kind = _get(pd, "problem.kind")
     if kind == "synthetic":
-        sbench = synthetic_problem(_get(pd, "problem.n", "int", low=2))
+        sbench = synthetic_problem(_get(pd, "problem.n"))
         return ProblemBundle(sbench.problem, sbench.sample_init,
                              closed_form=sbench, metric_name="eps_rel")
     if kind == "quadratic":
@@ -255,10 +307,10 @@ def build_problem(cfg):
         return ProblemBundle(prob, quadratic_init, metric=prob.F)
     if kind == "hyper_rep":
         data = generate_hyper_rep(
-            *(_get(pd, "problem." + k, "int", low=1)
+            *(_get(pd, "problem." + k)
               for k in ("n_feat", "p_dim", "m1", "m2", "m_test")),
-            noise_a=_get(pd, "problem.noise_a", "num", low=0),
-            seed=_get(pd, "problem.data_seed", "int", low=0))
+            noise_a=_get(pd, "problem.noise_a"),
+            seed=_get(pd, "problem.data_seed"))
         return ProblemBundle(
             hyper_rep_problem(data), partial(hyper_rep_init, data),
             metric_name="test_loss", metric=partial(hyper_rep_test_loss, data))
@@ -266,14 +318,13 @@ def build_problem(cfg):
 
 
 def resolve_seeds(cfg):
-    rc = _get(cfg, "run", "dict", {})
-    if isinstance(rc.get("seeds"), list):
-        seeds = _get(rc, "run.seeds", "int[]", low=0)
+    rc = _get(cfg, "run")
+    if isinstance(rc.get("seeds"), list):  # else a {"base", "count"} range
+        seeds = _get(rc, "run.seeds", "int[]", _MISSING, 0)
     else:
-        sd = _get(rc, "run.seeds", "dict", {"base": 0, "count": 1})
-        base = _get(sd, "run.seeds.base", "int", low=0)
-        seeds = [base + i for i in
-                 range(_get(sd, "run.seeds.count", "int", low=1))]
+        sd = _get(rc, "run.seeds")
+        base = _get(sd, "run.seeds.base")
+        seeds = [base + i for i in range(_get(sd, "run.seeds.count"))]
     env = os.environ.get("SIPBA_SEED")
     if env is not None:
         try:
@@ -295,21 +346,19 @@ def _runs(cfg):
     first state, the run block, the built problem, run.stride). A start is
     run.init, which then may name one run only, or else the seed's Philox
     draw; the tasks take these states as is."""
-    rc = _get(cfg, "run", "dict", {})
-    _known(rc, "run", RUN_KEYS)
+    rc = _get(cfg, "run")
     seeds = resolve_seeds(cfg)
     bundle = build_problem(cfg)
     prob = bundle.problem
-    init = _get(rc, "run.init", "dict", None)
+    init = _get(rc, "run.init")
     if init is None:
         starts = [initial_state(prob, *bundle.sample_init(
             np.random.Generator(np.random.Philox(s)))) for s in seeds]
     else:
-        _known(init, "run.init", ("x0", "y0", "z0"))
         x0 = _vector(init, "run.init.x0", prob.n_x)
         y0 = _vector(init, "run.init.y0", prob.n_y)
-        st = initial_state(prob, x0, y0,
-                           _vector(init, "run.init.z0", prob.n_y, y0))
+        st = initial_state(prob, x0, y0, _vector(init, "run.init.z0",
+                                                 prob.n_y, "num[]", y0, None))
         try:
             bundle.eps_rel(st.x, st.y, st.x, st.y)
         except ContractViolation:  # eps_rel divides by the start's distance
@@ -320,19 +369,17 @@ def _runs(cfg):
                               "name one run, got %d" % len(seeds),
                               key="run.init")
         starts = [st]
-    return seeds, starts, rc, bundle, _get(rc, "run.stride", "int", 100, low=1)
+    return seeds, starts, rc, bundle, _get(rc, "run.stride")
 
 
-def _run_settings(cfg, max_iter=None, stop_at_target=None):
+def _run_settings(cfg, max_iter=None, stop_at_target=False):
     """_runs(cfg) for run and ablate: the seeds, their starts and the
     _run_single keywords, the rest of the run block among them."""
     seeds, starts, rc, bundle, stride = _runs(cfg)
-    if max_iter is None:
-        max_iter = _get(rc, "run.max_iter", "int", low=0)
-    oracle_tol = _get(rc, "run.oracle_tol", "pos", 1e-8)
-    target_eps = _get(rc, "run.target_eps_rel", "pos", None)
-    if stop_at_target is None:
-        stop_at_target = _get(rc, "run.stop_at_target", "bool", False)
+    max_iter = _get(rc, "run.max_iter") if max_iter is None else max_iter
+    oracle_tol = _get(rc, "run.oracle_tol")
+    target_eps = _get(rc, "run.target_eps_rel")
+    stop_at_target = stop_at_target or _get(rc, "run.stop_at_target")
     if target_eps is not None and bundle.closed_form is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
                           key="run.target_eps_rel")
@@ -480,9 +527,9 @@ def cmd_run(cfg, out_dir, jobs):
 
 def cmd_ablate(cfg, out_dir, jobs):
     """Grid of schedule overrides: a time-to-target table."""
-    ab = _get(cfg, "ablate", "dict")
-    grid = _get(ab, "ablate.grid", "dict[]")
-    max_iter = _get(ab, "ablate.max_iter", "int", None, low=0)
+    ab = _get(cfg, "ablate")
+    grid = _get(ab, "ablate.grid")
+    max_iter = _get(ab, "ablate.max_iter")
     schedules = [_schedule(cfg, ov, "ablate.grid") for ov in grid]
     seeds, starts, kw = _run_settings(cfg, max_iter, stop_at_target=True)
     if kw["target_eps"] is None:
@@ -517,13 +564,10 @@ def cmd_ablate(cfg, out_dir, jobs):
 
 def cmd_gradcheck(cfg, out_dir):
     """Finite-difference check of the problem gradients and of grad phi."""
-    gc = _get(cfg, "gradcheck", "dict", {})
-    threshold = _get(gc, "gradcheck.threshold", "pos", 1e-4)
-    n_points = _get(gc, "gradcheck.n_points", "int", 20, low=1)
-    fd_step = _get(gc, "gradcheck.fd_step", "pos", 1e-5)
-    oracle_tol = _get(gc, "gradcheck.oracle_tol", "pos", 1e-10)
-    rho = _get(gc, "gradcheck.rho", "pos", 10.0)
-    sigma = _get(gc, "gradcheck.sigma", "pos", 0.1)
+    gc = _get(cfg, "gradcheck")
+    threshold, n_points, fd_step, oracle_tol, rho, sigma = (
+        _get(gc, "gradcheck." + k) for k in
+        ("threshold", "n_points", "fd_step", "oracle_tol", "rho", "sigma"))
     prob = build_problem(cfg).problem
 
     report = check_gradients(prob, n_points=n_points, fd_step=fd_step)
@@ -621,16 +665,15 @@ def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
 def cmd_compare(cfg, out_dir, jobs):
     """SiPBA vs the double-loop baseline at an equal gradient budget."""
     seeds, starts, rc, bundle, stride = _runs(cfg)
-    cc = _get(cfg, "compare", "dict", {})
+    cc = _get(cfg, "compare")
     # one single-loop step costs 6 gradient evaluations; the default budget
     # (run.max_iter is read only for it) buys one step at least for each arm
-    budget = (_get(cc, "compare.budget", "int", None, low=6)
-              or 6 * _get(rc, "run.max_iter", "int", low=1))
-    inner_tol = _get(cc, "compare.inner_tol", "pos", 1e-5)
+    budget = (_get(cc, "compare.budget")
+              or 6 * _get(rc, "run.max_iter", "int", _MISSING, 1))
+    inner_tol = _get(cc, "compare.inner_tol")
     sp = build_schedule(cfg)
-    sp_base = _schedule(
-        cfg, _get(cc, "compare.baseline_schedule", "dict", {}),
-        "compare.baseline_schedule")
+    sp_base = _schedule(cfg, _get(cc, "compare.baseline_schedule"),
+                        "compare.baseline_schedule")
     ordered = _fan_out([partial(_compare_single, sp, s, st, bundle, out_dir,
                                 sp_base, stride, budget, inner_tol)
                         for s, st in zip(seeds, starts)], jobs)
@@ -650,21 +693,17 @@ def cmd_asymptotics(cfg, out_dir):
     if bundle.closed_form is None:
         raise ConfigError("asymptotics needs the closed-form synthetic "
                           "problem", key="problem.kind")
-    ac = _get(cfg, "asymptotics", "dict", {})
-    rho_list = _get(ac, "asymptotics.rho_list", "pos[]", [1e1, 1e2, 1e3, 1e4])
-    sigma_list = _get(ac, "asymptotics.sigma_list", "pos[]",
-                      [1e-1, 1e-2, 1e-3, 1e-4])
-    oracle_tol = _get(ac, "asymptotics.oracle_tol", "pos", 1e-8)
-    saddle_tol = _get(ac, "asymptotics.saddle_tol", "pos", 1e-3)
-    diag_slack = _get(ac, "asymptotics.diag_slack", "num", 1e-8, low=0)
-    slack = _get(ac, "asymptotics.slack", "num", None, low=0)
+    ac = _get(cfg, "asymptotics")
+    rho_list, sigma_list, oracle_tol, saddle_tol, diag_slack, slack = (
+        _get(ac, "asymptotics." + k) for k in
+        "rho_list sigma_list oracle_tol saddle_tol diag_slack slack".split())
 
     cf = bundle.closed_form
     n = bundle.problem.n_x
-    if isinstance(ac.get("x"), list):
-        x = _vector(ac, "asymptotics.x", n)
+    if isinstance(ac.get("x"), list):  # else "ones" or "optimum"
+        x = _vector(ac, "asymptotics.x", n, "num[]", _MISSING, None)
     else:
-        xsel = _get(ac, "asymptotics.x", "str", "ones")
+        xsel = _get(ac, "asymptotics.x")
         if xsel not in ("ones", "optimum"):
             raise ConfigError("asymptotics.x must be a list, 'ones' or "
                               "'optimum', got %r" % xsel, key="asymptotics.x")
@@ -745,7 +784,8 @@ def main(argv=None):
     raw = ""
     try:
         cfg, raw = load_config(args.config)
-        out_dir = args.out or _get(cfg, "out_dir", "str", ".")
+        _check_keys(cfg)
+        out_dir = args.out or _get(cfg, "out_dir")
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as e:

@@ -531,8 +531,24 @@ class _NoPool:
     ("compare", {"run": {"init": {"x0": [1.0, 1.0], "y0": [1.0, 1.0],
                                   "z_0": [1.0, 1.0]}}},
      "run.init.z_0", "unknown run.init key 'z_0'"),
+    # a key the config key table lacks is an error in every block and at
+    # the top level, for every command, not a silent default
+    ("compare", {"compare": {"budgt": 600}}, "compare.budgt",
+     "unknown compare key 'budgt'"),
+    ("run", {"problem": {"nn": 3}}, "problem.nn", "unknown problem key 'nn'"),
+    ("compare", {"gradcheck": {"threshhold": 1e-30}}, "gradcheck.threshhold",
+     "unknown gradcheck key 'threshhold'"),
+    ("ablate", {"asymptotics": {"rho": 10.0}}, "asymptotics.rho",
+     "unknown asymptotics key 'rho'"),
+    ("run", {"run": {"seeds": {"base": 5, "cnt": 2}}}, "run.seeds.cnt",
+     "unknown run.seeds key 'cnt'"),
+    ("ablate", {"ablate": {"maxiter": 10}}, "ablate.maxiter",
+     "unknown ablate key 'maxiter'"),
+    ("run", {"asymptotic": {"rho_list": [10.0]}}, "asymptotic",
+     "unknown top-level key 'asymptotic'"),
 ], ids=["stride", "init", "target", "budget", "override", "baseline",
-        "run-key", "init-key"])
+        "run-key", "init-key", "compare-key", "problem-key", "gradcheck-key",
+        "asymptotics-key", "seeds-key", "ablate-key", "top-level-key"])
 def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
                                            cmd, patch, key, message):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
@@ -834,3 +850,43 @@ def test_help_lists_each_command_with_its_docstring(capsys):
     text = " ".join(capsys.readouterr().out.split())
     for cmd in ("run", "ablate", "gradcheck", "compare", "asymptotics"):
         assert " ".join(getattr(cli, "cmd_" + cmd).__doc__.split()) in text
+
+
+# the section objects: the README describes their keys, not the objects
+SECTIONS = {"problem", "schedule", "run", "run.init", "ablate", "compare",
+            "gradcheck", "asymptotics"}
+
+
+def readme_config_rows():
+    """(dotted keys, default cell) per row of the README config reference."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read().split("### Config reference", 1)[1]
+    rows = []
+    for line in text.split("\n| --- |", 1)[1].splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        first, _, default, _ = line.strip("| ").split(" | ")
+        names = re.findall(r"`([^`]+)`", first)
+        prefix = names[0].rpartition(".")[0]  # `problem.n_feat`, `p_dim`
+        rows.append(([n if "." in n or not prefix else prefix + "." + n
+                      for n in names], default))
+    return rows
+
+
+def test_readme_config_reference_matches_the_key_table():
+    rows = readme_config_rows()
+    assert ({k for keys, _ in rows for k in keys}
+            == set(cli.CONFIG_KEYS) - SECTIONS)
+    for keys, default in rows:
+        if len(keys) != 1:
+            continue
+        table_default = cli.CONFIG_KEYS[keys[0]][1]
+        if default == "required":
+            assert table_default is cli._MISSING, keys
+        elif re.fullmatch(r"`[^`]+`", default):
+            try:
+                value = json.loads(default[1:-1])
+            except ValueError:  # an expression such as `4p + 5q`
+                continue
+            assert table_default == value, keys

@@ -1,4 +1,5 @@
 """Property tests (Hypothesis): random config values never crash the CLI,
+a key the config key table lacks is one config error wherever it is put,
 projections are idempotent and nonexpansive, the schedules move the way
 the method needs, every iterate is feasible, and the saddle operator is
 strongly monotone with its zero at the analytic saddle. Examples are
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sipba import cli
 from sipba.benchmarks import analytic_saddle, quadratic_testbed, synthetic_problem
@@ -121,6 +122,44 @@ def test_config_fuzz_exits_cleanly(tmp_path, cmd, base):
         assert code in (0, 1, 2, 3)
         if code == 1:  # one line: cfg:N: message
             assert re.fullmatch(re.escape(path) + r":\d+: [^\n]+\n", err), err
+
+    check()
+
+
+def blocks(cfg, path=""):
+    """The dotted path of every object in cfg whose keys the key table lists,
+    "" for the top level (not ablate.grid rows or baseline_schedule)."""
+    found = [path]
+    for k, v in cfg.items():
+        sub = path + "." + k if path else k
+        if isinstance(v, dict) and any(key.startswith(sub + ".")
+                                       for key in cli.CONFIG_KEYS):
+            found += blocks(v, sub)
+    return found
+
+
+@pytest.mark.parametrize("cmd", ["run", "ablate", "compare", "gradcheck",
+                                 "asymptotics"])
+def test_unknown_key_in_any_block_is_one_config_error(tmp_path, cmd):
+    where = blocks(SYNTHETIC)
+    assert {"", "problem", "run.seeds", "run.init", "gradcheck"} <= set(where)
+
+    @settings(FIXED, max_examples=60)
+    @given(block=st.sampled_from(where), key=st.text(max_size=6),
+           value=JSON_VALUES)
+    def check(block, key, value):
+        dotted = block + "." + key if block else key
+        assume("." in key or dotted not in cli.CONFIG_KEYS)
+        cfg = copy.deepcopy(SYNTHETIC)
+        d = cfg
+        for part in filter(None, block.split(".")):
+            d = d[part]
+        d[key] = value
+        code, path, err = call_main(cmd, cfg, tmp_path)
+        assert code == 1
+        assert re.fullmatch(r"%s:\d+: unknown %s key %s\n" % (
+            re.escape(path), re.escape(block or "top-level"),
+            re.escape(repr(key))), err), err
 
     check()
 
