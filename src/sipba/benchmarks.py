@@ -11,6 +11,10 @@ with functools.partial, so a built problem pickles as it is:
   value function and known optimum (e/2, e/(2*sqrt(n))).
 * hyper-representation: pessimistic linear representation learning on
   synthetic regression splits; no strong concavity (mu recorded as 0).
+
+The quadratic and synthetic families are rowwise (BilevelProblem.rowwise):
+their gradients also take blocks of rows, so a batch of starts makes one
+call per gradient per step. Hyper-representation's are called per row.
 """
 
 import math
@@ -49,7 +53,7 @@ def quadratic_testbed():
         F=partial(_testbed_value, -1.0), f=partial(_testbed_value, 1.0),
         grad_F_x=up, grad_F_y=down, grad_f_x=down, grad_f_y=up,
         set_X=FullSpace(1), set_Y=FullSpace(1),
-        mu=2.0, lip_F=2.0, lip_f=2.0,
+        mu=2.0, lip_F=2.0, lip_f=2.0, rowwise=True,
     )
 
 
@@ -135,6 +139,21 @@ def _synthetic_f(e, x, y):
     return r * r
 
 
+# The gradients take one point or a block of rows (the problem is rowwise),
+# with ||x|| as np.sqrt(x.dot(x)), which is what np.linalg.norm computes for
+# a 1-D float vector.
+def _dot(a, b):
+    """Each row's dot product, exactly as np.dot takes it for that row alone
+    (np.vecdot); for two vectors the plain dot, the same number faster."""
+    return np.vecdot(a, b) if a.ndim + b.ndim > 2 else a.dot(b)
+
+
+def _per_row(c):
+    """Row factors c as a column that scales each row of a block; a scalar
+    as is."""
+    return c[:, None] if c.ndim else c
+
+
 def _synthetic_grad_F_x(n, e, x, y):
     return (2.0 / n) * (x - e)
 
@@ -144,14 +163,14 @@ def _synthetic_grad_F_y(e, x, y):
 
 
 def _synthetic_grad_f_x(e, x, y):
-    nx = math.sqrt(x.dot(x))
-    r = float(np.dot(e, y)) - nx
-    return (-2.0 * r / nx) * x
+    nx = np.sqrt(_dot(x, x))
+    r = _dot(e, y) - nx
+    return _per_row(-2.0 * r / nx) * x
 
 
 def _synthetic_grad_f_y(e, x, y):
-    r = float(np.dot(e, y)) - math.sqrt(x.dot(x))
-    return (2.0 * r) * e
+    r = _dot(e, y) - np.sqrt(_dot(x, x))
+    return _per_row(2.0 * r) * e
 
 
 def synthetic_problem(n):
@@ -182,7 +201,7 @@ def synthetic_problem(n):
         grad_f_y=partial(_synthetic_grad_f_y, e),
         set_X=Box(np.full(n, 0.1), np.full(n, 10.0)),
         set_Y=Box(np.full(n, 1.0 / (2.0 * rootn)), np.full(n, np.inf)),
-        mu=2.0, lip_F=2.0, lip_f=lip_f,
+        mu=2.0, lip_F=2.0, lip_f=lip_f, rowwise=True,
     )
     return SyntheticProblem(
         n=n, problem=prob, x_star=e / 2.0, y_star=e / (2.0 * rootn)

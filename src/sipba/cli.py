@@ -15,7 +15,10 @@ overrides the configured seed base. Each command checks its config once,
 before any run starts: a key the table lacks, in any block, is reported as
 ``cfg:line: unknown <block> key 'k'``, a bad value (read by the one getter,
 _get) as ``cfg:line: section.key must be ..., got ...``. The problem and
-each run's start are built once too, and every run task gets them. Exit
+each run's start are built once too, and every run task gets them. A task
+of run or ablate steps a batch of starts together (solver.run): run cuts
+its seeds into --jobs contiguous batches, ablate makes one batch per grid
+row; outputs do not depend on the batching apart from time columns. Exit
 codes: 0 success, 1 config or usage error, 2 nothing completed (numerical
 failure), 3 acceptance violation.
 """
@@ -24,7 +27,9 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -134,14 +139,36 @@ class ConfigError(Exception):
         self.line = line
 
 
+# an object key, another JSON string, a bracket or a line break: what
+# _line_of reads of the text
+_JSON_TOKEN = re.compile(
+    r'(?P<key>"(?:[^"\\]|\\.)*")(?=\s*:)|"(?:[^"\\]|\\.)*"|[{}\[\]\n]')
+
+
 def _line_of(raw, key):
-    # best-effort line lookup for semantic errors: the first occurrence of
-    # the key; for a dotted key "a.b", the first "b" from the first "a" on
+    # best-effort line lookup for semantic errors: the key's first part is
+    # found among the top-level keys (nesting depth 1), then for a dotted key
+    # "a.b" the first "b" from that line on
     if not (raw and key):
         return 1
+    first, *rest = key.split(".")
+    depth, line, found = 0, 1, None
+    for tok in _JSON_TOKEN.finditer(raw):
+        c = tok.group()
+        if c == "\n":
+            line += 1
+        elif c in "{[":
+            depth += 1
+        elif c in "}]":
+            depth -= 1
+        elif depth == 1 and tok["key"] and json.loads(c) == first:
+            found = line
+            break
+    if found is None:
+        return 1
     lines = raw.splitlines()
-    found, start = 1, 0
-    for part in key.split("."):
+    start = found - 1
+    for part in rest:
         needle = '"%s"' % part
         hit = next((i for i in range(start, len(lines)) if needle in lines[i]),
                    None)
@@ -374,7 +401,7 @@ def _runs(cfg):
 
 def _run_settings(cfg, max_iter=None, stop_at_target=False):
     """_runs(cfg) for run and ablate: the seeds, their starts and the
-    _run_single keywords, the rest of the run block among them."""
+    _run_batch keywords, the rest of the run block among them."""
     seeds, starts, rc, bundle, stride = _runs(cfg)
     max_iter = _get(rc, "run.max_iter") if max_iter is None else max_iter
     oracle_tol = _get(rc, "run.oracle_tol")
@@ -420,48 +447,58 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_quiet
-def _run_single(sp, seed, init, bundle, out_dir, max_iter, stride,
-                oracle_tol, target_eps, stop_at_target, write_rows=True):
+def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
+               oracle_tol, target_eps, stop_at_target, write_rows=True):
+    """The runs of seeds from their starts inits, stepped as one batch:
+    one result dict per seed, and with write_rows its run_<seed>.csv."""
     prob = bundle.problem
 
     target = None
     if target_eps is not None:
-        def target(st):
-            return bundle.eps_rel(st.x, st.y, init.x, init.y) < target_eps
+        x0 = np.stack([st.x for st in inits])
+        y0 = np.stack([st.y for st in inits])
 
-    rows = []
-    phi_min = np.inf
-    saddle = None  # the previous stride's, warm start of the next snapshot
+        def target(rows, st):
+            return bundle.eps_rel(st.x, st.y, x0[rows], y0[rows]) < target_eps
 
-    def cb(st, elapsed):
-        nonlocal phi_min, saddle
+    # each run's CSV rows, 7 floats a row (k, time_s, phi_k, ..., merit) in
+    # one flat array: a batch holds all its runs' rows until it ends, and as
+    # tuples of float objects they would take 4 times the memory
+    records = [array("d") for _ in seeds]
+    phi_min = [np.inf] * len(seeds)
+    saddle = [None] * len(seeds)  # each run's last, warm start of its next
+
+    def cb(i, st, elapsed):
         done = st.k - 1
-        sn = snapshot(prob, sp, st, oracle_tol, warm=saddle)
-        saddle = sn.saddle
-        phi_min = min(phi_min, sn.phi)
-        merit = merit_value(done, sp.s, sp.t_exp, sn.phi - (phi_min - 1.0),
+        sn = snapshot(prob, sp, st, oracle_tol, warm=saddle[i])
+        saddle[i] = sn.saddle
+        phi_min[i] = min(phi_min[i], sn.phi)
+        merit = merit_value(done, sp.s, sp.t_exp, sn.phi - (phi_min[i] - 1.0),
                             sn.tracking_err)
-        eps = bundle.eps_rel(st.x, st.y, init.x, init.y)
-        rows.append((seed, done, elapsed, sn.phi, eps, sn.tracking_err,
-                     sn.stat_residual, merit))
+        eps = bundle.eps_rel(st.x, st.y, inits[i].x, inits[i].y)
+        records[i].extend((done, elapsed, sn.phi, np.nan if eps is None else eps,
+                           sn.tracking_err, sn.stat_residual, merit))
 
-    try:
-        res = run(prob, sp, init, max_iter, target=target,
+    results = run(prob, sp, inits, max_iter, target=target,
                   stop_at_target=stop_at_target,
                   callback=cb if write_rows else None, callback_stride=stride)
-    except (DivergenceError, ParameterOverflowError,
-            SaddleConvergenceError) as e:
-        out = {"ok": False, "error": str(e)}
-    else:
-        out = {"ok": True, "iterations": res.iterations,
-               "target_iteration": res.target_iteration,
-               "target_seconds": res.target_seconds,
-               "final_eps_rel": bundle.eps_rel(res.state.x, res.state.y,
-                                               init.x, init.y)}
-    if write_rows:
-        _write_csv(os.path.join(out_dir, "run_%d.csv" % seed), RUN_COLUMNS,
-                   rows)
-    return out
+    outs = []
+    for seed, init, res, own in zip(seeds, inits, results, records):
+        if res.error is not None:
+            outs.append({"ok": False, "error": str(res.error)})
+        else:
+            outs.append({"ok": True, "iterations": res.iterations,
+                         "target_iteration": res.target_iteration,
+                         "target_seconds": res.target_seconds,
+                         "final_eps_rel": bundle.eps_rel(
+                             res.state.x, res.state.y, init.x, init.y)})
+        if write_rows:
+            known = bundle.closed_form is not None  # else eps_rel stays empty
+            _write_csv(os.path.join(out_dir, "run_%d.csv" % seed), RUN_COLUMNS,
+                       [(seed, int(k), t, phi, eps if known else None, te, sr,
+                         merit) for k, t, phi, eps, te, sr, merit
+                        in np.reshape(own, (-1, 7)).tolist()])
+    return outs
 
 
 def _fan_out(tasks, jobs):
@@ -471,6 +508,14 @@ def _fan_out(tasks, jobs):
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         futs = [ex.submit(fn) for fn in tasks]
         return [f.result() for f in futs]
+
+
+def _batches(seeds, starts, jobs):
+    """seeds and their starts cut into min(jobs, len(seeds)) contiguous
+    batches of near-equal size, as (seeds, starts) pairs."""
+    n = min(jobs, len(seeds))
+    cuts = [len(seeds) * i // n for i in range(n + 1)]
+    return [(seeds[a:b], starts[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _tally(runs):
@@ -492,8 +537,9 @@ def cmd_run(cfg, out_dir, jobs):
     seeds, starts, kw = _run_settings(cfg)
     sp = build_schedule(cfg)
     target_eps = kw["target_eps"]
-    ordered = _fan_out([partial(_run_single, sp, s, st, out_dir=out_dir, **kw)
-                        for s, st in zip(seeds, starts)], jobs)
+    batches = _fan_out([partial(_run_batch, sp, ss, sts, out_dir=out_dir, **kw)
+                        for ss, sts in _batches(seeds, starts, jobs)], jobs)
+    ordered = [r for batch in batches for r in batch]
 
     for s, r in zip(seeds, ordered):
         if r["ok"]:
@@ -537,12 +583,12 @@ def cmd_ablate(cfg, out_dir, jobs):
                           "runs are timed to", key="run.target_eps_rel")
 
     results = _fan_out([
-        partial(_run_single, sp, s, st, out_dir=out_dir, write_rows=False, **kw)
-        for sp in schedules for s, st in zip(seeds, starts)], jobs)
+        partial(_run_batch, sp, seeds, starts, out_dir=out_dir,
+                write_rows=False, **kw)
+        for sp in schedules], jobs)
 
     table = []
-    for i, sp in enumerate(schedules):
-        runs = results[i * len(seeds):(i + 1) * len(seeds)]
+    for i, (sp, runs) in enumerate(zip(schedules, results)):
         completed, valid, times, finals = _tally(runs)
         table.append((
             i, sp.alpha0, sp.beta0, sp.rho0, sp.sigma0, sp.p, sp.q, sp.s,
@@ -559,7 +605,7 @@ def cmd_ablate(cfg, out_dir, jobs):
                  % (float(np.mean(times)), float(np.std(times)))
                  if times else ""))
     _write_csv(os.path.join(out_dir, "ablation.csv"), ABLATE_COLUMNS, table)
-    return 0 if any(r["ok"] for r in results) else 2
+    return 0 if any(r["ok"] for rs in results for r in rs) else 2
 
 
 def cmd_gradcheck(cfg, out_dir):

@@ -22,25 +22,30 @@ from .solver import _penalty_at
 
 
 def _vec(v):
-    # np.atleast_1d returns a 1-D ndarray itself; skip the call for those
-    return v if isinstance(v, np.ndarray) and v.ndim == 1 else np.atleast_1d(v)
+    # np.atleast_1d returns an ndarray of one or more dimensions itself; skip
+    # the call for those
+    return v if isinstance(v, np.ndarray) and v.ndim else np.atleast_1d(v)
 
 
 def relative_error(x, y, x_star, y_star, x0, y0):
     """(||x-x*||^2 + ||y-y*||^2) / (||x0-x*||^2 + ||y0-y*||^2).
 
-    Translation-invariant. Raises if the initialization coincides with the
-    optimum (zero denominator).
+    Translation-invariant. Row-wise for blocks: with x, y (and x0, y0) of
+    shape (S, dim) it returns the S relative errors as an array, each equal
+    bit for bit to the call on that row alone; a single point gives a float.
+    Raises if an initialization coincides with the optimum (zero
+    denominator).
     """
     xs, ys = _vec(x_star), _vec(y_star)
     dx, dy = _vec(x0) - xs, _vec(y0) - ys
-    den = float(dx.dot(dx) + dy.dot(dy))
-    if den == 0.0:
+    den = np.vecdot(dx, dx) + np.vecdot(dy, dy)
+    if not np.all(den):
         raise ContractViolation(
             "relative error undefined: initialization equals the optimum"
         )
     dx, dy = _vec(x) - xs, _vec(y) - ys
-    return float(dx.dot(dx) + dy.dot(dy)) / den
+    err = (np.vecdot(dx, dx) + np.vecdot(dy, dy)) / den
+    return float(err) if err.ndim == 0 else err
 
 
 @dataclass(frozen=True)

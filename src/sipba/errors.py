@@ -9,12 +9,16 @@ class DivergenceError(RuntimeError):
     """An update direction or iterate became non-finite.
 
     Carries the last good state in ``state`` so callers can inspect or
-    restart from it.
+    restart from it. A step of a batch of rows also names the rows that went
+    non-finite (``rows``, positions in the block) and carries the step's
+    result for all rows (``next_state``), so the other rows can go on.
     """
 
-    def __init__(self, message, state=None):
+    def __init__(self, message, state=None, rows=None, next_state=None):
         super().__init__(message)
         self.state = state
+        self.rows = rows
+        self.next_state = next_state
 
 
 class SaddleConvergenceError(RuntimeError):

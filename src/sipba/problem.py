@@ -12,7 +12,8 @@ callers supply analytic gradients and can validate them with
 :func:`check_gradients`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,26 +23,32 @@ from .errors import ContractViolation
 _F64 = np.dtype(np.float64)
 
 
-def _as_vector(v, dim, name):
+def _as_vector(v, dim, name, rows=False):
     """v as a float64 vector of shape (dim,): the package's one vector check.
 
-    O(1) for such an ndarray (returned as is); a scalar becomes a vector of
-    length one; anything else raises ContractViolation naming the argument.
+    With rows, a block of S such vectors, shape (S, dim), passes too (the
+    solver steps a batch of starts as one block). O(1) for such an ndarray
+    (returned as is); a scalar becomes a vector of length one; anything else
+    raises ContractViolation naming the argument.
     """
-    if type(v) is np.ndarray and v.dtype == _F64 and v.shape == (dim,):
+    if type(v) is np.ndarray and v.dtype == _F64 and (
+            v.shape == (dim,) or rows and v.ndim == 2 and v.shape[1] == dim):
         return v
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
-    if arr.shape != (dim,):
-        raise ContractViolation(
-            "%s must have shape (%d,), got %s" % (name, dim, arr.shape)
-        )
+    if arr.shape[-1:] != (dim,) or arr.ndim > (2 if rows else 1):
+        raise ContractViolation("%s must have shape (%d,)%s, got %s" % (
+            name, dim, " or (S, %d)" % dim if rows else "", arr.shape))
     return arr
 
 
 class ProjectableSet:
-    """A closed convex set with a cheap Euclidean projection."""
+    """A closed convex set with a cheap Euclidean projection.
+
+    project takes one vector of shape (dim,) or a block of S of them, shape
+    (S, dim), and projects each row.
+    """
 
     dim: int = 0
 
@@ -65,7 +72,7 @@ class FullSpace(ProjectableSet):
         self.dim = int(dim)
 
     def project(self, v):
-        return _as_vector(v, self.dim, "v").copy()
+        return _as_vector(v, self.dim, "v", rows=True).copy()
 
     def __repr__(self):
         return "FullSpace(%d)" % self.dim
@@ -94,7 +101,7 @@ class Box(ProjectableSet):
         self.dim = lo.shape[0]
 
     def project(self, v):
-        v = _as_vector(v, self.dim, "v")
+        v = _as_vector(v, self.dim, "v", rows=True)
         # np.clip's arithmetic without its Python-level wrapper
         return np.minimum(np.maximum(v, self.lower), self.upper)
 
@@ -117,12 +124,18 @@ class Ball(ProjectableSet):
         self.dim = c.shape[0]
 
     def project(self, v):
-        v = _as_vector(v, self.dim, "v")
+        v = _as_vector(v, self.dim, "v", rows=True)
         d = v - self.center
-        nd = float(np.linalg.norm(d))
-        if nd <= self.radius:
-            return v.copy()
-        return self.center + (self.radius / nd) * d
+        # row norms as np.linalg.norm takes them: the square root of a dot
+        nd = np.sqrt(np.vecdot(d, d))
+        if v.ndim == 1:
+            if nd <= self.radius:
+                return v.copy()
+            return self.center + (self.radius / nd) * d
+        out = v.copy()
+        far = ~(nd <= self.radius)  # a NaN norm projects like a far row
+        out[far] = self.center + (self.radius / nd[far])[:, None] * d[far]
+        return out
 
     def __repr__(self):
         return "Ball(dim=%d, radius=%g)" % (self.dim, self.radius)
@@ -142,6 +155,13 @@ class BilevelProblem:
     that assumption record mu=0 together with a human-readable
     ``assumption_note``; bounds that consume min(sigma, mu) refuse to run
     on them.
+
+    rowwise says the four gradient callables also take blocks: given x of
+    shape (S, n_x) and y of shape (S, n_y) they return the S row gradients
+    as one (S, dim) array, each row equal bit for bit to the call on that
+    row alone. The solver then steps a batch of starts with one call per
+    gradient. Without it (the default) a batch calls the gradients once per
+    row, on 1-D rows; see rowwise_gradients.
     """
 
     n_x: int
@@ -158,6 +178,7 @@ class BilevelProblem:
     lip_F: float
     lip_f: float
     assumption_note: Optional[str] = None
+    rowwise: bool = False
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
@@ -174,6 +195,22 @@ class BilevelProblem:
             )
         if not (self.lip_F > 0 and self.lip_f > 0):
             raise ContractViolation("Lipschitz constants must be positive")
+
+
+GRADIENTS = ("grad_F_x", "grad_F_y", "grad_f_x", "grad_f_y")
+
+
+def _each_row(fn, x, y):
+    return np.stack([fn(a, b) for a, b in zip(x, y)])
+
+
+def rowwise_gradients(problem):
+    """problem itself if rowwise, else a rowwise copy whose gradients call
+    the originals once per row and stack the results."""
+    if problem.rowwise:
+        return problem
+    return replace(problem, rowwise=True, **{
+        g: partial(_each_row, getattr(problem, g)) for g in GRADIENTS})
 
 
 def _sample_interior(s, rng):

@@ -17,6 +17,14 @@ calls), no inner loop. The schedules
 
 follow the decreasing-step regime 0 < s < 1/2, 0 < p, q < 1, s >= 8(p+q);
 parameter choices outside the regime are allowed and only warned about.
+
+The step is written once over blocks: a state holds one start as vectors of
+shape (n,), or a batch of S starts at one counter k as (S, n) blocks, one row
+per start. run drives one start, or a list of them as one batch whose every
+step is one sipba_step call: the schedule is evaluated once per k, the
+gradients of a rowwise problem are called once per step for all rows, and
+each row's arithmetic is that of the serial step, so every row's trajectory
+equals its serial run bit for bit.
 """
 
 import math
@@ -33,6 +41,7 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
+from .problem import GRADIENTS, rowwise_gradients
 from .smoothing import PenaltyReg, direction_x, direction_y, direction_z
 from .saddle import solve_saddle
 
@@ -109,7 +118,11 @@ def params_at(sp, k):
 
 @dataclass(frozen=True)
 class IterateState:
-    """Solver state after k-1 completed steps; all blocks feasible."""
+    """Solver state after k-1 completed steps; all blocks feasible.
+
+    x, y and z are vectors, or for a batch (S, n) blocks with one row per
+    start, all rows at the same k.
+    """
 
     k: int
     x: np.ndarray
@@ -152,24 +165,30 @@ def _finite(v):
     A finite sum means every entry is finite; a sum of finite entries can
     still overflow, so only then is the entrywise test run.
     """
-    return math.isfinite(np.add.reduce(v)) or np.isfinite(v).all()
+    total = np.add.reduce(v if v.ndim == 1 else v.ravel())
+    return math.isfinite(total) or np.isfinite(v).all()
 
 
 def sipba_step(problem, sp, state):
     """One single-loop iteration; returns the state at counter k+1.
 
-    The state is validated where it is built (initial_state, and the config
-    loader before it). The step keeps O(1) checks only: each projection
-    takes a float64 vector of the right shape as is and converts or rejects
-    anything else, PenaltyReg tests that rho_k and sigma_k are positive and
-    finite, and each new block gets a finiteness test.
+    The state is one start or a batch of rows (see IterateState); a batch
+    needs a rowwise problem (see problem.rowwise_gradients). The state is
+    validated where it is built (initial_state, and the config loader
+    before it). The step keeps O(1) checks only: each projection takes a
+    float64 block of the right shape as is and converts or rejects anything
+    else, PenaltyReg tests that rho_k and sigma_k are positive and finite,
+    and each new block gets a finiteness test, per row only when the
+    block's sum is not finite.
 
     Raises
     ------
     ParameterOverflowError
         If the schedule left the float range (sigma_k rounded to 0).
     DivergenceError
-        If an iterate became non-finite; carries the last good state.
+        If an iterate became non-finite; carries the last good state. For
+        a batch it also names the non-finite rows and carries the step's
+        result for every row.
     """
     pars, pr = _penalty_at(sp, state.k)
     x, y, z = state.x, state.y, state.z
@@ -179,48 +198,84 @@ def sipba_step(problem, sp, state):
     z1 = problem.set_Y.project(z - pars.beta * dz)
     dx = direction_x(problem, pr, x, y1, z1)
     x1 = problem.set_X.project(x - pars.alpha * dx)
+    nxt = IterateState(k=state.k + 1, x=x1, y=y1, z=z1)
     if not (_finite(x1) and _finite(y1) and _finite(z1)):
-        raise DivergenceError(
-            "non-finite iterate at k=%d" % state.k, state=state
-        )
-    return IterateState(k=state.k + 1, x=x1, y=y1, z=z1)
+        err = DivergenceError("non-finite iterate at k=%d" % state.k,
+                              state=state)
+        if x.ndim == 2:
+            ok = (np.isfinite(x1).all(1) & np.isfinite(y1).all(1)
+                  & np.isfinite(z1).all(1))
+            err.rows, err.next_state = np.flatnonzero(~ok), nxt
+        raise err
+    return nxt
 
 
 @dataclass
 class RunResult:
+    """How one start's run ended. A row of a batch that failed has
+    stop_reason "error", the exception a serial run would have raised in
+    error, and its last good state."""
+
     state: IterateState
     iterations: int
     stop_reason: str
     step_seconds: float
     target_iteration: Optional[int] = None
     target_seconds: Optional[float] = None
+    error: Optional[Exception] = None
+
+
+# what ends one row of a batch, from its step or from its callback; a serial
+# run raises these
+_ROW_ERRORS = (DivergenceError, ParameterOverflowError, SaddleConvergenceError)
 
 
 def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
         callback=None, callback_stride=100):
-    """Drive sipba_step for max_iter iterations.
+    """Drive sipba_step for max_iter iterations from init.
+
+    init is one start (an IterateState), or a list of starts run as one
+    batch. One start returns its RunResult and raises the step's
+    ParameterOverflowError or DivergenceError, or any error of the hooks,
+    out of this call. A batch returns one RunResult per start, in order;
+    see below.
 
     target : callable(state) -> bool, optional
         Checked after every step, outside the timed region. The first hit
         records (iteration, stepping seconds); the run stops there only if
-        stop_at_target is set.
+        stop_at_target is set. For a batch it is called once per step as
+        target(rows, state) on the batch's active rows (rows: their indices
+        into init) and returns one bool per row.
     callback : callable(state, elapsed_seconds), optional
         Invoked every callback_stride completed steps and after the final
-        step; excluded from the stepping clock.
+        step; excluded from the stepping clock. For a batch it is called
+        per row, as callback(row, state, elapsed_seconds) with the row's
+        1-D state and clock.
 
     Timing counts the stepping work only, so diagnostics (oracle calls in
     callbacks, target checks) do not pollute time-to-target measurements.
+    A batch charges each batched step's time to its active rows in equal
+    shares, so the rows' clocks sum to the batch's stepping time.
+
+    A row of a batch leaves it when it stops at its target, or when its
+    step or its callback raises DivergenceError, ParameterOverflowError or
+    SaddleConvergenceError: its RunResult then holds the error (with the
+    serial message, and for a divergence the row's last good state) and
+    the other rows go on. The starts of a batch share their counter k; a
+    problem that is not rowwise has its gradients called once per row.
 
     Validation happens before the loop: init comes from initial_state
     (which converts and projects the starting blocks), and max_iter and
     callback_stride are checked here. Inside the loop each step keeps only
-    its O(1) shape, positivity and finiteness checks (see sipba_step) and
-    raises ParameterOverflowError or DivergenceError out of this call.
+    its O(1) shape, positivity and finiteness checks (see sipba_step).
     """
     if max_iter < 0:
         raise ContractViolation("max_iter must be >= 0")
     if callback_stride < 1:
         raise ContractViolation("callback_stride must be >= 1")
+    if not isinstance(init, IterateState):
+        return _run_batch(problem, sp, list(init), max_iter, target,
+                          stop_at_target, callback, callback_stride)
     state = init
     elapsed = 0.0
     result = RunResult(state=state, iterations=0, stop_reason="max_iter",
@@ -247,6 +302,96 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
     result.iterations = done
     result.step_seconds = elapsed
     return result
+
+
+def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
+               callback, stride):
+    """run over a list of starts as one batch; see run."""
+    if len({st.k for st in starts}) > 1:
+        raise ContractViolation("the starts of a batch must share their "
+                                "counter k")
+    results = [RunResult(state=st, iterations=st.k - 1, stop_reason="max_iter",
+                         step_seconds=0.0) for st in starts]
+    if not starts or max_iter == 0:
+        return results
+    problem = rowwise_gradients(problem)
+    state = IterateState(k=starts[0].k,
+                         **{b: np.stack([getattr(st, b) for st in starts])
+                            for b in "xyz"})
+    rows = np.arange(len(starts))  # the start behind each row of state
+    clock = np.zeros(len(starts))
+    hit = np.zeros(len(starts), dtype=bool)
+    last_emitted = [0] * len(starts)
+
+    def row(st, j):
+        return IterateState(k=st.k, x=st.x[j], y=st.y[j], z=st.z[j])
+
+    def take(st, keep):
+        return IterateState(k=st.k, x=st.x[keep], y=st.y[keep], z=st.z[keep])
+
+    def end(i, st, reason, error=None):
+        res = results[i]
+        res.state, res.iterations, res.stop_reason = st, st.k - 1, reason
+        res.step_seconds, res.error = float(clock[i]), error
+
+    def emit(i, st):
+        """Callback for row i; False if its error ended the row."""
+        try:
+            callback(i, st, float(clock[i]))
+        except _ROW_ERRORS as err:
+            end(i, st, "error", err)
+            return False
+        last_emitted[i] = st.k - 1
+        return True
+
+    for _ in range(max_iter):
+        bad = ()
+        t0 = time.perf_counter()
+        try:
+            nxt = sipba_step(problem, sp, state)
+        except DivergenceError as err:
+            nxt, bad, why = err.next_state, err.rows, str(err)
+        except ParameterOverflowError as err:
+            for j, i in enumerate(rows):
+                end(i, row(state, j), "error", err)
+            return results
+        clock[rows] += (time.perf_counter() - t0) / rows.size
+        if len(bad):
+            for j in bad:
+                last = row(state, j)
+                end(rows[j], last, "error", DivergenceError(why, state=last))
+            keep = np.ones(rows.size, dtype=bool)
+            keep[bad] = False
+            rows, nxt = rows[keep], take(nxt, keep)
+            if not rows.size:
+                return results
+        done = nxt.k - 1
+        keep = np.ones(rows.size, dtype=bool)
+        if target is not None and not hit[rows].all():
+            new = np.asarray(target(rows, nxt), dtype=bool) & ~hit[rows]
+            for j in np.flatnonzero(new):
+                i = rows[j]
+                hit[i] = True
+                res = results[i]
+                res.target_iteration, res.target_seconds = done, float(clock[i])
+                if stop_at_target:
+                    keep[j] = False
+                    st = row(nxt, j)
+                    if callback is None or emit(i, st):
+                        end(i, st, "target")
+        if callback is not None and done % stride == 0:
+            for j in np.flatnonzero(keep):
+                keep[j] = emit(rows[j], row(nxt, j))
+        state = nxt
+        if not keep.all():
+            rows, state = rows[keep], take(nxt, keep)
+            if not rows.size:
+                return results
+    for j, i in enumerate(rows):
+        st = row(state, j)
+        if callback is None or last_emitted[i] == st.k - 1 or emit(i, st):
+            end(i, st, "max_iter")
+    return results
 
 
 @dataclass
@@ -349,14 +494,15 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
 
 
 class GradEvalCounter:
-    """Counts calls to the four partial-gradient callables of a problem."""
+    """Counts evaluations of the four partial-gradient callables of a
+    problem: one per call on a point, one per row on a block of rows."""
 
     def __init__(self):
         self.count = 0
 
     def _wrap(self, fn):
         def wrapped(x, y):
-            self.count += 1
+            self.count += len(x) if getattr(x, "ndim", 1) == 2 else 1
             return fn(x, y)
 
         wrapped.counter = self
@@ -370,12 +516,7 @@ def with_gradient_counter(problem):
     copy counts with it instead of wrapping again.
     """
     c = GradEvalCounter()
-    counted = replace(
-        problem,
-        grad_F_x=c._wrap(problem.grad_F_x),
-        grad_F_y=c._wrap(problem.grad_F_y),
-        grad_f_x=c._wrap(problem.grad_f_x),
-        grad_f_y=c._wrap(problem.grad_f_y),
-    )
+    counted = replace(problem, **{g: c._wrap(getattr(problem, g))
+                                  for g in GRADIENTS})
     return counted, c
 

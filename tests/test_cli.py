@@ -552,7 +552,8 @@ class _NoPool:
 def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
                                            cmd, patch, key, message):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
-    cfg = synthetic_cfg(ablate={"grid": [{}], "max_iter": 10})
+    # two grid rows: ablate fans out one task per row
+    cfg = synthetic_cfg(ablate={"grid": [{}, {"alpha0": 0.05}], "max_iter": 10})
     # the patch is live: a good config at --jobs 2 does start a pool
     with pytest.raises(RuntimeError, match="worker pool"):
         cli.main([cmd, "--config", write_cfg(tmp_path, cfg, "good.json"),
@@ -566,6 +567,18 @@ def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
     out, err = capsys.readouterr()
     assert err == "%s:%d: %s\n" % (cfgp, key_line(cfgp, key), message)
     assert out == ""
+
+
+def test_top_level_key_error_is_on_the_top_level_line(tmp_path, capsys):
+    # the same name quoted inside a block on an earlier line is not the key
+    cfgp = tmp_path / "tl.json"
+    cfgp.write_text('{"problem": {"kind": "synthetic",\n'
+                    '             "n": 2},\n'
+                    ' "kind": 3}\n', encoding="utf-8")
+    assert cli.main(["asymptotics", "--config", str(cfgp),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "%s:3: unknown top-level key 'kind'\n" % cfgp)
 
 
 HYPER_REP = {"kind": "hyper_rep", "n_feat": 3, "p_dim": 2, "m1": 5, "m2": 5,

@@ -1,4 +1,5 @@
-"""Equivalence gate: warm-started diagnostics against cold ones.
+"""Equivalence gates: warm-started diagnostics against cold ones, and
+batched runs against serial ones.
 
 The diagnostics of `sipba run` thread each snapshot's saddle into the next
 (warm start). A warm solve stops at the same oracle tolerance as a cold one
@@ -8,16 +9,34 @@ README schedule, 3 seeds x 2000 steps, a snapshot every 100 steps, each
 compared with a cold snapshot of the same state. The tolerances were fixed
 before any candidate was measured; they scale with the oracle tolerance,
 which bounds how far either solve can be from the exact saddle.
+
+A batch of starts stepped as one block must give every start the run it has
+alone: the tolerance, fixed before the batched step was written, is exact
+equality of the final blocks, the iteration counts, the target iterations,
+the stop reasons and error messages, and every callback state.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sipba.benchmarks import synthetic_problem
-from sipba.diagnostics import snapshot
-from sipba.solver import ScheduleParams, initial_state, run
+from sipba.benchmarks import (
+    generate_hyper_rep,
+    hyper_rep_init,
+    hyper_rep_problem,
+    quadratic_testbed,
+    synthetic_problem,
+)
+from sipba.diagnostics import relative_error, snapshot
+from sipba.errors import DivergenceError, ParameterOverflowError
+from sipba.solver import (
+    ScheduleParams,
+    initial_state,
+    run,
+    with_gradient_counter,
+)
 
 ORACLE_TOL = 1e-8
 PHI_REL = 1e-12                   # |d phi| <= PHI_REL * max(1, |phi|)
@@ -97,3 +116,191 @@ def test_gate_rejects_the_parameters_of_the_wrong_step(runs):
     states, cold = per_seed[0]
     shifted = [replace(st, k=st.k + 1) for st in states]
     assert violations(cold, warm_threaded(problem, sp, shifted))
+
+
+# ---------------------------------------------------------------------------
+# batched runs against serial runs, exactly
+
+TARGET_EPS = 1e-4
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def synthetic_starts(sb, seeds):
+    return [initial_state(sb.problem, *sb.sample_init(philox(s)))
+            for s in seeds]
+
+
+def serial_runs(problem, sp, starts, steps, target=None, **kw):
+    """Each start run alone: (RunResult or the error it raised, the states
+    its callback saw)."""
+    out = []
+    for i, st in enumerate(starts):
+        seen = []
+        try:
+            res = run(problem, sp, st, steps,
+                      target=None if target is None else row_target(
+                          target, i),
+                      callback=lambda s, t: seen.append(s), **kw)
+        except (DivergenceError, ParameterOverflowError) as err:
+            res = err
+        out.append((res, seen))
+    return out
+
+
+def row_target(target, i):
+    """A batch target (rows, state) -> bools as row i's serial target."""
+    return lambda st: bool(target(np.array([i]), replace(
+        st, x=st.x[None], y=st.y[None], z=st.z[None]))[0])
+
+
+def batched_run(problem, sp, starts, steps, target=None, **kw):
+    seen = [[] for _ in starts]
+    results = run(problem, sp, starts, steps, target=target,
+                  callback=lambda i, s, t: seen[i].append(s), **kw)
+    return list(zip(results, seen))
+
+
+def same_state(a, b):
+    return (a.k == b.k and np.array_equal(a.x, b.x)
+            and np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z))
+
+
+def assert_batch_equals_serial(serial, batched):
+    assert len(serial) == len(batched)
+    for (want, want_seen), (got, got_seen) in zip(serial, batched):
+        assert len(got_seen) == len(want_seen)
+        assert all(map(same_state, want_seen, got_seen))
+        if isinstance(want, Exception):
+            assert got.stop_reason == "error"
+            assert type(got.error) is type(want)
+            assert str(got.error) == str(want)
+            if isinstance(want, DivergenceError):  # it names the last good state
+                assert same_state(got.error.state, want.state)
+                assert same_state(got.state, want.state)
+            continue
+        assert got.error is None
+        assert same_state(got.state, want.state)
+        assert (got.iterations, got.target_iteration, got.stop_reason) == (
+            want.iterations, want.target_iteration, want.stop_reason)
+
+
+def eps_target(sb, starts):
+    x0 = np.stack([st.x for st in starts])
+    y0 = np.stack([st.y for st in starts])
+
+    def target(rows, st):
+        return relative_error(st.x, st.y, sb.x_star, sb.y_star, x0[rows],
+                              y0[rows]) < TARGET_EPS
+
+    return target
+
+
+@pytest.fixture(scope="module")
+def readme_batch():
+    sb = synthetic_problem(100)
+    sp = ScheduleParams(**README_SCHEDULE)
+    return sb, sp, synthetic_starts(sb, range(1000, 1010))
+
+
+def test_readme_batch_of_ten_equals_ten_serial_runs(readme_batch):
+    # 3000 steps: every start passes eps_rel 1e-4 (near k = 850) on the way
+    sb, sp, starts = readme_batch
+    target = eps_target(sb, starts)
+    serial = serial_runs(sb.problem, sp, starts, 3000, target,
+                         callback_stride=STRIDE)
+    batched = batched_run(sb.problem, sp, starts, 3000, target,
+                          callback_stride=STRIDE)
+    assert_batch_equals_serial(serial, batched)
+    hits = [res.target_iteration for res, _ in batched]
+    assert None not in hits and len(set(hits)) > 1
+
+
+def test_rows_stop_at_their_own_target(readme_batch):
+    sb, sp, starts = readme_batch
+    target = eps_target(sb, starts)
+    serial = serial_runs(sb.problem, sp, starts, 3000, target,
+                         stop_at_target=True, callback_stride=STRIDE)
+    batched = batched_run(sb.problem, sp, starts, 3000, target,
+                          stop_at_target=True, callback_stride=STRIDE)
+    assert_batch_equals_serial(serial, batched)
+    stops = [res.iterations for res, _ in batched]
+    assert {res.stop_reason for res, _ in batched} == {"target"}
+    assert len(set(stops)) > 1
+    # the clocks share out the stepping time: each row's is positive
+    assert all(res.step_seconds > 0 for res, _ in batched)
+
+
+def test_diverging_rows_fail_alone_with_the_serial_message():
+    # x grows geometrically from any nonzero start and overflows at a k set
+    # by its magnitude; a zero start stays at zero
+    q = quadratic_testbed()
+    sp = ScheduleParams(alpha0=3.0, beta0=0.5, rho0=1.0, sigma0=0.1,
+                        p=0.001, q=0.001, s=0.1)
+    starts = [initial_state(q, [x], [y]) for x, y in (
+        (0.0, 0.0), (1.0, -1.0), (1e-200, 1e-200), (1e150, -1e150),
+        (0.0, 0.0))]
+    with np.errstate(all="ignore"):
+        serial = serial_runs(q, sp, starts, 2000, callback_stride=50)
+        batched = batched_run(q, sp, starts, 2000, callback_stride=50)
+    assert_batch_equals_serial(serial, batched)
+    assert [res.stop_reason for res, _ in batched] == [
+        "max_iter", "error", "error", "error", "max_iter"]
+    assert len({res.iterations for res, _ in batched[1:4]}) == 3
+
+
+def test_schedule_overflow_fails_every_row_like_a_serial_run():
+    q = quadratic_testbed()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q far outside the regime
+        # sigma_k = 0.01 * k^-400 rounds to 0 at k=7
+        sp = ScheduleParams(alpha0=0.1, beta0=0.01, rho0=1.0, sigma0=0.01,
+                            p=0.001, q=400.0, s=0.1)
+    starts = [initial_state(q, [x], [1.0]) for x in (0.5, 2.0)]
+    serial = serial_runs(q, sp, starts, 200, callback_stride=10)
+    batched = batched_run(q, sp, starts, 200, callback_stride=10)
+    assert all(isinstance(res, ParameterOverflowError) for res, _ in serial)
+    assert_batch_equals_serial(serial, batched)
+    assert [res.iterations for res, _ in batched] == [6, 6]
+
+
+def test_hyper_rep_batch_loops_the_gradients_over_rows():
+    data = generate_hyper_rep(6, 2, 8, 8, 8, 0.1, seed=3)
+    prob = hyper_rep_problem(data)
+    assert not prob.rowwise
+    sp = ScheduleParams(alpha0=0.01, beta0=1e-4, rho0=10.0, sigma0=0.01,
+                        p=0.01, q=0.01, s=0.16)
+    starts = [initial_state(prob, *hyper_rep_init(data, philox(s)))
+              for s in (42, 43, 44)]
+    serial = serial_runs(prob, sp, starts, 300, callback_stride=100)
+    batched = batched_run(prob, sp, starts, 300, callback_stride=100)
+    assert_batch_equals_serial(serial, batched)
+
+
+def test_a_row_does_not_depend_on_the_other_rows(readme_batch):
+    sb, sp, starts = readme_batch
+    alone = run(sb.problem, sp, starts[3:4], 500)[0]
+    for batch in ([starts[3], starts[0]], starts[1:6], starts[::-1]):
+        row = next(j for j, st in enumerate(batch) if st is starts[3])
+        assert same_state(run(sb.problem, sp, batch, 500)[row].state,
+                          alone.state)
+
+
+@pytest.mark.parametrize("problem", ["synthetic", "hyper_rep"])
+def test_gradient_counter_counts_six_per_row_and_step(problem):
+    if problem == "synthetic":
+        sb = synthetic_problem(5)
+        prob, starts = sb.problem, synthetic_starts(sb, range(4))
+    else:
+        data = generate_hyper_rep(3, 2, 4, 4, 4, 0.1, seed=1)
+        prob = hyper_rep_problem(data)
+        starts = [initial_state(prob, *hyper_rep_init(data, philox(s)))
+                  for s in range(4)]
+    counted, cnt = with_gradient_counter(prob)
+    sp = ScheduleParams(**README_SCHEDULE)
+    run(counted, sp, starts, 10)
+    assert cnt.count == 6 * 4 * 10
+    run(counted, sp, starts[0], 10)
+    assert cnt.count == 6 * 4 * 10 + 6 * 10

@@ -69,6 +69,25 @@ def test_projections_convert_and_reject_as_before():
     assert np.array_equal(Box([0.0], [1.0]).project(2.0), [1.0])
 
 
+def test_projecting_a_block_projects_each_row_bit_for_bit():
+    rng = np.random.default_rng(11)
+    sets = [FullSpace(4), Box([-1.0, 0.0, 2.0, -np.inf], [1.0, 0.5, 2.0, 3.0]),
+            Ball([1.0, -2.0, 0.5, 0.0], 2.5)]
+    block = rng.standard_normal((6, 4)) * 3.0
+    block[1] = [1.0, -2.0, 0.5, 0.0]    # the ball's center
+    block[2, 0] = np.nan
+    block[3] = [1.5, -2.0, 0.5, 0.0]    # inside the ball
+    for s in sets:
+        with np.errstate(invalid="ignore"):
+            got = s.project(block)
+            for i in range(len(block)):
+                assert same_bits(got[i], s.project(block[i]))
+        assert got is not block
+        for bad in (np.ones((6, 3)), np.ones((2, 6, 4))):
+            with pytest.raises(ContractViolation, match=r"or \(S, 4\)"):
+                s.project(bad)
+
+
 def test_operator_T_converts_and_rejects_as_before():
     q = quadratic_testbed()
     pr = PenaltyReg(2.0, 0.5)
@@ -158,3 +177,22 @@ def test_relative_error_equals_old_formula():
     assert relative_error(1.0, [2.0], 0.0, [0.0], 2.0, [1.0]) == 1.0
     with pytest.raises(ContractViolation):
         relative_error([1.0], [1.0], [0.0], [0.0], [0.0], [0.0])
+
+
+def test_relative_error_of_a_block_is_each_row_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        s, n, m = (int(k) for k in rng.integers(1, 60, 3))
+        x, x0 = (rng.standard_normal((s, n)) * 10.0 ** rng.integers(-5, 5)
+                 for _ in range(2))
+        y, y0 = (rng.standard_normal((s, m)) * 10.0 ** rng.integers(-5, 5)
+                 for _ in range(2))
+        xs, ys = rng.standard_normal(n), rng.standard_normal(m)
+        got = relative_error(x, y, xs, ys, x0, y0)
+        assert got.shape == (s,)
+        for i in range(s):
+            assert got[i] == relative_error(x[i], y[i], xs, ys, x0[i], y0[i])
+    # one row starting at the optimum makes the whole call undefined
+    with pytest.raises(ContractViolation):
+        relative_error(np.ones((2, 1)), np.ones((2, 1)), [0.0], [0.0],
+                       [[1.0], [0.0]], [[1.0], [0.0]])

@@ -1,8 +1,9 @@
 """Property tests (Hypothesis): random config values never crash the CLI,
 a key the config key table lacks is one config error wherever it is put,
 projections are idempotent and nonexpansive, the schedules move the way
-the method needs, every iterate is feasible, and the saddle operator is
-strongly monotone with its zero at the analytic saddle. Examples are
+the method needs, every iterate is feasible, the saddle operator is
+strongly monotone with its zero at the analytic saddle, and np.vecdot takes
+each row's dot product exactly as np.dot takes it alone. Examples are
 derandomized, so every run draws the same ones."""
 
 import contextlib
@@ -259,3 +260,28 @@ def test_quadratic_operator_strongly_monotone_with_analytic_zero(
     saddle = np.concatenate((ys, zs))
     scale = lip * (abs(x) + np.abs(saddle).max())
     assert np.linalg.norm(operator_T(QUAD, pr, xv, saddle)) <= 1e-12 * scale
+
+
+@FIXED
+@given(n=st.integers(1, 500), rows=st.integers(1, 17),
+       scales=st.lists(st.integers(-150, 150), min_size=17, max_size=17),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_vecdot_rows_equal_serial_dots_exactly(n, rows, scales, seed, data):
+    # the batched step is bit-identical to serial steps only because of this:
+    # a numpy or BLAS that sums a row of a block in another order than a
+    # lone vector must fail here, not drift a trajectory
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** np.array(scales[:rows])[:, None]
+    x = rng.standard_normal((rows, n)) * mag
+    y = rng.uniform(0.0, 10.0, (rows, n)) * mag[::-1]
+    e = np.ones(n)
+    # a compacted block, as when rows leave a batch
+    keep = data.draw(st.lists(st.integers(0, rows - 1), min_size=1,
+                              unique=True))
+    for xb, yb in ((x, y), (x[keep], y[keep])):
+        xx, ey, xy = np.vecdot(xb, xb), np.vecdot(e, yb), np.vecdot(xb, yb)
+        for i in range(len(xb)):
+            assert xx[i] == xb[i].dot(xb[i])
+            assert ey[i] == np.dot(e, yb[i])
+            assert xy[i] == np.dot(xb[i], yb[i])
+            assert np.vecdot(xb[i], xb[i]) == xb[i].dot(xb[i])

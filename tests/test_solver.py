@@ -177,6 +177,29 @@ def test_run_target_bookkeeping():
     assert res.target_seconds is not None and res.target_seconds >= 0
 
 
+def test_batch_run_bookkeeping():
+    starts = [initial_state(quad, [x], [0.0]) for x in (1.0, 2.0, 3.0)]
+    assert run(quad, SP_UNIT, [], max_iter=5) == []
+    res = run(quad, SP_UNIT, starts, max_iter=0)
+    assert [r.state for r in res] == starts and res[0].iterations == 0
+    seen = []
+    res = run(quad, SP_UNIT, starts, max_iter=250,
+              target=lambda rows, s: rows == 1,
+              callback=lambda i, s, t: seen.append((i, s.k - 1)),
+              callback_stride=100)
+    assert [r.iterations for r in res] == [250, 250, 250]
+    assert [r.target_iteration for r in res] == [None, 1, None]
+    assert sorted(seen) == [(i, k) for i in range(3) for k in (100, 200, 250)]
+    res = run(quad, SP_UNIT, starts, max_iter=250, stop_at_target=True,
+              target=lambda rows, s: rows == 1)
+    assert [(r.stop_reason, r.iterations) for r in res] == [
+        ("max_iter", 250), ("target", 1), ("max_iter", 250)]
+    # the clocks share out the stepping time of the batch
+    assert all(r.step_seconds > 0 and r.error is None for r in res)
+    with pytest.raises(ContractViolation, match="share their counter"):
+        run(quad, SP_UNIT, [starts[0], res[0].state], max_iter=5)
+
+
 def test_matched_runs_are_bit_identical():
     sb = synthetic_problem(5)
     sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
