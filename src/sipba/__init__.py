@@ -61,6 +61,7 @@ from .diagnostics import (
     lipschitz_phi_bound,
     merit_value,
     relative_error,
+    relative_error_denominator,
     sandwich_check,
     snapshot,
 )

@@ -44,7 +44,8 @@ from .benchmarks import (
     quadratic_testbed,
     synthetic_problem,
 )
-from .diagnostics import merit_value, relative_error, sandwich_check, snapshot
+from .diagnostics import (merit_value, relative_error,
+                          relative_error_denominator, sandwich_check, snapshot)
 from .errors import (
     ContractViolation,
     DivergenceError,
@@ -314,12 +315,22 @@ class ProblemBundle:
         self.metric_name = metric_name
         self.metric = metric            # callable(x, y) -> float
 
-    def eps_rel(self, x, y, x0, y0):
-        """Relative error of (x, y) to the known optimum; None without one."""
+    def eps_den(self, x0, y0):
+        """The relative-error denominator of the start (x0, y0), or of a
+        block of starts, to the known optimum; None without one. Raises
+        ContractViolation for a start at the optimum."""
         cf = self.closed_form
         if cf is None:
             return None
-        return relative_error(x, y, cf.x_star, cf.y_star, x0, y0)
+        return relative_error_denominator(x0, y0, cf.x_star, cf.y_star)
+
+    def eps_rel(self, x, y, den):
+        """Relative error of (x, y) to the known optimum, den from eps_den;
+        None without one."""
+        cf = self.closed_form
+        if cf is None:
+            return None
+        return relative_error(x, y, cf.x_star, cf.y_star, den)
 
 
 def build_problem(cfg):
@@ -387,7 +398,7 @@ def _runs(cfg):
         st = initial_state(prob, x0, y0, _vector(init, "run.init.z0",
                                                  prob.n_y, "num[]", y0, None))
         try:
-            bundle.eps_rel(st.x, st.y, st.x, st.y)
+            bundle.eps_den(st.x, st.y)
         except ContractViolation:  # eps_rel divides by the start's distance
             raise ConfigError("run.init projects onto the known optimum "
                               "(x*, y*)", key="run.init") from None
@@ -450,16 +461,21 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
                oracle_tol, target_eps, stop_at_target, write_rows=True):
     """The runs of seeds from their starts inits, stepped as one batch:
-    one result dict per seed, and with write_rows its run_<seed>.csv."""
+    one result dict per seed, and with write_rows its run_<seed>.csv. The
+    relative-error denominator of the starts is formed once, here, and
+    serves the target, the stride rows and the finals."""
     prob = bundle.problem
+    den = bundle.eps_den(np.stack([st.x for st in inits]),
+                         np.stack([st.y for st in inits]))
+    if den is None:  # no known optimum: every eps_rel is None
+        den = [None] * len(inits)
 
     target = None
     if target_eps is not None:
-        x0 = np.stack([st.x for st in inits])
-        y0 = np.stack([st.y for st in inits])
+        xs, ys = bundle.closed_form.x_star, bundle.closed_form.y_star
 
         def target(rows, st):
-            return bundle.eps_rel(st.x, st.y, x0[rows], y0[rows]) < target_eps
+            return relative_error(st.x, st.y, xs, ys, den[rows]) < target_eps
 
     # each run's CSV rows, 7 floats a row (k, time_s, phi_k, ..., merit) in
     # one flat array: a batch holds all its runs' rows until it ends, and as
@@ -475,7 +491,7 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
         phi_min[i] = min(phi_min[i], sn.phi)
         merit = merit_value(done, sp.s, sp.t_exp, sn.phi - (phi_min[i] - 1.0),
                             sn.tracking_err)
-        eps = bundle.eps_rel(st.x, st.y, inits[i].x, inits[i].y)
+        eps = bundle.eps_rel(st.x, st.y, den[i])
         records[i].extend((done, elapsed, sn.phi, np.nan if eps is None else eps,
                            sn.tracking_err, sn.stat_residual, merit))
 
@@ -483,7 +499,7 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
                   stop_at_target=stop_at_target,
                   callback=cb if write_rows else None, callback_stride=stride)
     outs = []
-    for seed, init, res, own in zip(seeds, inits, results, records):
+    for i, (seed, res, own) in enumerate(zip(seeds, results, records)):
         if res.error is not None:
             outs.append({"ok": False, "error": str(res.error)})
         else:
@@ -491,7 +507,7 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
                          "target_iteration": res.target_iteration,
                          "target_seconds": res.target_seconds,
                          "final_eps_rel": bundle.eps_rel(
-                             res.state.x, res.state.y, init.x, init.y)})
+                             res.state.x, res.state.y, den[i])})
         if write_rows:
             known = bundle.closed_form is not None  # else eps_rel stays empty
             _write_csv(os.path.join(out_dir, "run_%d.csv" % seed), RUN_COLUMNS,
@@ -668,9 +684,10 @@ def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
 
     # single-loop arm
     prob_s, cnt_s = with_gradient_counter(bundle.problem)
+    den = bundle.eps_den(init.x, init.y)
 
     def metric_fn(x, y):
-        eps = bundle.eps_rel(x, y, init.x, init.y)
+        eps = bundle.eps_rel(x, y, den)
         return bundle.metric(x, y) if eps is None else eps
 
     def cb(st, elapsed):

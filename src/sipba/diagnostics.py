@@ -5,8 +5,10 @@ iterate against one oracle solve (smoothed value, distance of the inner pair
 to the exact saddle, and the projected-gradient stationarity residual of the
 smoothed value function; the solve is warm-started from the previous
 snapshot's saddle when the caller passes it), a relative error to a known
-optimum, a merit value combining value gap and tracking error, and the
-two-sided sandwich between the smoothed and the exact value function.
+optimum (its denominator, the start's squared distance to the optimum, is
+formed and checked once per run and passed to every call), a merit value
+combining value gap and tracking error, and the two-sided sandwich between
+the smoothed and the exact value function.
 """
 
 from dataclasses import dataclass
@@ -27,14 +29,16 @@ def _vec(v):
     return v if isinstance(v, np.ndarray) and v.ndim else np.atleast_1d(v)
 
 
-def relative_error(x, y, x_star, y_star, x0, y0):
-    """(||x-x*||^2 + ||y-y*||^2) / (||x0-x*||^2 + ||y0-y*||^2).
+def relative_error_denominator(x0, y0, x_star, y_star):
+    """||x0-x*||^2 + ||y0-y*||^2, the denominator of relative_error.
 
-    Translation-invariant. Row-wise for blocks: with x, y (and x0, y0) of
-    shape (S, dim) it returns the S relative errors as an array, each equal
-    bit for bit to the call on that row alone; a single point gives a float.
-    Raises if an initialization coincides with the optimum (zero
-    denominator).
+    Row-wise for blocks: with x0, y0 of shape (S, dim) it returns the S
+    denominators, each equal bit for bit to the call on that row alone; a
+    single start gives a numpy float. Form it once per start (or batch of
+    starts) and pass it to every relative_error call of that run.
+
+    Raises ContractViolation if a start coincides with the optimum (a zero
+    denominator), so that check runs once, where the denominator is formed.
     """
     xs, ys = _vec(x_star), _vec(y_star)
     dx, dy = _vec(x0) - xs, _vec(y0) - ys
@@ -43,6 +47,20 @@ def relative_error(x, y, x_star, y_star, x0, y0):
         raise ContractViolation(
             "relative error undefined: initialization equals the optimum"
         )
+    return den
+
+
+def relative_error(x, y, x_star, y_star, den):
+    """(||x-x*||^2 + ||y-y*||^2) / den, den from relative_error_denominator.
+
+    With den = relative_error_denominator(x0, y0, x_star, y_star) this is
+    the error relative to the start (x0, y0); translation-invariant.
+    Row-wise for blocks: with x, y of shape (S, dim) and den of shape (S,)
+    it returns the S relative errors as an array, each equal bit for bit to
+    the call on that row alone; a single point gives a float. den is taken
+    as is: the zero check ran where it was formed.
+    """
+    xs, ys = _vec(x_star), _vec(y_star)
     dx, dy = _vec(x) - xs, _vec(y) - ys
     err = (np.vecdot(dx, dx) + np.vecdot(dy, dy)) / den
     return float(err) if err.ndim == 0 else err

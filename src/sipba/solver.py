@@ -245,7 +245,10 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
         records (iteration, stepping seconds); the run stops there only if
         stop_at_target is set. For a batch it is called once per step as
         target(rows, state) on the batch's active rows (rows: their indices
-        into init) and returns one bool per row.
+        into init) and returns one bool per row, until every active row has
+        hit. A target that divides by a constant per start (such as the
+        starts' relative_error_denominator) should form it once, before
+        this call, and index it by rows.
     callback : callable(state, elapsed_seconds), optional
         Invoked every callback_stride completed steps and after the final
         step; excluded from the stepping clock. For a batch it is called
@@ -255,7 +258,9 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
     Timing counts the stepping work only, so diagnostics (oracle calls in
     callbacks, target checks) do not pollute time-to-target measurements.
     A batch charges each batched step's time to its active rows in equal
-    shares, so the rows' clocks sum to the batch's stepping time.
+    shares, so the rows' clocks sum to the batch's stepping time. Every
+    active row has taken every batched step so far, so the active rows
+    share one running clock, written to a row's result when it leaves.
 
     A row of a batch leaves it when it stops at its target, or when its
     step or its callback raises DivergenceError, ParameterOverflowError or
@@ -319,8 +324,9 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
                          **{b: np.stack([getattr(st, b) for st in starts])
                             for b in "xyz"})
     rows = np.arange(len(starts))  # the start behind each row of state
-    clock = np.zeros(len(starts))
+    share = 0.0  # the active rows' common clock (see run)
     hit = np.zeros(len(starts), dtype=bool)
+    hunting = target is not None  # some active row has not hit its target
     last_emitted = [0] * len(starts)
 
     def row(st, j):
@@ -332,12 +338,12 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
     def end(i, st, reason, error=None):
         res = results[i]
         res.state, res.iterations, res.stop_reason = st, st.k - 1, reason
-        res.step_seconds, res.error = float(clock[i]), error
+        res.step_seconds, res.error = share, error
 
     def emit(i, st):
         """Callback for row i; False if its error ended the row."""
         try:
-            callback(i, st, float(clock[i]))
+            callback(i, st, share)
         except _ROW_ERRORS as err:
             end(i, st, "error", err)
             return False
@@ -355,7 +361,7 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
             for j, i in enumerate(rows):
                 end(i, row(state, j), "error", err)
             return results
-        clock[rows] += (time.perf_counter() - t0) / rows.size
+        share += (time.perf_counter() - t0) / rows.size
         if len(bad):
             for j in bad:
                 last = row(state, j)
@@ -365,28 +371,39 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
             rows, nxt = rows[keep], take(nxt, keep)
             if not rows.size:
                 return results
+            hunting = hunting and not hit[rows].all()
         done = nxt.k - 1
-        keep = np.ones(rows.size, dtype=bool)
-        if target is not None and not hit[rows].all():
-            new = np.asarray(target(rows, nxt), dtype=bool) & ~hit[rows]
-            for j in np.flatnonzero(new):
-                i = rows[j]
-                hit[i] = True
-                res = results[i]
-                res.target_iteration, res.target_seconds = done, float(clock[i])
-                if stop_at_target:
-                    keep[j] = False
-                    st = row(nxt, j)
-                    if callback is None or emit(i, st):
-                        end(i, st, "target")
+        keep = None  # the rows that stay: a mask only once one may leave
+        if hunting:
+            new = np.asarray(target(rows, nxt), dtype=bool)
+            if not stop_at_target:  # rows that hit stay, and hit only once
+                new = new & ~hit[rows]
+            if new.any():
+                keep = np.ones(rows.size, dtype=bool)
+                for j in np.flatnonzero(new):
+                    i = rows[j]
+                    hit[i] = True
+                    res = results[i]
+                    res.target_iteration, res.target_seconds = done, share
+                    if stop_at_target:
+                        keep[j] = False
+                        st = row(nxt, j)
+                        if callback is None or emit(i, st):
+                            end(i, st, "target")
+                # with stop_at_target the rows that hit leave, and the
+                # rest have not hit
+                hunting = stop_at_target or not hit[rows].all()
         if callback is not None and done % stride == 0:
+            if keep is None:
+                keep = np.ones(rows.size, dtype=bool)
             for j in np.flatnonzero(keep):
                 keep[j] = emit(rows[j], row(nxt, j))
         state = nxt
-        if not keep.all():
+        if keep is not None and not keep.all():
             rows, state = rows[keep], take(nxt, keep)
             if not rows.size:
                 return results
+            hunting = hunting and not hit[rows].all()
     for j, i in enumerate(rows):
         st = row(state, j)
         if callback is None or last_emitted[i] == st.k - 1 or emit(i, st):

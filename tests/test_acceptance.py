@@ -31,6 +31,7 @@ from sipba import (
     params_at,
     quadratic_testbed,
     relative_error,
+    relative_error_denominator,
     run,
     run_double_loop_baseline,
     sandwich_check,
@@ -66,12 +67,12 @@ def test_criterion_01_synthetic_convergence():
     sp = ScheduleParams(**REF_SCHEDULE)
     inits = [initial_state(sb.problem, *sb.sample_init(philox(1000 + i)))
              for i in range(10)]
-    x_init = np.stack([st.x for st in inits])
-    y_init = np.stack([st.y for st in inits])
+    den = relative_error_denominator(np.stack([st.x for st in inits]),
+                                     np.stack([st.y for st in inits]),
+                                     sb.x_star, sb.y_star)
 
     def eps(x, y, rows):
-        return relative_error(x, y, sb.x_star, sb.y_star, x_init[rows],
-                              y_init[rows])
+        return relative_error(x, y, sb.x_star, sb.y_star, den[rows])
 
     results = run(sb.problem, sp, inits, max_iter=20000,
                   target=lambda rows, st: eps(st.x, st.y, rows) < 1e-4)
@@ -248,11 +249,12 @@ def test_criterion_06_ablation_robustness():
         times = []
         for x0, y0, z0 in inits:
             init = initial_state(sb.problem, x0, y0, z0)
-            x_init, y_init = init.x.copy(), init.y.copy()
+            den = relative_error_denominator(init.x, init.y, sb.x_star,
+                                             sb.y_star)
             res = run(
                 sb.problem, sp, init, max_iter=200000,
                 target=lambda st: relative_error(
-                    st.x, st.y, sb.x_star, sb.y_star, x_init, y_init) < 1e-4,
+                    st.x, st.y, sb.x_star, sb.y_star, den) < 1e-4,
                 stop_at_target=True)
             if res.target_iteration is None:
                 all_hit = False

@@ -719,8 +719,9 @@ def test_built_problem_pickles(kind):
             assert np.array_equal(a, b) and type(a) is type(b), name
         if bundle.metric is not None:
             assert bundle.metric(x, y) == copy.metric(x, y)
-        assert bundle.eps_rel(x, y, 2 * x, 2 * y) == copy.eps_rel(x, y, 2 * x,
-                                                                  2 * y)
+        den, den2 = bundle.eps_den(2 * x, 2 * y), copy.eps_den(2 * x, 2 * y)
+        assert den == den2
+        assert bundle.eps_rel(x, y, den) == copy.eps_rel(x, y, den2)
     draws = [b.sample_init(np.random.Generator(np.random.Philox(11)))
              for b in (bundle, copy)]
     assert all(np.array_equal(a, b) for a, b in zip(*draws))
@@ -903,3 +904,52 @@ def test_readme_config_reference_matches_the_key_table():
             except ValueError:  # an expression such as `4p + 5q`
                 continue
             assert table_default == value, keys
+
+
+class Counting:
+    """A function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cmd", ["run", "ablate"])
+def test_relative_error_runs_once_per_step_and_row_its_denominator_once(
+        tmp_path, monkeypatch, capsys, cmd):
+    # the benchmark's traced synth-ablate run counts relative_error calls as
+    # one per batched step plus one per final row; the denominator is formed
+    # once per batch
+    from sipba import solver
+
+    rel = Counting(cli.relative_error)
+    den = Counting(cli.relative_error_denominator)
+    step = Counting(solver.sipba_step)
+    monkeypatch.setattr(cli, "relative_error", rel)
+    monkeypatch.setattr(cli, "relative_error_denominator", den)
+    monkeypatch.setattr(solver, "sipba_step", step)
+    cfg = synthetic_cfg(ablate={"grid": [{}, {"alpha0": 1.0}],
+                                "max_iter": 20000})
+    cfg["problem"]["n"] = 10
+    cfg["run"].update(seeds={"base": 1000, "count": 3}, target_eps_rel=1e-4,
+                      max_iter=5000)
+    out = tmp_path / "out"
+    assert cli.main([cmd, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    if cmd == "ablate":
+        # every row stops at its target: one target call per batched step
+        assert den.calls == 2
+        assert rel.calls == step.calls + 2 * 3
+        return
+    # run: the target is checked until the last row hits; each CSV row and
+    # each final reads one more
+    assert den.calls == 1
+    hits = [int(k) for k in re.findall(r"target at k=(\d+)",
+                                       capsys.readouterr().out)]
+    csv_rows = sum(len(read_csv(out / ("run_%d.csv" % s))[1])
+                   for s in (1000, 1001, 1002))
+    assert len(hits) == 3 and step.calls == 5000 > max(hits)
+    assert rel.calls == max(hits) + csv_rows + 3

@@ -8,6 +8,7 @@ from sipba.diagnostics import (
     lipschitz_phi_bound,
     merit_value,
     relative_error,
+    relative_error_denominator,
     sandwich_check,
     snapshot,
 )
@@ -36,16 +37,19 @@ def _state(x, y, z):
 
 
 def test_relative_error_example():
-    err = relative_error(np.array([1.0]), np.array([0.5]),
-                         np.array([0.5]), np.array([0.5]),
-                         np.array([1.5]), np.array([1.5]))
+    x_star, y_star = np.array([0.5]), np.array([0.5])
+    den = relative_error_denominator(np.array([1.5]), np.array([1.5]),
+                                     x_star, y_star)
+    assert den == 2.0
+    err = relative_error(np.array([1.0]), np.array([0.5]), x_star, y_star,
+                         den)
     assert err == pytest.approx(0.125)
 
 
-def test_relative_error_rejects_zero_denominator():
+def test_relative_error_denominator_rejects_a_start_at_the_optimum():
     z = np.zeros(2)
     with pytest.raises(ContractViolation):
-        relative_error(z, z, z, z, z, z)
+        relative_error_denominator(z, z, z, z)
 
 
 def test_tracking_error_example():

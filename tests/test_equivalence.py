@@ -14,14 +14,22 @@ A batch of starts stepped as one block must give every start the run it has
 alone: the tolerance, fixed before the batched step was written, is exact
 equality of the final blocks, the iteration counts, the target iterations,
 the stop reasons and error messages, and every callback state.
+
+The command line forms each batch's relative-error denominator once; the
+tolerance, fixed before that change, is exact equality with runs whose
+target, diagnostics rows and final eps_rel divide by the denominator formed
+on every call: iterations, target iterations, stop reasons, final blocks,
+every eps_rel cell and final eps_rel.
 """
 
+import csv
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sipba import cli, solver
 from sipba.benchmarks import (
     generate_hyper_rep,
     hyper_rep_init,
@@ -29,8 +37,16 @@ from sipba.benchmarks import (
     quadratic_testbed,
     synthetic_problem,
 )
-from sipba.diagnostics import relative_error, snapshot
-from sipba.errors import DivergenceError, ParameterOverflowError
+from sipba.diagnostics import (
+    relative_error,
+    relative_error_denominator,
+    snapshot,
+)
+from sipba.errors import (
+    ContractViolation,
+    DivergenceError,
+    ParameterOverflowError,
+)
 from sipba.solver import (
     ScheduleParams,
     initial_state,
@@ -188,12 +204,13 @@ def assert_batch_equals_serial(serial, batched):
 
 
 def eps_target(sb, starts):
-    x0 = np.stack([st.x for st in starts])
-    y0 = np.stack([st.y for st in starts])
+    den = relative_error_denominator(np.stack([st.x for st in starts]),
+                                     np.stack([st.y for st in starts]),
+                                     sb.x_star, sb.y_star)
 
     def target(rows, st):
-        return relative_error(st.x, st.y, sb.x_star, sb.y_star, x0[rows],
-                              y0[rows]) < TARGET_EPS
+        return relative_error(st.x, st.y, sb.x_star, sb.y_star,
+                              den[rows]) < TARGET_EPS
 
     return target
 
@@ -304,3 +321,97 @@ def test_gradient_counter_counts_six_per_row_and_step(problem):
     assert cnt.count == 6 * 4 * 10
     run(counted, sp, starts[0], 10)
     assert cnt.count == 6 * 4 * 10 + 6 * 10
+
+
+# ---------------------------------------------------------------------------
+# the command line's time-to-target against the six-argument relative error
+
+# four fast rows of criterion 06's ablation grid
+GATE_GRID = ({}, {"alpha0": 1.0}, {"beta0": 0.01}, {"s": 0.016})
+GATE_STARTS = 8
+GATE_MAX_ITER = 200000
+
+
+def old_relative_error(x, y, x_star, y_star, x0, y0):
+    """The six-argument relative error, its denominator formed per call."""
+    dx, dy = x0 - x_star, y0 - y_star
+    den = np.vecdot(dx, dx) + np.vecdot(dy, dy)
+    dx, dy = x - x_star, y - y_star
+    return float((np.vecdot(dx, dx) + np.vecdot(dy, dy)) / den)
+
+
+@pytest.fixture(scope="module")
+def criterion_06():
+    bundle = cli.build_problem({"problem": {"kind": "synthetic", "n": 100}})
+    seeds = list(range(1000, 1000 + GATE_STARTS))
+    return bundle, seeds, synthetic_starts(bundle.closed_form, seeds)
+
+
+@pytest.mark.parametrize("over", GATE_GRID, ids=lambda o: str(o) or "{}")
+def test_cli_time_to_target_equals_the_six_argument_formula(
+        criterion_06, over, monkeypatch, tmp_path):
+    bundle, seeds, starts = criterion_06
+    sb, sp = bundle.closed_form, ScheduleParams(**{**README_SCHEDULE, **over})
+
+    # reference: each start alone, its target, its stride rows and its final
+    # the six-argument formula inline
+    want = []
+    for st in starts:
+        def eps(s, st=st):
+            return old_relative_error(s.x, s.y, sb.x_star, sb.y_star, st.x,
+                                      st.y)
+
+        rows = []
+        res = run(sb.problem, sp, st, GATE_MAX_ITER, stop_at_target=True,
+                  target=lambda s: eps(s) < TARGET_EPS, callback_stride=100,
+                  callback=lambda s, t: rows.append(eps(s)))
+        want.append((res, eps(res.state), rows))
+
+    # candidate: the command line's batch, its results caught on the way out
+    caught = []
+
+    def run_and_catch(*args, **kwargs):
+        caught.extend(run(*args, **kwargs))
+        return caught
+
+    monkeypatch.setattr(cli, "run", run_and_catch)
+    outs = cli._run_batch(sp, seeds, starts, bundle, str(tmp_path),
+                          GATE_MAX_ITER, 100, ORACLE_TOL, TARGET_EPS, True)
+
+    for (ref, ref_eps, ref_rows), got, out, seed in zip(want, caught, outs,
+                                                        seeds):
+        assert got.stop_reason == ref.stop_reason == "target"
+        assert got.error is None and out["ok"]
+        assert (got.iterations, got.target_iteration) == (
+            ref.iterations, ref.target_iteration)
+        assert out["target_iteration"] == ref.target_iteration
+        assert same_state(got.state, ref.state)
+        assert out["final_eps_rel"] == ref_eps
+        with open(tmp_path / ("run_%d.csv" % seed), encoding="utf-8") as fh:
+            col = [float(r["eps_rel"]) for r in csv.DictReader(fh)]
+        assert col == ref_rows
+
+
+def test_a_start_at_the_optimum_is_rejected_once_before_the_first_step(
+        criterion_06, monkeypatch):
+    bundle, seeds, starts = criterion_06
+    sb = bundle.closed_form
+    calls = {"den": 0, "step": 0}
+    den, step = cli.relative_error_denominator, solver.sipba_step
+
+    def counted_den(*args):
+        calls["den"] += 1
+        return den(*args)
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(cli, "relative_error_denominator", counted_den)
+    monkeypatch.setattr(solver, "sipba_step", counted_step)
+    at_optimum = initial_state(sb.problem, sb.x_star, sb.y_star)
+    with pytest.raises(ContractViolation, match="equals the optimum"):
+        cli._run_batch(ScheduleParams(**README_SCHEDULE), seeds[:2],
+                       [starts[0], at_optimum], bundle, None, 100, 100,
+                       ORACLE_TOL, TARGET_EPS, True, write_rows=False)
+    assert calls == {"den": 1, "step": 0}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sipba.benchmarks import quadratic_testbed, synthetic_problem
-from sipba.diagnostics import relative_error
+from sipba.diagnostics import relative_error, relative_error_denominator
 from sipba.errors import ContractViolation
 from sipba.problem import Ball, Box, FullSpace
 from sipba.smoothing import PenaltyReg, operator_T
@@ -158,6 +158,12 @@ def test_finiteness_test_matches_isfinite_all():
             assert bool(_finite(v)) == bool(np.isfinite(v).all())
 
 
+def rel(x, y, x_star, y_star, x0, y0):
+    """relative_error of (x, y) against the start (x0, y0)."""
+    return relative_error(x, y, x_star, y_star,
+                          relative_error_denominator(x0, y0, x_star, y_star))
+
+
 def test_relative_error_equals_old_formula():
     def old(x, y, x_star, y_star, x0, y0):
         x, y = np.atleast_1d(x), np.atleast_1d(y)
@@ -172,11 +178,11 @@ def test_relative_error_equals_old_formula():
         n, m = (int(k) for k in rng.integers(1, 120, 2))
         args = [rng.standard_normal(k) * 10.0 ** rng.integers(-5, 5)
                 for k in (n, m, n, m, n, m)]
-        assert relative_error(*args) == old(*args)
+        assert rel(*args) == old(*args)
     # scalars and lists still go through atleast_1d
-    assert relative_error(1.0, [2.0], 0.0, [0.0], 2.0, [1.0]) == 1.0
+    assert rel(1.0, [2.0], 0.0, [0.0], 2.0, [1.0]) == 1.0
     with pytest.raises(ContractViolation):
-        relative_error([1.0], [1.0], [0.0], [0.0], [0.0], [0.0])
+        relative_error_denominator([0.0], [0.0], [0.0], [0.0])
 
 
 def test_relative_error_of_a_block_is_each_row_bit_for_bit():
@@ -188,11 +194,13 @@ def test_relative_error_of_a_block_is_each_row_bit_for_bit():
         y, y0 = (rng.standard_normal((s, m)) * 10.0 ** rng.integers(-5, 5)
                  for _ in range(2))
         xs, ys = rng.standard_normal(n), rng.standard_normal(m)
-        got = relative_error(x, y, xs, ys, x0, y0)
-        assert got.shape == (s,)
+        den = relative_error_denominator(x0, y0, xs, ys)
+        got = relative_error(x, y, xs, ys, den)
+        assert den.shape == got.shape == (s,)
         for i in range(s):
-            assert got[i] == relative_error(x[i], y[i], xs, ys, x0[i], y0[i])
-    # one row starting at the optimum makes the whole call undefined
+            assert den[i] == relative_error_denominator(x0[i], y0[i], xs, ys)
+            assert got[i] == rel(x[i], y[i], xs, ys, x0[i], y0[i])
+    # one row starting at the optimum makes the whole block undefined
     with pytest.raises(ContractViolation):
-        relative_error(np.ones((2, 1)), np.ones((2, 1)), [0.0], [0.0],
-                       [[1.0], [0.0]], [[1.0], [0.0]])
+        relative_error_denominator([[1.0], [0.0]], [[1.0], [0.0]], [0.0],
+                                   [0.0])

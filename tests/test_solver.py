@@ -1,7 +1,10 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from sipba import solver
 
 from sipba.benchmarks import quadratic_testbed, synthetic_problem
 from sipba.errors import (
@@ -198,6 +201,79 @@ def test_batch_run_bookkeeping():
     assert all(r.step_seconds > 0 and r.error is None for r in res)
     with pytest.raises(ContractViolation, match="share their counter"):
         run(quad, SP_UNIT, [starts[0], res[0].state], max_iter=5)
+
+
+def test_batch_clock_is_the_running_share_of_the_active_rows(monkeypatch):
+    # a fake clock: readings T[0], T[1], ...; step m is timed from T[2m-2]
+    # to T[2m-1], and each active row is charged dt_m / (active rows)
+    rng = np.random.default_rng(7)
+    T = np.cumsum(rng.uniform(0.1, 2.0, 30)).tolist()
+    readings = iter(T)
+    monkeypatch.setattr(solver, "time",
+                        SimpleNamespace(perf_counter=lambda: next(readings)))
+    # the schedule and starts of the divergence gate: zero starts stay at
+    # zero, a nonzero start grows geometrically and overflows
+    sp = ScheduleParams(alpha0=3.0, beta0=0.5, rho0=1.0, sigma0=0.1,
+                        p=0.001, q=0.001, s=0.1)
+    starts = [initial_state(quad, [x], [y]) for x, y in (
+        (0.0, 0.0), (1e300, -1e300), (0.0, 0.0), (0.0, 0.0))]
+    stop_at = np.array([3, np.inf, 10, np.inf])  # rows 0 and 2 hit their targets
+    seen = []
+    with np.errstate(all="ignore"):
+        res = run(quad, sp, starts, 12, stop_at_target=True,
+                  target=lambda rows, s: s.k - 1 >= stop_at[rows],
+                  callback=lambda i, s, t: seen.append((i, s.k - 1, t)),
+                  callback_stride=4)
+    assert [r.stop_reason for r in res] == ["target", "error", "target",
+                                            "max_iter"]
+    diverged = res[1].iterations + 1  # the step that overflowed row 1
+    assert diverged == 8
+    assert next(readings) == T[24]  # two readings per step, 12 steps
+
+    leaves = {0: 3, 1: diverged, 2: 10, 3: 12}
+    active, share, clocks, shares = set(leaves), 0.0, {}, [0.0]
+    for m in range(1, 13):
+        share += (T[2 * m - 1] - T[2 * m - 2]) / len(active)
+        shares.append(share)
+        for i in [i for i in active if leaves[i] == m]:
+            clocks[i] = share
+            active.remove(i)
+    assert [r.step_seconds for r in res] == [clocks[i] for i in range(4)]
+    assert [r.target_seconds for r in res] == [clocks[0], None, clocks[2],
+                                               None]
+    assert seen == [(0, 3, shares[3]), (1, 4, shares[4]), (2, 4, shares[4]),
+                    (3, 4, shares[4]), (2, 8, shares[8]), (3, 8, shares[8]),
+                    (2, 10, shares[10]), (3, 12, shares[12])]
+    stepping = sum(T[2 * m - 1] - T[2 * m - 2] for m in range(1, 13))
+    assert sum(r.step_seconds for r in res) == pytest.approx(stepping,
+                                                             rel=1e-12)
+
+
+def test_batch_target_is_called_until_every_active_row_has_hit():
+    starts = [initial_state(quad, [x], [0.0]) for x in (1.0, 2.0, 3.0)]
+    calls = []
+
+    def target_at(*its):
+        def target(rows, s):
+            calls.append((s.k - 1, rows.tolist()))
+            return s.k - 1 >= np.array(its)[rows]
+        return target
+
+    res = run(quad, SP_UNIT, starts, max_iter=10, target=target_at(3, 5, 2))
+    assert [r.target_iteration for r in res] == [3, 5, 2]
+    assert calls == [(k, [0, 1, 2]) for k in range(1, 6)]
+    # once the only row that has not hit diverges (at step 8), the target
+    # is not called again
+    sp = ScheduleParams(alpha0=3.0, beta0=0.5, rho0=1.0, sigma0=0.1,
+                        p=0.001, q=0.001, s=0.1)
+    starts = [initial_state(quad, [x], [-x]) for x in (0.0, 0.0, 1e300)]
+    calls.clear()
+    with np.errstate(all="ignore"):
+        res = run(quad, sp, starts, max_iter=10,
+                  target=target_at(2, 3, np.inf))
+    assert [(r.stop_reason, r.iterations) for r in res] == [
+        ("max_iter", 10), ("max_iter", 10), ("error", 7)]
+    assert calls == [(k, [0, 1, 2]) for k in range(1, 8)]
 
 
 def test_matched_runs_are_bit_identical():
