@@ -18,9 +18,11 @@ _get) as ``cfg:line: section.key must be ..., got ...``. The problem and
 each run's start are built once too, and every run task gets them. A task
 of run or ablate steps a batch of starts together (solver.run): run cuts
 its seeds into --jobs contiguous batches, ablate makes one batch per grid
-row; outputs do not depend on the batching apart from time columns. Exit
-codes: 0 success, 1 config or usage error, 2 nothing completed (numerical
-failure), 3 acceptance violation.
+row; outputs do not depend on the batching apart from time columns. A
+batch of one start, and compare's single-loop arm, is stepped as vectors;
+compare's baseline starts its first inner solve at the oracle's default
+start. Exit codes: 0 success, 1 config or usage error, 2 nothing completed
+(numerical failure), 3 acceptance violation.
 """
 
 import argparse
@@ -663,15 +665,17 @@ def cmd_gradcheck(cfg, out_dir):
     return 0
 
 
-def _baseline_under_budget(prob, sp, x0, u0, budget, inner_tol,
-                           callback=None):
+def _baseline_under_budget(prob, sp, x0, budget, inner_tol, callback=None):
     """Double-loop baseline driven to a gradient-evaluation budget: (x, last
     saddle, outer iterations, inner failures, seconds). prob should come from
-    with_gradient_counter so its counter is reused."""
+    with_gradient_counter so its counter is reused. The first inner solve
+    starts at the oracle's default start, as the diagnostics' solves do: a
+    run's (y0, z0) can be far from every saddle, and a solve from there may
+    spend the whole budget."""
     res = run_double_loop_baseline(
         prob, sp, x0, None, inner_tol=inner_tol,
         inner_max_iter=budget,  # only the remaining budget caps a solve
-        u0=u0, callback=callback, grad_budget=budget)
+        callback=callback, grad_budget=budget)
     return (res.x, res.saddle, res.outer_iterations, res.inner_failures,
             res.step_seconds)
 
@@ -706,7 +710,6 @@ def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
     # double-loop arm
     if out["ok"]:
         prob_b, cnt_b = with_gradient_counter(bundle.problem)
-        u0 = np.concatenate((init.y, init.z))
 
         def bl_cb(k, x, sd, inner_total, elapsed):
             rows.append(("baseline", seed, k, cnt_b.count, elapsed,
@@ -714,7 +717,7 @@ def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
 
         try:
             bx, bsd, _, _, _ = _baseline_under_budget(
-                prob_b, sp_base, init.x, u0, budget, inner_tol, callback=bl_cb)
+                prob_b, sp_base, init.x, budget, inner_tol, callback=bl_cb)
             out.update(baseline_final=metric_fn(bx, bsd.y_star),
                        baseline_evals=cnt_b.count)
         except (DivergenceError, ParameterOverflowError) as e:

@@ -9,9 +9,10 @@ class DivergenceError(RuntimeError):
     """An update direction or iterate became non-finite.
 
     Carries the last good state in ``state`` so callers can inspect or
-    restart from it. A step of a batch of rows also names the rows that went
-    non-finite (``rows``, positions in the block) and carries the step's
-    result for all rows (``next_state``), so the other rows can go on.
+    restart from it. A failed sipba_step also names the rows that went
+    non-finite (``rows``, positions in the block; ``[0]`` for a state of
+    vectors) and carries the step's result for all rows (``next_state``),
+    so the other rows of a batch can go on.
     """
 
     def __init__(self, message, state=None, rows=None, next_state=None):

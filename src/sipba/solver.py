@@ -20,11 +20,12 @@ parameter choices outside the regime are allowed and only warned about.
 
 The step is written once over blocks: a state holds one start as vectors of
 shape (n,), or a batch of S starts at one counter k as (S, n) blocks, one row
-per start. run drives one start, or a list of them as one batch whose every
-step is one sipba_step call: the schedule is evaluated once per k, the
-gradients of a rowwise problem are called once per step for all rows, and
-each row's arithmetic is that of the serial step, so every row's trajectory
-equals its serial run bit for bit.
+per start. run has one loop: it steps a list of starts as one batch, one
+sipba_step call a step, so the schedule is evaluated once per k and a rowwise
+problem's gradients are called once per step for all rows. Each row's
+arithmetic is that of the serial step, so every row's trajectory equals its
+serial run bit for bit. A batch of one (a start passed alone, or a list of
+one) is not stacked: it is stepped as vectors.
 """
 
 import math
@@ -186,9 +187,9 @@ def sipba_step(problem, sp, state):
     ParameterOverflowError
         If the schedule left the float range (sigma_k rounded to 0).
     DivergenceError
-        If an iterate became non-finite; carries the last good state. For
-        a batch it also names the non-finite rows and carries the step's
-        result for every row.
+        If an iterate became non-finite; carries the last good state, the
+        positions of the non-finite rows (rows; [0] for a state of vectors)
+        and the step's result for every row (next_state).
     """
     pars, pr = _penalty_at(sp, state.k)
     x, y, z = state.x, state.y, state.z
@@ -200,13 +201,11 @@ def sipba_step(problem, sp, state):
     x1 = problem.set_X.project(x - pars.alpha * dx)
     nxt = IterateState(k=state.k + 1, x=x1, y=y1, z=z1)
     if not (_finite(x1) and _finite(y1) and _finite(z1)):
-        err = DivergenceError("non-finite iterate at k=%d" % state.k,
-                              state=state)
-        if x.ndim == 2:
-            ok = (np.isfinite(x1).all(1) & np.isfinite(y1).all(1)
-                  & np.isfinite(z1).all(1))
-            err.rows, err.next_state = np.flatnonzero(~ok), nxt
-        raise err
+        ok = (np.isfinite(x1).all(-1) & np.isfinite(y1).all(-1)
+              & np.isfinite(z1).all(-1))
+        raise DivergenceError("non-finite iterate at k=%d" % state.k,
+                              state=state, rows=np.flatnonzero(~ok),
+                              next_state=nxt)
     return nxt
 
 
@@ -234,11 +233,12 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
         callback=None, callback_stride=100):
     """Drive sipba_step for max_iter iterations from init.
 
-    init is one start (an IterateState), or a list of starts run as one
-    batch. One start returns its RunResult and raises the step's
-    ParameterOverflowError or DivergenceError, or any error of the hooks,
-    out of this call. A batch returns one RunResult per start, in order;
-    see below.
+    init is a list of starts run as one batch, which returns one RunResult
+    per start, in order (see below), or one start (an IterateState). One
+    start runs as a batch of one, its hooks called without the row
+    argument, and returns its RunResult, but raises its error out of this
+    call: the step's ParameterOverflowError or DivergenceError (serial
+    message, last good state), or a hook's (the same object).
 
     target : callable(state) -> bool, optional
         Checked after every step, outside the timed region. The first hit
@@ -250,10 +250,10 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
         starts' relative_error_denominator) should form it once, before
         this call, and index it by rows.
     callback : callable(state, elapsed_seconds), optional
-        Invoked every callback_stride completed steps and after the final
-        step; excluded from the stepping clock. For a batch it is called
-        per row, as callback(row, state, elapsed_seconds) with the row's
-        1-D state and clock.
+        Invoked every callback_stride completed steps and after the last
+        step this call takes (none with max_iter=0), off the stepping
+        clock. For a batch it is called per row, as callback(row, state,
+        elapsed_seconds) with the row's 1-D state and clock.
 
     Timing counts the stepping work only, so diagnostics (oracle calls in
     callbacks, target checks) do not pollute time-to-target measurements.
@@ -267,7 +267,9 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
     SaddleConvergenceError: its RunResult then holds the error (with the
     serial message, and for a divergence the row's last good state) and
     the other rows go on. The starts of a batch share their counter k; a
-    problem that is not rowwise has its gradients called once per row.
+    problem that is not rowwise has its gradients called once per row. The
+    states of a batch of one, also those its hooks and gradients see, are
+    (n,) vectors.
 
     Validation happens before the loop: init comes from initial_state
     (which converts and projects the starting blocks), and max_iter and
@@ -278,35 +280,16 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
         raise ContractViolation("max_iter must be >= 0")
     if callback_stride < 1:
         raise ContractViolation("callback_stride must be >= 1")
-    if not isinstance(init, IterateState):
-        return _run_batch(problem, sp, list(init), max_iter, target,
-                          stop_at_target, callback, callback_stride)
-    state = init
-    elapsed = 0.0
-    result = RunResult(state=state, iterations=0, stop_reason="max_iter",
-                       step_seconds=0.0)
-    last_emitted = 0
-    for _ in range(max_iter):
-        t0 = time.perf_counter()
-        state = sipba_step(problem, sp, state)
-        elapsed += time.perf_counter() - t0
-        done = state.k - 1  # completed steps
-        if target is not None and result.target_iteration is None and target(state):
-            result.target_iteration = done
-            result.target_seconds = elapsed
-            if stop_at_target:
-                result.stop_reason = "target"
-                break  # the final emission below reports this state
-        if callback is not None and done % callback_stride == 0:
-            callback(state, elapsed)
-            last_emitted = done
-    done = state.k - 1
-    if callback is not None and done != last_emitted and done > 0:
-        callback(state, elapsed)
-    result.state = state
-    result.iterations = done
-    result.step_seconds = elapsed
-    return result
+    if isinstance(init, IterateState):  # a batch of one that raises
+        (res,) = _run_batch(
+            problem, sp, [init], max_iter,
+            target and (lambda rows, st: (target(st),)), stop_at_target,
+            callback and (lambda i, st, t: callback(st, t)), callback_stride)
+        if res.error is not None:
+            raise res.error
+        return res
+    return _run_batch(problem, sp, list(init), max_iter, target,
+                      stop_at_target, callback, callback_stride)
 
 
 def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
@@ -319,10 +302,13 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
                          step_seconds=0.0) for st in starts]
     if not starts or max_iter == 0:
         return results
-    problem = rowwise_gradients(problem)
-    state = IterateState(k=starts[0].k,
-                         **{b: np.stack([getattr(st, b) for st in starts])
-                            for b in "xyz"})
+    if len(starts) == 1:  # stepped as vectors: no stacking, no row loop
+        state = starts[0]
+    else:
+        problem = rowwise_gradients(problem)
+        state = IterateState(k=starts[0].k,
+                             **{b: np.stack([getattr(st, b) for st in starts])
+                                for b in "xyz"})
     rows = np.arange(len(starts))  # the start behind each row of state
     share = 0.0  # the active rows' common clock (see run)
     hit = np.zeros(len(starts), dtype=bool)
@@ -330,6 +316,8 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
     last_emitted = [0] * len(starts)
 
     def row(st, j):
+        if st.x.ndim == 1:
+            return st
         return IterateState(k=st.k, x=st.x[j], y=st.y[j], z=st.z[j])
 
     def take(st, keep):
@@ -368,9 +356,9 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
                 end(rows[j], last, "error", DivergenceError(why, state=last))
             keep = np.ones(rows.size, dtype=bool)
             keep[bad] = False
-            rows, nxt = rows[keep], take(nxt, keep)
-            if not rows.size:
+            if not keep.any():
                 return results
+            rows, nxt = rows[keep], take(nxt, keep)
             hunting = hunting and not hit[rows].all()
         done = nxt.k - 1
         keep = None  # the rows that stay: a mask only once one may leave
@@ -400,9 +388,9 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
                 keep[j] = emit(rows[j], row(nxt, j))
         state = nxt
         if keep is not None and not keep.all():
-            rows, state = rows[keep], take(nxt, keep)
-            if not rows.size:
+            if not keep.any():
                 return results
+            rows, state = rows[keep], take(nxt, keep)
             hunting = hunting and not hit[rows].all()
     for j, i in enumerate(rows):
         st = row(state, j)

@@ -285,10 +285,11 @@ def _hyper_rep_pair(n_feat, noise_a):
     res = run(prob, sp, initial_state(prob, x0, y0, z0), max_iter=HR_STEPS)
     s_loss = hyper_rep_test_loss(data, res.state.x, res.state.y)
 
+    # the baseline as sipba compare runs it: its first inner solve starts at
+    # the oracle's default start, not at (y0, z0)
     sp_base = ScheduleParams(**{**HR_SP, "alpha0": 0.2})
-    u0 = np.concatenate((y0, z0))
     base = run_double_loop_baseline(prob, sp_base, x0, None, inner_tol=1e-5,
-                                    u0=u0, grad_budget=6 * HR_STEPS)
+                                    grad_budget=6 * HR_STEPS)
     b_loss = hyper_rep_test_loss(data, base.x, base.saddle.y_star)
     return init_loss, s_loss, b_loss
 

@@ -345,6 +345,24 @@ def test_compare_respects_gradient_budget(tmp_path, capsys):
     assert "run 5:" in capsys.readouterr().out
 
 
+def test_compare_baseline_starts_at_the_oracle_default(tmp_path, capsys):
+    # the README synthetic instance: from the run's (y0, z0) the baseline's
+    # first inner solve spends the whole budget without converging and ends
+    # at eps_rel 0.46; from the oracle's default start it reaches 1e-6
+    cfg = synthetic_cfg(problem={"kind": "synthetic", "n": 100},
+                        run={"max_iter": 20000, "seeds": [1000],
+                             "stride": 100},
+                        compare={"budget": 120000})
+    cfgp = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", cfgp, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "compare_1000.csv")
+    base = [r for r in rows if r[0] == "baseline"]
+    assert base[-1][5] == "eps_rel" and float(base[-1][6]) < 1e-4
+    assert len(base) > 1000  # outer iterations
+    capsys.readouterr()
+
+
 # alpha0 = 1e150 sends the baseline's x out of the float range within a few
 # outer steps
 DIVERGING_BASELINE = {

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,9 @@ from sipba.errors import (
     ContractViolation,
     DivergenceError,
     ParameterOverflowError,
+    SaddleConvergenceError,
 )
+from sipba.problem import GRADIENTS
 from sipba.smoothing import PenaltyReg
 from sipba.solver import (
     ScheduleParams,
@@ -146,6 +149,17 @@ def test_run_zero_and_negative_max_iter():
     assert res.iterations == 0 and res.state is st
     with pytest.raises(ContractViolation):
         run(quad, SP_UNIT, st, max_iter=-1)
+    # the callback follows the steps of the call: max_iter=0 takes none, so
+    # it fires none, also from a state with k > 1, alone or in a list
+    st = run(quad, SP_UNIT, st, 7).state
+    seen = []
+    res = run(quad, SP_UNIT, st, max_iter=0,
+              callback=lambda s, t: seen.append(s.k))
+    (listed,) = run(quad, SP_UNIT, [st], max_iter=0,
+                    callback=lambda i, s, t: seen.append(s.k))
+    assert seen == []
+    assert res.state is st and listed.state is st
+    assert res.iterations == listed.iterations == 7
 
 
 def test_run_rejects_callback_stride_below_one():
@@ -276,6 +290,106 @@ def test_batch_target_is_called_until_every_active_row_has_hit():
     assert calls == [(k, [0, 1, 2]) for k in range(1, 8)]
 
 
+# a schedule under which the synthetic family converges; no warnings
+SP_SYNTH = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
+                          p=0.001, q=0.001, s=0.1)
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_a_single_start_is_stepped_as_vectors(as_list):
+    # a start alone or in a list of one is not stacked: the gradients of a
+    # problem that is not rowwise get (n,) vectors, six calls a step, and
+    # the first step hands them the start's own x, not a row of a copy
+    sb = synthetic_problem(5)
+    calls = []
+
+    def logged(fn):
+        def grad(x, y):
+            calls.append((np.shape(x), np.shape(y), x))
+            return fn(x, y)
+        return grad
+
+    prob = replace(sb.problem, rowwise=False,
+                   **{g: logged(getattr(sb.problem, g)) for g in GRADIENTS})
+    st = initial_state(prob, *sb.sample_init(np.random.default_rng(3)))
+    res = run(prob, SP_SYNTH, [st] if as_list else st, max_iter=3)
+    assert (res[0] if as_list else res).iterations == 3
+    assert len(calls) == 6 * 3
+    assert {(sx, sy) for sx, sy, _ in calls} == {((5,), (5,))}
+    assert all(x is st.x for _, _, x in calls[:6])
+
+
+@pytest.mark.parametrize("stop_at_target", [False, True])
+def test_a_start_alone_equals_a_list_of_one(monkeypatch, stop_at_target):
+    # on the same fake clock, run(p, sp, st) and run(p, sp, [st])[0] end
+    # equal, and their hooks see equal (n,) states at equal clocks
+    T = np.cumsum(np.random.default_rng(5).uniform(0.1, 2.0, 30)).tolist()
+    sb = synthetic_problem(5)
+    st = initial_state(sb.problem, *sb.sample_init(np.random.default_rng(4)))
+
+    def go(as_list):
+        readings = iter(T)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(
+            perf_counter=lambda: next(readings)))
+        seen = []
+
+        def target(s):
+            seen.append(("target", s, None))
+            return s.k - 1 >= 5
+
+        def callback(s, t):
+            seen.append(("callback", s, t))
+
+        if not as_list:
+            return run(sb.problem, SP_SYNTH, st, 10, target, stop_at_target,
+                       callback, callback_stride=4), seen
+        (res,) = run(sb.problem, SP_SYNTH, [st], 10,
+                     lambda rows, s: [target(s)], stop_at_target,
+                     lambda i, s, t: callback(s, t), callback_stride=4)
+        return res, seen
+
+    (alone, seen_alone), (listed, seen_listed) = go(False), go(True)
+    for b in "xyz":
+        np.testing.assert_array_equal(getattr(alone.state, b),
+                                      getattr(listed.state, b), strict=True)
+    for f in ("iterations", "stop_reason", "step_seconds", "target_iteration",
+              "target_seconds"):
+        assert getattr(alone, f) == getattr(listed, f)
+    assert alone.target_iteration == 5
+    assert alone.iterations == (5 if stop_at_target else 10)
+    assert alone.step_seconds == sum(T[2 * m + 1] - T[2 * m]
+                                     for m in range(alone.iterations))
+    assert len(seen_alone) == len(seen_listed)
+    for (hook, s, t), (hook2, s2, t2) in zip(seen_alone, seen_listed):
+        assert (hook, s.k, t) == (hook2, s2.k, t2)
+        for b in "xyz":
+            np.testing.assert_array_equal(getattr(s, b), getattr(s2, b),
+                                          strict=True)
+    assert [s.k - 1 for hook, s, _ in seen_alone if hook == "callback"] == (
+        [4, 5] if stop_at_target else [4, 8, 10])
+
+
+def test_a_start_alone_raises_its_hooks_errors_as_they_are():
+    st = initial_state(quad, [1.0], [0.0])
+    err = SaddleConvergenceError("oracle budget spent")
+
+    def callback(s, t):
+        if s.k - 1 == 200:
+            raise err
+
+    with pytest.raises(SaddleConvergenceError) as ei:
+        run(quad, SP_UNIT, st, max_iter=250, callback=callback)
+    assert ei.value is err
+    bad = KeyError("target")
+
+    def target(s):
+        raise bad
+
+    with pytest.raises(KeyError) as ei:
+        run(quad, SP_UNIT, st, max_iter=5, target=target)
+    assert ei.value is bad
+
+
 def test_matched_runs_are_bit_identical():
     sb = synthetic_problem(5)
     sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
@@ -289,12 +403,25 @@ def test_matched_runs_are_bit_identical():
 
 
 def test_divergence_raises():
+    # a start alone raises the failing step's message with the last good
+    # state; the step's own error also names row 0 and carries its result
     sp = ScheduleParams(alpha0=1e160, beta0=0.1, rho0=1.0, sigma0=1.0,
                         p=0.01, q=0.01, s=0.16)
-    st = initial_state(quad, [1.0], [0.0])
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as ei:
-        run(quad, sp, st, max_iter=50)
-    assert ei.value.state.k >= 1
+    st = last = initial_state(quad, [1.0], [0.0])
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as serial:
+            while True:
+                last = sipba_step(quad, sp, last)
+        with pytest.raises(DivergenceError) as ei:
+            run(quad, sp, st, max_iter=50)
+    assert str(ei.value) == str(serial.value)
+    assert serial.value.state is last
+    assert serial.value.rows.tolist() == [0]
+    assert serial.value.next_state.k == last.k + 1
+    assert ei.value.state.k == last.k > 1
+    for b in "xyz":
+        np.testing.assert_array_equal(getattr(ei.value.state, b),
+                                      getattr(last, b), strict=True)
 
 
 def test_baseline_divergence_raises():
