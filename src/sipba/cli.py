@@ -17,12 +17,13 @@ before any run starts: a key the table lacks, in any block, is reported as
 _get) as ``cfg:line: section.key must be ..., got ...``. The problem and
 each run's start are built once too, and every run task gets them. A task
 of run or ablate steps a batch of starts together (solver.run): run cuts
-its seeds into --jobs contiguous batches, ablate makes one batch per grid
-row; outputs do not depend on the batching apart from time columns. A
-batch of one start, and compare's single-loop arm, is stepped as vectors;
-compare's baseline starts its first inner solve at the oracle's default
-start. Exit codes: 0 success, 1 config or usage error, 2 nothing completed
-(numerical failure), 3 acceptance violation.
+its seeds, ablate its (grid row, seed) runs, each row under its own
+schedule, into --jobs contiguous batches; outputs do not depend on the
+batching apart from time columns. A batch of one start, and compare's
+single-loop arm, is stepped as vectors; compare's baseline starts its first
+inner solve at the oracle's default start. Exit codes: 0 success, 1 config
+or usage error, 2 nothing completed (numerical failure), 3 acceptance
+violation.
 """
 
 import argparse
@@ -462,11 +463,13 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 @_quiet
 def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
                oracle_tol, target_eps, stop_at_target, write_rows=True):
-    """The runs of seeds from their starts inits, stepped as one batch:
-    one result dict per seed, and with write_rows its run_<seed>.csv. The
+    """The runs of seeds from their starts inits under the schedule sp, or
+    a list with one schedule per seed, stepped as one batch: one result
+    dict per seed, and with write_rows its run_<seed>.csv. The
     relative-error denominator of the starts is formed once, here, and
     serves the target, the stride rows and the finals."""
     prob = bundle.problem
+    sps = sp if isinstance(sp, list) else [sp] * len(seeds)
     den = bundle.eps_den(np.stack([st.x for st in inits]),
                          np.stack([st.y for st in inits]))
     if den is None:  # no known optimum: every eps_rel is None
@@ -488,11 +491,11 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
 
     def cb(i, st, elapsed):
         done = st.k - 1
-        sn = snapshot(prob, sp, st, oracle_tol, warm=saddle[i])
+        sn = snapshot(prob, sps[i], st, oracle_tol, warm=saddle[i])
         saddle[i] = sn.saddle
         phi_min[i] = min(phi_min[i], sn.phi)
-        merit = merit_value(done, sp.s, sp.t_exp, sn.phi - (phi_min[i] - 1.0),
-                            sn.tracking_err)
+        merit = merit_value(done, sps[i].s, sps[i].t_exp,
+                            sn.phi - (phi_min[i] - 1.0), sn.tracking_err)
         eps = bundle.eps_rel(st.x, st.y, den[i])
         records[i].extend((done, elapsed, sn.phi, np.nan if eps is None else eps,
                            sn.tracking_err, sn.stat_residual, merit))
@@ -528,12 +531,15 @@ def _fan_out(tasks, jobs):
         return [f.result() for f in futs]
 
 
-def _batches(seeds, starts, jobs):
-    """seeds and their starts cut into min(jobs, len(seeds)) contiguous
-    batches of near-equal size, as (seeds, starts) pairs."""
-    n = min(jobs, len(seeds))
-    cuts = [len(seeds) * i // n for i in range(n + 1)]
-    return [(seeds[a:b], starts[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+def _batches(jobs, *columns):
+    """Lists of equal length, one entry per run (seeds, starts, ...), cut
+    into min(jobs, runs) contiguous batches of near-equal size, as tuples
+    with one slice of each list."""
+    runs = len(columns[0])
+    n = min(jobs, runs)
+    cuts = [runs * i // n for i in range(n + 1)]
+    return [tuple(c[a:b] for c in columns)
+            for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _tally(runs):
@@ -556,7 +562,7 @@ def cmd_run(cfg, out_dir, jobs):
     sp = build_schedule(cfg)
     target_eps = kw["target_eps"]
     batches = _fan_out([partial(_run_batch, sp, ss, sts, out_dir=out_dir, **kw)
-                        for ss, sts in _batches(seeds, starts, jobs)], jobs)
+                        for ss, sts in _batches(jobs, seeds, starts)], jobs)
     ordered = [r for batch in batches for r in batch]
 
     for s, r in zip(seeds, ordered):
@@ -590,7 +596,8 @@ def cmd_run(cfg, out_dir, jobs):
 
 
 def cmd_ablate(cfg, out_dir, jobs):
-    """Grid of schedule overrides: a time-to-target table."""
+    """Grid of schedule overrides: a time-to-target table; --jobs cuts the
+    (grid row, seed) runs into contiguous batches."""
     ab = _get(cfg, "ablate")
     grid = _get(ab, "ablate.grid")
     max_iter = _get(ab, "ablate.max_iter")
@@ -600,13 +607,18 @@ def cmd_ablate(cfg, out_dir, jobs):
         raise ConfigError("ablate needs run.target_eps_rel, the eps_rel its "
                           "runs are timed to", key="run.target_eps_rel")
 
-    results = _fan_out([
-        partial(_run_batch, sp, seeds, starts, out_dir=out_dir,
-                write_rows=False, **kw)
-        for sp in schedules], jobs)
+    # every (grid row, seed) run, grid row after grid row
+    n = len(seeds)
+    per_run = ([sp for sp in schedules for _ in seeds], seeds * len(grid),
+               starts * len(grid))
+    batches = _fan_out([partial(_run_batch, sps, ss, sts, out_dir=out_dir,
+                                write_rows=False, **kw)
+                        for sps, ss, sts in _batches(jobs, *per_run)], jobs)
+    ordered = [r for batch in batches for r in batch]
 
     table = []
-    for i, (sp, runs) in enumerate(zip(schedules, results)):
+    for i, sp in enumerate(schedules):
+        runs = ordered[i * n:(i + 1) * n]
         completed, valid, times, finals = _tally(runs)
         table.append((
             i, sp.alpha0, sp.beta0, sp.rho0, sp.sigma0, sp.p, sp.q, sp.s,
@@ -623,7 +635,7 @@ def cmd_ablate(cfg, out_dir, jobs):
                  % (float(np.mean(times)), float(np.std(times)))
                  if times else ""))
     _write_csv(os.path.join(out_dir, "ablation.csv"), ABLATE_COLUMNS, table)
-    return 0 if any(r["ok"] for rs in results for r in rs) else 2
+    return 0 if any(r["ok"] for r in ordered) else 2
 
 
 def cmd_gradcheck(cfg, out_dir):

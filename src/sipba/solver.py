@@ -21,11 +21,13 @@ parameter choices outside the regime are allowed and only warned about.
 The step is written once over blocks: a state holds one start as vectors of
 shape (n,), or a batch of S starts at one counter k as (S, n) blocks, one row
 per start. run has one loop: it steps a list of starts as one batch, one
-sipba_step call a step, so the schedule is evaluated once per k and a rowwise
-problem's gradients are called once per step for all rows. Each row's
-arithmetic is that of the serial step, so every row's trajectory equals its
-serial run bit for bit. A batch of one (a start passed alone, or a list of
-one) is not stacked: it is stepped as vectors.
+sipba_step call a step, so each schedule is evaluated once per k and a
+rowwise problem's gradients are called once per step for all rows. The rows
+may run under different schedules; the step then takes its parameters as
+(S, 1) columns, and a column times a block gives each row the product the
+scalar gives it. Each row's arithmetic is that of the serial step, so every
+row's trajectory equals its serial run bit for bit. A batch of one (a start
+passed alone, or a list of one) is not stacked: it is stepped as vectors.
 """
 
 import math
@@ -98,6 +100,9 @@ class ScheduleParams:
 
 
 class Params(NamedTuple):
+    """Scheduled values at one k: floats, or for a batch whose rows run
+    under different schedules (S, 1) columns, one row per row of the batch."""
+
     alpha: float
     beta: float
     rho: float
@@ -174,7 +179,10 @@ def sipba_step(problem, sp, state):
     """One single-loop iteration; returns the state at counter k+1.
 
     The state is one start or a batch of rows (see IterateState); a batch
-    needs a rowwise problem (see problem.rowwise_gradients). The state is
+    needs a rowwise problem (see problem.rowwise_gradients). sp is the
+    schedule (ScheduleParams), or for a batch whose rows run under different
+    schedules their Params at state.k as (S, 1) columns, which run evaluates
+    and checks once per schedule (_penalty_at). The state is
     validated where it is built (initial_state, and the config loader
     before it). The step keeps O(1) checks only: each projection takes a
     float64 block of the right shape as is and converts or rejects anything
@@ -191,7 +199,10 @@ def sipba_step(problem, sp, state):
         positions of the non-finite rows (rows; [0] for a state of vectors)
         and the step's result for every row (next_state).
     """
-    pars, pr = _penalty_at(sp, state.k)
+    if isinstance(sp, Params):
+        pars = pr = sp  # the directions read only rho and sigma
+    else:
+        pars, pr = _penalty_at(sp, state.k)
     x, y, z = state.x, state.y, state.z
     dy = direction_y(problem, pr, x, y, z)
     dz = direction_z(problem, pr, x, y, z)
@@ -234,7 +245,10 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
     """Drive sipba_step for max_iter iterations from init.
 
     init is a list of starts run as one batch, which returns one RunResult
-    per start, in order (see below), or one start (an IterateState). One
+    per start, in order (see below), or one start (an IterateState). sp is
+    one schedule (ScheduleParams) for every start, or a list with one per
+    start: each row then runs under its own schedule, and a step evaluates
+    each distinct schedule of its active rows once. One
     start runs as a batch of one, its hooks called without the row
     argument, and returns its RunResult, but raises its error out of this
     call: the step's ParameterOverflowError or DivergenceError (serial
@@ -266,10 +280,11 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
     step or its callback raises DivergenceError, ParameterOverflowError or
     SaddleConvergenceError: its RunResult then holds the error (with the
     serial message, and for a divergence the row's last good state) and
-    the other rows go on. The starts of a batch share their counter k; a
-    problem that is not rowwise has its gradients called once per row. The
-    states of a batch of one, also those its hooks and gradients see, are
-    (n,) vectors.
+    the other rows go on. A schedule that leaves the float range ends the
+    rows that run under it, and only those. The starts of a batch share
+    their counter k; a problem that is not rowwise has its gradients called
+    once per row. The states of a batch of one, also those its hooks and
+    gradients see, are (n,) vectors.
 
     Validation happens before the loop: init comes from initial_state
     (which converts and projects the starting blocks), and max_iter and
@@ -298,6 +313,14 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
     if len({st.k for st in starts}) > 1:
         raise ContractViolation("the starts of a batch must share their "
                                 "counter k")
+    if isinstance(sp, ScheduleParams):
+        sp = [sp] * len(starts)
+    elif len(sp) != len(starts):
+        raise ContractViolation("a list of schedules needs one per start")
+    scheds = list(dict.fromkeys(sp))  # the distinct schedules, in order
+    gi = np.array([scheds.index(s) for s in sp])  # each row's schedule
+    live = list(range(len(scheds)))  # the schedules of the active rows
+    lut = np.empty((len(scheds), 4))  # their Params at this step's k
     results = [RunResult(state=st, iterations=st.k - 1, stop_reason="max_iter",
                          step_seconds=0.0) for st in starts]
     if not starts or max_iter == 0:
@@ -318,9 +341,17 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
     def row(st, j):
         if st.x.ndim == 1:
             return st
-        return IterateState(k=st.k, x=st.x[j], y=st.y[j], z=st.z[j])
+        # copied out: a view would keep the whole block alive in a result
+        return IterateState(k=st.k, x=st.x[j].copy(), y=st.y[j].copy(),
+                            z=st.z[j].copy())
 
-    def take(st, keep):
+    def narrow(st, keep):
+        """st with the rows of mask keep only; rows and their schedules
+        follow."""
+        nonlocal rows, gi, live, hunting
+        rows, gi = rows[keep], gi[keep]
+        live = sorted(set(gi.tolist()))
+        hunting = hunting and not hit[rows].all()
         return IterateState(k=st.k, x=st.x[keep], y=st.y[keep], z=st.z[keep])
 
     def end(i, st, reason, error=None):
@@ -341,8 +372,26 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
     for _ in range(max_iter):
         bad = ()
         t0 = time.perf_counter()
+        if len(live) == 1:  # scalar parameters; sipba_step evaluates them
+            step_sp = scheds[live[0]]
+        else:
+            ok = []
+            for g in live:
+                try:
+                    lut[g] = _penalty_at(scheds[g], state.k)[0]
+                    ok.append(g)
+                except ParameterOverflowError as err:
+                    for j in np.flatnonzero(gi == g):
+                        end(rows[j], row(state, j), "error", err)
+            if len(ok) < len(live):
+                keep = np.isin(gi, ok)
+                if not keep.any():
+                    return results
+                state = narrow(state, keep)
+            cols = lut[gi]
+            step_sp = Params(*(cols[:, c, None] for c in range(4)))
         try:
-            nxt = sipba_step(problem, sp, state)
+            nxt = sipba_step(problem, step_sp, state)
         except DivergenceError as err:
             nxt, bad, why = err.next_state, err.rows, str(err)
         except ParameterOverflowError as err:
@@ -358,8 +407,7 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
             keep[bad] = False
             if not keep.any():
                 return results
-            rows, nxt = rows[keep], take(nxt, keep)
-            hunting = hunting and not hit[rows].all()
+            nxt = narrow(nxt, keep)
         done = nxt.k - 1
         keep = None  # the rows that stay: a mask only once one may leave
         if hunting:
@@ -390,8 +438,7 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
         if keep is not None and not keep.all():
             if not keep.any():
                 return results
-            rows, state = rows[keep], take(nxt, keep)
-            hunting = hunting and not hit[rows].all()
+            state = narrow(nxt, keep)
     for j, i in enumerate(rows):
         st = row(state, j)
         if callback is None or last_emitted[i] == st.k - 1 or emit(i, st):

@@ -570,7 +570,8 @@ class _NoPool:
 def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
                                            cmd, patch, key, message):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
-    # two grid rows: ablate fans out one task per row
+    # two grid rows of two seeds: ablate cuts its four runs into two
+    # batches at --jobs 2
     cfg = synthetic_cfg(ablate={"grid": [{}, {"alpha0": 0.05}], "max_iter": 10})
     # the patch is live: a good config at --jobs 2 does start a pool
     with pytest.raises(RuntimeError, match="worker pool"):
@@ -958,8 +959,9 @@ def test_relative_error_runs_once_per_step_and_row_its_denominator_once(
     assert cli.main([cmd, "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == 0
     if cmd == "ablate":
-        # every row stops at its target: one target call per batched step
-        assert den.calls == 2
+        # one batch of both grid rows at --jobs 1; every row stops at its
+        # target: one target call per batched step
+        assert den.calls == 1
         assert rel.calls == step.calls + 2 * 3
         return
     # run: the target is checked until the last row hits; each CSV row and

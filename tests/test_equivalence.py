@@ -13,7 +13,10 @@ which bounds how far either solve can be from the exact saddle.
 A batch of starts stepped as one block must give every start the run it has
 alone: the tolerance, fixed before the batched step was written, is exact
 equality of the final blocks, the iteration counts, the target iterations,
-the stop reasons and error messages, and every callback state.
+the stop reasons and error messages, and every callback state. The same
+exact tolerance, fixed before the batch took one schedule per start, holds
+for a batch whose rows run under different schedules: every (schedule,
+start) row equals the run of that start alone under that schedule.
 
 The command line forms each batch's relative-error denominator once; the
 tolerance, fixed before that change, is exact equality with runs whose
@@ -150,10 +153,11 @@ def synthetic_starts(sb, seeds):
 
 
 def serial_runs(problem, sp, starts, steps, target=None, **kw):
-    """Each start run alone: (RunResult or the error it raised, the states
-    its callback saw)."""
+    """Each start run alone, under sp or its own entry of a list sp: (RunResult
+    or the error it raised, the states its callback saw)."""
+    sps = sp if isinstance(sp, list) else [sp] * len(starts)
     out = []
-    for i, st in enumerate(starts):
+    for i, (sp, st) in enumerate(zip(sps, starts)):
         seen = []
         try:
             res = run(problem, sp, st, steps,
@@ -282,6 +286,24 @@ def test_schedule_overflow_fails_every_row_like_a_serial_run():
     assert_batch_equals_serial(serial, batched)
     assert [res.iterations for res, _ in batched] == [6, 6]
 
+    # mixed with a sane schedule and a diverging one, the overflowing
+    # schedule ends its own rows only, and the diverging row ends alone
+    sane = ScheduleParams(alpha0=0.1, beta0=0.01, rho0=1.0, sigma0=0.01,
+                          p=0.001, q=0.001, s=0.1)
+    wild = ScheduleParams(alpha0=3.0, beta0=0.5, rho0=1.0, sigma0=0.1,
+                          p=0.001, q=0.001, s=0.1)
+    sps = [sp, sane, wild, sp, sane]
+    starts = [initial_state(q, [x], [y]) for x, y in (
+        (0.5, 1.0), (0.5, 1.0), (1.0, -1.0), (2.0, 1.0), (2.0, 1.0))]
+    with np.errstate(all="ignore"):
+        serial = serial_runs(q, sps, starts, 400, callback_stride=10)
+        batched = batched_run(q, sps, starts, 400, callback_stride=10)
+    assert_batch_equals_serial(serial, batched)
+    assert [type(res.error).__name__ for res, _ in batched] == [
+        "ParameterOverflowError", "NoneType", "DivergenceError",
+        "ParameterOverflowError", "NoneType"]
+    assert batched[2][0].iterations > 6
+
 
 def test_hyper_rep_batch_loops_the_gradients_over_rows():
     data = generate_hyper_rep(6, 2, 8, 8, 8, 0.1, seed=3)
@@ -345,6 +367,27 @@ def criterion_06():
     bundle = cli.build_problem({"problem": {"kind": "synthetic", "n": 100}})
     seeds = list(range(1000, 1000 + GATE_STARTS))
     return bundle, seeds, synthetic_starts(bundle.closed_form, seeds)
+
+
+def test_a_batch_of_gate_grid_schedules_equals_every_serial_run(criterion_06):
+    # the batch sipba ablate steps: each schedule's starts, schedule after
+    # schedule; the rows leave at their targets, so the batch narrows from
+    # four schedules (parameter columns) to one (scalar parameters)
+    bundle, _, starts = criterion_06
+    sb = bundle.closed_form
+    sps = [ScheduleParams(**{**README_SCHEDULE, **over}) for over in GATE_GRID]
+    kw = dict(stop_at_target=True, callback_stride=STRIDE)
+    serial = [r for sp in sps for r in serial_runs(
+        sb.problem, sp, starts, GATE_MAX_ITER, eps_target(sb, starts), **kw)]
+    batch = starts * len(sps)
+    batched = batched_run(sb.problem, [sp for sp in sps for _ in starts],
+                          batch, GATE_MAX_ITER, eps_target(sb, batch), **kw)
+    assert_batch_equals_serial(serial, batched)
+    assert {res.stop_reason for res, _ in batched} == {"target"}
+    last = [max(res.iterations for res, _ in batched[i:i + GATE_STARTS])
+            for i in range(0, len(batched), GATE_STARTS)]
+    # the schedules' last rows leave at different steps, one schedule last
+    assert len(set(last)) > 2 and sorted(last)[-2] < sorted(last)[-1]
 
 
 @pytest.mark.parametrize("over", GATE_GRID, ids=lambda o: str(o) or "{}")

@@ -2,8 +2,9 @@
 a key the config key table lacks is one config error wherever it is put,
 projections are idempotent and nonexpansive, the schedules move the way
 the method needs, every iterate is feasible, the saddle operator is
-strongly monotone with its zero at the analytic saddle, and np.vecdot takes
-each row's dot product exactly as np.dot takes it alone. Examples are
+strongly monotone with its zero at the analytic saddle, np.vecdot takes
+each row's dot product exactly as np.dot takes it alone, and a batch's
+clock runs alike for all its active rows. Examples are
 derandomized, so every run draws the same ones."""
 
 import contextlib
@@ -23,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sipba import cli
 from sipba.benchmarks import analytic_saddle, quadratic_testbed, synthetic_problem
+from sipba.diagnostics import relative_error, relative_error_denominator
 from sipba.problem import Ball, Box
 from sipba.smoothing import PenaltyReg, operator_T
 from sipba.solver import ScheduleParams, initial_state, params_at, run
@@ -285,3 +287,34 @@ def test_vecdot_rows_equal_serial_dots_exactly(n, rows, scales, seed, data):
             assert ey[i] == np.dot(e, yb[i])
             assert xy[i] == np.dot(xb[i], yb[i])
             assert np.vecdot(xb[i], xb[i]) == xb[i].dot(xb[i])
+
+
+SMALL = synthetic_problem(10)
+
+
+@settings(FIXED, max_examples=25)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6,
+                      unique=True),
+       alpha0=st.lists(st.sampled_from([0.1, 1.0, 5.0]), min_size=6,
+                       max_size=6),
+       eps=st.sampled_from([1e-1, 1e-2]))
+def test_batch_clock_is_nondecreasing_in_target_iteration(seeds, alpha0, eps):
+    # every active row is charged the same share of each batched step, so
+    # a row that hits its target later has run at least as long: one
+    # ablation table's times-to-target compare across its schedules
+    starts = [initial_state(SMALL.problem, *SMALL.sample_init(
+        np.random.Generator(np.random.Philox(s)))) for s in seeds]
+    sps = [ScheduleParams(alpha0=a, beta0=0.01, rho0=10.0, sigma0=0.01,
+                          p=0.001, q=0.001, s=0.1)
+           for a in alpha0[:len(seeds)]]
+    xs, ys = SMALL.x_star, SMALL.y_star
+    den = relative_error_denominator(np.stack([s.x for s in starts]),
+                                     np.stack([s.y for s in starts]), xs, ys)
+    results = run(SMALL.problem, sps, starts, 1000, stop_at_target=True,
+                  target=lambda rows, s: relative_error(
+                      s.x, s.y, xs, ys, den[rows]) < eps)
+    hits = sorted((r.target_iteration, r.target_seconds) for r in results)
+    assert all(r.stop_reason == "target" for r in results)
+    for (k0, t0), (k1, t1) in zip(hits, hits[1:]):
+        assert t0 <= t1
+        assert k0 < k1 or t0 == t1

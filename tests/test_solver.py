@@ -213,8 +213,13 @@ def test_batch_run_bookkeeping():
         ("max_iter", 250), ("target", 1), ("max_iter", 250)]
     # the clocks share out the stepping time of the batch
     assert all(r.step_seconds > 0 and r.error is None for r in res)
+    # each result owns its blocks: a view would keep the batch's alive
+    assert all(b.base is None for r in res
+               for b in (r.state.x, r.state.y, r.state.z))
     with pytest.raises(ContractViolation, match="share their counter"):
         run(quad, SP_UNIT, [starts[0], res[0].state], max_iter=5)
+    with pytest.raises(ContractViolation, match="one per start"):
+        run(quad, [SP_UNIT, SP_UNIT], starts, max_iter=5)
 
 
 def test_batch_clock_is_the_running_share_of_the_active_rows(monkeypatch):
