@@ -1,7 +1,8 @@
 """Benchmark problem families with known structure.
 
 Three families, whose callables are module-level functions bound to their data
-with functools.partial, so a built problem pickles as it is:
+with functools.partial, or bound methods of a module-level class, so a built
+problem pickles as it is:
 
 * quadratic_testbed: scalar F = -(y-x)^2, f = (y-x)^2, everything
   unconstrained. The saddle of the regularized objective solves a 2x2
@@ -266,21 +267,45 @@ def generate_hyper_rep(n_feat, p_dim, m1, m2, m_test, noise_a, seed):
     )
 
 
-def _split_loss(X, y, x, w):  # on one split (X, y); x is H flattened
-    r = X.T @ x.reshape(X.shape[0], -1) @ w - y
-    return float(np.dot(r, r) / y.shape[0])
+class _Split:
+    """The squared loss of one data split (X, y) and its two gradients, at
+    x (the map H, flattened) and w.
 
+    X^T H is kept for the last x seen, keyed on x's dtype, shape, strides
+    and bytes, so the calls that share an x (the gradients of one step, and
+    every call of an inner solve at fixed x) form it once. The strides are
+    in the key because numpy's matmul may take another loop, with other
+    last bits, for a strided H than for a contiguous one. The residual is
+    (X^T H) w - y, the left-to-right association X.T @ H @ w takes, so
+    every value equals the uncached formula's bit for bit. Instances pickle
+    with their memo, and their bound methods stay pure as seen from outside.
+    """
 
-def _split_grad_x(X, y, x, w):
-    H = x.reshape(X.shape[0], -1)
-    r = X.T @ H @ w - y
-    return ((2.0 / y.shape[0]) * np.outer(X @ r, w)).ravel()
+    def __init__(self, X, y):
+        self.X, self.y = X, y
+        self._memo = (None, None)  # (key of x, X^T H)
 
+    def _residual(self, x, w):
+        key = (x.dtype, x.shape, x.strides, x.tobytes())
+        memo = self._memo  # read once: the pair stays matched under threads
+        if key != memo[0]:
+            H = x.reshape(self.X.shape[0], -1)
+            memo = self._memo = (key, self.X.T @ H)
+        return memo[1] @ w - self.y
 
-def _split_grad_w(X, y, x, w):
-    H = x.reshape(X.shape[0], -1)
-    r = X.T @ H @ w - y
-    return (2.0 / y.shape[0]) * (H.T @ (X @ r))
+    def loss(self, x, w):
+        r = self._residual(x, w)
+        return float(np.dot(r, r) / self.y.shape[0])
+
+    def grad_x(self, x, w):
+        r = self._residual(x, w)
+        # (X r) w^T as np.outer forms it: one product per entry
+        return ((2.0 / self.y.shape[0]) * ((self.X @ r)[:, None] * w)).ravel()
+
+    def grad_w(self, x, w):
+        r = self._residual(x, w)
+        H = x.reshape(self.X.shape[0], -1)
+        return (2.0 / self.y.shape[0]) * (H.T @ (self.X @ r))
 
 
 def hyper_rep_problem(data):
@@ -297,16 +322,21 @@ def hyper_rep_problem(data):
 
     Gradients (r = X^T H w - y): grad_w = (2/m) H^T X r,
     grad_H = (2/m) X r w^T.
+
+    F and its two gradients share one validation split, f and its two one
+    training split, and each split keeps X^T H for the last x it saw (see
+    _Split): a step's calls and an inner solve at fixed x form it once. A
+    batch of starts calls these gradients row by row (the problem is not
+    rowwise), so each call sees another row's x and misses the memo.
     """
     n, p = data.n_feat, data.p_dim
-    val, train = (data.X_val, data.y_val), (data.X_train, data.y_train)
+    val = _Split(data.X_val, data.y_val)
+    train = _Split(data.X_train, data.y_train)
     return BilevelProblem(
         n_x=n * p, n_y=p,
-        F=partial(_split_loss, *val), f=partial(_split_loss, *train),
-        grad_F_x=partial(_split_grad_x, *val),
-        grad_F_y=partial(_split_grad_w, *val),
-        grad_f_x=partial(_split_grad_x, *train),
-        grad_f_y=partial(_split_grad_w, *train),
+        F=val.loss, f=train.loss,
+        grad_F_x=val.grad_x, grad_F_y=val.grad_w,
+        grad_f_x=train.grad_x, grad_f_y=train.grad_w,
         set_X=FullSpace(n * p), set_Y=FullSpace(p),
         mu=0.0, lip_F=math.inf, lip_f=math.inf,
         assumption_note="upper objective is convex (not strongly concave) in w",
@@ -315,8 +345,8 @@ def hyper_rep_problem(data):
 
 def hyper_rep_test_loss(data, x, w):
     """Mean squared error of the learned (H, w) on the clean test split."""
-    return _split_loss(data.X_test, data.y_test,
-                       np.asarray(x, dtype=float), np.asarray(w, dtype=float))
+    return _Split(data.X_test, data.y_test).loss(
+        np.asarray(x, dtype=float), np.asarray(w, dtype=float))
 
 
 def hyper_rep_init(data, rng):

@@ -16,7 +16,7 @@ from sipba.benchmarks import (
     synthetic_problem,
 )
 from sipba.errors import ContractViolation
-from sipba.problem import check_gradients
+from sipba.problem import GRADIENTS, check_gradients, rowwise_gradients
 from sipba.saddle import solve_saddle
 from sipba.smoothing import PenaltyReg
 
@@ -167,6 +167,72 @@ def test_hyper_rep_test_loss_is_the_split_loss_on_the_test_split():
         x, w = rng.standard_normal(8), rng.standard_normal(2)
         assert hyper_rep_test_loss(data, x, w) == on_test.F(x, w)
         assert hyper_rep_test_loss(data, list(x), list(w)) == on_test.F(x, w)
+
+
+def _uncached_split(X, y):
+    """The loss of split (X, y) and its gradients in x and w without a
+    memo: every call multiplies out X.T @ H @ w."""
+    n, m = X.shape[0], y.shape[0]
+
+    def loss(x, w):
+        r = X.T @ x.reshape(n, -1) @ w - y
+        return float(np.dot(r, r) / m)
+
+    def grad_x(x, w):
+        r = X.T @ x.reshape(n, -1) @ w - y
+        return ((2.0 / m) * np.outer(X @ r, w)).ravel()
+
+    def grad_w(x, w):
+        H = x.reshape(n, -1)
+        r = X.T @ H @ w - y
+        return (2.0 / m) * (H.T @ (X @ r))
+
+    return loss, grad_x, grad_w
+
+
+@pytest.mark.parametrize("p_dim", [1, 3])
+def test_hyper_rep_memo_is_bit_identical_to_the_uncached_formulas(p_dim):
+    # each split keeps X^T H for the last x it saw; one interleaved call
+    # sequence over both splits must return what the uncached formulas do,
+    # bit for bit, whatever x the memo holds
+    data = generate_hyper_rep(7, p_dim, 10, 4, 5, 0.3, seed=4)
+    prob = hyper_rep_problem(data)
+    uncached = dict(zip(
+        ("F", "grad_F_x", "grad_F_y", "f", "grad_f_x", "grad_f_y"),
+        _uncached_split(data.X_val, data.y_val)
+        + _uncached_split(data.X_train, data.y_train)))
+    names = ("F", "f", "grad_F_x", "grad_f_x", "grad_F_y", "grad_f_y")
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.standard_normal((2, prob.n_x))
+    w1, w2 = rng.standard_normal((2, p_dim))
+
+    def check(name, x, w):
+        got, want = getattr(prob, name)(x, w), uncached[name](x, w)
+        assert type(got) is type(want) and np.array_equal(got, want), name
+
+    for name in names:  # the same x twice
+        check(name, x1, w1)
+        check(name, x1, w2)
+    for i in range(12):  # two x's alternating, on both splits in turn
+        check(names[i % 6], (x1, x2)[i // 2 % 2], w1)
+    moved = x2.copy()
+    for j, name in enumerate(names):  # one array, changed in place
+        check(name, moved, w1)
+        moved[j] += 0.5
+        check(name, moved, w1)
+    # the rows of a block, as a batch of starts passes them
+    block, w_block = np.stack([x1, x2, moved]), np.stack([w1, w2, w1])
+    batched = rowwise_gradients(prob)
+    for g in GRADIENTS:
+        want = np.stack([uncached[g](x, w) for x, w in zip(block, w_block)])
+        assert np.array_equal(getattr(batched, g)(block, w_block), want), g
+    # the same bytes as another dtype, and the same values strided
+    strided = np.repeat(x1, 2)[::2]
+    for name in names:
+        check(name, x1, w1)
+        check(name, x1.view(np.int64), w1)
+        check(name, x1, w1)
+        check(name, strided, w1)
 
 
 def test_quadratic_init_draws_inside_the_window():
