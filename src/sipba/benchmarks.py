@@ -276,9 +276,13 @@ class _Split:
     every call of an inner solve at fixed x) form it once. The strides are
     in the key because numpy's matmul may take another loop, with other
     last bits, for a strided H than for a contiguous one. The residual is
-    (X^T H) w - y, the left-to-right association X.T @ H @ w takes, so
-    every value equals the uncached formula's bit for bit. Instances pickle
-    with their memo, and their bound methods stay pure as seen from outside.
+    (X^T H) w - y, the left-to-right association X.T @ H @ w takes, so the
+    loss and grad_x equal the uncached formulas' bit for bit. grad_w is
+    (X^T H)^T r from the same memo: m p multiply-adds, where H^T (X r) would
+    take n m + n p. Its last bits differ from H^T (X r)'s; the end-metric
+    gate in tests/test_equivalence.py bounds how far that moves a run.
+    Instances pickle with their memo, and their bound methods stay pure as
+    seen from outside.
     """
 
     def __init__(self, X, y):
@@ -286,26 +290,26 @@ class _Split:
         self._memo = (None, None)  # (key of x, X^T H)
 
     def _residual(self, x, w):
+        """(X^T H, the residual (X^T H) w - y) at x and w."""
         key = (x.dtype, x.shape, x.strides, x.tobytes())
         memo = self._memo  # read once: the pair stays matched under threads
         if key != memo[0]:
             H = x.reshape(self.X.shape[0], -1)
             memo = self._memo = (key, self.X.T @ H)
-        return memo[1] @ w - self.y
+        return memo[1], memo[1] @ w - self.y
 
     def loss(self, x, w):
-        r = self._residual(x, w)
+        _, r = self._residual(x, w)
         return float(np.dot(r, r) / self.y.shape[0])
 
     def grad_x(self, x, w):
-        r = self._residual(x, w)
+        _, r = self._residual(x, w)
         # (X r) w^T as np.outer forms it: one product per entry
         return ((2.0 / self.y.shape[0]) * ((self.X @ r)[:, None] * w)).ravel()
 
     def grad_w(self, x, w):
-        r = self._residual(x, w)
-        H = x.reshape(self.X.shape[0], -1)
-        return (2.0 / self.y.shape[0]) * (H.T @ (self.X @ r))
+        A, r = self._residual(x, w)
+        return (2.0 / self.y.shape[0]) * (A.T @ r)
 
 
 def hyper_rep_problem(data):
@@ -320,7 +324,7 @@ def hyper_rep_problem(data):
     jointly, so no global gradient Lipschitz bound exists: lip_F and lip_f
     are recorded as inf.
 
-    Gradients (r = X^T H w - y): grad_w = (2/m) H^T X r,
+    Gradients (r = X^T H w - y): grad_w = (2/m) (X^T H)^T r,
     grad_H = (2/m) X r w^T.
 
     F and its two gradients share one validation split, f and its two one

@@ -184,8 +184,7 @@ def _uncached_split(X, y):
 
     def grad_w(x, w):
         H = x.reshape(n, -1)
-        r = X.T @ H @ w - y
-        return (2.0 / m) * (H.T @ (X @ r))
+        return (2.0 / m) * ((X.T @ H).T @ (X.T @ H @ w - y))
 
     return loss, grad_x, grad_w
 

@@ -1,5 +1,5 @@
-"""Equivalence gates: warm-started diagnostics against cold ones, and
-batched runs against serial ones.
+"""Equivalence gates: warm-started diagnostics against cold ones, batched
+runs against serial ones, and command line outputs against a reference.
 
 The diagnostics of `sipba run` thread each snapshot's saddle into the next
 (warm start). A warm solve stops at the same oracle tolerance as a cold one
@@ -23,16 +23,71 @@ tolerance, fixed before that change, is exact equality with runs whose
 target, diagnostics rows and final eps_rel divide by the denominator formed
 on every call: iterations, target iterations, stop reasons, final blocks,
 every eps_rel cell and final eps_rel.
+
+End-metric gate, for changes that cannot be bit-identical:
+end_metric_violations(reference_dir, candidate_dir) compares two command
+line output directories column by column: the same CSV files, headers and
+row counts, and each cell within its tolerance below. A directory may also
+hold the command's printed lines as stdout.txt; their text must match with
+the numbers masked, their integers as the columns below; their floats
+are seconds or rounded copies of CSV cells, and are skipped. Run as a
+script, `python tests/test_equivalence.py REF_DIR CAND_DIR` prints the
+violations and exits 1 if there are any. The tolerances were
+fixed from the noise floors below before the candidates in this file were
+run; a bound reads |d| <= tol * max(1, |ref|).
+
+* Time columns (time_s, mean/std_time_to_target_s): skipped.
+* step, grad_evals, k, the iteration and run counts, and the label
+  columns: exact.
+* compare_*.csv (hyper-representation) and any CSV not named below:
+  every float cell within 1e-9.
+  A hyper-rep trajectory does not amplify last bits: forming grad_w as
+  (X^T H)^T r instead of H^T (X r) moved no metric cell by more than
+  2.3e-14 relative at criterion 07's full budget (its four instances and
+  data seed 8). A training-split grad_w off by 1e-6 relative moves the
+  SiPBA arm's metric cells at a tenth of that budget by up to 1.8e-5
+  (about 2e-6 relative), two to three orders above the bound.
+* sipba run on the synthetic family (summary.csv, run_*.csv, the printed
+  target iteration). Its optimum x* = e/2 lies on the kink of y*(x) at
+  ||x|| = sqrt(n)/2, and a trajectory amplifies last bits on its way in
+  (k ~ 300-1300 on the README schedule at n=100): ~1e-15 after one step
+  grows to ~6e-4 after 1000 steps. A run then ends on one side of the
+  kink or the other, and the diagnostics jump with it. Measured over 10
+  seeds and 2000 steps, with one ulp more on every lower-level y gradient
+  and with grad_F_x formed as (2/n) x - (2/n) e: phi_k moved by up to 5e-6
+  relative, eps_rel by 3e-7, merit by 2e-6, tracking_err by 1e-3 and
+  stat_residual by 9e-2 (0.0945 against 0.0037 on a run that ended on the
+  other side). So a row is held to one of two bounds:
+  - eps_rel in every row, and summary.csv's floats (the final eps_rel):
+    1e-5;
+  - a row whose eps_rel cell equals the reference's is at the same state,
+    and its diagnostics differ only by the oracle: phi_k within 1e-12,
+    tracking_err within the oracle tolerance 1e-8, stat_residual within
+    1e-7 and merit within 1e-7 (it holds tracking_err^2, ~5 at most), the
+    bounds of the warm-against-cold gate above (a run without a known
+    optimum has empty eps_rel cells, and every row gets these bounds);
+  - a row at another state: phi_k and merit within 1e-4, tracking_err and
+    stat_residual within 0.5;
+  - each run's target iteration within 1 step: eps_rel falls about 1% a
+    step where it crosses 1e-4, inside the amplifying stretch.
+  The synthetic gate runs 2000 steps, not the README's 20000, to stay
+  within a few seconds.
 """
 
+import contextlib
 import csv
+import io
+import json
+import os
+import re
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sipba import cli, solver
+from sipba import benchmarks, cli, solver
 from sipba.benchmarks import (
     generate_hyper_rep,
     hyper_rep_init,
@@ -458,3 +513,263 @@ def test_a_start_at_the_optimum_is_rejected_once_before_the_first_step(
                        [starts[0], at_optimum], bundle, None, 100, 100,
                        ORACLE_TOL, TARGET_EPS, True, write_rows=False)
     assert calls == {"den": 1, "step": 0}
+
+
+# ---------------------------------------------------------------------------
+# end-metric gate: two command line output directories, column by column
+
+TIME_COLUMNS = {"time_s", "mean_time_to_target_s", "std_time_to_target_s"}
+EXACT_COLUMNS = {"method", "run_id", "metric_name", "step", "grad_evals", "k",
+                 "row_id", "runs", "completed", "valid_runs"}
+COMPARE_TOL = 1e-9
+EPS_REL_TOL = 1e-5         # run_*.csv eps_rel and summary.csv
+SAME_STATE_TOL = {"phi_k": PHI_REL, "tracking_err": TRACKING_ABS,
+                  "stat_residual": STAT_ABS, "merit": 1e-7}
+MOVED_STATE_TOL = {"phi_k": 1e-4, "merit": 1e-4, "tracking_err": 0.5,
+                   "stat_residual": 0.5}
+TARGET_STEPS = 1           # |d| of a printed target iteration (k=...)
+NUMBER = re.compile(r"\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def _float_tolerance(name, column, same_state):
+    if name == "summary.csv" or column == "eps_rel":
+        return EPS_REL_TOL
+    if name.startswith("run_"):
+        return (SAME_STATE_TOL if same_state else MOVED_STATE_TOL)[column]
+    return COMPARE_TOL
+
+
+def _cell_violation(ref, cand, tol):
+    """None if cand is within tol * max(1, |ref|) of ref, else |d| as text."""
+    if ref == cand:
+        return None
+    try:
+        r, c = float(ref), float(cand)
+    except ValueError:
+        return "%r -> %r" % (ref, cand)
+    d = abs(c - r)
+    bound = tol * max(1.0, abs(r))
+    if d <= bound:  # False for any nan or inf that is not the same cell
+        return None
+    return "%r -> %r (|d| %.3e > %.3e)" % (ref, cand, d, bound)
+
+
+def _rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _csv_violations(name, ref_path, cand_path):
+    ref, cand = _rows(ref_path), _rows(cand_path)
+    if ref[:1] != cand[:1] or len(ref) != len(cand):
+        return ["%s: header or row count differs (%d -> %d lines)"
+                % (name, len(ref), len(cand))]
+    header, bad = ref[0], []
+    eps = header.index("eps_rel") if "eps_rel" in header else None
+    for line, (r, c) in enumerate(zip(ref[1:], cand[1:]), start=2):
+        same_state = eps is None or r[eps] == c[eps]
+        for column, a, b in zip(header, r, c):
+            if column in TIME_COLUMNS:
+                continue
+            tol = (0.0 if column in EXACT_COLUMNS
+                   else _float_tolerance(name, column, same_state))
+            what = _cell_violation(a, b, tol)
+            if what:
+                bad.append("%s:%d [%s] %s: %s" % (name, line, r[0], column,
+                                                  what))
+    return bad
+
+
+def _printed_violations(ref_path, cand_path):
+    with open(ref_path, encoding="utf-8") as fh:
+        ref = fh.read().splitlines()
+    with open(cand_path, encoding="utf-8") as fh:
+        cand = fh.read().splitlines()
+    if len(ref) != len(cand):
+        return ["stdout.txt: %d -> %d lines" % (len(ref), len(cand))]
+    bad = []
+    for i, (r, c) in enumerate(zip(ref, cand), start=1):
+        if NUMBER.sub("#", r) != NUMBER.sub("#", c):
+            bad.append("stdout.txt:%d: %r -> %r" % (i, r, c))
+            continue
+        for m, n in zip(NUMBER.finditer(r), NUMBER.finditer(c)):
+            a, b = m.group(), n.group()
+            if not a.isdigit():
+                continue  # seconds, or a rounded copy of a CSV cell
+            slack = TARGET_STEPS if r.endswith("k=", 0, m.start()) else 0
+            if not b.isdigit() or abs(int(b) - int(a)) > slack:
+                bad.append("stdout.txt:%d: %s -> %s in %r" % (i, a, b, r))
+    return bad
+
+
+def end_metric_violations(reference_dir, candidate_dir):
+    """Every cell of candidate_dir's command line output outside the gate
+    of the module docstring, as text; [] when the candidate passes."""
+    ref = sorted(f for f in os.listdir(reference_dir) if f.endswith(".csv"))
+    cand = sorted(f for f in os.listdir(candidate_dir) if f.endswith(".csv"))
+    if ref != cand:
+        return ["CSV files differ: %s -> %s" % (ref, cand)]
+    bad = []
+    for name in ref:
+        bad += _csv_violations(name, os.path.join(reference_dir, name),
+                               os.path.join(candidate_dir, name))
+    printed = [os.path.join(d, "stdout.txt")
+               for d in (reference_dir, candidate_dir)]
+    if any(map(os.path.exists, printed)):
+        if not all(map(os.path.exists, printed)):
+            return bad + ["stdout.txt is in one directory only"]
+        bad += _printed_violations(*printed)
+    return bad
+
+
+def cli_outputs(command, cfg, out_dir):
+    """Run `sipba command` on cfg through cli.main into out_dir, its printed
+    lines kept as out_dir/stdout.txt; returns out_dir."""
+    os.makedirs(out_dir)
+    cfg_path = str(out_dir) + ".json"
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main([command, "--config", cfg_path, "--out",
+                         str(out_dir)]) == 0
+    with open(os.path.join(out_dir, "stdout.txt"), "w",
+              encoding="utf-8") as fh:
+        fh.write(printed.getvalue())
+    return out_dir
+
+
+def differing_cells(reference_dir, candidate_dir):
+    """How many non-time CSV cells differ at all between the directories."""
+    count = 0
+    for name in os.listdir(reference_dir):
+        if name.endswith(".csv"):
+            ref = _rows(os.path.join(reference_dir, name))
+            cand = _rows(os.path.join(candidate_dir, name))
+            count += sum(a != b for r, c in zip(ref, cand)
+                         for k, a, b in zip(ref[0], r, c)
+                         if k not in TIME_COLUMNS)
+    return count
+
+
+# criterion 07's four hyper-rep instances through sipba compare, at a tenth
+# of its 6 * 30000 evaluation budget
+
+HR_INSTANCES = [(n_feat, a) for n_feat in (50, 100) for a in (0.1, 1.0)]
+
+
+def criterion_07_compare(out_root):
+    """sipba compare on each instance into out_root/n<n_feat>_a<a>."""
+    dirs = []
+    for n_feat, a in HR_INSTANCES:
+        cfg = {
+            "problem": {"kind": "hyper_rep", "n_feat": n_feat, "p_dim": 5,
+                        "m1": 100, "m2": 100, "m_test": 500, "noise_a": a,
+                        "data_seed": 7},
+            "schedule": {"alpha0": 0.01, "beta0": 1e-4, "rho0": 10.0,
+                         "sigma0": 0.01, "p": 0.01, "q": 0.01, "s": 0.16},
+            "run": {"seeds": [42], "stride": 100},
+            "compare": {"budget": 18000, "inner_tol": 1e-5,
+                        "baseline_schedule": {"alpha0": 0.2}},
+        }
+        dirs.append(cli_outputs("compare", cfg,
+                                out_root / ("n%d_a%g" % (n_feat, a))))
+    return dirs
+
+
+def parent_grad_w(self, x, w):
+    """_Split.grad_w as H^T (X r), the association before X^T H was kept."""
+    _, r = self._residual(x, w)
+    H = x.reshape(self.X.shape[0], -1)
+    return (2.0 / self.y.shape[0]) * (H.T @ (self.X @ r))
+
+
+@pytest.fixture(scope="module")
+def hyper_rep_reference(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(benchmarks._Split, "grad_w", parent_grad_w)
+        return criterion_07_compare(tmp_path_factory.mktemp("hr_reference"))
+
+
+def test_hyper_rep_grad_w_passes_the_end_metric_gate(hyper_rep_reference,
+                                                      tmp_path):
+    candidate = criterion_07_compare(tmp_path)
+    for ref, cand in zip(hyper_rep_reference, candidate):
+        assert end_metric_violations(ref, cand) == []
+        assert differing_cells(ref, cand) > 0  # not bit-identical
+
+
+def test_end_metric_gate_rejects_a_grad_w_off_by_1e_6(hyper_rep_reference,
+                                                      tmp_path, monkeypatch):
+    build = cli.hyper_rep_problem
+
+    def skewed(data):  # the training split's grad_w scaled by 1 + 1e-6
+        prob = build(data)
+        return replace(prob, grad_f_y=lambda x, w: (1.0 + 1e-6)
+                       * prob.grad_f_y(x, w))
+
+    monkeypatch.setattr(cli, "hyper_rep_problem", skewed)
+    for ref, cand in zip(hyper_rep_reference, criterion_07_compare(tmp_path)):
+        bad = end_metric_violations(ref, cand)
+        assert any("[sipba] metric:" in v for v in bad), bad
+
+
+# sipba run on the README synthetic config, 10 seeds, cut to 2000 steps
+
+def readme_run(out_dir, oracle_tol=ORACLE_TOL):
+    return cli_outputs("run", {
+        "problem": {"kind": "synthetic", "n": 100},
+        "schedule": README_SCHEDULE,
+        "run": {"max_iter": 2000, "seeds": {"base": 1000, "count": 10},
+                "stride": STRIDE, "oracle_tol": oracle_tol,
+                "target_eps_rel": TARGET_EPS},
+    }, out_dir)
+
+
+@pytest.fixture(scope="module")
+def synthetic_reference(tmp_path_factory):
+    return readme_run(tmp_path_factory.mktemp("synth") / "reference")
+
+
+def test_a_reassociated_synthetic_gradient_passes_the_end_metric_gate(
+        synthetic_reference, tmp_path, monkeypatch):
+    # grad_F_x as (2/n) x - (2/n) e: other last bits on every step
+    def reassociated(n, e, x, y):
+        return (2.0 / n) * x - (2.0 / n) * e
+
+    monkeypatch.setattr(benchmarks, "_synthetic_grad_F_x", reassociated)
+    candidate = readme_run(tmp_path / "candidate")
+    assert end_metric_violations(synthetic_reference, candidate) == []
+    assert differing_cells(synthetic_reference, candidate) > 0
+
+
+def test_end_metric_gate_rejects_a_loose_synthetic_oracle(
+        synthetic_reference, tmp_path):
+    candidate = readme_run(tmp_path / "candidate", oracle_tol=1e-3)
+    bad = end_metric_violations(synthetic_reference, candidate)
+    assert bad and all("run_" in v for v in bad), bad
+
+
+def test_end_metric_gate_reads_printed_integers_and_skips_seconds(tmp_path):
+    ref, cand = tmp_path / "ref", tmp_path / "cand"
+    for d, text in ((ref, "run 7: 2000 iterations  final eps_rel 2.271e-06"
+                          "  target at k=854 (0.008 s)\n"),
+                    (cand, "run 7: 2000 iterations  final eps_rel 2.272e-06"
+                           "  target at k=855 (0.011 s)\n")):
+        d.mkdir()
+        (d / "stdout.txt").write_text(text, encoding="utf-8")
+    assert end_metric_violations(ref, cand) == []
+    (cand / "stdout.txt").write_text(
+        "run 7: 2001 iterations  final eps_rel 2.271e-06  target at k=856"
+        " (0.008 s)\n", encoding="utf-8")
+    assert len(end_metric_violations(ref, cand)) == 2
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit("usage: python tests/test_equivalence.py REF_DIR CAND_DIR")
+    found = end_metric_violations(sys.argv[1], sys.argv[2])
+    for v in found:
+        print(v)
+    print("%d end-metric violations" % len(found))
+    sys.exit(1 if found else 0)
