@@ -135,61 +135,57 @@ _SECTIONS = {k.rpartition(".")[0] for k in CONFIG_KEYS}  # the nested blocks
 
 
 class ConfigError(Exception):
-    """Invalid configuration; carries the offending key or line."""
+    """Invalid configuration, found on the config's line `line`."""
 
-    def __init__(self, message, key=None, line=None):
+    def __init__(self, message, line):
         super().__init__(message)
-        self.key = key
         self.line = line
 
 
-# an object key, another JSON string, a bracket or a line break: what
-# _line_of reads of the text
+class _Obj(dict):
+    """A config object: line, where it opens, and lines, each key's line."""
+
+    def __init__(self, pairs, line, lines):  # a repeated key: its last line
+        super().__init__(pairs)
+        self.line, self.lines = line, dict(zip((k for k, _ in pairs), lines))
+
+
+def _line(d, k=None):
+    """The line of key k of the config object d, or of d itself where d
+    lacks k; 1 for an object the file did not give."""
+    return getattr(d, "lines", {}).get(k, getattr(d, "line", 1))
+
+
+# an object key, another JSON string, a brace or a line break: what
+# load_config reads of the text for the lines of the objects and their keys
 _JSON_TOKEN = re.compile(
-    r'(?P<key>"(?:[^"\\]|\\.)*")(?=\s*:)|"(?:[^"\\]|\\.)*"|[{}\[\]\n]')
-
-
-def _line_of(raw, key):
-    # best-effort line lookup for semantic errors: the key's first part is
-    # found among the top-level keys (nesting depth 1), then for a dotted key
-    # "a.b" the first "b" from that line on
-    if not (raw and key):
-        return 1
-    first, *rest = key.split(".")
-    depth, line, found = 0, 1, None
-    for tok in _JSON_TOKEN.finditer(raw):
-        c = tok.group()
-        if c == "\n":
-            line += 1
-        elif c in "{[":
-            depth += 1
-        elif c in "}]":
-            depth -= 1
-        elif depth == 1 and tok["key"] and json.loads(c) == first:
-            found = line
-            break
-    if found is None:
-        return 1
-    lines = raw.splitlines()
-    start = found - 1
-    for part in rest:
-        needle = '"%s"' % part
-        hit = next((i for i in range(start, len(lines)) if needle in lines[i]),
-                   None)
-        if hit is None:
-            break
-        found, start = hit + 1, hit
-    return found
+    r'(?P<key>"(?:[^"\\]|\\.)*")(?=\s*:)|"(?:[^"\\]|\\.)*"|[{}\n]')
 
 
 def load_config(path):
+    """(the config, as _Obj objects that know their lines; its text)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as e:
         raise ConfigError("cannot read config: %s" % e, line=1)
+    # each object's line and key lines, in the order its closing brace
+    # comes, which is the order json.loads builds the objects in
+    opened, closed, line = [], [], 1
+    for tok in _JSON_TOKEN.finditer(raw):
+        c = tok.group()
+        if c == "\n":
+            line += 1
+        elif c == "{":
+            opened.append((line, []))
+        elif opened and c == "}":
+            closed.append(opened.pop())
+        elif opened and tok["key"]:
+            opened[-1][1].append(line)
+    lines = iter(closed)  # text that is no JSON may miscount; loads fails
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, object_pairs_hook=lambda pairs: _Obj(
+            pairs, *next(lines, (1, []))))
     except json.JSONDecodeError as e:
         raise ConfigError("JSON parse error: %s" % e.msg, line=e.lineno)
     if not isinstance(cfg, dict):
@@ -222,13 +218,16 @@ def _get(d, key, *spec):
     one of _KINDS, or "T[]" for a nonempty list of T; low is an inclusive
     lower bound for a number, or for each item of a list. An absent key or
     a JSON null gives the default. Numbers come back as floats. Every error
-    names the dotted key, so its line is found in its section.
+    names the dotted key and the line of its value, or of d for a missing
+    key.
     """
     kind, default, low = spec or CONFIG_KEYS[key]
-    v = d.get(key.rpartition(".")[2])
+    v = d.get(k := key.rpartition(".")[2])
     if v is None:
         if default is _MISSING:
-            raise ConfigError("missing required key '%s'" % key, key=key)
+            raise ConfigError("missing required key '%s'" % key, _line(d))
+        if isinstance(default, dict):  # a block left out or null: at k's line
+            return _Obj(default.items(), _line(d, k), ())
         return default
     item = kind[:-2] if kind.endswith("[]") else None
     test, what = _KINDS[item or kind]
@@ -237,10 +236,11 @@ def _get(d, key, *spec):
         ok = isinstance(v, list) and v != [] and all(map(test, v))
     else:
         ok = test(v)
+    if ok and low is not None and (min(v) if item else v) < low:
+        ok, what = False, ">= %g" % low
     if not ok:
-        raise ConfigError("%s must be %s, got %r" % (key, what, v), key=key)
-    if low is not None and (min(v) if item else v) < low:
-        raise ConfigError("%s must be >= %g, got %r" % (key, low, v), key=key)
+        raise ConfigError("%s must be %s, got %r" % (key, what, v),
+                          _line(d, k))
     if item in ("num", "pos"):
         return [float(u) for u in v]
     return float(v) if kind in ("num", "pos") else v
@@ -250,8 +250,8 @@ def _vector(d, key, n, *spec):
     """A list of n finite numbers (floats) from the config."""
     v = _get(d, key, *spec)
     if len(v) != n:
-        raise ConfigError("%s must have %d entries, got shape (%d,)"
-                          % (key, n, len(v)), key=key)
+        raise ConfigError("%s must have %d entries, got shape (%d,)" % (
+            key, n, len(v)), _line(d, key.rpartition(".")[2]))
     return v
 
 
@@ -262,7 +262,7 @@ def _check_keys(d, section=""):
         key = section + "." + k if section else k
         if "." in k or key not in CONFIG_KEYS:
             raise ConfigError("unknown %s key %r" % (section or "top-level", k),
-                              key=key)
+                              _line(d, k))
         if isinstance(v, dict) and key in _SECTIONS:
             _check_keys(v, key)
 
@@ -285,25 +285,27 @@ def _schedule(cfg, overrides, where):
     vals = {k: _get(sd, "schedule." + k) for k in SCHEDULE_FIELDS}
     for k in overrides:
         if k not in SCHEDULE_FIELDS:
-            raise ConfigError("unknown schedule override %r" % k, key=where)
+            raise ConfigError("unknown schedule override %r" % k,
+                              _line(overrides, k))
         # a null field keeps the schedule value
         vals[k] = _get(overrides, "%s.%s" % (where, k), "num", vals[k], None)
     vals = {k: v for k, v in vals.items() if v is not None}
     if guideline:
         if "s" in vals:
-            block = where if overrides.get("s") is not None else "schedule"
+            block = overrides if overrides.get("s") is not None else sd
             raise ConfigError("'s' cannot be set with guideline, which forces "
-                              "s = 8(p+q)", key=block + ".s")
+                              "s = 8(p+q)", _line(block, "s"))
         required, make = ("alpha0", "beta0", "sigma0"), ScheduleParams.guideline
     else:
         required = ("alpha0", "beta0", "rho0", "sigma0", "p", "q", "s")
         make = ScheduleParams
     for k in required:  # which fields are required depends on guideline
-        _get(vals, "schedule." + k, "num", _MISSING, None)
+        if k not in vals:  # nor in sd: _get reports it at sd's line
+            _get(sd, "schedule." + k, "num", _MISSING, None)
     try:
         return make(**vals)
     except ValueError as e:
-        raise ConfigError("invalid schedule: %s" % e, key="schedule")
+        raise ConfigError("invalid schedule: %s" % e, _line(cfg, "schedule"))
 
 
 class ProblemBundle:
@@ -355,7 +357,7 @@ def build_problem(cfg):
         return ProblemBundle(
             hyper_rep_problem(data), partial(hyper_rep_init, data),
             metric_name="test_loss", metric=partial(hyper_rep_test_loss, data))
-    raise ConfigError("unknown problem kind %r" % kind, key="problem.kind")
+    raise ConfigError("unknown problem kind %r" % kind, _line(pd, "kind"))
 
 
 def resolve_seeds(cfg):
@@ -374,11 +376,11 @@ def resolve_seeds(cfg):
             base = None
         if base is None or base < 0:
             raise ConfigError("SIPBA_SEED must be an integer >= 0, got %r"
-                              % env, key="run.seeds")
+                              % env, _line(rc, "seeds"))
         seeds = [base + i for i in range(len(seeds))]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be unique (one output file per run)",
-                          key="run.seeds")
+                          _line(rc, "seeds"))
     return seeds
 
 
@@ -404,11 +406,11 @@ def _runs(cfg):
             bundle.eps_den(st.x, st.y)
         except ContractViolation:  # eps_rel divides by the start's distance
             raise ConfigError("run.init projects onto the known optimum "
-                              "(x*, y*)", key="run.init") from None
+                              "(x*, y*)", _line(rc, "init")) from None
         if len(seeds) > 1:
             raise ConfigError("run.init fixes the start, so run.seeds must "
                               "name one run, got %d" % len(seeds),
-                              key="run.init")
+                              _line(rc, "init"))
         starts = [st]
     return seeds, starts, rc, bundle, _get(rc, "run.stride")
 
@@ -423,7 +425,7 @@ def _run_settings(cfg, max_iter=None, stop_at_target=False):
     stop_at_target = stop_at_target or _get(rc, "run.stop_at_target")
     if target_eps is not None and bundle.closed_form is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
-                          key="run.target_eps_rel")
+                          _line(rc, "target_eps_rel"))
     return seeds, starts, dict(
         bundle=bundle, max_iter=max_iter, stride=stride, oracle_tol=oracle_tol,
         target_eps=target_eps, stop_at_target=stop_at_target)
@@ -477,10 +479,8 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
 
     target = None
     if target_eps is not None:
-        xs, ys = bundle.closed_form.x_star, bundle.closed_form.y_star
-
         def target(rows, st):
-            return relative_error(st.x, st.y, xs, ys, den[rows]) < target_eps
+            return bundle.eps_rel(st.x, st.y, den[rows]) < target_eps
 
     # each run's CSV rows, 7 floats a row (k, time_s, phi_k, ..., merit) in
     # one flat array: a batch holds all its runs' rows until it ends, and as
@@ -605,7 +605,8 @@ def cmd_ablate(cfg, out_dir, jobs):
     seeds, starts, kw = _run_settings(cfg, max_iter, stop_at_target=True)
     if kw["target_eps"] is None:
         raise ConfigError("ablate needs run.target_eps_rel, the eps_rel its "
-                          "runs are timed to", key="run.target_eps_rel")
+                          "runs are timed to",
+                          _line(_get(cfg, "run"), "target_eps_rel"))
 
     # every (grid row, seed) run, grid row after grid row
     n = len(seeds)
@@ -770,7 +771,7 @@ def cmd_asymptotics(cfg, out_dir):
     bundle = build_problem(cfg)
     if bundle.closed_form is None:
         raise ConfigError("asymptotics needs the closed-form synthetic "
-                          "problem", key="problem.kind")
+                          "problem", _line(_get(cfg, "problem"), "kind"))
     ac = _get(cfg, "asymptotics")
     rho_list, sigma_list, oracle_tol, saddle_tol, diag_slack, slack = (
         _get(ac, "asymptotics." + k) for k in
@@ -784,7 +785,7 @@ def cmd_asymptotics(cfg, out_dir):
         xsel = _get(ac, "asymptotics.x")
         if xsel not in ("ones", "optimum"):
             raise ConfigError("asymptotics.x must be a list, 'ones' or "
-                              "'optimum', got %r" % xsel, key="asymptotics.x")
+                              "'optimum', got %r" % xsel, _line(ac, "x"))
         x = np.ones(n) if xsel == "ones" else cf.x_star.copy()
 
     try:
@@ -859,9 +860,8 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
 
-    raw = ""
     try:
-        cfg, raw = load_config(args.config)
+        cfg, _ = load_config(args.config)
         _check_keys(cfg)
         out_dir = args.out or _get(cfg, "out_dir")
         try:
@@ -869,15 +869,15 @@ def main(argv=None):
         except OSError as e:
             what = "must name a directory, got %r (%s)" % (out_dir, e.strerror)
             if not args.out:
-                raise ConfigError("out_dir " + what, key="out_dir") from None
+                raise ConfigError("out_dir " + what,
+                                  _line(cfg, "out_dir")) from None
             print("sipba %s: error: --out %s" % (args.command, what),
                   file=sys.stderr)
             return 1
         jobs = {"jobs": args.jobs} if "jobs" in args else {}
         return args.handler(cfg, out_dir, **jobs)
     except ConfigError as e:
-        line = e.line if e.line is not None else _line_of(raw, e.key)
-        print("%s:%d: %s" % (args.config, line, e), file=sys.stderr)
+        print("%s:%d: %s" % (args.config, e.line, e), file=sys.stderr)
         return 1
 
 

@@ -215,19 +215,8 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
         w = u - beta * t
         u_next = proj_pair(w)
         res = float(np.linalg.norm(u - u_next)) / beta
-        if not np.isfinite(res):
-            # the step overshot badly; back off and retry from the same point
-            halvings += 1
-            if halvings > 60:
-                raise SaddleConvergenceError(
-                    "oracle diverged even after step backoff",
-                    residual=res,
-                    saddle=pack(u, res, it, False),
-                )
-            beta *= 0.5
-            best, since_best = np.inf, 0
-            continue
-        if res <= tol:
+        finite = np.isfinite(res)
+        if finite and res <= tol:
             if (res == 0.0 and beta < beta0 and np.array_equal(w, u)
                     and not np.array_equal(u - beta0 * t, u)):
                 # the halved step rounds back to u where the initial step
@@ -241,24 +230,29 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
                     saddle=pack(u, t_norm, it, False),
                 )
             return pack(u_next, res, it, True)
-        u = u_next
-        # stall safeguard: no residual improvement over a long window means
-        # the fixed step is too aggressive for this instance
-        if res < 0.9999 * best:
-            best, since_best = res, 0
-        else:
+        if finite:
+            u = u_next
+            # stall safeguard: no residual improvement over a long window
+            # means the fixed step is too aggressive for this instance
+            if res < 0.9999 * best:
+                best, since_best = res, 0
+                continue
             since_best += 1
-            if since_best >= 200:
-                halvings += 1
-                if halvings > 60:
-                    raise SaddleConvergenceError(
-                        "saddle oracle stalled after %d iterations (60 step "
-                        "halvings) with residual %.3e (tol %.3e)" % (it, res, tol),
-                        residual=res,
-                        saddle=pack(u, res, it, False),
-                    )
-                beta *= 0.5
-                best, since_best = np.inf, 0
+            if since_best < 200:
+                continue
+        # halve the step: it stalled, or it overshot badly (a non-finite
+        # residual), and then the next iteration retries from the same u
+        halvings += 1
+        if halvings > 60:
+            raise SaddleConvergenceError(
+                "saddle oracle stalled after %d iterations (60 step "
+                "halvings) with residual %.3e (tol %.3e)" % (it, res, tol)
+                if finite else "oracle diverged even after step backoff",
+                residual=res,
+                saddle=pack(u, res, it, False),
+            )
+        beta *= 0.5
+        best, since_best = np.inf, 0
     raise SaddleConvergenceError(
         "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"
         % (max_iter, res, tol),

@@ -21,13 +21,17 @@ parameter choices outside the regime are allowed and only warned about.
 The step is written once over blocks: a state holds one start as vectors of
 shape (n,), or a batch of S starts at one counter k as (S, n) blocks, one row
 per start. run has one loop: it steps a list of starts as one batch, one
-sipba_step call a step, so each schedule is evaluated once per k and a
-rowwise problem's gradients are called once per step for all rows. The rows
-may run under different schedules; the step then takes its parameters as
-(S, 1) columns, and a column times a block gives each row the product the
-scalar gives it. Each row's arithmetic is that of the serial step, so every
-row's trajectory equals its serial run bit for bit. A batch of one (a start
-passed alone, or a list of one) is not stacked: it is stepped as vectors.
+sipba_step call a step, so a rowwise problem's gradients are called once per
+step for all rows. The loop evaluates each live schedule once per k and
+hands the step its Params: floats when one schedule is live, else (S, 1)
+columns, and a column times a block gives each row the product the scalar
+gives it. Each row's arithmetic is that of the serial step, so every row's
+trajectory equals its serial run bit for bit. A batch of one (a start passed
+alone, or a list of one) is not stacked: it is stepped as vectors.
+
+Within a step, each way a row can end (its schedule leaves the float range,
+its iterate turns non-finite, it stops at its target, its callback raises)
+is decided in one place, and one helper drops the rows that ended.
 """
 
 import math
@@ -180,20 +184,20 @@ def sipba_step(problem, sp, state):
 
     The state is one start or a batch of rows (see IterateState); a batch
     needs a rowwise problem (see problem.rowwise_gradients). sp is the
-    schedule (ScheduleParams), or for a batch whose rows run under different
-    schedules their Params at state.k as (S, 1) columns, which run evaluates
-    and checks once per schedule (_penalty_at). The state is
-    validated where it is built (initial_state, and the config loader
-    before it). The step keeps O(1) checks only: each projection takes a
-    float64 block of the right shape as is and converts or rejects anything
-    else, PenaltyReg tests that rho_k and sigma_k are positive and finite,
-    and each new block gets a finiteness test, per row only when the
-    block's sum is not finite.
+    schedule (ScheduleParams), evaluated and checked here (_penalty_at), or
+    its Params at state.k, already checked: floats, or for a batch whose
+    rows run under different schedules (S, 1) columns. run hands it the
+    Params. The state is validated where it is built (initial_state, and
+    the config loader before it). The step keeps O(1) checks only: each
+    projection takes a float64 block of the right shape as is and converts
+    or rejects anything else, PenaltyReg tests that rho_k and sigma_k are
+    positive and finite, and each new block gets a finiteness test, per row
+    only when the block's sum is not finite.
 
     Raises
     ------
     ParameterOverflowError
-        If the schedule left the float range (sigma_k rounded to 0).
+        If the schedule sp left the float range (sigma_k rounded to 0).
     DivergenceError
         If an iterate became non-finite; carries the last good state, the
         positions of the non-finite rows (rows; [0] for a state of vectors)
@@ -235,8 +239,8 @@ class RunResult:
     error: Optional[Exception] = None
 
 
-# what ends one row of a batch, from its step or from its callback; a serial
-# run raises these
+# what a row's callback may raise to end that row of a batch, as its step's
+# errors do; a serial run raises these
 _ROW_ERRORS = (DivergenceError, ParameterOverflowError, SaddleConvergenceError)
 
 
@@ -247,12 +251,14 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
     init is a list of starts run as one batch, which returns one RunResult
     per start, in order (see below), or one start (an IterateState). sp is
     one schedule (ScheduleParams) for every start, or a list with one per
-    start: each row then runs under its own schedule, and a step evaluates
-    each distinct schedule of its active rows once. One
-    start runs as a batch of one, its hooks called without the row
-    argument, and returns its RunResult, but raises its error out of this
-    call: the step's ParameterOverflowError or DivergenceError (serial
-    message, last good state), or a hook's (the same object).
+    start: each row then runs under its own schedule. Each step, run
+    evaluates each distinct schedule of the active rows once (_penalty_at)
+    and hands sipba_step their Params: floats when one schedule is live,
+    else (S, 1) columns. One start runs as a batch of one, its hooks called
+    without the row argument, and returns its RunResult, but raises its
+    error out of this call: its schedule's ParameterOverflowError, the
+    step's DivergenceError (serial message, last good state), or a hook's
+    (the same object).
 
     target : callable(state) -> bool, optional
         Checked after every step, outside the timed region. The first hit
@@ -264,10 +270,14 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
         starts' relative_error_denominator) should form it once, before
         this call, and index it by rows.
     callback : callable(state, elapsed_seconds), optional
-        Invoked every callback_stride completed steps and after the last
-        step this call takes (none with max_iter=0), off the stepping
-        clock. For a batch it is called per row, as callback(row, state,
-        elapsed_seconds) with the row's 1-D state and clock.
+        Invoked off the stepping clock after every callback_stride completed
+        steps, when the run stops at its target, and after the last step
+        of this call (none with max_iter=0); at most once per step. For a
+        batch it is called per row, as callback(row, state, elapsed_seconds)
+        with the row's 1-D state and clock: a row's callback is due at a
+        stride, at its own target stop and on the call's last step. Within
+        one step the due rows are called in row order, after the target
+        check.
 
     Timing counts the stepping work only, so diagnostics (oracle calls in
     callbacks, target checks) do not pollute time-to-target measurements.
@@ -281,10 +291,10 @@ def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
     SaddleConvergenceError: its RunResult then holds the error (with the
     serial message, and for a divergence the row's last good state) and
     the other rows go on. A schedule that leaves the float range ends the
-    rows that run under it, and only those. The starts of a batch share
-    their counter k; a problem that is not rowwise has its gradients called
-    once per row. The states of a batch of one, also those its hooks and
-    gradients see, are (n,) vectors.
+    rows that run under it, and only those, before the step. The starts of
+    a batch share their counter k; a problem that is not rowwise has its
+    gradients called once per row. The states of a batch of one, also those
+    its hooks and gradients see, are (n,) vectors.
 
     Validation happens before the loop: init comes from initial_state
     (which converts and projects the starting blocks), and max_iter and
@@ -336,113 +346,93 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
     share = 0.0  # the active rows' common clock (see run)
     hit = np.zeros(len(starts), dtype=bool)
     hunting = target is not None  # some active row has not hit its target
-    last_emitted = [0] * len(starts)
+    ended = []  # the positions in state of the rows that ended this step
 
-    def row(st, j):
-        if st.x.ndim == 1:
-            return st
-        # copied out: a view would keep the whole block alive in a result
-        return IterateState(k=st.k, x=st.x[j].copy(), y=st.y[j].copy(),
-                            z=st.z[j].copy())
+    def row(st, j):  # copied out: a view would keep the block alive
+        return st if st.x.ndim == 1 else IterateState(
+            st.k, st.x[j].copy(), st.y[j].copy(), st.z[j].copy())
 
-    def narrow(st, keep):
-        """st with the rows of mask keep only; rows and their schedules
-        follow."""
+    def end(j, st, reason, error=None):
+        res = results[rows[j]]
+        res.state, res.iterations, res.stop_reason = st, st.k - 1, reason
+        res.step_seconds, res.error = share, error
+        ended.append(j)
+
+    def leave(st):
+        """st without the rows that ended, or None once none is left."""
         nonlocal rows, gi, live, hunting
+        if not ended:
+            return st
+        keep = np.ones(rows.size, dtype=bool)
+        keep[ended] = False
+        ended.clear()
+        if not keep.any():
+            return None
         rows, gi = rows[keep], gi[keep]
         live = sorted(set(gi.tolist()))
         hunting = hunting and not hit[rows].all()
         return IterateState(k=st.k, x=st.x[keep], y=st.y[keep], z=st.z[keep])
 
-    def end(i, st, reason, error=None):
-        res = results[i]
-        res.state, res.iterations, res.stop_reason = st, st.k - 1, reason
-        res.step_seconds, res.error = share, error
-
-    def emit(i, st):
-        """Callback for row i; False if its error ended the row."""
-        try:
-            callback(i, st, share)
-        except _ROW_ERRORS as err:
-            end(i, st, "error", err)
-            return False
-        last_emitted[i] = st.k - 1
-        return True
-
-    for _ in range(max_iter):
-        bad = ()
+    for n in range(1, max_iter + 1):
+        bad, pars = (), {}  # pars: each live schedule's Params at this k
         t0 = time.perf_counter()
-        if len(live) == 1:  # scalar parameters; sipba_step evaluates them
-            step_sp = scheds[live[0]]
-        else:
-            ok = []
-            for g in live:
-                try:
-                    lut[g] = _penalty_at(scheds[g], state.k)[0]
-                    ok.append(g)
-                except ParameterOverflowError as err:
-                    for j in np.flatnonzero(gi == g):
-                        end(rows[j], row(state, j), "error", err)
-            if len(ok) < len(live):
-                keep = np.isin(gi, ok)
-                if not keep.any():
-                    return results
-                state = narrow(state, keep)
-            cols = lut[gi]
-            step_sp = Params(*(cols[:, c, None] for c in range(4)))
+        for g in live:
+            try:
+                pars[g] = _penalty_at(scheds[g], state.k)[0]
+            except ParameterOverflowError as err:  # ends its own rows
+                for j in np.flatnonzero(gi == g):
+                    end(j, row(state, j), "error", err)
+        if (state := leave(state)) is None:
+            return results
+        if len(pars) == 1:  # scalars
+            (step_sp,) = pars.values()
+        else:  # (S, 1) columns, one row per row of state
+            for g, p in pars.items():
+                lut[g] = p
+            step_sp = Params(*lut[gi].T[:, :, None])
         try:
             nxt = sipba_step(problem, step_sp, state)
         except DivergenceError as err:
             nxt, bad, why = err.next_state, err.rows, str(err)
-        except ParameterOverflowError as err:
-            for j, i in enumerate(rows):
-                end(i, row(state, j), "error", err)
-            return results
         share += (time.perf_counter() - t0) / rows.size
-        if len(bad):
-            for j in bad:
-                last = row(state, j)
-                end(rows[j], last, "error", DivergenceError(why, state=last))
-            keep = np.ones(rows.size, dtype=bool)
-            keep[bad] = False
-            if not keep.any():
-                return results
-            nxt = narrow(nxt, keep)
+        for j in bad:
+            last = row(state, j)
+            end(j, last, "error", DivergenceError(why, state=last))
+        if (nxt := leave(nxt)) is None:
+            return results
         done = nxt.k - 1
-        keep = None  # the rows that stay: a mask only once one may leave
+        due = ()  # the rows whose callback is due, in row order (see run)
         if hunting:
             new = np.asarray(target(rows, nxt), dtype=bool)
             if not stop_at_target:  # rows that hit stay, and hit only once
                 new = new & ~hit[rows]
             if new.any():
-                keep = np.ones(rows.size, dtype=bool)
-                for j in np.flatnonzero(new):
-                    i = rows[j]
-                    hit[i] = True
-                    res = results[i]
+                hits = np.flatnonzero(new)
+                for j in hits:
+                    hit[rows[j]] = True
+                    res = results[rows[j]]
                     res.target_iteration, res.target_seconds = done, share
-                    if stop_at_target:
-                        keep[j] = False
-                        st = row(nxt, j)
-                        if callback is None or emit(i, st):
-                            end(i, st, "target")
+                if stop_at_target:  # the rows that stop now
+                    due = hits
                 # with stop_at_target the rows that hit leave, and the
                 # rest have not hit
                 hunting = stop_at_target or not hit[rows].all()
-        if callback is not None and done % stride == 0:
-            if keep is None:
-                keep = np.ones(rows.size, dtype=bool)
-            for j in np.flatnonzero(keep):
-                keep[j] = emit(rows[j], row(nxt, j))
-        state = nxt
-        if keep is not None and not keep.all():
-            if not keep.any():
-                return results
-            state = narrow(nxt, keep)
-    for j, i in enumerate(rows):
-        st = row(state, j)
-        if callback is None or last_emitted[i] == st.k - 1 or emit(i, st):
-            end(i, st, "max_iter")
+        if callback is not None and (done % stride == 0 or n == max_iter):
+            due = range(rows.size)
+        for j in due:
+            st = row(nxt, j)
+            try:
+                if callback is not None:
+                    callback(rows[j], st, share)
+                # an active row under stop_at_target that hit, hit now
+                if stop_at_target and hit[rows[j]]:
+                    end(j, st, "target")
+            except _ROW_ERRORS as err:
+                end(j, st, "error", err)
+        if (state := leave(nxt)) is None:
+            return results
+    for j in range(rows.size):
+        end(j, row(state, j), "max_iter")
     return results
 
 

@@ -540,10 +540,11 @@ class _NoPool:
      "target_eps_rel needs a problem with a known optimum"),
     ("compare", {"compare": {"budget": 5}}, "compare.budget",
      "compare.budget must be >= 6, got 5"),
-    ("ablate", {"ablate": {"grid": [{}, {"gamma": 1.0}]}}, "grid",
+    # an unknown override is reported on its own line
+    ("ablate", {"ablate": {"grid": [{}, {"gamma": 1.0}]}}, "grid.gamma",
      "unknown schedule override 'gamma'"),
     ("compare", {"compare": {"baseline_schedule": {"gamma": 1.0}}},
-     "compare.baseline_schedule", "unknown schedule override 'gamma'"),
+     "compare.baseline_schedule.gamma", "unknown schedule override 'gamma'"),
     ("run", {"run": {"target_eps": 0.5}}, "run.target_eps",
      "unknown run key 'target_eps'"),
     ("compare", {"run": {"init": {"x0": [1.0, 1.0], "y0": [1.0, 1.0],
@@ -598,6 +599,45 @@ def test_top_level_key_error_is_on_the_top_level_line(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "%s:3: unknown top-level key 'kind'\n" % cfgp)
+
+
+# lines 1-3 of a synthetic config
+CFG_HEAD = ('{"problem": {"kind": "synthetic", "n": 2},\n'
+            ' "schedule": {"alpha0": 0.1, "beta0": 0.001, "rho0": 10.0,\n'
+            '  "sigma0": 0.01, "p": 0.001, "q": 0.001, "s": 0.1},\n')
+
+
+def test_grid_row_error_is_on_that_rows_line(tmp_path, capsys):
+    # an earlier grid row holds the same key: the bad value is on line 8
+    cfgp = tmp_path / "grid.json"
+    cfgp.write_text(CFG_HEAD +
+                    ' "run": {"max_iter": 10, "target_eps_rel": 0.5},\n'
+                    ' "ablate": {"max_iter": 10,\n'
+                    '            "grid": [{"alpha0": 0.05},\n'
+                    '                     {"beta0": 0.01},\n'
+                    '                     {"alpha0": "x"}]}}\n',
+                    encoding="utf-8")
+    assert cli.main(["ablate", "--config", str(cfgp),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "%s:8: ablate.grid.alpha0 must be a finite number, got 'x'\n" % cfgp)
+
+
+@pytest.mark.parametrize("run_block", [
+    # on lines 4-5, without max_iter, which a later block has
+    ' "run": {"seeds": {"base": 0, "count": 1},\n         "stride": 5},\n',
+    # null on line 4: the default block, whose errors are on that line
+    ' "run": null,\n\n'])
+def test_missing_key_error_is_on_its_blocks_line(tmp_path, capsys,
+                                                 run_block):
+    cfgp = tmp_path / "missing.json"
+    cfgp.write_text(CFG_HEAD + run_block +
+                    ' "ablate": {"max_iter": 10, "grid": [{}]}}\n',
+                    encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfgp),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "%s:4: missing required key 'run.max_iter'\n" % cfgp)
 
 
 HYPER_REP = {"kind": "hyper_rep", "n_feat": 3, "p_dim": 2, "m1": 5, "m2": 5,

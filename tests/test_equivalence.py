@@ -16,7 +16,11 @@ equality of the final blocks, the iteration counts, the target iterations,
 the stop reasons and error messages, and every callback state. The same
 exact tolerance, fixed before the batch took one schedule per start, holds
 for a batch whose rows run under different schedules: every (schedule,
-start) row equals the run of that start alone under that schedule.
+start) row equals the run of that start alone under that schedule. It also
+holds for a batch in which, within one stride step, rows stop at their
+target, fail in their callback and diverge, after a schedule overflowed;
+there the steps each row is called back at, and the row order within the
+step, are pinned too, since a serial run shares the batch loop.
 
 The command line forms each batch's relative-error denominator once; the
 tolerance, fixed before that change, is exact equality with runs whose
@@ -104,6 +108,7 @@ from sipba.errors import (
     ContractViolation,
     DivergenceError,
     ParameterOverflowError,
+    SaddleConvergenceError,
 )
 from sipba.solver import (
     ScheduleParams,
@@ -207,9 +212,11 @@ def synthetic_starts(sb, seeds):
             for s in seeds]
 
 
-def serial_runs(problem, sp, starts, steps, target=None, **kw):
+def serial_runs(problem, sp, starts, steps, target=None, hook=None, **kw):
     """Each start run alone, under sp or its own entry of a list sp: (RunResult
-    or the error it raised, the states its callback saw)."""
+    or the error it raised, the states its callback saw). The callback
+    passes each state it saw to hook(i, state) for start i, which may
+    raise."""
     sps = sp if isinstance(sp, list) else [sp] * len(starts)
     out = []
     for i, (sp, st) in enumerate(zip(sps, starts)):
@@ -218,11 +225,22 @@ def serial_runs(problem, sp, starts, steps, target=None, **kw):
             res = run(problem, sp, st, steps,
                       target=None if target is None else row_target(
                           target, i),
-                      callback=lambda s, t: seen.append(s), **kw)
-        except (DivergenceError, ParameterOverflowError) as err:
+                      callback=recorder(seen, hook, i), **kw)
+        except (DivergenceError, ParameterOverflowError,
+                SaddleConvergenceError) as err:
             res = err
         out.append((res, seen))
     return out
+
+
+def recorder(seen, hook, i):
+    """A callback (state, elapsed) that appends the state to seen, then
+    calls hook(i, state)."""
+    def callback(st, elapsed):
+        seen.append(st)
+        if hook is not None:
+            hook(i, st)
+    return callback
 
 
 def row_target(target, i):
@@ -231,10 +249,11 @@ def row_target(target, i):
         st, x=st.x[None], y=st.y[None], z=st.z[None]))[0])
 
 
-def batched_run(problem, sp, starts, steps, target=None, **kw):
+def batched_run(problem, sp, starts, steps, target=None, hook=None, **kw):
     seen = [[] for _ in starts]
+    cbs = [recorder(own, hook, i) for i, own in enumerate(seen)]
     results = run(problem, sp, starts, steps, target=target,
-                  callback=lambda i, s, t: seen[i].append(s), **kw)
+                  callback=lambda i, s, t: cbs[i](s, t), **kw)
     return list(zip(results, seen))
 
 
@@ -358,6 +377,55 @@ def test_schedule_overflow_fails_every_row_like_a_serial_run():
         "ParameterOverflowError", "NoneType", "DivergenceError",
         "ParameterOverflowError", "NoneType"]
     assert batched[2][0].iterations > 6
+
+
+def test_every_exit_in_one_stride_step():
+    # the step to k=9, a stride step at stride 4, ends rows three ways: row
+    # 4 stops at its target, row 2's callback raises, row 3 diverges. Row
+    # 1's schedule overflowed on the step before; 10 steps, so the last
+    # step is no stride step and rows 0 and 5 are called back there
+    q = quadratic_testbed()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q far outside the regime
+        # sigma_k = 0.01 * k^-400 rounds to 0 at k=7
+        ovf = ScheduleParams(alpha0=0.1, beta0=0.01, rho0=1.0, sigma0=0.01,
+                             p=0.001, q=400.0, s=0.1)
+    sane = ScheduleParams(alpha0=0.1, beta0=0.01, rho0=1.0, sigma0=0.01,
+                          p=0.001, q=0.001, s=0.1)
+    wild = ScheduleParams(alpha0=3.0, beta0=0.5, rho0=1.0, sigma0=0.1,
+                          p=0.001, q=0.001, s=0.1)
+    sps = [sane, ovf, sane, wild, sane, sane]
+    # x = 1e300 under wild turns non-finite on the step from k=8
+    starts = [initial_state(q, [x], [1.0])
+              for x in (0.5, 0.5, 1.0, 1e300, 2.0, 3.0)]
+
+    def target(rows, st):
+        return (rows == 4) & (st.k - 1 >= 8)
+
+    calls = []
+
+    def hook(i, st):
+        calls.append((i, st.k - 1))
+        if i == 2 and st.k - 1 == 8:
+            raise SaddleConvergenceError("oracle failed at k=%d" % st.k)
+
+    kw = dict(stop_at_target=True, callback_stride=4, hook=hook)
+    with np.errstate(all="ignore"):
+        serial = serial_runs(q, sps, starts, 10, target, **kw)
+        calls.clear()
+        batched = batched_run(q, sps, starts, 10, target, **kw)
+    assert_batch_equals_serial(serial, batched)
+    assert [(res.stop_reason, type(res.error).__name__, res.iterations)
+            for res, _ in batched] == [
+        ("max_iter", "NoneType", 10), ("error", "ParameterOverflowError", 6),
+        ("error", "SaddleConvergenceError", 8), ("error", "DivergenceError", 7),
+        ("target", "NoneType", 8), ("max_iter", "NoneType", 10)]
+    # each row is called back once at each stride, at its own stop and on
+    # the last step; within a step, in row order
+    assert [[st.k - 1 for st in seen] for _, seen in batched] == [
+        [4, 8, 10], [4], [4, 8], [4], [4, 8], [4, 8, 10]]
+    assert [i for i, done in calls if done == 8] == [0, 2, 4, 5]
+    assert same_state(batched[2][0].state, batched[2][1][-1])
 
 
 def test_hyper_rep_batch_loops_the_gradients_over_rows():

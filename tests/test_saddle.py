@@ -258,6 +258,21 @@ def test_solve_saddle_stall_reports_real_iteration_count(monkeypatch):
     assert err.residual == pytest.approx(np.sqrt(2.0))
 
 
+def test_solve_saddle_non_finite_steps_halve_from_the_same_point(monkeypatch):
+    # an operator that is never finite: each iteration halves beta and
+    # retries from u0, and the 61st halving gives up
+    monkeypatch.setattr(saddle, "operator_T",
+                        lambda problem, pr, x, u: np.full_like(u, np.inf))
+    with pytest.raises(SaddleConvergenceError,
+                       match="^oracle diverged even after step backoff$") as ei:
+        solve_saddle(quad, PenaltyReg(1.0, 1.0), [0.0], u0=[0.5, -0.5],
+                     beta=0.5)
+    sd = ei.value.saddle
+    assert (sd.iterations, sd.beta, sd.converged) == (61, 0.5 * 2.0**-60, False)
+    assert np.array_equal(sd.u, [0.5, -0.5])
+    assert not np.isfinite(ei.value.residual)
+
+
 def test_solve_saddle_step_underflow_is_not_convergence(monkeypatch):
     # a non-monotone linear operator: the iterate spirals outward, the stall
     # safeguard halves beta until u - beta*T rounds back to u, and the zero
