@@ -277,10 +277,12 @@ class _Split:
     in the key because numpy's matmul may take another loop, with other
     last bits, for a strided H than for a contiguous one. The residual is
     (X^T H) w - y, the left-to-right association X.T @ H @ w takes, so the
-    loss and grad_x equal the uncached formulas' bit for bit. grad_w is
-    (X^T H)^T r from the same memo: m p multiply-adds, where H^T (X r) would
-    take n m + n p. Its last bits differ from H^T (X r)'s; the end-metric
-    gate in tests/test_equivalence.py bounds how far that moves a run.
+    loss and grad_x equal the uncached formulas' bit for bit; the products
+    with a vector are ndarray.dot, the gemv @ runs, with less call
+    overhead. grad_w is (X^T H)^T r from the same memo: m p multiply-adds,
+    where H^T (X r) would take n m + n p. Its last bits differ from
+    H^T (X r)'s; the end-metric gate in tests/test_equivalence.py bounds
+    how far that moves a run.
     Instances pickle with their memo, and their bound methods stay pure as
     seen from outside.
     """
@@ -296,7 +298,7 @@ class _Split:
         if key != memo[0]:
             H = x.reshape(self.X.shape[0], -1)
             memo = self._memo = (key, self.X.T @ H)
-        return memo[1], memo[1] @ w - self.y
+        return memo[1], memo[1].dot(w) - self.y
 
     def loss(self, x, w):
         _, r = self._residual(x, w)
@@ -305,11 +307,11 @@ class _Split:
     def grad_x(self, x, w):
         _, r = self._residual(x, w)
         # (X r) w^T as np.outer forms it: one product per entry
-        return ((2.0 / self.y.shape[0]) * ((self.X @ r)[:, None] * w)).ravel()
+        return ((2.0 / self.y.shape[0]) * (self.X.dot(r)[:, None] * w)).ravel()
 
     def grad_w(self, x, w):
         A, r = self._residual(x, w)
-        return (2.0 / self.y.shape[0]) * (A.T @ r)
+        return (2.0 / self.y.shape[0]) * A.T.dot(r)
 
 
 def hyper_rep_problem(data):

@@ -13,6 +13,17 @@ and reports the step-scaled fixed-point residual
 which reduces to ||T(x, u)|| away from active constraints and is therefore
 essentially step-size invariant there.
 
+The loop steps the two halves with the direction operations the
+single-loop step uses,
+
+    y  <-  P_Y(y + beta * direction_y),    z  <-  P_Y(z - beta * direction_z),
+
+which is the stacked map above element for element (T is (-direction_y,
+direction_z), and a sign flip is exact), with the residual's norm taken as
+np.linalg.norm takes it, so the iterates and residuals are the stacked
+map's bit for bit. x and u0 are checked once, on entry; operator_T serves
+the step-size estimate.
+
 Step size. The certified contraction step (see lemma_step_bound) scales like
 sigma/(rho*lip_f)^2, which underflows any usable range once rho is large;
 worst-case Lipschitz constants over the whole domain are far larger than the
@@ -32,6 +43,7 @@ power iteration runs 3 steps from the dominant direction it carries. Warm
 solves are deterministic too, given the same previous saddle.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -43,7 +55,8 @@ from .errors import (
     SaddleConvergenceError,
 )
 from .problem import _as_vector
-from .smoothing import direction_x, eval_psi, operator_T
+from .smoothing import (direction_x, direction_y, direction_z, eval_psi,
+                        operator_T)
 
 _POWER_SEED = 0x51B8A
 _COLD_ITERS = 30  # power iterations from the fixed-seed vector
@@ -196,42 +209,48 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
     beta0 = beta
     set_Y = problem.set_Y
     n_y = problem.n_y
+    y, z = u[:n_y], u[n_y:]
 
-    def pack(u, res, it, ok):
-        return SaddlePoint(y_star=u[:n_y].copy(), z_star=u[n_y:].copy(),
+    def pack(y, z, res, it, ok):
+        return SaddlePoint(y_star=y.copy(), z_star=z.copy(),
                            residual=res, iterations=it, beta=beta,
                            converged=ok, lip_vector=lip_vector,
                            estimate_calls=calls)
-
-    def proj_pair(w):
-        return np.concatenate((set_Y.project(w[:n_y]), set_Y.project(w[n_y:])))
 
     best = np.inf
     since_best = 0
     halvings = 0
     res = np.inf
     for it in range(1, max_iter + 1):
-        t = operator_T(problem, pr, x, u)
-        w = u - beta * t
-        u_next = proj_pair(w)
-        res = float(np.linalg.norm(u - u_next)) / beta
-        finite = np.isfinite(res)
+        dy = direction_y(problem, pr, x, y, z)
+        dz = direction_z(problem, pr, x, y, z)
+        wy = y + beta * dy
+        wz = z - beta * dz
+        y1 = set_Y.project(wy)
+        z1 = set_Y.project(wz)
+        d = np.concatenate((y - y1, z - z1))
+        # ||u - u_next|| as np.linalg.norm takes it: the root of a dot
+        res = math.sqrt(d.dot(d)) / beta
+        finite = math.isfinite(res)
         if finite and res <= tol:
-            if (res == 0.0 and beta < beta0 and np.array_equal(w, u)
-                    and not np.array_equal(u - beta0 * t, u)):
+            if (res == 0.0 and beta < beta0
+                    and np.array_equal(wy, y) and np.array_equal(wz, z)
+                    and not (np.array_equal(y + beta0 * dy, y)
+                             and np.array_equal(z - beta0 * dz, z))):
                 # the halved step rounds back to u where the initial step
                 # still moves it: halving, not convergence, stopped u
-                t_norm = float(np.linalg.norm(t))
+                t = np.concatenate((dy, dz))
+                t_norm = math.sqrt(t.dot(t))
                 raise SaddleConvergenceError(
                     "saddle oracle step underflow after %d iterations: "
                     "beta=%.3e (%d halvings) no longer moves u while "
                     "||T||=%.3e (tol %.3e)" % (it, beta, halvings, t_norm, tol),
                     residual=t_norm,
-                    saddle=pack(u, t_norm, it, False),
+                    saddle=pack(y, z, t_norm, it, False),
                 )
-            return pack(u_next, res, it, True)
+            return pack(y1, z1, res, it, True)
         if finite:
-            u = u_next
+            y, z = y1, z1
             # stall safeguard: no residual improvement over a long window
             # means the fixed step is too aggressive for this instance
             if res < 0.9999 * best:
@@ -249,7 +268,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
                 "halvings) with residual %.3e (tol %.3e)" % (it, res, tol)
                 if finite else "oracle diverged even after step backoff",
                 residual=res,
-                saddle=pack(u, res, it, False),
+                saddle=pack(y, z, res, it, False),
             )
         beta *= 0.5
         best, since_best = np.inf, 0
@@ -257,7 +276,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
         "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"
         % (max_iter, res, tol),
         residual=res,
-        saddle=pack(u, res, max_iter, False),
+        saddle=pack(y, z, res, max_iter, False),
     )
 
 

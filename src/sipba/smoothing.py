@@ -10,8 +10,8 @@ the standing assumptions hold) and strongly convex in z (modulus sigma), so
 the saddle point is unique and the min and max interchange.
 
 The partial gradients of psi are exposed as first-class direction
-operations so the single-loop solver, the saddle oracle, and the tests all
-share one implementation:
+operations so the single-loop solver, the saddle oracle's fixed-point loop,
+and the tests all share one implementation:
 
     direction_y = grad_y psi     (ascent direction for y)
     direction_z = grad_z psi     (descent direction for z)
@@ -87,6 +87,10 @@ def operator_T(problem, pr, x, u):
     (mu on the y block, sigma on the z block) and Lipschitz with constant
     at most max(lip_F + rho*lip_f + sigma, rho*lip_f + 2*sigma).
     Its unique zero (with projections, its fixed point) is the saddle of psi.
+
+    The saddle oracle's loop steps the halves with direction_y and
+    direction_z directly; this stacked form serves its step-size estimate
+    (estimate_T_lipschitz) and outside callers.
     """
     n_y = problem.n_y
     u = _as_vector(u, 2 * n_y, "u")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import multiprocessing
@@ -570,7 +571,7 @@ class _NoPool:
         "asymptotics-key", "seeds-key", "ablate-key", "top-level-key"])
 def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
                                            cmd, patch, key, message):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     # two grid rows of two seeds: ablate cuts its four runs into two
     # batches at --jobs 2
     cfg = synthetic_cfg(ablate={"grid": [{}, {"alpha0": 0.05}], "max_iter": 10})
@@ -819,7 +820,7 @@ def test_init_projected_onto_the_optimum_is_a_config_error(
         tmp_path, monkeypatch, capsys, cmd, jobs):
     # y0 = 0 projects onto y* = e / (2 sqrt 2), and x0 is x*: eps_rel would
     # divide by zero in every run
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     cfg = small_cfg("synthetic")
     cfg["problem"]["n"] = 2
     cfg["run"]["init"] = {"x0": [0.5, 0.5], "y0": [0.0, 0.0]}
@@ -867,7 +868,7 @@ def test_each_start_is_drawn_once_per_seed(tmp_path, monkeypatch, jobs):
 def test_init_with_several_seeds_is_a_config_error(tmp_path, monkeypatch,
                                                    capsys, cmd, jobs):
     # a fixed start makes every seed the same run
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     cfg = small_cfg("synthetic")
     cfg["run"]["init"] = {"x0": [1.0, 1.0, 1.0], "y0": [1.0, 1.0, 1.0]}
     cfgp = write_cfg(tmp_path, cfg)
@@ -883,7 +884,7 @@ def test_init_with_several_seeds_is_a_config_error(tmp_path, monkeypatch,
 def test_ablate_without_a_target_is_a_config_error(tmp_path, monkeypatch,
                                                    capsys, kind):
     # its table would time every run to a target it has not got
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     cfg = small_cfg(kind)
     cfg["run"].pop("target_eps_rel", None)
     cfgp = write_cfg(tmp_path, cfg)

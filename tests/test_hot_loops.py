@@ -7,19 +7,30 @@ These tests compare them in process with the formulations they replaced
 so they hold on any BLAS, and check that bad inputs still raise.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from sipba.benchmarks import quadratic_testbed, synthetic_problem
+from sipba import saddle, smoothing
+from sipba.benchmarks import (
+    generate_hyper_rep,
+    hyper_rep_init,
+    hyper_rep_problem,
+    quadratic_testbed,
+    synthetic_problem,
+)
 from sipba.diagnostics import relative_error, relative_error_denominator
-from sipba.errors import ContractViolation
-from sipba.problem import Ball, Box, FullSpace
+from sipba.errors import ContractViolation, SaddleConvergenceError
+from sipba.problem import Ball, Box, FullSpace, _as_vector
 from sipba.smoothing import PenaltyReg, operator_T
 from sipba.solver import (
     ScheduleParams,
     _finite,
     initial_state,
     params_at,
+    run,
     sipba_step,
 )
 
@@ -204,3 +215,237 @@ def test_relative_error_of_a_block_is_each_row_bit_for_bit():
     with pytest.raises(ContractViolation):
         relative_error_denominator([[1.0], [0.0]], [[1.0], [0.0]], [0.0],
                                    [0.0])
+
+
+def _old_solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None,
+                      beta=None, warm=None):
+    # solve_saddle's loop as it was written on the stacked u = (y, z):
+    # operator_T, u - beta*t, a projection of each half, np.linalg.norm
+    x = _as_vector(x, problem.n_x, "x")
+    lip_vector = None if warm is None else warm.lip_vector
+    if u0 is None and warm is not None:
+        u0 = warm.u
+    if u0 is None:
+        u = saddle.default_start(problem)
+    else:
+        u = _as_vector(u0, 2 * problem.n_y, "u0").copy()
+    calls = 0
+    if beta is None:
+        est = saddle.estimate_T_lipschitz(problem, pr, x, u, lip_vector)
+        beta, lip_vector, calls = 1.0 / (2.0 * est.value), est.vector, est.calls
+    beta = float(beta)
+    beta0 = beta
+    set_Y, n_y = problem.set_Y, problem.n_y
+
+    def pack(u, res, it, ok):
+        return saddle.SaddlePoint(
+            y_star=u[:n_y].copy(), z_star=u[n_y:].copy(), residual=res,
+            iterations=it, beta=beta, converged=ok, lip_vector=lip_vector,
+            estimate_calls=calls)
+
+    def proj_pair(w):
+        return np.concatenate((set_Y.project(w[:n_y]), set_Y.project(w[n_y:])))
+
+    best, since_best, halvings, res = np.inf, 0, 0, np.inf
+    for it in range(1, max_iter + 1):
+        t = operator_T(problem, pr, x, u)
+        w = u - beta * t
+        u_next = proj_pair(w)
+        res = float(np.linalg.norm(u - u_next)) / beta
+        finite = np.isfinite(res)
+        if finite and res <= tol:
+            if (res == 0.0 and beta < beta0 and np.array_equal(w, u)
+                    and not np.array_equal(u - beta0 * t, u)):
+                t_norm = float(np.linalg.norm(t))
+                raise SaddleConvergenceError(
+                    "saddle oracle step underflow after %d iterations: "
+                    "beta=%.3e (%d halvings) no longer moves u while "
+                    "||T||=%.3e (tol %.3e)" % (it, beta, halvings, t_norm, tol),
+                    residual=t_norm, saddle=pack(u, t_norm, it, False))
+            return pack(u_next, res, it, True)
+        if finite:
+            u = u_next
+            if res < 0.9999 * best:
+                best, since_best = res, 0
+                continue
+            since_best += 1
+            if since_best < 200:
+                continue
+        halvings += 1
+        if halvings > 60:
+            raise SaddleConvergenceError(
+                "saddle oracle stalled after %d iterations (60 step "
+                "halvings) with residual %.3e (tol %.3e)" % (it, res, tol)
+                if finite else "oracle diverged even after step backoff",
+                residual=res, saddle=pack(u, res, it, False))
+        beta *= 0.5
+        best, since_best = np.inf, 0
+    raise SaddleConvergenceError(
+        "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"
+        % (max_iter, res, tol), residual=res, saddle=pack(u, res, max_iter, False))
+
+
+def _solve_outcome(solve, *args, **kwargs):
+    """(the SaddlePoint, None), or (the error's saddle, (message, residual))."""
+    try:
+        return solve(*args, **kwargs), None
+    except SaddleConvergenceError as err:
+        return err.saddle, (str(err), err.residual)
+
+
+def _same_value(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and same_bits(a, b))
+    if isinstance(a, float):
+        return type(a) is type(b) and same_bits(np.float64(a), np.float64(b))
+    return type(a) is type(b) and a == b
+
+
+def _assert_same_solve(*args, **kwargs):
+    """solve_saddle and the old loop agree on every SaddlePoint field and on
+    the error (message and residual), bit for bit; returns the solve."""
+    with np.errstate(all="ignore"):
+        want, want_err = _solve_outcome(_old_solve_saddle, *args, **kwargs)
+        got, got_err = _solve_outcome(saddle.solve_saddle, *args, **kwargs)
+    for f in dataclasses.fields(saddle.SaddlePoint):
+        assert _same_value(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert (got_err is None) == (want_err is None)
+    if want_err is not None:
+        assert got_err[0] == want_err[0]
+        assert _same_value(got_err[1], want_err[1])
+    return got, got_err
+
+
+def _gate_sequence(problem, pr, xs, tol, **kwargs):
+    # a cold solve at xs[0], then each x warm from the previous saddle, then
+    # the same x at that solve's step size with its saddle as u0
+    prev = None
+    for x in xs:
+        sd, err = _assert_same_solve(problem, pr, x, tol=tol, warm=prev,
+                                     **kwargs)
+        _assert_same_solve(problem, pr, x, tol=tol, u0=sd.u, beta=sd.beta)
+        prev = sd if err is None else None
+
+
+def test_oracle_equals_the_stacked_loop_on_the_benchmarks():
+    rng = np.random.default_rng(19)
+    quad = quadratic_testbed()
+    for _ in range(5):
+        pr = PenaltyReg(rng.uniform(0.1, 8.0), rng.uniform(0.05, 2.0))
+        xs = rng.normal(scale=2.0, size=(3, 1))
+        _gate_sequence(quad, pr, xs, 1e-12)
+        _gate_sequence(quad, pr, xs, 1e-14, max_iter=5)  # max_iter runs out
+    # an explicit step from the lemma, and one that overflows and halves
+    pr = PenaltyReg(1.0, 1.0)
+    _assert_same_solve(quad, pr, [1.0], beta=0.9 * saddle.lemma_step_bound(quad, pr))
+    _, err = _assert_same_solve(quad, pr, [1.0], beta=1e200)
+    assert err is not None
+
+    sb = synthetic_problem(5)
+    box = sb.problem
+    center = np.full(5, 0.5)
+    ball = dataclasses.replace(box, set_Y=Ball(center, 0.4))
+    for prob in (box, ball):
+        for rho, sigma in ((10.0, 0.01), (50.0, 0.1)):
+            xs = rng.uniform(0.1, 10.0, (3, 5))
+            _gate_sequence(prob, PenaltyReg(rho, sigma), xs, 1e-10)
+    # the ball binds: the saddle sits on its sphere
+    sd, _ = _assert_same_solve(ball, PenaltyReg(10.0, 0.01), np.full(5, 9.0),
+                               tol=1e-10)
+    assert np.linalg.norm(sd.y_star - center) == pytest.approx(0.4)
+
+    data = generate_hyper_rep(6, 2, 12, 12, 10, 0.1, seed=3)
+    hr = hyper_rep_problem(data)
+    x0 = hyper_rep_init(data, np.random.Generator(np.random.Philox(42)))[0]
+    xs = x0 + 0.01 * rng.standard_normal((4, x0.size))
+    for tol in (1e-5, 1e-10):
+        _gate_sequence(hr, PenaltyReg(10.0, 0.01), xs, tol)
+
+
+def _inject(monkeypatch, T):
+    # an operator T(u) through the directions the oracle and operator_T
+    # call: direction_y is -T's y half, direction_z its z half
+    def dy(problem, pr, x, y, z):
+        return -np.split(T(np.concatenate((y, z))), 2)[0]
+
+    def dz(problem, pr, x, y, z):
+        return np.split(T(np.concatenate((y, z))), 2)[1]
+
+    for mod in (saddle, smoothing):
+        monkeypatch.setattr(mod, "direction_y", dy)
+        monkeypatch.setattr(mod, "direction_z", dz)
+
+
+@pytest.mark.parametrize("T, kwargs, message", [
+    (lambda u: np.copysign(1.0, u), dict(beta=0.5), "stalled"),
+    (lambda u: np.full_like(u, np.inf), dict(u0=[0.5, -0.5], beta=0.5),
+     "^oracle diverged even after step backoff$"),
+    (lambda u: np.array([[-0.1, 1.0], [-1.0, -0.1]]) @ u,
+     dict(u0=[1.0, 1.0], beta=0.5), "step underflow"),
+    # y never moves, so only the z half tells underflow from convergence
+    (lambda u: np.array([0.0, -0.1 * u[1]]), dict(u0=[1.0, 1.0], beta=0.5),
+     "step underflow"),
+], ids=["stall", "non-finite", "underflow", "underflow-in-z"])
+def test_oracle_safeguards_equal_the_stacked_loop(monkeypatch, T, kwargs,
+                                                  message):
+    _inject(monkeypatch, T)
+    quad = quadratic_testbed()
+    sd, err = _assert_same_solve(quad, PenaltyReg(1.0, 1.0), [0.0],
+                                 tol=1e-10, **kwargs)
+    assert err is not None and re.search(message, err[0])
+    assert not sd.converged
+
+
+class _MatmulSplit:
+    # benchmarks._Split's loss and gradients with its products written as
+    # @, and no memo (test_benchmarks gates the memo against this form)
+    def __init__(self, X, y):
+        self.X, self.y = X, y
+
+    def _residual(self, x, w):
+        A = self.X.T @ x.reshape(self.X.shape[0], -1)
+        return A, A @ w - self.y
+
+    def loss(self, x, w):
+        _, r = self._residual(x, w)
+        return float(np.dot(r, r) / self.y.shape[0])
+
+    def grad_x(self, x, w):
+        _, r = self._residual(x, w)
+        return ((2.0 / self.y.shape[0]) * ((self.X @ r)[:, None] * w)).ravel()
+
+    def grad_w(self, x, w):
+        A, r = self._residual(x, w)
+        return (2.0 / self.y.shape[0]) * (A.T @ r)
+
+
+@pytest.mark.parametrize("p_dim", [1, 3])
+def test_hyper_rep_runs_equal_the_matmul_products(p_dim):
+    # a batch of starts and a start alone, stepped through run: every
+    # callback state equals the one of the same problem with @ products
+    data = generate_hyper_rep(6, p_dim, 9, 7, 5, 0.1, seed=11)
+    prob = hyper_rep_problem(data)
+    val = _MatmulSplit(data.X_val, data.y_val)
+    train = _MatmulSplit(data.X_train, data.y_train)
+    ref = dataclasses.replace(
+        prob, F=val.loss, f=train.loss, grad_F_x=val.grad_x,
+        grad_F_y=val.grad_w, grad_f_x=train.grad_x, grad_f_y=train.grad_w)
+    sp = ScheduleParams(alpha0=0.01, beta0=1e-4, rho0=10.0, sigma0=0.01,
+                        p=0.01, q=0.01, s=0.16)
+    starts = [initial_state(prob, *hyper_rep_init(
+        data, np.random.Generator(np.random.Philox(s)))) for s in (42, 43)]
+
+    def states(problem, init):
+        seen = []
+        res = run(problem, sp, init, 250, callback_stride=100,
+                  callback=lambda *args: seen.append(args[-2]))
+        return seen + [r.state for r in (res if init is starts else [res])]
+
+    for init in (starts, starts[0]):
+        got, want = states(prob, init), states(ref, init)
+        assert len(got) == len(want) > 2
+        for a, b in zip(got, want):
+            assert a.k == b.k
+            for block in ("x", "y", "z"):
+                assert same_bits(getattr(a, block), getattr(b, block))

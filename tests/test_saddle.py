@@ -242,12 +242,25 @@ def test_solve_saddle_max_iter_exhaustion():
     assert np.isfinite(err.residual)
 
 
+def inject_T(monkeypatch, T):
+    """Make the oracle iterate on T(u), u = (y, z) stacked: its loop steps
+    y along direction_y, T's y half negated, and z against direction_z,
+    T's z half."""
+    def dy(problem, pr, x, y, z):
+        return -T(np.concatenate((y, z)))[:y.size]
+
+    def dz(problem, pr, x, y, z):
+        return T(np.concatenate((y, z)))[y.size:]
+
+    monkeypatch.setattr(saddle, "direction_y", dy)
+    monkeypatch.setattr(saddle, "direction_z", dz)
+
+
 def test_solve_saddle_stall_reports_real_iteration_count(monkeypatch):
     # a sign operator never settles: the iterate flips around 0 and the
     # residual stays sqrt(2), so the stall safeguard halves beta until it
     # gives up, long before max_iter
-    monkeypatch.setattr(saddle, "operator_T",
-                        lambda problem, pr, x, u: np.copysign(1.0, u))
+    inject_T(monkeypatch, lambda u: np.copysign(1.0, u))
     with pytest.raises(SaddleConvergenceError, match="stalled") as ei:
         solve_saddle(quad, PenaltyReg(1.0, 1.0), [0.0], beta=0.5)
     err = ei.value
@@ -261,8 +274,7 @@ def test_solve_saddle_stall_reports_real_iteration_count(monkeypatch):
 def test_solve_saddle_non_finite_steps_halve_from_the_same_point(monkeypatch):
     # an operator that is never finite: each iteration halves beta and
     # retries from u0, and the 61st halving gives up
-    monkeypatch.setattr(saddle, "operator_T",
-                        lambda problem, pr, x, u: np.full_like(u, np.inf))
+    inject_T(monkeypatch, lambda u: np.full_like(u, np.inf))
     with pytest.raises(SaddleConvergenceError,
                        match="^oracle diverged even after step backoff$") as ei:
         solve_saddle(quad, PenaltyReg(1.0, 1.0), [0.0], u0=[0.5, -0.5],
@@ -278,7 +290,7 @@ def test_solve_saddle_step_underflow_is_not_convergence(monkeypatch):
     # safeguard halves beta until u - beta*T rounds back to u, and the zero
     # residual of that frozen step must not read as convergence
     A = np.array([[-0.1, 1.0], [-1.0, -0.1]])
-    monkeypatch.setattr(saddle, "operator_T", lambda problem, pr, x, u: A @ u)
+    inject_T(monkeypatch, lambda u: A @ u)
     with pytest.raises(SaddleConvergenceError, match="step underflow") as ei:
         solve_saddle(quad, PenaltyReg(1.0, 1.0), [0.0], tol=1e-10,
                      u0=[1.0, 1.0], beta=0.5)
