@@ -486,12 +486,11 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
     # tuples of float objects they would take 4 times the memory
     records = [array("d") for _ in seeds]
     phi_min = [np.inf] * len(seeds)
-    saddle = [None] * len(seeds)  # each run's last, warm start of its next
+    last = [None] * len(seeds)  # each run's last Snapshot, warm for its next
 
     def cb(i, st, elapsed):
         done = st.k - 1
-        sn = snapshot(prob, sps[i], st, oracle_tol, warm=saddle[i])
-        saddle[i] = sn.saddle
+        sn = last[i] = snapshot(prob, sps[i], st, oracle_tol, warm=last[i])
         phi_min[i] = min(phi_min[i], sn.phi)
         merit = merit_value(done, sps[i].s, sps[i].t_exp,
                             sn.phi - (phi_min[i] - 1.0), sn.tracking_err)

@@ -3,8 +3,9 @@
 These quantities instrument a run without influencing it: a snapshot of an
 iterate against one oracle solve (smoothed value, distance of the inner pair
 to the exact saddle, and the projected-gradient stationarity residual of the
-smoothed value function; the solve is warm-started from the previous
-snapshot's saddle when the caller passes it), a relative error to a known
+smoothed value function; when the caller passes the run's previous snapshot,
+the solve starts at the saddle path extrapolated from the last three
+snapshots' saddles, see predicted_start), a relative error to a known
 optimum (its denominator, the start's squared distance to the optimum, is
 formed and checked once per run and passed to every call), a merit value
 combining value gap and tracking error, and the two-sided sandwich between
@@ -73,7 +74,36 @@ class Snapshot:
     phi: float            # smoothed value phi_{rho,sigma}(x)
     tracking_err: float   # ||(y, z) - (y*, z*)||
     stat_residual: float  # ||x - Proj_X(x - alpha*grad phi_{rho,sigma}(x))|| / alpha
-    saddle: SaddlePoint   # the oracle solve; warm start of the next snapshot
+    saddle: SaddlePoint   # the oracle solve
+    trail: tuple          # (k, u*) of at most the last 3 saddles, oldest first
+
+
+def predicted_start(problem, trail, k):
+    """Oracle start at step k from a trail of (k_j, u_j) saddles; None if empty.
+
+    With two or more nodes this is the Lagrange polynomial through them
+    (distinct k_j, oldest first) evaluated at k, projected onto Y x Y half by
+    half: through three nodes at equal gaps the weights are (1, -3, 3), and
+    the actual k_j weight an uneven gap. A prediction that is not finite
+    falls back to the newest saddle, and so does a trail of one node.
+    """
+    if not trail:
+        return None
+    last = trail[-1][1]
+    if len(trail) == 1:
+        return last
+    start = 0.0
+    for j, (kj, u) in enumerate(trail):
+        w = 1.0
+        for m, (km, _) in enumerate(trail):
+            if m != j:
+                w *= (k - km) / (kj - km)
+        start = start + w * u
+    if not np.all(np.isfinite(start)):
+        return last
+    n_y, set_Y = problem.n_y, problem.set_Y
+    return np.concatenate((set_Y.project(start[:n_y]),
+                           set_Y.project(start[n_y:])))
 
 
 def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
@@ -81,20 +111,34 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
 
     (alpha, rho, sigma) are those of the step that produced state, i.e.
     params_at(sp, state.k - 1); a state with no completed step (k = 1) is
-    rejected. Without warm the oracle starts cold, from its default start;
-    with warm, the saddle of the previous snapshot of the same run, it
-    starts from that saddle and its step-size direction (see solve_saddle),
-    which agrees with the cold solve to within oracle_tol.
+    rejected. Without warm the oracle starts cold, from its default start.
+    With warm, the previous Snapshot of the same run, it starts at
+    predicted_start(problem, warm.trail, state.k): the previous saddle
+    itself after one snapshot, the extrapolated saddle path after two or
+    more. warm.saddle seeds the step-size estimate (see solve_saddle). Only
+    the start moves, so the solve agrees with the cold one to within
+    oracle_tol. The snapshot's trail is warm's with (state.k, u*) appended,
+    replacing a node at the same k, cut to the last 3.
     """
+    if not state.k >= 2:
+        raise ContractViolation(
+            "snapshot needs a state after at least one step (k >= 2), got "
+            "k=%r" % (state.k,))
     pars, pr = _penalty_at(sp, state.k - 1)
     x = state.x
-    sd = solve_saddle(problem, pr, x, tol=oracle_tol, warm=warm)
+    trail = () if warm is None else warm.trail
+    sd = solve_saddle(problem, pr, x, tol=oracle_tol,
+                      u0=predicted_start(problem, trail, state.k),
+                      warm=None if warm is None else warm.saddle)
+    u = sd.u
     phi = eval_psi(problem, pr, x, sd.y_star, sd.z_star)
-    te = float(np.linalg.norm(np.concatenate((state.y, state.z)) - sd.u))
+    te = float(np.linalg.norm(np.concatenate((state.y, state.z)) - u))
     g = direction_x(problem, pr, x, sd.y_star, sd.z_star)
     moved = problem.set_X.project(x - pars.alpha * g)
     sr = float(np.linalg.norm(x - moved)) / pars.alpha
-    return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd)
+    trail = tuple(n for n in trail if n[0] != state.k) + ((state.k, u),)
+    return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd,
+                    trail=trail[-3:])
 
 
 def merit_value(k, s, t, phi_gap, tracking_err):

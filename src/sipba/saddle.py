@@ -38,9 +38,12 @@ Warm start. A solve with no previous saddle is cold: u starts at the
 projected zero vector and the power iteration runs 30 steps from a
 fixed-seed vector, so it is deterministic. A sequence of nearby solves (the
 diagnostics along a run, the inner solves of the double-loop baseline)
-passes each SaddlePoint to the next as warm: u starts at its saddle and the
-power iteration runs 3 steps from the dominant direction it carries. Warm
-solves are deterministic too, given the same previous saddle.
+passes each SaddlePoint to the next as warm: by default u starts at its
+saddle, and the power iteration runs 3 steps from the dominant direction it
+carries. The diagnostics pass their own start as u0, extrapolated from the
+last saddles of the run (diagnostics.predicted_start), and use warm for the
+estimate only. Warm solves are deterministic too, given the same previous
+saddle and start.
 """
 
 import math

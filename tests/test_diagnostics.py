@@ -7,12 +7,14 @@ from sipba.benchmarks import quadratic_testbed, synthetic_problem
 from sipba.diagnostics import (
     lipschitz_phi_bound,
     merit_value,
+    predicted_start,
     relative_error,
     relative_error_denominator,
     sandwich_check,
     snapshot,
 )
 from sipba.errors import ContractViolation
+from sipba.problem import Ball
 from sipba.saddle import grad_phi, solve_saddle
 from sipba.smoothing import PenaltyReg, direction_x, eval_psi
 from sipba.solver import (
@@ -81,7 +83,9 @@ def test_stationarity_residual_step_invariant_without_constraints():
         sn = snapshot(quad, _schedule(alpha, 2.0, 0.4), st, oracle_tol=1e-12)
         assert sn.stat_residual == pytest.approx(g, abs=1e-9)
     # a state with no completed step has no step parameters to measure with
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation,
+                       match=r"snapshot needs a state after at least one "
+                             r"step \(k >= 2\), got k=1$"):
         snapshot(quad, _schedule(0.1, 2.0, 0.4), replace(st, k=1))
 
 
@@ -104,6 +108,96 @@ def test_snapshot_matches_separate_formulas():
         assert sn.tracking_err == np.linalg.norm(
             np.concatenate((st.y, st.z)) - sd.u)
         assert sn.stat_residual == np.linalg.norm(st.x - moved) / pars.alpha
+
+
+# the predicted oracle start of a warm snapshot
+
+def _quadratic_path(k):
+    # a saddle path quadratic in k, inside the synthetic Y x Y at n=2
+    a = np.array([3.0, 2.0, 2.0, 5.0])
+    b = np.array([1e-3, -2e-3, 5e-3, 0.0])
+    c = np.array([2e-6, 1e-6, -3e-6, 4e-6])
+    return a + b * k + c * k * k
+
+
+@pytest.mark.parametrize("ks, k", [((100, 200, 300), 400),
+                                   ((100, 200, 250), 300)])
+def test_predicted_start_is_exact_on_a_quadratic_path(ks, k):
+    prob = synthetic_problem(2).problem
+    trail = tuple((kj, _quadratic_path(kj)) for kj in ks)
+    start = predicted_start(prob, trail, k)
+    np.testing.assert_allclose(start, _quadratic_path(k), rtol=1e-12, atol=0)
+    # two nodes extrapolate the line through them
+    line = predicted_start(prob, trail[1:], k)
+    u1, u2 = trail[1][1], trail[2][1]
+    np.testing.assert_allclose(
+        line, u2 + (u2 - u1) * (k - ks[2]) / (ks[2] - ks[1]), rtol=1e-12)
+
+
+def test_predicted_start_of_one_node_is_that_saddle():
+    u = _quadratic_path(100)
+    assert predicted_start(quad, (), 200) is None
+    assert predicted_start(quad, ((100, u),), 200) is u
+
+
+def test_a_snapshot_after_one_node_starts_at_the_previous_saddle():
+    # bit for bit the solve warm-started from the previous saddle alone
+    sp = _schedule(0.1, 2.0, 0.4)
+    first = snapshot(quad, sp, _state([1.3], [0.0], [0.0]))
+    assert [k for k, _ in first.trail] == [2]
+    assert first.trail[0][1].tolist() == first.saddle.u.tolist()
+    st = IterateState(k=3, x=np.array([1.2]), y=np.zeros(1), z=np.zeros(1))
+    sd = snapshot(quad, sp, st, warm=first).saddle
+    pars = params_at(sp, 2)
+    ref = solve_saddle(quad, PenaltyReg(pars.rho, pars.sigma), st.x,
+                       tol=1e-8, warm=first.saddle)
+    for name in ("y_star", "z_star", "lip_vector"):
+        assert getattr(sd, name).tolist() == getattr(ref, name).tolist()
+    for name in ("residual", "iterations", "beta", "converged",
+                 "estimate_calls"):
+        assert getattr(sd, name) == getattr(ref, name)
+
+
+def test_a_repeated_k_replaces_its_node():
+    sb = synthetic_problem(6)
+    sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
+                        p=0.001, q=0.001, s=0.1)
+    st = initial_state(sb.problem, *sb.sample_init(np.random.default_rng(3)))
+    sn, ks = None, []
+    for _ in range(4):
+        st = sipba_step(sb.problem, sp, st)
+        sn = snapshot(sb.problem, sp, st, warm=sn)
+        ks.append([k for k, _ in sn.trail])
+    assert ks == [[2], [2, 3], [2, 3, 4], [3, 4, 5]]
+    again = snapshot(sb.problem, sp, st, warm=sn)
+    assert [k for k, _ in again.trail] == [3, 4, 5]
+    assert again.trail[-1][1].tolist() == again.saddle.u.tolist()
+    # the start at a node's own k is that node's saddle
+    assert predicted_start(sb.problem, sn.trail, 5).tolist() == \
+        sn.trail[-1][1].tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+def test_a_non_finite_prediction_falls_back_to_the_previous_saddle(bad):
+    prob = synthetic_problem(2).problem
+    last = _quadratic_path(300)
+    trail = ((100, _quadratic_path(100)), (200, np.full(4, bad)), (300, last))
+    with np.errstate(over="ignore"):  # -3 * 1e308 overflows
+        assert predicted_start(prob, trail, 400) is last
+
+
+def test_the_predicted_start_lies_in_y_times_y():
+    box = synthetic_problem(3).problem
+    ball = replace(box, set_Y=Ball(np.array([1.0, -2.0, 0.5]), 0.4))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        trail = tuple((k, 3.0 * rng.standard_normal(6))
+                      for k in (100, 200, 250))
+        start = predicted_start(box, trail, 350)
+        assert np.all(start >= np.tile(box.set_Y.lower, 2))
+        start = predicted_start(ball, trail, 350)
+        for half in (start[:3], start[3:]):
+            assert np.linalg.norm(half - ball.set_Y.center) <= 0.4 * (1 + 1e-12)
 
 
 def test_merit_value_example():

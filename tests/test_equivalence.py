@@ -1,9 +1,11 @@
 """Equivalence gates: warm-started diagnostics against cold ones, batched
 runs against serial ones, and command line outputs against a reference.
 
-The diagnostics of `sipba run` thread each snapshot's saddle into the next
-(warm start). A warm solve stops at the same oracle tolerance as a cold one
-but from another start, so the values differ in their last digits. The gate
+The diagnostics of `sipba run` thread each snapshot into the next (warm
+start): the next solve starts at the saddle path extrapolated from the last
+three snapshots' saddles. A warm solve stops at the same oracle tolerance
+as a cold one but from another start, so the values differ in their last
+digits. The gate
 bounds those differences on the README's synthetic experiment: n=100, the
 README schedule, 3 seeds x 2000 steps, a snapshot every 100 steps, each
 compared with a cold snapshot of the same state. The tolerances were fixed
@@ -143,13 +145,15 @@ def violations(reference, candidate):
     return bad
 
 
-def warm_threaded(problem, sp, states, oracle_tol=ORACLE_TOL):
-    """Snapshots as `sipba run` takes them: each warm from the last."""
+def warm_threaded(problem, sp, states, oracle_tol=ORACLE_TOL, nodes=3):
+    """Snapshots as `sipba run` takes them: each warm from the last, its
+    start predicted from the last `nodes` saddles of the trail (1: the
+    previous saddle itself)."""
     out, warm = [], None
     for st in states:
         sn = snapshot(problem, sp, st, oracle_tol, warm=warm)
         out.append(sn)
-        warm = sn.saddle
+        warm = replace(sn, trail=sn.trail[-nodes:])
     return out
 
 
@@ -181,6 +185,11 @@ def test_warm_snapshots_pass_the_gate(runs):
         assert [sn.saddle.estimate_calls for sn in warm] == \
             [31] + [4] * (len(states) - 1)
         assert all(sn.saddle.estimate_calls == 31 for sn in cold)
+        # the predicted start pays: fewer oracle iterations than starting
+        # at the previous saddle
+        previous = warm_threaded(problem, sp, states, nodes=1)
+        assert sum(sn.saddle.iterations for sn in warm) < \
+            sum(sn.saddle.iterations for sn in previous)
 
 
 def test_gate_rejects_a_loose_oracle(runs):
@@ -816,6 +825,25 @@ def test_end_metric_gate_rejects_a_loose_synthetic_oracle(
     candidate = readme_run(tmp_path / "candidate", oracle_tol=1e-3)
     bad = end_metric_violations(synthetic_reference, candidate)
     assert bad and all("run_" in v for v in bad), bad
+
+
+def test_an_uneven_last_gap_passes_the_end_metric_gate(tmp_path):
+    # rows at ..., 1900, 2000, 2050: the last start extrapolates over half a
+    # stride; a tighter oracle must agree with it at every row
+    def outputs(name, oracle_tol):
+        return cli_outputs("run", {
+            "problem": {"kind": "synthetic", "n": 10},
+            "schedule": README_SCHEDULE,
+            "run": {"max_iter": 2050, "seeds": {"base": 1000, "count": 3},
+                    "stride": STRIDE, "oracle_tol": oracle_tol,
+                    "target_eps_rel": TARGET_EPS},
+        }, tmp_path / name)
+
+    default = outputs("default", ORACLE_TOL)
+    tight = outputs("tight", 1e-10)
+    ks = [int(r[1]) for r in _rows(os.path.join(default, "run_1000.csv"))[1:]]
+    assert ks[-3:] == [1900, 2000, 2050]
+    assert end_metric_violations(tight, default) == []
 
 
 def test_end_metric_gate_reads_printed_integers_and_skips_seconds(tmp_path):
