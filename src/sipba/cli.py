@@ -448,8 +448,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for r in rows:
-            w.writerow([_fmt(v) for v in r])
+        w.writerows([_fmt(v) for v in r] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +526,8 @@ def _fan_out(tasks, jobs):
     # imported here, not with the module: its import chain costs about
     # 20 ms and 1.5 MB that a command run inline need not pay
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        futs = [ex.submit(fn) for fn in tasks]
-        return [f.result() for f in futs]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
+        return [f.result() for f in [ex.submit(fn) for fn in tasks]]
 
 
 def _batches(jobs, *columns):
@@ -560,8 +558,11 @@ def _tally(runs):
 def cmd_run(cfg, out_dir, jobs):
     """One SiPBA run per seed: a diagnostics CSV per run and a summary CSV."""
     seeds, starts, kw = _run_settings(cfg)
-    sp = build_schedule(cfg)
     target_eps = kw["target_eps"]
+    if kw["stop_at_target"] and target_eps is None:
+        raise ConfigError("run.stop_at_target needs run.target_eps_rel",
+                          _line(_get(cfg, "run"), "stop_at_target"))
+    sp = build_schedule(cfg)
     batches = _fan_out([partial(_run_batch, sp, ss, sts, out_dir=out_dir, **kw)
                         for ss, sts in _batches(jobs, seeds, starts)], jobs)
     ordered = [r for batch in batches for r in batch]
@@ -708,18 +709,17 @@ def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
         eps = bundle.eps_rel(x, y, den)
         return bundle.metric(x, y) if eps is None else eps
 
-    def cb(st, elapsed):
+    def cb(_, st, elapsed):
         rows.append(("sipba", seed, st.k - 1, cnt_s.count, elapsed,
                      bundle.metric_name, metric_fn(st.x, st.y)))
 
-    try:
-        res = run(prob_s, sp, init, budget // 6, callback=cb,
-                  callback_stride=stride)
+    (res,) = run(prob_s, sp, [init], budget // 6, callback=cb,
+                 callback_stride=stride)
+    if res.error is None:
         out.update(sipba_final=metric_fn(res.state.x, res.state.y),
                    sipba_evals=cnt_s.count)
-    except (DivergenceError, ParameterOverflowError,
-            SaddleConvergenceError) as e:
-        out.update(ok=False, error="sipba: %s" % e)
+    else:
+        out.update(ok=False, error="sipba: %s" % res.error)
 
     # double-loop arm
     if out["ok"]:

@@ -26,8 +26,8 @@ step for all rows. The loop evaluates each live schedule once per k and
 hands the step its Params: floats when one schedule is live, else (S, 1)
 columns, and a column times a block gives each row the product the scalar
 gives it. Each row's arithmetic is that of the serial step, so every row's
-trajectory equals its serial run bit for bit. A batch of one (a start passed
-alone, or a list of one) is not stacked: it is stepped as vectors.
+trajectory equals its serial run bit for bit. A batch of one is not
+stacked: it is stepped as vectors.
 
 Within a step, each way a row can end (its schedule leaves the float range,
 its iterate turns non-finite, it stops at its target, its callback raises)
@@ -226,9 +226,8 @@ def sipba_step(problem, sp, state):
 
 @dataclass
 class RunResult:
-    """How one start's run ended. A row of a batch that failed has
-    stop_reason "error", the exception a serial run would have raised in
-    error, and its last good state."""
+    """How one start's run ended. A row that failed has stop_reason
+    "error", the error that ended it (see run) and its last good state."""
 
     state: IterateState
     iterations: int
@@ -239,87 +238,67 @@ class RunResult:
     error: Optional[Exception] = None
 
 
-# what a row's callback may raise to end that row of a batch, as its step's
-# errors do; a serial run raises these
+# what a row's callback may raise to end that row, as its step's errors do
 _ROW_ERRORS = (DivergenceError, ParameterOverflowError, SaddleConvergenceError)
 
 
-def run(problem, sp, init, max_iter, target=None, stop_at_target=False,
+def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
         callback=None, callback_stride=100):
-    """Drive sipba_step for max_iter iterations from init.
+    """Drive sipba_step for max_iter iterations from a list of starts.
 
-    init is a list of starts run as one batch, which returns one RunResult
-    per start, in order (see below), or one start (an IterateState). sp is
-    one schedule (ScheduleParams) for every start, or a list with one per
-    start: each row then runs under its own schedule. Each step, run
-    evaluates each distinct schedule of the active rows once (_penalty_at)
-    and hands sipba_step their Params: floats when one schedule is live,
-    else (S, 1) columns. One start runs as a batch of one, its hooks called
-    without the row argument, and returns its RunResult, but raises its
-    error out of this call: its schedule's ParameterOverflowError, the
-    step's DivergenceError (serial message, last good state), or a hook's
-    (the same object).
+    The starts (IterateStates from initial_state) run as one batch, which
+    returns one RunResult per start, in order. sp is one schedule
+    (ScheduleParams) for every start, or a list with one per start: each
+    row then runs under its own schedule, evaluated once per step for all
+    its rows (_penalty_at).
 
-    target : callable(state) -> bool, optional
-        Checked after every step, outside the timed region. The first hit
-        records (iteration, stepping seconds); the run stops there only if
-        stop_at_target is set. For a batch it is called once per step as
-        target(rows, state) on the batch's active rows (rows: their indices
-        into init) and returns one bool per row, until every active row has
-        hit. A target that divides by a constant per start (such as the
-        starts' relative_error_denominator) should form it once, before
-        this call, and index it by rows.
-    callback : callable(state, elapsed_seconds), optional
-        Invoked off the stepping clock after every callback_stride completed
-        steps, when the run stops at its target, and after the last step
-        of this call (none with max_iter=0); at most once per step. For a
-        batch it is called per row, as callback(row, state, elapsed_seconds)
-        with the row's 1-D state and clock: a row's callback is due at a
-        stride, at its own target stop and on the call's last step. Within
-        one step the due rows are called in row order, after the target
-        check.
+    target : callable(rows, state) -> bools, optional
+        Checked after every step, outside the timed region, on the batch's
+        active rows (rows: their indices into starts), returning one bool
+        per row, until every active row has hit. A row's first hit records
+        (iteration, stepping seconds); the row stops there only if
+        stop_at_target is set. A target that divides by a constant per
+        start (such as the starts' relative_error_denominator) should form
+        it once, before this call, and index it by rows.
+    callback : callable(row, state, elapsed_seconds), optional
+        Called per row, off the stepping clock, with the row's index into
+        starts, its 1-D state and its clock, after every callback_stride
+        completed steps, when the row stops at its target, and after the
+        last step of this call (none with max_iter=0); at most once per
+        step. Within one step the due rows are called in row order, after
+        the target check.
 
     Timing counts the stepping work only, so diagnostics (oracle calls in
     callbacks, target checks) do not pollute time-to-target measurements.
-    A batch charges each batched step's time to its active rows in equal
-    shares, so the rows' clocks sum to the batch's stepping time. Every
-    active row has taken every batched step so far, so the active rows
-    share one running clock, written to a row's result when it leaves.
+    Each batched step's time is charged to the active rows in equal shares,
+    so the rows' clocks sum to the batch's stepping time. Every active row
+    has taken every batched step so far, so the active rows share one
+    running clock, written to a row's result when it leaves.
 
-    A row of a batch leaves it when it stops at its target, or when its
-    step or its callback raises DivergenceError, ParameterOverflowError or
-    SaddleConvergenceError: its RunResult then holds the error (with the
-    serial message, and for a divergence the row's last good state) and
-    the other rows go on. A schedule that leaves the float range ends the
-    rows that run under it, and only those, before the step. The starts of
-    a batch share their counter k; a problem that is not rowwise has its
-    gradients called once per row. The states of a batch of one, also those
-    its hooks and gradients see, are (n,) vectors.
+    A row leaves the batch when it stops at its target, or when its step
+    or its callback raises DivergenceError, ParameterOverflowError or
+    SaddleConvergenceError: its RunResult then has stop_reason "error" and
+    holds that error (a hook's is the same object; a divergence has the
+    serial message and the row's last good state), and the other rows go
+    on. Any other exception propagates out of this call. A schedule that
+    leaves the float range ends the rows that run under it, and only
+    those, before the step. The starts share their counter k; a problem
+    that is not rowwise has its gradients called once per row. The states
+    of a batch of one, also those its hooks and gradients see, are (n,)
+    vectors.
 
-    Validation happens before the loop: init comes from initial_state
-    (which converts and projects the starting blocks), and max_iter and
-    callback_stride are checked here. Inside the loop each step keeps only
-    its O(1) shape, positivity and finiteness checks (see sipba_step).
+    Validation happens before the loop: the starts come from initial_state
+    (which converts and projects the starting blocks), and the rest of the
+    arguments are checked here. Inside the loop each step keeps only its
+    O(1) checks (see sipba_step).
     """
+    if isinstance(starts, IterateState):
+        raise ContractViolation("run takes a list of starts, not one state")
     if max_iter < 0:
         raise ContractViolation("max_iter must be >= 0")
     if callback_stride < 1:
         raise ContractViolation("callback_stride must be >= 1")
-    if isinstance(init, IterateState):  # a batch of one that raises
-        (res,) = _run_batch(
-            problem, sp, [init], max_iter,
-            target and (lambda rows, st: (target(st),)), stop_at_target,
-            callback and (lambda i, st, t: callback(st, t)), callback_stride)
-        if res.error is not None:
-            raise res.error
-        return res
-    return _run_batch(problem, sp, list(init), max_iter, target,
-                      stop_at_target, callback, callback_stride)
-
-
-def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
-               callback, stride):
-    """run over a list of starts as one batch; see run."""
+    starts = list(starts)
     if len({st.k for st in starts}) > 1:
         raise ContractViolation("the starts of a batch must share their "
                                 "counter k")
@@ -343,7 +322,7 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
                              **{b: np.stack([getattr(st, b) for st in starts])
                                 for b in "xyz"})
     rows = np.arange(len(starts))  # the start behind each row of state
-    share = 0.0  # the active rows' common clock (see run)
+    share = 0.0  # the active rows' common clock
     hit = np.zeros(len(starts), dtype=bool)
     hunting = target is not None  # some active row has not hit its target
     ended = []  # the positions in state of the rows that ended this step
@@ -401,7 +380,7 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
         if (nxt := leave(nxt)) is None:
             return results
         done = nxt.k - 1
-        due = ()  # the rows whose callback is due, in row order (see run)
+        due = ()  # the rows whose callback is due, in row order
         if hunting:
             new = np.asarray(target(rows, nxt), dtype=bool)
             if not stop_at_target:  # rows that hit stay, and hit only once
@@ -417,7 +396,8 @@ def _run_batch(problem, sp, starts, max_iter, target, stop_at_target,
                 # with stop_at_target the rows that hit leave, and the
                 # rest have not hit
                 hunting = stop_at_target or not hit[rows].all()
-        if callback is not None and (done % stride == 0 or n == max_iter):
+        if callback is not None and (done % callback_stride == 0
+                                     or n == max_iter):
             due = range(rows.size)
         for j in due:
             st = row(nxt, j)

@@ -286,7 +286,7 @@ def _hyper_rep_pair(n_feat, noise_a):
     init_loss = hyper_rep_test_loss(data, x0, y0)
 
     sp = ScheduleParams(**HR_SP)
-    res = run(prob, sp, initial_state(prob, x0, y0, z0), max_iter=HR_STEPS)
+    (res,) = run(prob, sp, [initial_state(prob, x0, y0, z0)], HR_STEPS)
     s_loss = hyper_rep_test_loss(data, res.state.x, res.state.y)
 
     # the baseline as sipba compare runs it: its first inner solve starts at
@@ -319,8 +319,8 @@ def test_criterion_07_hyper_representation_parity():
     prob = hyper_rep_problem(data)
     x0, y0, z0 = hyper_rep_init(data, philox(42))
     f_init = prob.F(x0, y0)
-    res = run(prob, ScheduleParams(**HR_SP),
-              initial_state(prob, x0, y0, z0), max_iter=HR_STEPS)
+    (res,) = run(prob, ScheduleParams(**HR_SP),
+                 [initial_state(prob, x0, y0, z0)], max_iter=HR_STEPS)
     f_ratio = prob.F(res.state.x, res.state.y) / f_init
     ok = ok and f_ratio < 1e-3
     report(7, ok, "%s; a=0 upper objective ratio %.1e (<1e-3); %.0f s"

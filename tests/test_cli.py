@@ -896,6 +896,60 @@ def test_ablate_without_a_target_is_a_config_error(tmp_path, monkeypatch,
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "synthetic"])
+def test_stop_at_target_without_a_target_is_a_config_error(tmp_path, capsys,
+                                                           kind):
+    # the run would have nothing to stop at and run to max_iter
+    cfg = small_cfg(kind)
+    cfg["run"].pop("target_eps_rel", None)
+    cfg["run"]["stop_at_target"] = True
+    cfgp = write_cfg(tmp_path, cfg)
+    assert cli.main(["run", "--config", cfgp,
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("%s:%d: run.stop_at_target needs run.target_eps_rel\n"
+                   % (cfgp, key_line(cfgp, "run.stop_at_target")))
+    assert out == ""
+    # ablate always stops at its target, so it keeps its own message
+    assert cli.main(["ablate", "--config", cfgp,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr()[1].startswith(
+        "%s:%d: ablate needs run.target_eps_rel" % (cfgp,
+                                                    key_line(cfgp, "run")))
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that records its max_workers and runs
+    each submitted task at once, in this process."""
+    max_workers = []
+
+    def __init__(self, max_workers=None):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn())
+        return fut
+
+
+def test_pool_is_sized_by_its_tasks(tmp_path, monkeypatch):
+    # --jobs beyond the runs once reached the pool as is: a value too large
+    # for a C int failed in the pool's semaphore with a traceback
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    cfgp = write_cfg(tmp_path, synthetic_cfg())  # two seeds
+    assert cli.main(["run", "--config", cfgp, "--jobs", str(10**20),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert _InlinePool.max_workers == [2]
+
+
 def test_run_line_has_no_empty_parts(tmp_path, capsys):
     # without a known optimum a run has neither eps_rel nor a target
     cfgp = write_cfg(tmp_path, small_cfg("quadratic"))

@@ -439,10 +439,10 @@ def test_hyper_rep_runs_equal_the_matmul_products(p_dim):
     def states(problem, init):
         seen = []
         res = run(problem, sp, init, 250, callback_stride=100,
-                  callback=lambda *args: seen.append(args[-2]))
-        return seen + [r.state for r in (res if init is starts else [res])]
+                  callback=lambda i, st, t: seen.append(st))
+        return seen + [r.state for r in res]
 
-    for init in (starts, starts[0]):
+    for init in (starts, starts[:1]):
         got, want = states(prob, init), states(ref, init)
         assert len(got) == len(want) > 2
         for a, b in zip(got, want):

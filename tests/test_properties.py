@@ -229,7 +229,7 @@ def test_every_emitted_iterate_is_feasible(data, n, alpha0, beta0):
     sp = ScheduleParams(alpha0=alpha0, beta0=beta0, rho0=10.0, sigma0=0.01,
                         p=0.001, q=0.001, s=0.1)
     states = []
-    run(prob, sp, init, 30, callback=lambda s, _: states.append(s),
+    run(prob, sp, [init], 30, callback=lambda _, s, t: states.append(s),
         callback_stride=1)
     assert len(states) == 30
     for s in states:
@@ -287,6 +287,8 @@ def test_vecdot_rows_equal_serial_dots_exactly(n, rows, scales, seed, data):
             assert ey[i] == np.dot(e, yb[i])
             assert xy[i] == np.dot(xb[i], yb[i])
             assert np.vecdot(xb[i], xb[i]) == xb[i].dot(xb[i])
+            # Ball.project's batched row norms, as np.linalg.norm takes them
+            assert np.sqrt(xx[i]) == np.linalg.norm(xb[i])
 
 
 SMALL = synthetic_problem(10)

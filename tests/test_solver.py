@@ -135,7 +135,7 @@ def test_iterates_stay_feasible():
 
 def test_run_counts_and_stop_reason():
     st = initial_state(quad, [1.0], [0.0])
-    res = run(quad, SP_UNIT, st, max_iter=25)
+    (res,) = run(quad, SP_UNIT, [st], max_iter=25)
     assert res.iterations == 25
     assert res.state.k == 26
     assert res.stop_reason == "max_iter"
@@ -145,50 +145,56 @@ def test_run_counts_and_stop_reason():
 
 def test_run_zero_and_negative_max_iter():
     st = initial_state(quad, [1.0], [0.0])
-    res = run(quad, SP_UNIT, st, max_iter=0)
+    (res,) = run(quad, SP_UNIT, [st], max_iter=0)
     assert res.iterations == 0 and res.state is st
     with pytest.raises(ContractViolation):
-        run(quad, SP_UNIT, st, max_iter=-1)
+        run(quad, SP_UNIT, [st], max_iter=-1)
     # the callback follows the steps of the call: max_iter=0 takes none, so
-    # it fires none, also from a state with k > 1, alone or in a list
-    st = run(quad, SP_UNIT, st, 7).state
+    # it fires none, also from a state with k > 1
+    st = run(quad, SP_UNIT, [st], 7)[0].state
     seen = []
-    res = run(quad, SP_UNIT, st, max_iter=0,
-              callback=lambda s, t: seen.append(s.k))
-    (listed,) = run(quad, SP_UNIT, [st], max_iter=0,
-                    callback=lambda i, s, t: seen.append(s.k))
+    (res,) = run(quad, SP_UNIT, [st], max_iter=0,
+                 callback=lambda i, s, t: seen.append(s.k))
     assert seen == []
-    assert res.state is st and listed.state is st
-    assert res.iterations == listed.iterations == 7
+    assert res.state is st and res.iterations == 7
+
+
+def test_run_rejects_a_start_that_is_not_in_a_list():
+    # without the check, list(state) would raise a TypeError that names
+    # neither run nor its starts
+    st = initial_state(quad, [1.0], [0.0])
+    with pytest.raises(ContractViolation, match="run takes a list of starts"):
+        run(quad, SP_UNIT, st, max_iter=5)
 
 
 def test_run_rejects_callback_stride_below_one():
     st = initial_state(quad, [1.0], [0.0])
     for stride in (0, -3):
         with pytest.raises(ContractViolation, match="callback_stride"):
-            run(quad, SP_UNIT, st, max_iter=5, callback=lambda s, t: None,
-                callback_stride=stride)
+            run(quad, SP_UNIT, [st], max_iter=5,
+                callback=lambda i, s, t: None, callback_stride=stride)
 
 
 def test_run_callback_stride_and_final_emission():
     st = initial_state(quad, [1.0], [0.0])
     seen = []
-    run(quad, SP_UNIT, st, max_iter=250,
-        callback=lambda s, t: seen.append(s.k - 1), callback_stride=100)
+    run(quad, SP_UNIT, [st], max_iter=250,
+        callback=lambda i, s, t: seen.append(s.k - 1), callback_stride=100)
     assert seen == [100, 200, 250]
     seen.clear()
-    run(quad, SP_UNIT, st, max_iter=1,
-        callback=lambda s, t: seen.append(s.k - 1), callback_stride=100)
+    run(quad, SP_UNIT, [st], max_iter=1,
+        callback=lambda i, s, t: seen.append(s.k - 1), callback_stride=100)
     assert seen == [1]
 
 
 def test_run_target_bookkeeping():
     st = initial_state(quad, [1.0], [0.0])
-    hit = lambda s: s.k - 1 >= 5
-    res = run(quad, SP_UNIT, st, max_iter=20, target=hit)
+    hit = lambda rows, s: [s.k - 1 >= 5]
+    (res,) = run(quad, SP_UNIT, [st], max_iter=20, target=hit)
     assert res.target_iteration == 5
     assert res.iterations == 20  # keeps going without stop_at_target
-    res = run(quad, SP_UNIT, st, max_iter=20, target=hit, stop_at_target=True)
+    (res,) = run(quad, SP_UNIT, [st], max_iter=20, target=hit,
+                 stop_at_target=True)
     assert res.iterations == 5
     assert res.stop_reason == "target"
     assert res.target_seconds is not None and res.target_seconds >= 0
@@ -300,11 +306,11 @@ SP_SYNTH = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
                           p=0.001, q=0.001, s=0.1)
 
 
-@pytest.mark.parametrize("as_list", [False, True])
-def test_a_single_start_is_stepped_as_vectors(as_list):
-    # a start alone or in a list of one is not stacked: the gradients of a
-    # problem that is not rowwise get (n,) vectors, six calls a step, and
-    # the first step hands them the start's own x, not a row of a copy
+@pytest.mark.parametrize("rowwise", [False, True])
+def test_a_single_start_is_stepped_as_vectors(rowwise):
+    # a list of one is not stacked, rowwise problem or not: the gradients
+    # get (n,) vectors, six calls a step, and the first step hands them the
+    # start's own x, not a row of a copy
     sb = synthetic_problem(5)
     calls = []
 
@@ -314,84 +320,74 @@ def test_a_single_start_is_stepped_as_vectors(as_list):
             return fn(x, y)
         return grad
 
-    prob = replace(sb.problem, rowwise=False,
+    prob = replace(sb.problem, rowwise=rowwise,
                    **{g: logged(getattr(sb.problem, g)) for g in GRADIENTS})
     st = initial_state(prob, *sb.sample_init(np.random.default_rng(3)))
-    res = run(prob, SP_SYNTH, [st] if as_list else st, max_iter=3)
-    assert (res[0] if as_list else res).iterations == 3
+    (res,) = run(prob, SP_SYNTH, [st], max_iter=3)
+    assert res.iterations == 3
     assert len(calls) == 6 * 3
     assert {(sx, sy) for sx, sy, _ in calls} == {((5,), (5,))}
     assert all(x is st.x for _, _, x in calls[:6])
 
 
 @pytest.mark.parametrize("stop_at_target", [False, True])
-def test_a_start_alone_equals_a_list_of_one(monkeypatch, stop_at_target):
-    # on the same fake clock, run(p, sp, st) and run(p, sp, [st])[0] end
-    # equal, and their hooks see equal (n,) states at equal clocks
+def test_a_list_of_one_is_timed_and_hooked_as_vectors(monkeypatch,
+                                                       stop_at_target):
+    # on a fake clock, a list of one is charged every step's whole time,
+    # and its hooks see (n,) states, the callback at the row's clock
     T = np.cumsum(np.random.default_rng(5).uniform(0.1, 2.0, 30)).tolist()
+    readings = iter(T)
+    monkeypatch.setattr(solver, "time", SimpleNamespace(
+        perf_counter=lambda: next(readings)))
     sb = synthetic_problem(5)
     st = initial_state(sb.problem, *sb.sample_init(np.random.default_rng(4)))
+    seen = []
 
-    def go(as_list):
-        readings = iter(T)
-        monkeypatch.setattr(solver, "time", SimpleNamespace(
-            perf_counter=lambda: next(readings)))
-        seen = []
+    def target(rows, s):
+        seen.append(("target", rows.tolist(), s, None))
+        return [s.k - 1 >= 5]
 
-        def target(s):
-            seen.append(("target", s, None))
-            return s.k - 1 >= 5
+    def callback(i, s, t):
+        seen.append(("callback", i, s, t))
 
-        def callback(s, t):
-            seen.append(("callback", s, t))
-
-        if not as_list:
-            return run(sb.problem, SP_SYNTH, st, 10, target, stop_at_target,
-                       callback, callback_stride=4), seen
-        (res,) = run(sb.problem, SP_SYNTH, [st], 10,
-                     lambda rows, s: [target(s)], stop_at_target,
-                     lambda i, s, t: callback(s, t), callback_stride=4)
-        return res, seen
-
-    (alone, seen_alone), (listed, seen_listed) = go(False), go(True)
-    for b in "xyz":
-        np.testing.assert_array_equal(getattr(alone.state, b),
-                                      getattr(listed.state, b), strict=True)
-    for f in ("iterations", "stop_reason", "step_seconds", "target_iteration",
-              "target_seconds"):
-        assert getattr(alone, f) == getattr(listed, f)
-    assert alone.target_iteration == 5
-    assert alone.iterations == (5 if stop_at_target else 10)
-    assert alone.step_seconds == sum(T[2 * m + 1] - T[2 * m]
-                                     for m in range(alone.iterations))
-    assert len(seen_alone) == len(seen_listed)
-    for (hook, s, t), (hook2, s2, t2) in zip(seen_alone, seen_listed):
-        assert (hook, s.k, t) == (hook2, s2.k, t2)
-        for b in "xyz":
-            np.testing.assert_array_equal(getattr(s, b), getattr(s2, b),
-                                          strict=True)
-    assert [s.k - 1 for hook, s, _ in seen_alone if hook == "callback"] == (
-        [4, 5] if stop_at_target else [4, 8, 10])
+    (res,) = run(sb.problem, SP_SYNTH, [st], 10, target, stop_at_target,
+                 callback, callback_stride=4)
+    # the stepping clock after n steps, summed in the order run sums it
+    clock = [sum(T[2 * m + 1] - T[2 * m] for m in range(n)) for n in range(11)]
+    assert res.target_iteration == 5 and res.target_seconds == clock[5]
+    assert res.iterations == (5 if stop_at_target else 10)
+    assert res.step_seconds == clock[res.iterations]
+    assert all(s.x.shape == s.y.shape == s.z.shape == (5,)
+               for _, _, s, _ in seen)
+    # the target is called until the row hits, at every step up to 5
+    assert [(i, s.k - 1) for hook, i, s, _ in seen if hook == "target"] == [
+        ([0], k) for k in range(1, 6)]
+    assert [(i, s.k - 1, t) for hook, i, s, t in seen if hook == "callback"
+            ] == [(0, k, clock[k]) for k in ([4, 5] if stop_at_target
+                                             else [4, 8, 10])]
 
 
-def test_a_start_alone_raises_its_hooks_errors_as_they_are():
+def test_a_hooks_row_error_is_its_result_and_others_propagate():
+    # a hook's DivergenceError, ParameterOverflowError or
+    # SaddleConvergenceError ends its row, the same object in res.error;
+    # any other exception propagates out of run as it is
     st = initial_state(quad, [1.0], [0.0])
     err = SaddleConvergenceError("oracle budget spent")
 
-    def callback(s, t):
+    def callback(i, s, t):
         if s.k - 1 == 200:
             raise err
 
-    with pytest.raises(SaddleConvergenceError) as ei:
-        run(quad, SP_UNIT, st, max_iter=250, callback=callback)
-    assert ei.value is err
+    (res,) = run(quad, SP_UNIT, [st], max_iter=250, callback=callback)
+    assert res.error is err
+    assert (res.stop_reason, res.iterations) == ("error", 200)
     bad = KeyError("target")
 
-    def target(s):
+    def target(rows, s):
         raise bad
 
     with pytest.raises(KeyError) as ei:
-        run(quad, SP_UNIT, st, max_iter=5, target=target)
+        run(quad, SP_UNIT, [st], max_iter=5, target=target)
     assert ei.value is bad
 
 
@@ -400,16 +396,17 @@ def test_matched_runs_are_bit_identical():
     sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
                         p=0.001, q=0.001, s=0.1)
     x0, y0, z0 = sb.sample_init(np.random.default_rng(123))
-    a = run(sb.problem, sp, initial_state(sb.problem, x0, y0, z0), max_iter=200)
-    b = run(sb.problem, sp, initial_state(sb.problem, x0, y0, z0), max_iter=200)
+    (a,) = run(sb.problem, sp, [initial_state(sb.problem, x0, y0, z0)], 200)
+    (b,) = run(sb.problem, sp, [initial_state(sb.problem, x0, y0, z0)], 200)
     np.testing.assert_array_equal(a.state.x, b.state.x)
     np.testing.assert_array_equal(a.state.y, b.state.y)
     np.testing.assert_array_equal(a.state.z, b.state.z)
 
 
 def test_divergence_raises():
-    # a start alone raises the failing step's message with the last good
-    # state; the step's own error also names row 0 and carries its result
+    # the step raises; run ends the row with the failing step's message
+    # and the last good state, and the step's own error also names row 0
+    # and carries its result
     sp = ScheduleParams(alpha0=1e160, beta0=0.1, rho0=1.0, sigma0=1.0,
                         p=0.01, q=0.01, s=0.16)
     st = last = initial_state(quad, [1.0], [0.0])
@@ -417,15 +414,16 @@ def test_divergence_raises():
         with pytest.raises(DivergenceError) as serial:
             while True:
                 last = sipba_step(quad, sp, last)
-        with pytest.raises(DivergenceError) as ei:
-            run(quad, sp, st, max_iter=50)
-    assert str(ei.value) == str(serial.value)
+        (res,) = run(quad, sp, [st], max_iter=50)
+    assert isinstance(res.error, DivergenceError)
+    assert str(res.error) == str(serial.value)
     assert serial.value.state is last
     assert serial.value.rows.tolist() == [0]
     assert serial.value.next_state.k == last.k + 1
-    assert ei.value.state.k == last.k > 1
+    assert res.stop_reason == "error" and res.state is res.error.state
+    assert res.error.state.k == last.k > 1
     for b in "xyz":
-        np.testing.assert_array_equal(getattr(ei.value.state, b),
+        np.testing.assert_array_equal(getattr(res.error.state, b),
                                       getattr(last, b), strict=True)
 
 
@@ -449,9 +447,10 @@ def test_schedule_underflow_is_a_parameter_overflow():
                             p=0.001, q=400.0, s=0.1)
     assert params_at(sp, 6).sigma > 0.0 and params_at(sp, 7).sigma == 0.0
     st = initial_state(quad, [1.0], [0.0])
-    with pytest.raises(ParameterOverflowError) as ei:
-        run(quad, sp, st, max_iter=50)
-    msg = str(ei.value)
+    (res,) = run(quad, sp, [st], max_iter=50)
+    assert isinstance(res.error, ParameterOverflowError)
+    assert res.iterations == 6
+    msg = str(res.error)
     pars = params_at(sp, 7)
     assert "k=7" in msg
     assert "rho_k=%r" % pars.rho in msg and "sigma_k=0.0" in msg
@@ -469,8 +468,9 @@ def test_penalty_growth_overflow_is_a_parameter_overflow():
         sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
                             p=1000.0, q=0.001, s=0.1)
     st = initial_state(quad, [1.0], [0.0])
-    with pytest.raises(ParameterOverflowError, match="k=3"):
-        run(quad, sp, st, max_iter=50)
+    (res,) = run(quad, sp, [st], max_iter=50)
+    assert isinstance(res.error, ParameterOverflowError)
+    assert "k=3" in str(res.error)
     with pytest.raises(ParameterOverflowError, match="k=3"):
         run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-1)
 
