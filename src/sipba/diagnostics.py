@@ -5,7 +5,8 @@ iterate against one oracle solve (smoothed value, distance of the inner pair
 to the exact saddle, and the projected-gradient stationarity residual of the
 smoothed value function; when the caller passes the run's previous snapshot,
 the solve starts at the saddle path extrapolated from the last three
-snapshots' saddles, see predicted_start), a relative error to a known
+snapshots' saddles, see predicted_start, and carries the previous solve's
+step), a relative error to a known
 optimum (its denominator, the start's squared distance to the optimum, is
 formed and checked once per run and passed to every call), a merit value
 combining value gap and tracking error, and the two-sided sandwich between
@@ -75,6 +76,7 @@ class Snapshot:
     tracking_err: float   # ||(y, z) - (y*, z*)||
     stat_residual: float  # ||x - Proj_X(x - alpha*grad phi_{rho,sigma}(x))|| / alpha
     saddle: SaddlePoint   # the oracle solve
+    rho: float            # the penalty it solved at
     trail: tuple          # (k, u*) of at most the last 3 saddles, oldest first
 
 
@@ -111,14 +113,18 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
 
     (alpha, rho, sigma) are those of the step that produced state, i.e.
     params_at(sp, state.k - 1); a state with no completed step (k = 1) is
-    rejected. Without warm the oracle starts cold, from its default start.
-    With warm, the previous Snapshot of the same run, it starts at
-    predicted_start(problem, warm.trail, state.k): the previous saddle
-    itself after one snapshot, the extrapolated saddle path after two or
-    more. warm.saddle seeds the step-size estimate (see solve_saddle). Only
-    the start moves, so the solve agrees with the cold one to within
-    oracle_tol. The snapshot's trail is warm's with (state.k, u*) appended,
-    replacing a node at the same k, cut to the last 3.
+    rejected. Without warm the oracle starts cold, from its default start,
+    with its step-size estimate. With warm, the previous Snapshot of the
+    same run, it starts at predicted_start(problem, warm.trail, state.k):
+    the previous saddle itself after one snapshot, the extrapolated saddle
+    path after two or more. It makes no estimate: its step is the one
+    warm's solve ended with, halvings included, scaled by warm.rho / rho_k.
+    T's Lipschitz bound (see operator_T) grows at most in proportion to
+    rho, so the scaled step is as safe as the carried one; the oracle's
+    stall backoff halves it where it is not. Only the start and the step
+    move, so the solve agrees with the cold one to within oracle_tol. The
+    snapshot's trail is warm's with (state.k, u*) appended, replacing a
+    node at the same k, cut to the last 3.
     """
     if not state.k >= 2:
         raise ContractViolation(
@@ -127,9 +133,9 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
     pars, pr = _penalty_at(sp, state.k - 1)
     x = state.x
     trail = () if warm is None else warm.trail
+    beta = None if warm is None else warm.saddle.beta * (warm.rho / pr.rho)
     sd = solve_saddle(problem, pr, x, tol=oracle_tol,
-                      u0=predicted_start(problem, trail, state.k),
-                      warm=None if warm is None else warm.saddle)
+                      u0=predicted_start(problem, trail, state.k), beta=beta)
     u = sd.u
     phi = eval_psi(problem, pr, x, sd.y_star, sd.z_star)
     te = float(np.linalg.norm(np.concatenate((state.y, state.z)) - u))
@@ -138,7 +144,7 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
     sr = float(np.linalg.norm(x - moved)) / pars.alpha
     trail = tuple(n for n in trail if n[0] != state.k) + ((state.k, u),)
     return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd,
-                    trail=trail[-3:])
+                    rho=pr.rho, trail=trail[-3:])
 
 
 def merit_value(k, s, t, phi_gap, tracking_err):

@@ -99,11 +99,22 @@ class Box(ProjectableSet):
         self.lower = lo.copy()
         self.upper = hi.copy()
         self.dim = lo.shape[0]
+        # a side with no finite bound is skipped: np.maximum(v, -inf) and
+        # np.minimum(v, inf) return v bit for bit, NaN and -0.0 included
+        self._clip_lower = bool(np.any(lo > -np.inf))
+        self._clip_upper = bool(np.any(hi < np.inf))
 
     def project(self, v):
         v = _as_vector(v, self.dim, "v", rows=True)
         # np.clip's arithmetic without its Python-level wrapper
-        return np.minimum(np.maximum(v, self.lower), self.upper)
+        if self._clip_lower:
+            out = np.maximum(v, self.lower)
+            if self._clip_upper:
+                np.minimum(out, self.upper, out=out)
+            return out
+        if self._clip_upper:
+            return np.minimum(v, self.upper)
+        return v.copy()
 
     def __repr__(self):
         return "Box(dim=%d)" % self.dim

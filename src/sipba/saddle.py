@@ -36,14 +36,18 @@ when exercising the certified contraction.
 
 Warm start. A solve with no previous saddle is cold: u starts at the
 projected zero vector and the power iteration runs 30 steps from a
-fixed-seed vector, so it is deterministic. A sequence of nearby solves (the
-diagnostics along a run, the inner solves of the double-loop baseline)
-passes each SaddlePoint to the next as warm: by default u starts at its
-saddle, and the power iteration runs 3 steps from the dominant direction it
-carries. The diagnostics pass their own start as u0, extrapolated from the
-last saddles of the run (diagnostics.predicted_start), and use warm for the
-estimate only. Warm solves are deterministic too, given the same previous
-saddle and start.
+fixed-seed vector, so it is deterministic. The inner solves of the
+double-loop baseline pass each SaddlePoint to the next as warm: u starts at
+its saddle, and the power iteration runs 3 steps from the dominant
+direction it carries. The diagnostics along a run estimate only once, at
+their first solve: every later one passes its own start as u0,
+extrapolated from the last saddles of the run
+(diagnostics.predicted_start), and as beta the step the previous solve
+ended with, scaled by rho_prev / rho (see diagnostics.snapshot). The
+baseline cannot carry its step that way: its x moves a full outer step
+between solves, and on criterion 07's n_feat=50, a=0.1 instance a carried
+step stalled one inner solve for 1612 iterations. Warm solves are
+deterministic too, given the same previous saddle, start and step.
 """
 
 import math
@@ -181,9 +185,11 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
     beta : float, optional
         Explicit step size. Default: 1/(2 * estimated local Lipschitz of T).
     warm : SaddlePoint, optional
-        The previous solve of a sequence of nearby ones. Its saddle is the
-        default start and its lip_vector seeds the step-size estimate (3
-        power iterations instead of 30). The safeguards are the same.
+        The previous solve of a sequence of nearby ones (the double-loop
+        baseline's inner solves; the diagnostics pass u0 and beta
+        instead). Its saddle is the default start and its lip_vector seeds
+        the step-size estimate (3 power iterations instead of 30). The
+        safeguards are the same.
 
     Raises
     ------

@@ -3,14 +3,17 @@ runs against serial ones, and command line outputs against a reference.
 
 The diagnostics of `sipba run` thread each snapshot into the next (warm
 start): the next solve starts at the saddle path extrapolated from the last
-three snapshots' saddles. A warm solve stops at the same oracle tolerance
-as a cold one but from another start, so the values differ in their last
-digits. The gate
-bounds those differences on the README's synthetic experiment: n=100, the
-README schedule, 3 seeds x 2000 steps, a snapshot every 100 steps, each
-compared with a cold snapshot of the same state. The tolerances were fixed
-before any candidate was measured; they scale with the oracle tolerance,
-which bounds how far either solve can be from the exact saddle.
+three snapshots' saddles, with the step the last solve ended with scaled by
+rho_prev / rho_k. A warm solve stops at the same oracle tolerance as a cold
+one but from another start, so the values differ in their last digits.
+The gate bounds those differences on the README's synthetic experiment:
+n=100, the README schedule, 3 seeds x 2000 steps, a snapshot every 100
+steps, each compared with a cold snapshot of the same state. The
+tolerances were fixed before any candidate was measured; they scale with
+the oracle tolerance, which bounds how far either solve can be from the
+exact saddle. The same gate holds on the quadratic testbed at
+(rho, sigma) = (0.84, 1.07), where the Jacobian of T(x, .) has complex
+eigenvalues.
 
 A batch of starts stepped as one block must give every start the run it has
 alone: the tolerance, fixed before the batched step was written, is exact
@@ -90,6 +93,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -104,6 +108,7 @@ from sipba.benchmarks import (
     generate_hyper_rep,
     hyper_rep_init,
     hyper_rep_problem,
+    quadratic_init,
     quadratic_testbed,
     synthetic_problem,
 )
@@ -163,6 +168,14 @@ def warm_threaded(problem, sp, states, oracle_tol=ORACLE_TOL, nodes=3):
     return out
 
 
+def stride_states(problem, sp, init, steps):
+    """The states a run from init calls back at, every STRIDE steps."""
+    states = []
+    run(problem, sp, [init], steps, callback_stride=STRIDE,
+        callback=lambda _, st, elapsed: states.append(st))
+    return states
+
+
 @pytest.fixture(scope="module")
 def runs():
     """(problem, schedule, per seed: the states at each stride, their cold
@@ -171,11 +184,8 @@ def runs():
     sp = ScheduleParams(**README_SCHEDULE)
     out = []
     for seed in SEEDS:
-        states = []
-        init = initial_state(sb.problem, *sb.sample_init(
-            np.random.Generator(np.random.Philox(seed))))
-        run(sb.problem, sp, [init], STEPS, callback_stride=STRIDE,
-            callback=lambda _, st, elapsed: states.append(st))
+        init = initial_state(sb.problem, *sb.sample_init(philox(seed)))
+        states = stride_states(sb.problem, sp, init, STEPS)
         cold = [snapshot(sb.problem, sp, st, ORACLE_TOL) for st in states]
         out.append((states, cold))
     return sb.problem, sp, out
@@ -187,15 +197,54 @@ def test_warm_snapshots_pass_the_gate(runs):
         assert len(states) == STEPS // STRIDE
         warm = warm_threaded(problem, sp, states)
         assert violations(cold, warm) == []
-        # the candidate really is warm: one cold estimate, then 4-call ones
+        # the candidate really is warm: one cold estimate, then each solve
+        # takes the step the last one ended with
         assert [sn.saddle.estimate_calls for sn in warm] == \
-            [31] + [4] * (len(states) - 1)
+            [31] + [0] * (len(states) - 1)
         assert all(sn.saddle.estimate_calls == 31 for sn in cold)
         # the predicted start pays: fewer oracle iterations than starting
         # at the previous saddle
         previous = warm_threaded(problem, sp, states, nodes=1)
         assert sum(sn.saddle.iterations for sn in warm) < \
             sum(sn.saddle.iterations for sn in previous)
+
+
+def test_the_carried_step_follows_a_fast_growing_penalty():
+    # p = 0.5: rho grows 14-fold over the 200 rows. A warm solve takes the
+    # last solve's step scaled by rho_prev / rho_k, so beta * rho never
+    # rises (up to the rounding of that scaling); carried unscaled, the step
+    # outgrows T's Lipschitz bound and a solve stalls for thousands of
+    # iterations before its halvings catch up
+    sb = synthetic_problem(10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # s < 8(p + q)
+        sp = ScheduleParams(**{**README_SCHEDULE, "p": 0.5})
+    init = initial_state(sb.problem, *sb.sample_init(philox(0)))
+    warm = warm_threaded(sb.problem, sp, stride_states(sb.problem, sp, init,
+                                                       20000))
+    assert len(warm) == 200 and warm[-1].rho / warm[0].rho > 14
+    assert all(sn.saddle.converged for sn in warm)
+    step = [sn.saddle.beta * sn.rho for sn in warm]
+    assert all(b <= a * (1 + 4 * np.finfo(float).eps)
+               for a, b in zip(step, step[1:]))
+    assert max(sn.saddle.iterations for sn in warm) <= 100
+
+
+def test_the_carried_step_passes_the_gate_on_complex_eigenvalues():
+    # the quadratic testbed at (rho, sigma) = (0.84, 1.07): the Jacobian of
+    # T(x, .) has complex eigenvalues, so the cold step-size estimate is
+    # some ||J v|| and the carried step leans on the stall backoff
+    q = quadratic_testbed()
+    sp = ScheduleParams(alpha0=0.01, beta0=1e-3, rho0=0.84, sigma0=1.07,
+                        p=0.001, q=0.001, s=0.1)
+    for seed in SEEDS:
+        init = initial_state(q, *quadratic_init(philox(seed)))
+        states = stride_states(q, sp, init, STEPS)
+        cold = [snapshot(q, sp, st, ORACLE_TOL) for st in states]
+        warm = warm_threaded(q, sp, states)
+        assert violations(cold, warm) == []
+        assert [sn.saddle.estimate_calls for sn in warm] == \
+            [31] + [0] * (len(states) - 1)
 
 
 def test_gate_rejects_a_loose_oracle(runs):
@@ -636,12 +685,10 @@ def _rows(path):
         return list(csv.reader(fh))
 
 
-def _csv_violations(name, ref_path, cand_path):
-    ref, cand = _rows(ref_path), _rows(cand_path)
-    if ref[:1] != cand[:1] or len(ref) != len(cand):
-        return ["%s: header or row count differs (%d -> %d lines)"
-                % (name, len(ref), len(cand))]
-    header, bad = ref[0], []
+def _gated_cells(name, ref, cand):
+    """(line, row label, column, ref cell, cand cell, tolerance) of every
+    non-time cell of two CSVs' rows with the same header and row count."""
+    header = ref[0]
     eps = header.index("eps_rel") if "eps_rel" in header else None
     for line, (r, c) in enumerate(zip(ref[1:], cand[1:]), start=2):
         same_state = eps is None or r[eps] == c[eps]
@@ -650,10 +697,29 @@ def _csv_violations(name, ref_path, cand_path):
                 continue
             tol = (0.0 if column in EXACT_COLUMNS
                    else _float_tolerance(name, column, same_state))
-            what = _cell_violation(a, b, tol)
-            if what:
-                bad.append("%s:%d [%s] %s: %s" % (name, line, r[0], column,
-                                                  what))
+            yield line, r[0], column, a, b, tol
+
+
+def _csv_pairs(reference_dir, candidate_dir):
+    """(name, reference rows, candidate rows) of each CSV file the two
+    directories share, by name."""
+    for name in sorted(os.listdir(reference_dir)):
+        cand_path = os.path.join(candidate_dir, name)
+        if name.endswith(".csv") and os.path.exists(cand_path):
+            yield (name, _rows(os.path.join(reference_dir, name)),
+                   _rows(cand_path))
+
+
+def _csv_violations(name, ref, cand):
+    if ref[:1] != cand[:1] or len(ref) != len(cand):
+        return ["%s: header or row count differs (%d -> %d lines)"
+                % (name, len(ref), len(cand))]
+    bad = []
+    for line, label, column, a, b, tol in _gated_cells(name, ref, cand):
+        what = _cell_violation(a, b, tol)
+        if what:
+            bad.append("%s:%d [%s] %s: %s" % (name, line, label, column,
+                                              what))
     return bad
 
 
@@ -687,9 +753,9 @@ def end_metric_violations(reference_dir, candidate_dir):
     if ref != cand:
         return ["CSV files differ: %s -> %s" % (ref, cand)]
     bad = []
-    for name in ref:
-        bad += _csv_violations(name, os.path.join(reference_dir, name),
-                               os.path.join(candidate_dir, name))
+    for name, ref_rows, cand_rows in _csv_pairs(reference_dir,
+                                                candidate_dir):
+        bad += _csv_violations(name, ref_rows, cand_rows)
     printed = [os.path.join(d, "stdout.txt")
                for d in (reference_dir, candidate_dir)]
     if any(map(os.path.exists, printed)):
@@ -697,6 +763,29 @@ def end_metric_violations(reference_dir, candidate_dir):
             return bad + ["stdout.txt is in one directory only"]
         bad += _printed_violations(*printed)
     return bad
+
+
+def end_metric_margins(reference_dir, candidate_dir):
+    """{(column, tolerance): largest |d| / max(1, |ref|)} over the float
+    cells of the CSVs both directories hold, each column keyed by the
+    tolerance its cells were held to; a cell that is not finite on one side
+    only counts as inf. Files whose header or row count differ are left to
+    end_metric_violations."""
+    margins = {}
+    for name, ref, cand in _csv_pairs(reference_dir, candidate_dir):
+        if ref[:1] != cand[:1] or len(ref) != len(cand):
+            continue
+        for _, _, column, a, b, tol in _gated_cells(name, ref, cand):
+            if not tol:
+                continue
+            try:
+                r, c = float(a), float(b)
+            except ValueError:
+                continue  # an empty cell, as eps_rel without an optimum
+            d = 0.0 if a == b else abs(c - r) / max(1.0, abs(r))
+            margins[column, tol] = max(margins.get((column, tol), 0.0),
+                                       d if math.isfinite(d) else math.inf)
+    return margins
 
 
 def cli_outputs(command, cfg, out_dir):
@@ -861,11 +950,41 @@ def test_end_metric_gate_reads_printed_integers_and_skips_seconds(tmp_path):
     assert len(end_metric_violations(ref, cand)) == 2
 
 
+def test_end_metric_margins_are_the_largest_moves_by_bound(tmp_path):
+    # row 2 is at the same state (equal eps_rel), row 3 at another one
+    header = "run_id,k,time_s,phi_k,eps_rel,tracking_err,stat_residual,merit"
+    for name, rows in (("ref", ["7,100,0.1,2.0,0.5,1e-3,1e-2,4.0",
+                                "7,200,0.2,0.5,0.25,1e-3,nan,4.0"]),
+                       ("cand", ["7,100,0.3,2.0000000000001,0.5,1.5e-3,1e-2,"
+                                 "4.0", "7,200,0.4,0.6,0.26,1e-3,nan,4.0"])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "run_7.csv").write_text(
+            "\n".join([header] + rows) + "\n", encoding="utf-8")
+    margins = end_metric_margins(tmp_path / "ref", tmp_path / "cand")
+    assert margins == {
+        ("phi_k", 1e-12): pytest.approx(5e-14, rel=1e-3),
+        ("phi_k", 1e-4): pytest.approx(0.1),
+        ("eps_rel", 1e-5): pytest.approx(0.01),
+        ("tracking_err", 1e-8): pytest.approx(5e-4),
+        ("tracking_err", 0.5): 0.0,
+        ("stat_residual", 1e-7): 0.0,
+        ("stat_residual", 0.5): 0.0,
+        ("merit", 1e-7): 0.0,
+        ("merit", 1e-4): 0.0,
+    }
+    # the margins report; the violations decide
+    assert len(end_metric_violations(tmp_path / "ref", tmp_path / "cand")) == 3
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit("usage: python tests/test_equivalence.py REF_DIR CAND_DIR")
     found = end_metric_violations(sys.argv[1], sys.argv[2])
     for v in found:
         print(v)
+    for (column, tol), d in sorted(end_metric_margins(sys.argv[1],
+                                                      sys.argv[2]).items()):
+        print("margin %s: largest |d|/max(1, |ref|) %s against %.0e"
+              % (column, "%.1e" % d if d else "0 (identical)", tol))
     print("%d end-metric violations" % len(found))
     sys.exit(1 if found else 0)

@@ -196,6 +196,36 @@ def test_projection_idempotent_and_nonexpansive(data):
     assert s.contains(pu, tol=1e-9)
 
 
+SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+@FIXED
+@given(data=st.data(), n=st.integers(1, 4), rows=st.integers(0, 3),
+       open_side=st.sampled_from(["none", "lower", "upper", "both"]))
+def test_a_one_sided_box_projects_as_the_two_sided_formula(data, n, rows,
+                                                           open_side):
+    # Box.project skips a side with no finite bound; that must change no
+    # bit of the result, whatever v holds, and never hand out v itself
+    vec = st.lists(FINITE | SPECIAL, min_size=n, max_size=n)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    a, b = np.array(data.draw(vec)), np.array(data.draw(vec))
+    with np.errstate(invalid="ignore"):
+        lower, upper = np.fmin(a, b), np.fmax(a, b)
+    lower[np.isnan(lower) | data.draw(flags)] = -np.inf  # mixed faces
+    upper[np.isnan(upper) | data.draw(flags)] = np.inf
+    if open_side in ("lower", "both"):
+        lower[:] = -np.inf
+    if open_side in ("upper", "both"):
+        upper[:] = np.inf
+    box = Box(lower, upper)
+    v = np.array(data.draw(vec if rows == 0 else st.lists(
+        vec, min_size=rows, max_size=rows)), dtype=float)
+    got = box.project(v)
+    want = np.minimum(np.maximum(v, box.lower), box.upper)
+    assert got.shape == v.shape and got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, v)
+
+
 POSITIVE = st.floats(1e-3, 1e3)
 
 
