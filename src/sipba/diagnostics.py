@@ -6,13 +6,14 @@ to the exact saddle, and the projected-gradient stationarity residual of the
 smoothed value function; when the caller passes the run's previous snapshot,
 the solve starts at the saddle path extrapolated from the last three
 snapshots' saddles, see predicted_start, and carries the previous solve's
-step), a relative error to a known
+step; a run's first solve steps at 1/L_est), a relative error to a known
 optimum (its denominator, the start's squared distance to the optimum, is
 formed and checked once per run and passed to every call), a merit value
 combining value gap and tracking error, and the two-sided sandwich between
 the smoothed and the exact value function.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -20,9 +21,10 @@ import numpy as np
 
 from .errors import ContractViolation
 from .problem import _as_vector
-from .saddle import SaddlePoint, solve_saddle
+from .saddle import (SaddlePoint, default_start, estimate_T_lipschitz,
+                     solve_saddle)
 from .smoothing import PenaltyReg, direction_x, eval_psi
-from .solver import _penalty_at
+from .solver import _finite, _penalty_at
 
 
 def _vec(v):
@@ -101,7 +103,7 @@ def predicted_start(problem, trail, k):
             if m != j:
                 w *= (k - km) / (kj - km)
         start = start + w * u
-    if not np.all(np.isfinite(start)):
+    if not _finite(start):
         return last
     n_y, set_Y = problem.n_y, problem.set_Y
     return np.concatenate((set_Y.project(start[:n_y]),
@@ -114,7 +116,13 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
     (alpha, rho, sigma) are those of the step that produced state, i.e.
     params_at(sp, state.k - 1); a state with no completed step (k = 1) is
     rejected. Without warm the oracle starts cold, from its default start,
-    with its step-size estimate. With warm, the previous Snapshot of the
+    with the step 1/L_est: L_est is solve_saddle's own estimate at that
+    start (estimate_T_lipschitz, 31 operator_T calls), and the step is
+    twice solve_saddle's default 1/(2 L_est). Along e, the dominant mode of
+    T, one projected step at 1/L_est cancels the error where 1/(2 L_est)
+    halves it; the step still contracts that mode while L_est stays above
+    half of its eigenvalue, and the oracle's stall backoff halves it where
+    it does not. With warm, the previous Snapshot of the
     same run, it starts at predicted_start(problem, warm.trail, state.k):
     the previous saddle itself after one snapshot, the extrapolated saddle
     path after two or more. It makes no estimate: its step is the one
@@ -122,9 +130,9 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
     T's Lipschitz bound (see operator_T) grows at most in proportion to
     rho, so the scaled step is as safe as the carried one; the oracle's
     stall backoff halves it where it is not. Only the start and the step
-    move, so the solve agrees with the cold one to within oracle_tol. The
-    snapshot's trail is warm's with (state.k, u*) appended, replacing a
-    node at the same k, cut to the last 3.
+    move, so the solve agrees with solve_saddle's default one to within
+    oracle_tol. The snapshot's trail is warm's with (state.k, u*) appended,
+    replacing a node at the same k, cut to the last 3.
     """
     if not state.k >= 2:
         raise ContractViolation(
@@ -132,16 +140,22 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
             "k=%r" % (state.k,))
     pars, pr = _penalty_at(sp, state.k - 1)
     x = state.x
-    trail = () if warm is None else warm.trail
-    beta = None if warm is None else warm.saddle.beta * (warm.rho / pr.rho)
-    sd = solve_saddle(problem, pr, x, tol=oracle_tol,
-                      u0=predicted_start(problem, trail, state.k), beta=beta)
+    if warm is None:
+        trail, u0 = (), default_start(problem)
+        beta = 1.0 / estimate_T_lipschitz(problem, pr, x, u0).value
+    else:
+        trail = warm.trail
+        u0 = predicted_start(problem, trail, state.k)
+        beta = warm.saddle.beta * (warm.rho / pr.rho)
+    sd = solve_saddle(problem, pr, x, tol=oracle_tol, u0=u0, beta=beta)
     u = sd.u
     phi = eval_psi(problem, pr, x, sd.y_star, sd.z_star)
-    te = float(np.linalg.norm(np.concatenate((state.y, state.z)) - u))
+    # norms as np.linalg.norm takes them on 1-D float64: the root of a dot
+    d = np.concatenate((state.y, state.z)) - u
+    te = math.sqrt(d.dot(d))
     g = direction_x(problem, pr, x, sd.y_star, sd.z_star)
-    moved = problem.set_X.project(x - pars.alpha * g)
-    sr = float(np.linalg.norm(x - moved)) / pars.alpha
+    d = x - problem.set_X.project(x - pars.alpha * g)
+    sr = math.sqrt(d.dot(d)) / pars.alpha
     trail = tuple(n for n in trail if n[0] != state.k) + ((state.k, u),)
     return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd,
                     rho=pr.rho, trail=trail[-3:])

@@ -32,7 +32,13 @@ the local Lipschitz constant of T(x, .) by power iteration on finite
 differences (first-order access only) and takes beta = 1/(2*L_est), with a
 stall safeguard that halves beta if the residual stops improving. Callers
 can pass an explicit beta to pin the behavior, e.g. a lemma_step_bound value
-when exercising the certified contraction.
+when exercising the certified contraction. The diagnostics pass 1/L_est,
+from the same estimate (diagnostics.snapshot): it cancels T's dominant mode
+in one iteration where 1/(2*L_est) halves it, and it tolerates an estimate
+down to half of T's largest eigenvalue instead of a quarter. The default and
+the double-loop baseline keep 1/(2*L_est): at compare's fixed budget the
+larger step buys the baseline more outer iterations, which cost more than
+the inner ones it saves.
 
 Warm start. A solve with no previous saddle is cold: u starts at the
 projected zero vector and the power iteration runs 30 steps from a
@@ -40,8 +46,8 @@ fixed-seed vector, so it is deterministic. The inner solves of the
 double-loop baseline pass each SaddlePoint to the next as warm: u starts at
 its saddle, and the power iteration runs 3 steps from the dominant
 direction it carries. The diagnostics along a run estimate only once, at
-their first solve: every later one passes its own start as u0,
-extrapolated from the last saddles of the run
+their first solve, which starts cold with beta = 1/L_est: every later one
+passes its own start as u0, extrapolated from the last saddles of the run
 (diagnostics.predicted_start), and as beta the step the previous solve
 ended with, scaled by rho_prev / rho (see diagnostics.snapshot). The
 baseline cannot carry its step that way: its x moves a full outer step

@@ -15,7 +15,8 @@ from sipba.diagnostics import (
 )
 from sipba.errors import ContractViolation
 from sipba.problem import Ball
-from sipba.saddle import grad_phi, solve_saddle
+from sipba.saddle import (default_start, estimate_T_lipschitz, grad_phi,
+                          solve_saddle)
 from sipba.smoothing import PenaltyReg, direction_x, eval_psi
 from sipba.solver import (
     IterateState,
@@ -101,7 +102,9 @@ def test_snapshot_matches_separate_formulas():
         sn = snapshot(prob, sp, st)
         pars = params_at(sp, st.k - 1)
         pr = PenaltyReg(pars.rho, pars.sigma)
-        sd = solve_saddle(prob, pr, st.x, tol=1e-8)
+        # a cold snapshot steps at 1/L_est, twice solve_saddle's default
+        est = estimate_T_lipschitz(prob, pr, st.x, default_start(prob))
+        sd = solve_saddle(prob, pr, st.x, tol=1e-8, beta=1.0 / est.value)
         g = direction_x(prob, pr, st.x, sd.y_star, sd.z_star)
         moved = prob.set_X.project(st.x - pars.alpha * g)
         assert sn.phi == eval_psi(prob, pr, st.x, sd.y_star, sd.z_star)
