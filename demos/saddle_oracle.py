@@ -38,13 +38,15 @@ print("certified contraction step  %.6f" % bound)
 print("default oracle step 1/(2L)  %.6f  (L estimate %.4f, %d operator calls)"
       % (0.5 / est.value, est.value, est.calls))
 
-# a nearby solve warm-started from the last one: it starts at that saddle,
-# and its step-size estimate runs 3 power iterations instead of 30
-near = solve_saddle(quad, pr, x + 0.01, tol=1e-12, warm=sd)
+# a nearby solve warm-started from the last one, as the double-loop
+# baseline makes it: it starts at that saddle, and its step-size estimate
+# runs 3 power iterations from the last estimate's direction instead of 30
+near_est = estimate_T_lipschitz(quad, pr, x + 0.01, sd.u, v0=est.vector)
+near = solve_saddle(quad, pr, x + 0.01, tol=1e-12, u0=sd.u,
+                    beta=0.5 / near_est.value)
 print("cold solve: %d iterations, estimate %d calls; warm solve at x+0.01: "
       "%d iterations, estimate %d calls"
-      % (sd.iterations, sd.estimate_calls, near.iterations,
-         near.estimate_calls))
+      % (sd.iterations, est.calls, near.iterations, near_est.calls))
 
 # smoothed value and its gradient; phi is -5/13 at x = 1 for rho = sigma = 1
 print("phi(1.0)      = %.12f" % eval_phi(quad, pr, x, tol=1e-12))

@@ -40,25 +40,28 @@ the double-loop baseline keep 1/(2*L_est): at compare's fixed budget the
 larger step buys the baseline more outer iterations, which cost more than
 the inner ones it saves.
 
-Warm start. A solve with no previous saddle is cold: u starts at the
-projected zero vector and the power iteration runs 30 steps from a
-fixed-seed vector, so it is deterministic. The inner solves of the
-double-loop baseline pass each SaddlePoint to the next as warm: u starts at
-its saddle, and the power iteration runs 3 steps from the dominant
-direction it carries. The diagnostics along a run estimate only once, at
-their first solve, which starts cold with beta = 1/L_est: every later one
-passes its own start as u0, extrapolated from the last saddles of the run
+Starts. With no u0, a solve starts at the projected zero vector
+(default_start), and with no beta it estimates the step at its start: a
+30-step power iteration from a fixed-seed vector, so it is deterministic.
+That cold default serves one-off callers (eval_phi, grad_phi,
+sandwich_check, gradcheck). A sequence of nearby solves chooses its own
+start and step and passes both, and the oracle keeps no state between
+solves. The diagnostics along a run estimate only once, at their first
+solve, which starts cold with beta = 1/L_est: every later one passes its
+own start as u0, extrapolated from the last saddles of the run
 (diagnostics.predicted_start), and as beta the step the previous solve
 ended with, scaled by rho_prev / rho (see diagnostics.snapshot). The
-baseline cannot carry its step that way: its x moves a full outer step
-between solves, and on criterion 07's n_feat=50, a=0.1 instance a carried
-step stalled one inner solve for 1612 iterations. Warm solves are
-deterministic too, given the same previous saddle, start and step.
+double-loop baseline starts each inner solve at the previous saddle and
+estimates its step there, from the previous estimate's dominant direction
+(see run_double_loop_baseline). It cannot carry its step as the
+diagnostics do: its x moves a full outer step between solves, and on
+criterion 07's n_feat=50, a=0.1 instance a carried step stalled one inner
+solve for 1612 iterations.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,10 +83,7 @@ _WARM_ITERS = 3   # power iterations from a previous dominant direction
 class SaddlePoint:
     """Oracle output: the saddle estimate and how it was reached.
 
-    lip_vector is the dominant direction of the step-size estimate (None if
-    no estimate was made), which seeds the next warm solve; estimate_calls
-    counts the operator_T calls that estimate spent: 31 cold, 4 warm, 0
-    with an explicit beta.
+    beta is the step the solve ended with, halvings included.
     """
 
     y_star: np.ndarray
@@ -92,8 +92,6 @@ class SaddlePoint:
     iterations: int
     beta: float
     converged: bool
-    lip_vector: Optional[np.ndarray] = None
-    estimate_calls: int = 0
 
     @property
     def u(self):
@@ -177,8 +175,7 @@ def estimate_T_lipschitz(problem, pr, x, u0, v0=None):
     return LipschitzEstimate(max(est, pr.sigma, 1e-12), v, calls)
 
 
-def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
-                 warm=None):
+def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     """Find the saddle of psi(x, ., .) over Y x Y by projected fixed-point steps.
 
     Parameters
@@ -186,16 +183,10 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
     tol : float
         Stop once the step-scaled fixed-point residual is <= tol.
     u0 : array, optional
-        Start, stacked (y, z). Defaults to warm's saddle, else to the
-        projected zero vector.
+        Start, stacked (y, z). Defaults to the projected zero vector.
     beta : float, optional
-        Explicit step size. Default: 1/(2 * estimated local Lipschitz of T).
-    warm : SaddlePoint, optional
-        The previous solve of a sequence of nearby ones (the double-loop
-        baseline's inner solves; the diagnostics pass u0 and beta
-        instead). Its saddle is the default start and its lip_vector seeds
-        the step-size estimate (3 power iterations instead of 30). The
-        safeguards are the same.
+        Explicit step size. Default: 1/(2 * L_est), from a cold
+        estimate_T_lipschitz at the start (31 operator_T calls).
 
     Raises
     ------
@@ -206,17 +197,12 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
         iterate.
     """
     x = _as_vector(x, problem.n_x, "x")
-    lip_vector = None if warm is None else warm.lip_vector
-    if u0 is None and warm is not None:
-        u0 = warm.u
     if u0 is None:
         u = default_start(problem)
     else:
         u = _as_vector(u0, 2 * problem.n_y, "u0").copy()
-    calls = 0
     if beta is None:
-        est = estimate_T_lipschitz(problem, pr, x, u, lip_vector)
-        beta, lip_vector, calls = 1.0 / (2.0 * est.value), est.vector, est.calls
+        beta = 1.0 / (2.0 * estimate_T_lipschitz(problem, pr, x, u).value)
     beta = float(beta)
     if not (beta > 0 and np.isfinite(beta)):
         raise ParameterOverflowError("oracle step size underflowed: beta=%r" % beta)
@@ -229,8 +215,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None,
     def pack(y, z, res, it, ok):
         return SaddlePoint(y_star=y.copy(), z_star=z.copy(),
                            residual=res, iterations=it, beta=beta,
-                           converged=ok, lip_vector=lip_vector,
-                           estimate_calls=calls)
+                           converged=ok)
 
     best = np.inf
     since_best = 0

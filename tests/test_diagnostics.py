@@ -159,8 +159,7 @@ def test_a_snapshot_after_one_node_starts_at_the_previous_saddle():
     assert first.rho == params_at(sp, 1).rho < pars.rho
     for name in ("y_star", "z_star"):
         assert getattr(sd, name).tolist() == getattr(ref, name).tolist()
-    for name in ("residual", "iterations", "beta", "converged",
-                 "estimate_calls", "lip_vector"):
+    for name in ("residual", "iterations", "beta", "converged"):
         assert getattr(sd, name) == getattr(ref, name)
 
 

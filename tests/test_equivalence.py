@@ -194,8 +194,9 @@ def runs():
 @contextlib.contextmanager
 def counting_estimates():
     """Record the x of every step-size estimate made in the block, from
-    diagnostics.snapshot or from solve_saddle; yields the list."""
-    from sipba import diagnostics, saddle
+    diagnostics.snapshot, run_double_loop_baseline or solve_saddle; yields
+    the list."""
+    from sipba import diagnostics, saddle, solver
     real, seen = saddle.estimate_T_lipschitz, []
 
     def counted(problem, pr, x, *args, **kwargs):
@@ -203,7 +204,7 @@ def counting_estimates():
         return real(problem, pr, x, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (diagnostics, saddle):
+        for mod in (diagnostics, saddle, solver):
             mp.setattr(mod, "estimate_T_lipschitz", counted)
         yield seen
 

@@ -217,10 +217,21 @@ def test_relative_error_of_a_block_is_each_row_bit_for_bit():
                                    [0.0])
 
 
+@dataclasses.dataclass(frozen=True)
+class _OldSaddlePoint(saddle.SaddlePoint):
+    # the old loop's output: a SaddlePoint that also carried its step-size
+    # estimate's dominant direction, which seeded the next warm solve, and
+    # the operator_T calls that estimate spent
+    lip_vector: object = None
+    estimate_calls: int = 0
+
+
 def _old_solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None,
                       beta=None, warm=None):
     # solve_saddle's loop as it was written on the stacked u = (y, z):
-    # operator_T, u - beta*t, a projection of each half, np.linalg.norm
+    # operator_T, u - beta*t, a projection of each half, np.linalg.norm;
+    # warm, a previous _OldSaddlePoint, gave the start and seeded the
+    # estimate, as the double-loop baseline's inner solves used it
     x = _as_vector(x, problem.n_x, "x")
     lip_vector = None if warm is None else warm.lip_vector
     if u0 is None and warm is not None:
@@ -238,7 +249,7 @@ def _old_solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None,
     set_Y, n_y = problem.set_Y, problem.n_y
 
     def pack(u, res, it, ok):
-        return saddle.SaddlePoint(
+        return _OldSaddlePoint(
             y_star=u[:n_y].copy(), z_star=u[n_y:].copy(), residual=res,
             iterations=it, beta=beta, converged=ok, lip_vector=lip_vector,
             estimate_calls=calls)
@@ -302,30 +313,45 @@ def _same_value(a, b):
     return type(a) is type(b) and a == b
 
 
-def _assert_same_solve(*args, **kwargs):
-    """solve_saddle and the old loop agree on every SaddlePoint field and on
-    the error (message and residual), bit for bit; returns the solve."""
-    with np.errstate(all="ignore"):
-        want, want_err = _solve_outcome(_old_solve_saddle, *args, **kwargs)
-        got, got_err = _solve_outcome(saddle.solve_saddle, *args, **kwargs)
+def _assert_same_outcome(want, want_err, got, got_err):
     for f in dataclasses.fields(saddle.SaddlePoint):
         assert _same_value(getattr(got, f.name), getattr(want, f.name)), f.name
     assert (got_err is None) == (want_err is None)
     if want_err is not None:
         assert got_err[0] == want_err[0]
         assert _same_value(got_err[1], want_err[1])
-    return got, got_err
+
+
+def _assert_same_solve(*args, **kwargs):
+    """solve_saddle and the old loop agree on every SaddlePoint field and on
+    the error (message and residual), bit for bit; returns the solve."""
+    with np.errstate(all="ignore"):
+        want = _solve_outcome(_old_solve_saddle, *args, **kwargs)
+        got = _solve_outcome(saddle.solve_saddle, *args, **kwargs)
+    _assert_same_outcome(*want, *got)
+    return got
 
 
 def _gate_sequence(problem, pr, xs, tol, **kwargs):
-    # a cold solve at xs[0], then each x warm from the previous saddle, then
-    # the same x at that solve's step size with its saddle as u0
-    prev = None
+    # the double-loop baseline's sequence: each x starts at the previous
+    # saddle (failed solves included; the first at the default start) with
+    # the step 1/(2 L_est) from an estimate there, seeded by the previous
+    # estimate's direction (the first cold), while the old loop takes the
+    # previous solve as warm. Then the same x at that solve's step size
+    # with its saddle as u0
+    old = v = None
+    u = saddle.default_start(problem)
     for x in xs:
-        sd, err = _assert_same_solve(problem, pr, x, tol=tol, warm=prev,
-                                     **kwargs)
+        with np.errstate(all="ignore"):
+            est = saddle.estimate_T_lipschitz(problem, pr, x, u, v)
+            want = _solve_outcome(_old_solve_saddle, problem, pr, x, tol=tol,
+                                  warm=old, **kwargs)
+            got = _solve_outcome(saddle.solve_saddle, problem, pr, x, tol=tol,
+                                 u0=u, beta=1.0 / (2.0 * est.value), **kwargs)
+        _assert_same_outcome(*want, *got)
+        sd = got[0]
         _assert_same_solve(problem, pr, x, tol=tol, u0=sd.u, beta=sd.beta)
-        prev = sd if err is None else None
+        old, u, v = want[0], sd.u, est.vector
 
 
 def test_oracle_equals_the_stacked_loop_on_the_benchmarks():

@@ -113,27 +113,26 @@ def test_warm_estimate_that_finds_nothing_falls_back_to_cold(monkeypatch):
     assert got.value == pytest.approx(3.0, rel=1e-12)
 
 
-def test_estimate_cost_is_recorded_on_the_saddle():
-    pr = PenaltyReg(3.0, 0.5)
-    cold = solve_saddle(quad, pr, [2.0], tol=1e-11)
-    assert cold.estimate_calls == 31 and cold.lip_vector.shape == (2,)
-    warm = solve_saddle(quad, PenaltyReg(3.1, 0.49), [2.1], tol=1e-11,
-                        warm=cold)
-    assert warm.estimate_calls == 4 and warm.converged
-    ys, zs = analytic_saddle(2.1, 3.1, 0.49)
-    np.testing.assert_allclose(warm.u, np.concatenate((ys, zs)), atol=1e-9)
-    pinned = solve_saddle(quad, pr, [2.0], tol=1e-11, beta=0.05, warm=warm)
-    assert pinned.estimate_calls == 0
-    # the direction passes through a solve that made no estimate
-    np.testing.assert_array_equal(pinned.lip_vector, warm.lip_vector)
-    assert solve_saddle(quad, pr, [2.0], tol=1e-11, beta=0.05).lip_vector is None
-
-
 def test_warm_solve_with_too_small_estimate_converges_through_backoff():
     # J = [[2.2, 0.05], [-0.05, 0.25]] has real eigenvalues 2.198 and 0.252.
     # Seeded with the small one's eigenvector, 3 power iterations stay on
     # it, so beta = 1/(2*0.252) is about four times too large for the
-    # dominant mode; the stall safeguard halves it until the solve converges
+    # dominant mode; the stall safeguard halves it until the solve converges.
+    # First a warm solve as run_double_loop_baseline makes one: at the
+    # previous saddle, with the step from 3 power iterations seeded by the
+    # previous estimate's direction
+    pr0, pr1 = PenaltyReg(3.0, 0.5), PenaltyReg(3.1, 0.49)
+    first = estimate_T_lipschitz(quad, pr0, np.array([2.0]), default_start(quad))
+    cold = solve_saddle(quad, pr0, [2.0], tol=1e-11,
+                        beta=1.0 / (2.0 * first.value))
+    near = estimate_T_lipschitz(quad, pr1, np.array([2.1]), cold.u,
+                                first.vector)
+    warm = solve_saddle(quad, pr1, [2.1], tol=1e-11, u0=cold.u,
+                        beta=1.0 / (2.0 * near.value))
+    assert near.calls == 4 and warm.converged
+    ys, zs = analytic_saddle(2.1, 3.1, 0.49)
+    np.testing.assert_allclose(warm.u, np.concatenate((ys, zs)), atol=1e-9)
+
     rho, sigma = 0.1, 0.05
     pr = PenaltyReg(rho, sigma)
     J = np.array([[2 * (1 + rho), sigma], [-sigma, 2 * rho + sigma]])
@@ -141,21 +140,21 @@ def test_warm_solve_with_too_small_estimate_converges_through_backoff():
     small = vecs[:, np.argmin(lam)].real
     est = estimate_T_lipschitz(quad, pr, np.ones(1), np.zeros(2), small)
     assert est.value == pytest.approx(lam.min(), rel=1e-6)
-    prev = saddle.SaddlePoint(y_star=np.zeros(1), z_star=np.zeros(1),
-                              residual=0.0, iterations=1, beta=1.0,
-                              converged=True, lip_vector=small)
-    sd = solve_saddle(quad, pr, [1.0], tol=1e-10, warm=prev)
-    assert sd.converged and sd.estimate_calls == 4
+    assert est.calls == 4
+    sd = solve_saddle(quad, pr, [1.0], tol=1e-10, u0=np.zeros(2),
+                      beta=1.0 / (2.0 * est.value))
+    assert sd.converged
     # halved from 1/(2*est) to below 2/lambda_max, where it contracts
     assert sd.beta <= 0.25 / est.value and sd.beta < 2.0 / lam.max()
     ys, zs = analytic_saddle(1.0, rho, sigma)
     np.testing.assert_allclose(sd.u, np.concatenate((ys, zs)), atol=1e-8)
 
 
-def test_warm_baseline_on_hyper_rep_has_no_oracle_failures():
+def test_warm_baseline_on_hyper_rep_has_no_oracle_failures(monkeypatch):
     # 200 outer steps of criterion 07's baseline schedule on a small
     # instance: every solve after the first is warm, none fails, x stays
     # finite
+    from sipba import solver
     from sipba.benchmarks import (generate_hyper_rep, hyper_rep_init,
                                   hyper_rep_problem)
     from sipba.solver import ScheduleParams, run_double_loop_baseline
@@ -166,9 +165,15 @@ def test_warm_baseline_on_hyper_rep_has_no_oracle_failures():
     sp = ScheduleParams(alpha0=0.2, beta0=1e-4, rho0=10.0, sigma0=0.01,
                         p=0.01, q=0.01, s=0.16)
     calls = []
+
+    def counted(*args):
+        est = estimate_T_lipschitz(*args)
+        calls.append(est.calls)
+        return est
+
+    monkeypatch.setattr(solver, "estimate_T_lipschitz", counted)
     res = run_double_loop_baseline(
-        prob, sp, x0, 200, inner_tol=1e-5, u0=np.concatenate((y0, z0)),
-        callback=lambda k, x, sd, total, t: calls.append(sd.estimate_calls))
+        prob, sp, x0, 200, inner_tol=1e-5, u0=np.concatenate((y0, z0)))
     assert res.inner_failures == 0
     assert np.isfinite(res.x).all()
     assert calls == [31] + [4] * 199

@@ -15,6 +15,7 @@ from sipba.errors import (
     SaddleConvergenceError,
 )
 from sipba.problem import GRADIENTS
+from sipba.saddle import estimate_T_lipschitz
 from sipba.smoothing import PenaltyReg
 from sipba.solver import (
     ScheduleParams,
@@ -498,11 +499,30 @@ def test_baseline_with_loose_tolerance_is_one_sipba_step():
     np.testing.assert_array_equal(res.saddle.z_star, stepped.z)
 
 
-def test_baseline_counts_inner_failures():
+def test_baseline_counts_inner_failures(monkeypatch):
+    # a capped solve still seeds the next estimate: every one after the
+    # first is warm (4 operator_T calls), and with inner_beta none is made
+    calls = []
+
+    def counted(*args):
+        est = estimate_T_lipschitz(*args)
+        calls.append(est.calls)
+        return est
+
+    monkeypatch.setattr(solver, "estimate_T_lipschitz", counted)
     res = run_double_loop_baseline(quad, SP_UNIT, [1.0], 3,
                                    inner_tol=1e-14, inner_max_iter=2)
     assert res.inner_failures == 3
     assert np.isfinite(res.x).all()
+    assert calls == [31, 4, 4]
+    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], 3, inner_tol=1e-14,
+                                   inner_max_iter=2, inner_beta=0.1)
+    assert res.inner_failures == 3 and calls == [31, 4, 4]
+
+
+def test_baseline_checks_u0_on_entry():
+    with pytest.raises(ContractViolation, match=r"u0 must have shape \(2,\)"):
+        run_double_loop_baseline(quad, SP_UNIT, [1.0], 3, u0=[0.0, 0.0, 0.0])
 
 
 def test_baseline_callback_and_target():
