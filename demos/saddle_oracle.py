@@ -35,8 +35,8 @@ print("oracle saddle    y = %.12f  z = %.12f  (%d iterations, residual %.1e)"
 bound = lemma_step_bound(quad, pr)
 est = estimate_T_lipschitz(quad, pr, x, default_start(quad))
 print("certified contraction step  %.6f" % bound)
-print("default oracle step 1/(2L)  %.6f  (L estimate %.4f, %d operator calls)"
-      % (0.5 / est.value, est.value, est.calls))
+print("default oracle step 1/L     %.6f  (L estimate %.4f, %d operator calls)"
+      % (1.0 / est.value, est.value, est.calls))
 
 # a nearby solve warm-started from the last one, as the double-loop
 # baseline makes it: it starts at that saddle, and its step-size estimate

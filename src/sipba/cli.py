@@ -637,6 +637,9 @@ def cmd_ablate(cfg, out_dir, jobs):
                  "  time-to-target %.3f +- %.3f s"
                  % (float(np.mean(times)), float(np.std(times)))
                  if times else ""))
+        for s, r in zip(seeds, runs):
+            if not r["ok"]:
+                print("row %d seed %d: FAILED (%s)" % (i, s, r["error"]))
     _write_csv(os.path.join(out_dir, "ablation.csv"), ABLATE_COLUMNS, table)
     return 0 if any(r["ok"] for r in ordered) else 2
 

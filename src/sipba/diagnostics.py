@@ -6,11 +6,11 @@ to the exact saddle, and the projected-gradient stationarity residual of the
 smoothed value function; when the caller passes the run's previous snapshot,
 the solve starts at the saddle path extrapolated from the last three
 snapshots' saddles, see predicted_start, and carries the previous solve's
-step; a run's first solve steps at 1/L_est), a relative error to a known
-optimum (its denominator, the start's squared distance to the optimum, is
-formed and checked once per run and passed to every call), a merit value
-combining value gap and tracking error, and the two-sided sandwich between
-the smoothed and the exact value function.
+step; a run's first solve is the oracle's default one), a relative error to
+a known optimum (its denominator, the start's squared distance to the
+optimum, is formed and checked once per run and passed to every call), a
+merit value combining value gap and tracking error, and the two-sided
+sandwich between the smoothed and the exact value function.
 """
 
 import math
@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import ContractViolation
 from .problem import _as_vector
-from .saddle import (SaddlePoint, default_start, estimate_T_lipschitz,
-                     solve_saddle)
+from .saddle import SaddlePoint, solve_saddle
 from .smoothing import PenaltyReg, direction_x, eval_psi
-from .solver import _finite, _penalty_at
+from .solver import _finite, params_at
 
 
 def _vec(v):
@@ -115,50 +114,44 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
 
     (alpha, rho, sigma) are those of the step that produced state, i.e.
     params_at(sp, state.k - 1); a state with no completed step (k = 1) is
-    rejected. Without warm the oracle starts cold, from its default start,
-    with the step 1/L_est: L_est is solve_saddle's own estimate at that
-    start (estimate_T_lipschitz, 31 operator_T calls), and the step is
-    twice solve_saddle's default 1/(2 L_est). Along e, the dominant mode of
-    T, one projected step at 1/L_est cancels the error where 1/(2 L_est)
-    halves it; the step still contracts that mode while L_est stays above
-    half of its eigenvalue, and the oracle's stall backoff halves it where
-    it does not. With warm, the previous Snapshot of the
-    same run, it starts at predicted_start(problem, warm.trail, state.k):
-    the previous saddle itself after one snapshot, the extrapolated saddle
-    path after two or more. It makes no estimate: its step is the one
-    warm's solve ended with, halvings included, scaled by warm.rho / rho_k.
-    T's Lipschitz bound (see operator_T) grows at most in proportion to
-    rho, so the scaled step is as safe as the carried one; the oracle's
-    stall backoff halves it where it is not. Only the start and the step
-    move, so the solve agrees with solve_saddle's default one to within
-    oracle_tol. The snapshot's trail is warm's with (state.k, u*) appended,
-    replacing a node at the same k, cut to the last 3.
+    rejected. Without warm the solve is solve_saddle's default one, from
+    the projected zero vector with the step 1/L_est. With warm, the
+    previous Snapshot of the same run, it starts at
+    predicted_start(problem, warm.trail, state.k): the previous saddle
+    itself after one snapshot, the extrapolated saddle path after two or
+    more. It makes no estimate: its step is the one warm's solve ended
+    with, halvings included, scaled by warm.rho / rho_k. T's Lipschitz
+    bound (see operator_T) grows at most in proportion to rho, so the
+    scaled step is as safe as the carried one; the oracle's stall backoff
+    halves it where it is not. Only the start and the step move, so the
+    solve agrees with the default one to within oracle_tol. The snapshot's
+    trail is warm's with (state.k, u*) appended, replacing a node at the
+    same k, cut to the last 3.
     """
     if not state.k >= 2:
         raise ContractViolation(
             "snapshot needs a state after at least one step (k >= 2), got "
             "k=%r" % (state.k,))
-    pars, pr = _penalty_at(sp, state.k - 1)
+    pars = params_at(sp, state.k - 1)
     x = state.x
     if warm is None:
-        trail, u0 = (), default_start(problem)
-        beta = 1.0 / estimate_T_lipschitz(problem, pr, x, u0).value
+        trail, u0, beta = (), None, None  # solve_saddle's default solve
     else:
         trail = warm.trail
         u0 = predicted_start(problem, trail, state.k)
-        beta = warm.saddle.beta * (warm.rho / pr.rho)
-    sd = solve_saddle(problem, pr, x, tol=oracle_tol, u0=u0, beta=beta)
+        beta = warm.saddle.beta * (warm.rho / pars.rho)
+    sd = solve_saddle(problem, pars, x, tol=oracle_tol, u0=u0, beta=beta)
     u = sd.u
-    phi = eval_psi(problem, pr, x, sd.y_star, sd.z_star)
+    phi = eval_psi(problem, pars, x, sd.y_star, sd.z_star)
     # norms as np.linalg.norm takes them on 1-D float64: the root of a dot
     d = np.concatenate((state.y, state.z)) - u
     te = math.sqrt(d.dot(d))
-    g = direction_x(problem, pr, x, sd.y_star, sd.z_star)
+    g = direction_x(problem, pars, x, sd.y_star, sd.z_star)
     d = x - problem.set_X.project(x - pars.alpha * g)
     sr = math.sqrt(d.dot(d)) / pars.alpha
     trail = tuple(n for n in trail if n[0] != state.k) + ((state.k, u),)
     return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd,
-                    rho=pr.rho, trail=trail[-3:])
+                    rho=pars.rho, trail=trail[-3:])
 
 
 def merit_value(k, s, t, phi_gap, tracking_err):

@@ -29,26 +29,25 @@ sigma/(rho*lip_f)^2, which underflows any usable range once rho is large;
 worst-case Lipschitz constants over the whole domain are far larger than the
 curvature the iteration actually sees. The default here instead estimates
 the local Lipschitz constant of T(x, .) by power iteration on finite
-differences (first-order access only) and takes beta = 1/(2*L_est), with a
-stall safeguard that halves beta if the residual stops improving. Callers
-can pass an explicit beta to pin the behavior, e.g. a lemma_step_bound value
-when exercising the certified contraction. The diagnostics pass 1/L_est,
-from the same estimate (diagnostics.snapshot): it cancels T's dominant mode
-in one iteration where 1/(2*L_est) halves it, and it tolerates an estimate
-down to half of T's largest eigenvalue instead of a quarter. The default and
-the double-loop baseline keep 1/(2*L_est): at compare's fixed budget the
-larger step buys the baseline more outer iterations, which cost more than
-the inner ones it saves.
+differences (first-order access only) and takes beta = 1/L_est, with a
+stall safeguard that halves beta if the residual stops improving. Along the
+dominant mode of T that step cancels the error in one iteration where
+1/(2*L_est) halves it, and it still contracts while L_est stays above half
+of T's largest eigenvalue. Callers can pass an explicit beta to pin the
+behavior, e.g. a lemma_step_bound value when exercising the certified
+contraction. The double-loop baseline passes 1/(2*L_est) from its own
+estimate: at compare's fixed budget the larger step buys it more outer
+iterations, which cost more than the inner ones it saves.
 
 Starts. With no u0, a solve starts at the projected zero vector
 (default_start), and with no beta it estimates the step at its start: a
 30-step power iteration from a fixed-seed vector, so it is deterministic.
 That cold default serves one-off callers (eval_phi, grad_phi,
-sandwich_check, gradcheck). A sequence of nearby solves chooses its own
-start and step and passes both, and the oracle keeps no state between
-solves. The diagnostics along a run estimate only once, at their first
-solve, which starts cold with beta = 1/L_est: every later one passes its
-own start as u0, extrapolated from the last saddles of the run
+sandwich_check, gradcheck) and the first diagnostics solve of a run
+(diagnostics.snapshot without warm). A sequence of nearby solves chooses
+its own start and step and passes both, and the oracle keeps no state
+between solves. Every later diagnostics solve passes as u0 the start
+extrapolated from the last saddles of the run
 (diagnostics.predicted_start), and as beta the step the previous solve
 ended with, scaled by rho_prev / rho (see diagnostics.snapshot). The
 double-loop baseline starts each inner solve at the previous saddle and
@@ -185,7 +184,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     u0 : array, optional
         Start, stacked (y, z). Defaults to the projected zero vector.
     beta : float, optional
-        Explicit step size. Default: 1/(2 * L_est), from a cold
+        Explicit step size. Default: 1/L_est, from a cold
         estimate_T_lipschitz at the start (31 operator_T calls).
 
     Raises
@@ -202,7 +201,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     else:
         u = _as_vector(u0, 2 * problem.n_y, "u0").copy()
     if beta is None:
-        beta = 1.0 / (2.0 * estimate_T_lipschitz(problem, pr, x, u).value)
+        beta = 1.0 / estimate_T_lipschitz(problem, pr, x, u).value
     beta = float(beta)
     if not (beta > 0 and np.isfinite(beta)):
         raise ParameterOverflowError("oracle step size underflowed: beta=%r" % beta)

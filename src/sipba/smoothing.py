@@ -23,6 +23,11 @@ phi_{rho,sigma} at x.
 eval_psi and operator_T check their vectors with the package's one vector
 checker, problem._as_vector; the direction operations check nothing, as
 their callers pass vectors checked where they entered.
+
+Every operation here, and the saddle oracle after them, takes the weights
+as pr: anything with positive, finite rho and sigma. That is a PenaltyReg,
+which checks a user-given pair, or a step's Params from solver.params_at,
+which checked its own.
 """
 
 import math

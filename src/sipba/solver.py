@@ -49,7 +49,7 @@ from .errors import (
     SaddleConvergenceError,
 )
 from .problem import GRADIENTS, _as_vector, rowwise_gradients
-from .smoothing import PenaltyReg, direction_x, direction_y, direction_z
+from .smoothing import direction_x, direction_y, direction_z
 from .saddle import default_start, estimate_T_lipschitz, solve_saddle
 
 
@@ -85,13 +85,13 @@ class ScheduleParams:
             warnings.warn(
                 "schedule exponents outside the guaranteed regime "
                 "(0<p<1, 0<q<1, 0<s<1/2)",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
         elif self.s < 8.0 * (self.p + self.q):
             warnings.warn(
                 "s=%g < 8(p+q)=%g: outside the guaranteed-rate regime"
                 % (self.s, 8.0 * (self.p + self.q)),
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     @classmethod
@@ -114,16 +114,33 @@ class Params(NamedTuple):
 
 
 def params_at(sp, k):
-    """Scheduled (alpha_k, beta_k, rho_k, sigma_k); the counter starts at 1."""
+    """Scheduled (alpha_k, beta_k, rho_k, sigma_k); the counter starts at 1.
+
+    The one evaluator of a schedule. A schedule that left the float range
+    at k (k^p overflowed, or rho_k or sigma_k left (0, inf), say sigma_k
+    rounded to 0) raises ParameterOverflowError naming k. The Params is
+    what a step passes on: the directions and the saddle oracle read only
+    its rho and sigma, so it serves where a PenaltyReg would.
+    """
     if k != int(k) or k < 1:
         raise ContractViolation("iteration counter k must be an integer >= 1")
-    k = float(k)
-    return Params(
-        alpha=sp.alpha0 * k ** (-sp.s),
-        beta=sp.beta0 * k ** (-(2.0 * sp.p + sp.q)),
-        rho=min(sp.rho0 * k**sp.p, sp.rho_cap),
-        sigma=sp.sigma0 * k ** (-sp.q),
-    )
+    kf = float(k)
+    try:
+        pars = Params(
+            alpha=sp.alpha0 * kf ** (-sp.s),
+            beta=sp.beta0 * kf ** (-(2.0 * sp.p + sp.q)),
+            rho=min(sp.rho0 * kf**sp.p, sp.rho_cap),
+            sigma=sp.sigma0 * kf ** (-sp.q),
+        )
+    except OverflowError:
+        raise ParameterOverflowError(
+            "schedule left the float range at k=%d: k^p overflows for p=%r"
+            % (k, sp.p)) from None
+    if not (0.0 < pars.rho < math.inf and 0.0 < pars.sigma < math.inf):
+        raise ParameterOverflowError(
+            "schedule left the float range at k=%d: rho_k=%r, sigma_k=%r"
+            % (k, pars.rho, pars.sigma))
+    return pars
 
 
 @dataclass(frozen=True)
@@ -148,27 +165,6 @@ def initial_state(problem, x0, y0, z0=None):
     return IterateState(k=1, x=x, y=y, z=z)
 
 
-def _penalty_at(sp, k):
-    """(params_at(sp, k), its PenaltyReg).
-
-    A schedule that left the float range (k^p overflowed, or sigma_k
-    rounded to 0) raises ParameterOverflowError naming k.
-    """
-    try:
-        pars = params_at(sp, k)
-    except OverflowError:
-        raise ParameterOverflowError(
-            "schedule left the float range at k=%d: k^p overflows for p=%r"
-            % (k, sp.p)) from None
-    try:
-        return pars, PenaltyReg(pars.rho, pars.sigma)
-    except ContractViolation:
-        raise ParameterOverflowError(
-            "schedule left the float range at k=%d: rho_k=%r, sigma_k=%r"
-            % (k, pars.rho, pars.sigma)
-        ) from None
-
-
 def _finite(v):
     """Exact np.isfinite(v).all(), via one reduction in the common case.
 
@@ -179,40 +175,32 @@ def _finite(v):
     return math.isfinite(total) or np.isfinite(v).all()
 
 
-def sipba_step(problem, sp, state):
+def sipba_step(problem, pars, state):
     """One single-loop iteration; returns the state at counter k+1.
 
     The state is one start or a batch of rows (see IterateState); a batch
-    needs a rowwise problem (see problem.rowwise_gradients). sp is the
-    schedule (ScheduleParams), evaluated and checked here (_penalty_at), or
-    its Params at state.k, already checked: floats, or for a batch whose
-    rows run under different schedules (S, 1) columns. run hands it the
-    Params. The state is validated where it is built (initial_state, and
+    needs a rowwise problem (see problem.rowwise_gradients). pars is the
+    schedule's Params at state.k, from params_at, which checked it: floats,
+    or for a batch whose rows run under different schedules (S, 1)
+    columns. The state is validated where it is built (initial_state, and
     the config loader before it). The step keeps O(1) checks only: each
     projection takes a float64 block of the right shape as is and converts
-    or rejects anything else, PenaltyReg tests that rho_k and sigma_k are
-    positive and finite, and each new block gets a finiteness test, per row
-    only when the block's sum is not finite.
+    or rejects anything else, and each new block gets a finiteness test,
+    per row only when the block's sum is not finite.
 
     Raises
     ------
-    ParameterOverflowError
-        If the schedule sp left the float range (sigma_k rounded to 0).
     DivergenceError
         If an iterate became non-finite; carries the last good state, the
         positions of the non-finite rows (rows; [0] for a state of vectors)
         and the step's result for every row (next_state).
     """
-    if isinstance(sp, Params):
-        pars = pr = sp  # the directions read only rho and sigma
-    else:
-        pars, pr = _penalty_at(sp, state.k)
     x, y, z = state.x, state.y, state.z
-    dy = direction_y(problem, pr, x, y, z)
-    dz = direction_z(problem, pr, x, y, z)
+    dy = direction_y(problem, pars, x, y, z)
+    dz = direction_z(problem, pars, x, y, z)
     y1 = problem.set_Y.project(y + pars.beta * dy)
     z1 = problem.set_Y.project(z - pars.beta * dz)
-    dx = direction_x(problem, pr, x, y1, z1)
+    dx = direction_x(problem, pars, x, y1, z1)
     x1 = problem.set_X.project(x - pars.alpha * dx)
     nxt = IterateState(k=state.k + 1, x=x1, y=y1, z=z1)
     if not (_finite(x1) and _finite(y1) and _finite(z1)):
@@ -250,7 +238,7 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
     returns one RunResult per start, in order. sp is one schedule
     (ScheduleParams) for every start, or a list with one per start: each
     row then runs under its own schedule, evaluated once per step for all
-    its rows (_penalty_at).
+    its rows (params_at).
 
     target : callable(rows, state) -> bools, optional
         Checked after every step, outside the timed region, on the batch's
@@ -357,20 +345,20 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
         t0 = time.perf_counter()
         for g in live:
             try:
-                pars[g] = _penalty_at(scheds[g], state.k)[0]
+                pars[g] = params_at(scheds[g], state.k)
             except ParameterOverflowError as err:  # ends its own rows
                 for j in np.flatnonzero(gi == g):
                     end(j, row(state, j), "error", err)
         if (state := leave(state)) is None:
             return results
         if len(pars) == 1:  # scalars
-            (step_sp,) = pars.values()
+            (step_pars,) = pars.values()
         else:  # (S, 1) columns, one row per row of state
             for g, p in pars.items():
                 lut[g] = p
-            step_sp = Params(*lut[gi].T[:, :, None])
+            step_pars = Params(*lut[gi].T[:, :, None])
         try:
-            nxt = sipba_step(problem, step_sp, state)
+            nxt = sipba_step(problem, step_pars, state)
         except DivergenceError as err:
             nxt, bad, why = err.next_state, err.rows, str(err)
         share += (time.perf_counter() - t0) / rows.size
@@ -437,8 +425,9 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
     Inner convergence failures are recorded and the outer loop continues
     with the last saddle iterate. Returns cumulative inner-iteration
     counts so gradient budgets can be compared against the single-loop
-    method. As in sipba_step, a schedule that left the float range raises
-    ParameterOverflowError and a non-finite x raises DivergenceError.
+    method. A schedule that left the float range raises params_at's
+    ParameterOverflowError, and as in sipba_step a non-finite x raises
+    DivergenceError.
 
     The first solve starts at u0 (default: the projected zero vector),
     every later one at the previous saddle. Each takes the step
@@ -491,20 +480,20 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
                 break
             max_iter = min(max_iter, max(1, (spend_end - cnt.count) // 3))
         k += 1
-        pars, pr = _penalty_at(sp, k)
+        pars = params_at(sp, k)
         t0 = time.perf_counter()
         beta = inner_beta
         if beta is None:
-            est = estimate_T_lipschitz(problem, pr, x, u, v)
+            est = estimate_T_lipschitz(problem, pars, x, u, v)
             beta, v = 1.0 / (2.0 * est.value), est.vector
         try:
-            sd = solve_saddle(problem, pr, x, tol=inner_tol,
+            sd = solve_saddle(problem, pars, x, tol=inner_tol,
                               max_iter=max_iter, u0=u, beta=beta)
         except SaddleConvergenceError as err:
             sd = err.saddle
             failures += 1
         inner_total += sd.iterations
-        g = direction_x(problem, pr, x, sd.y_star, sd.z_star)
+        g = direction_x(problem, pars, x, sd.y_star, sd.z_star)
         x = problem.set_X.project(x - pars.alpha * g)
         if not _finite(x):
             raise DivergenceError(

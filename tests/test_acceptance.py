@@ -195,7 +195,7 @@ def test_criterion_05_rate_shape():
     st = initial_state(quad, [2.0], [-1.0], [-1.0])
     te, sr = {}, {}
     for _ in range(10000):
-        st = sipba_step(quad, sp, st)
+        st = sipba_step(quad, params_at(sp, st.k), st)
         done = st.k - 1
         if done in marks:
             pars = params_at(sp, done)

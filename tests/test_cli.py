@@ -250,6 +250,28 @@ def test_ablate_table(tmp_path, capsys):
     assert "row  0" in capsys.readouterr().out
 
 
+def test_ablate_reports_each_failed_run(tmp_path, capsys):
+    # sigma_k = 0.01 * k^-400 rounds to 0 at k=7: both runs of grid row 1
+    # fail, and each gets its FAILED line after its row, as run reports it
+    cfg = synthetic_cfg(problem={"kind": "synthetic", "n": 5})
+    cfg["run"]["target_eps_rel"] = 1e-4
+    cfg["ablate"] = {"grid": [{}, {"q": 400.0}], "max_iter": 50}
+    cfgp = write_cfg(tmp_path, cfg)
+    with pytest.warns(UserWarning, match="guaranteed regime"):
+        code = cli.main(["ablate", "--config", cfgp, "--out",
+                         str(tmp_path / "out")])
+    assert code == 0  # row 0's runs completed
+    why = ("schedule left the float range at k=7: rho_k=%r, sigma_k=0.0"
+           % (10.0 * 7.0**0.001))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("row  0: ") and "valid 0/2" in lines[0]
+    assert lines[1].startswith("row  1: ") and "valid 0/2" in lines[1]
+    assert lines[2:] == ["row 1 seed %d: FAILED (%s)" % (s, why)
+                         for s in (5, 6)]
+    header, rows = read_csv(tmp_path / "out" / "ablation.csv")
+    assert header == cli.ABLATE_COLUMNS and len(rows) == 2
+
+
 def test_ablate_rejects_unknown_override(tmp_path):
     cfg = synthetic_cfg()
     cfg["ablate"] = {"grid": [{"gamma": 1.0}]}

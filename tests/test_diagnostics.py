@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -98,11 +99,11 @@ def test_snapshot_matches_separate_formulas():
     st = initial_state(prob, *sb.sample_init(np.random.default_rng(3)))
     for _ in range(3):
         for _ in range(17):
-            st = sipba_step(prob, sp, st)
+            st = sipba_step(prob, params_at(sp, st.k), st)
         sn = snapshot(prob, sp, st)
         pars = params_at(sp, st.k - 1)
         pr = PenaltyReg(pars.rho, pars.sigma)
-        # a cold snapshot steps at 1/L_est, twice solve_saddle's default
+        # a cold snapshot steps at 1/L_est, solve_saddle's default
         est = estimate_T_lipschitz(prob, pr, st.x, default_start(prob))
         sd = solve_saddle(prob, pr, st.x, tol=1e-8, beta=1.0 / est.value)
         g = direction_x(prob, pr, st.x, sd.y_star, sd.z_star)
@@ -111,6 +112,28 @@ def test_snapshot_matches_separate_formulas():
         assert sn.tracking_err == np.linalg.norm(
             np.concatenate((st.y, st.z)) - sd.u)
         assert sn.stat_residual == np.linalg.norm(st.x - moved) / pars.alpha
+
+
+def test_a_cold_snapshot_is_the_default_solve():
+    # without warm, a snapshot's solve is solve_saddle's default one at the
+    # step's Params: the same SaddlePoint in all six fields, bit for bit
+    sb = synthetic_problem(6)
+    sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
+                        p=0.001, q=0.001, s=0.1)
+    states = [initial_state(sb.problem, *sb.sample_init(
+        np.random.default_rng(3)))]
+    for _ in range(40):
+        states.append(sipba_step(sb.problem, params_at(sp, states[-1].k),
+                                 states[-1]))
+    for st in states[1::13]:
+        sd = snapshot(sb.problem, sp, st, oracle_tol=1e-8).saddle
+        ref = solve_saddle(sb.problem, params_at(sp, st.k - 1), st.x, 1e-8)
+        for f in dataclasses.fields(sd):
+            got, want = getattr(sd, f.name), getattr(ref, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes(), f.name
+            else:
+                assert type(got) is type(want) and got == want, f.name
 
 
 # the predicted oracle start of a warm snapshot
@@ -170,7 +193,7 @@ def test_a_repeated_k_replaces_its_node():
     st = initial_state(sb.problem, *sb.sample_init(np.random.default_rng(3)))
     sn, ks = None, []
     for _ in range(4):
-        st = sipba_step(sb.problem, sp, st)
+        st = sipba_step(sb.problem, params_at(sp, st.k), st)
         sn = snapshot(sb.problem, sp, st, warm=sn)
         ks.append([k for k, _ in sn.trail])
     assert ks == [[2], [2, 3], [2, 3, 4], [3, 4, 5]]

@@ -194,9 +194,9 @@ def runs():
 @contextlib.contextmanager
 def counting_estimates():
     """Record the x of every step-size estimate made in the block, from
-    diagnostics.snapshot, run_double_loop_baseline or solve_saddle; yields
-    the list."""
-    from sipba import diagnostics, saddle, solver
+    solve_saddle (a cold snapshot's solve included) or
+    run_double_loop_baseline; yields the list."""
+    from sipba import saddle, solver
     real, seen = saddle.estimate_T_lipschitz, []
 
     def counted(problem, pr, x, *args, **kwargs):
@@ -204,7 +204,7 @@ def counting_estimates():
         return real(problem, pr, x, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (diagnostics, saddle, solver):
+        for mod in (saddle, solver):
             mp.setattr(mod, "estimate_T_lipschitz", counted)
         yield seen
 
@@ -287,15 +287,15 @@ def test_an_underestimated_step_is_rescued_by_the_backoff(readme_n10,
     # 3 / lambda_max, which diverges along e. The stall backoff halves it
     # (241 iterations when this test was written), and later rows carry
     # the halved step (at most 34 iterations each)
-    from sipba import diagnostics
-    real, lows = diagnostics.estimate_T_lipschitz, []
+    from sipba import saddle
+    real, lows = saddle.estimate_T_lipschitz, []
 
     def low(*args, **kwargs):
         est = real(*args, **kwargs)
         lows.append(est.value / 3.0)
         return est._replace(value=lows[-1])
 
-    monkeypatch.setattr(diagnostics, "estimate_T_lipschitz", low)
+    monkeypatch.setattr(saddle, "estimate_T_lipschitz", low)
     problem, sp, states = readme_n10
     warm = warm_threaded(problem, sp, states)
     assert len(warm) == 200 and all(sn.saddle.converged for sn in warm)

@@ -153,7 +153,7 @@ def test_step_equals_old_formulation_for_2000_steps():
     st = initial_state(prob, *sb.sample_init(np.random.default_rng(2024)))
     for _ in range(2000):
         want = _old_step(n, sp, st, prob.set_X, prob.set_Y)
-        st = sipba_step(prob, sp, st)
+        st = sipba_step(prob, params_at(sp, st.k), st)
         for got, ref in zip((st.x, st.y, st.z), want):
             assert np.array_equal(got, ref)
     assert st.k == 2001
@@ -217,42 +217,27 @@ def test_relative_error_of_a_block_is_each_row_bit_for_bit():
                                    [0.0])
 
 
-@dataclasses.dataclass(frozen=True)
-class _OldSaddlePoint(saddle.SaddlePoint):
-    # the old loop's output: a SaddlePoint that also carried its step-size
-    # estimate's dominant direction, which seeded the next warm solve, and
-    # the operator_T calls that estimate spent
-    lip_vector: object = None
-    estimate_calls: int = 0
-
-
 def _old_solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None,
-                      beta=None, warm=None):
+                      beta=None):
     # solve_saddle's loop as it was written on the stacked u = (y, z):
-    # operator_T, u - beta*t, a projection of each half, np.linalg.norm;
-    # warm, a previous _OldSaddlePoint, gave the start and seeded the
-    # estimate, as the double-loop baseline's inner solves used it
+    # operator_T, u - beta*t, a projection of each half, np.linalg.norm.
+    # It is the reference for the loop's arithmetic; its default step
+    # follows solve_saddle's, 1/L_est from a cold estimate at the start
     x = _as_vector(x, problem.n_x, "x")
-    lip_vector = None if warm is None else warm.lip_vector
-    if u0 is None and warm is not None:
-        u0 = warm.u
     if u0 is None:
         u = saddle.default_start(problem)
     else:
         u = _as_vector(u0, 2 * problem.n_y, "u0").copy()
-    calls = 0
     if beta is None:
-        est = saddle.estimate_T_lipschitz(problem, pr, x, u, lip_vector)
-        beta, lip_vector, calls = 1.0 / (2.0 * est.value), est.vector, est.calls
+        beta = 1.0 / saddle.estimate_T_lipschitz(problem, pr, x, u).value
     beta = float(beta)
     beta0 = beta
     set_Y, n_y = problem.set_Y, problem.n_y
 
     def pack(u, res, it, ok):
-        return _OldSaddlePoint(
+        return saddle.SaddlePoint(
             y_star=u[:n_y].copy(), z_star=u[n_y:].copy(), residual=res,
-            iterations=it, beta=beta, converged=ok, lip_vector=lip_vector,
-            estimate_calls=calls)
+            iterations=it, beta=beta, converged=ok)
 
     def proj_pair(w):
         return np.concatenate((set_Y.project(w[:n_y]), set_Y.project(w[n_y:])))
@@ -336,22 +321,16 @@ def _gate_sequence(problem, pr, xs, tol, **kwargs):
     # the double-loop baseline's sequence: each x starts at the previous
     # saddle (failed solves included; the first at the default start) with
     # the step 1/(2 L_est) from an estimate there, seeded by the previous
-    # estimate's direction (the first cold), while the old loop takes the
-    # previous solve as warm. Then the same x at that solve's step size
-    # with its saddle as u0
-    old = v = None
-    u = saddle.default_start(problem)
+    # estimate's direction (the first cold), handed to both loops. Then
+    # the same x at that solve's step size with its saddle as u0
+    u, v = saddle.default_start(problem), None
     for x in xs:
         with np.errstate(all="ignore"):
             est = saddle.estimate_T_lipschitz(problem, pr, x, u, v)
-            want = _solve_outcome(_old_solve_saddle, problem, pr, x, tol=tol,
-                                  warm=old, **kwargs)
-            got = _solve_outcome(saddle.solve_saddle, problem, pr, x, tol=tol,
-                                 u0=u, beta=1.0 / (2.0 * est.value), **kwargs)
-        _assert_same_outcome(*want, *got)
-        sd = got[0]
+            sd = _assert_same_solve(problem, pr, x, tol=tol, u0=u,
+                                    beta=1.0 / (2.0 * est.value), **kwargs)[0]
         _assert_same_solve(problem, pr, x, tol=tol, u0=sd.u, beta=sd.beta)
-        old, u, v = want[0], sd.u, est.vector
+        u, v = sd.u, est.vector
 
 
 def test_oracle_equals_the_stacked_loop_on_the_benchmarks():

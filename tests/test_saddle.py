@@ -189,6 +189,26 @@ def test_solve_saddle_example():
     np.testing.assert_array_equal(sd.u, np.concatenate((sd.y_star, sd.z_star)))
 
 
+def test_the_default_step_converges_on_complex_eigenvalues():
+    # at (rho, sigma) = (0.84, 1.07) the Jacobian of the quadratic
+    # testbed's T, [[2(1+rho), sigma], [-sigma, 2rho+sigma]], has complex
+    # eigenvalues, and the power iteration settles below their modulus: the
+    # default step 1/L_est is longer than 1/|lambda|, yet it converges
+    rho, sigma = 0.84, 1.07
+    pr = PenaltyReg(rho, sigma)
+    lam = np.linalg.eigvals([[2.0 * (1.0 + rho), sigma],
+                             [-sigma, 2.0 * rho + sigma]])
+    assert np.all(lam.imag != 0.0)
+    for x in (-3.0, -1.0, 0.5, 2.0, 5.0):
+        est = estimate_T_lipschitz(quad, pr, np.array([x]), default_start(quad))
+        assert est.value < np.abs(lam).max()
+        sd = solve_saddle(quad, pr, [x], tol=1e-11)
+        assert sd.converged and sd.beta == 1.0 / est.value
+        ys, zs = analytic_saddle(x, rho, sigma)
+        np.testing.assert_allclose(sd.y_star, ys, atol=1e-9)
+        np.testing.assert_allclose(sd.z_star, zs, atol=1e-9)
+
+
 def test_solve_saddle_matches_analytic_solution():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -48,6 +48,21 @@ def test_schedule_validation_and_warnings():
         ScheduleParams(alpha0=1.0, beta0=1.0, rho0=1.0, sigma0=1.0, p=0.1, q=0.1, s=0.4)
 
 
+def test_schedule_warnings_point_at_the_caller():
+    # both regime warnings name the line that built the schedule, not the
+    # dataclass-generated __init__
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        ScheduleParams(alpha0=1.0, beta0=1.0, rho0=1.0, sigma0=1.0,
+                       p=0.1, q=0.1, s=0.5)
+        ScheduleParams(alpha0=1.0, beta0=1.0, rho0=1.0, sigma0=1.0,
+                       p=0.1, q=0.1, s=0.4)
+    assert len(seen) == 2
+    assert "guaranteed regime" in str(seen[0].message)
+    assert "guaranteed-rate regime" in str(seen[1].message)
+    assert [w.filename for w in seen] == [__file__] * 2
+
+
 def test_schedule_guideline_and_merit_exponent():
     sp = ScheduleParams.guideline(alpha0=0.1, beta0=0.01, sigma0=0.1, p=0.02, q=0.01)
     assert sp.s == pytest.approx(8 * (0.02 + 0.01))
@@ -88,6 +103,27 @@ def test_params_at_rho_cap():
     assert params_at(sp, 10 ** 6).rho == 50.0
 
 
+@pytest.mark.parametrize("over, k, message", [
+    ({"p": 1000.0}, 3, "schedule left the float range at k=3: k^p overflows "
+                       "for p=1000.0"),
+    ({"q": 400.0}, 7, "schedule left the float range at k=7: "
+                      "rho_k=%r, sigma_k=0.0" % (10.0 * 7.0**0.001)),
+], ids=["p=1000", "q=400"])
+def test_params_at_names_k_where_the_schedule_leaves_the_float_range(
+        over, k, message):
+    # k^p overflows (p=1000), or sigma_k rounds to 0 (q=400): the one
+    # schedule evaluator raises, naming k, and the step before is fine
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # outside the regime
+        sp = ScheduleParams(**{**dict(alpha0=0.1, beta0=0.001, rho0=10.0,
+                                      sigma0=0.01, p=0.001, q=0.001, s=0.1),
+                               **over})
+    params_at(sp, k - 1)
+    with pytest.raises(ParameterOverflowError) as err:
+        params_at(sp, k)
+    assert str(err.value) == message
+
+
 def test_params_at_rejects_bad_counter():
     for k in (0, -3, 1.5):
         with pytest.raises(ContractViolation):
@@ -106,7 +142,7 @@ def test_initial_state_projects_and_defaults_z():
 def test_sipba_step_worked_example():
     # x=1, y=z=0, alpha=beta=0.1, rho=sigma=1  ->  (1.08, 0.4, 0.2)
     st = initial_state(quad, [1.0], [0.0], [0.0])
-    nxt = sipba_step(quad, SP_UNIT, st)
+    nxt = sipba_step(quad, params_at(SP_UNIT, st.k), st)
     assert nxt.k == 2
     np.testing.assert_allclose(nxt.x, [1.08])
     np.testing.assert_allclose(nxt.y, [0.4])
@@ -117,7 +153,7 @@ def test_step_costs_exactly_six_gradient_evaluations():
     counted, counter = with_gradient_counter(quadratic_testbed())
     st = initial_state(counted, [1.0], [0.0])
     for i in range(1, 11):
-        st = sipba_step(counted, SP_UNIT, st)
+        st = sipba_step(counted, params_at(SP_UNIT, st.k), st)
         assert counter.count == 6 * i
 
 
@@ -128,7 +164,7 @@ def test_iterates_stay_feasible():
                         p=0.001, q=0.001, s=0.1)
     st = initial_state(prob, np.full(4, 9.0), np.full(4, 5.0))
     for _ in range(60):
-        st = sipba_step(prob, sp, st)
+        st = sipba_step(prob, params_at(sp, st.k), st)
         assert prob.set_X.contains(st.x)
         assert prob.set_Y.contains(st.y)
         assert prob.set_Y.contains(st.z)
@@ -414,7 +450,7 @@ def test_divergence_raises():
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError) as serial:
             while True:
-                last = sipba_step(quad, sp, last)
+                last = sipba_step(quad, params_at(sp, last.k), last)
         (res,) = run(quad, sp, [st], max_iter=50)
     assert isinstance(res.error, DivergenceError)
     assert str(res.error) == str(serial.value)
@@ -440,23 +476,25 @@ def test_baseline_divergence_raises():
 
 
 def test_schedule_underflow_is_a_parameter_overflow():
-    # sigma_k = 0.01 * k^-400 rounds to 0 at k=7: the step's positivity
-    # check reports the schedule, not a PenaltyReg contract violation
+    # sigma_k = 0.01 * k^-400 rounds to 0 at k=7: params_at reports the
+    # schedule, not a PenaltyReg contract violation
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # q=400 is outside the regime
         sp = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
                             p=0.001, q=400.0, s=0.1)
-    assert params_at(sp, 6).sigma > 0.0 and params_at(sp, 7).sigma == 0.0
+    assert params_at(sp, 6).sigma > 0.0
+    with pytest.raises(ParameterOverflowError, match="k=7"):
+        params_at(sp, 7)
     st = initial_state(quad, [1.0], [0.0])
     (res,) = run(quad, sp, [st], max_iter=50)
     assert isinstance(res.error, ParameterOverflowError)
     assert res.iterations == 6
     msg = str(res.error)
-    pars = params_at(sp, 7)
+    rho7 = min(sp.rho0 * 7.0**sp.p, sp.rho_cap)
     assert "k=7" in msg
-    assert "rho_k=%r" % pars.rho in msg and "sigma_k=0.0" in msg
+    assert "rho_k=%r" % rho7 in msg and "sigma_k=0.0" in msg
     with pytest.raises(ContractViolation):
-        PenaltyReg(pars.rho, pars.sigma)
+        PenaltyReg(rho7, 0.0)
     with pytest.raises(ParameterOverflowError, match="k=7"):
         run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-1)
 
@@ -493,7 +531,7 @@ def test_baseline_with_loose_tolerance_is_one_sipba_step():
         quad, SP_UNIT, st.x, 1,
         inner_tol=1e9, inner_beta=beta1, u0=np.concatenate((st.y, st.z)),
     )
-    stepped = sipba_step(quad, SP_UNIT, st)
+    stepped = sipba_step(quad, params_at(SP_UNIT, st.k), st)
     np.testing.assert_array_equal(res.x, stepped.x)
     np.testing.assert_array_equal(res.saddle.y_star, stepped.y)
     np.testing.assert_array_equal(res.saddle.z_star, stepped.z)
