@@ -1,7 +1,6 @@
 """Command-line benchmark harness.
 
-    sipba run|ablate|compare --config cfg.json [--jobs N] [--out DIR]
-    sipba gradcheck|asymptotics --config cfg.json [--out DIR]
+    sipba run|ablate|compare|gradcheck|asymptotics --config cfg.json [--out DIR]
 
 All commands share one JSON configuration document. The table CONFIG_KEYS
 defines its keys (kind, default, lower bound); each command reads the common
@@ -14,12 +13,12 @@ bit-for-bit (wall-time columns excepted). The environment variable SIPBA_SEED
 overrides the configured seed base. Each command checks its config once,
 before any run starts: a key the table lacks, in any block, is reported as
 ``cfg:line: unknown <block> key 'k'``, a bad value (read by the one getter,
-_get) as ``cfg:line: section.key must be ..., got ...``. The problem and
-each run's start are built once too, and every run task gets them. A task
-of run or ablate steps a batch of starts together (solver.run): run cuts
-its seeds, ablate its (grid row, seed) runs, each row under its own
-schedule, into --jobs contiguous batches; outputs do not depend on the
-batching apart from time columns. A batch of one start, and compare's
+_get) as ``cfg:line: section.key must be ..., got ...``, and a schedule
+outside the guaranteed regime as one ``cfg:line: warning: ...`` line. The
+problem and each run's start are built once too. Every command runs in one
+process: run steps all its seeds as one batch (solver.run), ablate all its
+(grid row, seed) runs, each row under its own schedule, and compare runs
+its seeds one after another. A batch of one start, and compare's
 single-loop arm, is stepped as vectors; compare's baseline starts its first
 inner solve at the oracle's default start. Exit codes: 0 success, 1 config
 or usage error, 2 nothing completed (numerical failure), 3 acceptance
@@ -32,6 +31,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from array import array
 from functools import partial
 
@@ -189,6 +189,7 @@ def load_config(path):
         raise ConfigError("JSON parse error: %s" % e.msg, line=e.lineno)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object", line=1)
+    cfg.path, cfg.warned = path, set()  # its file, the warnings it got
     return cfg, raw
 
 
@@ -302,13 +303,24 @@ def _schedule(cfg, overrides, where):
         if k not in vals:  # nor in sd: _get reports it at sd's line
             _get(sd, "schedule." + k, "num", _MISSING, None)
     try:
-        return make(**vals)
+        with warnings.catch_warnings(record=True) as regime:
+            warnings.simplefilter("always")
+            sp = make(**vals)
     except ValueError as e:
         raise ConfigError("invalid schedule: %s" % e, _line(cfg, "schedule"))
+    # on the overrides' line if they set an exponent; once per line and text
+    ov = [k for k in ("p", "q", "s") if overrides.get(k) is not None]
+    line = _line(overrides, ov[0]) if ov else _line(cfg, "schedule")
+    for w in regime:
+        text = "%s:%d: warning: %s" % (cfg.path, line, w.message)
+        if text not in cfg.warned:
+            print(text, file=sys.stderr)
+        cfg.warned.add(text)
+    return sp
 
 
 class ProblemBundle:
-    """Problem plus the bookkeeping the harness needs around it (picklable)."""
+    """Problem plus the bookkeeping the harness needs around it."""
 
     def __init__(self, problem, sample_init, closed_form=None,
                  metric_name="upper_objective", metric=None):
@@ -452,10 +464,9 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# tasks, worker-safe: each gets the problem the parent built and values it
-# checked before fan-out. Each runs with numpy's floating-point warnings off:
-# a run that leaves the float range is caught by the finiteness checks and
-# reported as its one FAILED line.
+# runs, each with numpy's floating-point warnings off: a run that leaves the
+# float range is caught by the finiteness checks and reported as its one
+# FAILED line
 
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
@@ -519,28 +530,6 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
     return outs
 
 
-def _fan_out(tasks, jobs):
-    """Results of picklable callables, in order, run inline or in workers."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn() for fn in tasks]
-    # imported here, not with the module: its import chain costs about
-    # 20 ms and 1.5 MB that a command run inline need not pay
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
-        return [f.result() for f in [ex.submit(fn) for fn in tasks]]
-
-
-def _batches(jobs, *columns):
-    """Lists of equal length, one entry per run (seeds, starts, ...), cut
-    into min(jobs, runs) contiguous batches of near-equal size, as tuples
-    with one slice of each list."""
-    runs = len(columns[0])
-    n = min(jobs, runs)
-    cuts = [runs * i // n for i in range(n + 1)]
-    return [tuple(c[a:b] for c in columns)
-            for a, b in zip(cuts[:-1], cuts[1:])]
-
-
 def _tally(runs):
     """(completed runs, runs that hit the target, their seconds, final eps_rel)."""
     completed = [r for r in runs if r["ok"]]
@@ -555,7 +544,7 @@ def _tally(runs):
 # commands
 
 
-def cmd_run(cfg, out_dir, jobs):
+def cmd_run(cfg, out_dir):
     """One SiPBA run per seed: a diagnostics CSV per run and a summary CSV."""
     seeds, starts, kw = _run_settings(cfg)
     target_eps = kw["target_eps"]
@@ -563,9 +552,7 @@ def cmd_run(cfg, out_dir, jobs):
         raise ConfigError("run.stop_at_target needs run.target_eps_rel",
                           _line(_get(cfg, "run"), "stop_at_target"))
     sp = build_schedule(cfg)
-    batches = _fan_out([partial(_run_batch, sp, ss, sts, out_dir=out_dir, **kw)
-                        for ss, sts in _batches(jobs, seeds, starts)], jobs)
-    ordered = [r for batch in batches for r in batch]
+    ordered = _run_batch(sp, seeds, starts, out_dir=out_dir, **kw)
 
     for s, r in zip(seeds, ordered):
         if r["ok"]:
@@ -597,9 +584,8 @@ def cmd_run(cfg, out_dir, jobs):
     return 0 if completed else 2
 
 
-def cmd_ablate(cfg, out_dir, jobs):
-    """Grid of schedule overrides: a time-to-target table; --jobs cuts the
-    (grid row, seed) runs into contiguous batches."""
+def cmd_ablate(cfg, out_dir):
+    """Grid of schedule overrides: a time-to-target table."""
     ab = _get(cfg, "ablate")
     grid = _get(ab, "ablate.grid")
     max_iter = _get(ab, "ablate.max_iter")
@@ -610,14 +596,11 @@ def cmd_ablate(cfg, out_dir, jobs):
                           "runs are timed to",
                           _line(_get(cfg, "run"), "target_eps_rel"))
 
-    # every (grid row, seed) run, grid row after grid row
+    # every (grid row, seed) run, grid row after grid row, as one batch
     n = len(seeds)
-    per_run = ([sp for sp in schedules for _ in seeds], seeds * len(grid),
-               starts * len(grid))
-    batches = _fan_out([partial(_run_batch, sps, ss, sts, out_dir=out_dir,
-                                write_rows=False, **kw)
-                        for sps, ss, sts in _batches(jobs, *per_run)], jobs)
-    ordered = [r for batch in batches for r in batch]
+    ordered = _run_batch([sp for sp in schedules for _ in seeds],
+                         seeds * len(grid), starts * len(grid),
+                         out_dir=out_dir, write_rows=False, **kw)
 
     table = []
     for i, sp in enumerate(schedules):
@@ -745,7 +728,7 @@ def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
     return out
 
 
-def cmd_compare(cfg, out_dir, jobs):
+def cmd_compare(cfg, out_dir):
     """SiPBA vs the double-loop baseline at an equal gradient budget."""
     seeds, starts, rc, bundle, stride = _runs(cfg)
     cc = _get(cfg, "compare")
@@ -757,9 +740,9 @@ def cmd_compare(cfg, out_dir, jobs):
     sp = build_schedule(cfg)
     sp_base = _schedule(cfg, _get(cc, "compare.baseline_schedule"),
                         "compare.baseline_schedule")
-    ordered = _fan_out([partial(_compare_single, sp, s, st, bundle, out_dir,
-                                sp_base, stride, budget, inner_tol)
-                        for s, st in zip(seeds, starts)], jobs)
+    ordered = [_compare_single(sp, s, st, bundle, out_dir, sp_base, stride,
+                               budget, inner_tol)
+               for s, st in zip(seeds, starts)]
     for s, r in zip(seeds, ordered):
         if r["ok"]:
             print("run %d: %s  sipba %.6e (%d evals)  baseline %.6e (%d evals)"
@@ -832,16 +815,6 @@ def cmd_asymptotics(cfg, out_dir):
 # entry point
 
 
-def _jobs(text):
-    """The --jobs value: an integer >= 1."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sipba",
@@ -854,15 +827,18 @@ def main(argv=None):
         p = sub.add_parser(name, help=handler.__doc__)
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON config path")
-        if name in ("run", "ablate", "compare"):  # the commands that fan out
-            p.add_argument("--jobs", type=_jobs, default=1,
-                           help="parallel runs (default 1)")
+        if name in ("run", "ablate", "compare"):  # callers may pass --jobs 1
+            p.add_argument("--jobs", default="1", help=argparse.SUPPRESS)
         p.add_argument("--out", default=None,
                        help="output directory (overrides config out_dir)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    if getattr(args, "jobs", "1") != "1":
+        print("sipba %s: error: --jobs must be 1, got %r: every command runs "
+              "in one process" % (args.command, args.jobs), file=sys.stderr)
+        return 1
 
     try:
         cfg, _ = load_config(args.config)
@@ -878,8 +854,7 @@ def main(argv=None):
             print("sipba %s: error: --out %s" % (args.command, what),
                   file=sys.stderr)
             return 1
-        jobs = {"jobs": args.jobs} if "jobs" in args else {}
-        return args.handler(cfg, out_dir, **jobs)
+        return args.handler(cfg, out_dir)
     except ConfigError as e:
         print("%s:%d: %s" % (args.config, e.line, e), file=sys.stderr)
         return 1

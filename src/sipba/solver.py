@@ -35,6 +35,7 @@ is decided in one place, and one helper drops the rows that ended.
 """
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -51,6 +52,16 @@ from .errors import (
 from .problem import GRADIENTS, _as_vector, rowwise_gradients
 from .smoothing import direction_x, direction_y, direction_z
 from .saddle import default_start, estimate_T_lipschitz, solve_saddle
+
+
+def _caller_level():
+    """The stacklevel at which a warning issued by this function's caller
+    names the first frame outside this module: the line that built a
+    schedule, through the generated __init__ or guideline."""
+    level, f = 1, sys._getframe(1)
+    while f.f_back is not None and f.f_globals is globals():
+        level, f = level + 1, f.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -85,13 +96,13 @@ class ScheduleParams:
             warnings.warn(
                 "schedule exponents outside the guaranteed regime "
                 "(0<p<1, 0<q<1, 0<s<1/2)",
-                stacklevel=3,  # the caller of the generated __init__
+                stacklevel=_caller_level(),
             )
         elif self.s < 8.0 * (self.p + self.q):
             warnings.warn(
                 "s=%g < 8(p+q)=%g: outside the guaranteed-rate regime"
                 % (self.s, 8.0 * (self.p + self.q)),
-                stacklevel=3,  # the caller of the generated __init__
+                stacklevel=_caller_level(),
             )
 
     @classmethod

@@ -1,7 +1,5 @@
-import concurrent.futures
 import csv
 import json
-import multiprocessing
 import os
 import pickle
 import re
@@ -30,10 +28,22 @@ def key_line(cfgp, dotted):
     return found + 1
 
 
+# the regime warning a schedule with q = 400 gets
+REGIME = ("schedule exponents outside the guaranteed regime "
+          "(0<p<1, 0<q<1, 0<s<1/2)")
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def with_starts(cfg, starts):
+    """cfg with run.seeds naming `starts` runs: one start, stepped as
+    vectors, or a batch of two."""
+    cfg["run"]["seeds"] = {"base": 5, "count": starts}
+    return cfg
 
 
 def synthetic_cfg(**over):
@@ -192,15 +202,16 @@ def test_config_error_reporting(tmp_path, capsys):
     assert "nosuch" in err and ":3:" in err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_init_length_error_exits_cleanly(tmp_path, jobs):
-    cfg = synthetic_cfg()
+@pytest.mark.parametrize("starts", [1, 2])
+def test_init_length_error_exits_cleanly(tmp_path, starts):
+    # with two seeds the init is wrong twice; its first error is reported
+    cfg = with_starts(synthetic_cfg(), starts)
     cfg["run"]["init"] = {"x0": [2.0, 2.0, 2.0], "y0": [1.0, 1.0]}
     cfgp = write_cfg(tmp_path, cfg)
     line = next(i for i, text in enumerate(open(cfgp), 1) if '"x0"' in text)
     proc = subprocess.run(
         [sys.executable, "-m", "sipba.cli", "run", "--config", cfgp,
-         "--jobs", jobs, "--out", str(tmp_path / "out")],
+         "--out", str(tmp_path / "out")],
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("%s:%d: " % (cfgp, line)), proc.stderr
@@ -222,9 +233,14 @@ def test_argparse_exit_codes(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["frobnicate", "--config", "x"]) == 1
     capsys.readouterr()
-    for jobs in ("0", "-3"):  # --jobs counts worker processes
-        assert cli.main(["run", "--config", "x", "--jobs", jobs]) == 1
-        assert "--jobs: must be an integer >= 1" in capsys.readouterr().err
+    # every command runs in one process, so --jobs takes only 1; it is
+    # checked before the config is read
+    for cmd in ("run", "ablate", "compare"):
+        for jobs in ("0", "-3", "2", str(10**20)):
+            assert cli.main([cmd, "--config", "x", "--jobs", jobs]) == 1
+            assert capsys.readouterr().err == (
+                "sipba %s: error: --jobs must be 1, got %r: every command "
+                "runs in one process\n" % (cmd, jobs))
 
 
 def test_fmt_round_trips_doubles():
@@ -257,19 +273,38 @@ def test_ablate_reports_each_failed_run(tmp_path, capsys):
     cfg["run"]["target_eps_rel"] = 1e-4
     cfg["ablate"] = {"grid": [{}, {"q": 400.0}], "max_iter": 50}
     cfgp = write_cfg(tmp_path, cfg)
-    with pytest.warns(UserWarning, match="guaranteed regime"):
-        code = cli.main(["ablate", "--config", cfgp, "--out",
-                         str(tmp_path / "out")])
+    code = cli.main(["ablate", "--config", cfgp, "--out",
+                     str(tmp_path / "out")])
     assert code == 0  # row 0's runs completed
     why = ("schedule left the float range at k=7: rho_k=%r, sigma_k=0.0"
            % (10.0 * 7.0**0.001))
-    lines = capsys.readouterr().out.splitlines()
+    out, err = capsys.readouterr()
+    # grid row 1's q is out of the regime: one warning, on that row's line
+    assert err == "%s:%d: warning: %s\n" % (
+        cfgp, key_line(cfgp, "ablate.grid.q"), REGIME)
+    lines = out.splitlines()
     assert lines[0].startswith("row  0: ") and "valid 0/2" in lines[0]
     assert lines[1].startswith("row  1: ") and "valid 0/2" in lines[1]
     assert lines[2:] == ["row 1 seed %d: FAILED (%s)" % (s, why)
                          for s in (5, 6)]
     header, rows = read_csv(tmp_path / "out" / "ablation.csv")
     assert header == cli.ABLATE_COLUMNS and len(rows) == 2
+
+
+def test_regime_warning_is_one_line_on_its_config_line(tmp_path):
+    # it once named the line of cli.py that built the schedule, and echoed
+    # that source line
+    cfg = synthetic_cfg(problem={"kind": "synthetic", "n": 5})
+    cfg["run"]["target_eps_rel"] = 1e-4
+    cfg["ablate"] = {"grid": [{}, {"q": 400.0}], "max_iter": 50}
+    cfgp = write_cfg(tmp_path, cfg)
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "sipba.cli", "ablate",
+         "--config", cfgp, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == "%s:%d: warning: %s\n" % (
+        cfgp, key_line(cfgp, "ablate.grid.q"), REGIME)
 
 
 def test_ablate_rejects_unknown_override(tmp_path):
@@ -412,17 +447,21 @@ def test_compare_diverged_baseline_is_a_failed_run(tmp_path, capsys):
     assert all(r[6] != "nan" for r in rows)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_failed_run_stderr_has_no_numpy_warnings(tmp_path, jobs):
+@pytest.mark.parametrize("starts", [1, 2])
+def test_failed_run_stderr_has_no_numpy_warnings(tmp_path, starts):
     # in a fresh interpreter with numpy's default error handling, the
-    # FAILED line is the whole report
+    # FAILED lines are the whole report
+    cfg = dict(DIVERGING_BASELINE,
+               run=dict(DIVERGING_BASELINE["run"], seeds=[42, 43][:starts]))
     proc = subprocess.run(
         [sys.executable, "-m", "sipba.cli", "compare", "--config",
-         write_cfg(tmp_path, DIVERGING_BASELINE), "--jobs", jobs, "--out",
-         str(tmp_path / "out")],
+         write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
         capture_output=True, text=True)
     assert proc.returncode == 2
-    assert proc.stdout.startswith("run 42: FAILED (baseline: ")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == starts
+    assert all(text.startswith("run %d: FAILED (baseline: " % s)
+               for s, text in zip((42, 43), lines))
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
@@ -468,20 +507,20 @@ def test_console_script_entry_point(tmp_path):
     assert (out / "run_5.csv").exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("starts", [1, 2])
 @pytest.mark.parametrize("cmd, case, value", [
     ("run", "run.stride", 0), ("run", "run.max_iter", -1),
     ("ablate", "ablate.max_iter", -1), ("compare", "compare.budget", 5),
     ("run", "problem.n", 1)])
-def test_out_of_range_counts_exit_cleanly(tmp_path, cmd, case, value, jobs):
-    cfg = synthetic_cfg(ablate={"grid": [{}]})
+def test_out_of_range_counts_exit_cleanly(tmp_path, cmd, case, value, starts):
+    cfg = with_starts(synthetic_cfg(ablate={"grid": [{}]}), starts)
     section, key = case.split(".")
     cfg.setdefault(section, {})[key] = value
     cfgp = write_cfg(tmp_path, cfg)
     line = key_line(cfgp, case)
     proc = subprocess.run(
         [sys.executable, "-m", "sipba.cli", cmd, "--config", cfgp,
-         "--jobs", jobs, "--out", str(tmp_path / "out")],
+         "--out", str(tmp_path / "out")],
         capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("%s:%d: %s must be >= " % (cfgp, line, case)), \
@@ -495,25 +534,36 @@ def test_schedule_underflow_fails_the_run(tmp_path, capsys):
     cfg["schedule"]["q"] = 400.0
     cfg["run"]["max_iter"] = 20
     cfgp = write_cfg(tmp_path, cfg)
+    warning = "%s:%d: warning: %s\n" % (cfgp, key_line(cfgp, "schedule"),
+                                        REGIME)
     for cmd in ("run", "compare"):
-        with pytest.warns(UserWarning, match="regime"):
-            code = cli.main([cmd, "--config", cfgp,
-                             "--out", str(tmp_path / cmd)])
+        code = cli.main([cmd, "--config", cfgp, "--out", str(tmp_path / cmd)])
         assert code == 2
-        out = capsys.readouterr().out.splitlines()
+        out, err = capsys.readouterr()
+        # compare builds two schedules from the block, its own and the
+        # baseline's, and warns once
+        assert err == warning
+        out = out.splitlines()
         for seed, text in zip((5, 6), out):
             assert text.startswith("run %d: FAILED (" % seed), text
             assert "k=7" in text and "sigma_k=0.0" in text
+    # ablate's grid rows both take q from the block: one warning too
+    cfg["ablate"] = {"grid": [{}, {"alpha0": 0.05}], "max_iter": 20}
+    cfgp = write_cfg(tmp_path, cfg)
+    cli.main(["ablate", "--config", cfgp, "--out", str(tmp_path / "ablate")])
+    assert capsys.readouterr().err == warning
     # the double-loop arm of compare fails the same way
     cfg["schedule"]["q"] = 0.001
     cfg["compare"] = {"budget": 3000, "inner_tol": 0.1,
                       "baseline_schedule": {"q": 400.0}}
     cfgp = write_cfg(tmp_path, cfg)
-    with pytest.warns(UserWarning, match="regime"):
-        code = cli.main(["compare", "--config", cfgp,
-                         "--out", str(tmp_path / "baseline")])
+    code = cli.main(["compare", "--config", cfgp,
+                     "--out", str(tmp_path / "baseline")])
     assert code == 2
-    out = capsys.readouterr().out.splitlines()
+    out, err = capsys.readouterr()
+    assert err == "%s:%d: warning: %s\n" % (
+        cfgp, key_line(cfgp, "compare.baseline_schedule.q"), REGIME)
+    out = out.splitlines()
     assert out[0].startswith("run 5: FAILED (baseline: schedule left"), out
     assert "k=7" in out[0]
 
@@ -549,9 +599,15 @@ def test_asymptotics_and_gradcheck_values_checked_at_the_boundary(
     assert proc.stdout == ""  # rejected before any report is printed
 
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise RuntimeError("a worker pool was started")
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Makes a run of run, ablate or compare raise: a config error must be
+    reported before the first one starts."""
+    def reached(*args, **kwargs):
+        raise RuntimeError("a run was started")
+
+    monkeypatch.setattr(cli, "_run_batch", reached)
+    monkeypatch.setattr(cli, "_compare_single", reached)
 
 
 @pytest.mark.parametrize("cmd, patch, key, message", [
@@ -591,21 +647,20 @@ class _NoPool:
 ], ids=["stride", "init", "target", "budget", "override", "baseline",
         "run-key", "init-key", "compare-key", "problem-key", "gradcheck-key",
         "asymptotics-key", "seeds-key", "ablate-key", "top-level-key"])
-def test_bad_config_never_reaches_the_pool(tmp_path, monkeypatch, capsys,
+def test_bad_config_never_reaches_the_pool(tmp_path, no_runs, capsys,
                                            cmd, patch, key, message):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    # two grid rows of two seeds: ablate cuts its four runs into two
-    # batches at --jobs 2
+    # the name predates the deletion of the process pool: a bad config is
+    # rejected before any run starts
     cfg = synthetic_cfg(ablate={"grid": [{}, {"alpha0": 0.05}], "max_iter": 10})
-    # the patch is live: a good config at --jobs 2 does start a pool
-    with pytest.raises(RuntimeError, match="worker pool"):
+    # the patch is live: a good config does start a run
+    with pytest.raises(RuntimeError, match="a run was started"):
         cli.main([cmd, "--config", write_cfg(tmp_path, cfg, "good.json"),
-                  "--jobs", "2", "--out", str(tmp_path / "good")])
+                  "--out", str(tmp_path / "good")])
     capsys.readouterr()
     for section, values in patch.items():
         cfg.setdefault(section, {}).update(values)
     cfgp = write_cfg(tmp_path, cfg)
-    assert cli.main([cmd, "--config", cfgp, "--jobs", "2",
+    assert cli.main([cmd, "--config", cfgp,
                      "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert err == "%s:%d: %s\n" % (cfgp, key_line(cfgp, key), message)
@@ -666,14 +721,16 @@ def test_missing_key_error_is_on_its_blocks_line(tmp_path, capsys,
 HYPER_REP = {"kind": "hyper_rep", "n_feat": 3, "p_dim": 2, "m1": 5, "m2": 5,
              "m_test": 5, "noise_a": 0.1, "data_seed": 1}
 NAN, INF = float("nan"), float("inf")
-FAN_OUT = ("run", "ablate", "compare")
+RUNS = ("run", "ablate", "compare")  # the commands that step starts
 
 
-def bad_cfg(key, value):
-    """A small valid config for every command, with one dotted key set."""
+def bad_cfg(key, value, starts=2):
+    """A small valid config for every command, with `starts` seeds and one
+    dotted key set."""
     cfg = synthetic_cfg(ablate={"grid": [{}], "max_iter": 10},
                         compare={"budget": 60}, gradcheck={"n_points": 2},
                         asymptotics={"rho_list": [10.0], "sigma_list": [0.1]})
+    with_starts(cfg, starts)
     if key.startswith("problem."):
         cfg["problem"] = dict(HYPER_REP)
         del cfg["run"]["target_eps_rel"]
@@ -689,16 +746,16 @@ def bad_cfg(key, value):
     return cfg
 
 
-@pytest.mark.parametrize("cmd, key, value, jobs", [
-    (cmd, key, value, jobs)
+@pytest.mark.parametrize("cmd, key, value, starts", [
+    (cmd, key, value, starts)
     for cmds, key, value in [
-        (FAN_OUT, "run.init.x0", ["a", 1]),
-        (FAN_OUT, "run.init.y0", [1.0, NAN]),
-        (FAN_OUT, "run.init.z0", "ab"),
-        (FAN_OUT, "problem.noise_a", -0.1),
-        (FAN_OUT, "problem.data_seed", -1),
-        (FAN_OUT, "run.seeds", [3, -1]),
-        (FAN_OUT, "run.seeds.base", -2),
+        (RUNS, "run.init.x0", ["a", 1]),
+        (RUNS, "run.init.y0", [1.0, NAN]),
+        (RUNS, "run.init.z0", "ab"),
+        (RUNS, "problem.noise_a", -0.1),
+        (RUNS, "problem.data_seed", -1),
+        (RUNS, "run.seeds", [3, -1]),
+        (RUNS, "run.seeds.base", -2),
         (("run", "ablate"), "run.oracle_tol", -1),
         (("run", "ablate"), "run.target_eps_rel", INF),
         (("compare",), "compare.baseline_schedule", 5),
@@ -714,15 +771,15 @@ def bad_cfg(key, value):
         (("asymptotics",), "asymptotics.slack", -1),
         (("asymptotics",), "asymptotics.diag_slack", -1e-9),
     ] for cmd in cmds
-    for jobs in (("1", "2") if cmd in FAN_OUT else (None,))])
+    # one start, stepped as vectors, and a batch of two
+    for starts in ((1, 2) if cmd in RUNS else (None,))])
 def test_bad_values_are_config_errors_on_their_line(tmp_path, cmd, key,
-                                                    value, jobs):
+                                                    value, starts):
     # each of these was a traceback or a failed run with exit 2 or 3
-    cfgp = write_cfg(tmp_path, bad_cfg(key, value))
-    argv = [sys.executable, "-m", "sipba.cli", cmd, "--config", cfgp,
-            "--out", str(tmp_path / "out")]
-    proc = subprocess.run(argv + (["--jobs", jobs] if jobs else []),
-                          capture_output=True, text=True)
+    cfgp = write_cfg(tmp_path, bad_cfg(key, value, starts or 2))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sipba.cli", cmd, "--config", cfgp,
+         "--out", str(tmp_path / "out")], capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("%s:%d: %s must be "
                                   % (cfgp, key_line(cfgp, key), key)), \
@@ -769,28 +826,41 @@ def outputs(out_dir):
     return got
 
 
+def masked(text):
+    """Printed lines with their seconds, wall-clock readings, masked."""
+    return re.sub(r"\d+\.\d+(?= s\b| \+-)", "T", text).splitlines()
+
+
 @pytest.mark.parametrize("cmd, kind", [
-    (cmd, kind) for cmd in FAN_OUT for kind in sorted(PROBLEMS)
-    if cmd != "ablate" or kind == "synthetic"])  # ablate needs a target
-def test_jobs_flag_matches_serial_output(tmp_path, capsys, cmd, kind):
-    cfgp = write_cfg(tmp_path, small_cfg(kind))
-    printed = []
-    for jobs in ("1", "2"):
-        assert cli.main([cmd, "--config", cfgp, "--jobs", jobs,
-                         "--out", str(tmp_path / jobs)]) == 0
-        # the printed seconds are wall-clock readings too
-        printed.append(re.sub(r"\d+\.\d+(?= s\b| \+-)", "T",
-                              capsys.readouterr().out))
-    assert outputs(tmp_path / "1") == outputs(tmp_path / "2")
-    assert printed[0] == printed[1]
-    assert len(outputs(tmp_path / "1")) == {"run": 3, "ablate": 1,
-                                            "compare": 2}[cmd]
+    (cmd, kind) for cmd in ("run", "compare") for kind in sorted(PROBLEMS)])
+def test_one_process_matches_a_process_per_seed(tmp_path, monkeypatch, capsys,
+                                                cmd, kind):
+    # the parallel-seeds recipe: one command per SIPBA_SEED, each with one
+    # seed, writes the runs of one two-seed command; hyper-rep's X^T H memo
+    # must not carry over from one seed's runs to the next
+    cfg = small_cfg(kind)
+    assert cli.main([cmd, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "one")]) == 0
+    together = [text for text in masked(capsys.readouterr().out)
+                if text.startswith("run ")]  # run's summary lines span seeds
+    cfg["run"]["seeds"]["count"] = 1
+    cfgp = write_cfg(tmp_path, cfg, "seed.json")
+    apart = []
+    for seed in (5, 6):
+        monkeypatch.setenv("SIPBA_SEED", str(seed))
+        assert cli.main([cmd, "--config", cfgp,
+                         "--out", str(tmp_path / str(seed))]) == 0
+        apart += masked(capsys.readouterr().out)[:1]
+    assert together == apart and len(apart) == 2
+    for seed in (5, 6):
+        name = "%s_%d.csv" % (cmd, seed)
+        got = outputs(tmp_path / str(seed))[name]
+        assert got == outputs(tmp_path / "one")[name] and len(got) > 2
 
 
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
 def test_built_problem_pickles(kind):
-    bundle = cli.build_problem({"problem": PROBLEMS[kind]})
-    prob = bundle.problem
+    prob = cli.build_problem({"problem": PROBLEMS[kind]}).problem
     names = ("F", "f", "grad_F_x", "grad_F_y", "grad_f_x", "grad_f_y")
     rng = np.random.default_rng(3)
     # one call each first: the copy carries whatever the callables keep
@@ -799,55 +869,37 @@ def test_built_problem_pickles(kind):
     y = rng.uniform(0.2, 3.0, prob.n_y)
     for name in names:
         getattr(prob, name)(x, y)
-    copy = pickle.loads(pickle.dumps(bundle))
-    prob2 = copy.problem
+    prob2 = pickle.loads(pickle.dumps(prob))
     for _ in range(5):
         x = rng.uniform(0.2, 3.0, prob.n_x)
         y = rng.uniform(0.2, 3.0, prob.n_y)
         for name in names:
             a, b = getattr(prob, name)(x, y), getattr(prob2, name)(x, y)
             assert np.array_equal(a, b) and type(a) is type(b), name
-        if bundle.metric is not None:
-            assert bundle.metric(x, y) == copy.metric(x, y)
-        den, den2 = bundle.eps_den(2 * x, 2 * y), copy.eps_den(2 * x, 2 * y)
-        assert den == den2
-        assert bundle.eps_rel(x, y, den) == copy.eps_rel(x, y, den2)
-    draws = [b.sample_init(np.random.Generator(np.random.Philox(11)))
-             for b in (bundle, copy)]
-    assert all(np.array_equal(a, b) for a, b in zip(*draws))
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("cmd", FAN_OUT)
-def test_problem_is_built_once_per_command(tmp_path, monkeypatch, cmd, jobs):
-    # the counter lives in shared memory, so builds in workers count too
-    count = multiprocessing.Value("i", 0)
-    build = cli.build_problem
-
-    def counting_build(cfg):
-        with count.get_lock():
-            count.value += 1
-        return build(cfg)
-
-    monkeypatch.setattr(cli, "build_problem", counting_build)
-    cfgp = write_cfg(tmp_path, small_cfg("synthetic"))
-    assert cli.main([cmd, "--config", cfgp, "--jobs", jobs,
+@pytest.mark.parametrize("starts", [1, 2])
+@pytest.mark.parametrize("cmd", RUNS)
+def test_problem_is_built_once_per_command(tmp_path, monkeypatch, cmd, starts):
+    build = Counting(cli.build_problem)
+    monkeypatch.setattr(cli, "build_problem", build)
+    cfgp = write_cfg(tmp_path, with_starts(small_cfg("synthetic"), starts))
+    assert cli.main([cmd, "--config", cfgp,
                      "--out", str(tmp_path / "out")]) == 0
-    assert count.value == 1
+    assert build.calls == 1
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("cmd", FAN_OUT)
+@pytest.mark.parametrize("starts", [1, 2])
+@pytest.mark.parametrize("cmd", RUNS)
 def test_init_projected_onto_the_optimum_is_a_config_error(
-        tmp_path, monkeypatch, capsys, cmd, jobs):
+        tmp_path, no_runs, capsys, cmd, starts):
     # y0 = 0 projects onto y* = e / (2 sqrt 2), and x0 is x*: eps_rel would
-    # divide by zero in every run
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    cfg = small_cfg("synthetic")
+    # divide by zero in every run; two seeds would also repeat the start
+    cfg = with_starts(small_cfg("synthetic"), starts)
     cfg["problem"]["n"] = 2
     cfg["run"]["init"] = {"x0": [0.5, 0.5], "y0": [0.0, 0.0]}
     cfgp = write_cfg(tmp_path, cfg)
-    assert cli.main([cmd, "--config", cfgp, "--jobs", jobs,
+    assert cli.main([cmd, "--config", cfgp,
                      "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert err == ("%s:%d: run.init projects onto the known optimum (x*, y*)\n"
@@ -855,62 +907,50 @@ def test_init_projected_onto_the_optimum_is_a_config_error(
     assert out == ""
 
 
-class CountingDraw:
-    """A sample_init that logs each call to a file, in any process."""
-
-    def __init__(self, draw, log):
-        self.draw, self.log = draw, log
-
-    def __call__(self, rng):
-        with open(self.log, "a", encoding="utf-8") as fh:
-            fh.write("draw\n")
-        return self.draw(rng)
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_each_start_is_drawn_once_per_seed(tmp_path, monkeypatch, jobs):
-    # 2 grid rows x 2 seeds run 4 tasks from 2 starts
-    log = tmp_path / "draws.log"
-    build = cli.build_problem
+@pytest.mark.parametrize("starts", [1, 2])
+def test_each_start_is_drawn_once_per_seed(tmp_path, monkeypatch, starts):
+    # 2 grid rows x `starts` seeds run 2 * starts runs from `starts` starts
+    build, draws = cli.build_problem, []
 
     def counting_build(cfg):
         bundle = build(cfg)
-        bundle.sample_init = CountingDraw(bundle.sample_init, str(log))
+        draws.append(Counting(bundle.sample_init))
+        bundle.sample_init = draws[-1]
         return bundle
 
     monkeypatch.setattr(cli, "build_problem", counting_build)
-    cfgp = write_cfg(tmp_path, small_cfg("synthetic"))
-    assert cli.main(["ablate", "--config", cfgp, "--jobs", jobs,
+    cfgp = write_cfg(tmp_path, with_starts(small_cfg("synthetic"), starts))
+    assert cli.main(["ablate", "--config", cfgp,
                      "--out", str(tmp_path / "out")]) == 0
-    assert log.read_text(encoding="utf-8").count("draw") == 2
+    assert [d.calls for d in draws] == [starts]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("cmd", FAN_OUT)
-def test_init_with_several_seeds_is_a_config_error(tmp_path, monkeypatch,
-                                                   capsys, cmd, jobs):
-    # a fixed start makes every seed the same run
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    cfg = small_cfg("synthetic")
+@pytest.mark.parametrize("extra", [1, 2])
+@pytest.mark.parametrize("cmd", RUNS)
+def test_init_with_several_seeds_is_a_config_error(tmp_path, no_runs, capsys,
+                                                   cmd, extra):
+    # a fixed start makes every seed the same run: one or two seeds more
+    # than the one run.init names
+    cfg = with_starts(small_cfg("synthetic"), 1 + extra)
     cfg["run"]["init"] = {"x0": [1.0, 1.0, 1.0], "y0": [1.0, 1.0, 1.0]}
     cfgp = write_cfg(tmp_path, cfg)
-    assert cli.main([cmd, "--config", cfgp, "--jobs", jobs,
+    assert cli.main([cmd, "--config", cfgp,
                      "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert err == ("%s:%d: run.init fixes the start, so run.seeds must name "
-                   "one run, got 2\n" % (cfgp, key_line(cfgp, "run.init")))
+                   "one run, got %d\n" % (cfgp, key_line(cfgp, "run.init"),
+                                          1 + extra))
     assert out == ""
 
 
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
-def test_ablate_without_a_target_is_a_config_error(tmp_path, monkeypatch,
+def test_ablate_without_a_target_is_a_config_error(tmp_path, no_runs,
                                                    capsys, kind):
     # its table would time every run to a target it has not got
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     cfg = small_cfg(kind)
     cfg["run"].pop("target_eps_rel", None)
     cfgp = write_cfg(tmp_path, cfg)
-    assert cli.main(["ablate", "--config", cfgp, "--jobs", "2",
+    assert cli.main(["ablate", "--config", cfgp,
                      "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert err == ("%s:%d: ablate needs run.target_eps_rel, the eps_rel its "
@@ -938,38 +978,6 @@ def test_stop_at_target_without_a_target_is_a_config_error(tmp_path, capsys,
     assert capsys.readouterr()[1].startswith(
         "%s:%d: ablate needs run.target_eps_rel" % (cfgp,
                                                     key_line(cfgp, "run")))
-
-
-class _InlinePool:
-    """A ProcessPoolExecutor stand-in that records its max_workers and runs
-    each submitted task at once, in this process."""
-    max_workers = []
-
-    def __init__(self, max_workers=None):
-        self.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn):
-        fut = concurrent.futures.Future()
-        fut.set_result(fn())
-        return fut
-
-
-def test_pool_is_sized_by_its_tasks(tmp_path, monkeypatch):
-    # --jobs beyond the runs once reached the pool as is: a value too large
-    # for a C int failed in the pool's semaphore with a traceback
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _InlinePool)
-    monkeypatch.setattr(_InlinePool, "max_workers", [])
-    cfgp = write_cfg(tmp_path, synthetic_cfg())  # two seeds
-    assert cli.main(["run", "--config", cfgp, "--jobs", str(10**20),
-                     "--out", str(tmp_path / "out")]) == 0
-    assert _InlinePool.max_workers == [2]
 
 
 def test_run_line_has_no_empty_parts(tmp_path, capsys):
@@ -1084,8 +1092,8 @@ def test_relative_error_runs_once_per_step_and_row_its_denominator_once(
     assert cli.main([cmd, "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == 0
     if cmd == "ablate":
-        # one batch of both grid rows at --jobs 1; every row stops at its
-        # target: one target call per batched step
+        # one batch of both grid rows; every row stops at its target: one
+        # target call per batched step
         assert den.calls == 1
         assert rel.calls == step.calls + 2 * 3
         return

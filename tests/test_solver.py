@@ -49,18 +49,21 @@ def test_schedule_validation_and_warnings():
 
 
 def test_schedule_warnings_point_at_the_caller():
-    # both regime warnings name the line that built the schedule, not the
-    # dataclass-generated __init__
+    # both regime warnings, from either constructor, name the line that
+    # built the schedule, not the dataclass-generated __init__ or guideline
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         ScheduleParams(alpha0=1.0, beta0=1.0, rho0=1.0, sigma0=1.0,
                        p=0.1, q=0.1, s=0.5)
         ScheduleParams(alpha0=1.0, beta0=1.0, rho0=1.0, sigma0=1.0,
                        p=0.1, q=0.1, s=0.4)
-    assert len(seen) == 2
+        ScheduleParams.guideline(alpha0=1.0, beta0=1.0, sigma0=1.0,
+                                 p=0.1, q=0.1)  # s = 1.6
+    assert len(seen) == 3
     assert "guaranteed regime" in str(seen[0].message)
     assert "guaranteed-rate regime" in str(seen[1].message)
-    assert [w.filename for w in seen] == [__file__] * 2
+    assert "guaranteed regime" in str(seen[2].message)
+    assert [w.filename for w in seen] == [__file__] * 3
 
 
 def test_schedule_guideline_and_merit_exponent():
