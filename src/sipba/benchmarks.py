@@ -2,8 +2,7 @@
 
 Three families, whose callables are module-level functions bound to their data
 with functools.partial, or bound methods of a module-level class, so a built
-problem pickles as it is, for a caller that hands it to another process (the
-command line runs each command in one process):
+problem pickles as it is:
 
 * quadratic_testbed: scalar F = -(y-x)^2, f = (y-x)^2, everything
   unconstrained. The saddle of the regularized objective solves a 2x2

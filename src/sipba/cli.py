@@ -93,8 +93,11 @@ CONFIG_KEYS = {
     "problem.data_seed": ("int", _MISSING, 0),
     "schedule": ("dict", {}, None),
     "schedule.guideline": ("bool", False, None),
-    **{"schedule." + k: ("num", None, None) for k in SCHEDULE_FIELDS},
-    "schedule.rho_cap": ("num", 1e12, None),
+    **{"schedule." + k: ("pos", None, None)
+       for k in ("alpha0", "beta0", "rho0", "sigma0")},
+    **{"schedule." + k: ("num", None, 0) for k in ("p", "q", "s")},
+    "schedule.t_exp": ("num", None, None),
+    "schedule.rho_cap": ("pos", 1e12, None),
     "run": ("dict", {}, None),
     "run.seeds": ("dict", {"base": 0, "count": 1}, None),
     "run.seeds.base": ("int", _MISSING, 0),
@@ -168,6 +171,10 @@ def load_config(path):
             raw = fh.read()
     except OSError as e:
         raise ConfigError("cannot read config: %s" % e, line=1)
+    except UnicodeDecodeError as e:  # at the line of the byte
+        raise ConfigError("config is not UTF-8: byte 0x%02x (%s)" % (
+            e.object[e.start], e.reason),
+            line=e.object.count(b"\n", 0, e.start) + 1) from None
     # each object's line and key lines, in the order its closing brace
     # comes, which is the order json.loads builds the objects in
     opened, closed, line = [], [], 1
@@ -288,7 +295,8 @@ def _schedule(cfg, overrides, where):
             raise ConfigError("unknown schedule override %r" % k,
                               _line(overrides, k))
         # a null field keeps the schedule value
-        vals[k] = _get(overrides, "%s.%s" % (where, k), "num", vals[k], None)
+        kind, _, low = CONFIG_KEYS["schedule." + k]
+        vals[k] = _get(overrides, "%s.%s" % (where, k), kind, vals[k], low)
     vals = {k: v for k, v in vals.items() if v is not None}
     if guideline:
         if "s" in vals:
@@ -301,7 +309,10 @@ def _schedule(cfg, overrides, where):
         make = ScheduleParams
     for k in required:  # which fields are required depends on guideline
         if k not in vals:  # nor in sd: _get reports it at sd's line
-            _get(sd, "schedule." + k, "num", _MISSING, None)
+            kind, _, low = CONFIG_KEYS["schedule." + k]
+            _get(sd, "schedule." + k, kind, _MISSING, low)
+    # the table checks each field; what it cannot see is guideline's
+    # s = 8(p+q) overflowing to infinity, which ScheduleParams rejects
     try:
         with warnings.catch_warnings(record=True) as regime:
             warnings.simplefilter("always")
@@ -331,22 +342,18 @@ class ProblemBundle:
         self.metric_name = metric_name
         self.metric = metric            # callable(x, y) -> float
 
-    def eps_den(self, x0, y0):
-        """The relative-error denominator of the start (x0, y0), or of a
-        block of starts, to the known optimum; None without one. Raises
-        ContractViolation for a start at the optimum."""
+    def eps_rel(self, x0, y0):
+        """The relative error to the known optimum from the start (x0, y0),
+        or a block of starts, as a function eps(x, y, rows): rows picks the
+        starts (x, y) is measured from, all of them by default. None without
+        a known optimum. The denominator is formed once, here: a start at
+        the optimum raises ContractViolation."""
         cf = self.closed_form
         if cf is None:
             return None
-        return relative_error_denominator(x0, y0, cf.x_star, cf.y_star)
-
-    def eps_rel(self, x, y, den):
-        """Relative error of (x, y) to the known optimum, den from eps_den;
-        None without one."""
-        cf = self.closed_form
-        if cf is None:
-            return None
-        return relative_error(x, y, cf.x_star, cf.y_star, den)
+        den = relative_error_denominator(x0, y0, cf.x_star, cf.y_star)
+        return lambda x, y, rows=(): relative_error(x, y, cf.x_star,
+                                                     cf.y_star, den[rows])
 
 
 def build_problem(cfg):
@@ -399,7 +406,7 @@ def _runs(cfg):
     """The prologue of run, ablate and compare: (seeds, each seed's projected
     first state, the run block, the built problem, run.stride). A start is
     run.init, which then may name one run only, or else the seed's Philox
-    draw; the tasks take these states as is."""
+    draw."""
     rc = _get(cfg, "run")
     seeds = resolve_seeds(cfg)
     bundle = build_problem(cfg)
@@ -414,7 +421,7 @@ def _runs(cfg):
         st = initial_state(prob, x0, y0, _vector(init, "run.init.z0",
                                                  prob.n_y, "num[]", y0, None))
         try:
-            bundle.eps_den(st.x, st.y)
+            bundle.eps_rel(st.x, st.y)
         except ContractViolation:  # eps_rel divides by the start's distance
             raise ConfigError("run.init projects onto the known optimum "
                               "(x*, y*)", _line(rc, "init")) from None
@@ -464,9 +471,10 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# runs, each with numpy's floating-point warnings off: a run that leaves the
-# float range is caught by the finiteness checks and reported as its one
-# FAILED line
+# runs and oracle solves, each with numpy's floating-point warnings off: a
+# run that leaves the float range is caught by the finiteness checks and
+# reported as its one FAILED line, and an oracle solve that does is caught
+# by its convergence check and reported as one "oracle failure" line
 
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
@@ -475,21 +483,20 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
                oracle_tol, target_eps, stop_at_target, write_rows=True):
     """The runs of seeds from their starts inits under the schedule sp, or
-    a list with one schedule per seed, stepped as one batch: one result
-    dict per seed, and with write_rows its run_<seed>.csv. The
-    relative-error denominator of the starts is formed once, here, and
-    serves the target, the stride rows and the finals."""
+    a list with one schedule per seed, stepped as one batch: run's
+    RunResults and each completed run's final eps_rel (None without a known
+    optimum), and with write_rows each run_<seed>.csv. The relative-error
+    denominator of the starts is formed once, here, and serves the target,
+    the stride rows and the finals."""
     prob = bundle.problem
     sps = sp if isinstance(sp, list) else [sp] * len(seeds)
-    den = bundle.eps_den(np.stack([st.x for st in inits]),
+    eps = bundle.eps_rel(np.stack([st.x for st in inits]),
                          np.stack([st.y for st in inits]))
-    if den is None:  # no known optimum: every eps_rel is None
-        den = [None] * len(inits)
 
     target = None
     if target_eps is not None:
         def target(rows, st):
-            return bundle.eps_rel(st.x, st.y, den[rows]) < target_eps
+            return eps(st.x, st.y, rows) < target_eps
 
     # each run's CSV rows, 7 floats a row (k, time_s, phi_k, ..., merit) in
     # one flat array: a batch holds all its runs' rows until it ends, and as
@@ -504,40 +511,32 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
         phi_min[i] = min(phi_min[i], sn.phi)
         merit = merit_value(done, sps[i].s, sps[i].t_exp,
                             sn.phi - (phi_min[i] - 1.0), sn.tracking_err)
-        eps = bundle.eps_rel(st.x, st.y, den[i])
-        records[i].extend((done, elapsed, sn.phi, np.nan if eps is None else eps,
+        records[i].extend((done, elapsed, sn.phi,
+                           np.nan if eps is None else eps(st.x, st.y, i),
                            sn.tracking_err, sn.stat_residual, merit))
 
     results = run(prob, sp, inits, max_iter, target=target,
                   stop_at_target=stop_at_target,
                   callback=cb if write_rows else None, callback_stride=stride)
-    outs = []
-    for i, (seed, res, own) in enumerate(zip(seeds, results, records)):
-        if res.error is not None:
-            outs.append({"ok": False, "error": str(res.error)})
-        else:
-            outs.append({"ok": True, "iterations": res.iterations,
-                         "target_iteration": res.target_iteration,
-                         "target_seconds": res.target_seconds,
-                         "final_eps_rel": bundle.eps_rel(
-                             res.state.x, res.state.y, den[i])})
-        if write_rows:
-            known = bundle.closed_form is not None  # else eps_rel stays empty
-            _write_csv(os.path.join(out_dir, "run_%d.csv" % seed), RUN_COLUMNS,
-                       [(seed, int(k), t, phi, eps if known else None, te, sr,
-                         merit) for k, t, phi, eps, te, sr, merit
+    finals = [eps(res.state.x, res.state.y, i)
+              if eps is not None and res.error is None else None
+              for i, res in enumerate(results)]
+    if write_rows:
+        for seed, own in zip(seeds, records):
+            _write_csv(os.path.join(out_dir, "run_%d.csv" % seed),
+                       RUN_COLUMNS,
+                       [(seed, int(k), t, phi, None if eps is None else e, te,
+                         sr, merit) for k, t, phi, e, te, sr, merit
                         in np.reshape(own, (-1, 7)).tolist()])
-    return outs
+    return results, finals
 
 
-def _tally(runs):
+def _tally(results, finals):
     """(completed runs, runs that hit the target, their seconds, final eps_rel)."""
-    completed = [r for r in runs if r["ok"]]
-    valid = [r for r in completed if r["target_iteration"] is not None]
-    times = [r["target_seconds"] for r in valid]
-    finals = [r["final_eps_rel"] for r in completed
-              if r["final_eps_rel"] is not None]
-    return completed, valid, times, finals
+    completed = [r for r in results if r.error is None]
+    valid = [r for r in completed if r.target_iteration is not None]
+    times = [r.target_seconds for r in valid]
+    return completed, valid, times, [e for e in finals if e is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -552,33 +551,32 @@ def cmd_run(cfg, out_dir):
         raise ConfigError("run.stop_at_target needs run.target_eps_rel",
                           _line(_get(cfg, "run"), "stop_at_target"))
     sp = build_schedule(cfg)
-    ordered = _run_batch(sp, seeds, starts, out_dir=out_dir, **kw)
+    results, finals = _run_batch(sp, seeds, starts, out_dir=out_dir, **kw)
 
-    for s, r in zip(seeds, ordered):
-        if r["ok"]:
-            hit = ("target at k=%d (%.3f s)" % (r["target_iteration"],
-                                                r["target_seconds"])
-                   if r["target_iteration"] is not None else "no target hit"
+    for s, r, eps in zip(seeds, results, finals):
+        if r.error is None:
+            hit = ("target at k=%d (%.3f s)" % (r.target_iteration,
+                                                r.target_seconds)
+                   if r.target_iteration is not None else "no target hit"
                    if target_eps is not None else "")
-            eps_txt = ("final eps_rel %.3e" % r["final_eps_rel"]
-                       if r["final_eps_rel"] is not None else "")
+            eps_txt = "final eps_rel %.3e" % eps if eps is not None else ""
             print("  ".join(filter(None, ("run %d: %d iterations" % (
-                s, r["iterations"]), eps_txt, hit))))
+                s, r.iterations), eps_txt, hit))))
         else:
-            print("run %d: FAILED (%s)" % (s, r["error"]))
+            print("run %d: FAILED (%s)" % (s, r.error))
 
-    completed, valid, times, finals = _tally(ordered)
-    summary = (len(ordered), len(completed),
+    completed, valid, times, finals = _tally(results, finals)
+    summary = (len(results), len(completed),
                len(valid) if target_eps is not None else None, target_eps,
                min(finals, default=None), max(finals, default=None),
                float(np.mean(times)) if times else None)
     _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, [summary])
     if finals:
         print("summary: %d/%d completed, final eps_rel in [%.3e, %.3e]"
-              % (len(completed), len(ordered), min(finals), max(finals)))
+              % (len(completed), len(results), min(finals), max(finals)))
     if target_eps is not None:
         print("valid runs (eps_rel < %g): %d/%d%s"
-              % (target_eps, len(valid), len(ordered),
+              % (target_eps, len(valid), len(results),
                  ", mean time-to-target %.3f s" % float(np.mean(times))
                  if times else ""))
     return 0 if completed else 2
@@ -598,20 +596,21 @@ def cmd_ablate(cfg, out_dir):
 
     # every (grid row, seed) run, grid row after grid row, as one batch
     n = len(seeds)
-    ordered = _run_batch([sp for sp in schedules for _ in seeds],
-                         seeds * len(grid), starts * len(grid),
-                         out_dir=out_dir, write_rows=False, **kw)
+    results, finals = _run_batch([sp for sp in schedules for _ in seeds],
+                                 seeds * len(grid), starts * len(grid),
+                                 out_dir=out_dir, write_rows=False, **kw)
 
     table = []
     for i, sp in enumerate(schedules):
-        runs = ordered[i * n:(i + 1) * n]
-        completed, valid, times, finals = _tally(runs)
+        runs = results[i * n:(i + 1) * n]
+        completed, valid, times, row_finals = _tally(
+            runs, finals[i * n:(i + 1) * n])
         table.append((
             i, sp.alpha0, sp.beta0, sp.rho0, sp.sigma0, sp.p, sp.q, sp.s,
             len(runs), len(valid),
             float(np.mean(times)) if times else None,
             float(np.std(times)) if times else None,
-            float(np.mean(finals)) if finals else None,
+            float(np.mean(row_finals)) if row_finals else None,
         ))
         print("row %2d: alpha0=%-8g beta0=%-8g p=%-8g q=%-8g s=%-8g  "
               "valid %d/%d%s"
@@ -621,12 +620,13 @@ def cmd_ablate(cfg, out_dir):
                  % (float(np.mean(times)), float(np.std(times)))
                  if times else ""))
         for s, r in zip(seeds, runs):
-            if not r["ok"]:
-                print("row %d seed %d: FAILED (%s)" % (i, s, r["error"]))
+            if r.error is not None:
+                print("row %d seed %d: FAILED (%s)" % (i, s, r.error))
     _write_csv(os.path.join(out_dir, "ablation.csv"), ABLATE_COLUMNS, table)
-    return 0 if any(r["ok"] for r in ordered) else 2
+    return 0 if any(r.error is None for r in results) else 2
 
 
+@_quiet
 def cmd_gradcheck(cfg, out_dir):
     """Finite-difference check of the problem gradients and of grad phi."""
     gc = _get(cfg, "gradcheck")
@@ -684,16 +684,13 @@ def _baseline_under_budget(prob, sp, x0, budget, inner_tol, callback=None):
 @_quiet
 def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
                     inner_tol):
+    """Both arms of compare from one seed's start, and its compare_<seed>.csv:
+    (the line cmd_compare prints for the seed, whether both arms completed)."""
     rows = []
-    out = {"ok": True}
+    metric_fn = bundle.eps_rel(init.x, init.y) or bundle.metric
 
     # single-loop arm
     prob_s, cnt_s = with_gradient_counter(bundle.problem)
-    den = bundle.eps_den(init.x, init.y)
-
-    def metric_fn(x, y):
-        eps = bundle.eps_rel(x, y, den)
-        return bundle.metric(x, y) if eps is None else eps
 
     def cb(_, st, elapsed):
         rows.append(("sipba", seed, st.k - 1, cnt_s.count, elapsed,
@@ -701,14 +698,13 @@ def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
 
     (res,) = run(prob_s, sp, [init], budget // 6, callback=cb,
                  callback_stride=stride)
-    if res.error is None:
-        out.update(sipba_final=metric_fn(res.state.x, res.state.y),
-                   sipba_evals=cnt_s.count)
-    else:
-        out.update(ok=False, error="sipba: %s" % res.error)
-
-    # double-loop arm
-    if out["ok"]:
+    ok = res.error is None
+    if not ok:
+        line = "run %d: FAILED (sipba: %s)" % (seed, res.error)
+    else:  # double-loop arm
+        line = "run %d: %s  sipba %.6e (%d evals)" % (
+            seed, bundle.metric_name, metric_fn(res.state.x, res.state.y),
+            cnt_s.count)
         prob_b, cnt_b = with_gradient_counter(bundle.problem)
 
         def bl_cb(k, x, sd, inner_total, elapsed):
@@ -718,14 +714,14 @@ def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
         try:
             bx, bsd, _, _, _ = _baseline_under_budget(
                 prob_b, sp_base, init.x, budget, inner_tol, callback=bl_cb)
-            out.update(baseline_final=metric_fn(bx, bsd.y_star),
-                       baseline_evals=cnt_b.count)
+            line += "  baseline %.6e (%d evals)" % (metric_fn(bx, bsd.y_star),
+                                                    cnt_b.count)
         except (DivergenceError, ParameterOverflowError) as e:
-            out.update(ok=False, error="baseline: %s" % e)
+            ok, line = False, "run %d: FAILED (baseline: %s)" % (seed, e)
 
     _write_csv(os.path.join(out_dir, "compare_%d.csv" % seed),
                COMPARE_COLUMNS, rows)
-    return out
+    return line, ok
 
 
 def cmd_compare(cfg, out_dir):
@@ -743,16 +739,12 @@ def cmd_compare(cfg, out_dir):
     ordered = [_compare_single(sp, s, st, bundle, out_dir, sp_base, stride,
                                budget, inner_tol)
                for s, st in zip(seeds, starts)]
-    for s, r in zip(seeds, ordered):
-        if r["ok"]:
-            print("run %d: %s  sipba %.6e (%d evals)  baseline %.6e (%d evals)"
-                  % (s, bundle.metric_name, r["sipba_final"], r["sipba_evals"],
-                     r["baseline_final"], r["baseline_evals"]))
-        else:
-            print("run %d: FAILED (%s)" % (s, r["error"]))
-    return 0 if any(r["ok"] for r in ordered) else 2
+    for line, _ in ordered:
+        print(line)
+    return 0 if any(ok for _, ok in ordered) else 2
 
 
+@_quiet
 def cmd_asymptotics(cfg, out_dir):
     """Smoothed-vs-exact value sandwich and saddle-limit tables (synthetic)."""
     bundle = build_problem(cfg)

@@ -194,6 +194,16 @@ def test_config_error_reporting(tmp_path, capsys):
     assert cli.main(["run", "--config", str(arr)]) == 1
     capsys.readouterr()
 
+    # a Latin-1 byte: one line at the byte's line, no UnicodeDecodeError
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"problem": {"kind": "synthetic",\n'
+                       b'             "n": 2},\n'
+                       b' "out_dir": "caf\xe9"}\n')
+    assert cli.main(["run", "--config", str(latin1)]) == 1
+    assert capsys.readouterr().err == (
+        "%s:3: config is not UTF-8: byte 0xe9 (invalid continuation byte)\n"
+        % latin1)
+
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{\n "problem": {\n  "kind": "nosuch"\n }\n}\n',
                        encoding="utf-8")
@@ -322,6 +332,11 @@ def test_guideline_rejects_explicit_s(tmp_path, capsys):
     assert (sp.p, sp.q, sp.rho0, sp.s) == (0.01, 0.01, 10.0, 8.0 * 0.02)
     with pytest.raises(cli.ConfigError):
         cli.build_schedule({"schedule": dict(guide, s=0.4)})
+    # each p and q is in range, but 8(p+q) overflows: no field's check
+    # sees it, so it is an invalid schedule
+    with pytest.raises(cli.ConfigError,
+                       match="invalid schedule: s must be finite"):
+        cli.build_schedule({"schedule": dict(guide, p=1e308, q=1e308)})
     for schedule, grid in ((dict(guide, s=0.4), [{}]),
                            (guide, [{}, {"s": 0.3}])):
         cfg = synthetic_cfg(schedule=schedule)
@@ -463,6 +478,23 @@ def test_failed_run_stderr_has_no_numpy_warnings(tmp_path, starts):
     assert all(text.startswith("run %d: FAILED (baseline: " % s)
                for s, text in zip((42, 43), lines))
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("cmd, block", [
+    ("asymptotics", {"rho_list": [1e300], "sigma_list": [0.1]}),
+    ("gradcheck", {"rho": 1e300, "n_points": 2})])
+def test_oracle_failure_stderr_is_one_line(tmp_path, cmd, block):
+    # at rho = 1e300 the oracle's iterates overflow: numpy's overflow
+    # warnings stay off, and its failure is the command's one stderr line
+    cfgp = write_cfg(tmp_path, {"problem": {"kind": "synthetic", "n": 4},
+                                cmd: block})
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "sipba.cli", cmd, "--config",
+         cfgp, "--out", str(tmp_path / "out")], capture_output=True,
+        text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("%s: oracle failure: oracle diverged even after "
+                           "step backoff\n" % cmd)
 
 
 def test_asymptotics_tables_and_monotone_gaps(tmp_path, capsys):
@@ -688,17 +720,21 @@ CFG_HEAD = ('{"problem": {"kind": "synthetic", "n": 2},\n'
 def test_grid_row_error_is_on_that_rows_line(tmp_path, capsys):
     # an earlier grid row holds the same key: the bad value is on line 8
     cfgp = tmp_path / "grid.json"
-    cfgp.write_text(CFG_HEAD +
-                    ' "run": {"max_iter": 10, "target_eps_rel": 0.5},\n'
-                    ' "ablate": {"max_iter": 10,\n'
-                    '            "grid": [{"alpha0": 0.05},\n'
-                    '                     {"beta0": 0.01},\n'
-                    '                     {"alpha0": "x"}]}}\n',
-                    encoding="utf-8")
-    assert cli.main(["ablate", "--config", str(cfgp),
-                     "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == (
-        "%s:8: ablate.grid.alpha0 must be a finite number, got 'x'\n" % cfgp)
+    for row, message in [
+            ('{"alpha0": "x"}',
+             "ablate.grid.alpha0 must be a positive finite number, got 'x'"),
+            ('{"beta0": -0.01}',
+             "ablate.grid.beta0 must be a positive finite number, got -0.01")]:
+        cfgp.write_text(CFG_HEAD +
+                        ' "run": {"max_iter": 10, "target_eps_rel": 0.5},\n'
+                        ' "ablate": {"max_iter": 10,\n'
+                        '            "grid": [{"alpha0": 0.05},\n'
+                        '                     {"beta0": 0.01},\n'
+                        '                     %s]}}\n' % row,
+                        encoding="utf-8")
+        assert cli.main(["ablate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "%s:8: %s\n" % (cfgp, message)
 
 
 @pytest.mark.parametrize("run_block", [
@@ -770,6 +806,10 @@ def bad_cfg(key, value, starts=2):
         (("asymptotics",), "asymptotics.saddle_tol", 0),
         (("asymptotics",), "asymptotics.slack", -1),
         (("asymptotics",), "asymptotics.diag_slack", -1e-9),
+        # a schedule field outside its range, on its own line
+        (RUNS, "schedule.s", -0.1),
+        (RUNS, "schedule.rho_cap", 0),
+        (("compare",), "compare.baseline_schedule.rho0", 0),
     ] for cmd in cmds
     # one start, stepped as vectors, and a batch of two
     for starts in ((1, 2) if cmd in RUNS else (None,))])
@@ -1023,8 +1063,14 @@ SECTIONS = {"problem", "schedule", "run", "run.init", "ablate", "compare",
             "gradcheck", "asymptotics"}
 
 
+# keys whose README row spells out their values, or a second form that the
+# reader takes besides the table's kind
+SPELLED_OUT = {"problem.kind", "run.seeds", "asymptotics.x"}
+
+
 def readme_config_rows():
-    """(dotted keys, default cell) per row of the README config reference."""
+    """(dotted keys, "kind and range" cell, default cell) per row of the
+    README config reference."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
         text = fh.read().split("### Config reference", 1)[1]
@@ -1032,19 +1078,37 @@ def readme_config_rows():
     for line in text.split("\n| --- |", 1)[1].splitlines()[1:]:
         if not line.startswith("|"):
             break
-        first, _, default, _ = line.strip("| ").split(" | ")
+        first, kind, default, _ = line.strip("| ").split(" | ")
         names = re.findall(r"`([^`]+)`", first)
         prefix = names[0].rpartition(".")[0]  # `problem.n_feat`, `p_dim`
         rows.append(([n if "." in n or not prefix else prefix + "." + n
-                      for n in names], default))
+                      for n in names], kind, default))
     return rows
+
+
+def kind_pattern(kind, low):
+    """A regex for how the README states a key of kind `kind` with the
+    inclusive lower bound `low`: "integer >= 1", "positive", "number", ..."""
+    if kind.endswith("[]"):
+        item = {"num": "numbers", "pos": "positive numbers", "int": "integers",
+                "dict": "objects"}[kind[:-2]]
+        return r"list of [^,;]*\b%s" % item
+    word = {"int": "integer", "num": "number", "pos": "positive",
+            "str": "string", "bool": "`true` or `false`",
+            "dict": "object"}[kind]
+    # a number without a bound must not read as one with a bound
+    return re.escape(word) + (r"(?! >=)" if low is None else " >= %g" % low)
 
 
 def test_readme_config_reference_matches_the_key_table():
     rows = readme_config_rows()
-    assert ({k for keys, _ in rows for k in keys}
+    assert ({k for keys, _, _ in rows for k in keys}
             == set(cli.CONFIG_KEYS) - SECTIONS)
-    for keys, default in rows:
+    for keys, kind_cell, default in rows:
+        for key in set(keys) - SPELLED_OUT:
+            kind, _, low = cli.CONFIG_KEYS[key]
+            assert re.search(kind_pattern(kind, low), kind_cell), (key,
+                                                                   kind_cell)
         if len(keys) != 1:
             continue
         table_default = cli.CONFIG_KEYS[keys[0]][1]

@@ -670,26 +670,29 @@ def test_cli_time_to_target_equals_the_six_argument_formula(
                      callback=lambda _, s, t: rows.append(eps(s)))
         want.append((res, eps(res.state), rows))
 
-    # candidate: the command line's batch, its results caught on the way out
-    caught = []
+    # candidate: the command line's batch, which hands back run's own results
+    returned = []
 
-    def run_and_catch(*args, **kwargs):
-        caught.extend(run(*args, **kwargs))
-        return caught
+    def run_and_keep(*args, **kwargs):
+        returned.append(run(*args, **kwargs))
+        return returned[-1]
 
-    monkeypatch.setattr(cli, "run", run_and_catch)
-    outs = cli._run_batch(sp, seeds, starts, bundle, str(tmp_path),
-                          GATE_MAX_ITER, 100, ORACLE_TOL, TARGET_EPS, True)
+    monkeypatch.setattr(cli, "run", run_and_keep)
+    results, finals = cli._run_batch(sp, seeds, starts, bundle, str(tmp_path),
+                                     GATE_MAX_ITER, 100, ORACLE_TOL,
+                                     TARGET_EPS, True)
+    (ran,) = returned
+    assert len(results) == len(ran) == len(seeds)
+    assert all(got is r for got, r in zip(results, ran))
 
-    for (ref, ref_eps, ref_rows), got, out, seed in zip(want, caught, outs,
-                                                        seeds):
+    for (ref, ref_eps, ref_rows), got, final, seed in zip(want, results,
+                                                          finals, seeds):
         assert got.stop_reason == ref.stop_reason == "target"
-        assert got.error is None and out["ok"]
+        assert got.error is None
         assert (got.iterations, got.target_iteration) == (
             ref.iterations, ref.target_iteration)
-        assert out["target_iteration"] == ref.target_iteration
         assert same_state(got.state, ref.state)
-        assert out["final_eps_rel"] == ref_eps
+        assert final == ref_eps
         with open(tmp_path / ("run_%d.csv" % seed), encoding="utf-8") as fh:
             col = [float(r["eps_rel"]) for r in csv.DictReader(fh)]
         assert col == ref_rows
