@@ -77,8 +77,6 @@ ABLATE_COLUMNS = ["row_id", "alpha0", "beta0", "rho0", "sigma0", "p", "q", "s",
                   "std_time_to_target_s", "mean_final_eps_rel"]
 COMPARE_COLUMNS = ["method", "run_id", "step", "grad_evals", "time_s",
                    "metric_name", "metric"]
-SCHEDULE_FIELDS = ("alpha0", "beta0", "rho0", "sigma0", "p", "q", "s",
-                   "t_exp", "rho_cap")
 
 # Every config key, as _get reads it: dotted key -> (kind, default, inclusive
 # lower bound); _MISSING makes a key required. The README lists the same keys.
@@ -92,11 +90,9 @@ CONFIG_KEYS = {
     "problem.noise_a": ("num", _MISSING, 0),
     "problem.data_seed": ("int", _MISSING, 0),
     "schedule": ("dict", {}, None),
-    "schedule.guideline": ("bool", False, None),
     **{"schedule." + k: ("pos", None, None)
        for k in ("alpha0", "beta0", "rho0", "sigma0")},
     **{"schedule." + k: ("num", None, 0) for k in ("p", "q", "s")},
-    "schedule.t_exp": ("num", None, None),
     "schedule.rho_cap": ("pos", 1e12, None),
     "run": ("dict", {}, None),
     "run.seeds": ("dict", {"base": 0, "count": 1}, None),
@@ -134,6 +130,9 @@ CONFIG_KEYS = {
     "asymptotics.diag_slack": ("num", 1e-8, 0),
 }
 _SECTIONS = {k.rpartition(".")[0] for k in CONFIG_KEYS}  # the nested blocks
+# the ScheduleParams fields, in its order: the keys of the schedule block
+SCHEDULE_FIELDS = tuple(k[len("schedule."):] for k in CONFIG_KEYS
+                        if k.startswith("schedule."))
 
 
 class ConfigError(Exception):
@@ -194,6 +193,8 @@ def load_config(path):
             pairs, *next(lines, (1, []))))
     except json.JSONDecodeError as e:
         raise ConfigError("JSON parse error: %s" % e.msg, line=e.lineno)
+    except RecursionError:
+        raise ConfigError("JSON nested too deeply", line=1) from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object", line=1)
     cfg.path, cfg.warned = path, set()  # its file, the warnings it got
@@ -288,7 +289,6 @@ def _schedule(cfg, overrides, where):
     object at the dotted key `where` (an ablate.grid row or
     compare.baseline_schedule), which its errors name."""
     sd = _get(cfg, "schedule")
-    guideline = _get(sd, "schedule.guideline")
     vals = {k: _get(sd, "schedule." + k) for k in SCHEDULE_FIELDS}
     for k in overrides:
         if k not in SCHEDULE_FIELDS:
@@ -297,28 +297,14 @@ def _schedule(cfg, overrides, where):
         # a null field keeps the schedule value
         kind, _, low = CONFIG_KEYS["schedule." + k]
         vals[k] = _get(overrides, "%s.%s" % (where, k), kind, vals[k], low)
-    vals = {k: v for k, v in vals.items() if v is not None}
-    if guideline:
-        if "s" in vals:
-            block = overrides if overrides.get("s") is not None else sd
-            raise ConfigError("'s' cannot be set with guideline, which forces "
-                              "s = 8(p+q)", _line(block, "s"))
-        required, make = ("alpha0", "beta0", "sigma0"), ScheduleParams.guideline
-    else:
-        required = ("alpha0", "beta0", "rho0", "sigma0", "p", "q", "s")
-        make = ScheduleParams
-    for k in required:  # which fields are required depends on guideline
-        if k not in vals:  # nor in sd: _get reports it at sd's line
+    for k, v in vals.items():
+        if v is None:  # set by neither: _get reports it at sd's line
             kind, _, low = CONFIG_KEYS["schedule." + k]
             _get(sd, "schedule." + k, kind, _MISSING, low)
-    # the table checks each field; what it cannot see is guideline's
-    # s = 8(p+q) overflowing to infinity, which ScheduleParams rejects
-    try:
-        with warnings.catch_warnings(record=True) as regime:
-            warnings.simplefilter("always")
-            sp = make(**vals)
-    except ValueError as e:
-        raise ConfigError("invalid schedule: %s" % e, _line(cfg, "schedule"))
+    # the table checked each field, so the constructor only warns
+    with warnings.catch_warnings(record=True) as regime:
+        warnings.simplefilter("always")
+        sp = ScheduleParams(**vals)
     # on the overrides' line if they set an exponent; once per line and text
     ov = [k for k in ("p", "q", "s") if overrides.get(k) is not None]
     line = _line(overrides, ov[0]) if ov else _line(cfg, "schedule")
@@ -359,22 +345,29 @@ class ProblemBundle:
 def build_problem(cfg):
     pd = _get(cfg, "problem")
     kind = _get(pd, "problem.kind")
-    if kind == "synthetic":
-        sbench = synthetic_problem(_get(pd, "problem.n"))
-        return ProblemBundle(sbench.problem, sbench.sample_init,
-                             closed_form=sbench, metric_name="eps_rel")
-    if kind == "quadratic":
-        prob = quadratic_testbed()
-        return ProblemBundle(prob, quadratic_init, metric=prob.F)
-    if kind == "hyper_rep":
-        data = generate_hyper_rep(
-            *(_get(pd, "problem." + k)
-              for k in ("n_feat", "p_dim", "m1", "m2", "m_test")),
-            noise_a=_get(pd, "problem.noise_a"),
-            seed=_get(pd, "problem.data_seed"))
-        return ProblemBundle(
-            hyper_rep_problem(data), partial(hyper_rep_init, data),
-            metric_name="test_loss", metric=partial(hyper_rep_test_loss, data))
+    try:
+        if kind == "synthetic":
+            sbench = synthetic_problem(_get(pd, "problem.n"))
+            return ProblemBundle(sbench.problem, sbench.sample_init,
+                                 closed_form=sbench, metric_name="eps_rel")
+        if kind == "quadratic":
+            prob = quadratic_testbed()
+            return ProblemBundle(prob, quadratic_init, metric=prob.F)
+        if kind == "hyper_rep":
+            data = generate_hyper_rep(
+                *(_get(pd, "problem." + k)
+                  for k in ("n_feat", "p_dim", "m1", "m2", "m_test")),
+                noise_a=_get(pd, "problem.noise_a"),
+                seed=_get(pd, "problem.data_seed"))
+            return ProblemBundle(
+                hyper_rep_problem(data), partial(hyper_rep_init, data),
+                metric_name="test_loss",
+                metric=partial(hyper_rep_test_loss, data))
+    except ContractViolation:
+        raise
+    except (ValueError, MemoryError) as e:  # numpy's, for an array too large
+        raise ConfigError("problem too large to allocate: %s" % e,
+                          _line(cfg, "problem")) from None
     raise ConfigError("unknown problem kind %r" % kind, _line(pd, "kind"))
 
 
@@ -388,14 +381,10 @@ def resolve_seeds(cfg):
         seeds = [base + i for i in range(_get(sd, "run.seeds.count"))]
     env = os.environ.get("SIPBA_SEED")
     if env is not None:
-        try:
-            base = int(env)
-        except ValueError:
-            base = None
-        if base is None or base < 0:
+        if not re.fullmatch("[0-9]+", env):  # int() takes "+3", "5_0", " 7"
             raise ConfigError("SIPBA_SEED must be an integer >= 0, got %r"
                               % env, _line(rc, "seeds"))
-        seeds = [base + i for i in range(len(seeds))]
+        seeds = [int(env) + i for i in range(len(seeds))]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be unique (one output file per run)",
                           _line(rc, "seeds"))
@@ -471,15 +460,9 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# runs and oracle solves, each with numpy's floating-point warnings off: a
-# run that leaves the float range is caught by the finiteness checks and
-# reported as its one FAILED line, and an oracle solve that does is caught
-# by its convergence check and reported as one "oracle failure" line
-
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+# runs
 
 
-@_quiet
 def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
                oracle_tol, target_eps, stop_at_target, write_rows=True):
     """The runs of seeds from their starts inits under the schedule sp, or
@@ -626,7 +609,6 @@ def cmd_ablate(cfg, out_dir):
     return 0 if any(r.error is None for r in results) else 2
 
 
-@_quiet
 def cmd_gradcheck(cfg, out_dir):
     """Finite-difference check of the problem gradients and of grad phi."""
     gc = _get(cfg, "gradcheck")
@@ -681,7 +663,6 @@ def _baseline_under_budget(prob, sp, x0, budget, inner_tol, callback=None):
             res.step_seconds)
 
 
-@_quiet
 def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
                     inner_tol):
     """Both arms of compare from one seed's start, and its compare_<seed>.csv:
@@ -744,7 +725,6 @@ def cmd_compare(cfg, out_dir):
     return 0 if any(ok for _, ok in ordered) else 2
 
 
-@_quiet
 def cmd_asymptotics(cfg, out_dir):
     """Smoothed-vs-exact value sandwich and saddle-limit tables (synthetic)."""
     bundle = build_problem(cfg)
@@ -846,7 +826,12 @@ def main(argv=None):
             print("sipba %s: error: --out %s" % (args.command, what),
                   file=sys.stderr)
             return 1
-        return args.handler(cfg, out_dir)
+        # numpy's floating-point warnings off: a run that leaves the float
+        # range is caught by the finiteness checks and reported as its one
+        # FAILED line, and an oracle solve that does is caught by its
+        # convergence check and reported as one "oracle failure" line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(cfg, out_dir)
     except ConfigError as e:
         print("%s:%d: %s" % (args.config, e.line, e), file=sys.stderr)
         return 1

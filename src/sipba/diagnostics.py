@@ -157,8 +157,10 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
 def merit_value(k, s, t, phi_gap, tracking_err):
     """V_k = k^(-s) * phi_gap + k^(-t) * tracking_err^2.
 
-    phi_gap is phi_k(x^k) minus an empirical lower bound on phi, so V_k is
-    nonnegative whenever the bound really is a lower bound.
+    s and t are the schedule's: t = 4p + 5q is ScheduleParams.t_exp, the
+    exponent the guaranteed regime fixes. phi_gap is phi_k(x^k) minus an
+    empirical lower bound on phi, so V_k is nonnegative whenever the bound
+    really is a lower bound.
     """
     if k != int(k) or k < 1:
         raise ContractViolation("k must be an integer >= 1")

@@ -35,7 +35,6 @@ is decided in one place, and one helper drops the rows that ended.
 """
 
 import math
-import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -54,22 +53,10 @@ from .smoothing import direction_x, direction_y, direction_z
 from .saddle import default_start, estimate_T_lipschitz, solve_saddle
 
 
-def _caller_level():
-    """The stacklevel at which a warning issued by this function's caller
-    names the first frame outside this module: the line that built a
-    schedule, through the generated __init__ or guideline."""
-    level, f = 1, sys._getframe(1)
-    while f.f_back is not None and f.f_globals is globals():
-        level, f = level + 1, f.f_back
-    return level
-
-
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Step-size and penalty schedule coefficients.
-
-    t_exp is the merit-weight exponent; defaults to 4p + 5q when omitted.
-    """
+    """Step-size and penalty schedule coefficients: the paper's seven and
+    the cap on rho_k (see params_at)."""
 
     alpha0: float
     beta0: float
@@ -78,7 +65,6 @@ class ScheduleParams:
     p: float
     q: float
     s: float
-    t_exp: Optional[float] = None
     rho_cap: float = 1e12
 
     def __post_init__(self):
@@ -90,28 +76,24 @@ class ScheduleParams:
             v = getattr(self, name)
             if v < 0 or not np.isfinite(v):
                 raise ContractViolation("%s must be finite and >= 0" % name)
-        if self.t_exp is None:
-            object.__setattr__(self, "t_exp", 4.0 * self.p + 5.0 * self.q)
         if not (0 < self.p < 1) or not (0 < self.q < 1) or not (0 < self.s < 0.5):
             warnings.warn(
                 "schedule exponents outside the guaranteed regime "
                 "(0<p<1, 0<q<1, 0<s<1/2)",
-                stacklevel=_caller_level(),
+                stacklevel=3,  # the line that called ScheduleParams(...)
             )
         elif self.s < 8.0 * (self.p + self.q):
             warnings.warn(
                 "s=%g < 8(p+q)=%g: outside the guaranteed-rate regime"
                 % (self.s, 8.0 * (self.p + self.q)),
-                stacklevel=_caller_level(),
+                stacklevel=3,  # the line that called ScheduleParams(...)
             )
 
-    @classmethod
-    def guideline(cls, alpha0, beta0, sigma0, p=0.01, q=0.01, rho0=10.0, **kw):
-        """Guideline construction: s is forced to 8(p+q)."""
-        return cls(
-            alpha0=alpha0, beta0=beta0, rho0=rho0, sigma0=sigma0,
-            p=p, q=q, s=8.0 * (p + q), **kw,
-        )
+    @property
+    def t_exp(self):
+        """The merit-weight exponent t = 4p + 5q, which the guaranteed
+        regime fixes."""
+        return 4.0 * self.p + 5.0 * self.q
 
 
 class Params(NamedTuple):

@@ -157,7 +157,8 @@ def test_seed_env_override(tmp_path, monkeypatch):
 
 def test_seed_env_must_be_integer(tmp_path, monkeypatch, capsys):
     cfgp = write_cfg(tmp_path, synthetic_cfg())
-    for env in ("pi", "-5"):
+    # int() takes each of the last four; the README asks for plain digits
+    for env in ("pi", "-5", "5_0", "+3", " 7", "\u0663"):
         monkeypatch.setenv("SIPBA_SEED", env)
         assert cli.main(["run", "--config", cfgp,
                          "--out", str(tmp_path / "o")]) == 1
@@ -203,6 +204,12 @@ def test_config_error_reporting(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "%s:3: config is not UTF-8: byte 0xe9 (invalid continuation byte)\n"
         % latin1)
+
+    # json.loads recurses once per level: no RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a":' * 100000 + "1" + "}" * 100000, encoding="utf-8")
+    assert cli.main(["run", "--config", str(deep)]) == 1
+    assert capsys.readouterr().err == "%s:1: JSON nested too deeply\n" % deep
 
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{\n "problem": {\n  "kind": "nosuch"\n }\n}\n',
@@ -324,42 +331,14 @@ def test_ablate_rejects_unknown_override(tmp_path):
     assert cli.main(["ablate", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
-def test_guideline_rejects_explicit_s(tmp_path, capsys):
-    # the guideline forces s = 8(p+q); a configured s is an error, not
-    # silently replaced
-    guide = {"guideline": True, "alpha0": 0.1, "beta0": 0.001, "sigma0": 0.01}
-    sp = cli.build_schedule({"schedule": guide})
-    assert (sp.p, sp.q, sp.rho0, sp.s) == (0.01, 0.01, 10.0, 8.0 * 0.02)
-    with pytest.raises(cli.ConfigError):
-        cli.build_schedule({"schedule": dict(guide, s=0.4)})
-    # each p and q is in range, but 8(p+q) overflows: no field's check
-    # sees it, so it is an invalid schedule
-    with pytest.raises(cli.ConfigError,
-                       match="invalid schedule: s must be finite"):
-        cli.build_schedule({"schedule": dict(guide, p=1e308, q=1e308)})
-    for schedule, grid in ((dict(guide, s=0.4), [{}]),
-                           (guide, [{}, {"s": 0.3}])):
-        cfg = synthetic_cfg(schedule=schedule)
-        cfg["ablate"] = {"grid": grid, "max_iter": 10}
-        cfgp = write_cfg(tmp_path, cfg)
-        line = next(i for i, text in enumerate(open(cfgp), 1) if '"s"' in text)
-        for cmd in ("run", "ablate") if len(grid) == 1 else ("ablate",):
-            assert cli.main([cmd, "--config", cfgp,
-                             "--out", str(tmp_path / "o")]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("%s:%d: " % (cfgp, line)), err
-            assert "guideline" in err
-
-
 def test_null_schedule_fields_take_their_defaults(tmp_path):
     # optional fields and override fields given as null behave as absent
     base = synthetic_cfg()["schedule"]
     want = cli.build_schedule({"schedule": base})
-    nulls = dict(base, t_exp=None, rho_cap=None)
+    nulls = dict(base, rho_cap=None)
     assert cli.build_schedule({"schedule": nulls}) == want
     cfg = {"schedule": nulls}
-    assert cli._schedule(cfg, {"alpha0": None, "t_exp": None},
-                         "ablate.grid") == want
+    assert cli._schedule(cfg, {"alpha0": None}, "ablate.grid") == want
     cfg = synthetic_cfg(schedule=nulls,
                         compare={"budget": 60,
                                  "baseline_schedule": {"rho_cap": None}})
@@ -676,9 +655,18 @@ def no_runs(monkeypatch):
      "unknown ablate key 'maxiter'"),
     ("run", {"asymptotic": {"rho_list": [10.0]}}, "asymptotic",
      "unknown top-level key 'asymptotic'"),
+    # a schedule is its seven coefficients and rho_cap: s is not derived
+    # from a flag, and t = 4p + 5q is not set by hand
+    ("run", {"schedule": {"guideline": True}}, "schedule.guideline",
+     "unknown schedule key 'guideline'"),
+    ("compare", {"schedule": {"t_exp": 2}}, "schedule.t_exp",
+     "unknown schedule key 't_exp'"),
+    ("compare", {"compare": {"baseline_schedule": {"t_exp": 2}}},
+     "compare.baseline_schedule.t_exp", "unknown schedule override 't_exp'"),
 ], ids=["stride", "init", "target", "budget", "override", "baseline",
         "run-key", "init-key", "compare-key", "problem-key", "gradcheck-key",
-        "asymptotics-key", "seeds-key", "ablate-key", "top-level-key"])
+        "asymptotics-key", "seeds-key", "ablate-key", "top-level-key",
+        "guideline-key", "t_exp-key", "t_exp-override"])
 def test_bad_config_never_reaches_the_pool(tmp_path, no_runs, capsys,
                                            cmd, patch, key, message):
     # the name predates the deletion of the process pool: a bad config is
@@ -758,6 +746,27 @@ HYPER_REP = {"kind": "hyper_rep", "n_feat": 3, "p_dim": 2, "m1": 5, "m2": 5,
              "m_test": 5, "noise_a": 0.1, "data_seed": 1}
 NAN, INF = float("nan"), float("inf")
 RUNS = ("run", "ablate", "compare")  # the commands that step starts
+
+
+@pytest.mark.parametrize("problem, message", [
+    ({"kind": "synthetic", "n": 10**20}, "Maximum allowed dimension exceeded"),
+    (dict(HYPER_REP, n_feat=10**10, p_dim=10**10), "array is too big"),
+], ids=["synthetic", "hyper_rep"])
+def test_problem_too_large_is_a_config_error(tmp_path, capsys, problem,
+                                             message):
+    # sizes numpy rejects before it allocates: what these fail with does
+    # not depend on the allocator
+    cfg = synthetic_cfg(problem=problem)
+    cfg["ablate"] = {"grid": [{}], "max_iter": 10}
+    cfgp = write_cfg(tmp_path, cfg)
+    for cmd in RUNS + ("gradcheck",):
+        assert cli.main([cmd, "--config", cfgp,
+                         "--out", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "%s:%d: problem too large to allocate: %s"
+            % (cfgp, key_line(cfgp, "problem"), message)), err
+        assert err.count("\n") == 1
 
 
 def bad_cfg(key, value, starts=2):

@@ -49,30 +49,28 @@ def test_schedule_validation_and_warnings():
 
 
 def test_schedule_warnings_point_at_the_caller():
-    # both regime warnings, from either constructor, name the line that
-    # built the schedule, not the dataclass-generated __init__ or guideline
+    # both regime warnings name the line that built the schedule, not the
+    # dataclass-generated __init__
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         ScheduleParams(alpha0=1.0, beta0=1.0, rho0=1.0, sigma0=1.0,
                        p=0.1, q=0.1, s=0.5)
         ScheduleParams(alpha0=1.0, beta0=1.0, rho0=1.0, sigma0=1.0,
                        p=0.1, q=0.1, s=0.4)
-        ScheduleParams.guideline(alpha0=1.0, beta0=1.0, sigma0=1.0,
-                                 p=0.1, q=0.1)  # s = 1.6
-    assert len(seen) == 3
+    assert len(seen) == 2
     assert "guaranteed regime" in str(seen[0].message)
     assert "guaranteed-rate regime" in str(seen[1].message)
-    assert "guaranteed regime" in str(seen[2].message)
-    assert [w.filename for w in seen] == [__file__] * 3
+    assert [w.filename for w in seen] == [__file__] * 2
 
 
-def test_schedule_guideline_and_merit_exponent():
-    sp = ScheduleParams.guideline(alpha0=0.1, beta0=0.01, sigma0=0.1, p=0.02, q=0.01)
-    assert sp.s == pytest.approx(8 * (0.02 + 0.01))
-    assert sp.t_exp == pytest.approx(4 * 0.02 + 5 * 0.01)
-    explicit = ScheduleParams(alpha0=0.1, beta0=0.01, rho0=10.0, sigma0=0.1,
-                              p=0.02, q=0.01, s=0.24, t_exp=1.5)
-    assert explicit.t_exp == 1.5
+def test_schedule_merit_exponent_is_derived():
+    # the guaranteed regime fixes t = 4p + 5q; it cannot be set by hand
+    sp = ScheduleParams(alpha0=0.1, beta0=0.01, rho0=10.0, sigma0=0.1,
+                        p=0.02, q=0.01, s=0.24)
+    assert sp.t_exp == 4.0 * 0.02 + 5.0 * 0.01
+    with pytest.raises(TypeError):
+        ScheduleParams(alpha0=0.1, beta0=0.01, rho0=10.0, sigma0=0.1,
+                       p=0.02, q=0.01, s=0.24, t_exp=1.5)
 
 
 def test_params_at_decay_example():
