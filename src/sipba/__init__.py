@@ -58,7 +58,6 @@ from .solver import (
 from .diagnostics import (
     SandwichReport,
     Snapshot,
-    lipschitz_phi_bound,
     merit_value,
     relative_error,
     relative_error_denominator,

@@ -168,20 +168,6 @@ def merit_value(k, s, t, phi_gap, tracking_err):
     return k ** (-s) * phi_gap + k ** (-t) * tracking_err**2
 
 
-def lipschitz_phi_bound(lip_F, lip_f, rho, mu, sigma):
-    """Upper bound on the gradient Lipschitz constant of phi_{rho,sigma}.
-
-    With c = lip_F + 2*rho*lip_f and sig_bar = min(sigma, mu):
-    c * (c + sig_bar) / sig_bar. The saddle map itself is (c / sig_bar)-
-    Lipschitz in x, which is where the leading factor comes from.
-    """
-    if not (mu > 0 and sigma > 0):
-        raise ContractViolation("lipschitz_phi_bound needs mu > 0 and sigma > 0")
-    sig_bar = min(sigma, mu)
-    c = lip_F + 2.0 * rho * lip_f
-    return c * (c + sig_bar) / sig_bar
-
-
 @dataclass
 class SandwichRecord:
     rho: float
@@ -200,10 +186,6 @@ class SandwichReport:
     max_lower_violation: float
     diagonal: List[SandwichRecord]  # the cells (rho_list[i], sigma_list[i])
     diagonal_monotone: bool
-
-    @property
-    def diagonal_gaps(self):
-        return [abs(r.gap) for r in self.diagonal]
 
     def __str__(self):
         lines = ["%8s %10s %14s %14s %12s" % ("rho", "sigma", "phi_smoothed",

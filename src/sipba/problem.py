@@ -273,10 +273,6 @@ class GradientCheckReport:
     n_points: int
     fd_step: float
 
-    @property
-    def max_error(self):
-        return max(self.errors.values())
-
     def __str__(self):
         lines = ["gradient check over %d points (h=%g):" % (self.n_points, self.fd_step)]
         for k in sorted(self.errors):

@@ -50,8 +50,9 @@ between solves. Every later diagnostics solve passes as u0 the start
 extrapolated from the last saddles of the run
 (diagnostics.predicted_start), and as beta the step the previous solve
 ended with, scaled by rho_prev / rho (see diagnostics.snapshot). The
-double-loop baseline starts each inner solve at the previous saddle and
-estimates its step there, from the previous estimate's dominant direction
+double-loop baseline starts its first inner solve at default_start and
+every later one at the previous saddle, and estimates each step at its
+start, from the previous estimate's dominant direction
 (see run_double_loop_baseline). It cannot carry its step as the
 diagnostics do: its x moves a full outer step between solves, and on
 criterion 07's n_feat=50, a=0.1 instance a carried step stalled one inner

@@ -48,7 +48,7 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
-from .problem import GRADIENTS, _as_vector, rowwise_gradients
+from .problem import GRADIENTS, rowwise_gradients
 from .smoothing import direction_x, direction_y, direction_z
 from .saddle import default_start, estimate_T_lipschitz, solve_saddle
 
@@ -397,91 +397,76 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
     return results
 
 
-@dataclass
-class BaselineResult:
+class BaselineResult(NamedTuple):
+    """How a budgeted double-loop run ended: its x and last saddle (None if
+    no outer step ran), its outer and cumulative inner iterations, its
+    inner failures and its stepping seconds. A tuple, in this order:
+    bench/layers.py reads the outer iterations as result[2]."""
+
     x: np.ndarray
     saddle: object
     outer_iterations: int
     inner_iterations: int
     inner_failures: int
     step_seconds: float
-    stop_reason: str = "max_iter"
 
 
-def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
-                             inner_max_iter=10**6, inner_beta=None, u0=None,
-                             callback=None, grad_budget=None):
-    """Reference double-loop method: solve the saddle, then step x.
+def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
+                             callback=None):
+    """Reference double-loop method under a gradient budget: solve the
+    saddle, then step x.
 
     Each outer iteration k solves the saddle at (rho_k, sigma_k) to
     inner_tol and applies x <- Proj_X(x - alpha_k * direction_x(x, y*, z*)).
     Inner convergence failures are recorded and the outer loop continues
-    with the last saddle iterate. Returns cumulative inner-iteration
-    counts so gradient budgets can be compared against the single-loop
-    method. A schedule that left the float range raises params_at's
-    ParameterOverflowError, and as in sipba_step a non-finite x raises
-    DivergenceError.
+    with the last saddle iterate. A schedule that left the float range
+    raises params_at's ParameterOverflowError, and as in sipba_step a
+    non-finite x raises DivergenceError.
 
-    The first solve starts at u0 (default: the projected zero vector),
-    every later one at the previous saddle. Each takes the step
-    1/(2 L_est) (or inner_beta) from an estimate_T_lipschitz at its start:
-    the first cold, every later one 3 power iterations from the previous
-    estimate's dominant direction, which costs 4 operator evaluations
-    instead of 31.
+    The first solve starts at default_start (the projected zero vector),
+    not at a run's (y0, z0): that can be far from every saddle, and a
+    solve from there may spend the whole budget. Every later solve starts
+    at the previous saddle. Each takes the step 1/(2 L_est) from an
+    estimate_T_lipschitz at its start: the first cold, every later one 3
+    power iterations from the previous estimate's dominant direction,
+    which costs 4 operator evaluations instead of 31.
 
-    outer_iter : int or None
-        Number of outer iterations; None means no cap (grad_budget then
-        ends the run).
-    callback : callable(k, x, saddle, inner_total, elapsed_seconds), optional
-        Invoked after every outer step.
-    grad_budget : int, optional
+    grad_budget : int
         Budget of partial-gradient evaluations made by this call, counted
         by the counter of a problem from with_gradient_counter (the problem
         is wrapped once if it has none). No outer step starts once the
         budget is spent, and each inner solve may run at most
-        (remaining budget) // 3 iterations (at least 1, at most
-        inner_max_iter), one fixed-point iteration costing three
-        evaluations. So the spend exceeds the budget by at most one
-        step-size estimate (93 evaluations cold, 12 warm, 102 if a warm
-        estimate falls back to the cold start), one outer direction and
-        the one-iteration floor, never by an unbounded inner solve. A
-        solve cut short by the cap counts as an inner failure.
+        (remaining budget) // 3 iterations (at least 1), one fixed-point
+        iteration costing three evaluations. So the spend exceeds the
+        budget by at most one step-size estimate (93 evaluations cold, 12
+        warm, 102 if a warm estimate falls back to the cold start), one
+        outer direction and the one-iteration floor, never by an unbounded
+        inner solve. A solve cut short by the cap counts as an inner
+        failure; only the last solve can be cut short.
+    callback : callable(k, x, saddle, inner_total, elapsed_seconds), optional
+        Invoked after every outer step.
     """
-    if outer_iter is None and grad_budget is None:
-        raise ContractViolation("need outer_iter or grad_budget to end the run")
-    if grad_budget is not None:
-        cnt = getattr(problem.grad_F_x, "counter", None)
-        if cnt is None:
-            problem, cnt = with_gradient_counter(problem)
-        spend_end = cnt.count + grad_budget
+    cnt = getattr(problem.grad_F_x, "counter", None)
+    if cnt is None:
+        problem, cnt = with_gradient_counter(problem)
+    spend_end = cnt.count + grad_budget
     x = problem.set_X.project(x0)
-    u = (default_start(problem) if u0 is None
-         else _as_vector(u0, 2 * problem.n_y, "u0"))
+    u = default_start(problem)
     v = None  # the previous estimate's dominant direction
-    sp_last = None
-    inner_total = 0
-    failures = 0
+    sd = None
+    k = inner_total = failures = 0
     elapsed = 0.0
-    out = BaselineResult(x=x, saddle=None, outer_iterations=0,
-                         inner_iterations=0, inner_failures=0, step_seconds=0.0)
-    k = 0
-    while outer_iter is None or k < outer_iter:
-        max_iter = inner_max_iter
-        if grad_budget is not None:
-            if cnt.count >= spend_end:
-                out.stop_reason = "grad_budget"
-                break
-            max_iter = min(max_iter, max(1, (spend_end - cnt.count) // 3))
+    while cnt.count < spend_end:
+        max_iter = max(1, (spend_end - cnt.count) // 3)
         k += 1
         pars = params_at(sp, k)
         t0 = time.perf_counter()
-        beta = inner_beta
-        if beta is None:
-            est = estimate_T_lipschitz(problem, pars, x, u, v)
-            beta, v = 1.0 / (2.0 * est.value), est.vector
+        est = estimate_T_lipschitz(problem, pars, x, u, v)
+        v = est.vector
         try:
             sd = solve_saddle(problem, pars, x, tol=inner_tol,
-                              max_iter=max_iter, u0=u, beta=beta)
+                              max_iter=max_iter, u0=u,
+                              beta=1.0 / (2.0 * est.value))
         except SaddleConvergenceError as err:
             sd = err.saddle
             failures += 1
@@ -492,17 +477,10 @@ def run_double_loop_baseline(problem, sp, x0, outer_iter, inner_tol=1e-8,
             raise DivergenceError(
                 "non-finite baseline iterate at outer iteration k=%d" % k)
         elapsed += time.perf_counter() - t0
-        sp_last = sd
         u = sd.u
-        out.outer_iterations = k
         if callback is not None:
             callback(k, x, sd, inner_total, elapsed)
-    out.x = x
-    out.saddle = sp_last
-    out.inner_iterations = inner_total
-    out.inner_failures = failures
-    out.step_seconds = elapsed
-    return out
+    return BaselineResult(x, sd, k, inner_total, failures, elapsed)
 
 
 class GradEvalCounter:

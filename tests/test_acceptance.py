@@ -179,7 +179,7 @@ def test_criterion_04_saddle_limit_and_sandwich():
            "saddle dev %.2e (<1e-3), value gap %.2e (<5e-2), diagonal gaps "
            "%s monotone, %.1f s"
            % (worst_dev, worst_gap,
-              "/".join("%.1e" % g for g in rep.diagonal_gaps),
+              "/".join("%.1e" % abs(r.gap) for r in rep.diagonal),
               time.perf_counter() - t0))
 
 
@@ -292,8 +292,8 @@ def _hyper_rep_pair(n_feat, noise_a):
     # the baseline as sipba compare runs it: its first inner solve starts at
     # the oracle's default start, not at (y0, z0)
     sp_base = ScheduleParams(**{**HR_SP, "alpha0": 0.2})
-    base = run_double_loop_baseline(prob, sp_base, x0, None, inner_tol=1e-5,
-                                    grad_budget=6 * HR_STEPS)
+    base = run_double_loop_baseline(prob, sp_base, x0, 6 * HR_STEPS,
+                                    inner_tol=1e-5)
     b_loss = hyper_rep_test_loss(data, base.x, base.saddle.y_star)
     return init_loss, s_loss, b_loss
 

@@ -29,7 +29,7 @@ def test_testbed_structure():
     assert quad.F(np.array([1.0]), np.array([3.0])) == pytest.approx(-4.0)
     assert quad.f(np.array([1.0]), np.array([3.0])) == pytest.approx(4.0)
     rep = check_gradients(quad, n_points=8)
-    assert rep.max_error < 1e-7
+    assert max(rep.errors.values()) < 1e-7
 
 
 def test_analytic_saddle_agrees_with_oracle():
@@ -75,7 +75,7 @@ def test_synthetic_problem_optimum():
     assert prob.set_Y.contains(sb.y_star)
     assert prob.mu == 2.0
     rep = check_gradients(prob, n_points=10)
-    assert rep.max_error < 1e-6
+    assert max(rep.errors.values()) < 1e-6
 
 
 def test_synthetic_needs_two_dims():
@@ -131,7 +131,7 @@ def test_hyper_rep_problem_contract():
     assert prob.mu == 0.0
     assert prob.assumption_note  # violated concavity must be documented
     rep = check_gradients(prob, n_points=6)
-    assert rep.max_error < 1e-5
+    assert max(rep.errors.values()) < 1e-5
 
 
 def test_hyper_rep_test_loss_matches_direct_formula():

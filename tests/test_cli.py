@@ -351,6 +351,23 @@ def test_null_schedule_fields_take_their_defaults(tmp_path):
         cli.build_schedule({"schedule": dict(base, alpha0=None)})
 
 
+def test_the_schedule_block_needs_its_seven_fields(tmp_path, capsys):
+    # one rule for run, ablate and compare: a schedule block without s is
+    # a config error at the block's line, also where every ablate.grid row
+    # and compare.baseline_schedule set s
+    cfg = synthetic_cfg(compare={"budget": 60,
+                                 "baseline_schedule": {"s": 0.1}})
+    del cfg["schedule"]["s"]
+    cfg["ablate"] = {"grid": [{"s": 0.1}, {"s": 0.2}], "max_iter": 10}
+    cfgp = write_cfg(tmp_path, cfg)
+    for cmd in ("run", "ablate", "compare"):
+        assert cli.main([cmd, "--config", cfgp,
+                         "--out", str(tmp_path / cmd)]) == 1
+        assert capsys.readouterr() == ("", "%s:%d: missing required key "
+                                       "'schedule.s'\n"
+                                       % (cfgp, key_line(cfgp, "schedule")))
+
+
 def test_gradcheck_passes_and_reports(tmp_path, capsys):
     cfg = synthetic_cfg()
     cfg["gradcheck"] = {"n_points": 5, "threshold": 1e-4, "rho": 10.0,

@@ -152,28 +152,42 @@ def test_warm_solve_with_too_small_estimate_converges_through_backoff():
 
 def test_warm_baseline_on_hyper_rep_has_no_oracle_failures(monkeypatch):
     # 200 outer steps of criterion 07's baseline schedule on a small
-    # instance: every solve after the first is warm, none fails, x stays
-    # finite
+    # instance, under a budget of exactly what they spend: every solve
+    # after the first is warm, none fails, x stays finite
     from sipba import solver
     from sipba.benchmarks import (generate_hyper_rep, hyper_rep_init,
                                   hyper_rep_problem)
-    from sipba.solver import ScheduleParams, run_double_loop_baseline
+    from sipba.solver import (ScheduleParams, run_double_loop_baseline,
+                              with_gradient_counter)
 
     data = generate_hyper_rep(10, 2, 20, 20, 50, 0.1, seed=7)
     prob = hyper_rep_problem(data)
-    x0, y0, z0 = hyper_rep_init(data, np.random.Generator(np.random.Philox(42)))
+    x0, _, _ = hyper_rep_init(data, np.random.Generator(np.random.Philox(42)))
     sp = ScheduleParams(alpha0=0.2, beta0=1e-4, rho0=10.0, sigma0=0.01,
                         p=0.01, q=0.01, s=0.16)
+
+    class Spent(Exception):
+        """Ends an unbounded run after its 200th outer step."""
+
+    def stop_at_200(k, *_):
+        if k == 200:
+            raise Spent(cnt.count)
+
+    counted, cnt = with_gradient_counter(prob)
+    with pytest.raises(Spent) as spent:
+        run_double_loop_baseline(counted, sp, x0, 10**9, inner_tol=1e-5,
+                                 callback=stop_at_200)
     calls = []
 
-    def counted(*args):
+    def count_estimates(*args):
         est = estimate_T_lipschitz(*args)
         calls.append(est.calls)
         return est
 
-    monkeypatch.setattr(solver, "estimate_T_lipschitz", counted)
-    res = run_double_loop_baseline(
-        prob, sp, x0, 200, inner_tol=1e-5, u0=np.concatenate((y0, z0)))
+    monkeypatch.setattr(solver, "estimate_T_lipschitz", count_estimates)
+    res = run_double_loop_baseline(prob, sp, x0, spent.value.args[0],
+                                   inner_tol=1e-5)
+    assert res.outer_iterations == 200
     assert res.inner_failures == 0
     assert np.isfinite(res.x).all()
     assert calls == [31] + [4] * 199

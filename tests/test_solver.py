@@ -15,8 +15,8 @@ from sipba.errors import (
     SaddleConvergenceError,
 )
 from sipba.problem import GRADIENTS
-from sipba.saddle import estimate_T_lipschitz
-from sipba.smoothing import PenaltyReg
+from sipba.saddle import estimate_T_lipschitz, solve_saddle
+from sipba.smoothing import PenaltyReg, direction_x
 from sipba.solver import (
     ScheduleParams,
     initial_state,
@@ -472,8 +472,7 @@ def test_baseline_divergence_raises():
                         p=0.01, q=0.01, s=0.16)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError,
                                                   match="outer iteration k=2"):
-        run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-8,
-                                 inner_max_iter=100)
+        run_double_loop_baseline(quad, sp, [1.0], 1000, inner_tol=1e-8)
 
 
 def test_schedule_underflow_is_a_parameter_overflow():
@@ -497,7 +496,7 @@ def test_schedule_underflow_is_a_parameter_overflow():
     with pytest.raises(ContractViolation):
         PenaltyReg(rho7, 0.0)
     with pytest.raises(ParameterOverflowError, match="k=7"):
-        run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-1)
+        run_double_loop_baseline(quad, sp, [1.0], 10**4, inner_tol=1e-1)
 
 
 def test_penalty_growth_overflow_is_a_parameter_overflow():
@@ -512,12 +511,32 @@ def test_penalty_growth_overflow_is_a_parameter_overflow():
     assert isinstance(res.error, ParameterOverflowError)
     assert "k=3" in str(res.error)
     with pytest.raises(ParameterOverflowError, match="k=3"):
-        run_double_loop_baseline(quad, sp, [1.0], 10, inner_tol=1e-1)
+        run_double_loop_baseline(quad, sp, [1.0], 10**4, inner_tol=1e-1)
+
+
+
+
+def _outer_steps(inner_tol=1e-8, budget=3000):
+    """A baseline's outer steps from x=1 under a large budget: (evaluations
+    spent, x, saddle, inner iterations so far) after each. A budget of
+    exactly what its first n steps spend runs those n steps unchanged, as
+    none of their solves is cut short by the cap."""
+    counted, cnt = with_gradient_counter(quad)
+    steps = []
+
+    def cb(k, x, sd, inner_total, elapsed):
+        steps.append((cnt.count, x, sd, inner_total))
+
+    run_double_loop_baseline(counted, SP_UNIT, [1.0], budget,
+                             inner_tol=inner_tol, callback=cb)
+    return steps
 
 
 def test_baseline_single_step_example():
     # one outer step from x=1 with alpha_1=0.1 moves to 1 + 1/13
-    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], 1, inner_tol=1e-12)
+    spent = _outer_steps(inner_tol=1e-12, budget=300)[0][0]
+    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], spent,
+                                   inner_tol=1e-12)
     np.testing.assert_allclose(res.x, [1.0 + 1.0 / 13.0], atol=1e-9)
     assert res.outer_iterations == 1
     assert res.inner_failures == 0
@@ -525,22 +544,26 @@ def test_baseline_single_step_example():
 
 
 def test_baseline_with_loose_tolerance_is_one_sipba_step():
-    # a single warm-started inner iteration makes the two methods coincide
+    # the baseline's outer step after a single inner iteration from (y, z)
+    # at the step beta_1 is one SiPBA step: one inner iteration of the
+    # double loop is the single loop's (y, z) update
     st = initial_state(quad, [1.0], [0.0], [0.0])
-    beta1 = params_at(SP_UNIT, 1).beta
-    res = run_double_loop_baseline(
-        quad, SP_UNIT, st.x, 1,
-        inner_tol=1e9, inner_beta=beta1, u0=np.concatenate((st.y, st.z)),
-    )
-    stepped = sipba_step(quad, params_at(SP_UNIT, st.k), st)
-    np.testing.assert_array_equal(res.x, stepped.x)
-    np.testing.assert_array_equal(res.saddle.y_star, stepped.y)
-    np.testing.assert_array_equal(res.saddle.z_star, stepped.z)
+    pars = params_at(SP_UNIT, st.k)
+    sd = solve_saddle(quad, pars, st.x, tol=1e9,
+                      u0=np.concatenate((st.y, st.z)), beta=pars.beta)
+    assert sd.iterations == 1
+    g = direction_x(quad, pars, st.x, sd.y_star, sd.z_star)
+    x = quad.set_X.project(st.x - pars.alpha * g)
+    stepped = sipba_step(quad, pars, st)
+    np.testing.assert_array_equal(x, stepped.x)
+    np.testing.assert_array_equal(sd.y_star, stepped.y)
+    np.testing.assert_array_equal(sd.z_star, stepped.z)
 
 
 def test_baseline_counts_inner_failures(monkeypatch):
-    # a capped solve still seeds the next estimate: every one after the
-    # first is warm (4 operator_T calls), and with inner_beta none is made
+    # a budget that leaves the third solve 2 fixed-point iterations: that
+    # capped solve is the run's one inner failure and its last, and every
+    # estimate after the first is warm (4 operator_T calls)
     calls = []
 
     def counted(*args):
@@ -548,20 +571,15 @@ def test_baseline_counts_inner_failures(monkeypatch):
         calls.append(est.calls)
         return est
 
+    spent = _outer_steps()[1][0]
     monkeypatch.setattr(solver, "estimate_T_lipschitz", counted)
-    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], 3,
-                                   inner_tol=1e-14, inner_max_iter=2)
-    assert res.inner_failures == 3
+    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], spent + 6,
+                                   inner_tol=1e-8)
+    assert res.outer_iterations == 3
+    assert res.inner_failures == 1
+    assert res.saddle.iterations == 2 and not res.saddle.converged
     assert np.isfinite(res.x).all()
     assert calls == [31, 4, 4]
-    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], 3, inner_tol=1e-14,
-                                   inner_max_iter=2, inner_beta=0.1)
-    assert res.inner_failures == 3 and calls == [31, 4, 4]
-
-
-def test_baseline_checks_u0_on_entry():
-    with pytest.raises(ContractViolation, match=r"u0 must have shape \(2,\)"):
-        run_double_loop_baseline(quad, SP_UNIT, [1.0], 3, u0=[0.0, 0.0, 0.0])
 
 
 def test_baseline_callback_and_target():
@@ -572,14 +590,11 @@ def test_baseline_callback_and_target():
         ks.append(k)
         totals.append(inner_total)
 
-    run_double_loop_baseline(quad, SP_UNIT, [1.0], 4, inner_tol=1e-8, callback=cb)
+    spent = _outer_steps()[3][0]
+    run_double_loop_baseline(quad, SP_UNIT, [1.0], spent, inner_tol=1e-8,
+                             callback=cb)
     assert ks == [1, 2, 3, 4]
     assert totals == sorted(totals)
-
-
-def test_baseline_needs_an_end():
-    with pytest.raises(ContractViolation):
-        run_double_loop_baseline(quad, SP_UNIT, [1.0], None)
 
 
 def test_baseline_budget_overshoot_is_bounded():
@@ -589,41 +604,31 @@ def test_baseline_budget_overshoot_is_bounded():
     worst = 0
     for budget in list(range(1, 400, 7)) + [1000, 2000]:
         counted, cnt = with_gradient_counter(quad)
-        res = run_double_loop_baseline(counted, SP_UNIT, [1.0], None,
-                                       inner_tol=1e-8, grad_budget=budget)
+        run_double_loop_baseline(counted, SP_UNIT, [1.0], budget,
+                                 inner_tol=1e-8)
         assert budget <= cnt.count <= budget + 98
-        assert res.stop_reason == "grad_budget"
         worst = max(worst, cnt.count - budget)
     assert worst > 90  # the bound is nearly reached
 
 
-def _spend_after_each_outer(n):
-    """An unbudgeted n-step baseline and its evaluations after each step."""
-    counted, cnt = with_gradient_counter(quad)
-    spent = []
-    res = run_double_loop_baseline(counted, SP_UNIT, [1.0], n, inner_tol=1e-8,
-                                   callback=lambda *a: spent.append(cnt.count))
-    return res, spent
-
-
 def test_baseline_budget_without_binding_cap_matches_outer_iter():
     # a budget of exactly what 5 outer steps spend: no solve is cut short,
-    # and the run stops after the fifth
-    fixed, spent = _spend_after_each_outer(5)
-    budgeted = run_double_loop_baseline(quad, SP_UNIT, [1.0], None,
-                                        inner_tol=1e-8, grad_budget=spent[-1])
+    # and the run stops after the fifth, where the large-budget run was
+    spent, x, sd, inner_total = _outer_steps()[4]
+    budgeted = run_double_loop_baseline(quad, SP_UNIT, [1.0], spent,
+                                        inner_tol=1e-8)
     assert budgeted.inner_failures == 0  # the cap never cut a solve
     assert budgeted.outer_iterations == 5
-    np.testing.assert_array_equal(budgeted.x, fixed.x)
-    np.testing.assert_array_equal(budgeted.saddle.u, fixed.saddle.u)
-    assert budgeted.inner_iterations == fixed.inner_iterations
+    np.testing.assert_array_equal(budgeted.x, x)
+    np.testing.assert_array_equal(budgeted.saddle.u, sd.u)
+    assert budgeted.inner_iterations == inner_total
 
 
 def test_baseline_capped_final_solve_is_a_failure():
     # the budget leaves the fifth solve one fixed-point iteration
-    _, spent = _spend_after_each_outer(5)
-    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], None,
-                                   inner_tol=1e-8, grad_budget=spent[3] + 3)
+    spent = _outer_steps()[3][0]
+    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], spent + 3,
+                                   inner_tol=1e-8)
     assert res.outer_iterations == 5
     assert res.inner_failures == 1
     assert res.saddle.iterations == 1
@@ -631,8 +636,6 @@ def test_baseline_capped_final_solve_is_a_failure():
 
 
 def test_baseline_counts_with_the_counter_it_is_given(monkeypatch):
-    from sipba import solver
-
     wraps = []
 
     def spy(problem):
@@ -641,8 +644,8 @@ def test_baseline_counts_with_the_counter_it_is_given(monkeypatch):
 
     monkeypatch.setattr(solver, "with_gradient_counter", spy)
     counted, cnt = with_gradient_counter(quad)
-    run_double_loop_baseline(counted, SP_UNIT, [1.0], None, grad_budget=300)
+    run_double_loop_baseline(counted, SP_UNIT, [1.0], 300)
     assert wraps == []
     assert 300 <= cnt.count <= 300 + 98
-    run_double_loop_baseline(quad, SP_UNIT, [1.0], None, grad_budget=300)
+    run_double_loop_baseline(quad, SP_UNIT, [1.0], 300)
     assert len(wraps) == 1 and wraps[0] is quad
