@@ -4,8 +4,11 @@
 
 All commands share one JSON configuration document. The table CONFIG_KEYS
 defines its keys (kind, default, lower bound); each command reads the common
-``problem``/``schedule``/``run`` blocks plus its own section. Command X is
-the function cmd_X below, whose docstring is its line in ``sipba --help``.
+``problem``/``schedule``/``run`` blocks plus its own section, if it has one
+(gradcheck has none: its settings are fixed). Every key is set by a demo, a
+benchmark or an example config; a value nothing sets is a constant. Command
+X is the function cmd_X below, whose docstring is its line in ``sipba
+--help``.
 
 CSV files are UTF-8 with LF line endings and 17-significant-digit floats, so
 reruns with the same config and seed reproduce every numerical column
@@ -93,7 +96,6 @@ CONFIG_KEYS = {
     **{"schedule." + k: ("pos", _MISSING, None)
        for k in ("alpha0", "beta0", "rho0", "sigma0")},
     **{"schedule." + k: ("num", _MISSING, 0) for k in ("p", "q", "s")},
-    "schedule.rho_cap": ("pos", 1e12, None),
     "run": ("dict", {}, None),
     "run.seeds": ("dict", {"base": 0, "count": 1}, None),
     "run.seeds.base": ("int", _MISSING, 0),
@@ -102,10 +104,6 @@ CONFIG_KEYS = {
     "run.stride": ("int", 100, 1),
     "run.oracle_tol": ("pos", 1e-8, None),
     "run.target_eps_rel": ("pos", None, None),
-    "run.stop_at_target": ("bool", False, None),
-    "run.init": ("dict", None, None),
-    **{"run.init." + k: ("num[]", _MISSING, None) for k in ("x0", "y0")},
-    "run.init.z0": ("num[]", None, None),
     "ablate": ("dict", _MISSING, None),
     "ablate.grid": ("dict[]", _MISSING, None),
     "ablate.max_iter": ("int", None, 0),
@@ -113,21 +111,11 @@ CONFIG_KEYS = {
     "compare.budget": ("int", None, 6),
     "compare.inner_tol": ("pos", 1e-5, None),
     "compare.baseline_schedule": ("dict", {}, None),
-    "gradcheck": ("dict", {}, None),
-    "gradcheck.threshold": ("pos", 1e-4, None),
-    "gradcheck.n_points": ("int", 20, 1),
-    "gradcheck.fd_step": ("pos", 1e-5, None),
-    "gradcheck.oracle_tol": ("pos", 1e-10, None),
-    "gradcheck.rho": ("pos", 10.0, None),
-    "gradcheck.sigma": ("pos", 0.1, None),
     "asymptotics": ("dict", {}, None),
     "asymptotics.rho_list": ("pos[]", [1e1, 1e2, 1e3, 1e4], None),
     "asymptotics.sigma_list": ("pos[]", [1e-1, 1e-2, 1e-3, 1e-4], None),
     "asymptotics.x": ("str", "ones", None),
     "asymptotics.oracle_tol": ("pos", 1e-8, None),
-    "asymptotics.saddle_tol": ("pos", 1e-3, None),
-    "asymptotics.slack": ("num", None, 0),
-    "asymptotics.diag_slack": ("num", 1e-8, 0),
 }
 _SECTIONS = {k.rpartition(".")[0] for k in CONFIG_KEYS}  # the nested blocks
 # the ScheduleParams fields, in its order: the keys of the schedule block
@@ -195,6 +183,13 @@ def load_config(path):
         raise ConfigError("JSON parse error: %s" % e.msg, line=e.lineno)
     except RecursionError:
         raise ConfigError("JSON nested too deeply", line=1) from None
+    except ValueError:  # an integer longer than int() converts
+        limit = sys.get_int_max_str_digits()
+        at = next((m.start() for m in re.finditer(
+            r'"(?:[^"\\]|\\.)*"|\d{%d,}' % (limit + 1), raw)
+            if m[0][0] != '"'), 0)  # a string's digits are no integer
+        raise ConfigError("integer longer than %d digits" % limit,
+                          line=raw.count("\n", 0, at) + 1) from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object", line=1)
     cfg.path, cfg.warned = path, set()  # its file, the warnings it got
@@ -214,7 +209,6 @@ _KINDS = {  # kind: (test, what a value must be)
     "num": (_is_num, "a finite number"),
     "pos": (lambda v: _is_num(v) and v > 0, "a positive finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
 }
 
@@ -252,15 +246,6 @@ def _get(d, key, *spec):
     if item in ("num", "pos"):
         return [float(u) for u in v]
     return float(v) if kind in ("num", "pos") else v
-
-
-def _vector(d, key, n, *spec):
-    """A list of n finite numbers (floats) from the config."""
-    v = _get(d, key, *spec)
-    if len(v) != n:
-        raise ConfigError("%s must have %d entries, got shape (%d,)" % (
-            key, n, len(v)), _line(d, key.rpartition(".")[2]))
-    return v
 
 
 def _check_keys(d, section=""):
@@ -377,10 +362,14 @@ def resolve_seeds(cfg):
         seeds = [base + i for i in range(_get(sd, "run.seeds.count"))]
     env = os.environ.get("SIPBA_SEED")
     if env is not None:
-        if not re.fullmatch("[0-9]+", env):  # int() takes "+3", "5_0", " 7"
+        try:  # int() takes "+3", "5_0" and " 7" too
+            base = int(env) if re.fullmatch("[0-9]+", env) else -1
+        except ValueError:  # more digits than int() converts
+            base = -1
+        if base < 0:
             raise ConfigError("SIPBA_SEED must be an integer >= 0, got %r"
                               % env, _line(rc, "seeds"))
-        seeds = [int(env) + i for i in range(len(seeds))]
+        seeds = [base + i for i in range(len(seeds))]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be unique (one output file per run)",
                           _line(rc, "seeds"))
@@ -388,50 +377,30 @@ def resolve_seeds(cfg):
 
 
 def _runs(cfg):
-    """The prologue of run, ablate and compare: (seeds, each seed's projected
-    first state, the run block, the built problem, run.stride). A start is
-    run.init, which then may name one run only, or else the seed's Philox
-    draw."""
+    """The prologue of run, ablate and compare: (seeds, each seed's first
+    state (its Philox draw, projected), the run block, the built problem,
+    run.stride)."""
     rc = _get(cfg, "run")
     seeds = resolve_seeds(cfg)
     bundle = build_problem(cfg)
-    prob = bundle.problem
-    init = _get(rc, "run.init")
-    if init is None:
-        starts = [initial_state(prob, *bundle.sample_init(
-            np.random.Generator(np.random.Philox(s)))) for s in seeds]
-    else:
-        x0 = _vector(init, "run.init.x0", prob.n_x)
-        y0 = _vector(init, "run.init.y0", prob.n_y)
-        st = initial_state(prob, x0, y0, _vector(init, "run.init.z0",
-                                                 prob.n_y, "num[]", y0, None))
-        try:
-            bundle.eps_rel(st.x, st.y)
-        except ContractViolation:  # eps_rel divides by the start's distance
-            raise ConfigError("run.init projects onto the known optimum "
-                              "(x*, y*)", _line(rc, "init")) from None
-        if len(seeds) > 1:
-            raise ConfigError("run.init fixes the start, so run.seeds must "
-                              "name one run, got %d" % len(seeds),
-                              _line(rc, "init"))
-        starts = [st]
+    starts = [initial_state(bundle.problem, *bundle.sample_init(
+        np.random.Generator(np.random.Philox(s)))) for s in seeds]
     return seeds, starts, rc, bundle, _get(rc, "run.stride")
 
 
-def _run_settings(cfg, max_iter=None, stop_at_target=False):
+def _run_settings(cfg, max_iter=None):
     """_runs(cfg) for run and ablate: the seeds, their starts and the
     _run_batch keywords, the rest of the run block among them."""
     seeds, starts, rc, bundle, stride = _runs(cfg)
     max_iter = _get(rc, "run.max_iter") if max_iter is None else max_iter
     oracle_tol = _get(rc, "run.oracle_tol")
     target_eps = _get(rc, "run.target_eps_rel")
-    stop_at_target = stop_at_target or _get(rc, "run.stop_at_target")
     if target_eps is not None and bundle.closed_form is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
                           _line(rc, "target_eps_rel"))
     return seeds, starts, dict(
         bundle=bundle, max_iter=max_iter, stride=stride, oracle_tol=oracle_tol,
-        target_eps=target_eps, stop_at_target=stop_at_target)
+        target_eps=target_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +429,7 @@ def _write_csv(path, header, rows):
 
 
 def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
-               oracle_tol, target_eps, stop_at_target, write_rows=True):
+               oracle_tol, target_eps, stop_at_target=False, write_rows=True):
     """The runs of seeds from their starts inits under the schedule sp, or
     a list with one schedule per seed, stepped as one batch: run's
     RunResults and each completed run's final eps_rel (None without a known
@@ -526,9 +495,6 @@ def cmd_run(cfg, out_dir):
     """One SiPBA run per seed: a diagnostics CSV per run and a summary CSV."""
     seeds, starts, kw = _run_settings(cfg)
     target_eps = kw["target_eps"]
-    if kw["stop_at_target"] and target_eps is None:
-        raise ConfigError("run.stop_at_target needs run.target_eps_rel",
-                          _line(_get(cfg, "run"), "stop_at_target"))
     sp = build_schedule(cfg)
     results, finals = _run_batch(sp, seeds, starts, out_dir=out_dir, **kw)
 
@@ -567,7 +533,7 @@ def cmd_ablate(cfg, out_dir):
     grid = _get(ab, "ablate.grid")
     max_iter = _get(ab, "ablate.max_iter")
     schedules = [_schedule(cfg, ov, "ablate.grid") for ov in grid]
-    seeds, starts, kw = _run_settings(cfg, max_iter, stop_at_target=True)
+    seeds, starts, kw = _run_settings(cfg, max_iter)
     if kw["target_eps"] is None:
         raise ConfigError("ablate needs run.target_eps_rel, the eps_rel its "
                           "runs are timed to",
@@ -577,7 +543,8 @@ def cmd_ablate(cfg, out_dir):
     n = len(seeds)
     results, finals = _run_batch([sp for sp in schedules for _ in seeds],
                                  seeds * len(grid), starts * len(grid),
-                                 out_dir=out_dir, write_rows=False, **kw)
+                                 out_dir=out_dir, stop_at_target=True,
+                                 write_rows=False, **kw)
 
     table = []
     for i, sp in enumerate(schedules):
@@ -607,10 +574,10 @@ def cmd_ablate(cfg, out_dir):
 
 def cmd_gradcheck(cfg, out_dir):
     """Finite-difference check of the problem gradients and of grad phi."""
-    gc = _get(cfg, "gradcheck")
-    threshold, n_points, fd_step, oracle_tol, rho, sigma = (
-        _get(gc, "gradcheck." + k) for k in
-        ("threshold", "n_points", "fd_step", "oracle_tol", "rho", "sigma"))
+    # 20 points at the step 1e-5 against the threshold 1e-4; grad phi at
+    # (rho, sigma) = (10, 0.1), from oracle solves at tol 1e-10
+    threshold, n_points, fd_step, oracle_tol = 1e-4, 20, 1e-5, 1e-10
+    rho, sigma = 10.0, 0.1
     prob = build_problem(cfg).problem
 
     report = check_gradients(prob, n_points=n_points, fd_step=fd_step)
@@ -719,14 +686,17 @@ def cmd_asymptotics(cfg, out_dir):
         raise ConfigError("asymptotics needs the closed-form synthetic "
                           "problem", _line(_get(cfg, "problem"), "kind"))
     ac = _get(cfg, "asymptotics")
-    rho_list, sigma_list, oracle_tol, saddle_tol, diag_slack, slack = (
+    rho_list, sigma_list, oracle_tol = (
         _get(ac, "asymptotics." + k) for k in
-        "rho_list sigma_list oracle_tol saddle_tol diag_slack slack".split())
+        ("rho_list", "sigma_list", "oracle_tol"))
 
     cf = bundle.closed_form
     n = bundle.problem.n_x
     if isinstance(ac.get("x"), list):  # else "ones" or "optimum"
-        x = _vector(ac, "asymptotics.x", n, "num[]", _MISSING, None)
+        x = _get(ac, "asymptotics.x", "num[]", _MISSING, None)
+        if len(x) != n:
+            raise ConfigError("asymptotics.x must have %d entries, got shape "
+                              "(%d,)" % (n, len(x)), _line(ac, "x"))
     else:
         xsel = _get(ac, "asymptotics.x")
         if xsel not in ("ones", "optimum"):
@@ -736,8 +706,7 @@ def cmd_asymptotics(cfg, out_dir):
 
     try:
         rep = sandwich_check(cf, x, rho_list, sigma_list,
-                             oracle_tol=oracle_tol, slack=slack,
-                             diag_slack=diag_slack)
+                             oracle_tol=oracle_tol)
     except SaddleConvergenceError as e:
         print("asymptotics: oracle failure: %s" % e, file=sys.stderr)
         return 2
@@ -761,8 +730,8 @@ def cmd_asymptotics(cfg, out_dir):
     if not rep.diagonal_monotone:
         bad.append("diagonal gaps not monotone")
     final_dev = saddle_rows[-1][2]  # the lists are nonempty
-    if final_dev > saddle_tol:
-        bad.append("saddle deviation %.3e > %g" % (final_dev, saddle_tol))
+    if final_dev > 1e-3:
+        bad.append("saddle deviation %.3e > 0.001" % final_dev)
     if bad:
         print("asymptotics FAILED: %s" % "; ".join(bad), file=sys.stderr)
         return 3

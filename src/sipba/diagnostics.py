@@ -198,8 +198,7 @@ class SandwichReport:
         return "\n".join(lines)
 
 
-def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
-                   slack=None, diag_slack=1e-8):
+def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8):
     """Evaluate the smoothed-vs-exact value sandwich on a (rho, sigma) grid.
 
     problem_cf must expose .problem plus closed_form_phi(x) and
@@ -207,15 +206,13 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
 
         phi_{rho,sigma}(x) >= phi(x) - (sigma/2) * ||y*(x)||^2 - slack
 
-    is checked (slack defaults to max(1e-8, 10*oracle_tol)); along the
-    diagonal (rho_list[i], sigma_list[i]) the absolute gap must be
-    nonincreasing within diag_slack. The asymptotic upper bound
-    phi_{rho,sigma} <= phi + eps is what the shrinking gaps witness. Each
-    record also carries the distance of its oracle saddle to the limit
-    (y*(x), y*(x)).
+    is checked, with slack = max(1e-8, 10*oracle_tol); along the diagonal
+    (rho_list[i], sigma_list[i]) the absolute gap must be nonincreasing
+    within 1e-8. The asymptotic upper bound phi_{rho,sigma} <= phi + eps is
+    what the shrinking gaps witness. Each record also carries the distance
+    of its oracle saddle to the limit (y*(x), y*(x)).
     """
-    if slack is None:
-        slack = max(1e-8, 10.0 * oracle_tol)
+    slack = max(1e-8, 10.0 * oracle_tol)
     prob = problem_cf.problem
     x = _as_vector(x, prob.n_x, "x")
     phi_exact = float(problem_cf.closed_form_phi(x))
@@ -242,7 +239,7 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8,
     diagonal = [records[i * len(sigma_list) + i] for i in range(n_diag)]
     diag_gaps = [abs(r.gap) for r in diagonal]
     monotone = all(
-        diag_gaps[i + 1] <= diag_gaps[i] + diag_slack
+        diag_gaps[i + 1] <= diag_gaps[i] + 1e-8
         for i in range(len(diag_gaps) - 1)
     )
     return SandwichReport(

@@ -13,7 +13,7 @@ calls), no inner loop. The schedules
     alpha_k = alpha0 * k^(-s)
     beta_k  = beta0  * k^(-(2p+q))
     sigma_k = sigma0 * k^(-q)
-    rho_k   = min(rho0 * k^p, rho_cap)
+    rho_k   = min(rho0 * k^p, 1e12)
 
 follow the decreasing-step regime 0 < s < 1/2, 0 < p, q < 1, s >= 8(p+q);
 parameter choices outside the regime are allowed and only warned about.
@@ -55,8 +55,7 @@ from .saddle import default_start, estimate_T_lipschitz, solve_saddle
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Step-size and penalty schedule coefficients: the paper's seven and
-    the cap on rho_k (see params_at)."""
+    """Step-size and penalty schedule coefficients: the paper's seven."""
 
     alpha0: float
     beta0: float
@@ -65,10 +64,9 @@ class ScheduleParams:
     p: float
     q: float
     s: float
-    rho_cap: float = 1e12
 
     def __post_init__(self):
-        for name in ("alpha0", "beta0", "rho0", "sigma0", "rho_cap"):
+        for name in ("alpha0", "beta0", "rho0", "sigma0"):
             v = getattr(self, name)
             if not (v > 0 and np.isfinite(v)):
                 raise ContractViolation("%s must be positive and finite" % name)
@@ -106,6 +104,9 @@ class Params(NamedTuple):
     sigma: float
 
 
+RHO_CAP = 1e12  # where rho_k stops growing
+
+
 def params_at(sp, k):
     """Scheduled (alpha_k, beta_k, rho_k, sigma_k); the counter starts at 1.
 
@@ -122,7 +123,7 @@ def params_at(sp, k):
         pars = Params(
             alpha=sp.alpha0 * kf ** (-sp.s),
             beta=sp.beta0 * kf ** (-(2.0 * sp.p + sp.q)),
-            rho=min(sp.rho0 * kf**sp.p, sp.rho_cap),
+            rho=min(sp.rho0 * kf**sp.p, RHO_CAP),
             sigma=sp.sigma0 * kf ** (-sp.q),
         )
     except OverflowError:

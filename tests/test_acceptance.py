@@ -173,7 +173,7 @@ def test_criterion_04_saddle_limit_and_sandwich():
     rep = sandwich_check(sb, np.ones(4),
                          rho_list=[1e1, 1e2, 1e3, 1e4],
                          sigma_list=[1e-1, 1e-2, 1e-3, 1e-4],
-                         oracle_tol=1e-8, diag_slack=1e-8)
+                         oracle_tol=1e-8)
     ok = worst_dev < 1e-3 and worst_gap < 5e-2 and rep.diagonal_monotone
     report(4, ok,
            "saddle dev %.2e (<1e-3), value gap %.2e (<5e-2), diagonal gaps "

@@ -97,11 +97,17 @@ def test_params_at_formulas_and_monotonicity():
 
 
 def test_params_at_rho_cap():
+    # rho_k stops at 1e12, a constant: a schedule is the paper's seven
+    # coefficients and nothing else
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sp = ScheduleParams(alpha0=0.1, beta0=0.01, rho0=10.0, sigma0=0.1,
-                            p=0.5, q=0.05, s=0.45, rho_cap=50.0)
-    assert params_at(sp, 10 ** 6).rho == 50.0
+                            p=0.5, q=0.05, s=0.45)
+    assert params_at(sp, 10 ** 20).rho == 10.0 * 1e10
+    assert params_at(sp, 10 ** 24).rho == 1e12
+    with pytest.raises(TypeError):
+        ScheduleParams(alpha0=0.1, beta0=0.01, rho0=10.0, sigma0=0.1,
+                       p=0.001, q=0.001, s=0.1, rho_cap=50.0)
 
 
 @pytest.mark.parametrize("over, k, message", [
@@ -490,7 +496,7 @@ def test_schedule_underflow_is_a_parameter_overflow():
     assert isinstance(res.error, ParameterOverflowError)
     assert res.iterations == 6
     msg = str(res.error)
-    rho7 = min(sp.rho0 * 7.0**sp.p, sp.rho_cap)
+    rho7 = sp.rho0 * 7.0**sp.p
     assert "k=7" in msg
     assert "rho_k=%r" % rho7 in msg and "sigma_k=0.0" in msg
     with pytest.raises(ContractViolation):
