@@ -1,8 +1,8 @@
 """Benchmark problem families with known structure.
 
 Three families, whose callables are module-level functions bound to their data
-with functools.partial, or bound methods of a module-level class, so a built
-problem pickles as it is:
+with functools.partial, or bound methods of a module-level class (a built
+problem pickles, its hyper-rep memo included):
 
 * quadratic_testbed: scalar F = -(y-x)^2, f = (y-x)^2, everything
   unconstrained. The saddle of the regularized objective solves a 2x2
@@ -13,9 +13,9 @@ problem pickles as it is:
 * hyper-representation: pessimistic linear representation learning on
   synthetic regression splits; no strong concavity (mu recorded as 0).
 
-The quadratic and synthetic families are rowwise (BilevelProblem.rowwise):
-their gradients also take blocks of rows, so a batch of starts makes one
-call per gradient per step. Hyper-representation's are called per row.
+Every family's gradients take one point or a block of rows, as
+BilevelProblem asks, so a batch of starts makes one call per gradient per
+step.
 """
 
 import math
@@ -54,7 +54,7 @@ def quadratic_testbed():
         F=partial(_testbed_value, -1.0), f=partial(_testbed_value, 1.0),
         grad_F_x=up, grad_F_y=down, grad_f_x=down, grad_f_y=up,
         set_X=FullSpace(1), set_Y=FullSpace(1),
-        mu=2.0, lip_F=2.0, lip_f=2.0, rowwise=True,
+        mu=2.0, lip_F=2.0, lip_f=2.0,
     )
 
 
@@ -140,9 +140,9 @@ def _synthetic_f(e, x, y):
     return r * r
 
 
-# The gradients take one point or a block of rows (the problem is rowwise),
-# with ||x|| as np.sqrt(x.dot(x)), which is what np.linalg.norm computes for
-# a 1-D float vector.
+# The gradients take one point or a block of rows, with ||x|| as
+# np.sqrt(x.dot(x)), which is what np.linalg.norm computes for a 1-D float
+# vector.
 def _dot(a, b):
     """Each row's dot product, exactly as np.dot takes it for that row alone
     (np.vecdot); for two vectors the plain dot, the same number faster."""
@@ -202,7 +202,7 @@ def synthetic_problem(n):
         grad_f_y=partial(_synthetic_grad_f_y, e),
         set_X=Box(np.full(n, 0.1), np.full(n, 10.0)),
         set_Y=Box(np.full(n, 1.0 / (2.0 * rootn)), np.full(n, np.inf)),
-        mu=2.0, lip_F=2.0, lip_f=lip_f, rowwise=True,
+        mu=2.0, lip_F=2.0, lip_f=lip_f,
     )
     return SyntheticProblem(
         n=n, problem=prob, x_star=e / 2.0, y_star=e / (2.0 * rootn)
@@ -282,7 +282,11 @@ class _Split:
     overhead. grad_w is (X^T H)^T r from the same memo: m p multiply-adds,
     where H^T (X r) would take n m + n p. Its last bits differ from
     H^T (X r)'s; the end-metric gate in tests/test_equivalence.py bounds
-    how far that moves a run.
+    how far that moves a run. On a block of rows, x (S, n p) and w (S, p),
+    the gradients are matmuls over the (S, n, p) stack, memoized per block,
+    whose slices run the 1-D products' loops: each row equals its call
+    alone bit for bit (tests/test_benchmarks.py pins it on the BLAS at
+    hand). The loss takes one point.
     Instances pickle with their memo, and their bound methods stay pure as
     seen from outside.
     """
@@ -292,26 +296,37 @@ class _Split:
         self._memo = (None, None)  # (key of x, X^T H)
 
     def _residual(self, x, w):
-        """(X^T H, the residual (X^T H) w - y) at x and w."""
+        """(X^T H, the residual (X^T H) w - y, whether x is one point, so
+        the gradients need not test it again); for a block, the (S, m, p)
+        and (S, m) stacks of its rows'."""
         key = (x.dtype, x.shape, x.strides, x.tobytes())
         memo = self._memo  # read once: the pair stays matched under threads
+        point = x.ndim == 1
         if key != memo[0]:
-            H = x.reshape(self.X.shape[0], -1)
+            n = self.X.shape[0]
+            H = x.reshape(n, -1) if point else x.reshape(len(x), n, -1)
             memo = self._memo = (key, self.X.T @ H)
-        return memo[1], memo[1].dot(w) - self.y
+        if point:
+            return memo[1], memo[1].dot(w) - self.y, point
+        return memo[1], (memo[1] @ w[:, :, None])[:, :, 0] - self.y, point
 
     def loss(self, x, w):
-        _, r = self._residual(x, w)
+        _, r, _ = self._residual(x, w)
         return float(np.dot(r, r) / self.y.shape[0])
 
     def grad_x(self, x, w):
-        _, r = self._residual(x, w)
+        _, r, point = self._residual(x, w)
+        c = 2.0 / self.y.shape[0]
         # (X r) w^T as np.outer forms it: one product per entry
-        return ((2.0 / self.y.shape[0]) * (self.X.dot(r)[:, None] * w)).ravel()
+        if point:
+            return (c * (self.X.dot(r)[:, None] * w)).ravel()
+        return (c * (self.X @ r[:, :, None] * w[:, None, :])).reshape(x.shape)
 
     def grad_w(self, x, w):
-        A, r = self._residual(x, w)
-        return (2.0 / self.y.shape[0]) * A.T.dot(r)
+        A, r, point = self._residual(x, w)
+        if point:
+            return (2.0 / self.y.shape[0]) * A.T.dot(r)
+        return (2.0 / self.y.shape[0]) * (r[:, None, :] @ A)[:, 0]
 
 
 def hyper_rep_problem(data):
@@ -332,8 +347,8 @@ def hyper_rep_problem(data):
     F and its two gradients share one validation split, f and its two one
     training split, and each split keeps X^T H for the last x it saw (see
     _Split): a step's calls and an inner solve at fixed x form it once. A
-    batch of starts calls these gradients row by row (the problem is not
-    rowwise), so each call sees another row's x and misses the memo.
+    batch of starts passes its (S, n p) and (S, p) blocks, so a step's
+    calls form X^T H once for all rows.
     """
     n, p = data.n_feat, data.p_dim
     val = _Split(data.X_val, data.y_val)

@@ -12,8 +12,7 @@ callers supply analytic gradients and can validate them with
 :func:`check_gradients`.
 """
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -158,21 +157,17 @@ class BilevelProblem:
 
     F and f map (x, y) to a float; the four gradient callables return arrays
     of the matching dimension. Caller obligations, not checked here: the
-    callables are pure and deterministic, f(x, .) attains its minimum on Y
-    for every feasible x, and the supplied Lipschitz constants are valid on
-    X times the region of Y the iterates visit.
+    callables are pure and deterministic; the gradients also take blocks,
+    (S, n_x) x and (S, n_y) y, and return the (S, dim) row gradients, each
+    row equal bit for bit to the call on that row alone (a batch of starts
+    makes one call per gradient); f(x, .) attains its minimum on Y for
+    every feasible x; and the supplied Lipschitz constants are valid on X
+    times the region of Y the iterates visit.
 
     mu is the strong-concavity modulus of F(x, .). Instances that violate
     that assumption record mu=0 together with a human-readable
     ``assumption_note``; bounds that consume min(sigma, mu) refuse to run
     on them.
-
-    rowwise says the four gradient callables also take blocks: given x of
-    shape (S, n_x) and y of shape (S, n_y) they return the S row gradients
-    as one (S, dim) array, each row equal bit for bit to the call on that
-    row alone. The solver then steps a batch of starts with one call per
-    gradient. Without it (the default) a batch calls the gradients once per
-    row, on 1-D rows; see rowwise_gradients.
     """
 
     n_x: int
@@ -189,7 +184,6 @@ class BilevelProblem:
     lip_F: float
     lip_f: float
     assumption_note: Optional[str] = None
-    rowwise: bool = False
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
@@ -209,19 +203,6 @@ class BilevelProblem:
 
 
 GRADIENTS = ("grad_F_x", "grad_F_y", "grad_f_x", "grad_f_y")
-
-
-def _each_row(fn, x, y):
-    return np.stack([fn(a, b) for a, b in zip(x, y)])
-
-
-def rowwise_gradients(problem):
-    """problem itself if rowwise, else a rowwise copy whose gradients call
-    the originals once per row and stack the results."""
-    if problem.rowwise:
-        return problem
-    return replace(problem, rowwise=True, **{
-        g: partial(_each_row, getattr(problem, g)) for g in GRADIENTS})
 
 
 def _sample_interior(s, rng):

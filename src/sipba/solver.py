@@ -21,13 +21,13 @@ parameter choices outside the regime are allowed and only warned about.
 The step is written once over blocks: a state holds one start as vectors of
 shape (n,), or a batch of S starts at one counter k as (S, n) blocks, one row
 per start. run has one loop: it steps a list of starts as one batch, one
-sipba_step call a step, so a rowwise problem's gradients are called once per
-step for all rows. The loop evaluates each live schedule once per k and
-hands the step its Params: floats when one schedule is live, else (S, 1)
-columns, and a column times a block gives each row the product the scalar
-gives it. Each row's arithmetic is that of the serial step, so every row's
-trajectory equals its serial run bit for bit. A batch of one is not
-stacked: it is stepped as vectors.
+sipba_step call a step, so each gradient is called once per step for all
+rows. The loop evaluates each live schedule once per k and hands the step
+its Params: floats when one schedule is live, else (S, 1) columns, and a
+column times a block gives each row the product the scalar gives it. Each
+row's arithmetic is that of the serial step, so every row's trajectory
+equals its serial run bit for bit. A batch of one is not stacked: it is
+stepped as vectors.
 
 Within a step, each way a row can end (its schedule leaves the float range,
 its iterate turns non-finite, it stops at its target, its callback raises)
@@ -48,7 +48,7 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
-from .problem import GRADIENTS, rowwise_gradients
+from .problem import GRADIENTS
 from .smoothing import direction_x, direction_y, direction_z
 from .saddle import default_start, estimate_T_lipschitz, solve_saddle
 
@@ -172,15 +172,15 @@ def _finite(v):
 def sipba_step(problem, pars, state):
     """One single-loop iteration; returns the state at counter k+1.
 
-    The state is one start or a batch of rows (see IterateState); a batch
-    needs a rowwise problem (see problem.rowwise_gradients). pars is the
-    schedule's Params at state.k, from params_at, which checked it: floats,
-    or for a batch whose rows run under different schedules (S, 1)
-    columns. The state is validated where it is built (initial_state, and
-    the config loader before it). The step keeps O(1) checks only: each
-    projection takes a float64 block of the right shape as is and converts
-    or rejects anything else, and each new block gets a finiteness test,
-    per row only when the block's sum is not finite.
+    The state is one start or a batch of rows (see IterateState), which
+    the problem's gradients take as they are. pars is the schedule's
+    Params at state.k, from params_at, which checked it: floats, or for a
+    batch whose rows run under different schedules (S, 1) columns. The
+    state is validated where it is built (initial_state, and the config
+    loader before it). The step keeps O(1) checks only: each projection
+    takes a float64 block of the right shape as is and converts or rejects
+    anything else, and each new block gets a finiteness test, per row only
+    when the block's sum is not finite.
 
     Raises
     ------
@@ -264,8 +264,7 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
     serial message and the row's last good state), and the other rows go
     on. Any other exception propagates out of this call. A schedule that
     leaves the float range ends the rows that run under it, and only
-    those, before the step. The starts share their counter k; a problem
-    that is not rowwise has its gradients called once per row. The states
+    those, before the step. The starts share their counter k. The states
     of a batch of one, also those its hooks and gradients see, are (n,)
     vectors.
 
@@ -296,10 +295,9 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
                          step_seconds=0.0) for st in starts]
     if not starts or max_iter == 0:
         return results
-    if len(starts) == 1:  # stepped as vectors: no stacking, no row loop
+    if len(starts) == 1:  # stepped as vectors: no stacking
         state = starts[0]
     else:
-        problem = rowwise_gradients(problem)
         state = IterateState(k=starts[0].k,
                              **{b: np.stack([getattr(st, b) for st in starts])
                                 for b in "xyz"})

@@ -16,7 +16,7 @@ from sipba.benchmarks import (
     synthetic_problem,
 )
 from sipba.errors import ContractViolation
-from sipba.problem import GRADIENTS, check_gradients, rowwise_gradients
+from sipba.problem import GRADIENTS, check_gradients
 from sipba.saddle import solve_saddle
 from sipba.smoothing import PenaltyReg
 
@@ -219,12 +219,6 @@ def test_hyper_rep_memo_is_bit_identical_to_the_uncached_formulas(p_dim):
         check(name, moved, w1)
         moved[j] += 0.5
         check(name, moved, w1)
-    # the rows of a block, as a batch of starts passes them
-    block, w_block = np.stack([x1, x2, moved]), np.stack([w1, w2, w1])
-    batched = rowwise_gradients(prob)
-    for g in GRADIENTS:
-        want = np.stack([uncached[g](x, w) for x, w in zip(block, w_block)])
-        assert np.array_equal(getattr(batched, g)(block, w_block), want), g
     # the same bytes as another dtype, and the same values strided
     strided = np.repeat(x1, 2)[::2]
     for name in names:
@@ -232,6 +226,40 @@ def test_hyper_rep_memo_is_bit_identical_to_the_uncached_formulas(p_dim):
         check(name, x1.view(np.int64), w1)
         check(name, x1, w1)
         check(name, strided, w1)
+
+
+@pytest.mark.parametrize("p_dim", [1, 3])
+def test_hyper_rep_gradients_of_a_block_equal_its_rows_bit_for_bit(p_dim):
+    # a batch of starts passes (S, n) blocks: each gradient must return its
+    # calls on the rows one by one, bit for bit, whatever block or row the
+    # memo holds. The stacked matmuls must run each slice through the loop
+    # of the 1-D product; this pins that on the BLAS at hand.
+    data = generate_hyper_rep(7, p_dim, 10, 4, 5, 0.3, seed=4)
+    prob, alone = hyper_rep_problem(data), hyper_rep_problem(data)
+    rng = np.random.default_rng(6)
+    x1, x2 = rng.standard_normal((2, 4, prob.n_x))
+    w1, w2 = rng.standard_normal((2, 4, p_dim))
+    wide = rng.standard_normal((8, 2 * prob.n_x))
+
+    def check(g, x, w):
+        got = getattr(prob, g)(x, w)
+        if x.ndim == 1:
+            want = getattr(alone, g)(x, w)
+        else:
+            want = np.stack([getattr(alone, g)(a, b) for a, b in zip(x, w)])
+        assert got.shape == want.shape and np.array_equal(got, want), g
+
+    blocks = ((x1, w1), (wide[::2, :prob.n_x], w1), (wide[:4, ::2], w2),
+              (x1[2:3], w1[2:3]))  # contiguous, strided two ways, one row
+    for x, w in blocks:
+        for g in GRADIENTS:
+            check(g, x, w)
+    for g in GRADIENTS:  # a block, one of its rows, the block again
+        check(g, x1, w1)
+        check(g, x1[1], w1[1])
+        check(g, x1, w1)
+    for i in range(16):  # each split's calls alternate between two blocks
+        check(GRADIENTS[i % 4], *((x1, w1), (x2, w2))[(i + i // 4) % 2])
 
 
 def test_quadratic_init_draws_inside_the_window():

@@ -563,10 +563,9 @@ def test_every_exit_in_one_stride_step():
     assert same_state(batched[2][0].state, batched[2][1][-1])
 
 
-def test_hyper_rep_batch_loops_the_gradients_over_rows():
+def test_hyper_rep_batch_equals_its_serial_runs():
     data = generate_hyper_rep(6, 2, 8, 8, 8, 0.1, seed=3)
     prob = hyper_rep_problem(data)
-    assert not prob.rowwise
     sp = ScheduleParams(alpha0=0.01, beta0=1e-4, rho0=10.0, sigma0=0.01,
                         p=0.01, q=0.01, s=0.16)
     starts = [initial_state(prob, *hyper_rep_init(data, philox(s)))
@@ -927,7 +926,7 @@ def criterion_07_compare(out_root):
 
 def parent_grad_w(self, x, w):
     """_Split.grad_w as H^T (X r), the association before X^T H was kept."""
-    _, r = self._residual(x, w)
+    _, r, _ = self._residual(x, w)
     H = x.reshape(self.X.shape[0], -1)
     return (2.0 / self.y.shape[0]) * (H.T @ (self.X @ r))
 

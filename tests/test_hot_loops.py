@@ -404,7 +404,8 @@ def test_oracle_safeguards_equal_the_stacked_loop(monkeypatch, T, kwargs,
 
 class _MatmulSplit:
     # benchmarks._Split's loss and gradients with its products written as
-    # @, and no memo (test_benchmarks gates the memo against this form)
+    # @, and no memo (test_benchmarks gates the memo against this form).
+    # The gradients take one point, and a block row by row.
     def __init__(self, X, y):
         self.X, self.y = X, y
 
@@ -417,10 +418,14 @@ class _MatmulSplit:
         return float(np.dot(r, r) / self.y.shape[0])
 
     def grad_x(self, x, w):
+        if x.ndim == 2:
+            return np.stack([self.grad_x(a, b) for a, b in zip(x, w)])
         _, r = self._residual(x, w)
         return ((2.0 / self.y.shape[0]) * ((self.X @ r)[:, None] * w)).ravel()
 
     def grad_w(self, x, w):
+        if x.ndim == 2:
+            return np.stack([self.grad_w(a, b) for a, b in zip(x, w)])
         A, r = self._residual(x, w)
         return (2.0 / self.y.shape[0]) * (A.T @ r)
 

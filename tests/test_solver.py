@@ -350,21 +350,23 @@ SP_SYNTH = ScheduleParams(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01,
                           p=0.001, q=0.001, s=0.1)
 
 
-@pytest.mark.parametrize("rowwise", [False, True])
-def test_a_single_start_is_stepped_as_vectors(rowwise):
-    # a list of one is not stacked, rowwise problem or not: the gradients
-    # get (n,) vectors, six calls a step, and the first step hands them the
-    # start's own x, not a row of a copy
+@pytest.mark.parametrize("vectors_only", [False, True])
+def test_a_single_start_is_stepped_as_vectors(vectors_only):
+    # a list of one is not stacked: the gradients get (n,) vectors, six
+    # calls a step, and the first step hands them the start's own x, not a
+    # row of a copy; so a single start also runs gradients that refuse blocks
     sb = synthetic_problem(5)
     calls = []
 
     def logged(fn):
         def grad(x, y):
             calls.append((np.shape(x), np.shape(y), x))
+            if vectors_only and (np.ndim(x) != 1 or np.ndim(y) != 1):
+                raise ValueError("this gradient takes (n,) vectors only")
             return fn(x, y)
         return grad
 
-    prob = replace(sb.problem, rowwise=rowwise,
+    prob = replace(sb.problem,
                    **{g: logged(getattr(sb.problem, g)) for g in GRADIENTS})
     st = initial_state(prob, *sb.sample_init(np.random.default_rng(3)))
     (res,) = run(prob, SP_SYNTH, [st], max_iter=3)
