@@ -20,12 +20,12 @@ _get) as ``cfg:line: section.key must be ..., got ...``, and a schedule
 outside the guaranteed regime as one ``cfg:line: warning: ...`` line. The
 problem and each run's start are built once too. Every command runs in one
 process: run steps all its seeds as one batch (solver.run), ablate all its
-(grid row, seed) runs, each row under its own schedule, and compare runs
-its seeds one after another. A batch of one start, and compare's
-single-loop arm, is stepped as vectors; compare's baseline starts its first
-inner solve at the oracle's default start. Exit codes: 0 success, 1 config
-or usage error, 2 nothing completed (numerical failure), 3 acceptance
-violation.
+(grid row, seed) runs, each row under its own schedule, and compare the
+single-loop arms of all its seeds, then runs each seed's double-loop
+baseline in turn. A batch of one start is stepped as vectors; compare's
+baseline starts its first inner solve at the oracle's default start. Exit
+codes: 0 success, 1 config or usage error, 2 nothing completed (numerical
+failure), 3 acceptance violation.
 """
 
 import argparse
@@ -617,48 +617,6 @@ def _baseline_under_budget(prob, sp, x0, budget, inner_tol, callback=None):
     return run_double_loop_baseline(prob, sp, x0, budget, inner_tol, callback)
 
 
-def _compare_single(sp, seed, init, bundle, out_dir, sp_base, stride, budget,
-                    inner_tol):
-    """Both arms of compare from one seed's start, and its compare_<seed>.csv:
-    (the line cmd_compare prints for the seed, whether both arms completed)."""
-    rows = []
-    metric_fn = bundle.eps_rel(init.x, init.y) or bundle.metric
-
-    # single-loop arm
-    prob_s, cnt_s = with_gradient_counter(bundle.problem)
-
-    def cb(_, st, elapsed):
-        rows.append(("sipba", seed, st.k - 1, cnt_s.count, elapsed,
-                     bundle.metric_name, metric_fn(st.x, st.y)))
-
-    (res,) = run(prob_s, sp, [init], budget // 6, callback=cb,
-                 callback_stride=stride)
-    ok = res.error is None
-    if not ok:
-        line = "run %d: FAILED (sipba: %s)" % (seed, res.error)
-    else:  # double-loop arm
-        line = "run %d: %s  sipba %.6e (%d evals)" % (
-            seed, bundle.metric_name, metric_fn(res.state.x, res.state.y),
-            cnt_s.count)
-        prob_b, cnt_b = with_gradient_counter(bundle.problem)
-
-        def bl_cb(k, x, sd, inner_total, elapsed):
-            rows.append(("baseline", seed, k, cnt_b.count, elapsed,
-                         bundle.metric_name, metric_fn(x, sd.y_star)))
-
-        try:
-            base = _baseline_under_budget(prob_b, sp_base, init.x, budget,
-                                          inner_tol, callback=bl_cb)
-            line += "  baseline %.6e (%d evals)" % (
-                metric_fn(base.x, base.saddle.y_star), cnt_b.count)
-        except (DivergenceError, ParameterOverflowError) as e:
-            ok, line = False, "run %d: FAILED (baseline: %s)" % (seed, e)
-
-    _write_csv(os.path.join(out_dir, "compare_%d.csv" % seed),
-               COMPARE_COLUMNS, rows)
-    return line, ok
-
-
 def cmd_compare(cfg, out_dir):
     """SiPBA vs the double-loop baseline at an equal gradient budget."""
     seeds, starts, rc, bundle, stride = _runs(cfg)
@@ -671,12 +629,49 @@ def cmd_compare(cfg, out_dir):
     sp = build_schedule(cfg)
     sp_base = _schedule(cfg, _get(cc, "compare.baseline_schedule"),
                         "compare.baseline_schedule")
-    ordered = [_compare_single(sp, s, st, bundle, out_dir, sp_base, stride,
-                               budget, inner_tol)
-               for s, st in zip(seeds, starts)]
-    for line, _ in ordered:
+    eps = bundle.eps_rel(np.stack([st.x for st in starts]),
+                         np.stack([st.y for st in starts]))
+
+    def metric(i, x, y):  # seed i's metric at (x, y)
+        return bundle.metric(x, y) if eps is None else eps(x, y, i)
+
+    # the single-loop arms of all seeds as one batch; a row's gradient
+    # count is the cost model's 6 per step it took
+    rows = [[] for _ in seeds]  # each seed's compare_<seed>.csv rows
+
+    def cb(i, st, elapsed):
+        done = st.k - 1
+        rows[i].append(("sipba", seeds[i], done, 6 * done, elapsed,
+                        bundle.metric_name, metric(i, st.x, st.y)))
+
+    results = run(bundle.problem, sp, starts, budget // 6, callback=cb,
+                  callback_stride=stride)
+    code = 2  # 0 once a seed completes both arms
+    for i, (seed, st, res) in enumerate(zip(seeds, starts, results)):
+        if res.error is not None:
+            line = "run %d: FAILED (sipba: %s)" % (seed, res.error)
+        else:  # the seed's double-loop arm
+            line = "run %d: %s  sipba %.6e (%d evals)" % (
+                seed, bundle.metric_name, metric(i, res.state.x, res.state.y),
+                6 * res.iterations)
+            prob_b, cnt_b = with_gradient_counter(bundle.problem)
+
+            def bl_cb(k, x, sd, inner_total, elapsed):
+                rows[i].append(("baseline", seed, k, cnt_b.count, elapsed,
+                                bundle.metric_name, metric(i, x, sd.y_star)))
+
+            try:
+                base = _baseline_under_budget(prob_b, sp_base, st.x, budget,
+                                              inner_tol, callback=bl_cb)
+                line += "  baseline %.6e (%d evals)" % (
+                    metric(i, base.x, base.saddle.y_star), cnt_b.count)
+                code = 0
+            except (DivergenceError, ParameterOverflowError) as e:
+                line = "run %d: FAILED (baseline: %s)" % (seed, e)
+        _write_csv(os.path.join(out_dir, "compare_%d.csv" % seed),
+                   COMPARE_COLUMNS, rows[i])
         print(line)
-    return 0 if any(ok for _, ok in ordered) else 2
+    return code
 
 
 def cmd_asymptotics(cfg, out_dir):

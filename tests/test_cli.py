@@ -697,13 +697,12 @@ def test_asymptotics_and_gradcheck_values_checked_at_the_boundary(
 
 @pytest.fixture
 def no_runs(monkeypatch):
-    """Makes a run of run, ablate or compare raise: a config error must be
-    reported before the first one starts."""
+    """Makes solver.run, where every run of run, ablate and compare starts,
+    raise: a config error must be reported before the first one starts."""
     def reached(*args, **kwargs):
         raise RuntimeError("a run was started")
 
-    monkeypatch.setattr(cli, "_run_batch", reached)
-    monkeypatch.setattr(cli, "_compare_single", reached)
+    monkeypatch.setattr(cli, "run", reached)
 
 
 @pytest.mark.parametrize("cmd, patch, key, message", [
@@ -991,6 +990,39 @@ def test_one_process_matches_a_process_per_seed(tmp_path, monkeypatch, capsys,
         name = "%s_%d.csv" % (cmd, seed)
         got = outputs(tmp_path / str(seed))[name]
         assert got == outputs(tmp_path / "one")[name] and len(got) > 2
+
+
+@pytest.mark.parametrize("problem", [
+    {"kind": "synthetic", "n": 10}, HYPER_REP], ids=["synthetic", "hyper_rep"])
+def test_compare_batch_matches_a_process_per_seed(tmp_path, monkeypatch,
+                                                  capsys, problem):
+    # one compare steps its three seeds' single-loop arms as one (3, n)
+    # block, then runs each seed's baseline; three one-seed commands step
+    # each start as vectors. The printed lines and every compare_<seed>.csv
+    # cell but time_s agree, and a sipba row's grad_evals is 6 per step
+    cfg = small_cfg("synthetic")
+    cfg["problem"], cfg["run"]["stride"] = problem, 20
+    cfg["run"]["seeds"]["count"] = 3
+    assert cli.main(["compare", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "one")]) == 0
+    together = capsys.readouterr().out.splitlines()
+    cfg["run"]["seeds"]["count"] = 1
+    cfgp = write_cfg(tmp_path, cfg, "seed.json")
+    apart = []
+    for seed in (5, 6, 7):
+        monkeypatch.setenv("SIPBA_SEED", str(seed))
+        assert cli.main(["compare", "--config", cfgp,
+                         "--out", str(tmp_path / str(seed))]) == 0
+        apart += capsys.readouterr().out.splitlines()
+    assert together == apart and len(apart) == 3
+    for seed in (5, 6, 7):
+        name = "compare_%d.csv" % seed
+        assert outputs(tmp_path / str(seed)) == {
+            name: outputs(tmp_path / "one")[name]}
+        _, rows = read_csv(tmp_path / "one" / name)
+        sipba = [r for r in rows if r[0] == "sipba"]
+        assert len(sipba) == 5 and len(rows) > len(sipba)
+        assert all(int(r[3]) == 6 * int(r[2]) for r in sipba)
 
 
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
