@@ -37,6 +37,8 @@ def test_demo_config_runs(tmp_path, cmd, demo):
                        os.path.join(DEMOS, demo + ".json"),
                        "--out", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    written = {"run": "summary.csv", "asymptotics": "saddle_limits.csv"}[cmd]
+    assert os.path.getsize(tmp_path / "out" / written) > 0
 
 
 @pytest.mark.parametrize("demo, section, key", [

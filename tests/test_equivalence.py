@@ -96,6 +96,8 @@ import json
 import math
 import os
 import re
+import shutil
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -307,7 +309,8 @@ def test_an_underestimated_step_is_rescued_by_the_backoff(readme_n10,
 def test_the_carried_step_passes_the_gate_on_complex_eigenvalues():
     # the quadratic testbed at (rho, sigma) = (0.84, 1.07): the Jacobian of
     # T(x, .) has complex eigenvalues, so the cold step-size estimate is
-    # some ||J v|| and the carried step leans on the stall backoff
+    # some ||J v||, and the carried step inherits it (no solve here halves
+    # its step; the stall backoff is the guard)
     q = quadratic_testbed()
     sp = ScheduleParams(alpha0=0.01, beta0=1e-3, rho0=0.84, sigma0=1.07,
                         p=0.001, q=0.001, s=0.1)
@@ -1017,6 +1020,36 @@ def test_an_uneven_last_gap_passes_the_end_metric_gate(tmp_path):
     assert end_metric_violations(tight, default) == []
 
 
+@pytest.mark.parametrize("problem, schedule", [
+    # the quadratic testbed at (rho, sigma) = (0.84, 1.07): see
+    # test_the_carried_step_passes_the_gate_on_complex_eigenvalues
+    ({"kind": "quadratic"},
+     dict(README_SCHEDULE, alpha0=0.01, rho0=0.84, sigma0=1.07)),
+    # hyper-rep under the demo schedule: no other gate runs its diagnostics
+    ({"kind": "hyper_rep", "n_feat": 5, "p_dim": 2, "m1": 10, "m2": 10,
+      "m_test": 20, "noise_a": 0.1, "data_seed": 3},
+     dict(alpha0=0.01, beta0=1e-4, rho0=10.0, sigma0=0.01, p=0.01, q=0.01,
+          s=0.16)),
+], ids=["complex_eigenvalues", "hyper_rep"])
+def test_rows_at_the_carried_step_pass_the_end_metric_gate(tmp_path, problem,
+                                                           schedule):
+    # through the command line: every run ends with its 20 rows, each from
+    # a solve that starts at the step the last one ended with, and an
+    # oracle 100 times tighter agrees with them within the gate
+    def outputs(name, oracle_tol):
+        return cli_outputs("run", {
+            "problem": problem, "schedule": schedule,
+            "run": {"max_iter": STEPS, "seeds": [1, 2], "stride": STRIDE,
+                    "oracle_tol": oracle_tol},
+        }, tmp_path / name)
+
+    default = outputs("default", ORACLE_TOL)
+    tight = outputs("tight", 1e-10)
+    for seed in (1, 2):
+        assert len(_rows(os.path.join(default, "run_%d.csv" % seed))) == 21
+    assert end_metric_violations(tight, default) == []
+
+
 def test_end_metric_gate_reads_printed_integers_and_skips_seconds(tmp_path):
     ref, cand = tmp_path / "ref", tmp_path / "cand"
     for d, text in ((ref, "run 7: 2000 iterations  final eps_rel 2.271e-06"
@@ -1056,6 +1089,43 @@ def test_end_metric_margins_are_the_largest_moves_by_bound(tmp_path):
     }
     # the margins report; the violations decide
     assert len(end_metric_violations(tmp_path / "ref", tmp_path / "cand")) == 3
+
+
+def test_the_end_metric_gate_runs_as_a_script(tmp_path):
+    # PYTHONPATH=src python tests/test_equivalence.py REF_DIR CAND_DIR
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH"))
+        if p))
+
+    def gate(*dirs):
+        return subprocess.run([sys.executable, os.path.abspath(__file__)]
+                              + [str(d) for d in dirs], env=env,
+                              capture_output=True, text=True)
+
+    ref = cli_outputs("run", {
+        "problem": {"kind": "synthetic", "n": 2}, "schedule": README_SCHEDULE,
+        "run": {"max_iter": 300, "seeds": [5], "stride": STRIDE},
+    }, tmp_path / "ref")
+    cand = tmp_path / "cand"
+    shutil.copytree(ref, cand)
+    proc = gate(ref, cand)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n0 end-metric violations\n")
+    # phi_k of the second row one part in 1e9 off, at an unmoved state
+    rows = _rows(cand / "run_5.csv")
+    rows[2][3] = repr(float(rows[2][3]) * (1.0 + 1e-9))
+    with open(cand / "run_5.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    bad = end_metric_violations(ref, cand)
+    assert len(bad) == 1 and bad[0].startswith("run_5.csv:3 [5] phi_k: ")
+    proc = gate(ref, cand)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == bad[0] and lines[-1] == "1 end-metric violations"
+    proc = gate(ref)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "usage: python tests/test_equivalence.py REF_DIR CAND_DIR\n")
 
 
 if __name__ == "__main__":
