@@ -36,10 +36,22 @@ REGIME = ("schedule exponents outside the guaranteed regime "
           "(0<p<1, 0<q<1, 0<s<1/2)")
 
 
+# keys the key table lacks, whose values are constants: each is an unknown
+# key wherever a config gives it
+GONE = ("run.init", "run.stop_at_target", "schedule.rho_cap", "gradcheck",
+        "asymptotics.saddle_tol", "asymptotics.slack", "asymptotics.diag_slack")
+
+
 def rejection(cfgp, key):
     """The start of the one stderr line that rejects a bad value at the
-    dotted key."""
-    return "%s:%d: %s must be " % (cfgp, key_line(cfgp, key), key)
+    dotted key: "key must be ...", or for a key in or under GONE, "unknown
+    <block> key" at that key's line."""
+    gone = next((g for g in GONE if (key + ".").startswith(g + ".")), None)
+    if gone is None:
+        return "%s:%d: %s must be " % (cfgp, key_line(cfgp, key), key)
+    block, _, name = gone.rpartition(".")
+    return "%s:%d: unknown %s key %r\n" % (cfgp, key_line(cfgp, gone),
+                                           block or "top-level", name)
 
 
 def read_csv(path):
@@ -210,6 +222,35 @@ def test_config_error_reporting(tmp_path, capsys):
     assert cli.main(["run", "--config", str(unknown)]) == 1
     err = capsys.readouterr().err
     assert "nosuch" in err and ":3:" in err
+
+
+@pytest.mark.parametrize("starts", [1, 2])
+def test_init_length_error_exits_cleanly(tmp_path, starts):
+    # a start is its seed's draw: run.init, of any length, is an unknown key
+    # at its line, one stderr line and no traceback, for one seed or two
+    cfg = with_starts(synthetic_cfg(), starts)
+    cfg["run"]["init"] = {"x0": [2.0, 2.0, 2.0], "y0": [1.0, 1.0]}
+    cfgp = write_cfg(tmp_path, cfg)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sipba.cli", "run", "--config", cfgp,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ("%s:%d: unknown run key 'init'\n"
+                           % (cfgp, key_line(cfgp, "run.init")))
+    assert proc.stdout == ""
+
+
+def test_init_length_checked_for_every_block(tmp_path, capsys):
+    # every command that runs rejects a run.init block, z0 included
+    cfg = synthetic_cfg()
+    cfg["run"]["init"] = {"x0": [2.0, 2.0], "y0": [1.0, 1.0], "z0": [1.0]}
+    cfgp = write_cfg(tmp_path, cfg)
+    for cmd in ("run", "ablate", "compare"):
+        assert cli.main([cmd, "--config", cfgp,
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr() == ("", "%s:%d: unknown run key 'init'\n"
+                                       % (cfgp, key_line(cfgp, "run.init")))
 
 
 def test_large_integers_are_config_errors(tmp_path, monkeypatch, capsys):
@@ -649,11 +690,16 @@ def test_schedule_underflow_fails_the_run(tmp_path, capsys):
     ("asymptotics", "asymptotics.rho_list", ["a"]),
     ("asymptotics", "asymptotics.rho_list", [10.0, -1.0]),
     ("asymptotics", "asymptotics.rho_list", []),
-    ("asymptotics", "asymptotics.sigma_list", [])])
+    ("asymptotics", "asymptotics.sigma_list", []),
+    ("gradcheck", "gradcheck.sigma", -1),
+    ("gradcheck", "gradcheck.rho", 0),
+    ("gradcheck", "gradcheck.fd_step", 0),
+    ("gradcheck", "gradcheck.n_points", 0)])
 def test_asymptotics_and_gradcheck_values_checked_at_the_boundary(
         tmp_path, cmd, case, value):
     # each of these used to crash in the library, divide by zero, or pass
-    # without checking anything; gradcheck's values are constants (GONE)
+    # without checking anything; gradcheck takes no block, so a gradcheck
+    # value is an unknown key
     cfg = synthetic_cfg(asymptotics={"rho_list": [10.0], "sigma_list": [0.1]})
     section, key = case.split(".")
     cfg.setdefault(section, {})[key] = value
@@ -678,29 +724,12 @@ def no_runs(monkeypatch):
     monkeypatch.setattr(cli, "run", reached)
 
 
-# keys the key table lacks, whose values are constants, each with the command
-# and the value a case gives it: each is an unknown key wherever a config
-# gives it, for every command, whatever its value
-GONE = {"run.init": ("run", {"x0": [1.0], "y0": [1.0, 1.0]}),
-        "run.stop_at_target": ("ablate", True),
-        "schedule.rho_cap": ("compare", 0),
-        "gradcheck": ("compare", {"threshold": 1e-30}),
-        "asymptotics.saddle_tol": ("run", 0),
-        "asymptotics.slack": ("ablate", -1),
-        "asymptotics.diag_slack": ("compare", -1e-9)}
-
-
-def gone(key):
-    """The test_bad_config_never_reaches_a_run case of a key in GONE."""
-    cmd, value = GONE[key]
-    block, _, name = key.rpartition(".")
-    return (cmd, {block: {name: value}} if block else {name: value}, key,
-            "unknown %s key %r" % (block or "top-level", name))
-
-
 @pytest.mark.parametrize("cmd, patch, key, message", [
     ("run", {"run": {"stride": 0}}, "run.stride",
      "run.stride must be >= 1, got 0"),
+    # a fixed start is no key
+    ("run", {"run": {"init": {"x0": [1.0], "y0": [1.0, 1.0]}}}, "run.init",
+     "unknown run key 'init'"),
     ("run", {"problem": {"kind": "quadratic"}}, "target_eps_rel",
      "target_eps_rel needs a problem with a known optimum"),
     ("compare", {"compare": {"budget": 5}}, "compare.budget",
@@ -712,11 +741,16 @@ def gone(key):
      "compare.baseline_schedule.gamma", "unknown schedule override 'gamma'"),
     ("run", {"run": {"target_eps": 0.5}}, "run.target_eps",
      "unknown run key 'target_eps'"),
+    ("compare", {"run": {"init": {"x0": [1.0, 1.0], "y0": [1.0, 1.0],
+                                  "z_0": [1.0, 1.0]}}},
+     "run.init", "unknown run key 'init'"),
     # a key the config key table lacks is an error in every block and at
     # the top level, for every command, not a silent default
     ("compare", {"compare": {"budgt": 600}}, "compare.budgt",
      "unknown compare key 'budgt'"),
     ("run", {"problem": {"nn": 3}}, "problem.nn", "unknown problem key 'nn'"),
+    ("compare", {"gradcheck": {"threshhold": 1e-30}}, "gradcheck",
+     "unknown top-level key 'gradcheck'"),
     ("ablate", {"asymptotics": {"rho": 10.0}}, "asymptotics.rho",
      "unknown asymptotics key 'rho'"),
     ("run", {"run": {"seeds": {"base": 5, "cnt": 2}}}, "run.seeds.cnt",
@@ -725,8 +759,8 @@ def gone(key):
      "unknown ablate key 'maxiter'"),
     ("run", {"asymptotic": {"rho_list": [10.0]}}, "asymptotic",
      "unknown top-level key 'asymptotic'"),
-    # a schedule is its seven coefficients: s is not derived from a flag,
-    # and t = 4p + 5q is not set by hand
+    # a schedule is its seven coefficients and rho_cap: s is not derived
+    # from a flag, and t = 4p + 5q is not set by hand
     ("run", {"schedule": {"guideline": True}}, "schedule.guideline",
      "unknown schedule key 'guideline'"),
     ("compare", {"schedule": {"t_exp": 2}}, "schedule.t_exp",
@@ -736,13 +770,14 @@ def gone(key):
     # a schedule is the paper's seven coefficients: rho_k's cap is fixed
     ("ablate", {"ablate": {"grid": [{}, {"rho_cap": 1e6}]}}, "grid.rho_cap",
      "unknown schedule override 'rho_cap'"),
-] + [gone(key) for key in GONE],
-    ids=["stride", "target", "budget", "override", "baseline", "run-key",
-         "compare-key", "problem-key", "asymptotics-key", "seeds-key",
-         "ablate-key", "top-level-key", "guideline-key", "t_exp-key",
-         "t_exp-override", "rho_cap-override"] + list(GONE))
-def test_bad_config_never_reaches_a_run(tmp_path, no_runs, capsys,
-                                        cmd, patch, key, message):
+], ids=["stride", "init", "target", "budget", "override", "baseline",
+        "run-key", "init-key", "compare-key", "problem-key", "gradcheck-key",
+        "asymptotics-key", "seeds-key", "ablate-key", "top-level-key",
+        "guideline-key", "t_exp-key", "t_exp-override", "rho_cap-override"])
+def test_bad_config_never_reaches_the_pool(tmp_path, no_runs, capsys,
+                                           cmd, patch, key, message):
+    # the name predates the deletion of the process pool: a bad config is
+    # rejected before any run starts
     cfg = synthetic_cfg(ablate={"grid": [{}, {"alpha0": 0.05}], "max_iter": 10})
     # the patch is live: a good config does start a run
     with pytest.raises(RuntimeError, match="a run was started"):
@@ -816,7 +851,7 @@ def test_missing_key_error_is_on_its_blocks_line(tmp_path, capsys,
 
 HYPER_REP = {"kind": "hyper_rep", "n_feat": 3, "p_dim": 2, "m1": 5, "m2": 5,
              "m_test": 5, "noise_a": 0.1, "data_seed": 1}
-INF = float("inf")
+NAN, INF = float("nan"), float("inf")
 RUNS = ("run", "ablate", "compare")  # the commands that step starts
 
 
@@ -864,6 +899,9 @@ def bad_cfg(key, value, starts=2):
 @pytest.mark.parametrize("cmd, key, value, starts", [
     (cmd, key, value, starts)
     for cmds, key, value in [
+        (RUNS, "run.init.x0", ["a", 1]),
+        (RUNS, "run.init.y0", [1.0, NAN]),
+        (RUNS, "run.init.z0", "ab"),
         (RUNS, "problem.noise_a", -0.1),
         (RUNS, "problem.data_seed", -1),
         (RUNS, "run.seeds", [3, -1]),
@@ -875,17 +913,24 @@ def bad_cfg(key, value, starts=2):
         (("compare",), "compare.baseline_schedule.alpha0", "x"),
         (("compare",), "compare.inner_tol", 0),
         (("compare",), "run.max_iter", 0),  # a zero default budget
+        (("gradcheck",), "gradcheck.threshold", NAN),
+        (("gradcheck",), "gradcheck.oracle_tol", -1e-8),
         (("asymptotics",), "asymptotics.x", ["a", 1]),
         (("asymptotics",), "asymptotics.oracle_tol", INF),
+        (("asymptotics",), "asymptotics.saddle_tol", 0),
+        (("asymptotics",), "asymptotics.slack", -1),
+        (("asymptotics",), "asymptotics.diag_slack", -1e-9),
         # a schedule field outside its range, on its own line
         (RUNS, "schedule.s", -0.1),
+        (RUNS, "schedule.rho_cap", 0),
         (("compare",), "compare.baseline_schedule.rho0", 0),
     ] for cmd in cmds
     # one start, stepped as vectors, and a batch of two
     for starts in ((1, 2) if cmd in RUNS else (None,))])
 def test_bad_values_are_config_errors_on_their_line(tmp_path, cmd, key,
                                                     value, starts):
-    # each of these was a traceback or a failed run with exit 2 or 3
+    # each of these was a traceback or a failed run with exit 2 or 3; a key
+    # in GONE is an unknown key, whatever its value
     cfgp = write_cfg(tmp_path, bad_cfg(key, value, starts or 2))
     proc = subprocess.run(
         [sys.executable, "-m", "sipba.cli", cmd, "--config", cfgp,
@@ -1031,6 +1076,25 @@ def test_problem_is_built_once_per_command(tmp_path, monkeypatch, cmd, starts):
 
 
 @pytest.mark.parametrize("starts", [1, 2])
+@pytest.mark.parametrize("cmd", RUNS)
+def test_init_projected_onto_the_optimum_is_a_config_error(
+        tmp_path, no_runs, capsys, cmd, starts):
+    # y0 = 0 projects onto y* = e / (2 sqrt 2), and x0 is x*: eps_rel would
+    # divide by zero in every run. A start is its seed's draw, and run.init
+    # is no key: it is rejected before any run, as any fixed start is
+    cfg = with_starts(small_cfg("synthetic"), starts)
+    cfg["problem"]["n"] = 2
+    cfg["run"]["init"] = {"x0": [0.5, 0.5], "y0": [0.0, 0.0]}
+    cfgp = write_cfg(tmp_path, cfg)
+    assert cli.main([cmd, "--config", cfgp,
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("%s:%d: unknown run key 'init'\n"
+                   % (cfgp, key_line(cfgp, "run.init")))
+    assert out == ""
+
+
+@pytest.mark.parametrize("starts", [1, 2])
 def test_each_start_is_drawn_once_per_seed(tmp_path, monkeypatch, starts):
     # 2 grid rows x `starts` seeds run 2 * starts runs from `starts` starts
     build, draws = cli.build_problem, []
@@ -1048,6 +1112,23 @@ def test_each_start_is_drawn_once_per_seed(tmp_path, monkeypatch, starts):
     assert [d.calls for d in draws] == [starts]
 
 
+@pytest.mark.parametrize("extra", [1, 2])
+@pytest.mark.parametrize("cmd", RUNS)
+def test_init_with_several_seeds_is_a_config_error(tmp_path, no_runs, capsys,
+                                                   cmd, extra):
+    # a fixed start would make every seed the same run; run.init is no key,
+    # so each seed runs from its own draw
+    cfg = with_starts(small_cfg("synthetic"), 1 + extra)
+    cfg["run"]["init"] = {"x0": [1.0, 1.0, 1.0], "y0": [1.0, 1.0, 1.0]}
+    cfgp = write_cfg(tmp_path, cfg)
+    assert cli.main([cmd, "--config", cfgp,
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == ("%s:%d: unknown run key 'init'\n"
+                   % (cfgp, key_line(cfgp, "run.init")))
+    assert out == ""
+
+
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
 def test_ablate_without_a_target_is_a_config_error(tmp_path, no_runs,
                                                    capsys, kind):
@@ -1061,6 +1142,25 @@ def test_ablate_without_a_target_is_a_config_error(tmp_path, no_runs,
     assert err == ("%s:%d: ablate needs run.target_eps_rel, the eps_rel its "
                    "runs are timed to\n" % (cfgp, key_line(cfgp, "run")))
     assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "synthetic"])
+def test_stop_at_target_without_a_target_is_a_config_error(tmp_path, capsys,
+                                                           kind):
+    # the run would have nothing to stop at and run to max_iter; run never
+    # stops at its target and ablate always does, so stop_at_target is no
+    # key, for either
+    cfg = small_cfg(kind)
+    cfg["run"].pop("target_eps_rel", None)
+    cfg["run"]["stop_at_target"] = True
+    cfgp = write_cfg(tmp_path, cfg)
+    for cmd in ("run", "ablate"):
+        assert cli.main([cmd, "--config", cfgp,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "%s:%d: unknown run key "
+                                       "'stop_at_target'\n" % (
+                                           cfgp, key_line(
+                                               cfgp, "run.stop_at_target")))
 
 
 def test_run_line_has_no_empty_parts(tmp_path, capsys):
