@@ -53,7 +53,6 @@ from .solver import (
     run,
     run_double_loop_baseline,
     sipba_step,
-    with_gradient_counter,
 )
 from .diagnostics import (
     SandwichReport,

@@ -65,7 +65,6 @@ from .solver import (
     initial_state,
     run,
     run_double_loop_baseline,
-    with_gradient_counter,
 )
 
 _MISSING = object()
@@ -114,7 +113,6 @@ CONFIG_KEYS = {
     "asymptotics": ("dict", {}, None),
     "asymptotics.rho_list": ("pos[]", [1e1, 1e2, 1e3, 1e4], None),
     "asymptotics.sigma_list": ("pos[]", [1e-1, 1e-2, 1e-3, 1e-4], None),
-    "asymptotics.x": ("str", "ones", None),
     "asymptotics.oracle_tol": ("pos", 1e-8, None),
 }
 _SECTIONS = {k.rpartition(".")[0] for k in CONFIG_KEYS}  # the nested blocks
@@ -654,17 +652,17 @@ def cmd_compare(cfg, out_dir):
             line = "run %d: %s  sipba %.6e (%d evals)" % (
                 seed, bundle.metric_name, metric(i, res.state.x, res.state.y),
                 6 * res.iterations)
-            prob_b, cnt_b = with_gradient_counter(bundle.problem)
 
-            def bl_cb(k, x, sd, inner_total, elapsed):
-                rows[i].append(("baseline", seed, k, cnt_b.count, elapsed,
+            def bl_cb(k, x, sd, evals, elapsed):
+                rows[i].append(("baseline", seed, k, evals, elapsed,
                                 bundle.metric_name, metric(i, x, sd.y_star)))
 
             try:
-                base = _baseline_under_budget(prob_b, sp_base, st.x, budget,
-                                              inner_tol, callback=bl_cb)
+                base = _baseline_under_budget(bundle.problem, sp_base, st.x,
+                                              budget, inner_tol,
+                                              callback=bl_cb)
                 line += "  baseline %.6e (%d evals)" % (
-                    metric(i, base.x, base.saddle.y_star), cnt_b.count)
+                    metric(i, base.x, base.saddle.y_star), base.grad_evals)
                 code = 0
             except (DivergenceError, ParameterOverflowError) as e:
                 line = "run %d: FAILED (baseline: %s)" % (seed, e)
@@ -685,23 +683,9 @@ def cmd_asymptotics(cfg, out_dir):
         _get(ac, "asymptotics." + k) for k in
         ("rho_list", "sigma_list", "oracle_tol"))
 
-    cf = bundle.closed_form
-    n = bundle.problem.n_x
-    if isinstance(ac.get("x"), list):  # else "ones" or "optimum"
-        x = _get(ac, "asymptotics.x", "num[]", _MISSING, None)
-        if len(x) != n:
-            raise ConfigError("asymptotics.x must have %d entries, got shape "
-                              "(%d,)" % (n, len(x)), _line(ac, "x"))
-    else:
-        xsel = _get(ac, "asymptotics.x")
-        if xsel not in ("ones", "optimum"):
-            raise ConfigError("asymptotics.x must be a list, 'ones' or "
-                              "'optimum', got %r" % xsel, _line(ac, "x"))
-        x = np.ones(n) if xsel == "ones" else cf.x_star.copy()
-
     try:
-        rep = sandwich_check(cf, x, rho_list, sigma_list,
-                             oracle_tol=oracle_tol)
+        rep = sandwich_check(bundle.closed_form, np.ones(bundle.problem.n_x),
+                             rho_list, sigma_list, oracle_tol=oracle_tol)
     except SaddleConvergenceError as e:
         print("asymptotics: oracle failure: %s" % e, file=sys.stderr)
         return 2

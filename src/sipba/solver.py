@@ -37,7 +37,7 @@ is decided in one place, and one helper drops the rows that ended.
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -48,7 +48,6 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
-from .problem import GRADIENTS
 from .smoothing import direction_x, direction_y, direction_z
 from .saddle import default_start, estimate_T_lipschitz, solve_saddle
 
@@ -399,8 +398,9 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
 class BaselineResult(NamedTuple):
     """How a budgeted double-loop run ended: its x and last saddle (None if
     no outer step ran), its outer and cumulative inner iterations, its
-    inner failures and its stepping seconds. A tuple, in this order:
-    bench/layers.py reads the outer iterations as result[2]."""
+    inner failures, its stepping seconds and the gradient evaluations it
+    spent. A tuple, in this order: bench/layers.py reads the outer
+    iterations as result[2]."""
 
     x: np.ndarray
     saddle: object
@@ -408,6 +408,7 @@ class BaselineResult(NamedTuple):
     inner_iterations: int
     inner_failures: int
     step_seconds: float
+    grad_evals: int
 
 
 def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
@@ -430,33 +431,31 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
     power iterations from the previous estimate's dominant direction,
     which costs 4 operator evaluations instead of 31.
 
+    Cost model. operator_T, an inner fixed-point iteration and the outer
+    direction_x each make three partial-gradient evaluations, so outer
+    iteration k costs 3 * (est.calls + sd.iterations + 1): its step-size
+    estimate's operator calls, its inner iterations and its direction.
+
     grad_budget : int
-        Budget of partial-gradient evaluations made by this call, counted
-        by the counter of a problem from with_gradient_counter (the problem
-        is wrapped once if it has none). No outer step starts once the
-        budget is spent, and each inner solve may run at most
-        (remaining budget) // 3 iterations (at least 1), one fixed-point
-        iteration costing three evaluations. So the spend exceeds the
-        budget by at most one step-size estimate (93 evaluations cold, 12
-        warm, 102 if a warm estimate falls back to the cold start), one
-        outer direction and the one-iteration floor, never by an unbounded
-        inner solve. A solve cut short by the cap counts as an inner
-        failure; only the last solve can be cut short.
-    callback : callable(k, x, saddle, inner_total, elapsed_seconds), optional
-        Invoked after every outer step.
+        Budget of partial-gradient evaluations, counted by that model. No
+        outer step starts once the budget is spent, and each inner solve
+        may run at most (remaining budget) // 3 iterations (at least 1).
+        So the spend exceeds the budget by at most one step-size estimate
+        (93 evaluations cold, 12 warm, 102 if a warm estimate falls back to
+        the cold start), one outer direction and the one-iteration floor,
+        never by an unbounded inner solve. A solve cut short by the cap
+        counts as an inner failure; only the last solve can be cut short.
+    callback : callable(k, x, saddle, grad_evals, elapsed_seconds), optional
+        Invoked after every outer step, with the evaluations spent so far.
     """
-    cnt = getattr(problem.grad_F_x, "counter", None)
-    if cnt is None:
-        problem, cnt = with_gradient_counter(problem)
-    spend_end = cnt.count + grad_budget
     x = problem.set_X.project(x0)
     u = default_start(problem)
     v = None  # the previous estimate's dominant direction
     sd = None
-    k = inner_total = failures = 0
+    k = inner_total = failures = spent = 0
     elapsed = 0.0
-    while cnt.count < spend_end:
-        max_iter = max(1, (spend_end - cnt.count) // 3)
+    while spent < grad_budget:
+        max_iter = max(1, (grad_budget - spent) // 3)
         k += 1
         pars = params_at(sp, k)
         t0 = time.perf_counter()
@@ -470,6 +469,7 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
             sd = err.saddle
             failures += 1
         inner_total += sd.iterations
+        spent += 3 * (est.calls + sd.iterations + 1)
         g = direction_x(problem, pars, x, sd.y_star, sd.z_star)
         x = problem.set_X.project(x - pars.alpha * g)
         if not _finite(x):
@@ -478,34 +478,5 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
         elapsed += time.perf_counter() - t0
         u = sd.u
         if callback is not None:
-            callback(k, x, sd, inner_total, elapsed)
-    return BaselineResult(x, sd, k, inner_total, failures, elapsed)
-
-
-class GradEvalCounter:
-    """Counts evaluations of the four partial-gradient callables of a
-    problem: one per call on a point, one per row on a block of rows."""
-
-    def __init__(self):
-        self.count = 0
-
-    def _wrap(self, fn):
-        def wrapped(x, y):
-            self.count += len(x) if getattr(x, "ndim", 1) == 2 else 1
-            return fn(x, y)
-
-        wrapped.counter = self
-        return wrapped
-
-
-def with_gradient_counter(problem):
-    """Return (problem copy whose gradient calls are counted, the counter).
-
-    Each wrapper carries the counter as ``.counter``, so code handed the
-    copy counts with it instead of wrapping again.
-    """
-    c = GradEvalCounter()
-    counted = replace(problem, **{g: c._wrap(getattr(problem, g))
-                                  for g in GRADIENTS})
-    return counted, c
-
+            callback(k, x, sd, spent, elapsed)
+    return BaselineResult(x, sd, k, inner_total, failures, elapsed, spent)

@@ -39,7 +39,8 @@ REGIME = ("schedule exponents outside the guaranteed regime "
 # keys the key table lacks, whose values are constants: each is an unknown
 # key wherever a config gives it
 GONE = ("run.init", "run.stop_at_target", "schedule.rho_cap", "gradcheck",
-        "asymptotics.saddle_tol", "asymptotics.slack", "asymptotics.diag_slack")
+        "asymptotics.saddle_tol", "asymptotics.slack", "asymptotics.diag_slack",
+        "asymptotics.x")
 
 
 def rejection(cfgp, key):
@@ -577,8 +578,7 @@ def test_asymptotics_tables_and_monotone_gaps(tmp_path, capsys):
         "problem": {"kind": "synthetic", "n": 2},
         "schedule": {"alpha0": 0.1, "beta0": 0.001, "rho0": 10.0,
                      "sigma0": 0.01, "p": 0.001, "q": 0.001, "s": 0.1},
-        "asymptotics": {"x": "ones",
-                        "rho_list": [10.0, 100.0, 1000.0, 10000.0],
+        "asymptotics": {"rho_list": [10.0, 100.0, 1000.0, 10000.0],
                         "sigma_list": [0.1, 0.01, 0.001, 0.0001],
                         "oracle_tol": 1e-9},
     }
@@ -594,16 +594,6 @@ def test_asymptotics_tables_and_monotone_gaps(tmp_path, capsys):
     assert devs == sorted(devs, reverse=True)
     assert devs[-1] < 1e-3
     assert "asymptotics passed" in capsys.readouterr().out
-
-
-def test_asymptotics_x_of_the_wrong_length_is_a_config_error(tmp_path,
-                                                             capsys):
-    cfgp = write_cfg(tmp_path, synthetic_cfg(asymptotics={"x": [1.0] * 3}))
-    assert cli.main(["asymptotics", "--config", cfgp,
-                     "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr() == ("", "%s:%d: asymptotics.x must have 2 "
-                                   "entries, got shape (3,)\n"
-                                   % (cfgp, key_line(cfgp, "asymptotics.x")))
 
 
 def test_asymptotics_needs_closed_form(tmp_path):
@@ -1207,7 +1197,7 @@ SECTIONS = {"problem", "schedule", "run", "ablate", "compare", "asymptotics"}
 
 # keys whose README row spells out their values, or a second form that the
 # reader takes besides the table's kind
-SPELLED_OUT = {"problem.kind", "run.seeds", "asymptotics.x"}
+SPELLED_OUT = {"problem.kind", "run.seeds"}
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(

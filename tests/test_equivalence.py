@@ -129,8 +129,9 @@ from sipba.solver import (
     ScheduleParams,
     initial_state,
     run,
-    with_gradient_counter,
 )
+
+from gradcalls import with_gradient_counter
 
 ORACLE_TOL = 1e-8
 PHI_REL = 1e-12                   # |d phi| <= PHI_REL * max(1, |phi|)

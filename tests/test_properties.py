@@ -41,7 +41,7 @@ SYNTHETIC = {
     "ablate": {"grid": [{"alpha0": 0.05}], "max_iter": 3},
     "compare": {"budget": 36, "inner_tol": 1e-4,
                 "baseline_schedule": {"alpha0": 0.05}},
-    "asymptotics": {"x": "ones", "rho_list": [1e4], "sigma_list": [1e-4],
+    "asymptotics": {"rho_list": [1e4], "sigma_list": [1e-4],
                     "oracle_tol": 1e-8},
 }
 HYPER_REP = dict(

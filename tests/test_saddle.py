@@ -157,8 +157,7 @@ def test_warm_baseline_on_hyper_rep_has_no_oracle_failures(monkeypatch):
     from sipba import solver
     from sipba.benchmarks import (generate_hyper_rep, hyper_rep_init,
                                   hyper_rep_problem)
-    from sipba.solver import (ScheduleParams, run_double_loop_baseline,
-                              with_gradient_counter)
+    from sipba.solver import ScheduleParams, run_double_loop_baseline
 
     data = generate_hyper_rep(10, 2, 20, 20, 50, 0.1, seed=7)
     prob = hyper_rep_problem(data)
@@ -169,13 +168,12 @@ def test_warm_baseline_on_hyper_rep_has_no_oracle_failures(monkeypatch):
     class Spent(Exception):
         """Ends an unbounded run after its 200th outer step."""
 
-    def stop_at_200(k, *_):
+    def stop_at_200(k, x, sd, evals, elapsed):
         if k == 200:
-            raise Spent(cnt.count)
+            raise Spent(evals)
 
-    counted, cnt = with_gradient_counter(prob)
     with pytest.raises(Spent) as spent:
-        run_double_loop_baseline(counted, sp, x0, 10**9, inner_tol=1e-5,
+        run_double_loop_baseline(prob, sp, x0, 10**9, inner_tol=1e-5,
                                  callback=stop_at_200)
     calls = []
 

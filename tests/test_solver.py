@@ -7,7 +7,9 @@ import pytest
 
 from sipba import solver
 
-from sipba.benchmarks import quadratic_testbed, synthetic_problem
+from sipba.benchmarks import (generate_hyper_rep, hyper_rep_init,
+                              hyper_rep_problem, quadratic_testbed,
+                              synthetic_problem)
 from sipba.errors import (
     ContractViolation,
     DivergenceError,
@@ -24,8 +26,9 @@ from sipba.solver import (
     run,
     run_double_loop_baseline,
     sipba_step,
-    with_gradient_counter,
 )
+
+from gradcalls import with_gradient_counter
 
 quad = quadratic_testbed()
 
@@ -529,15 +532,51 @@ def _outer_steps(inner_tol=1e-8, budget=3000):
     spent, x, saddle, inner iterations so far) after each. A budget of
     exactly what its first n steps spend runs those n steps unchanged, as
     none of their solves is cut short by the cap."""
-    counted, cnt = with_gradient_counter(quad)
     steps = []
 
-    def cb(k, x, sd, inner_total, elapsed):
-        steps.append((cnt.count, x, sd, inner_total))
+    def cb(k, x, sd, evals, elapsed):
+        inner = sd.iterations + (steps[-1][3] if steps else 0)
+        steps.append((evals, x, sd, inner))
 
-    run_double_loop_baseline(counted, SP_UNIT, [1.0], budget,
+    run_double_loop_baseline(quad, SP_UNIT, [1.0], budget,
                              inner_tol=inner_tol, callback=cb)
     return steps
+
+
+def _baseline_case(name):
+    """(problem, schedule, x0, budget, inner_tol) of a budgeted baseline of
+    several outer steps whose last solve the budget cuts short."""
+    if name == "quadratic":
+        return quad, SP_UNIT, [1.0], 3000, 1e-8
+    # criterion 07's baseline schedule
+    sp = ScheduleParams(alpha0=0.2, beta0=1e-4, rho0=10.0, sigma0=0.01,
+                        p=0.01, q=0.01, s=0.16)
+    if name == "synthetic":
+        sb = synthetic_problem(5)
+        x0 = sb.sample_init(np.random.Generator(np.random.Philox(3)))[0]
+        return sb.problem, sp, x0, 6100, 1e-5
+    data = generate_hyper_rep(10, 2, 20, 20, 50, 0.1, seed=7)
+    x0 = hyper_rep_init(data, np.random.Generator(np.random.Philox(42)))[0]
+    return hyper_rep_problem(data), sp, x0, 20000, 1e-5
+
+
+@pytest.mark.parametrize("name", ["quadratic", "synthetic", "hyper_rep"])
+def test_baseline_cost_model_equals_counted_gradient_calls(name):
+    # after every outer step the baseline's own count, 3 * (estimate calls
+    # + inner iterations + 1) a step, equals the gradient calls counted
+    problem, sp, x0, budget, inner_tol = _baseline_case(name)
+    counted, cnt = with_gradient_counter(problem)
+    seen = []
+
+    def cb(k, x, sd, evals, elapsed):
+        seen.append((evals, cnt.count))
+
+    res = run_double_loop_baseline(counted, sp, x0, budget,
+                                   inner_tol=inner_tol, callback=cb)
+    assert len(seen) == res.outer_iterations >= 3
+    assert all(evals == calls for evals, calls in seen), seen
+    assert res.grad_evals == cnt.count >= budget
+    assert not res.saddle.converged  # a capped solve is counted too
 
 
 def test_baseline_single_step_example():
@@ -592,17 +631,18 @@ def test_baseline_counts_inner_failures(monkeypatch):
 
 def test_baseline_callback_and_target():
     ks = []
-    totals = []
+    spends = []
 
-    def cb(k, x, sd, inner_total, elapsed):
+    def cb(k, x, sd, evals, elapsed):
         ks.append(k)
-        totals.append(inner_total)
+        spends.append(evals)
 
     spent = _outer_steps()[3][0]
-    run_double_loop_baseline(quad, SP_UNIT, [1.0], spent, inner_tol=1e-8,
-                             callback=cb)
+    res = run_double_loop_baseline(quad, SP_UNIT, [1.0], spent,
+                                   inner_tol=1e-8, callback=cb)
     assert ks == [1, 2, 3, 4]
-    assert totals == sorted(totals)
+    assert spends == sorted(set(spends))
+    assert spends[-1] == res.grad_evals == spent
 
 
 def test_baseline_budget_overshoot_is_bounded():
@@ -612,9 +652,10 @@ def test_baseline_budget_overshoot_is_bounded():
     worst = 0
     for budget in list(range(1, 400, 7)) + [1000, 2000]:
         counted, cnt = with_gradient_counter(quad)
-        run_double_loop_baseline(counted, SP_UNIT, [1.0], budget,
-                                 inner_tol=1e-8)
+        res = run_double_loop_baseline(counted, SP_UNIT, [1.0], budget,
+                                       inner_tol=1e-8)
         assert budget <= cnt.count <= budget + 98
+        assert res.grad_evals == cnt.count
         worst = max(worst, cnt.count - budget)
     assert worst > 90  # the bound is nearly reached
 
@@ -641,19 +682,3 @@ def test_baseline_capped_final_solve_is_a_failure():
     assert res.inner_failures == 1
     assert res.saddle.iterations == 1
     assert not res.saddle.converged
-
-
-def test_baseline_counts_with_the_counter_it_is_given(monkeypatch):
-    wraps = []
-
-    def spy(problem):
-        wraps.append(problem)
-        return with_gradient_counter(problem)
-
-    monkeypatch.setattr(solver, "with_gradient_counter", spy)
-    counted, cnt = with_gradient_counter(quad)
-    run_double_loop_baseline(counted, SP_UNIT, [1.0], 300)
-    assert wraps == []
-    assert 300 <= cnt.count <= 300 + 98
-    run_double_loop_baseline(quad, SP_UNIT, [1.0], 300)
-    assert len(wraps) == 1 and wraps[0] is quad
