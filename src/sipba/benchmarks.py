@@ -1,8 +1,8 @@
 """Benchmark problem families with known structure.
 
-Three families, whose callables are module-level functions bound to their data
-with functools.partial, or bound methods of a module-level class (a built
-problem pickles, its hyper-rep memo included):
+Three families, whose callables are module-level functions, bound to their
+data with functools.partial where they have any, or bound methods of a
+module-level class (a built problem pickles, its hyper-rep memo included):
 
 * quadratic_testbed: scalar F = -(y-x)^2, f = (y-x)^2, everything
   unconstrained. The saddle of the regularized objective solves a 2x2
@@ -155,12 +155,15 @@ def _per_row(c):
     return c[:, None] if c.ndim else c
 
 
-def _synthetic_grad_F_x(n, e, x, y):
-    return (2.0 / n) * (x - e)
+# e's entries are all 1.0: x - 1.0 is x - e bit for bit, and c * 1.0 is c,
+# but numpy runs an operation against a scalar as one loop over a whole
+# block, and against e as one loop per row
+def _synthetic_grad_F_x(n, x, y):
+    return (2.0 / n) * (x - 1.0)
 
 
-def _synthetic_grad_F_y(e, x, y):
-    return -2.0 * (y - e)
+def _synthetic_grad_F_y(x, y):
+    return -2.0 * (y - 1.0)
 
 
 def _synthetic_grad_f_x(e, x, y):
@@ -171,7 +174,9 @@ def _synthetic_grad_f_x(e, x, y):
 
 def _synthetic_grad_f_y(e, x, y):
     r = _dot(e, y) - np.sqrt(_dot(x, x))
-    return _per_row(2.0 * r) * e
+    if r.ndim:  # each row's factor repeated along its row
+        return np.full(y.shape, _per_row(2.0 * r))
+    return (2.0 * r) * e  # on a vector, faster than np.full
 
 
 def synthetic_problem(n):
@@ -196,8 +201,8 @@ def synthetic_problem(n):
     prob = BilevelProblem(
         n_x=n, n_y=n,
         F=partial(_synthetic_F, n, e), f=partial(_synthetic_f, e),
-        grad_F_x=partial(_synthetic_grad_F_x, n, e),
-        grad_F_y=partial(_synthetic_grad_F_y, e),
+        grad_F_x=partial(_synthetic_grad_F_x, n),
+        grad_F_y=_synthetic_grad_F_y,
         grad_f_x=partial(_synthetic_grad_f_x, e),
         grad_f_y=partial(_synthetic_grad_f_y, e),
         set_X=Box(np.full(n, 0.1), np.full(n, 10.0)),

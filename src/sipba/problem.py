@@ -77,6 +77,16 @@ class FullSpace(ProjectableSet):
         return "FullSpace(%d)" % self.dim
 
 
+def _uniform(side):
+    """side's one value as a 0-d float64 array when every entry has the same
+    bits, else side itself. Not a Python float: numpy converts one on every
+    call, which makes a vector's projection slower than against the array."""
+    bits = side.view(np.int64)
+    if side.size and (bits == bits[0]).all():
+        return np.array(side[0])
+    return side
+
+
 class Box(ProjectableSet):
     """Axis-aligned box. Bounds may be -inf/+inf for unbounded coordinates.
 
@@ -85,6 +95,13 @@ class Box(ProjectableSet):
     lower, upper : array_like
         Per-coordinate bounds, broadcastable to a common shape. Must satisfy
         lower <= upper everywhere (so no bound is NaN).
+
+    A side whose faces all have the same bits (all 0.1, all -0.0, all inf)
+    is projected against that one value, a 0-d float64 array, so numpy
+    clips a block in one loop instead of one loop per row; the result is
+    the same bit for bit. A side that mixes 0.0 and -0.0 faces keeps its
+    array. ``lower`` and ``upper`` stay the per-coordinate arrays either
+    way.
     """
 
     def __init__(self, lower, upper):
@@ -102,17 +119,19 @@ class Box(ProjectableSet):
         # np.minimum(v, inf) return v bit for bit, NaN and -0.0 included
         self._clip_lower = bool(np.any(lo > -np.inf))
         self._clip_upper = bool(np.any(hi < np.inf))
+        self._lo = _uniform(self.lower)
+        self._hi = _uniform(self.upper)
 
     def project(self, v):
         v = _as_vector(v, self.dim, "v", rows=True)
         # np.clip's arithmetic without its Python-level wrapper
         if self._clip_lower:
-            out = np.maximum(v, self.lower)
+            out = np.maximum(v, self._lo)
             if self._clip_upper:
-                np.minimum(out, self.upper, out=out)
+                np.minimum(out, self._hi, out=out)
             return out
         if self._clip_upper:
-            return np.minimum(v, self.upper)
+            return np.minimum(v, self._hi)
         return v.copy()
 
     def __repr__(self):

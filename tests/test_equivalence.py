@@ -985,7 +985,7 @@ def synthetic_reference(tmp_path_factory):
 def test_a_reassociated_synthetic_gradient_passes_the_end_metric_gate(
         synthetic_reference, tmp_path, monkeypatch):
     # grad_F_x as (2/n) x - (2/n) e: other last bits on every step
-    def reassociated(n, e, x, y):
+    def reassociated(n, x, y, e=1.0):
         return (2.0 / n) * x - (2.0 / n) * e
 
     monkeypatch.setattr(benchmarks, "_synthetic_grad_F_x", reassociated)

@@ -2,9 +2,14 @@
 
 Projections, the saddle operator, the single-loop step and the relative
 error each take an O(1) fast path for float64 vectors of the right shape.
-These tests compare them in process with the formulations they replaced
-(np.clip, np.linalg.norm, np.isfinite(...).all(), atleast_1d conversions),
-so they hold on any BLAS, and check that bad inputs still raise.
+On a block, a box side whose faces all hold one value clips against that
+value as a 0-d array, and the synthetic gradients subtract 1.0 and repeat
+each row's factor instead of operating with the all-ones vector e, so
+numpy runs one loop over the block instead of one per row. These tests
+compare them in process with the formulations they replaced (np.clip
+against the bound arrays, products with e, np.linalg.norm,
+np.isfinite(...).all(), atleast_1d conversions), so they hold on any BLAS,
+and check that bad inputs still raise.
 """
 
 import dataclasses
@@ -13,8 +18,10 @@ import re
 import numpy as np
 import pytest
 
-from sipba import saddle, smoothing
+from sipba import benchmarks, saddle, smoothing
 from sipba.benchmarks import (
+    _dot,
+    _per_row,
     generate_hyper_rep,
     hyper_rep_init,
     hyper_rep_problem,
@@ -59,6 +66,32 @@ def test_box_projection_equals_clip_bit_for_bit():
     for v in ([-0.0, -0.0, -0.0, 0.0], [0.0, 0.0, 0.0, -0.0]):
         v = np.array(v)
         assert same_bits(box.project(v), np.clip(v, box.lower, box.upper))
+    # a side whose faces all hold one value projects against it as a 0-d
+    # array; one that mixes 0.0 and -0.0 faces keeps its array
+    n = 5
+    zeros = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+    lowers = [np.full(n, c) for c in (0.0, -0.0, -np.inf, np.inf, 0.1)]
+    uppers = [np.full(n, c) for c in (0.0, -0.0, np.inf, -np.inf, 10.0)]
+    v = rng.standard_normal((4, n)) * 3.0
+    v[:, :2] = -0.0
+    v[1:3, 2:] = [[np.nan, 0.0, np.inf], [-np.inf, -0.0, 0.0]]
+    for lo in lowers + [zeros]:
+        for hi in uppers + [zeros]:
+            if not np.all(lo <= hi):
+                continue
+            box = Box(lo, hi)
+            assert box.lower.tobytes() == lo.tobytes()
+            assert box.upper.tobytes() == hi.tobytes()
+            for side, face in ((lo, box._lo), (hi, box._hi)):
+                assert (face.shape == ()) == (side is not zeros)
+            for w in (v, v[1], v[:, ::-1].copy()):
+                got = box.project(w)
+                with np.errstate(invalid="ignore"):
+                    want = np.minimum(np.maximum(w, box.lower), box.upper)
+                assert got.shape == w.shape
+                assert got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, w)
+    assert Box([], []).project([]).shape == (0,)  # no face, no value
 
 
 def test_projections_convert_and_reject_as_before():
@@ -157,6 +190,71 @@ def test_step_equals_old_formulation_for_2000_steps():
         for got, ref in zip((st.x, st.y, st.z), want):
             assert np.array_equal(got, ref)
     assert st.k == 2001
+
+
+def test_a_batch_under_two_schedules_equals_the_old_step_on_each_row():
+    # the batched twin of the test above: every row of a 10-row batch whose
+    # rows alternate between two schedules ((S, 1) Params columns) equals
+    # the old step iterated on that row alone, at every step
+    n, steps = 100, 300
+    sb = synthetic_problem(n)
+    prob = sb.problem
+    ref = dict(alpha0=0.1, beta0=0.001, rho0=10.0, sigma0=0.01)
+    sps = [ScheduleParams(**ref, p=0.001, q=0.001, s=0.1),
+           ScheduleParams(**ref, p=0.01, q=0.01, s=0.16)]
+    rows = [sps[i % 2] for i in range(10)]
+    starts = [initial_state(prob, *sb.sample_init(np.random.default_rng(s)))
+              for s in range(10)]
+    last = list(starts)
+
+    def check(i, st, elapsed):
+        want = _old_step(n, rows[i], last[i], prob.set_X, prob.set_Y)
+        for got, old in zip((st.x, st.y, st.z), want):
+            assert np.array_equal(got, old)
+        last[i] = st
+
+    res = run(prob, rows, starts, steps, callback=check, callback_stride=1)
+    assert [st.k for st in last] == [steps + 1] * 10
+    assert [r.iterations for r in res] == [steps] * 10
+
+
+def test_synthetic_gradients_equal_their_formulas_with_e_bit_for_bit():
+    # x - 1.0 is x - e and a repeated factor c is c * e, bit for bit: rows
+    # whose residual <e, y> - ||x|| is NaN, +inf or -inf, and -0.0 entries
+    n = 5
+    prob = synthetic_problem(n).problem
+    e = np.ones(n)
+    rng = np.random.default_rng(19)
+    x = rng.uniform(0.1, 10.0, (7, n))
+    y = rng.uniform(0.1, 10.0, (7, n))
+    y[1, 2] = np.nan                   # r = NaN
+    y[2, 0] = np.inf                   # r = +inf
+    x[3, 4] = -np.inf                  # r = -inf
+    x[4], y[4] = 0.0, 0.0              # r = 0, and 0/0 in grad_f_x
+    x[5, :2], y[5, 3:] = -0.0, -0.0
+    x[6, 1], y[6, 1] = np.nan, np.inf  # r = NaN from inf - NaN
+
+    def old(x, y):
+        nx = np.sqrt(_dot(x, x))
+        r = _dot(e, y) - nx
+        return ((2.0 / n) * (x - e), -2.0 * (y - e),
+                _per_row(-2.0 * r / nx) * x, _per_row(2.0 * r) * e)
+
+    grads = [prob.grad_F_x, prob.grad_F_y, prob.grad_f_x, prob.grad_f_y]
+    with np.errstate(all="ignore"):
+        for a, b in [(x, y)] + list(zip(x, y)):
+            for grad, want in zip(grads, old(a, b)):
+                got = grad(a, b)
+                assert got.shape == a.shape and same_bits(got, want)
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert not (np.shares_memory(got, a)
+                            or np.shares_memory(got, b))
+    # a -0.0 residual needs <e, y> = -0.0, which only a lone coordinate's
+    # dot gives; grad_f_y repeats its -0.0 factor as is
+    one, y1 = np.ones(1), np.array([-0.0])
+    got = benchmarks._synthetic_grad_f_y(one, np.zeros(1), y1)
+    assert same_bits(got, _per_row(2.0 * (one.dot(y1) - 0.0)) * one)
+    assert np.signbit(got[0])
 
 
 def test_finiteness_test_matches_isfinite_all():

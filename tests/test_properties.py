@@ -226,15 +226,21 @@ def test_projection_idempotent_and_nonexpansive(data):
 
 
 SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+# the one value of a side whose faces all hold it, or 0.0 and -0.0 mixed
+ONE_FACE = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, "signed zeros"])
+            | FINITE)
 
 
 @FIXED
 @given(data=st.data(), n=st.integers(1, 4), rows=st.integers(0, 3),
-       open_side=st.sampled_from(["none", "lower", "upper", "both"]))
+       open_side=st.sampled_from(["none", "lower", "upper", "both"]),
+       one_value=st.sampled_from(["none", "lower", "upper", "both"]))
 def test_a_one_sided_box_projects_as_the_two_sided_formula(data, n, rows,
-                                                           open_side):
-    # Box.project skips a side with no finite bound; that must change no
-    # bit of the result, whatever v holds, and never hand out v itself
+                                                           open_side,
+                                                           one_value):
+    # Box.project skips a side with no finite bound and clips a side whose
+    # faces all hold one value against that one value; neither may change
+    # a bit of the result, whatever v holds, or hand out v itself
     vec = st.lists(FINITE | SPECIAL, min_size=n, max_size=n)
     flags = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
     a, b = np.array(data.draw(vec)), np.array(data.draw(vec))
@@ -246,6 +252,19 @@ def test_a_one_sided_box_projects_as_the_two_sided_formula(data, n, rows,
         lower[:] = -np.inf
     if open_side in ("upper", "both"):
         upper[:] = np.inf
+
+    def one_face():
+        face = data.draw(ONE_FACE)
+        if face == "signed zeros":
+            return np.where(data.draw(flags), 0.0, -0.0)
+        return face
+
+    if one_value in ("lower", "both"):
+        lower[:] = one_face()
+        upper = np.maximum(upper, lower)
+    if one_value in ("upper", "both"):
+        upper[:] = one_face()
+        lower = np.minimum(lower, upper)
     box = Box(lower, upper)
     v = np.array(data.draw(vec if rows == 0 else st.lists(
         vec, min_size=rows, max_size=rows)), dtype=float)
