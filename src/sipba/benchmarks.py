@@ -155,9 +155,10 @@ def _per_row(c):
     return c[:, None] if c.ndim else c
 
 
-# e's entries are all 1.0: x - 1.0 is x - e bit for bit, and c * 1.0 is c,
-# but numpy runs an operation against a scalar as one loop over a whole
-# block, and against e as one loop per row
+# e's entries are all 1.0: x - 1.0 is x - e bit for bit, and each row's
+# factor c repeated along its row is c * e, but numpy runs an operation
+# against a scalar as one loop over a whole block, and against e as one loop
+# per row
 def _synthetic_grad_F_x(n, x, y):
     return (2.0 / n) * (x - 1.0)
 
@@ -174,9 +175,7 @@ def _synthetic_grad_f_x(e, x, y):
 
 def _synthetic_grad_f_y(e, x, y):
     r = _dot(e, y) - np.sqrt(_dot(x, x))
-    if r.ndim:  # each row's factor repeated along its row
-        return np.full(y.shape, _per_row(2.0 * r))
-    return (2.0 * r) * e  # on a vector, faster than np.full
+    return np.full(y.shape, _per_row(2.0 * r))
 
 
 def synthetic_problem(n):

@@ -101,7 +101,7 @@ class Box(ProjectableSet):
     clips a block in one loop instead of one loop per row; the result is
     the same bit for bit. A side that mixes 0.0 and -0.0 faces keeps its
     array. ``lower`` and ``upper`` stay the per-coordinate arrays either
-    way.
+    way, read-only: the bounds are fixed at construction.
     """
 
     def __init__(self, lower, upper):
@@ -114,6 +114,7 @@ class Box(ProjectableSet):
             raise ContractViolation("box needs lower <= upper and no NaN bound")
         self.lower = lo.copy()
         self.upper = hi.copy()
+        self.lower.flags.writeable = self.upper.flags.writeable = False
         self.dim = lo.shape[0]
         # a side with no finite bound is skipped: np.maximum(v, -inf) and
         # np.minimum(v, inf) return v bit for bit, NaN and -0.0 included

@@ -82,6 +82,8 @@ def test_box_projection_equals_clip_bit_for_bit():
             box = Box(lo, hi)
             assert box.lower.tobytes() == lo.tobytes()
             assert box.upper.tobytes() == hi.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                box.lower[0] = 0.5  # the 0-d face could not follow it
             for side, face in ((lo, box._lo), (hi, box._hi)):
                 assert (face.shape == ()) == (side is not zeros)
             for w in (v, v[1], v[:, ::-1].copy()):
