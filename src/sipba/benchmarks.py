@@ -50,7 +50,6 @@ def quadratic_testbed():
     """
     up, down = partial(_testbed_grad, 2.0), partial(_testbed_grad, -2.0)
     return BilevelProblem(
-        n_x=1, n_y=1,
         F=partial(_testbed_value, -1.0), f=partial(_testbed_value, 1.0),
         grad_F_x=up, grad_F_y=down, grad_f_x=down, grad_f_y=up,
         set_X=FullSpace(1), set_Y=FullSpace(1),
@@ -109,21 +108,21 @@ def closed_form_phi(n, x):
 class SyntheticProblem:
     """Synthetic instance bundle: the problem plus its known solution."""
 
-    n: int
     problem: BilevelProblem
     x_star: np.ndarray
     y_star: np.ndarray
 
     def closed_form_phi(self, x):
-        return closed_form_phi(self.n, x)
+        return closed_form_phi(self.problem.n_x, x)
 
     def closed_form_y_star(self, x):
-        return closed_form_y_star(self.n, x)
+        return closed_form_y_star(self.problem.n_x, x)
 
     def sample_init(self, rng):
         """Random start: x ~ U[0.1,10]^n, y ~ U[1/(2 sqrt n), 10]^n, z = y."""
-        x0 = rng.uniform(0.1, 10.0, self.n)
-        y0 = rng.uniform(1.0 / (2.0 * math.sqrt(self.n)), 10.0, self.n)
+        n = self.problem.n_x
+        x0 = rng.uniform(0.1, 10.0, n)
+        y0 = rng.uniform(1.0 / (2.0 * math.sqrt(n)), 10.0, n)
         return x0, y0, y0.copy()
 
 
@@ -198,7 +197,6 @@ def synthetic_problem(n):
     rootn = math.sqrt(n)
     lip_f = 60.0 * n + 202.0 + 2.0 * rootn
     prob = BilevelProblem(
-        n_x=n, n_y=n,
         F=partial(_synthetic_F, n, e), f=partial(_synthetic_f, e),
         grad_F_x=partial(_synthetic_grad_F_x, n),
         grad_F_y=_synthetic_grad_F_y,
@@ -209,7 +207,7 @@ def synthetic_problem(n):
         mu=2.0, lip_F=2.0, lip_f=lip_f,
     )
     return SyntheticProblem(
-        n=n, problem=prob, x_star=e / 2.0, y_star=e / (2.0 * rootn)
+        problem=prob, x_star=e / 2.0, y_star=e / (2.0 * rootn)
     )
 
 
@@ -358,7 +356,6 @@ def hyper_rep_problem(data):
     val = _Split(data.X_val, data.y_val)
     train = _Split(data.X_train, data.y_train)
     return BilevelProblem(
-        n_x=n * p, n_y=p,
         F=val.loss, f=train.loss,
         grad_F_x=val.grad_x, grad_F_y=val.grad_w,
         grad_f_x=train.grad_x, grad_f_y=train.grad_w,

@@ -23,15 +23,15 @@ class DivergenceError(RuntimeError):
 
 
 class SaddleConvergenceError(RuntimeError):
-    """The saddle oracle exhausted its iteration budget.
+    """The saddle oracle exhausted its iteration budget, stalled through 60
+    step halvings, or its halved step underflowed.
 
-    ``residual`` holds the last fixed-point residual, ``saddle`` the last
-    iterate packaged as a SaddlePoint with converged=False.
+    ``saddle`` holds the last iterate packaged as a SaddlePoint with
+    converged=False; ``saddle.residual`` is the last residual.
     """
 
-    def __init__(self, message, residual=None, saddle=None):
+    def __init__(self, message, saddle=None):
         super().__init__(message)
-        self.residual = residual
         self.saddle = saddle
 
 

@@ -116,9 +116,8 @@ class Box(ProjectableSet):
         self.upper = hi.copy()
         self.lower.flags.writeable = self.upper.flags.writeable = False
         self.dim = lo.shape[0]
-        # a side with no finite bound is skipped: np.maximum(v, -inf) and
-        # np.minimum(v, inf) return v bit for bit, NaN and -0.0 included
-        self._clip_lower = bool(np.any(lo > -np.inf))
+        # one path: np.maximum(v, -inf) is v bit for bit, NaN and -0.0
+        # included, so only an upper side with no finite face is skipped
         self._clip_upper = bool(np.any(hi < np.inf))
         self._lo = _uniform(self.lower)
         self._hi = _uniform(self.upper)
@@ -126,14 +125,10 @@ class Box(ProjectableSet):
     def project(self, v):
         v = _as_vector(v, self.dim, "v", rows=True)
         # np.clip's arithmetic without its Python-level wrapper
-        if self._clip_lower:
-            out = np.maximum(v, self._lo)
-            if self._clip_upper:
-                np.minimum(out, self._hi, out=out)
-            return out
+        out = np.maximum(v, self._lo)
         if self._clip_upper:
-            return np.minimum(v, self._hi)
-        return v.copy()
+            np.minimum(out, self._hi, out=out)
+        return out
 
     def __repr__(self):
         return "Box(dim=%d)" % self.dim
@@ -176,13 +171,14 @@ class BilevelProblem:
     """Immutable description of one pessimistic bilevel instance.
 
     F and f map (x, y) to a float; the four gradient callables return arrays
-    of the matching dimension. Caller obligations, not checked here: the
-    callables are pure and deterministic; the gradients also take blocks,
-    (S, n_x) x and (S, n_y) y, and return the (S, dim) row gradients, each
-    row equal bit for bit to the call on that row alone (a batch of starts
-    makes one call per gradient); f(x, .) attains its minimum on Y for
-    every feasible x; and the supplied Lipschitz constants are valid on X
-    times the region of Y the iterates visit.
+    of the matching dimension, n_x = set_X.dim or n_y = set_Y.dim (the
+    dimensions are the sets', stored nowhere else). Caller obligations, not
+    checked here: the callables are pure and deterministic; the gradients
+    also take blocks, (S, n_x) x and (S, n_y) y, and return the (S, dim)
+    row gradients, each row equal bit for bit to the call on that row alone
+    (a batch of starts makes one call per gradient); f(x, .) attains its
+    minimum on Y for every feasible x; and the supplied Lipschitz constants
+    are valid on X times the region of Y the iterates visit.
 
     mu is the strong-concavity modulus of F(x, .). Instances that violate
     that assumption record mu=0 together with a human-readable
@@ -190,8 +186,6 @@ class BilevelProblem:
     on them.
     """
 
-    n_x: int
-    n_y: int
     F: Callable
     f: Callable
     grad_F_x: Callable
@@ -205,13 +199,17 @@ class BilevelProblem:
     lip_f: float
     assumption_note: Optional[str] = None
 
+    @property
+    def n_x(self):
+        return self.set_X.dim
+
+    @property
+    def n_y(self):
+        return self.set_Y.dim
+
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
             raise ContractViolation("n_x and n_y must be >= 1")
-        if self.set_X.dim != self.n_x:
-            raise ContractViolation("set_X dimension does not match n_x")
-        if self.set_Y.dim != self.n_y:
-            raise ContractViolation("set_Y dimension does not match n_y")
         if self.mu < 0 or not np.isfinite(self.mu):
             raise ContractViolation("mu must be finite and >= 0")
         if self.mu == 0 and self.assumption_note is None:

@@ -193,8 +193,8 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     SaddleConvergenceError
         If max_iter is exhausted, the step stalls through 60 halvings, or
         a halved step underflows (u - beta*T rounds back to u where the
-        initial step still moves it); carries the last residual and
-        iterate.
+        initial step still moves it); carries the last iterate in
+        ``saddle``, its residual in ``saddle.residual``.
     """
     x = _as_vector(x, problem.n_x, "x")
     if u0 is None:
@@ -245,7 +245,6 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
                     "saddle oracle step underflow after %d iterations: "
                     "beta=%.3e (%d halvings) no longer moves u while "
                     "||T||=%.3e (tol %.3e)" % (it, beta, halvings, t_norm, tol),
-                    residual=t_norm,
                     saddle=pack(y, z, t_norm, it, False),
                 )
             return pack(y1, z1, res, it, True)
@@ -267,7 +266,6 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
                 "saddle oracle stalled after %d iterations (60 step "
                 "halvings) with residual %.3e (tol %.3e)" % (it, res, tol)
                 if finite else "oracle diverged even after step backoff",
-                residual=res,
                 saddle=pack(y, z, res, it, False),
             )
         beta *= 0.5
@@ -275,7 +273,6 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     raise SaddleConvergenceError(
         "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"
         % (max_iter, res, tol),
-        residual=res,
         saddle=pack(y, z, res, max_iter, False),
     )
 

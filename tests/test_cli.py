@@ -1046,6 +1046,7 @@ def test_built_problem_pickles(kind):
     for name in names:
         getattr(prob, name)(x, y)
     prob2 = pickle.loads(pickle.dumps(prob))
+    assert (prob2.n_x, prob2.n_y) == (prob2.set_X.dim, prob2.set_Y.dim)
     for _ in range(5):
         x = rng.uniform(0.2, 3.0, prob.n_x)
         y = rng.uniform(0.2, 3.0, prob.n_y)

@@ -357,7 +357,7 @@ def _old_solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None,
                     "saddle oracle step underflow after %d iterations: "
                     "beta=%.3e (%d halvings) no longer moves u while "
                     "||T||=%.3e (tol %.3e)" % (it, beta, halvings, t_norm, tol),
-                    residual=t_norm, saddle=pack(u, t_norm, it, False))
+                    saddle=pack(u, t_norm, it, False))
             return pack(u_next, res, it, True)
         if finite:
             u = u_next
@@ -373,12 +373,12 @@ def _old_solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None,
                 "saddle oracle stalled after %d iterations (60 step "
                 "halvings) with residual %.3e (tol %.3e)" % (it, res, tol)
                 if finite else "oracle diverged even after step backoff",
-                residual=res, saddle=pack(u, res, it, False))
+                saddle=pack(u, res, it, False))
         beta *= 0.5
         best, since_best = np.inf, 0
     raise SaddleConvergenceError(
         "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"
-        % (max_iter, res, tol), residual=res, saddle=pack(u, res, max_iter, False))
+        % (max_iter, res, tol), saddle=pack(u, res, max_iter, False))
 
 
 def _solve_outcome(solve, *args, **kwargs):
@@ -386,7 +386,7 @@ def _solve_outcome(solve, *args, **kwargs):
     try:
         return solve(*args, **kwargs), None
     except SaddleConvergenceError as err:
-        return err.saddle, (str(err), err.residual)
+        return err.saddle, (str(err), err.saddle.residual)
 
 
 def _same_value(a, b):

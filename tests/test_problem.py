@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,8 +92,15 @@ def test_problem_validation():
         replace(quad, mu=-1.0)
     with pytest.raises(ContractViolation):
         replace(quad, lip_F=0.0)
-    with pytest.raises(ContractViolation):
-        replace(quad, set_X=FullSpace(2))  # n_x stays 1
+    # the dimensions are the sets': a new set_X is a new n_x, and no
+    # record can disagree with its own sets
+    wide = replace(quad, set_X=FullSpace(2))
+    assert (wide.n_x, wide.n_y) == (2, 1)
+    with pytest.raises(ContractViolation, match="n_x and n_y must be >= 1"):
+        replace(quad, set_X=Box([], []))
+    with pytest.raises(TypeError):
+        BilevelProblem(n_x=1, **{f.name: getattr(quad, f.name)
+                                 for f in fields(quad)})
     # mu=0 is allowed once the violated assumption is written down
     weak = replace(quad, mu=0.0, assumption_note="upper level only concave")
     assert weak.mu == 0.0

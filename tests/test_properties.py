@@ -233,8 +233,9 @@ SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
        open_side=st.sampled_from(["none", "lower", "upper", "both"]))
 def test_a_one_sided_box_projects_as_the_two_sided_formula(data, n, rows,
                                                            open_side):
-    # Box.project skips a side with no finite bound; that must change no
-    # bit of the result, whatever v holds, and never hand out v itself
+    # Box.project skips an upper side with no finite face and clips every
+    # lower side, -inf faces too; neither may change a bit of the result,
+    # whatever v holds, and it never hands out v itself
     vec = st.lists(FINITE | SPECIAL, min_size=n, max_size=n)
     flags = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
     a, b = np.array(data.draw(vec)), np.array(data.draw(vec))

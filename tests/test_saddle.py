@@ -276,7 +276,7 @@ def test_solve_saddle_max_iter_exhaustion():
     err = ei.value
     assert err.saddle.iterations == 3
     assert not err.saddle.converged
-    assert np.isfinite(err.residual)
+    assert np.isfinite(err.saddle.residual)
 
 
 def inject_T(monkeypatch, T):
@@ -305,7 +305,7 @@ def test_solve_saddle_stall_reports_real_iteration_count(monkeypatch):
     assert 61 * 200 <= err.saddle.iterations < 62 * 200
     assert "%d iterations" % err.saddle.iterations in str(err)
     assert not err.saddle.converged
-    assert err.residual == pytest.approx(np.sqrt(2.0))
+    assert err.saddle.residual == pytest.approx(np.sqrt(2.0))
 
 
 def test_solve_saddle_non_finite_steps_halve_from_the_same_point(monkeypatch):
@@ -319,7 +319,7 @@ def test_solve_saddle_non_finite_steps_halve_from_the_same_point(monkeypatch):
     sd = ei.value.saddle
     assert (sd.iterations, sd.beta, sd.converged) == (61, 0.5 * 2.0**-60, False)
     assert np.array_equal(sd.u, [0.5, -0.5])
-    assert not np.isfinite(ei.value.residual)
+    assert not np.isfinite(ei.value.saddle.residual)
 
 
 def test_solve_saddle_step_underflow_is_not_convergence(monkeypatch):
@@ -339,8 +339,8 @@ def test_solve_saddle_step_underflow_is_not_convergence(monkeypatch):
     assert sd.beta < 1e-16
     u = sd.u
     assert np.array_equal(u - sd.beta * (A @ u), u)
-    assert err.residual == pytest.approx(np.linalg.norm(A @ u))
-    assert err.residual > 1e20
+    assert err.saddle.residual == pytest.approx(np.linalg.norm(A @ u))
+    assert err.saddle.residual > 1e20
 
 
 def test_solve_saddle_argument_validation():
