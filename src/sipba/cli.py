@@ -296,7 +296,8 @@ def _schedule(cfg, overrides, where):
 
 
 class ProblemBundle:
-    """Problem plus the bookkeeping the harness needs around it."""
+    """Problem plus the bookkeeping the harness needs around it; _runs forms
+    the starts' relative error from closed_form."""
 
     def __init__(self, problem, sample_init, closed_form=None,
                  metric_name="upper_objective", metric=None):
@@ -306,19 +307,6 @@ class ProblemBundle:
         self.closed_form = closed_form
         self.metric_name = metric_name
         self.metric = metric            # callable(x, y) -> float
-
-    def eps_rel(self, x0, y0):
-        """The relative error to the known optimum from the start (x0, y0),
-        or a block of starts, as a function eps(x, y, rows): rows picks the
-        starts (x, y) is measured from, all of them by default. None without
-        a known optimum. The denominator is formed once, here: a start at
-        the optimum raises ContractViolation."""
-        cf = self.closed_form
-        if cf is None:
-            return None
-        den = relative_error_denominator(x0, y0, cf.x_star, cf.y_star)
-        return lambda x, y, rows=(): relative_error(x, y, cf.x_star,
-                                                     cf.y_star, den[rows])
 
 
 def build_problem(cfg):
@@ -375,30 +363,35 @@ def resolve_seeds(cfg):
 
 
 def _runs(cfg):
-    """The prologue of run, ablate and compare: (seeds, each seed's first
+    """The one prologue of run, ablate and compare: (seeds, each seed's first
     state (its Philox draw, projected), the run block, the built problem,
-    run.stride)."""
+    run.stride, eps). eps(x, y, rows) is the relative error to the known
+    optimum from the seeds' starts that rows picks, all of them by default;
+    None without a known optimum. Its denominator is formed once, here: a
+    start at the optimum raises ContractViolation."""
     rc = _get(cfg, "run")
     seeds = resolve_seeds(cfg)
     bundle = build_problem(cfg)
     starts = [initial_state(bundle.problem, *bundle.sample_init(
         np.random.Generator(np.random.Philox(s)))) for s in seeds]
-    return seeds, starts, rc, bundle, _get(rc, "run.stride")
+    eps, cf = None, bundle.closed_form
+    if cf is not None:
+        den = relative_error_denominator(np.stack([st.x for st in starts]),
+                                         np.stack([st.y for st in starts]),
+                                         cf.x_star, cf.y_star)
+
+        def eps(x, y, rows=()):
+            return relative_error(x, y, cf.x_star, cf.y_star, den[rows])
+    return seeds, starts, rc, bundle, _get(rc, "run.stride"), eps
 
 
-def _run_settings(cfg, max_iter=None):
-    """_runs(cfg) for run and ablate: the seeds, their starts and the
-    _run_batch keywords, the rest of the run block among them."""
-    seeds, starts, rc, bundle, stride = _runs(cfg)
-    max_iter = _get(rc, "run.max_iter") if max_iter is None else max_iter
-    oracle_tol = _get(rc, "run.oracle_tol")
+def _target_eps(rc, eps):
+    """run.target_eps_rel, which needs eps, a known optimum."""
     target_eps = _get(rc, "run.target_eps_rel")
-    if target_eps is not None and bundle.closed_form is None:
+    if target_eps is not None and eps is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
                           _line(rc, "target_eps_rel"))
-    return seeds, starts, dict(
-        bundle=bundle, max_iter=max_iter, stride=stride, oracle_tol=oracle_tol,
-        target_eps=target_eps)
+    return target_eps
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +419,30 @@ def _write_csv(path, header, rows):
 # runs
 
 
-def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
-               oracle_tol, target_eps, stop_at_target=False, write_rows=True):
-    """The runs of seeds from their starts inits under the schedule sp, or
-    a list with one schedule per seed, stepped as one batch: run's
-    RunResults and each completed run's final eps_rel (None without a known
-    optimum), and with write_rows each run_<seed>.csv. The relative-error
-    denominator of the starts is formed once, here, and serves the target,
-    the stride rows and the finals."""
+def _tally(results, eps):
+    """(each run's final eps_rel, run i's from seed i's start, None for a
+    failed run or without eps; the completed runs; those that hit the
+    target; their seconds)."""
+    finals = [eps(r.state.x, r.state.y, i)
+              if eps is not None and r.error is None else None
+              for i, r in enumerate(results)]
+    completed = [r for r in results if r.error is None]
+    valid = [r for r in completed if r.target_iteration is not None]
+    return finals, completed, valid, [r.target_seconds for r in valid]
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def cmd_run(cfg, out_dir):
+    """One SiPBA run per seed: a diagnostics CSV per run and a summary CSV."""
+    seeds, starts, rc, bundle, stride, eps = _runs(cfg)
+    max_iter = _get(rc, "run.max_iter")
+    oracle_tol = _get(rc, "run.oracle_tol")
+    target_eps = _target_eps(rc, eps)
+    sp = build_schedule(cfg)
     prob = bundle.problem
-    sps = sp if isinstance(sp, list) else [sp] * len(seeds)
-    eps = bundle.eps_rel(np.stack([st.x for st in inits]),
-                         np.stack([st.y for st in inits]))
 
     target = None
     if target_eps is not None:
@@ -453,62 +458,36 @@ def _run_batch(sp, seeds, inits, bundle, out_dir, max_iter, stride,
 
     def cb(i, st, elapsed):
         done = st.k - 1
-        sn = last[i] = snapshot(prob, sps[i], st, oracle_tol, warm=last[i])
+        sn = last[i] = snapshot(prob, sp, st, oracle_tol, warm=last[i])
         phi_min[i] = min(phi_min[i], sn.phi)
-        merit = merit_value(done, sps[i].s, sps[i].t_exp,
+        merit = merit_value(done, sp.s, sp.t_exp,
                             sn.phi - (phi_min[i] - 1.0), sn.tracking_err)
         records[i].extend((done, elapsed, sn.phi,
                            np.nan if eps is None else eps(st.x, st.y, i),
                            sn.tracking_err, sn.stat_residual, merit))
 
-    results = run(prob, sp, inits, max_iter, target=target,
-                  stop_at_target=stop_at_target,
-                  callback=cb if write_rows else None, callback_stride=stride)
-    finals = [eps(res.state.x, res.state.y, i)
-              if eps is not None and res.error is None else None
-              for i, res in enumerate(results)]
-    if write_rows:
-        for seed, own in zip(seeds, records):
-            _write_csv(os.path.join(out_dir, "run_%d.csv" % seed),
-                       RUN_COLUMNS,
-                       [(seed, int(k), t, phi, None if eps is None else e, te,
-                         sr, merit) for k, t, phi, e, te, sr, merit
-                        in np.reshape(own, (-1, 7)).tolist()])
-    return results, finals
+    results = run(prob, sp, starts, max_iter, target=target, callback=cb,
+                  callback_stride=stride)
+    finals, completed, valid, times = _tally(results, eps)
+    for seed, own in zip(seeds, records):
+        _write_csv(os.path.join(out_dir, "run_%d.csv" % seed), RUN_COLUMNS,
+                   [(seed, int(k), t, phi, None if eps is None else e, te,
+                     sr, merit) for k, t, phi, e, te, sr, merit
+                    in np.reshape(own, (-1, 7)).tolist()])
 
-
-def _tally(results, finals):
-    """(completed runs, runs that hit the target, their seconds, final eps_rel)."""
-    completed = [r for r in results if r.error is None]
-    valid = [r for r in completed if r.target_iteration is not None]
-    times = [r.target_seconds for r in valid]
-    return completed, valid, times, [e for e in finals if e is not None]
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def cmd_run(cfg, out_dir):
-    """One SiPBA run per seed: a diagnostics CSV per run and a summary CSV."""
-    seeds, starts, kw = _run_settings(cfg)
-    target_eps = kw["target_eps"]
-    sp = build_schedule(cfg)
-    results, finals = _run_batch(sp, seeds, starts, out_dir=out_dir, **kw)
-
-    for s, r, eps in zip(seeds, results, finals):
+    for s, r, e in zip(seeds, results, finals):
         if r.error is None:
             hit = ("target at k=%d (%.3f s)" % (r.target_iteration,
                                                 r.target_seconds)
                    if r.target_iteration is not None else "no target hit"
                    if target_eps is not None else "")
-            eps_txt = "final eps_rel %.3e" % eps if eps is not None else ""
+            eps_txt = "final eps_rel %.3e" % e if e is not None else ""
             print("  ".join(filter(None, ("run %d: %d iterations" % (
                 s, r.iterations), eps_txt, hit))))
         else:
             print("run %d: FAILED (%s)" % (s, r.error))
 
-    completed, valid, times, finals = _tally(results, finals)
+    finals = [e for e in finals if e is not None]
     summary = (len(results), len(completed),
                len(valid) if target_eps is not None else None, target_eps,
                min(finals, default=None), max(finals, default=None),
@@ -531,30 +510,37 @@ def cmd_ablate(cfg, out_dir):
     grid = _get(ab, "ablate.grid")
     max_iter = _get(ab, "ablate.max_iter")
     schedules = [_schedule(cfg, ov, "ablate.grid") for ov in grid]
-    seeds, starts, kw = _run_settings(cfg, max_iter)
-    if kw["target_eps"] is None:
+    seeds, starts, rc, bundle, _, eps = _runs(cfg)
+    if max_iter is None:
+        max_iter = _get(rc, "run.max_iter")
+    _get(rc, "run.oracle_tol")  # unused here, checked as run checks it
+    target_eps = _target_eps(rc, eps)
+    if target_eps is None:
         raise ConfigError("ablate needs run.target_eps_rel, the eps_rel its "
-                          "runs are timed to",
-                          _line(_get(cfg, "run"), "target_eps_rel"))
+                          "runs are timed to", _line(rc, "target_eps_rel"))
 
-    # every (grid row, seed) run, grid row after grid row, as one batch
+    # every (grid row, seed) run, grid row after grid row, as one batch: run
+    # i starts from seed i % n's start
     n = len(seeds)
-    results, finals = _run_batch([sp for sp in schedules for _ in seeds],
-                                 seeds * len(grid), starts * len(grid),
-                                 out_dir=out_dir, stop_at_target=True,
-                                 write_rows=False, **kw)
+
+    def target(rows, st):
+        return eps(st.x, st.y, rows % n) < target_eps
+
+    results = run(bundle.problem, [sp for sp in schedules for _ in seeds],
+                  starts * len(grid), max_iter, target=target,
+                  stop_at_target=True)
 
     table = []
     for i, sp in enumerate(schedules):
         runs = results[i * n:(i + 1) * n]
-        completed, valid, times, row_finals = _tally(
-            runs, finals[i * n:(i + 1) * n])
+        finals, completed, valid, times = _tally(runs, eps)
+        finals = [e for e in finals if e is not None]
         table.append((
             i, sp.alpha0, sp.beta0, sp.rho0, sp.sigma0, sp.p, sp.q, sp.s,
             len(runs), len(valid),
             float(np.mean(times)) if times else None,
             float(np.std(times)) if times else None,
-            float(np.mean(row_finals)) if row_finals else None,
+            float(np.mean(finals)) if finals else None,
         ))
         print("row %2d: alpha0=%-8g beta0=%-8g p=%-8g q=%-8g s=%-8g  "
               "valid %d/%d%s"
@@ -584,15 +570,11 @@ def cmd_gradcheck(cfg, out_dir):
     pr = PenaltyReg(rho, sigma)
     rng = np.random.default_rng(1)
     worst_phi = 0.0
-    try:
-        for _ in range(n_points):
-            x = _sample_interior(prob.set_X, rng)
-            g = grad_phi(prob, pr, x, tol=oracle_tol)
-            phi = partial(eval_phi, prob, pr, tol=oracle_tol)
-            worst_phi = max(worst_phi, _fd_error(phi, g, x, fd_step))
-    except SaddleConvergenceError as e:
-        print("gradcheck: oracle failure: %s" % e, file=sys.stderr)
-        return 2
+    for _ in range(n_points):
+        x = _sample_interior(prob.set_X, rng)
+        g = grad_phi(prob, pr, x, tol=oracle_tol)
+        phi = partial(eval_phi, prob, pr, tol=oracle_tol)
+        worst_phi = max(worst_phi, _fd_error(phi, g, x, fd_step))
     print("grad_phi   max rel err %.3e  (rho=%g, sigma=%g)"
           % (worst_phi, rho, sigma))
 
@@ -617,7 +599,7 @@ def _baseline_under_budget(prob, sp, x0, budget, inner_tol, callback=None):
 
 def cmd_compare(cfg, out_dir):
     """SiPBA vs the double-loop baseline at an equal gradient budget."""
-    seeds, starts, rc, bundle, stride = _runs(cfg)
+    seeds, starts, rc, bundle, stride, eps = _runs(cfg)
     cc = _get(cfg, "compare")
     # one single-loop step costs 6 gradient evaluations; the default budget
     # (run.max_iter is read only for it) buys one step at least for each arm
@@ -627,8 +609,6 @@ def cmd_compare(cfg, out_dir):
     sp = build_schedule(cfg)
     sp_base = _schedule(cfg, _get(cc, "compare.baseline_schedule"),
                         "compare.baseline_schedule")
-    eps = bundle.eps_rel(np.stack([st.x for st in starts]),
-                         np.stack([st.y for st in starts]))
 
     def metric(i, x, y):  # seed i's metric at (x, y)
         return bundle.metric(x, y) if eps is None else eps(x, y, i)
@@ -683,12 +663,8 @@ def cmd_asymptotics(cfg, out_dir):
         _get(ac, "asymptotics." + k) for k in
         ("rho_list", "sigma_list", "oracle_tol"))
 
-    try:
-        rep = sandwich_check(bundle.closed_form, np.ones(bundle.problem.n_x),
-                             rho_list, sigma_list, oracle_tol=oracle_tol)
-    except SaddleConvergenceError as e:
-        print("asymptotics: oracle failure: %s" % e, file=sys.stderr)
-        return 2
+    rep = sandwich_check(bundle.closed_form, np.ones(bundle.problem.n_x),
+                         rho_list, sigma_list, oracle_tol=oracle_tol)
     saddle_rows = [(r.rho, r.sigma, r.saddle_dev) for r in rep.diagonal]
 
     print(rep)
@@ -764,12 +740,16 @@ def main(argv=None):
         # numpy's floating-point warnings off: a run that leaves the float
         # range is caught by the finiteness checks and reported as its one
         # FAILED line, and an oracle solve that does is caught by its
-        # convergence check and reported as one "oracle failure" line
+        # convergence check; a solve that fails outside a run (gradcheck's,
+        # asymptotics') ends the command at the one handler below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.handler(cfg, out_dir)
     except ConfigError as e:
         print("%s:%d: %s" % (args.config, e.line, e), file=sys.stderr)
         return 1
+    except SaddleConvergenceError as e:  # the one "oracle failure" line
+        print("%s: oracle failure: %s" % (args.command, e), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -288,7 +288,7 @@ def check_gradients(problem, n_points=20, fd_step=1e-6):
     point is ||g - g_fd|| / max(||g_fd||, 1e-12).
     """
     rng = np.random.default_rng(0)
-    worst = {"grad_F_x": 0.0, "grad_F_y": 0.0, "grad_f_x": 0.0, "grad_f_y": 0.0}
+    worst = dict.fromkeys(GRADIENTS, 0.0)
     for _ in range(n_points):
         x = _sample_interior(problem.set_X, rng)
         y = _sample_interior(problem.set_Y, rng)

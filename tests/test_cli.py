@@ -316,21 +316,25 @@ def test_ablate_table(tmp_path, capsys):
 
 
 def test_a_grid_row_does_not_depend_on_the_rows_beside_it(tmp_path, capsys):
-    # ablate steps all its (grid row, seed) runs as one batch: grid row 0
-    # alone and beside another schedule has the same ablation.csv row but
-    # for the two time-to-target columns
+    # ablate steps all its (grid row, seed) runs as one batch: grid rows 0
+    # and 1 each alone and side by side have the same ablation.csv row but
+    # for the two time-to-target columns (and row 1's row_id); row 1's runs
+    # read the seeds' denominators from the batch's second tile of starts
     cfg = synthetic_cfg(problem={"kind": "synthetic", "n": 10})
     cfg["run"].update(seeds={"base": 1000, "count": 3}, target_eps_rel=1e-4)
     tables = []
-    for grid in ([{}], [{}, {"alpha0": 1.0}]):
+    for i, grid in enumerate(([{}], [{"alpha0": 1.0}],
+                              [{}, {"alpha0": 1.0}])):
         cfg["ablate"] = {"max_iter": 20000, "grid": grid}
-        out = tmp_path / str(len(grid))
+        out = tmp_path / str(i)
         assert cli.main(["ablate", "--config", write_cfg(tmp_path, cfg),
                          "--out", str(out)]) == 0
         tables.append(outputs(out)["ablation.csv"])
-    alone, beside = tables
+    alone, alone_1, beside = tables
     assert len(beside) == 3 and alone == beside[:2]
-    assert alone[1][8:10] == ["3", "3"]  # runs, valid_runs
+    assert alone_1[0] == beside[0] and alone_1[1][0] == "0"
+    assert alone_1[1][1:] == beside[2][1:] and beside[2][0] == "1"
+    assert alone[1][8:10] == alone_1[1][8:10] == ["3", "3"]  # runs, valid
     capsys.readouterr()
 
 
@@ -1285,7 +1289,7 @@ def test_relative_error_runs_once_per_step_and_row_its_denominator_once(
         tmp_path, monkeypatch, capsys, cmd):
     # the benchmark's traced synth-ablate run counts relative_error calls as
     # one per batched step plus one per final row; the denominator is formed
-    # once per batch
+    # once per command, over its seeds' starts
     from sipba import solver
 
     rel = Counting(cli.relative_error)

@@ -27,11 +27,12 @@ target, fail in their callback and diverge, after a schedule overflowed;
 there the steps each row is called back at, and the row order within the
 step, are pinned too, since a serial run shares the batch loop.
 
-The command line forms each batch's relative-error denominator once; the
-tolerance, fixed before that change, is exact equality with runs whose
-target, diagnostics rows and final eps_rel divide by the denominator formed
-on every call: iterations, target iterations, stop reasons, final blocks,
-every eps_rel cell and final eps_rel.
+The command line forms the relative-error denominator of each command's
+seeds' starts once, and ablate's grid rows share it; the tolerance, fixed
+before that change, is exact equality with runs whose target, diagnostics
+rows and final eps_rel divide by the denominator formed on every call:
+iterations, target iterations, stop reasons, final blocks, every eps_rel
+cell and the mean final eps_rel.
 
 End-metric gate, for changes that cannot be bit-identical:
 end_metric_violations(reference_dir, candidate_dir) compares two command
@@ -657,8 +658,8 @@ def test_cli_time_to_target_equals_the_six_argument_formula(
     bundle, seeds, starts = criterion_06
     sb, sp = bundle.closed_form, ScheduleParams(**{**README_SCHEDULE, **over})
 
-    # reference: each start alone, its target, its stride rows and its final
-    # the six-argument formula inline
+    # reference: each start alone, stopped at its target, its stride rows
+    # (k, eps_rel) and its final; the six-argument formula inline
     want = []
     for st in starts:
         def eps(s, st=st):
@@ -670,10 +671,12 @@ def test_cli_time_to_target_equals_the_six_argument_formula(
                      stop_at_target=True,
                      target=lambda _, s: [eps(s) < TARGET_EPS],
                      callback_stride=100,
-                     callback=lambda _, s, t: rows.append(eps(s)))
+                     callback=lambda _, s, t: rows.append((s.k - 1, eps(s))))
         want.append((res, eps(res.state), rows))
 
-    # candidate: the command line's batch, which hands back run's own results
+    # candidates: sipba ablate with the one grid row `over`, and sipba run
+    # under the same schedule up to the last reference's stop, on the same
+    # seeds; the runs' own results are kept
     returned = []
 
     def run_and_keep(*args, **kwargs):
@@ -681,32 +684,55 @@ def test_cli_time_to_target_equals_the_six_argument_formula(
         return returned[-1]
 
     monkeypatch.setattr(cli, "run", run_and_keep)
-    results, finals = cli._run_batch(sp, seeds, starts, bundle, str(tmp_path),
-                                     GATE_MAX_ITER, 100, ORACLE_TOL,
-                                     TARGET_EPS, True)
-    (ran,) = returned
-    assert len(results) == len(ran) == len(seeds)
-    assert all(got is r for got, r in zip(results, ran))
+    monkeypatch.delenv("SIPBA_SEED", raising=False)
+    last = max(res.iterations for res, _, _ in want)
+    cfg = {"problem": {"kind": "synthetic", "n": 100},
+           "schedule": README_SCHEDULE,
+           "run": {"seeds": {"base": seeds[0], "count": len(seeds)},
+                   "max_iter": last, "stride": 100, "oracle_tol": ORACLE_TOL,
+                   "target_eps_rel": TARGET_EPS},
+           "ablate": {"grid": [over], "max_iter": GATE_MAX_ITER}}
+    ablate_dir = cli_outputs("ablate", cfg, tmp_path / "ablate")
+    cfg["schedule"] = {**README_SCHEDULE, **over}
+    run_dir = cli_outputs("run", cfg, tmp_path / "run")
+    ablated, ran = returned
+    assert len(ablated) == len(ran) == len(seeds)
 
-    for (ref, ref_eps, ref_rows), got, final, seed in zip(want, results,
-                                                          finals, seeds):
+    # ablate: every run stops at its target as its start alone does
+    for (ref, _, _), got in zip(want, ablated):
         assert got.stop_reason == ref.stop_reason == "target"
         assert got.error is None
         assert (got.iterations, got.target_iteration) == (
             ref.iterations, ref.target_iteration)
         assert same_state(got.state, ref.state)
-        assert final == ref_eps
-        with open(tmp_path / ("run_%d.csv" % seed), encoding="utf-8") as fh:
-            col = [float(r["eps_rel"]) for r in csv.DictReader(fh)]
-        assert col == ref_rows
+    with open(ablate_dir / "ablation.csv", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["valid_runs"] == str(len(seeds))
+    assert float(row["mean_final_eps_rel"]) == float(
+        np.mean([ref_eps for _, ref_eps, _ in want]))
+
+    # run: no stop; every run hits its target at the reference's stop, and
+    # its stride rows up to there read the reference's eps_rel
+    with open(run_dir / "stdout.txt", encoding="utf-8") as fh:
+        hits = [int(k) for k in re.findall(r"target at k=(\d+)", fh.read())]
+    assert hits == [ref.target_iteration for ref, _, _ in want]
+    for (ref, _, ref_rows), got, seed in zip(want, ran, seeds):
+        assert got.stop_reason == "max_iter" and got.error is None
+        assert got.target_iteration == ref.target_iteration == ref.iterations
+        with open(run_dir / ("run_%d.csv" % seed), encoding="utf-8") as fh:
+            col = [(int(r["k"]), float(r["eps_rel"]))
+                   for r in csv.DictReader(fh)]
+        assert [r for r in col if r[0] <= ref.iterations] == [
+            r for r in ref_rows if r[0] % 100 == 0 or r[0] == last]
 
 
 def test_a_start_at_the_optimum_is_rejected_once_before_the_first_step(
-        criterion_06, monkeypatch):
-    bundle, seeds, starts = criterion_06
-    sb = bundle.closed_form
+        monkeypatch, tmp_path):
+    # the second seed draws the optimum: ablate, two grid rows over two
+    # seeds, forms the seeds' denominator once and takes no step
     calls = {"den": 0, "step": 0}
-    den, step = cli.relative_error_denominator, solver.sipba_step
+    den, step, build = (cli.relative_error_denominator, solver.sipba_step,
+                        cli.build_problem)
 
     def counted_den(*args):
         calls["den"] += 1
@@ -716,13 +742,33 @@ def test_a_start_at_the_optimum_is_rejected_once_before_the_first_step(
         calls["step"] += 1
         return step(*args)
 
+    def second_at_optimum(cfg):
+        bundle = build(cfg)
+        draw, cf, draws = bundle.sample_init, bundle.closed_form, []
+
+        def sample_init(rng):
+            draws.append(draw(rng))
+            x0, y0, z0 = draws[-1]
+            return (cf.x_star, cf.y_star, z0) if len(draws) == 2 else (
+                x0, y0, z0)
+
+        bundle.sample_init = sample_init
+        return bundle
+
     monkeypatch.setattr(cli, "relative_error_denominator", counted_den)
     monkeypatch.setattr(solver, "sipba_step", counted_step)
-    at_optimum = initial_state(sb.problem, sb.x_star, sb.y_star)
+    monkeypatch.setattr(cli, "build_problem", second_at_optimum)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "problem": {"kind": "synthetic", "n": 100},
+        "schedule": README_SCHEDULE,
+        "run": {"seeds": {"base": 1000, "count": 2},
+                "target_eps_rel": TARGET_EPS},
+        "ablate": {"grid": [{}, {"alpha0": 1.0}], "max_iter": 100}}),
+        encoding="utf-8")
     with pytest.raises(ContractViolation, match="equals the optimum"):
-        cli._run_batch(ScheduleParams(**README_SCHEDULE), seeds[:2],
-                       [starts[0], at_optimum], bundle, None, 100, 100,
-                       ORACLE_TOL, TARGET_EPS, True, write_rows=False)
+        cli.main(["ablate", "--config", str(cfg_path), "--out",
+                  str(tmp_path / "out")])
     assert calls == {"den": 1, "step": 0}
 
 
