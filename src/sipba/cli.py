@@ -365,10 +365,10 @@ def resolve_seeds(cfg):
 def _runs(cfg):
     """The one prologue of run, ablate and compare: (seeds, each seed's first
     state (its Philox draw, projected), the run block, the built problem,
-    run.stride, eps). eps(x, y, rows) is the relative error to the known
-    optimum from the seeds' starts that rows picks, all of them by default;
-    None without a known optimum. Its denominator is formed once, here: a
-    start at the optimum raises ContractViolation."""
+    eps). eps(x, y, rows) is the relative error to the known optimum from
+    the seeds' starts that rows picks, all of them by default; None without
+    a known optimum. Its denominator is formed once, here: a start at the
+    optimum raises ContractViolation."""
     rc = _get(cfg, "run")
     seeds = resolve_seeds(cfg)
     bundle = build_problem(cfg)
@@ -382,7 +382,7 @@ def _runs(cfg):
 
         def eps(x, y, rows=()):
             return relative_error(x, y, cf.x_star, cf.y_star, den[rows])
-    return seeds, starts, rc, bundle, _get(rc, "run.stride"), eps
+    return seeds, starts, rc, bundle, eps
 
 
 def _target_eps(rc, eps):
@@ -437,9 +437,9 @@ def _tally(results, eps):
 
 def cmd_run(cfg, out_dir):
     """One SiPBA run per seed: a diagnostics CSV per run and a summary CSV."""
-    seeds, starts, rc, bundle, stride, eps = _runs(cfg)
-    max_iter = _get(rc, "run.max_iter")
-    oracle_tol = _get(rc, "run.oracle_tol")
+    seeds, starts, rc, bundle, eps = _runs(cfg)
+    stride, max_iter, oracle_tol = (
+        _get(rc, "run." + k) for k in ("stride", "max_iter", "oracle_tol"))
     target_eps = _target_eps(rc, eps)
     sp = build_schedule(cfg)
     prob = bundle.problem
@@ -510,10 +510,9 @@ def cmd_ablate(cfg, out_dir):
     grid = _get(ab, "ablate.grid")
     max_iter = _get(ab, "ablate.max_iter")
     schedules = [_schedule(cfg, ov, "ablate.grid") for ov in grid]
-    seeds, starts, rc, bundle, _, eps = _runs(cfg)
+    seeds, starts, rc, bundle, eps = _runs(cfg)
     if max_iter is None:
         max_iter = _get(rc, "run.max_iter")
-    _get(rc, "run.oracle_tol")  # unused here, checked as run checks it
     target_eps = _target_eps(rc, eps)
     if target_eps is None:
         raise ConfigError("ablate needs run.target_eps_rel, the eps_rel its "
@@ -599,7 +598,8 @@ def _baseline_under_budget(prob, sp, x0, budget, inner_tol, callback=None):
 
 def cmd_compare(cfg, out_dir):
     """SiPBA vs the double-loop baseline at an equal gradient budget."""
-    seeds, starts, rc, bundle, stride, eps = _runs(cfg)
+    seeds, starts, rc, bundle, eps = _runs(cfg)
+    stride = _get(rc, "run.stride")
     cc = _get(cfg, "compare")
     # one single-loop step costs 6 gradient evaluations; the default budget
     # (run.max_iter is read only for it) buys one step at least for each arm

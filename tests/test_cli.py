@@ -900,7 +900,8 @@ def bad_cfg(key, value, starts=2):
         (RUNS, "problem.data_seed", -1),
         (RUNS, "run.seeds", [3, -1]),
         (RUNS, "run.seeds.base", -2),
-        (("run", "ablate"), "run.oracle_tol", -1),
+        (("run",), "run.oracle_tol", -1),
+        (("compare",), "run.stride", 0),  # read by run and compare alone
         (("run", "ablate"), "run.target_eps_rel", INF),
         (("compare",), "compare.baseline_schedule", 5),
         (("compare",), "compare.baseline_schedule", ["alpha0"]),
@@ -934,6 +935,26 @@ def test_bad_values_are_config_errors_on_their_line(tmp_path, cmd, key,
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("key, value", [("run.stride", 0),
+                                        ("run.oracle_tol", -1)])
+def test_ablate_ignores_the_diagnostics_keys(tmp_path, capsys, key, value):
+    # ablate runs no diagnostics callback, so it reads neither key: a value
+    # run rejects changes no exit code, printed line or non-time cell of it
+    cfg = synthetic_cfg(ablate={"grid": [{}, {"alpha0": 0.05}],
+                                "max_iter": 2000})
+    got = []
+    for name in ("good", "bad"):
+        if name == "bad":
+            section, last = key.split(".")
+            cfg[section][last] = value
+        assert cli.main(["ablate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path / name)]) == 0
+        got.append((masked(capsys.readouterr().out),
+                    outputs(tmp_path / name)))
+    assert got[0] == got[1]
+    assert [r[9] for r in got[0][1]["ablation.csv"][1:]] == ["2", "2"]
 
 
 @pytest.mark.parametrize("cmd", ["gradcheck", "asymptotics"])

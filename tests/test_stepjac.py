@@ -1,0 +1,56 @@
+import numpy as np
+import pytest
+
+from sipba.benchmarks import quadratic_testbed, synthetic_problem
+from sipba.solver import (Params, ScheduleParams, initial_state, params_at,
+                          run)
+
+from stepjac import flat, frozen_fixed_point, step_jacobian
+
+
+def test_quadratic_step_jacobian_is_its_written_out_map():
+    # on the testbed (F = -(y-x)^2, f = (y-x)^2, no constraints) the step is
+    # linear in v = (x, y, z):
+    #   y+ = y - 2b(1+r)(y-x) - b s z
+    #   z+ = z - 2b r (z-x) - b s (z-y)
+    #   x+ = x - a (2(1+r)(y+ - x) - 2r (z+ - x))
+    a, b, r, s = 0.1, 0.05, 3.0, 0.5
+    yz = np.array([[2 * b * (1 + r), 1 - 2 * b * (1 + r), -b * s],
+                   [2 * b * r, b * s, 1 - 2 * b * r - b * s]])
+    x1 = (np.array([1 + 2 * a, 0.0, 0.0])
+          - 2 * a * (1 + r) * yz[0] + 2 * a * r * yz[1])
+    want = np.vstack((x1, yz))
+    prob = quadratic_testbed()
+    pars = Params(alpha=a, beta=b, rho=r, sigma=s)
+    st = initial_state(prob, [0.7], [-1.3], [2.1])
+    assert np.max(np.abs(step_jacobian(prob, pars, st, 1e-7) - want)) < 1e-6
+    # a linear map's fixed point is 0
+    fp, jac, gap = frozen_fixed_point(prob, pars, st)
+    assert np.max(np.abs(flat(fp))) < 1e-12 and gap < 1e-12
+    assert np.max(np.abs(jac - want)) < 1e-6
+
+
+@pytest.mark.parametrize("beta0, rate, flip", [(0.5 / 101, 0.990, None),
+                                               (1.2 / 101, 2.620, -2.620)],
+                         ids=["stable", "flips"])
+def test_synthetic_flip_edge(beta0, rate, flip):
+    # the headline schedule at n=10, start 0, after 20000 steps; the step
+    # frozen at k = 20001 has a fixed point, and its Jacobian there says
+    # whether the iterates settle (spectral radius < 1) or flip sign each
+    # step (a real eigenvalue below -1: the period-2 cycle). From the
+    # 3000-step state Newton does not reach the flipping fixed point
+    sy = synthetic_problem(10)
+    sp = ScheduleParams(alpha0=0.1, beta0=beta0, rho0=10.0, sigma0=0.01,
+                        p=0.001, q=0.001, s=0.1)
+    st = initial_state(sy.problem, *sy.sample_init(np.random.default_rng(0)))
+    res, = run(sy.problem, sp, [st], 20000)
+    _, jac, gap = frozen_fixed_point(sy.problem, params_at(sp, res.state.k),
+                                     res.state)
+    assert gap <= 1e-14
+    ev = np.linalg.eigvals(jac)
+    neg = ev.real[(ev.imag == 0) & (ev.real < 0)]
+    assert np.max(np.abs(ev)) == pytest.approx(rate, abs=1e-3)
+    if flip is None:
+        assert neg.size == 0
+    else:
+        assert neg.min() == pytest.approx(flip, abs=1e-3)
