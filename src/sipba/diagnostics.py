@@ -85,10 +85,10 @@ def predicted_start(problem, trail, k):
     """Oracle start at step k from a trail of (k_j, u_j) saddles; None if empty.
 
     With two or more nodes this is the Lagrange polynomial through them
-    (distinct k_j, oldest first) evaluated at k, projected onto Y x Y half by
-    half: through three nodes at equal gaps the weights are (1, -3, 3), and
-    the actual k_j weight an uneven gap. A prediction that is not finite
-    falls back to the newest saddle, and so does a trail of one node.
+    (distinct k_j, oldest first) evaluated at k, projected onto Y x Y as one
+    two-row block: through three nodes at equal gaps the weights are
+    (1, -3, 3), and the actual k_j weight an uneven gap. A prediction that is
+    not finite falls back to the newest saddle, and so does a trail of one.
     """
     if not trail:
         return None
@@ -104,9 +104,7 @@ def predicted_start(problem, trail, k):
         start = start + w * u
     if not _finite(start):
         return last
-    n_y, set_Y = problem.n_y, problem.set_Y
-    return np.concatenate((set_Y.project(start[:n_y]),
-                           set_Y.project(start[n_y:])))
+    return problem.set_Y.project(start.reshape(2, -1)).ravel()
 
 
 def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):

@@ -153,12 +153,8 @@ class Ball(ProjectableSet):
         d = v - self.center
         # row norms as np.linalg.norm takes them: the square root of a dot
         nd = np.sqrt(np.vecdot(d, d))
-        if v.ndim == 1:
-            if nd <= self.radius:
-                return v.copy()
-            return self.center + (self.radius / nd) * d
         out = v.copy()
-        far = ~(nd <= self.radius)  # a NaN norm projects like a far row
+        far = ~(nd <= self.radius)  # NaN norms are far; a vector's mask is 0-d
         out[far] = self.center + (self.radius / nd[far])[:, None] * d[far]
         return out
 

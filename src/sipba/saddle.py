@@ -121,8 +121,7 @@ def lemma_step_bound(problem, pr):
 
 def default_start(problem):
     """Default oracle start: projection of the zero vector onto Y, duplicated."""
-    y0 = problem.set_Y.project(np.zeros(problem.n_y))
-    return np.concatenate((y0, y0))
+    return problem.set_Y.project(np.zeros((2, problem.n_y))).ravel()
 
 
 class LipschitzEstimate(NamedTuple):

@@ -164,7 +164,7 @@ def _finite(v):
     A finite sum means every entry is finite; a sum of finite entries can
     still overflow, so only then is the entrywise test run.
     """
-    total = np.add.reduce(v if v.ndim == 1 else v.ravel())
+    total = np.add.reduce(v, axis=None)
     return math.isfinite(total) or np.isfinite(v).all()
 
 
@@ -294,7 +294,7 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
                          step_seconds=0.0) for st in starts]
     if not starts or max_iter == 0:
         return results
-    if len(starts) == 1:  # stepped as vectors: no stacking
+    if len(starts) == 1:  # as vectors: _Split's point path beats a 1-row block
         state = starts[0]
     else:
         state = IterateState(k=starts[0].k,

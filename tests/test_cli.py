@@ -600,6 +600,33 @@ def test_asymptotics_tables_and_monotone_gaps(tmp_path, capsys):
     assert "asymptotics passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flip, line", [
+    ("lower_bounds_ok", "lower bound violated by %.3e"),
+    ("diagonal_monotone", "diagonal gaps not monotone")],
+    ids=["lower-bound", "diagonal"])
+def test_asymptotics_failure_is_exit_code_3_and_one_line(
+        tmp_path, monkeypatch, capsys, flip, line):
+    # the real report with one verdict flipped: the command names it on
+    # stderr and exits 3
+    real, reps = cli.sandwich_check, []
+
+    def flipped(*args, **kwargs):
+        reps.append(dataclasses.replace(real(*args, **kwargs), **{flip: False}))
+        return reps[-1]
+
+    monkeypatch.setattr(cli, "sandwich_check", flipped)
+    cfgp = write_cfg(tmp_path, {
+        "problem": {"kind": "synthetic", "n": 2},
+        "asymptotics": {"rho_list": [10.0, 100.0, 1000.0, 10000.0],
+                        "sigma_list": [0.1, 0.01, 0.001, 0.0001]}})
+    assert cli.main(["asymptotics", "--config", cfgp,
+                     "--out", str(tmp_path / "out")]) == 3
+    rep, = reps
+    if "%" in line:
+        line %= rep.max_lower_violation
+    assert capsys.readouterr().err == "asymptotics FAILED: %s\n" % line
+
+
 def test_asymptotics_needs_closed_form(tmp_path):
     cfg = {"problem": {"kind": "quadratic"}, "asymptotics": {}}
     cfgp = write_cfg(tmp_path, cfg)

@@ -230,6 +230,10 @@ def test_the_predicted_start_lies_in_y_times_y():
 def test_merit_value_example():
     # 16^-0.5 * 4 + 16^-0.25 * 1^2 = 1 + 0.5
     assert merit_value(16, 0.5, 0.25, 4.0, 1.0) == pytest.approx(1.5)
+    for k in (0, -3, 2.5):
+        with pytest.raises(ContractViolation,
+                           match="k must be an integer >= 1"):
+            merit_value(k, 0.5, 0.25, 4.0, 1.0)
 
 
 def test_sandwich_check_report():

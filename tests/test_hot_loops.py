@@ -21,7 +21,6 @@ import pytest
 from sipba import benchmarks, saddle, smoothing
 from sipba.benchmarks import (
     _dot,
-    _per_row,
     generate_hyper_rep,
     hyper_rep_init,
     hyper_rep_problem,
@@ -134,6 +133,27 @@ def test_projecting_a_block_projects_each_row_bit_for_bit():
                 s.project(bad)
 
 
+def test_ball_projects_a_vector_as_its_formula_bit_for_bit():
+    # the block path projects a vector too; the reference is the formula a
+    # vector took on its own: v inside, else c + (r / ||v - c||) (v - c)
+    c, r = np.array([1.0, -2.0, 0.5, 0.0]), 2.5
+    ball = Ball(c, r)
+    cases = [c.copy(),                          # the center
+             np.array([1.5, -2.0, 0.5, -0.0]),  # inside, with a -0.0 entry
+             np.array([4.0, 1.0, -3.0, 2.0]),   # outside
+             np.array([np.nan, -2.0, 0.5, 0.0])]  # a NaN norm projects as far
+    with np.errstate(invalid="ignore"):
+        for v in cases:
+            d = v - c
+            nd = np.linalg.norm(d)
+            want = v.copy() if nd <= r else c + (r / nd) * d
+            got = ball.project(v)
+            assert got.shape == v.shape and same_bits(got, want)
+            assert not np.shares_memory(got, v)
+    assert np.isnan(ball.project(cases[3])).all()
+    assert np.signbit(ball.project(cases[1])[3])
+
+
 def test_operator_T_converts_and_rejects_as_before():
     q = quadratic_testbed()
     pr = PenaltyReg(2.0, 0.5)
@@ -240,7 +260,7 @@ def test_synthetic_gradients_equal_their_formulas_with_e_bit_for_bit():
         nx = np.sqrt(_dot(x, x))
         r = _dot(e, y) - nx
         return ((2.0 / n) * (x - e), -2.0 * (y - e),
-                _per_row(-2.0 * r / nx) * x, _per_row(2.0 * r) * e)
+                (-2.0 * r / nx)[..., None] * x, (2.0 * r)[..., None] * e)
 
     grads = [prob.grad_F_x, prob.grad_F_y, prob.grad_f_x, prob.grad_f_y]
     with np.errstate(all="ignore"):
@@ -255,7 +275,7 @@ def test_synthetic_gradients_equal_their_formulas_with_e_bit_for_bit():
     # dot gives; grad_f_y repeats its -0.0 factor as is
     one, y1 = np.ones(1), np.array([-0.0])
     got = benchmarks._synthetic_grad_f_y(one, np.zeros(1), y1)
-    assert same_bits(got, _per_row(2.0 * (one.dot(y1) - 0.0)) * one)
+    assert same_bits(got, (2.0 * (one.dot(y1) - 0.0))[..., None] * one)
     assert np.signbit(got[0])
 
 
@@ -264,6 +284,12 @@ def test_finiteness_test_matches_isfinite_all():
              np.array([1.0, np.nan]), np.array([np.inf, 1.0]),
              np.array([-np.inf, -1.0]), np.array([np.inf, -np.inf]),
              np.array([5e-324, -0.0])]
+    # blocks, one reduction over all entries: finite, overflowing, NaN,
+    # and a strided view
+    cases += [np.ones((3, 2)), np.full((2, 2), 1e308),
+              np.array([[1.0, 2.0], [np.nan, 0.0]]),
+              np.array([[1.0, np.inf, 2.0], [3.0, -np.inf, 4.0]])[:, ::2],
+              np.array([[1.0, np.inf, 2.0], [3.0, 4.0, -np.inf]])[:, ::2]]
     with np.errstate(all="ignore"):
         for v in cases:
             assert bool(_finite(v)) == bool(np.isfinite(v).all())

@@ -5,7 +5,8 @@ import pytest
 
 from sipba.benchmarks import quadratic_testbed, synthetic_problem
 from sipba.errors import ContractViolation
-from sipba.problem import Ball, BilevelProblem, Box, FullSpace, check_gradients
+from sipba.problem import (Ball, BilevelProblem, Box, FullSpace,
+                           _sample_interior, check_gradients)
 
 
 def sample_sets():
@@ -78,6 +79,11 @@ def test_box_rejects_nan_bounds_and_keeps_infinite_faces():
                                   [0.5, -np.inf, np.inf, 0.0])
 
 
+def test_box_rejects_bounds_of_two_dimensions():
+    with pytest.raises(ContractViolation, match="one-dimensional"):
+        Box(np.zeros((2, 2)), np.ones((2, 2)))
+
+
 def test_box_broadcasts_scalar_bounds():
     box = Box(0.0, [1.0, 2.0, 3.0])
     assert box.dim == 3
@@ -129,3 +135,46 @@ def test_check_gradients_default_rng_reproducible():
     a = check_gradients(quad, n_points=5)
     b = check_gradients(quad, n_points=5)
     assert a.errors == b.errors
+
+
+# sets that no benchmark family builds: a box with only upper faces, a box
+# with no finite face, and a ball
+UPPER_ONLY = Box(-np.inf, [1.0, -2.0, 0.5])
+NO_FACE = Box(-np.inf, np.full(3, np.inf))
+BALL = Ball([1.0, -2.0, 0.5], 2.5)
+
+
+def test_sample_interior_draws_inside_user_built_sets():
+    # an infinite face leaves a window of width 3 next to the finite face,
+    # or [-3, 3] with none; a ball's draws stay within 0.9 of its radius
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        v = _sample_interior(UPPER_ONLY, rng)
+        assert np.all((UPPER_ONLY.upper - 3.0 <= v)
+                      & (v <= UPPER_ONLY.upper - 1e-3))
+        assert np.all(np.abs(_sample_interior(NO_FACE, rng)) <= 3.0)
+        v = _sample_interior(BALL, rng)
+        assert np.linalg.norm(v - BALL.center) <= 0.9 * BALL.radius
+
+
+A = np.array([[1.0, 0.5, -0.3], [0.2, -1.0, 0.4], [0.0, 0.7, 2.0]])
+
+
+def _quadratic_over(set_X, set_Y):
+    # F = x.x/2 + x.(A y) - y.y and f = ||y - A x||^2
+    return BilevelProblem(
+        F=lambda x, y: 0.5 * x.dot(x) + x.dot(A @ y) - y.dot(y),
+        f=lambda x, y: (y - A @ x).dot(y - A @ x),
+        grad_F_x=lambda x, y: x + A @ y,
+        grad_F_y=lambda x, y: A.T @ x - 2.0 * y,
+        grad_f_x=lambda x, y: -2.0 * A.T @ (y - A @ x),
+        grad_f_y=lambda x, y: 2.0 * (y - A @ x),
+        set_X=set_X, set_Y=set_Y, mu=2.0, lip_F=10.0, lip_f=10.0)
+
+
+@pytest.mark.parametrize("set_X", [UPPER_ONLY, NO_FACE],
+                         ids=["upper-only", "no-face"])
+def test_check_gradients_samples_user_built_sets(set_X):
+    # below gradcheck's threshold of 1e-4
+    rep = check_gradients(_quadratic_over(set_X, BALL), n_points=10)
+    assert max(rep.errors.values()) < 1e-4, str(rep)

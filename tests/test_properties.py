@@ -375,10 +375,16 @@ def test_vecdot_rows_equal_serial_dots_exactly(n, rows, scales, seed, data):
     # the batched step is bit-identical to serial steps only because of this:
     # a numpy or BLAS that sums a row of a block in another order than a
     # lone vector must fail here, not drift a trajectory
+    # compared bit for bit: == would equate -0.0 and 0.0
+    def same(a, b):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
     rng = np.random.default_rng(seed)
     mag = 10.0 ** np.array(scales[:rows])[:, None]
     x = rng.standard_normal((rows, n)) * mag
     y = rng.uniform(0.0, 10.0, (rows, n)) * mag[::-1]
+    if n >= 2:  # rows of -0.0 entries: dot and vecdot both give 0.0
+        x[0] = y[-1] = -0.0
     e = np.ones(n)
     # a compacted block, as when rows leave a batch
     keep = data.draw(st.lists(st.integers(0, rows - 1), min_size=1,
@@ -386,12 +392,22 @@ def test_vecdot_rows_equal_serial_dots_exactly(n, rows, scales, seed, data):
     for xb, yb in ((x, y), (x[keep], y[keep])):
         xx, ey, xy = np.vecdot(xb, xb), np.vecdot(e, yb), np.vecdot(xb, yb)
         for i in range(len(xb)):
-            assert xx[i] == xb[i].dot(xb[i])
-            assert ey[i] == np.dot(e, yb[i])
-            assert xy[i] == np.dot(xb[i], yb[i])
-            assert np.vecdot(xb[i], xb[i]) == xb[i].dot(xb[i])
+            assert same(xx[i], xb[i].dot(xb[i]))
+            assert same(ey[i], np.dot(e, yb[i]))
+            assert same(xy[i], np.dot(xb[i], yb[i]))
+            assert same(np.vecdot(xb[i], xb[i]), xb[i].dot(xb[i]))
             # Ball.project's batched row norms, as np.linalg.norm takes them
-            assert np.sqrt(xx[i]) == np.linalg.norm(xb[i])
+            assert same(np.sqrt(xx[i]), np.linalg.norm(xb[i]))
+
+
+def test_vecdot_turns_a_lone_minus_zero_product_to_zero():
+    # the exception to the rows above: at n = 1, np.dot returns a lone -0.0
+    # product as it is, and np.vecdot returns 0.0 for a vector and a row
+    # alike; so the synthetic gradients' _dot keeps np.dot for two vectors
+    one, neg = np.ones(1), np.array([-0.0])
+    assert np.signbit(one.dot(neg)) and np.signbit(np.dot(neg, 2.0 * one))
+    assert not np.signbit(np.vecdot(one, neg))
+    assert not np.signbit(np.vecdot(one, neg[None])[0])
 
 
 SMALL = synthetic_problem(10)

@@ -54,3 +54,28 @@ def test_synthetic_flip_edge(beta0, rate, flip):
         assert neg.size == 0
     else:
         assert neg.min() == pytest.approx(flip, abs=1e-3)
+
+
+@pytest.mark.parametrize("beta0, stable", [(5e-4, True), (7e-4, True),
+                                           (1e-3, False)])
+def test_a_1e_15_change_of_x0_is_amplified_only_at_the_flip_edge(beta0, stable):
+    # the README schedule at n=100, starts 0-2, each beside a copy with x0
+    # scaled by 1 + 1e-15, 1000 steps as one batch: below the flip edge the
+    # change moves x by at most ~4e-14; at beta0 1e-3, the edge, it is
+    # amplified to 4e-7-5e-4 as the rows fall into the period-2 cycle
+    sy = synthetic_problem(100)
+    sp = ScheduleParams(alpha0=0.1, beta0=beta0, rho0=10.0, sigma0=0.01,
+                        p=0.001, q=0.001, s=0.1)
+    starts = []
+    for s in range(3):
+        x0, y0, z0 = sy.sample_init(np.random.default_rng(s))
+        starts += [initial_state(sy.problem, x0, y0, z0),
+                   initial_state(sy.problem, x0 * (1.0 + 1e-15), y0, z0)]
+    res = run(sy.problem, sp, starts, 1000)
+    assert [r.stop_reason for r in res] == ["max_iter"] * 6
+    moved = [np.max(np.abs(a.state.x - b.state.x))
+             for a, b in zip(res[::2], res[1::2])]
+    if stable:
+        assert max(moved) < 1e-12
+    else:
+        assert min(moved) > 1e-9
