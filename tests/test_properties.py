@@ -383,11 +383,12 @@ def test_vecdot_rows_equal_serial_dots_exactly(n, rows, scales, seed, data):
     mag = 10.0 ** np.array(scales[:rows])[:, None]
     x = rng.standard_normal((rows, n)) * mag
     y = rng.uniform(0.0, 10.0, (rows, n)) * mag[::-1]
-    if n >= 2:  # rows of -0.0 entries: dot and vecdot both give 0.0
-        x[0] = y[-1] = -0.0
+    if n >= 2:  # a row of -0.0 entries: dot and vecdot both give 0.0
+        x = np.vstack((x, np.full((1, n), -0.0)))
+        y = np.vstack((y, np.full((1, n), -0.0)))
     e = np.ones(n)
     # a compacted block, as when rows leave a batch
-    keep = data.draw(st.lists(st.integers(0, rows - 1), min_size=1,
+    keep = data.draw(st.lists(st.integers(0, len(x) - 1), min_size=1,
                               unique=True))
     for xb, yb in ((x, y), (x[keep], y[keep])):
         xx, ey, xy = np.vecdot(xb, xb), np.vecdot(e, yb), np.vecdot(xb, yb)
@@ -403,7 +404,7 @@ def test_vecdot_rows_equal_serial_dots_exactly(n, rows, scales, seed, data):
 def test_vecdot_turns_a_lone_minus_zero_product_to_zero():
     # the exception to the rows above: at n = 1, np.dot returns a lone -0.0
     # product as it is, and np.vecdot returns 0.0 for a vector and a row
-    # alike; so the synthetic gradients' _dot keeps np.dot for two vectors
+    # alike (no family meets it: the synthetic family needs n >= 2)
     one, neg = np.ones(1), np.array([-0.0])
     assert np.signbit(one.dot(neg)) and np.signbit(np.dot(neg, 2.0 * one))
     assert not np.signbit(np.vecdot(one, neg))
