@@ -67,8 +67,6 @@ from .benchmarks import (
     HyperRepData,
     SyntheticProblem,
     analytic_saddle,
-    closed_form_phi,
-    closed_form_y_star,
     generate_hyper_rep,
     hyper_rep_init,
     hyper_rep_problem,

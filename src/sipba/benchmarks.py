@@ -86,43 +86,35 @@ def analytic_saddle(x, rho, sigma):
 # synthetic family with closed-form value function
 
 
-def closed_form_y_star(n, x):
-    """Pessimistic lower-level response y*(x) of the synthetic family."""
-    x = _as_vector(x, n, "x")
-    e = np.ones(n)
-    nx = float(np.linalg.norm(x))
-    if nx > math.sqrt(n) / 2.0:
-        return (nx / n) * e
-    return e / (2.0 * math.sqrt(n))
-
-
-def closed_form_phi(n, x):
-    """Exact pessimistic value phi(x) = (1/n)||x-e||^2 - ||y*(x)-e||^2."""
-    x = _as_vector(x, n, "x")
-    e = np.ones(n)
-    ys = closed_form_y_star(n, x)
-    return float(np.dot(x - e, x - e) / n - np.dot(ys - e, ys - e))
-
-
 @dataclass(frozen=True)
 class SyntheticProblem:
-    """Synthetic instance bundle: the problem plus its known solution."""
+    """Synthetic instance bundle: the problem plus its known solution and
+    the closed forms of its pessimistic response and value."""
 
     problem: BilevelProblem
     x_star: np.ndarray
-    y_star: np.ndarray
-
-    def closed_form_phi(self, x):
-        return closed_form_phi(self.problem.n_x, x)
+    y_star: np.ndarray  # e / (2 sqrt n), also Y's lower face
 
     def closed_form_y_star(self, x):
-        return closed_form_y_star(self.problem.n_x, x)
+        """Pessimistic lower-level response y*(x): (||x||/n) e past the kink
+        ||x|| = sqrt(n)/2, Y's lower face y_star up to it."""
+        n = self.problem.n_x
+        x = _as_vector(x, n, "x")
+        nx = float(np.linalg.norm(x))
+        if nx > math.sqrt(n) / 2.0:
+            return (nx / n) * np.ones(n)
+        return self.y_star.copy()
+
+    def closed_form_phi(self, x):
+        """Exact pessimistic value phi(x) = F(x, y*(x))."""
+        x = _as_vector(x, self.problem.n_x, "x")
+        return self.problem.F(x, self.closed_form_y_star(x))
 
     def sample_init(self, rng):
         """Random start: x ~ U[0.1,10]^n, y ~ U[1/(2 sqrt n), 10]^n, z = y."""
         n = self.problem.n_x
         x0 = rng.uniform(0.1, 10.0, n)
-        y0 = rng.uniform(1.0 / (2.0 * math.sqrt(n)), 10.0, n)
+        y0 = rng.uniform(self.y_star[0], 10.0, n)
         return x0, y0, y0.copy()
 
 
@@ -188,6 +180,7 @@ def synthetic_problem(n):
         raise ContractViolation("synthetic family needs n >= 2")
     e = np.ones(n)
     rootn = math.sqrt(n)
+    y_star = e / (2.0 * rootn)
     lip_f = 60.0 * n + 202.0 + 2.0 * rootn
     prob = BilevelProblem(
         F=partial(_synthetic_F, n, e), f=partial(_synthetic_f, e),
@@ -196,12 +189,10 @@ def synthetic_problem(n):
         grad_f_x=partial(_synthetic_grad_f_x, e),
         grad_f_y=partial(_synthetic_grad_f_y, e),
         set_X=Box(np.full(n, 0.1), np.full(n, 10.0)),
-        set_Y=Box(np.full(n, 1.0 / (2.0 * rootn)), np.full(n, np.inf)),
+        set_Y=Box(y_star, np.inf),
         mu=2.0, lip_F=2.0, lip_f=lip_f,
     )
-    return SyntheticProblem(
-        problem=prob, x_star=e / 2.0, y_star=e / (2.0 * rootn)
-    )
+    return SyntheticProblem(problem=prob, x_star=e / 2.0, y_star=y_star)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,14 @@ import re
 import sys
 import warnings
 from array import array
+from dataclasses import dataclass
 from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .benchmarks import (
+    SyntheticProblem,
     generate_hyper_rep,
     hyper_rep_init,
     hyper_rep_problem,
@@ -57,7 +60,8 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
-from .problem import _fd_error, _sample_interior, check_gradients
+from .problem import (BilevelProblem, _fd_error, _sample_interior,
+                      check_gradients)
 from .saddle import eval_phi, grad_phi
 from .smoothing import PenaltyReg
 from .solver import (
@@ -295,18 +299,16 @@ def _schedule(cfg, overrides, where):
     return sp
 
 
+@dataclass
 class ProblemBundle:
     """Problem plus the bookkeeping the harness needs around it; _runs forms
     the starts' relative error from closed_form."""
 
-    def __init__(self, problem, sample_init, closed_form=None,
-                 metric_name="upper_objective", metric=None):
-        self.problem = problem
-        self.sample_init = sample_init  # rng -> (x0, y0, z0)
-        # object with x_star, y_star and closed_form_phi/y_star, or None
-        self.closed_form = closed_form
-        self.metric_name = metric_name
-        self.metric = metric            # callable(x, y) -> float
+    problem: BilevelProblem
+    sample_init: Callable  # rng -> (x0, y0, z0)
+    closed_form: Optional[SyntheticProblem] = None  # known optimum, or None
+    metric_name: str = "upper_objective"
+    metric: Optional[Callable] = None  # (x, y) -> float
 
 
 def build_problem(cfg):

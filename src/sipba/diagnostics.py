@@ -32,6 +32,12 @@ def _vec(v):
     return v if isinstance(v, np.ndarray) and v.ndim else np.atleast_1d(v)
 
 
+def _sq_dist(x, y, x_star, y_star):
+    """||x-x*||^2 + ||y-y*||^2, row-wise for blocks."""
+    dx, dy = _vec(x) - _vec(x_star), _vec(y) - _vec(y_star)
+    return np.vecdot(dx, dx) + np.vecdot(dy, dy)
+
+
 def relative_error_denominator(x0, y0, x_star, y_star):
     """||x0-x*||^2 + ||y0-y*||^2, the denominator of relative_error.
 
@@ -43,9 +49,7 @@ def relative_error_denominator(x0, y0, x_star, y_star):
     Raises ContractViolation if a start coincides with the optimum (a zero
     denominator), so that check runs once, where the denominator is formed.
     """
-    xs, ys = _vec(x_star), _vec(y_star)
-    dx, dy = _vec(x0) - xs, _vec(y0) - ys
-    den = np.vecdot(dx, dx) + np.vecdot(dy, dy)
+    den = _sq_dist(x0, y0, x_star, y_star)
     if not np.all(den):
         raise ContractViolation(
             "relative error undefined: initialization equals the optimum"
@@ -63,9 +67,7 @@ def relative_error(x, y, x_star, y_star, den):
     the call on that row alone; a single point gives a float. den is taken
     as is: the zero check ran where it was formed.
     """
-    xs, ys = _vec(x_star), _vec(y_star)
-    dx, dy = _vec(x) - xs, _vec(y) - ys
-    err = (np.vecdot(dx, dx) + np.vecdot(dy, dy)) / den
+    err = _sq_dist(x, y, x_star, y_star) / den
     return float(err) if err.ndim == 0 else err
 
 

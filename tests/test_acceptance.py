@@ -16,8 +16,6 @@ import pytest
 from sipba import (
     PenaltyReg,
     ScheduleParams,
-    closed_form_phi,
-    closed_form_y_star,
     eval_phi,
     eval_psi,
     generate_hyper_rep,
@@ -163,11 +161,11 @@ def test_criterion_04_saddle_limit_and_sandwich():
     worst_gap = 0.0
     for _ in range(20):
         x = _sample_interior(prob.set_X, rng)
-        ys = closed_form_y_star(4, x)
+        ys = sb.closed_form_y_star(x)
         sd = solve_saddle(prob, pr, x, tol=1e-6)
         dev = float(np.linalg.norm(sd.u - np.concatenate((ys, ys))))
         gap = abs(eval_psi(prob, pr, x, sd.y_star, sd.z_star)
-                  - closed_form_phi(4, x))
+                  - sb.closed_form_phi(x))
         worst_dev = max(worst_dev, dev)
         worst_gap = max(worst_gap, gap)
     rep = sandwich_check(sb, np.ones(4),

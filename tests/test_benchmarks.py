@@ -5,8 +5,6 @@ import pytest
 
 from sipba.benchmarks import (
     analytic_saddle,
-    closed_form_phi,
-    closed_form_y_star,
     generate_hyper_rep,
     hyper_rep_init,
     hyper_rep_problem,
@@ -46,22 +44,60 @@ def test_analytic_saddle_agrees_with_oracle():
 
 def test_closed_form_values():
     e = np.ones(4)
-    assert closed_form_phi(4, 0.5 * e) == pytest.approx(-2.0)
-    assert closed_form_phi(4, e) == pytest.approx(-1.0)
-    np.testing.assert_allclose(closed_form_y_star(4, e), 0.5 * e)
+    sb = synthetic_problem(4)
+    assert sb.closed_form_phi(0.5 * e) == pytest.approx(-2.0)
+    assert sb.closed_form_phi(e) == pytest.approx(-1.0)
+    np.testing.assert_allclose(sb.closed_form_y_star(e), 0.5 * e)
     for n in (2, 5, 9):
         sb = synthetic_problem(n)
-        assert closed_form_phi(n, sb.x_star) == pytest.approx(np.sqrt(n) - n)
+        assert sb.closed_form_phi(sb.x_star) == pytest.approx(np.sqrt(n) - n)
 
 
 def test_closed_form_y_star_branches_meet():
     # the argmax switches branch at ||x|| = sqrt(n)/2; values must agree there
     n = 4
+    sb = synthetic_problem(n)
     base = np.full(n, 0.5)  # ||x|| = 1 = sqrt(4)/2
-    lo = closed_form_y_star(n, base * (1 - 1e-9))
-    hi = closed_form_y_star(n, base * (1 + 1e-9))
+    lo = sb.closed_form_y_star(base * (1 - 1e-9))
+    hi = sb.closed_form_y_star(base * (1 + 1e-9))
     np.testing.assert_allclose(lo, hi, atol=1e-8)
     np.testing.assert_allclose(lo, np.full(n, 1.0 / (2 * np.sqrt(n))), atol=1e-8)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 100])
+def test_closed_form_phi_is_F_at_y_star_bit_for_bit(n):
+    # phi(x) = max over S(x) of F(x, .), which is F at the response y*(x):
+    # on both sides of the kink ||x|| = sqrt(n)/2 and at the optimum
+    sb = synthetic_problem(n)
+    rng = np.random.default_rng(n)
+    kink = np.sqrt(n) / 2.0
+    points = [sb.x_star]  # ||x*|| = sqrt(n)/2: the flat branch
+    for scale in (0.3, 0.99, 1.01, 3.0):  # ||x|| = scale * sqrt(n)/2
+        for _ in range(5):
+            u = rng.uniform(0.1, 1.0, n)
+            points.append(u * (scale * kink / np.linalg.norm(u)))
+    sides = set()
+    for x in points:
+        sides.add(bool(np.linalg.norm(x) > kink))
+        phi = sb.closed_form_phi(x)
+        assert isinstance(phi, float)
+        assert _bits(phi) == _bits(sb.problem.F(x, sb.closed_form_y_star(x)))
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("n", [2, 4, 100])
+def test_y_star_is_the_flat_response_and_Y_lower_face(n):
+    sb = synthetic_problem(n)
+    flat = sb.closed_form_y_star(sb.x_star)  # ||x*|| = sqrt(n)/2, the kink
+    assert _bits(flat) == _bits(sb.y_star)
+    assert _bits(sb.problem.set_Y.lower) == _bits(sb.y_star)
+    assert _bits(sb.y_star) == _bits(np.full(n, 1.0 / (2.0 * np.sqrt(n))))
+    flat[0] = 7.0  # a copy: y_star itself stays put
+    assert sb.y_star[0] == 1.0 / (2.0 * np.sqrt(n))
 
 
 def test_synthetic_problem_optimum():
