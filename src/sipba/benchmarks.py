@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ContractViolation
-from .problem import BilevelProblem, Box, FullSpace, _as_vector
+from .problem import BilevelProblem, Box, FullSpace, _as_vector, _dot, _norm
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ class SyntheticProblem:
         ||x|| = sqrt(n)/2, Y's lower face y_star up to it."""
         n = self.problem.n_x
         x = _as_vector(x, n, "x")
-        nx = float(np.linalg.norm(x))
+        nx = float(_norm(x))
         if nx > math.sqrt(n) / 2.0:
             return (nx / n) * np.ones(n)
         return self.y_star.copy()
@@ -121,28 +121,19 @@ class SyntheticProblem:
 def _synthetic_F(n, e, x, y):
     dx = x - e
     dy = y - e
-    return float(np.dot(dx, dx) / n - np.dot(dy, dy))
+    return float(_dot(dx, dx) / n - _dot(dy, dy))
 
 
-# ||x|| as math.sqrt(x.dot(x)): what np.linalg.norm computes for a 1-D
-# float vector, without its argument handling
 def _synthetic_f(e, x, y):
-    r = float(np.dot(e, y)) - math.sqrt(x.dot(x))
+    r = float(_dot(e, y) - _norm(x))
     return r * r
 
 
-# The gradients take one point or a block of rows, with ||x|| as
-# np.sqrt(x.dot(x)), what np.linalg.norm computes for a 1-D float vector.
-def _dot(a, b):
-    """Each row's dot product as np.dot takes that row alone (np.vecdot); a
-    point's is np.dot, faster: 0.48 against 0.68 us at n = 100 on a Xeon."""
-    return np.vecdot(a, b) if a.ndim + b.ndim > 2 else a.dot(b)
-
-
-# e's entries are all 1.0: x - 1.0 is x - e bit for bit, and each row's
-# factor c[..., None] repeated along its row is c * e (a point's c is 0-d);
-# numpy runs an operation against a scalar as one loop over a whole block,
-# and against e as one loop per row
+# The gradients take one point or a block of rows. e's entries are all
+# 1.0: x - 1.0 is x - e bit for bit, and each row's factor c[..., None]
+# repeated along its row is c * e (a point's c is 0-d); numpy runs an
+# operation against a scalar as one loop over a whole block, and against e
+# as one loop per row
 def _synthetic_grad_F_x(n, x, y):
     return (2.0 / n) * (x - 1.0)
 
@@ -152,13 +143,13 @@ def _synthetic_grad_F_y(x, y):
 
 
 def _synthetic_grad_f_x(e, x, y):
-    nx = np.sqrt(_dot(x, x))
+    nx = _norm(x)
     r = _dot(e, y) - nx
     return (-2.0 * r / nx)[..., None] * x
 
 
 def _synthetic_grad_f_y(e, x, y):
-    r = _dot(e, y) - np.sqrt(_dot(x, x))
+    r = _dot(e, y) - _norm(x)
     return np.full(y.shape, (2.0 * r)[..., None])
 
 
@@ -298,7 +289,7 @@ class _Split:
 
     def loss(self, x, w):
         _, r, _ = self._residual(x, w)
-        return float(np.dot(r, r) / self.y.shape[0])
+        return float(_dot(r, r) / self.y.shape[0])
 
     def grad_x(self, x, w):
         _, r, point = self._residual(x, w)

@@ -368,9 +368,9 @@ def _runs(cfg):
     """The one prologue of run, ablate and compare: (seeds, each seed's first
     state (its Philox draw, projected), the run block, the built problem,
     eps). eps(x, y, rows) is the relative error to the known optimum from
-    the seeds' starts that rows picks, all of them by default; None without
-    a known optimum. Its denominator is formed once, here: a start at the
-    optimum raises ContractViolation."""
+    the seeds' starts that rows picks; None without a known optimum. Its
+    denominator is formed once, here: a start at the optimum raises
+    ContractViolation."""
     rc = _get(cfg, "run")
     seeds = resolve_seeds(cfg)
     bundle = build_problem(cfg)
@@ -382,7 +382,7 @@ def _runs(cfg):
                                          np.stack([st.y for st in starts]),
                                          cf.x_star, cf.y_star)
 
-        def eps(x, y, rows=()):
+        def eps(x, y, rows):
             return relative_error(x, y, cf.x_star, cf.y_star, den[rows])
     return seeds, starts, rc, bundle, eps
 

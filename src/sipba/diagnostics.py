@@ -13,14 +13,13 @@ merit value combining value gap and tracking error, and the two-sided
 sandwich between the smoothed and the exact value function.
 """
 
-import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from .errors import ContractViolation
-from .problem import _as_vector
+from .problem import _as_vector, _dot, _norm
 from .saddle import SaddlePoint, solve_saddle
 from .smoothing import PenaltyReg, direction_x, eval_psi
 from .solver import _finite, params_at
@@ -35,7 +34,7 @@ def _vec(v):
 def _sq_dist(x, y, x_star, y_star):
     """||x-x*||^2 + ||y-y*||^2, row-wise for blocks."""
     dx, dy = _vec(x) - _vec(x_star), _vec(y) - _vec(y_star)
-    return np.vecdot(dx, dx) + np.vecdot(dy, dy)
+    return _dot(dx, dx) + _dot(dy, dy)
 
 
 def relative_error_denominator(x0, y0, x_star, y_star):
@@ -143,12 +142,10 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
     sd = solve_saddle(problem, pars, x, tol=oracle_tol, u0=u0, beta=beta)
     u = sd.u
     phi = eval_psi(problem, pars, x, sd.y_star, sd.z_star)
-    # norms as np.linalg.norm takes them on 1-D float64: the root of a dot
-    d = np.concatenate((state.y, state.z)) - u
-    te = math.sqrt(d.dot(d))
+    te = float(_norm(np.concatenate((state.y, state.z)) - u))
     g = direction_x(problem, pars, x, sd.y_star, sd.z_star)
     d = x - problem.set_X.project(x - pars.alpha * g)
-    sr = math.sqrt(d.dot(d)) / pars.alpha
+    sr = float(_norm(d)) / pars.alpha
     trail = tuple(n for n in trail if n[0] != state.k) + ((state.k, u),)
     return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd,
                     rho=pars.rho, trail=trail[-3:])
@@ -217,7 +214,7 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8):
     x = _as_vector(x, prob.n_x, "x")
     phi_exact = float(problem_cf.closed_form_phi(x))
     ystar = np.atleast_1d(problem_cf.closed_form_y_star(x))
-    ynorm2 = float(np.dot(ystar, ystar))
+    ynorm2 = float(_dot(ystar, ystar))
     limit = np.concatenate((ystar, ystar))
 
     records = []
@@ -231,7 +228,7 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8):
             records.append(SandwichRecord(
                 rho=rho, sigma=sig, phi_smoothed=val, phi_exact=phi_exact,
                 gap=val - phi_exact, lower_slack=lower_slack,
-                saddle_dev=float(np.linalg.norm(sd.u - limit)),
+                saddle_dev=float(_norm(sd.u - limit)),
             ))
             worst = min(worst, lower_slack)
 

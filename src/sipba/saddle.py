@@ -19,10 +19,9 @@ single-loop step uses,
     y  <-  P_Y(y + beta * direction_y),    z  <-  P_Y(z - beta * direction_z),
 
 which is the stacked map above element for element (T is (-direction_y,
-direction_z), and a sign flip is exact), with the residual's norm taken as
-np.linalg.norm takes it, so the iterates and residuals are the stacked
-map's bit for bit. x and u0 are checked once, on entry; operator_T serves
-the step-size estimate.
+direction_z), and a sign flip is exact), so the iterates and residuals are
+the stacked map's bit for bit. x and u0 are checked once, on entry;
+operator_T serves the step-size estimate.
 
 Step size. The certified contraction step (see lemma_step_bound) scales like
 sigma/(rho*lip_f)^2, which underflows any usable range once rho is large;
@@ -70,7 +69,7 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
-from .problem import _as_vector
+from .problem import _as_vector, _norm
 from .smoothing import (direction_x, direction_y, direction_z, eval_psi,
                         operator_T)
 
@@ -148,10 +147,10 @@ def estimate_T_lipschitz(problem, pr, x, u0, v0=None):
     Returns a LipschitzEstimate: max(estimate, sigma, 1e-12), the last unit
     direction, and the operator_T calls spent (31 cold, 4 warm).
     """
-    eps = 1e-6 * (1.0 + float(np.linalg.norm(u0)))
+    eps = 1e-6 * (1.0 + float(_norm(u0)))
     t0 = operator_T(problem, pr, x, u0)
     calls = 1
-    n0 = 0.0 if v0 is None else float(np.linalg.norm(v0))
+    n0 = 0.0 if v0 is None else float(_norm(v0))
     starts = [(_COLD_ITERS, None)]
     if 0.0 < n0 < np.inf:
         starts.insert(0, (_WARM_ITERS, v0 / n0))
@@ -159,12 +158,12 @@ def estimate_T_lipschitz(problem, pr, x, u0, v0=None):
         if v is None:
             rng = np.random.Generator(np.random.Philox(_POWER_SEED))
             v = rng.standard_normal(u0.size)
-            v /= max(float(np.linalg.norm(v)), 1e-300)
+            v /= max(float(_norm(v)), 1e-300)
         est = 0.0
         for _ in range(iters):
             w = (operator_T(problem, pr, x, u0 + eps * v) - t0) / eps
             calls += 1
-            nw = float(np.linalg.norm(w))
+            nw = float(_norm(w))
             if not np.isfinite(nw) or nw == 0.0:
                 break
             est = nw
@@ -228,8 +227,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         y1 = set_Y.project(wy)
         z1 = set_Y.project(wz)
         d = np.concatenate((y - y1, z - z1))
-        # ||u - u_next|| as np.linalg.norm takes it: the root of a dot
-        res = math.sqrt(d.dot(d)) / beta
+        res = float(_norm(d)) / beta
         finite = math.isfinite(res)
         if finite and res <= tol:
             if (res == 0.0 and beta < beta0
@@ -238,8 +236,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
                              and np.array_equal(z - beta0 * dz, z))):
                 # the halved step rounds back to u where the initial step
                 # still moves it: halving, not convergence, stopped u
-                t = np.concatenate((dy, dz))
-                t_norm = math.sqrt(t.dot(t))
+                t_norm = float(_norm(np.concatenate((dy, dz))))
                 raise SaddleConvergenceError(
                     "saddle oracle step underflow after %d iterations: "
                     "beta=%.3e (%d halvings) no longer moves u while "

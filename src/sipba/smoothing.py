@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .problem import _as_vector
+from .problem import _as_vector, _dot
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def eval_psi(problem, pr, x, y, z):
     val = (
         problem.F(x, y)
         - pr.rho * (problem.f(x, y) - problem.f(x, z))
-        + 0.5 * pr.sigma * float(np.dot(z, z))
-        - pr.sigma * float(np.dot(y, z))
+        + 0.5 * pr.sigma * float(_dot(z, z))
+        - pr.sigma * float(_dot(y, z))
     )
     return float(val)
 

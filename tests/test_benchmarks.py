@@ -15,7 +15,7 @@ from sipba.benchmarks import (
 )
 from sipba.errors import ContractViolation
 from sipba.problem import GRADIENTS, check_gradients
-from sipba.saddle import solve_saddle
+from sipba.saddle import eval_phi, solve_saddle
 from sipba.smoothing import PenaltyReg
 
 
@@ -112,6 +112,42 @@ def test_synthetic_problem_optimum():
     assert prob.mu == 2.0
     rep = check_gradients(prob, n_points=10)
     assert max(rep.errors.values()) < 1e-6
+
+
+def _argmin_on_the_diagonal(prob, pr, lo=0.40, hi=0.5, steps=60):
+    """The a in [lo, hi] that minimizes phi_{rho,sigma}(a e): a golden-section
+    search, each value from eval_phi at tol 1e-12."""
+    e = np.ones(prob.n_x)
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc = eval_phi(prob, pr, c * e, tol=1e-12)
+    fd = eval_phi(prob, pr, d * e, tol=1e-12)
+    for _ in range(steps):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = eval_phi(prob, pr, c * e, tol=1e-12)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = eval_phi(prob, pr, d * e, tol=1e-12)
+    return 0.5 * (lo + hi)
+
+
+def test_penalty_bias_law_on_the_diagonal():
+    # the smoothed minimizer sits at x_rho = a* e with ||x_rho - x*|| =
+    # (0.5 - a*) sqrt(n) = c / rho: the penalty bias, the floor of a run's
+    # eps_rel. The family is symmetric under coordinate permutations, so
+    # the minimizer lies on the diagonal. At n = 10, c measured 0.6746 to
+    # 0.6829 over these cells, and sigma moved a* by at most 2.3e-5
+    n = 10
+    prob = synthetic_problem(n).problem
+    for rho in (10.0, 30.0, 100.0):
+        a = [_argmin_on_the_diagonal(prob, PenaltyReg(rho, sigma))
+             for sigma in (1e-2, 1e-3)]
+        for a_star in a:
+            assert 0.670 <= rho * (0.5 - a_star) * np.sqrt(n) <= 0.690
+        assert abs(a[0] - a[1]) <= 1e-4
 
 
 def test_synthetic_needs_two_dims():

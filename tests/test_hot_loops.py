@@ -20,7 +20,6 @@ import pytest
 
 from sipba import benchmarks, saddle, smoothing
 from sipba.benchmarks import (
-    _dot,
     generate_hyper_rep,
     hyper_rep_init,
     hyper_rep_problem,
@@ -29,7 +28,7 @@ from sipba.benchmarks import (
 )
 from sipba.diagnostics import relative_error, relative_error_denominator
 from sipba.errors import ContractViolation, SaddleConvergenceError
-from sipba.problem import Ball, Box, FullSpace, _as_vector
+from sipba.problem import Ball, Box, FullSpace, _as_vector, _dot
 from sipba.smoothing import PenaltyReg, operator_T
 from sipba.solver import (
     ScheduleParams,

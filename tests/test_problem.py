@@ -1,3 +1,5 @@
+import ast
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -178,3 +180,51 @@ def test_check_gradients_samples_user_built_sets(set_X):
     # below gradcheck's threshold of 1e-4
     rep = check_gradients(_quadratic_over(set_X, BALL), n_points=10)
     assert max(rep.errors.values()) < 1e-4, str(rep)
+
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "sipba")
+NUMPY_DOTS = {"np.linalg.norm", "np.vecdot", "np.dot"}
+
+
+def _dotted(node):
+    """'np.linalg.norm' for that attribute chain; None for other nodes."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def stray_norms_and_dots(package):
+    """'module.py:line: spelling' for each vector norm or dot a module other
+    than problem.py takes itself: a reference to np.linalg.norm, np.vecdot
+    or np.dot (numpy imported as np or numpy), or math.sqrt of a .dot()."""
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "problem.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            spelling = _dotted(node)
+            if spelling and spelling.replace("numpy.", "np.", 1) in NUMPY_DOTS:
+                found.append("%s:%d: %s" % (name, node.lineno, spelling))
+            elif (isinstance(node, ast.Call)
+                  and _dotted(node.func) == "math.sqrt" and node.args
+                  and isinstance(node.args[0], ast.Call)
+                  and isinstance(node.args[0].func, ast.Attribute)
+                  and node.args[0].func.attr == "dot"):
+                found.append("%s:%d: math.sqrt of a .dot()"
+                             % (name, node.lineno))
+    return found
+
+
+def test_problem_is_the_one_home_of_the_norm_and_the_vector_dot():
+    # every other module takes a norm or a vector dot through problem._norm
+    # and problem._dot, so one place decides how a row matches its serial
+    # call and a vector's norm matches np.linalg.norm; _Split's
+    # matrix-vector products are ndarray.dot calls and stay
+    assert stray_norms_and_dots(PACKAGE) == []

@@ -3,8 +3,9 @@ a key the config key table lacks is one config error wherever it is put,
 projections are idempotent and nonexpansive, the schedules move the way
 the method needs, every iterate is feasible, the saddle operator is
 strongly monotone with its zero at the analytic saddle, np.vecdot takes
-each row's dot product exactly as np.dot takes it alone, and a batch's
-clock runs alike for all its active rows. Examples are
+each row's dot product exactly as np.dot takes it alone, the package's one
+dot and one norm agree with np.dot and np.linalg.norm row by row, and a
+batch's clock runs alike for all its active rows. Examples are
 derandomized, so every run draws the same ones."""
 
 import contextlib
@@ -25,7 +26,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sipba import cli
 from sipba.benchmarks import analytic_saddle, quadratic_testbed, synthetic_problem
 from sipba.diagnostics import relative_error, relative_error_denominator
-from sipba.problem import Ball, Box
+from sipba.problem import Ball, Box, _dot, _norm
 from sipba.smoothing import PenaltyReg, operator_T
 from sipba.solver import ScheduleParams, initial_state, params_at, run
 
@@ -399,6 +400,41 @@ def test_vecdot_rows_equal_serial_dots_exactly(n, rows, scales, seed, data):
             assert same(np.vecdot(xb[i], xb[i]), xb[i].dot(xb[i]))
             # Ball.project's batched row norms, as np.linalg.norm takes them
             assert same(np.sqrt(xx[i]), np.linalg.norm(xb[i]))
+
+
+@FIXED
+@given(n=st.integers(1, 300), rows=st.integers(1, 9),
+       scales=st.lists(st.integers(-150, 150), min_size=9, max_size=9),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_dot_and_norm_equal_numpy_on_a_vector_and_each_row(
+        n, rows, scales, seed, data):
+    # problem._dot and problem._norm are the package's one dot and one
+    # norm: each row of a block, and the row alone, as np.dot and
+    # np.linalg.norm take it, bit for bit, special entries included
+    def same(a, b):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** np.array(scales[:rows])[:, None]
+    x = rng.standard_normal((rows, n)) * mag
+    y = rng.standard_normal((rows, n)) * mag[::-1]
+    special = st.sampled_from([-0.0, np.inf, -np.inf, np.nan])
+    for a in (x, y):
+        for i, j, v in data.draw(st.lists(st.tuples(
+                st.integers(0, rows - 1), st.integers(0, n - 1), special),
+                max_size=4)):
+            a[i, j] = v
+    x = np.vstack((x, np.full((1, n), -0.0)))
+    y = np.vstack((y, np.full((1, n), -0.0)))
+    with np.errstate(all="ignore"):
+        norms, dots = _norm(x), _dot(x, y)
+        for i in range(len(x)):
+            assert same(norms[i], np.linalg.norm(x[i]))
+            assert same(_norm(x[i]), np.linalg.norm(x[i]))
+            # at n = 1 a row's lone -0.0 product is the exception below
+            if n >= 2:
+                assert same(dots[i], np.dot(x[i], y[i]))
+            assert same(_dot(x[i], y[i]), np.dot(x[i], y[i]))
 
 
 def test_vecdot_turns_a_lone_minus_zero_product_to_zero():
