@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ContractViolation
 from .problem import _as_vector, _dot, _norm
 from .saddle import SaddlePoint, solve_saddle
-from .smoothing import PenaltyReg, direction_x, eval_psi
-from .solver import _finite, params_at
+from .smoothing import PenaltyReg, eval_psi
+from .solver import _finite, _step_x, params_at
 
 
 def _vec(v):
@@ -143,8 +143,7 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
     u = sd.u
     phi = eval_psi(problem, pars, x, sd.y_star, sd.z_star)
     te = float(_norm(np.concatenate((state.y, state.z)) - u))
-    g = direction_x(problem, pars, x, sd.y_star, sd.z_star)
-    d = x - problem.set_X.project(x - pars.alpha * g)
+    d = x - _step_x(problem, pars, pars.alpha, x, sd.y_star, sd.z_star)
     sr = float(_norm(d)) / pars.alpha
     trail = tuple(n for n in trail if n[0] != state.k) + ((state.k, u),)
     return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd,

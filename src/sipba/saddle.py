@@ -13,15 +13,9 @@ and reports the step-scaled fixed-point residual
 which reduces to ||T(x, u)|| away from active constraints and is therefore
 essentially step-size invariant there.
 
-The loop steps the two halves with the direction operations the
-single-loop step uses,
-
-    y  <-  P_Y(y + beta * direction_y),    z  <-  P_Y(z - beta * direction_z),
-
-which is the stacked map above element for element (T is (-direction_y,
-direction_z), and a sign flip is exact), so the iterates and residuals are
-the stacked map's bit for bit. x and u0 are checked once, on entry;
-operator_T serves the step-size estimate.
+Each iteration is _step_yz, SiPBA's own (y, z) update, which sipba_step
+takes once per k. x and u0 are checked once, on entry; operator_T serves
+the step-size estimate.
 
 Step size. The certified contraction step (see lemma_step_bound) scales like
 sigma/(rho*lip_f)^2, which underflows any usable range once rho is large;
@@ -173,6 +167,16 @@ def estimate_T_lipschitz(problem, pr, x, u0, v0=None):
     return LipschitzEstimate(max(est, pr.sigma, 1e-12), v, calls)
 
 
+def _step_yz(problem, pr, beta, x, y, z):
+    """One projected (y, z) step at x; returns (y+, z+, dy, dz), with
+    y+ = P_Y(y + beta*dy), z+ = P_Y(z - beta*dz), dy = direction_y and
+    dz = direction_z at (x, y, z). T(x, u) is (-dy, dz) on u = (y, z)."""
+    dy = direction_y(problem, pr, x, y, z)
+    dz = direction_z(problem, pr, x, y, z)
+    return (problem.set_Y.project(y + beta * dy),
+            problem.set_Y.project(z - beta * dz), dy, dz)
+
+
 def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     """Find the saddle of psi(x, ., .) over Y x Y by projected fixed-point steps.
 
@@ -206,7 +210,6 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         raise ParameterOverflowError("oracle step size underflowed: beta=%r" % beta)
 
     beta0 = beta
-    set_Y = problem.set_Y
     n_y = problem.n_y
     y, z = u[:n_y], u[n_y:]
 
@@ -220,18 +223,14 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     halvings = 0
     res = np.inf
     for it in range(1, max_iter + 1):
-        dy = direction_y(problem, pr, x, y, z)
-        dz = direction_z(problem, pr, x, y, z)
-        wy = y + beta * dy
-        wz = z - beta * dz
-        y1 = set_Y.project(wy)
-        z1 = set_Y.project(wz)
+        y1, z1, dy, dz = _step_yz(problem, pr, beta, x, y, z)
         d = np.concatenate((y - y1, z - z1))
         res = float(_norm(d)) / beta
         finite = math.isfinite(res)
         if finite and res <= tol:
             if (res == 0.0 and beta < beta0
-                    and np.array_equal(wy, y) and np.array_equal(wz, z)
+                    and np.array_equal(y + beta * dy, y)
+                    and np.array_equal(z - beta * dz, z)
                     and not (np.array_equal(y + beta0 * dy, y)
                              and np.array_equal(z - beta0 * dz, z))):
                 # the halved step rounds back to u where the initial step

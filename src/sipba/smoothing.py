@@ -10,8 +10,8 @@ the standing assumptions hold) and strongly convex in z (modulus sigma), so
 the saddle point is unique and the min and max interchange.
 
 The partial gradients of psi are exposed as first-class direction
-operations so the single-loop solver, the saddle oracle's fixed-point loop,
-and the tests all share one implementation:
+operations, which the two half-steps (saddle._step_yz and solver._step_x),
+the oracle's gradient grad_phi and the tests share:
 
     direction_y = grad_y psi     (ascent direction for y)
     direction_z = grad_z psi     (descent direction for z)
@@ -93,9 +93,9 @@ def operator_T(problem, pr, x, u):
     at most max(lip_F + rho*lip_f + sigma, rho*lip_f + 2*sigma).
     Its unique zero (with projections, its fixed point) is the saddle of psi.
 
-    The saddle oracle's loop steps the halves with direction_y and
-    direction_z directly; this stacked form serves its step-size estimate
-    (estimate_T_lipschitz) and outside callers.
+    The (y, z) step, saddle._step_yz, steps the halves with direction_y
+    and direction_z directly; this stacked form serves the oracle's
+    step-size estimate (estimate_T_lipschitz) and outside callers.
     """
     n_y = problem.n_y
     u = _as_vector(u, 2 * n_y, "u")

@@ -3,10 +3,12 @@
 One iteration of the single-loop method, from state (x, y, z) at counter k
 with scheduled parameters (alpha_k, beta_k, rho_k, sigma_k):
 
-    y+ = Proj_Y(y + beta_k * direction_y(x, y, z))
-    z+ = Proj_Y(z - beta_k * direction_z(x, y, z))
-    x+ = Proj_X(x - alpha_k * direction_x(x, y+, z+))
+    y+ = Proj_Y(y + beta_k * direction_y(x, y, z))     } saddle._step_yz
+    z+ = Proj_Y(z - beta_k * direction_z(x, y, z))     }
+    x+ = Proj_X(x - alpha_k * direction_x(x, y+, z+))    _step_x
 
+The saddle oracle iterates the same (y, z) step; the double-loop baseline
+and the snapshot's stationarity residual take the same x step at a saddle.
 Exactly three gradient-pair evaluations per step (six partial-gradient
 calls), no inner loop. The schedules
 
@@ -48,8 +50,8 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
-from .smoothing import direction_x, direction_y, direction_z
-from .saddle import default_start, estimate_T_lipschitz, solve_saddle
+from .smoothing import direction_x
+from .saddle import _step_yz, default_start, estimate_T_lipschitz, solve_saddle
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,11 @@ def _finite(v):
     return math.isfinite(total) or np.isfinite(v).all()
 
 
+def _step_x(problem, pr, alpha, x, y, z):
+    """The projected x step at frozen (y, z): Proj_X(x - alpha*direction_x)."""
+    return problem.set_X.project(x - alpha * direction_x(problem, pr, x, y, z))
+
+
 def sipba_step(problem, pars, state):
     """One single-loop iteration; returns the state at counter k+1.
 
@@ -188,13 +195,9 @@ def sipba_step(problem, pars, state):
         positions of the non-finite rows (rows; [0] for a state of vectors)
         and the step's result for every row (next_state).
     """
-    x, y, z = state.x, state.y, state.z
-    dy = direction_y(problem, pars, x, y, z)
-    dz = direction_z(problem, pars, x, y, z)
-    y1 = problem.set_Y.project(y + pars.beta * dy)
-    z1 = problem.set_Y.project(z - pars.beta * dz)
-    dx = direction_x(problem, pars, x, y1, z1)
-    x1 = problem.set_X.project(x - pars.alpha * dx)
+    x = state.x
+    y1, z1, _, _ = _step_yz(problem, pars, pars.beta, x, state.y, state.z)
+    x1 = _step_x(problem, pars, pars.alpha, x, y1, z1)
     nxt = IterateState(k=state.k + 1, x=x1, y=y1, z=z1)
     if not (_finite(x1) and _finite(y1) and _finite(z1)):
         ok = (np.isfinite(x1).all(-1) & np.isfinite(y1).all(-1)
@@ -417,7 +420,7 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
     saddle, then step x.
 
     Each outer iteration k solves the saddle at (rho_k, sigma_k) to
-    inner_tol and applies x <- Proj_X(x - alpha_k * direction_x(x, y*, z*)).
+    inner_tol and takes SiPBA's x step there, _step_x at (y*, z*).
     Inner convergence failures are recorded and the outer loop continues
     with the last saddle iterate. A schedule that left the float range
     raises params_at's ParameterOverflowError, and as in sipba_step a
@@ -431,10 +434,10 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
     power iterations from the previous estimate's dominant direction,
     which costs 4 operator evaluations instead of 31.
 
-    Cost model. operator_T, an inner fixed-point iteration and the outer
-    direction_x each make three partial-gradient evaluations, so outer
+    Cost model. operator_T, an inner iteration (one _step_yz) and the
+    outer _step_x each make three partial-gradient evaluations, so outer
     iteration k costs 3 * (est.calls + sd.iterations + 1): its step-size
-    estimate's operator calls, its inner iterations and its direction.
+    estimate's operator calls, its inner iterations and its x step.
 
     grad_budget : int
         Budget of partial-gradient evaluations, counted by that model. No
@@ -470,8 +473,7 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
             failures += 1
         inner_total += sd.iterations
         spent += 3 * (est.calls + sd.iterations + 1)
-        g = direction_x(problem, pars, x, sd.y_star, sd.z_star)
-        x = problem.set_X.project(x - pars.alpha * g)
+        x = _step_x(problem, pars, pars.alpha, x, sd.y_star, sd.z_star)
         if not _finite(x):
             raise DivergenceError(
                 "non-finite baseline iterate at outer iteration k=%d" % k)

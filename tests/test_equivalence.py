@@ -42,7 +42,9 @@ hold the command's printed lines as stdout.txt; their text must match with
 the numbers masked, their integers as the columns below; their floats
 are seconds or rounded copies of CSV cells, and are skipped. Run as a
 script, `python tests/test_equivalence.py REF_DIR CAND_DIR` prints the
-violations and exits 1 if there are any. The tolerances were
+violations, then how many non-time CSV cells differ at all (0 when the
+candidate is bit-identical), and exits 1 if there are any violations.
+The tolerances were
 fixed from the noise floors below before the candidates in this file were
 run; a bound reads |d| <= tol * max(1, |ref|).
 
@@ -1159,6 +1161,7 @@ def test_the_end_metric_gate_runs_as_a_script(tmp_path):
     proc = gate(ref, cand)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("\n0 end-metric violations\n")
+    assert proc.stdout.splitlines()[-2] == "0 non-time CSV cells differ"
     # phi_k of the second row one part in 1e9 off, at an unmoved state
     rows = _rows(cand / "run_5.csv")
     rows[2][3] = repr(float(rows[2][3]) * (1.0 + 1e-9))
@@ -1170,6 +1173,7 @@ def test_the_end_metric_gate_runs_as_a_script(tmp_path):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == bad[0] and lines[-1] == "1 end-metric violations"
+    assert lines[-2] == "1 non-time CSV cells differ"
     proc = gate(ref)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "usage: python tests/test_equivalence.py REF_DIR CAND_DIR\n")
@@ -1185,5 +1189,7 @@ if __name__ == "__main__":
                                                       sys.argv[2]).items()):
         print("margin %s: largest |d|/max(1, |ref|) %s against %.0e"
               % (column, "%.1e" % d if d else "0 (identical)", tol))
+    print("%d non-time CSV cells differ"
+          % differing_cells(sys.argv[1], sys.argv[2]))
     print("%d end-metric violations" % len(found))
     sys.exit(1 if found else 0)

@@ -228,3 +228,49 @@ def test_problem_is_the_one_home_of_the_norm_and_the_vector_dot():
     # call and a vector's norm matches np.linalg.norm; _Split's
     # matrix-vector products are ndarray.dot calls and stay
     assert stray_norms_and_dots(PACKAGE) == []
+
+
+# the functions outside smoothing.py that may name each direction: the two
+# half-steps of SiPBA's update, and grad_phi, direction_x at the saddle
+DIRECTION_HOMES = {
+    "direction_y": {"saddle._step_yz"},
+    "direction_z": {"saddle._step_yz"},
+    "direction_x": {"solver._step_x", "saddle.grad_phi"},
+}
+
+
+def stray_directions(package):
+    """'module.py:line: module.function: direction' for each reference to a
+    direction (a call, or the function passed on) that a module other than
+    smoothing.py makes outside that direction's homes; the function is the
+    innermost def around it, the module itself at top level."""
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "smoothing.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, "%s.%s" % (name[:-3], child.name))
+                    continue
+                spelling = _dotted(child)
+                direction = spelling and spelling.rsplit(".", 1)[-1]
+                if (direction in DIRECTION_HOMES
+                        and where not in DIRECTION_HOMES[direction]):
+                    found.append("%s:%d: %s: %s"
+                                 % (name, child.lineno, where, direction))
+                visit(child, where)
+
+        visit(tree, name[:-3])
+    return found
+
+
+def test_each_half_step_of_the_update_is_written_once():
+    # saddle._step_yz is SiPBA's (y, z) step, which the oracle iterates;
+    # solver._step_x its x step, which the double-loop baseline and the
+    # snapshot's stationarity residual take at a saddle. No other function
+    # writes either half out again from the directions
+    assert stray_directions(PACKAGE) == []

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sipba.benchmarks import analytic_saddle, quadratic_testbed, synthetic_problem
+from sipba.benchmarks import (analytic_saddle, generate_hyper_rep,
+                              hyper_rep_init, hyper_rep_problem,
+                              quadratic_testbed, synthetic_problem)
 from sipba.errors import (
     ContractViolation,
     ParameterOverflowError,
@@ -17,6 +19,7 @@ from sipba.saddle import (
     solve_saddle,
 )
 from sipba.smoothing import PenaltyReg, operator_T
+from sipba.solver import ScheduleParams, initial_state, params_at, sipba_step
 
 quad = quadratic_testbed()
 
@@ -401,3 +404,40 @@ def test_minimax_interchange():
         max_min = float(np.polyval(cy, -cy[1] / (2 * cy[0])))
         assert min_max == pytest.approx(max_min, abs=1e-8)
         assert eval_phi(quad, pr, x, tol=1e-11) == pytest.approx(min_max, abs=1e-8)
+
+
+def _family_start(family):
+    """A problem of the family and a start on it."""
+    rng = np.random.default_rng(5)
+    if family == "quadratic":
+        return quad, ([0.7], [-1.3], [2.1])
+    if family == "synthetic":
+        sb = synthetic_problem(10)
+        return sb.problem, sb.sample_init(rng)
+    data = generate_hyper_rep(6, 2, 12, 12, 10, 0.1, seed=3)
+    return hyper_rep_problem(data), hyper_rep_init(data, rng)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "synthetic", "hyper_rep"])
+def test_the_single_loop_step_is_one_oracle_iteration(family):
+    # sipba_step's (y+, z+) is the oracle's first iterate from (y, z) at
+    # beta_k, bit for bit, along 30 steps of a run: both take _step_yz
+    problem, start = _family_start(family)
+    sp = ScheduleParams(alpha0=0.01, beta0=1e-3, rho0=10.0, sigma0=0.01,
+                        p=0.01, q=0.01, s=0.16)
+    st = initial_state(problem, *start)
+    unsolved = 0
+    for _ in range(30):
+        pars = params_at(sp, st.k)
+        nxt = sipba_step(problem, pars, st)
+        try:
+            sd = solve_saddle(problem, pars, st.x, max_iter=1,
+                              u0=np.concatenate((st.y, st.z)), beta=pars.beta)
+        except SaddleConvergenceError as err:
+            sd = err.saddle
+            unsolved += 1
+        assert sd.iterations == 1 and sd.beta == pars.beta
+        assert np.array_equal(sd.y_star, nxt.y)
+        assert np.array_equal(sd.z_star, nxt.z)
+        st = nxt
+    assert unsolved == 30  # one iteration does not reach the saddle

@@ -79,3 +79,28 @@ def test_a_1e_15_change_of_x0_is_amplified_only_at_the_flip_edge(beta0, stable):
         assert max(moved) < 1e-12
     else:
         assert min(moved) > 1e-9
+
+
+def test_the_readme_run_ends_in_a_period_2_cycle():
+    # the README config's schedule at n=100, starts 0-2, after 20000 steps:
+    # x flips between two points each step (||x_{k+1} - x_k|| 3.78e-3)
+    # and returns to within 4.8e-8 every second step. Start 0 at beta0
+    # 5e-4, below the flip edge, settles instead (4.4e-9 a step). One batch
+    # under the two schedules
+    sy = synthetic_problem(100)
+    sched = dict(alpha0=0.1, rho0=10.0, sigma0=0.01, p=0.001, q=0.001, s=0.1)
+    sps = [ScheduleParams(beta0=1e-3, **sched)] * 3
+    sps.append(ScheduleParams(beta0=5e-4, **sched))
+    starts = [initial_state(sy.problem,
+                            *sy.sample_init(np.random.default_rng(s)))
+              for s in (0, 1, 2, 0)]
+    xs = []
+    for steps in (20000, 1, 1):
+        res = run(sy.problem, sps, starts, steps)
+        assert [r.stop_reason for r in res] == ["max_iter"] * 4
+        starts = [r.state for r in res]
+        xs.append(np.array([st.x for st in starts]))
+    one = np.linalg.norm(xs[1] - xs[0], axis=1)
+    two = np.linalg.norm(xs[2] - xs[0], axis=1)
+    assert (one[:3] > 1e-3).all() and (two[:3] < 1e-7).all()
+    assert one[3] < 1e-7
