@@ -75,7 +75,7 @@ def analytic_saddle(x, rho, sigma):
     Returns (y_star, z_star) as shape-(1,) arrays. As sigma -> 0 both
     tend to x, the exact lower-level response.
     """
-    x = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
+    x = float(_as_vector(x, 1, "x")[0])
     A = np.array([[2.0 * (1.0 + rho), sigma], [-sigma, 2.0 * rho + sigma]])
     b = np.array([2.0 * (1.0 + rho) * x, 2.0 * rho * x])
     y, z = np.linalg.solve(A, b)
@@ -343,7 +343,8 @@ def hyper_rep_problem(data):
 def hyper_rep_test_loss(data, x, w):
     """Mean squared error of the learned (H, w) on the clean test split."""
     return _Split(data.X_test, data.y_test).loss(
-        np.asarray(x, dtype=float), np.asarray(w, dtype=float))
+        _as_vector(x, data.n_feat * data.p_dim, "x"),
+        _as_vector(w, data.p_dim, "w"))
 
 
 def hyper_rep_init(data, rng):

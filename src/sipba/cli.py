@@ -368,9 +368,10 @@ def _runs(cfg):
     """The one prologue of run, ablate and compare: (seeds, each seed's first
     state (its Philox draw, projected), the run block, the built problem,
     eps). eps(x, y, rows) is the relative error to the known optimum from
-    the seeds' starts that rows picks; None without a known optimum. Its
-    denominator is formed once, here: a start at the optimum raises
-    ContractViolation."""
+    the starts that rows picks, run i's from seed i % n's start (ablate
+    tiles the n seeds' starts once per grid row); None without a known
+    optimum. Its denominator is formed once, here: a start at the optimum
+    raises ContractViolation."""
     rc = _get(cfg, "run")
     seeds = resolve_seeds(cfg)
     bundle = build_problem(cfg)
@@ -383,17 +384,22 @@ def _runs(cfg):
                                          cf.x_star, cf.y_star)
 
         def eps(x, y, rows):
-            return relative_error(x, y, cf.x_star, cf.y_star, den[rows])
+            return relative_error(x, y, cf.x_star, cf.y_star,
+                                  den[rows % len(seeds)])
     return seeds, starts, rc, bundle, eps
 
 
-def _target_eps(rc, eps):
-    """run.target_eps_rel, which needs eps, a known optimum."""
+def _target(rc, eps):
+    """(run.target_eps_rel, the target hook that run and ablate pass to
+    solver.run: which of rows are below it), or (None, None) when it is
+    not set. A target needs eps, a known optimum."""
     target_eps = _get(rc, "run.target_eps_rel")
-    if target_eps is not None and eps is None:
+    if target_eps is None:
+        return None, None
+    if eps is None:
         raise ConfigError("target_eps_rel needs a problem with a known optimum",
                           _line(rc, "target_eps_rel"))
-    return target_eps
+    return target_eps, lambda rows, st: eps(st.x, st.y, rows) < target_eps
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +448,9 @@ def cmd_run(cfg, out_dir):
     seeds, starts, rc, bundle, eps = _runs(cfg)
     stride, max_iter, oracle_tol = (
         _get(rc, "run." + k) for k in ("stride", "max_iter", "oracle_tol"))
-    target_eps = _target_eps(rc, eps)
+    target_eps, target = _target(rc, eps)
     sp = build_schedule(cfg)
     prob = bundle.problem
-
-    target = None
-    if target_eps is not None:
-        def target(rows, st):
-            return eps(st.x, st.y, rows) < target_eps
 
     # each run's CSV rows, 7 floats a row (k, time_s, phi_k, ..., merit) in
     # one flat array: a batch holds all its runs' rows until it ends, and as
@@ -515,7 +516,7 @@ def cmd_ablate(cfg, out_dir):
     seeds, starts, rc, bundle, eps = _runs(cfg)
     if max_iter is None:
         max_iter = _get(rc, "run.max_iter")
-    target_eps = _target_eps(rc, eps)
+    target_eps, target = _target(rc, eps)
     if target_eps is None:
         raise ConfigError("ablate needs run.target_eps_rel, the eps_rel its "
                           "runs are timed to", _line(rc, "target_eps_rel"))
@@ -523,10 +524,6 @@ def cmd_ablate(cfg, out_dir):
     # every (grid row, seed) run, grid row after grid row, as one batch: run
     # i starts from seed i % n's start
     n = len(seeds)
-
-    def target(rows, st):
-        return eps(st.x, st.y, rows % n) < target_eps
-
     results = run(bundle.problem, [sp for sp in schedules for _ in seeds],
                   starts * len(grid), max_iter, target=target,
                   stop_at_target=True)
@@ -616,13 +613,19 @@ def cmd_compare(cfg, out_dir):
         return bundle.metric(x, y) if eps is None else eps(x, y, i)
 
     # the single-loop arms of all seeds as one batch; a row's gradient
-    # count is the cost model's 6 per step it took
+    # count is the cost model's 6 per step it took. An arm's printed line
+    # reads its last row: the single loop calls back after its last step,
+    # the baseline after every outer step, and budget >= 6 buys each arm
+    # one step at least
     rows = [[] for _ in seeds]  # each seed's compare_<seed>.csv rows
 
     def cb(i, st, elapsed):
         done = st.k - 1
         rows[i].append(("sipba", seeds[i], done, 6 * done, elapsed,
                         bundle.metric_name, metric(i, st.x, st.y)))
+
+    def last(i):  # the value and evaluation count of seed i's last row
+        return "%.6e (%d evals)" % (rows[i][-1][6], rows[i][-1][3])
 
     results = run(bundle.problem, sp, starts, budget // 6, callback=cb,
                   callback_stride=stride)
@@ -631,20 +634,16 @@ def cmd_compare(cfg, out_dir):
         if res.error is not None:
             line = "run %d: FAILED (sipba: %s)" % (seed, res.error)
         else:  # the seed's double-loop arm
-            line = "run %d: %s  sipba %.6e (%d evals)" % (
-                seed, bundle.metric_name, metric(i, res.state.x, res.state.y),
-                6 * res.iterations)
+            line = "run %d: %s  sipba %s" % (seed, bundle.metric_name, last(i))
 
             def bl_cb(k, x, sd, evals, elapsed):
                 rows[i].append(("baseline", seed, k, evals, elapsed,
                                 bundle.metric_name, metric(i, x, sd.y_star)))
 
             try:
-                base = _baseline_under_budget(bundle.problem, sp_base, st.x,
-                                              budget, inner_tol,
-                                              callback=bl_cb)
-                line += "  baseline %.6e (%d evals)" % (
-                    metric(i, base.x, base.saddle.y_star), base.grad_evals)
+                _baseline_under_budget(bundle.problem, sp_base, st.x, budget,
+                                       inner_tol, callback=bl_cb)
+                line += "  baseline " + last(i)
                 code = 0
             except (DivergenceError, ParameterOverflowError) as e:
                 line = "run %d: FAILED (baseline: %s)" % (seed, e)

@@ -212,7 +212,7 @@ def sandwich_check(problem_cf, x, rho_list, sigma_list, oracle_tol=1e-8):
     prob = problem_cf.problem
     x = _as_vector(x, prob.n_x, "x")
     phi_exact = float(problem_cf.closed_form_phi(x))
-    ystar = np.atleast_1d(problem_cf.closed_form_y_star(x))
+    ystar = problem_cf.closed_form_y_star(x)
     ynorm2 = float(_dot(ystar, ystar))
     limit = np.concatenate((ystar, ystar))
 

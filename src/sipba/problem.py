@@ -267,7 +267,7 @@ def _central_diff(fun, v, i, h):
 
 def _fd_error(fun, g, at, h):
     """||g - g_fd|| / max(||g_fd||, 1e-12) for central differences g_fd of fun."""
-    g = np.asarray(g, dtype=float)
+    g = _as_vector(g, at.size, "g")
     fd = np.array([_central_diff(fun, at, i, h) for i in range(at.size)])
     return float(_norm(g - fd) / max(float(_norm(fd)), 1e-12))
 

@@ -206,6 +206,25 @@ def test_hyper_rep_problem_contract():
     assert max(rep.errors.values()) < 1e-5
 
 
+def test_analytic_saddle_takes_one_x():
+    # a 2-vector x would read as its first entry
+    with pytest.raises(ContractViolation, match=r"x must have shape \(1,\)"):
+        analytic_saddle(np.array([1.0, 2.0]), 1.0, 1.0)
+    for x in (1.5, [1.5], np.array([1.5])):
+        assert analytic_saddle(x, 1.0, 1.0) == analytic_saddle(1.5, 1.0, 1.0)
+
+
+def test_hyper_rep_test_loss_checks_the_shapes_of_x_and_w():
+    # n_feat 10, p_dim 3: x has 30 entries and w 3; a 60-entry map with a
+    # 6-entry head would read as a loss
+    d = generate_hyper_rep(10, 3, 8, 8, 12, 0.1, seed=4)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ContractViolation, match=r"x must have shape \(30,\)"):
+        hyper_rep_test_loss(d, rng.standard_normal(60), rng.standard_normal(6))
+    with pytest.raises(ContractViolation, match=r"w must have shape \(3,\)"):
+        hyper_rep_test_loss(d, rng.standard_normal(30), rng.standard_normal(6))
+
+
 def test_hyper_rep_test_loss_matches_direct_formula():
     d = generate_hyper_rep(9, 2, 6, 6, 11, 0.2, seed=13)
     rng = np.random.default_rng(0)

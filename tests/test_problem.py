@@ -8,7 +8,7 @@ import pytest
 from sipba.benchmarks import quadratic_testbed, synthetic_problem
 from sipba.errors import ContractViolation
 from sipba.problem import (Ball, BilevelProblem, Box, FullSpace,
-                           _sample_interior, check_gradients)
+                           _fd_error, _sample_interior, check_gradients)
 
 
 def sample_sets():
@@ -130,6 +130,17 @@ def test_check_gradients_flags_sign_error():
     assert rep.errors["grad_F_x"] < 1e-6
     assert not max(rep.errors.values()) <= 1e-4
     assert "grad_F_y" in str(rep)
+
+
+def test_a_gradient_of_the_wrong_shape_is_a_contract_violation():
+    # a length-1 "gradient" of sum(v) at a 3-vector would broadcast against
+    # the three difference quotients, all 1, and read as exact
+    with pytest.raises(ContractViolation, match=r"g must have shape \(3,\)"):
+        _fd_error(lambda v: float(v.sum()), np.array([1.0]), np.zeros(3), 1e-5)
+    sy = synthetic_problem(3).problem
+    bad = replace(sy, grad_f_y=lambda x, y: sy.grad_f_y(x, y)[:1])
+    with pytest.raises(ContractViolation, match=r"got \(1,\)"):
+        check_gradients(bad, n_points=2)
 
 
 def test_check_gradients_default_rng_reproducible():

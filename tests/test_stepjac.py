@@ -5,7 +5,7 @@ from sipba.benchmarks import quadratic_testbed, synthetic_problem
 from sipba.solver import (Params, ScheduleParams, initial_state, params_at,
                           run)
 
-from stepjac import flat, frozen_fixed_point, step_jacobian
+from stepjac import flat, frozen_fixed_point, spectral_reading, step_jacobian
 
 
 def test_quadratic_step_jacobian_is_its_written_out_map():
@@ -28,6 +28,13 @@ def test_quadratic_step_jacobian_is_its_written_out_map():
     fp, jac, gap = frozen_fixed_point(prob, pars, st)
     assert np.max(np.abs(flat(fp))) < 1e-12 and gap < 1e-12
     assert np.max(np.abs(jac - want)) < 1e-6
+    # the map's eigenvalues are 1.035868 and 0.6496 +- 0.2190i: the power
+    # iteration reads the real dominant one, with its sign
+    ev = np.linalg.eigvals(want)
+    np.testing.assert_allclose(np.sort_complex(ev), [
+        0.6496 - 0.2190j, 0.6496 + 0.2190j, 1.035868], atol=1e-4)
+    assert spectral_reading(prob, pars, st) == pytest.approx(
+        (1.035868, 1.035868), abs=1e-6)
 
 
 @pytest.mark.parametrize("beta0, rate, flip", [(0.5 / 101, 0.990, None),
@@ -81,12 +88,11 @@ def test_a_1e_15_change_of_x0_is_amplified_only_at_the_flip_edge(beta0, stable):
         assert min(moved) > 1e-9
 
 
-def test_the_readme_run_ends_in_a_period_2_cycle():
-    # the README config's schedule at n=100, starts 0-2, after 20000 steps:
-    # x flips between two points each step (||x_{k+1} - x_k|| 3.78e-3)
-    # and returns to within 4.8e-8 every second step. Start 0 at beta0
-    # 5e-4, below the flip edge, settles instead (4.4e-9 a step). One batch
-    # under the two schedules
+@pytest.fixture(scope="module")
+def readme_batch():
+    """The README config's schedule at n=100 from starts 0-2, and from start
+    0 at beta0 5e-4, below the flip edge: (the problem, the four rows'
+    schedules, their results after 20000 steps as one batch)."""
     sy = synthetic_problem(100)
     sched = dict(alpha0=0.1, rho0=10.0, sigma0=0.01, p=0.001, q=0.001, s=0.1)
     sps = [ScheduleParams(beta0=1e-3, **sched)] * 3
@@ -94,13 +100,36 @@ def test_the_readme_run_ends_in_a_period_2_cycle():
     starts = [initial_state(sy.problem,
                             *sy.sample_init(np.random.default_rng(s)))
               for s in (0, 1, 2, 0)]
+    return sy.problem, sps, run(sy.problem, sps, starts, 20000)
+
+
+def test_the_readme_run_ends_in_a_period_2_cycle(readme_batch):
+    # after 20000 steps x flips between two points each step
+    # (||x_{k+1} - x_k|| 3.78e-3) and returns to within 4.8e-8 every second
+    # step. Start 0 at beta0 5e-4 settles instead (4.4e-9 a step)
+    prob, sps, res = readme_batch
     xs = []
-    for steps in (20000, 1, 1):
-        res = run(sy.problem, sps, starts, steps)
+    for k in range(3):  # x after 20000 + k steps
+        if k:
+            res = run(prob, sps, [r.state for r in res], 1)
         assert [r.stop_reason for r in res] == ["max_iter"] * 4
-        starts = [r.state for r in res]
-        xs.append(np.array([st.x for st in starts]))
+        xs.append(np.array([r.state.x for r in res]))
     one = np.linalg.norm(xs[1] - xs[0], axis=1)
     two = np.linalg.norm(xs[2] - xs[0], axis=1)
     assert (one[:3] > 1e-3).all() and (two[:3] < 1e-7).all()
     assert one[3] < 1e-7
+
+
+def test_the_spectral_reading_of_the_readme_state(readme_batch):
+    # start 0 after 20000 steps, the step frozen at k = 20001: at beta0 1e-3
+    # the dominant eigenvalue is -1.93242, the period-2 cycle's flip. At
+    # 5e-4 it is +0.99903 in a cluster of eigenvalues near 0.999, from
+    # which 30 products read +0.99876 (0.99849-0.99880 from other fixed
+    # starts): the iterates settle
+    prob, sps, res = readme_batch
+    flips = spectral_reading(prob, params_at(sps[0], res[0].state.k),
+                             res[0].state)
+    assert flips == pytest.approx((1.93242, -1.93242), abs=1e-5)
+    settles = spectral_reading(prob, params_at(sps[3], res[3].state.k),
+                               res[3].state)
+    assert settles == pytest.approx((0.99877, 0.99877), abs=1e-4)
