@@ -12,6 +12,7 @@ callers supply analytic gradients and can validate them with
 :func:`check_gradients`.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,7 +52,14 @@ def _dot(a, b):
 
 def _norm(v):
     """Each row's Euclidean norm as np.linalg.norm takes that row alone,
-    the square root of its dot with itself: the package's one norm."""
+    the square root of its dot with itself: the package's one norm.
+
+    A vector's is np.float64(math.sqrt(v.dot(v))): both square roots are
+    correctly rounded, so it has np.sqrt's bits, and math.sqrt skips a
+    ufunc call on a numpy scalar. A block's is np.sqrt of its row dots.
+    """
+    if v.ndim == 1:
+        return np.float64(math.sqrt(v.dot(v)))
     return np.sqrt(_dot(v, v))
 
 

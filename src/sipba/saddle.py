@@ -164,7 +164,7 @@ def estimate_T_lipschitz(problem, pr, x, u0, v0=None):
             v = w / nw
         if est > 0.0:
             break
-    return LipschitzEstimate(max(est, pr.sigma, 1e-12), v, calls)
+    return LipschitzEstimate(max(est, float(pr.sigma), 1e-12), v, calls)
 
 
 def _step_yz(problem, pr, beta, x, y, z):
@@ -188,7 +188,11 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         Start, stacked (y, z). Defaults to the projected zero vector.
     beta : float, optional
         Explicit step size. Default: 1/L_est, from a cold
-        estimate_T_lipschitz at the start (31 operator_T calls).
+        estimate_T_lipschitz at the start (31 operator_T calls). beta
+        stays a float for the residual, the underflow check and
+        SaddlePoint.beta; _step_yz takes a 0-d float64 copy of it, made
+        again after each halving, which numpy applies to the blocks
+        without converting it on every call.
 
     Raises
     ------
@@ -210,6 +214,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         raise ParameterOverflowError("oracle step size underflowed: beta=%r" % beta)
 
     beta0 = beta
+    step = np.array(beta)  # _step_yz's beta
     n_y = problem.n_y
     y, z = u[:n_y], u[n_y:]
 
@@ -223,7 +228,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     halvings = 0
     res = np.inf
     for it in range(1, max_iter + 1):
-        y1, z1, dy, dz = _step_yz(problem, pr, beta, x, y, z)
+        y1, z1, dy, dz = _step_yz(problem, pr, step, x, y, z)
         d = np.concatenate((y - y1, z - z1))
         res = float(_norm(d)) / beta
         finite = math.isfinite(res)
@@ -264,6 +269,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
                 saddle=pack(y, z, res, it, False),
             )
         beta *= 0.5
+        step = np.array(beta)
         best, since_best = np.inf, 0
     raise SaddleConvergenceError(
         "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"

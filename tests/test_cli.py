@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 
 def key_line(cfgp, dotted):
     """Line of "section.key": the key's first line from its section on."""
-    lines = open(cfgp).read().splitlines()
+    lines = Path(cfgp).read_text(encoding="utf-8").splitlines()
     found = 0
     for part in dotted.split("."):
         found = next(i for i in range(found, len(lines))

@@ -5,9 +5,11 @@ error each take an O(1) fast path for float64 vectors of the right shape.
 On a block, a box side whose faces all hold one value clips against that
 value as a 0-d array, and the synthetic gradients subtract 1.0 and repeat
 each row's factor instead of operating with the all-ones vector e, so
-numpy runs one loop over the block instead of one per row. These tests
-compare them in process with the formulations they replaced (np.clip
-against the bound arrays, products with e, np.linalg.norm,
+numpy runs one loop over the block instead of one per row. The scalars the
+step and the oracle loop apply to arrays are 0-d float64 arrays, and a
+vector's norm takes math.sqrt. These tests compare them in process with
+the formulations they replaced (np.clip against the bound arrays, products
+with e and with Python floats, np.linalg.norm and np.sqrt,
 np.isfinite(...).all(), atleast_1d conversions), so they hold on any BLAS,
 and check that bad inputs still raise.
 """
@@ -18,19 +20,22 @@ import re
 import numpy as np
 import pytest
 
-from sipba import benchmarks, saddle, smoothing
+from sipba import benchmarks, saddle, smoothing, solver
 from sipba.benchmarks import (
     generate_hyper_rep,
     hyper_rep_init,
     hyper_rep_problem,
+    quadratic_init,
     quadratic_testbed,
     synthetic_problem,
 )
 from sipba.diagnostics import relative_error, relative_error_denominator
 from sipba.errors import ContractViolation, SaddleConvergenceError
-from sipba.problem import Ball, Box, FullSpace, _as_vector, _dot
+from sipba.problem import Ball, Box, FullSpace, _as_vector, _dot, _norm
 from sipba.smoothing import PenaltyReg, operator_T
 from sipba.solver import (
+    IterateState,
+    Params,
     ScheduleParams,
     _finite,
     initial_state,
@@ -584,3 +589,107 @@ def test_hyper_rep_runs_equal_the_matmul_products(p_dim):
             assert a.k == b.k
             for block in ("x", "y", "z"):
                 assert same_bits(getattr(a, block), getattr(b, block))
+
+
+def _as_0d(pars):
+    return Params(*(np.array(v, dtype=np.float64) for v in pars))
+
+
+def _stack(states):
+    return IterateState(k=states[0].k, **{
+        b: np.stack([getattr(st, b) for st in states]) for b in "xyz"})
+
+
+def test_a_step_under_0d_params_equals_the_step_under_floats():
+    # run and the baseline hand the step 0-d float64 arrays where
+    # params_at gives floats: the same products, bit for bit, on a point
+    # and on a block of each family
+    sp = ScheduleParams(alpha0=0.01, beta0=1e-3, rho0=10.0, sigma0=0.01,
+                        p=0.01, q=0.01, s=0.16)
+    sb = synthetic_problem(5)
+    data = generate_hyper_rep(6, 2, 9, 7, 5, 0.1, seed=11)
+    quad = quadratic_testbed()
+    cases = [
+        (sb.problem, lambda g: sb.sample_init(g)),
+        (hyper_rep_problem(data), lambda g: hyper_rep_init(data, g)),
+        (quad, quadratic_init),
+    ]
+    for prob, init in cases:
+        starts = [initial_state(prob, *init(np.random.default_rng(s)))
+                  for s in range(3)]
+        for a in (starts[0], _stack(starts)):
+            b = a
+            for _ in range(40):
+                pars = params_at(sp, a.k)
+                a = sipba_step(prob, pars, a)
+                b = sipba_step(prob, _as_0d(pars), b)
+                assert a.k == b.k
+                for block in "xyz":
+                    assert same_bits(getattr(a, block), getattr(b, block))
+
+
+def test_run_and_the_baseline_hand_on_0d_params(monkeypatch):
+    # one live schedule: 0-d float64 fields; two: (S, 1) columns. The
+    # baseline's estimate, inner steps and x step share 0-d fields
+    sb = synthetic_problem(5)
+    prob = sb.problem
+    sps = [ScheduleParams(alpha0=0.1, beta0=1e-3, rho0=10.0, sigma0=0.01,
+                          p=0.001, q=0.001, s=0.1),
+           ScheduleParams(alpha0=0.1, beta0=1e-3, rho0=10.0, sigma0=0.01,
+                          p=0.01, q=0.01, s=0.16)]
+    starts = [initial_state(prob, *sb.sample_init(np.random.default_rng(s)))
+              for s in range(4)]
+    seen = []
+
+    def spy(problem, pars, state):
+        seen.append((state.k, pars))
+        return step(problem, pars, state)
+
+    step = solver.sipba_step
+    monkeypatch.setattr(solver, "sipba_step", spy)
+    for init, sched, shape in ((starts, sps[0], ()), (starts[:1], sps[0], ()),
+                               (starts, [sps[0], sps[1]] * 2, (4, 1))):
+        seen.clear()
+        run(prob, sched, init, 3)
+        assert [k for k, _ in seen] == [1, 2, 3]
+        for k, pars in seen:
+            for v in pars:
+                assert type(v) is np.ndarray and v.dtype == np.float64
+                assert v.shape == shape
+            if shape == ():
+                assert tuple(map(float, pars)) == params_at(sps[0], k)
+
+    ests, betas = [], []
+
+    def est_spy(problem, pr, *args):
+        ests.append(pr)
+        return estimate(problem, pr, *args)
+
+    def step_yz_spy(problem, pr, beta, *args):
+        betas.append(beta)
+        return step_yz(problem, pr, beta, *args)
+
+    estimate, step_yz = solver.estimate_T_lipschitz, saddle._step_yz
+    monkeypatch.setattr(solver, "estimate_T_lipschitz", est_spy)
+    monkeypatch.setattr(saddle, "_step_yz", step_yz_spy)
+    res = solver.run_double_loop_baseline(prob, sps[0], starts[0].x, 600)
+    assert res.outer_iterations >= 1 and ests and betas
+    assert tuple(map(float, ests[0])) == params_at(sps[0], 1)
+    for v in ests[0]:
+        assert type(v) is np.ndarray and v.shape == () and v.dtype == np.float64
+    assert all(type(b) is np.ndarray and b.shape == () for b in betas)
+
+
+def test_the_norm_of_a_vector_is_np_sqrt_of_its_dot_bit_for_bit():
+    rng = np.random.default_rng(23)
+    cases = [rng.standard_normal(int(rng.integers(1, 200)))
+             * 10.0 ** rng.uniform(-150, 150) for _ in range(2000)]
+    cases += [np.zeros(3), np.array([-0.0]), np.array([5e-324]),
+              np.array([1e-160, 3e-161]), np.array([1e200, 1e200]),
+              np.array([np.inf, 1.0]), np.array([-np.inf]),
+              np.array([np.nan, 1.0]), np.array([np.inf, np.nan])]
+    with np.errstate(all="ignore"):
+        for v in cases:
+            got = _norm(v)
+            assert type(got) is np.float64
+            assert same_bits(got, np.sqrt(v.dot(v)))
