@@ -25,7 +25,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ContractViolation
-from .problem import BilevelProblem, Box, FullSpace, _as_vector, _dot, _norm
+from .problem import (BilevelProblem, Box, FullSpace, _as_vector, _dot, _norm,
+                      _scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +130,17 @@ def _synthetic_f(e, x, y):
     return r * r
 
 
-def _const(c):
-    """c as a read-only 0-d float64 array: numpy takes it as it is, where it
-    converts a Python float on every call."""
-    a = np.array(c, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-_ONE, _MINUS_TWO = _const(1.0), _const(-2.0)
-
-
 # The gradients take one point or a block of rows. e's entries are all
 # 1.0: x - 1.0 is x - e bit for bit, and each row's factor c[..., None]
 # repeated along its row is c * e (a point's c is 0-d); numpy runs an
 # operation against a scalar as one loop over a whole block, and against e
-# as one loop per row. The constants are 0-d arrays, but not the point's
-# 2.0 * r in grad_f_x and grad_f_y: there r is a numpy scalar, whose
-# arithmetic with a Python float is cheaper than a ufunc call
+# as one loop per row
 def _synthetic_grad_F_x(n, x, y):
-    return (2.0 / n) * (x - _ONE)
+    return (2.0 / n) * (x - 1.0)
 
 
 def _synthetic_grad_F_y(x, y):
-    return _MINUS_TWO * (y - _ONE)
+    return -2.0 * (y - 1.0)
 
 
 def _synthetic_grad_f_x(e, x, y):
@@ -278,14 +266,13 @@ class _Split:
     alone bit for bit (tests/test_benchmarks.py pins it on the BLAS at
     hand). A point keeps its own path: a step's six calls take 29-32 us on
     one, 43-44 us on a one-row block. Both gradients scale by 2/m, kept as
-    a 0-d float64 array, which numpy takes without converting it on every
-    call. The loss takes one point. Instances pickle with their memo;
+    a _scalar. The loss takes one point. Instances pickle with their memo;
     their bound methods stay pure seen from outside.
     """
 
     def __init__(self, X, y):
         self.X, self.y = X, y
-        self._c = _const(2.0 / y.shape[0])
+        self._c = _scalar(2.0 / y.shape[0])
         self._memo = (None, None)  # (key of x, X^T H)
 
     def _residual(self, x, w):

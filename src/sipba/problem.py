@@ -12,7 +12,6 @@ callers supply analytic gradients and can validate them with
 :func:`check_gradients`.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,15 +51,18 @@ def _dot(a, b):
 
 def _norm(v):
     """Each row's Euclidean norm as np.linalg.norm takes that row alone,
-    the square root of its dot with itself: the package's one norm.
-
-    A vector's is np.float64(math.sqrt(v.dot(v))): both square roots are
-    correctly rounded, so it has np.sqrt's bits, and math.sqrt skips a
-    ufunc call on a numpy scalar. A block's is np.sqrt of its row dots.
-    """
-    if v.ndim == 1:
-        return np.float64(math.sqrt(v.dot(v)))
+    the square root of its dot with itself: the package's one norm."""
     return np.sqrt(_dot(v, v))
+
+
+def _scalar(c):
+    """c as a read-only 0-d float64 array: the package's form of a scalar
+    that a hot loop applies to arrays. numpy converts a Python-float
+    operand on every ufunc call and takes a 0-d float64 array as it is; the
+    operations are the same IEEE double operations, bit for bit."""
+    a = np.array(float(c))
+    a.setflags(write=False)
+    return a
 
 
 class ProjectableSet:
@@ -99,12 +101,11 @@ class FullSpace(ProjectableSet):
 
 
 def _uniform(side):
-    """side's one value as a 0-d float64 array when every entry has the same
-    bits, else side itself. Not a Python float: numpy converts one on every
-    call, which makes a vector's projection slower than against the array."""
+    """side's one value as a _scalar when every entry has the same bits,
+    else side itself."""
     bits = side.view(np.int64)
     if side.size and (bits == bits[0]).all():
-        return np.array(side[0])
+        return _scalar(side[0])
     return side
 
 

@@ -63,7 +63,7 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
-from .problem import _as_vector, _norm
+from .problem import _as_vector, _norm, _scalar
 from .smoothing import (direction_x, direction_y, direction_z, eval_psi,
                         operator_T)
 
@@ -190,9 +190,8 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         Explicit step size. Default: 1/L_est, from a cold
         estimate_T_lipschitz at the start (31 operator_T calls). beta
         stays a float for the residual, the underflow check and
-        SaddlePoint.beta; _step_yz takes a 0-d float64 copy of it, made
-        again after each halving, which numpy applies to the blocks
-        without converting it on every call.
+        SaddlePoint.beta; _step_yz takes a _scalar copy of it, made again
+        after each halving.
 
     Raises
     ------
@@ -214,7 +213,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         raise ParameterOverflowError("oracle step size underflowed: beta=%r" % beta)
 
     beta0 = beta
-    step = np.array(beta)  # _step_yz's beta
+    step = _scalar(beta)  # _step_yz's beta
     n_y = problem.n_y
     y, z = u[:n_y], u[n_y:]
 
@@ -269,7 +268,7 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
                 saddle=pack(y, z, res, it, False),
             )
         beta *= 0.5
-        step = np.array(beta)
+        step = _scalar(beta)
         best, since_best = np.inf, 0
     raise SaddleConvergenceError(
         "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"

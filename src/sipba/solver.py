@@ -25,10 +25,10 @@ shape (n,), or a batch of S starts at one counter k as (S, n) blocks, one row
 per start. run has one loop: it steps a list of starts as one batch, one
 sipba_step call a step, so each gradient is called once per step for all
 rows. The loop evaluates each live schedule once per k and hands the step
-its Params: 0-d float64 arrays when one schedule is live, else (S, 1)
-columns, and a column times a block gives each row the product the scalar
-gives it. Each row's arithmetic is that of the serial step, so every row's
-trajectory equals its serial run bit for bit. A batch of one is not stacked: it is
+its Params: floats when one schedule is live, else (S, 1) columns, and a
+column times a block gives each row the product the scalar gives it. Each
+row's arithmetic is that of the serial step, so every row's trajectory
+equals its serial run bit for bit. A batch of one is not stacked: it is
 stepped as vectors.
 
 Within a step, each way a row can end (its schedule leaves the float range,
@@ -50,6 +50,7 @@ from .errors import (
     ParameterOverflowError,
     SaddleConvergenceError,
 )
+from .problem import _scalar
 from .smoothing import direction_x
 from .saddle import _step_yz, default_start, estimate_T_lipschitz, solve_saddle
 
@@ -96,10 +97,9 @@ class ScheduleParams:
 
 
 class Params(NamedTuple):
-    """Scheduled values at one k: floats from params_at; 0-d float64 arrays
-    (_zero_d) where a step or the baseline applies them to arrays; or for a
-    batch whose rows run under different schedules (S, 1) columns, one row
-    per row of the batch."""
+    """Scheduled values at one k: floats, _scalars where the double-loop
+    baseline applies them to arrays, or for a batch whose rows run under
+    different schedules (S, 1) columns, one row per row of the batch."""
 
     alpha: float
     beta: float
@@ -138,13 +138,6 @@ def params_at(sp, k):
             "schedule left the float range at k=%d: rho_k=%r, sigma_k=%r"
             % (k, pars.rho, pars.sigma))
     return pars
-
-
-def _zero_d(pars):
-    """pars with each field a 0-d float64 array of the same value. numpy
-    converts a Python-float operand on every call and takes a 0-d array as
-    it is; the products are the same IEEE operations, bit for bit."""
-    return Params(*map(np.array, pars))
 
 
 @dataclass(frozen=True)
@@ -189,11 +182,10 @@ def sipba_step(problem, pars, state):
 
     The state is one start or a batch of rows (see IterateState), which
     the problem's gradients take as they are. pars is the schedule's
-    Params at state.k, from params_at, which checked it: floats, 0-d
-    float64 arrays (what run passes for one schedule), or for a batch whose
-    rows run under different schedules (S, 1) columns. The state is
-    validated where it is built (initial_state, and the config loader
-    before it). The step keeps O(1) checks only: each projection
+    Params at state.k, from params_at, which checked it: floats, or for a
+    batch whose rows run under different schedules (S, 1) columns. The
+    state is validated where it is built (initial_state, and the config
+    loader before it). The step keeps O(1) checks only: each projection
     takes a float64 block of the right shape as is and converts or rejects
     anything else, and each new block gets a finiteness test, per row only
     when the block's sum is not finite.
@@ -244,9 +236,7 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
     returns one RunResult per start, in order. sp is one schedule
     (ScheduleParams) for every start, or a list with one per start: each
     row then runs under its own schedule, evaluated once per step for all
-    its rows (params_at). The step gets that schedule's Params as 0-d
-    float64 arrays when the active rows share one schedule, else as (S, 1)
-    columns.
+    its rows (params_at).
 
     target : callable(rows, state) -> bools, optional
         Checked after every step, outside the timed region, on the batch's
@@ -357,8 +347,8 @@ def run(problem, sp, starts, max_iter, target=None, stop_at_target=False,
                     end(j, row(state, j), "error", err)
         if (state := leave(state)) is None:
             return results
-        if len(pars) == 1:  # 0-d arrays
-            step_pars = _zero_d(*pars.values())
+        if len(pars) == 1:  # scalars
+            (step_pars,) = pars.values()
         else:  # (S, 1) columns, one row per row of state
             for g, p in pars.items():
                 lut[g] = p
@@ -433,8 +423,8 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
 
     Each outer iteration k solves the saddle at (rho_k, sigma_k) to
     inner_tol and takes SiPBA's x step there, _step_x at (y*, z*). Its
-    Params, made 0-d float64 arrays once per outer iteration (_zero_d),
-    serve the step-size estimate, the inner solve and the x step.
+    Params, made _scalars once per outer iteration, serve the step-size
+    estimate, the inner solve and the x step.
     Inner convergence failures are recorded and the outer loop continues
     with the last saddle iterate. A schedule that left the float range
     raises params_at's ParameterOverflowError, and as in sipba_step a
@@ -474,7 +464,7 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
     while spent < grad_budget:
         max_iter = max(1, (grad_budget - spent) // 3)
         k += 1
-        pars = _zero_d(params_at(sp, k))
+        pars = Params(*map(_scalar, params_at(sp, k)))
         t0 = time.perf_counter()
         est = estimate_T_lipschitz(problem, pars, x, u, v)
         v = est.vector

@@ -6,12 +6,12 @@ On a block, a box side whose faces all hold one value clips against that
 value as a 0-d array, and the synthetic gradients subtract 1.0 and repeat
 each row's factor instead of operating with the all-ones vector e, so
 numpy runs one loop over the block instead of one per row. The scalars the
-step and the oracle loop apply to arrays are 0-d float64 arrays, and a
-vector's norm takes math.sqrt. These tests compare them in process with
-the formulations they replaced (np.clip against the bound arrays, products
-with e and with Python floats, np.linalg.norm and np.sqrt,
-np.isfinite(...).all(), atleast_1d conversions), so they hold on any BLAS,
-and check that bad inputs still raise.
+oracle loop and the double-loop baseline apply to arrays are 0-d float64
+arrays. These tests compare them in process with the formulations they
+replaced (np.clip against the bound arrays, products with e and with
+Python floats, np.linalg.norm, np.isfinite(...).all(), atleast_1d
+conversions), so they hold on any BLAS, and check that bad inputs still
+raise.
 """
 
 import dataclasses
@@ -601,9 +601,9 @@ def _stack(states):
 
 
 def test_a_step_under_0d_params_equals_the_step_under_floats():
-    # run and the baseline hand the step 0-d float64 arrays where
-    # params_at gives floats: the same products, bit for bit, on a point
-    # and on a block of each family
+    # the baseline hands the half-steps 0-d float64 arrays where params_at
+    # gives floats: the same products, bit for bit, on a point and on a
+    # block of each family
     sp = ScheduleParams(alpha0=0.01, beta0=1e-3, rho0=10.0, sigma0=0.01,
                         p=0.01, q=0.01, s=0.16)
     sb = synthetic_problem(5)
@@ -628,9 +628,10 @@ def test_a_step_under_0d_params_equals_the_step_under_floats():
                     assert same_bits(getattr(a, block), getattr(b, block))
 
 
-def test_run_and_the_baseline_hand_on_0d_params(monkeypatch):
-    # one live schedule: 0-d float64 fields; two: (S, 1) columns. The
-    # baseline's estimate, inner steps and x step share 0-d fields
+def test_run_hands_on_floats_and_the_baseline_0d_scalars(monkeypatch):
+    # run, one live schedule: params_at's floats; two: (S, 1) columns. The
+    # baseline's estimate, inner steps and x step share read-only 0-d
+    # float64 fields (problem._scalar), and the oracle steps at a 0-d beta
     sb = synthetic_problem(5)
     prob = sb.problem
     sps = [ScheduleParams(alpha0=0.1, beta0=1e-3, rho0=10.0, sigma0=0.01,
@@ -647,17 +648,20 @@ def test_run_and_the_baseline_hand_on_0d_params(monkeypatch):
 
     step = solver.sipba_step
     monkeypatch.setattr(solver, "sipba_step", spy)
-    for init, sched, shape in ((starts, sps[0], ()), (starts[:1], sps[0], ()),
-                               (starts, [sps[0], sps[1]] * 2, (4, 1))):
+    for init, sched in ((starts, sps[0]), (starts[:1], sps[0])):
         seen.clear()
         run(prob, sched, init, 3)
         assert [k for k, _ in seen] == [1, 2, 3]
         for k, pars in seen:
-            for v in pars:
-                assert type(v) is np.ndarray and v.dtype == np.float64
-                assert v.shape == shape
-            if shape == ():
-                assert tuple(map(float, pars)) == params_at(sps[0], k)
+            assert pars == params_at(sps[0], k)
+            assert all(type(v) is float for v in pars)
+    seen.clear()
+    run(prob, [sps[0], sps[1]] * 2, starts, 3)
+    assert [k for k, _ in seen] == [1, 2, 3]
+    for k, pars in seen:
+        for v in pars:
+            assert type(v) is np.ndarray and v.dtype == np.float64
+            assert v.shape == (4, 1)
 
     ests, betas = [], []
 
@@ -677,7 +681,9 @@ def test_run_and_the_baseline_hand_on_0d_params(monkeypatch):
     assert tuple(map(float, ests[0])) == params_at(sps[0], 1)
     for v in ests[0]:
         assert type(v) is np.ndarray and v.shape == () and v.dtype == np.float64
+        assert not v.flags.writeable
     assert all(type(b) is np.ndarray and b.shape == () for b in betas)
+    assert not any(b.flags.writeable for b in betas)
 
 
 def test_the_norm_of_a_vector_is_np_sqrt_of_its_dot_bit_for_bit():
