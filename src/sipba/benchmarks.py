@@ -280,7 +280,7 @@ class _Split:
         the gradients need not test it again); for a block, the (S, m, p)
         and (S, m) stacks of its rows'."""
         key = (x.dtype, x.shape, x.strides, x.tobytes())
-        memo = self._memo  # read once: the pair stays matched under threads
+        memo = self._memo  # rebound on a miss, so memo[1] is x's X^T H
         point = x.ndim == 1
         if key != memo[0]:
             n = self.X.shape[0]

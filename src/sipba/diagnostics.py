@@ -143,7 +143,7 @@ def snapshot(problem, sp, state, oracle_tol=1e-8, warm=None):
     u = sd.u
     phi = eval_psi(problem, pars, x, sd.y_star, sd.z_star)
     te = float(_norm(np.concatenate((state.y, state.z)) - u))
-    d = x - _step_x(problem, pars, pars.alpha, x, sd.y_star, sd.z_star)
+    d = x - _step_x(problem, pars, x, sd.y_star, sd.z_star)
     sr = float(_norm(d)) / pars.alpha
     trail = tuple(n for n in trail if n[0] != state.k) + ((state.k, u),)
     return Snapshot(phi=phi, tracking_err=te, stat_residual=sr, saddle=sd,

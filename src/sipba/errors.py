@@ -23,11 +23,12 @@ class DivergenceError(RuntimeError):
 
 
 class SaddleConvergenceError(RuntimeError):
-    """The saddle oracle exhausted its iteration budget, stalled through 60
-    step halvings, or its halved step underflowed.
+    """The saddle oracle exhausted its iteration budget, stalled or
+    diverged through 60 step halvings, or its halved step underflowed.
 
     ``saddle`` holds the last iterate packaged as a SaddlePoint with
-    converged=False; ``saddle.residual`` is the last residual.
+    converged=False; ``saddle.residual`` is the last residual (||T|| for
+    an underflow).
     """
 
     def __init__(self, message, saddle=None):

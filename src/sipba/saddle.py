@@ -35,21 +35,9 @@ iterations, which cost more than the inner ones it saves.
 Starts. With no u0, a solve starts at the projected zero vector
 (default_start), and with no beta it estimates the step at its start: a
 30-step power iteration from a fixed-seed vector, so it is deterministic.
-That cold default serves one-off callers (eval_phi, grad_phi,
-sandwich_check, gradcheck) and the first diagnostics solve of a run
-(diagnostics.snapshot without warm). A sequence of nearby solves chooses
-its own start and step and passes both, and the oracle keeps no state
-between solves. Every later diagnostics solve passes as u0 the start
-extrapolated from the last saddles of the run
-(diagnostics.predicted_start), and as beta the step the previous solve
-ended with, scaled by rho_prev / rho (see diagnostics.snapshot). The
-double-loop baseline starts its first inner solve at default_start and
-every later one at the previous saddle, and estimates each step at its
-start, from the previous estimate's dominant direction
-(see run_double_loop_baseline). It cannot carry its step as the
-diagnostics do: its x moves a full outer step between solves, and on
-criterion 07's n_feat=50, a=0.1 instance a carried step stalled one inner
-solve for 1612 iterations.
+The oracle keeps no state between solves: a sequence of nearby solves
+chooses its own starts and steps and passes both (see diagnostics.snapshot
+and run_double_loop_baseline).
 """
 
 import math
@@ -185,7 +173,8 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
     tol : float
         Stop once the step-scaled fixed-point residual is <= tol.
     u0 : array, optional
-        Start, stacked (y, z). Defaults to the projected zero vector.
+        Start, stacked (y, z); read, never written. Defaults to the
+        projected zero vector.
     beta : float, optional
         Explicit step size. Default: 1/L_est, from a cold
         estimate_T_lipschitz at the start (31 operator_T calls). beta
@@ -193,19 +182,16 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         SaddlePoint.beta; _step_yz takes a _scalar copy of it, made again
         after each halving.
 
-    Raises
-    ------
-    SaddleConvergenceError
-        If max_iter is exhausted, the step stalls through 60 halvings, or
-        a halved step underflows (u - beta*T rounds back to u where the
-        initial step still moves it); carries the last iterate in
-        ``saddle``, its residual in ``saddle.residual``.
+    A solve has four exits. It returns a converged SaddlePoint once the
+    residual is <= tol. It raises SaddleConvergenceError if a halved step
+    underflows (u - beta*T rounds back to u where the initial step still
+    moves it; the residual reported is ||T||), if the step stalls or
+    diverges through 60 halvings, or if max_iter is exhausted; the error
+    carries the last iterate in ``saddle``, with converged False.
     """
     x = _as_vector(x, problem.n_x, "x")
-    if u0 is None:
-        u = default_start(problem)
-    else:
-        u = _as_vector(u0, 2 * problem.n_y, "u0").copy()
+    u = default_start(problem) if u0 is None else _as_vector(
+        u0, 2 * problem.n_y, "u0")
     if beta is None:
         beta = 1.0 / estimate_T_lipschitz(problem, pr, x, u).value
     beta = float(beta)
@@ -214,39 +200,31 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
 
     beta0 = beta
     step = _scalar(beta)  # _step_yz's beta
-    n_y = problem.n_y
-    y, z = u[:n_y], u[n_y:]
+    y, z = u[:problem.n_y], u[problem.n_y:]
 
-    def pack(y, z, res, it, ok):
-        return SaddlePoint(y_star=y.copy(), z_star=z.copy(),
-                           residual=res, iterations=it, beta=beta,
-                           converged=ok)
+    def still(b):  # the step at b rounds back to (y, z)
+        return np.array_equal(y + b * dy, y) and np.array_equal(z - b * dz, z)
 
-    best = np.inf
-    since_best = 0
-    halvings = 0
-    res = np.inf
+    def failure(message, res, it):  # the last iterate (y, z), unconverged
+        return SaddleConvergenceError(message, saddle=SaddlePoint(
+            y.copy(), z.copy(), res, it, beta, False))
+
+    best, since_best, halvings, res = np.inf, 0, 0, np.inf
     for it in range(1, max_iter + 1):
         y1, z1, dy, dz = _step_yz(problem, pr, step, x, y, z)
-        d = np.concatenate((y - y1, z - z1))
-        res = float(_norm(d)) / beta
+        res = float(_norm(np.concatenate((y - y1, z - z1)))) / beta
         finite = math.isfinite(res)
         if finite and res <= tol:
-            if (res == 0.0 and beta < beta0
-                    and np.array_equal(y + beta * dy, y)
-                    and np.array_equal(z - beta * dz, z)
-                    and not (np.array_equal(y + beta0 * dy, y)
-                             and np.array_equal(z - beta0 * dz, z))):
-                # the halved step rounds back to u where the initial step
-                # still moves it: halving, not convergence, stopped u
+            if (res == 0.0 and beta < beta0 and still(beta)
+                    and not still(beta0)):
+                # halving, not convergence, stopped u
                 t_norm = float(_norm(np.concatenate((dy, dz))))
-                raise SaddleConvergenceError(
+                raise failure(
                     "saddle oracle step underflow after %d iterations: "
                     "beta=%.3e (%d halvings) no longer moves u while "
                     "||T||=%.3e (tol %.3e)" % (it, beta, halvings, t_norm, tol),
-                    saddle=pack(y, z, t_norm, it, False),
-                )
-            return pack(y1, z1, res, it, True)
+                    t_norm, it)
+            return SaddlePoint(y1.copy(), z1.copy(), res, it, beta, True)
         if finite:
             y, z = y1, z1
             # stall safeguard: no residual improvement over a long window
@@ -261,20 +239,16 @@ def solve_saddle(problem, pr, x, tol=1e-10, max_iter=10**6, u0=None, beta=None):
         # residual), and then the next iteration retries from the same u
         halvings += 1
         if halvings > 60:
-            raise SaddleConvergenceError(
+            raise failure(
                 "saddle oracle stalled after %d iterations (60 step "
                 "halvings) with residual %.3e (tol %.3e)" % (it, res, tol)
                 if finite else "oracle diverged even after step backoff",
-                saddle=pack(y, z, res, it, False),
-            )
+                res, it)
         beta *= 0.5
         step = _scalar(beta)
         best, since_best = np.inf, 0
-    raise SaddleConvergenceError(
-        "saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"
-        % (max_iter, res, tol),
-        saddle=pack(y, z, res, max_iter, False),
-    )
+    raise failure("saddle oracle hit max_iter=%d with residual %.3e (tol %.3e)"
+                  % (max_iter, res, tol), res, max_iter)
 
 
 def eval_phi(problem, pr, x, tol=1e-10):

@@ -172,9 +172,10 @@ def _finite(v):
     return math.isfinite(total) or np.isfinite(v).all()
 
 
-def _step_x(problem, pr, alpha, x, y, z):
-    """The projected x step at frozen (y, z): Proj_X(x - alpha*direction_x)."""
-    return problem.set_X.project(x - alpha * direction_x(problem, pr, x, y, z))
+def _step_x(problem, pr, x, y, z):
+    """The projected x step at (y, z): Proj_X(x - pr.alpha*direction_x)."""
+    return problem.set_X.project(
+        x - pr.alpha * direction_x(problem, pr, x, y, z))
 
 
 def sipba_step(problem, pars, state):
@@ -199,7 +200,7 @@ def sipba_step(problem, pars, state):
     """
     x = state.x
     y1, z1, _, _ = _step_yz(problem, pars, pars.beta, x, state.y, state.z)
-    x1 = _step_x(problem, pars, pars.alpha, x, y1, z1)
+    x1 = _step_x(problem, pars, x, y1, z1)
     nxt = IterateState(k=state.k + 1, x=x1, y=y1, z=z1)
     if not (_finite(x1) and _finite(y1) and _finite(z1)):
         ok = (np.isfinite(x1).all(-1) & np.isfinite(y1).all(-1)
@@ -477,7 +478,7 @@ def run_double_loop_baseline(problem, sp, x0, grad_budget, inner_tol=1e-8,
             failures += 1
         inner_total += sd.iterations
         spent += 3 * (est.calls + sd.iterations + 1)
-        x = _step_x(problem, pars, pars.alpha, x, sd.y_star, sd.z_star)
+        x = _step_x(problem, pars, x, sd.y_star, sd.z_star)
         if not _finite(x):
             raise DivergenceError(
                 "non-finite baseline iterate at outer iteration k=%d" % k)

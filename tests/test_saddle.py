@@ -346,6 +346,42 @@ def test_solve_saddle_step_underflow_is_not_convergence(monkeypatch):
     assert err.saddle.residual > 1e20
 
 
+_SPIRAL = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+
+
+@pytest.mark.parametrize("T, u0, kwargs, exit_", [
+    (None, [0.5, -0.5], {}, None),
+    # a never-finite step leaves the iterate at u0 itself
+    (lambda u: np.full_like(u, np.inf), [0.5, -0.5],
+     {"beta": 0.5, "max_iter": 1}, "max_iter=1"),
+    (lambda u: np.copysign(1.0, u), [0.5, -0.5], {"beta": 0.5}, "stalled"),
+    (lambda u: np.full_like(u, np.inf), [0.5, -0.5], {"beta": 0.5},
+     "diverged"),
+    (lambda u: _SPIRAL @ u, [1.0, 1.0], {"beta": 0.5, "tol": 1e-10},
+     "step underflow"),
+], ids=["converged", "max_iter", "stalled", "diverged", "underflow"])
+def test_solve_saddle_reads_u0_and_never_hands_it_out(monkeypatch, T, u0,
+                                                      kwargs, exit_):
+    # a float64 u0 of the right shape enters the loop as is, not copied:
+    # no exit may write it or return a view of it
+    if T is not None:
+        inject_T(monkeypatch, T)
+    u0 = np.array(u0)
+    bits = u0.tobytes()
+    args = (quad, PenaltyReg(1.0, 1.0), [0.0])
+    if exit_ is None:
+        sd = solve_saddle(*args, u0=u0, **kwargs)
+        assert sd.converged
+    else:
+        with pytest.raises(SaddleConvergenceError, match=exit_) as ei:
+            solve_saddle(*args, u0=u0, **kwargs)
+        sd = ei.value.saddle
+        assert not sd.converged
+    assert u0.tobytes() == bits
+    assert not np.shares_memory(sd.y_star, u0)
+    assert not np.shares_memory(sd.z_star, u0)
+
+
 def test_solve_saddle_argument_validation():
     pr = PenaltyReg(1.0, 1.0)
     with pytest.raises(ParameterOverflowError):
